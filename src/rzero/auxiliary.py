@@ -10,8 +10,17 @@ cross-checks against an Euler-Maclaurin zeta evaluator through the identity
 
     zeta(s) = R(s) + chi(s) * conj(R(1 - conj(s))).
 
+The quadrature is organised around two kinds of reuse.  On the line
+x = q + 1/2 + v e^{i pi/4} the terms log x and
+i pi x^2 - log(e^{i pi x} - e^{-i pi x}) do not depend on s; they are kept
+per (crossing, dyadic step) in a bounded lattice table, so a pass reduces to
+one complex multiply-add and one exp per node.  The trapezoid grids at
+steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
+fixes the extent to a multiple of 1/2 and each halving of the step computes
+only the new odd nodes, reusing the sums of the previous pass.
+
 Everything here is a pure function; repeated evaluations at the same point
-are served from a cache.
+are served from a cache, and the reuse never changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -115,15 +124,14 @@ def dirichlet_sum_derivative(s: complex, q: int) -> complex:
     return complex(np.sum(-ln * np.exp(-s * ln)))
 
 
-def _log_integrand(x: np.ndarray, s: complex) -> np.ndarray:
-    """Pointwise log of x^{-s} e^{i pi x^2} / (e^{i pi x} - e^{-i pi x}).
+def _log_kernel(x: np.ndarray) -> np.ndarray:
+    """Pointwise log of e^{i pi x^2} / (e^{i pi x} - e^{-i pi x}).
 
     Logs are principal per point; the results are only ever exponentiated, so
     no branch tracking is needed.  The denominator log factors out whichever
     exponential dominates to avoid overflow off the real axis.
     """
-    num = -s * np.log(x) + 1j * math.pi * x * x
-    den = np.empty_like(num)
+    den = np.empty_like(x)
     up = x.imag >= 0.0
     xu = x[up]
     # e^{i pi x} - e^{-i pi x} = e^{-i pi x} (e^{2 i pi x} - 1), |e^{2 i pi x}| <= 1
@@ -131,13 +139,86 @@ def _log_integrand(x: np.ndarray, s: complex) -> np.ndarray:
     xd = x[~up]
     # ... = e^{i pi x} (1 - e^{-2 i pi x}), |e^{-2 i pi x}| < 1
     den[~up] = 1j * math.pi * xd + np.log(1.0 - np.exp(-2j * math.pi * xd))
-    return num - den
+    return 1j * math.pi * x * x - den
+
+
+def _line_rows(q: int, step: float, n: int, base: bool):
+    """(log x, log kernel) at x = q + 1/2 + step k e^{i pi/4} for one nesting
+    level: every integer |k| <= n when ``base``, else the odd |k| < n."""
+    k = np.arange(-n, n + 1) if base else np.arange(1 - n, n, 2)
+    x = (q + 0.5) + (step * k) * _LINE_DIR
+    # The path must stay clear of the branch cut of log x (negative reals).
+    if not np.all((x.imag != 0.0) | (x.real > 0.0)):
+        raise PathThroughPoleError("integration path touched the logarithm cut")
+    return np.log(x), _log_kernel(x)
+
+
+# Nesting: a pass at a dyadic step h <= _BASE_STEP starts from the grid of
+# step _BASE_STEP (its nodes also fix the exponent scale) and adds the odd
+# nodes of each halving down to h.
+_BASE_STEP = 0.25
+# The lattice table keeps dyadic levels from _BASE_STEP down to this step;
+# finer or non-dyadic levels are computed on every pass.  It is flushed
+# before it would exceed either cap (about 0.4 MiB covers every crossing up
+# to t = 2000 at the extents automatic evaluation uses).
+LATTICE_FINEST_STEP = 1.0 / 64.0
+LATTICE_MAX_BYTES = 2 << 20
+LATTICE_MAX_ENTRIES = 256
+
+
+class _Lattice:
+    """Bounded table of the s-independent rows of the log integrand.
+
+    An entry (q, step, base) holds the rows of ``_line_rows`` for the widest
+    extent requested so far; rows are centred in k, so any narrower extent is
+    a contiguous slice with the same bits as a direct computation.
+    """
+
+    def __init__(self):
+        self._rows: dict[tuple[int, float, bool], tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(logx.nbytes + rest.nbytes for _, logx, rest in self._rows.values())
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def rows(self, q: int, step: float, n: int, base: bool):
+        if not (LATTICE_FINEST_STEP <= step <= _BASE_STEP
+                and math.frexp(step)[0] == 0.5):
+            return _line_rows(q, step, n, base)
+        key = (q, step, base)
+        hit = self._rows.get(key)
+        if hit is not None and hit[0] >= n:
+            n_max, logx, rest = hit
+            lo = n_max - n if base else (n_max - n) // 2
+            return logx[lo:len(logx) - lo], rest[lo:len(rest) - lo]
+        logx, rest = _line_rows(q, step, n, base)
+        size = logx.nbytes + rest.nbytes
+        if size > LATTICE_MAX_BYTES:
+            return logx, rest
+        self._rows.pop(key, None)
+        if (self.nbytes + size > LATTICE_MAX_BYTES
+                or len(self._rows) >= LATTICE_MAX_ENTRIES):
+            self.clear()
+        self._rows[key] = (n, logx, rest)
+        return logx, rest
+
+
+_LATTICE = _Lattice()
+
+# Single-slot memo of the last pass: (key, level, state), see _quadrature.
+_PASS_MEMO = None
 
 
 def _csum(values: np.ndarray, compensated: bool) -> complex:
     if compensated:
         return complex(math.fsum(values.real), math.fsum(values.imag))
-    return complex(np.sum(values))
+    return complex(values.sum())
 
 
 def _quadrature(s: complex, spec: QuadratureSpec):
@@ -146,40 +227,70 @@ def _quadrature(s: complex, spec: QuadratureSpec):
     Returns (log_total | None, rel_disc, rel_tail, noise_rel) where
     log_total is a log of the combined value (Dirichlet sum plus line
     integral) and the relative figures are against that value.
+
+    The nodes are v = step k with |k| <= m_half (even), laid out in nesting
+    levels: a base grid at step step * 2^n <= _BASE_STEP (n as large as the
+    extent allows), then the odd nodes of each halving.  Sums are
+    accumulated level by level and the exponent scale comes from the base
+    grid, so the result is the same whether the coarser levels are computed
+    here or taken from the previous pass at the same (s, crossing,
+    half_length, precision_mode) and twice the step; that reuse is what
+    makes step halving in _r_eval_cached cost only the new nodes.
     """
+    global _PASS_MEMO
     c = spec.crossing + 0.5
     if abs(c - round(c)) < 1e-6:
         raise PathThroughPoleError(f"crossing parameter {c} sits on a pole")
+    q = spec.crossing
     h = spec.step
     half = spec.half_length
     m_half = 2 * int(math.ceil(half / (2.0 * h)))  # even so the coarse grid nests
-    v = h * np.arange(-m_half, m_half + 1)
-    x = c + v * _LINE_DIR
-    # The path must stay clear of the branch cut of log x (negative reals).
-    if not np.all((x.imag != 0.0) | (x.real > 0.0)):
-        raise PathThroughPoleError("integration path touched the logarithm cut")
-
-    lg = _log_integrand(x, s)
-    m = float(np.max(lg.real))
-    g = np.exp(lg - m)
+    n = 0
+    while h * 2 ** (n + 1) <= _BASE_STEP and m_half % 2 ** (n + 1) == 0:
+        n += 1
+    base_step, base_n = h * 2 ** n, m_half >> n
     compensated = spec.precision_mode == "compensated"
-    t_h = h * _csum(g, compensated)
-    t_2h = 2.0 * h * _csum(g[::2], compensated)
+    key = (s, q, spec.precision_mode, base_step, base_n)
 
-    sum_part = dirichlet_sum(s, spec.crossing)
-    # Everything is combined in units of e^{m} ("reduced" scale).
-    if abs(sum_part) == 0.0:
-        sum_red = 0.0 + 0.0j
-    elif m < math.log(abs(sum_part)) + 650.0:
-        sum_red = cmath.exp(cmath.log(sum_part) - m)
-    else:  # Dirichlet part negligible against the integral at scale e^m
-        sum_red = 0.0 + 0.0j
+    memo = _PASS_MEMO
+    if memo is not None and memo[0] == key and memo[1] < n:
+        level, (m, total, abs_total, ends, sum_red) = memo[1], memo[2]
+    else:
+        logx, rest = _LATTICE.rows(q, base_step, base_n, True)
+        lg = rest - s * logx
+        m = float(np.max(lg.real))
+        g = np.exp(lg - m)
+        total = _csum(g, compensated)
+        abs_total = float(np.abs(g).sum())
+        ends = abs(g[0]) + abs(g[-1])
+        sum_part = dirichlet_sum(s, q)
+        # Everything is combined in units of e^{m} ("reduced" scale).
+        if abs(sum_part) == 0.0:
+            sum_red = 0.0 + 0.0j
+        elif m < math.log(abs(sum_part)) + 650.0:
+            sum_red = cmath.exp(cmath.log(sum_part) - m)
+        else:  # Dirichlet part negligible against the integral at scale e^m
+            sum_red = 0.0 + 0.0j
+        level = 0
+        if n == 0:  # no finer level: the 2h grid is every other base node
+            coarse = _csum(g[::2], compensated)
+    for level in range(level + 1, n + 1):
+        logx, rest = _LATTICE.rows(q, base_step / 2 ** level, base_n << level,
+                                   False)
+        g = np.exp(rest - s * logx - m)
+        coarse = total
+        total = total + _csum(g, compensated)
+        abs_total += float(np.abs(g).sum())
+    _PASS_MEMO = (key, n, (m, total, abs_total, ends, sum_red))
+
+    t_h = h * total
+    t_2h = 2.0 * h * coarse
     direction = _ORIENTATION * _LINE_DIR
     total_red = direction * t_h + sum_red
 
     disc = abs(t_h - t_2h)
-    tail = (abs(g[0]) + abs(g[-1])) * (h + 1.0 / (TWO_PI * half)) * 2.0
-    noise = 1e-16 * (h * float(np.sum(np.abs(g))) + abs(sum_red))
+    tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
+    noise = 1e-16 * (h * abs_total + abs(sum_red))
 
     scale_red = max(abs(total_red), noise, 5e-324)
     rel_disc = disc / scale_red
@@ -253,9 +364,17 @@ def auto_spec(s, crossing: int | None = None, step: float = 0.125,
 
 @lru_cache(maxsize=400_000)
 def _r_eval_cached(sigma: float, t: float, precision_mode: str) -> EvaluationResult:
+    """Step-halving driver behind r_eval.
+
+    The half-length is rounded up to a multiple of 1/2, so every dyadic grid
+    with step <= 1/4 spans the same nodes and the grid at step h is the
+    even-indexed subset of the grid at h/2; each halving then computes only
+    the new odd nodes (see _quadrature).  Widening for a large tail keeps
+    the multiple.
+    """
     z = complex(sigma, t)
     base = auto_spec(z, precision_mode=precision_mode)
-    half = base.half_length
+    half = math.ceil(2.0 * base.half_length) / 2.0
     step = 0.25
     prev_rel = None
     best = None  # (rel_err, log_total)
@@ -265,18 +384,21 @@ def _r_eval_cached(sigma: float, t: float, precision_mode: str) -> EvaluationRes
         log_total, rel_disc, rel_tail, noise_rel = _quadrature(z, spec)
         rel_err = rel_disc + rel_tail
         if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
-            half *= 1.5
+            half = math.ceil(3.0 * half) / 2.0  # 1.5x, still a multiple of 1/2
             continue
         if best is None or rel_err < best[0]:
             best = (rel_err, log_total)
         if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
             break
         # Halving the step squares the trapezoid error, so once the estimate
-        # is small and stops shrinking we are at the rounding plateau (the
-        # value is a near-cancellation, e.g. next to a zero); further nodes
-        # cannot help.  The reported absolute estimate stays honest.
+        # is small, stops shrinking and sits near the noise floor we are at
+        # the rounding plateau (the value is a near-cancellation, e.g. next
+        # to a zero); further nodes cannot help.  Far above the floor the
+        # grids are still pre-asymptotic and must keep halving.  The
+        # reported absolute estimate stays honest.
         if (rel_err < 1e-3 and prev_rel is not None
-                and rel_err > 0.35 * prev_rel):
+                and rel_err > 0.35 * prev_rel
+                and rel_err <= 1e4 * noise_rel):
             break
         if step <= 1.0 / 1024.0:
             break
@@ -314,7 +436,11 @@ def r_value(s) -> complex:
 
 
 def r_eval_cache_clear() -> None:
+    """Drop every cached R value, the pass memo and the lattice table."""
+    global _PASS_MEMO
     _r_eval_cached.cache_clear()
+    _PASS_MEMO = None
+    _LATTICE.clear()
 
 
 def r_asymptotic(s, t_min: float = 50.0, slope: float = 1.0,

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rzero import auxiliary
 from rzero.auxiliary import (
     EPS_TARGET,
+    LATTICE_FINEST_STEP,
+    LATTICE_MAX_BYTES,
+    LATTICE_MAX_ENTRIES,
     QuadratureSpec,
     _quadrature,
     auto_spec,
@@ -19,6 +23,7 @@ from rzero.auxiliary import (
     r_asymptotic,
     r_derivative,
     r_eval,
+    r_eval_cache_clear,
     r_integral,
     zeta_from_r,
     zeta_reference,
@@ -167,6 +172,89 @@ class TestREval:
         a = r_eval(0.25 + 33.3j)
         b = r_eval(0.25 + 33.3j)
         assert a is b
+
+
+# sigma in [-2, 3] at the four layer heights of the benchmark
+REUSE_POINTS = [complex(-1.3, 20.4), complex(0.5, 101.7), complex(2.6, 493.2),
+                complex(-0.4, 2017.9)]
+
+
+def _eval_all(points):
+    return [(r.value, r.error_estimate, r.log_value)
+            for r in map(r_eval, points)]
+
+
+class TestQuadratureReuse:
+    @pytest.mark.parametrize("s", REUSE_POINTS)
+    def test_halved_pass_reuses_bit_identically(self, s, monkeypatch):
+        spec = auto_spec(s)
+        coarse = QuadratureSpec(crossing=spec.crossing,
+                                half_length=math.ceil(2 * spec.half_length) / 2,
+                                step=0.0625)
+        fine = dataclasses.replace(coarse, step=0.03125)
+        r_eval_cache_clear()
+        cold = _quadrature(s, fine)
+        _quadrature(s, coarse)
+        rows = []
+        real_rows = auxiliary._LATTICE.rows
+        monkeypatch.setattr(auxiliary._LATTICE, "rows",
+                            lambda *a: rows.append(a) or real_rows(*a))
+        warm = _quadrature(s, fine)
+        assert warm == cold
+        # only the odd nodes of the new level were computed
+        assert [(step, base) for _, step, _, base in rows] == [(0.03125, False)]
+
+    @pytest.mark.parametrize("s", REUSE_POINTS)
+    def test_matches_fine_step_r_integral(self, s):
+        spec = auto_spec(s)
+        oracle = r_integral(s, dataclasses.replace(
+            spec, half_length=spec.half_length + 2.0, step=1 / 128))
+        assert abs(r_eval(s).value - oracle.value) <= 1e-12 * abs(oracle.value)
+
+    def test_cold_runs_bit_identical(self):
+        points = REUSE_POINTS + [1.0 - p.conjugate() for p in REUSE_POINTS]
+        r_eval_cache_clear()
+        first = _eval_all(points)
+        r_eval_cache_clear()
+        again = _eval_all(points)
+        r_eval_cache_clear()
+        backwards = _eval_all(points[::-1])[::-1]
+        assert first == again == backwards
+
+    def test_lattice_memory_bound(self):
+        r_eval_cache_clear()
+        _eval_all(REUSE_POINTS)
+        s = REUSE_POINTS[-1]
+        spec = auto_spec(s)
+        forced = QuadratureSpec(crossing=spec.crossing,
+                                half_length=math.ceil(2 * spec.half_length) / 2,
+                                step=1 / 1024)
+        _quadrature(s, forced)
+        lattice = auxiliary._LATTICE
+        assert 0 < len(lattice) <= LATTICE_MAX_ENTRIES
+        assert 0 < lattice.nbytes <= LATTICE_MAX_BYTES
+        assert all(step >= LATTICE_FINEST_STEP for _, step, _ in lattice._rows)
+
+    def test_lattice_flush_keeps_results(self, monkeypatch):
+        r_eval_cache_clear()
+        reference = _eval_all(REUSE_POINTS)
+        uncapped = len(auxiliary._LATTICE)
+        cap = 64 << 10
+        monkeypatch.setattr(auxiliary, "LATTICE_MAX_BYTES", cap)
+        r_eval_cache_clear()
+        assert _eval_all(REUSE_POINTS) == reference
+        assert 0 < auxiliary._LATTICE.nbytes <= cap
+        assert len(auxiliary._LATTICE) < uncapped
+
+    def test_plateau_exit_needs_noise_floor(self):
+        # steps 0.25 and 0.125 disagree more than 0.25 and its halving did;
+        # that is a pre-asymptotic grid, not a rounding plateau
+        s = 1.3762232190598911 + 2092.8020024430552j
+        res = r_eval(s)
+        assert res.error_estimate <= EPS_TARGET * abs(res.value)
+        z = 1.0 - s.conjugate()
+        scale = abs(r_eval(z).value) + abs(chi(z) * res.value)
+        assert abs(zeta_from_r(z) - zeta_reference(z)) <= 1e-8 * scale
 
 
 class TestZetaFromR:
