@@ -17,7 +17,9 @@ per (crossing, dyadic step) in a bounded lattice table, so a pass reduces to
 one complex multiply-add and one exp per node.  The trapezoid grids at
 steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
 fixes the extent to a multiple of 1/2 and each halving of the step computes
-only the new odd nodes, reusing the sums of the previous pass.
+only the new odd nodes, reusing the sums of the previous pass.  R'(s) comes
+from the same accepted grid: differentiating under the integral multiplies
+each node by -log x, and the Dirichlet part by -log n.
 
 Everything here is a pure function; repeated evaluations at the same point
 are served from a cache, and the reuse never changes a bit of any result.
@@ -51,6 +53,7 @@ from .special_functions import (
 
 EPS_TARGET = 1e-9          # relative accuracy goal of automatic evaluation
 FAIL_THRESHOLD = 1e-6      # relative error_estimate beyond which we refuse
+_EPS = 2.0 ** -52          # double precision machine epsilon
 
 # Direction of traversal of the integration line.  The line has slope one
 # (direction e^{i pi/4}); the sign fixes the down-left traversal and was
@@ -66,13 +69,11 @@ class QuadratureSpec:
     crossing     -- integer q >= 0; the path crosses the real axis at q + 1/2
     half_length  -- truncation of the line parameter (nodes span +-half_length)
     step         -- trapezoidal node spacing
-    precision_mode -- "standard" (numpy sum) or "compensated" (exact fsum)
     """
 
     crossing: int
     half_length: float
     step: float
-    precision_mode: str = "standard"
 
     def __post_init__(self):
         if self.crossing < 0:
@@ -86,8 +87,6 @@ class QuadratureSpec:
             raise DomainError(
                 f"half_length {self.half_length} below minimum {min_half:.3f}"
             )
-        if self.precision_mode not in ("standard", "compensated"):
-            raise DomainError(f"unknown precision mode {self.precision_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,8 @@ class EvaluationResult:
     and meaningful even when ``value`` itself overflows the double range,
     which happens deep in the left half-plane.  ``u_proxy`` is only set for
     the asymptotic method when a quadrature reference was requested.
+    ``derivative`` (R'(s)) and its absolute ``derivative_error`` are only set
+    when the derivative was requested (see r_derivative).
     """
 
     value: complex
@@ -105,6 +106,8 @@ class EvaluationResult:
     error_estimate: float
     u_proxy: float | None = None
     log_value: complex | None = None
+    derivative: complex | None = None
+    derivative_error: float | None = None
 
 
 def dirichlet_sum(s: complex, q: int) -> complex:
@@ -215,10 +218,27 @@ _LATTICE = _Lattice()
 _PASS_MEMO = None
 
 
-def _csum(values: np.ndarray, compensated: bool) -> complex:
-    if compensated:
-        return complex(math.fsum(values.real), math.fsum(values.imag))
-    return complex(values.sum())
+def _levels(spec: QuadratureSpec) -> tuple[int, float, int]:
+    """Nesting layout of a pass: (n, base_step, base_n).
+
+    The nodes are v = step k with |k| <= m_half (even), laid out as a base
+    grid of step base_step = step * 2^n <= _BASE_STEP with |k| <= base_n
+    (n as large as the extent allows), then the odd nodes of each of the n
+    halvings.
+    """
+    h = spec.step
+    m_half = 2 * int(math.ceil(spec.half_length / (2.0 * h)))  # even: 2h nests
+    n = 0
+    while h * 2 ** (n + 1) <= _BASE_STEP and m_half % 2 ** (n + 1) == 0:
+        n += 1
+    return n, h * 2 ** n, m_half >> n
+
+
+def _reduced(value: complex, m: float) -> complex:
+    """value * e^{-m}; zero when negligible against the integral at e^m."""
+    if value == 0.0 or m >= math.log(abs(value)) + 650.0:
+        return 0.0 + 0.0j
+    return cmath.exp(cmath.log(value) - m)
 
 
 def _quadrature(s: complex, spec: QuadratureSpec):
@@ -228,14 +248,12 @@ def _quadrature(s: complex, spec: QuadratureSpec):
     log_total is a log of the combined value (Dirichlet sum plus line
     integral) and the relative figures are against that value.
 
-    The nodes are v = step k with |k| <= m_half (even), laid out in nesting
-    levels: a base grid at step step * 2^n <= _BASE_STEP (n as large as the
-    extent allows), then the odd nodes of each halving.  Sums are
-    accumulated level by level and the exponent scale comes from the base
-    grid, so the result is the same whether the coarser levels are computed
-    here or taken from the previous pass at the same (s, crossing,
-    half_length, precision_mode) and twice the step; that reuse is what
-    makes step halving in _r_eval_cached cost only the new nodes.
+    The nodes follow the nesting layout of _levels.  Sums are accumulated
+    level by level and the exponent scale comes from the base grid, so the
+    result is the same whether the coarser levels are computed here or taken
+    from the previous pass at the same (s, crossing, half_length) and twice
+    the step; that reuse is what makes step halving in _r_eval_cached cost
+    only the new nodes.
     """
     global _PASS_MEMO
     c = spec.crossing + 0.5
@@ -243,14 +261,8 @@ def _quadrature(s: complex, spec: QuadratureSpec):
         raise PathThroughPoleError(f"crossing parameter {c} sits on a pole")
     q = spec.crossing
     h = spec.step
-    half = spec.half_length
-    m_half = 2 * int(math.ceil(half / (2.0 * h)))  # even so the coarse grid nests
-    n = 0
-    while h * 2 ** (n + 1) <= _BASE_STEP and m_half % 2 ** (n + 1) == 0:
-        n += 1
-    base_step, base_n = h * 2 ** n, m_half >> n
-    compensated = spec.precision_mode == "compensated"
-    key = (s, q, spec.precision_mode, base_step, base_n)
+    n, base_step, base_n = _levels(spec)
+    key = (s, q, base_step, base_n)
 
     memo = _PASS_MEMO
     if memo is not None and memo[0] == key and memo[1] < n:
@@ -260,26 +272,20 @@ def _quadrature(s: complex, spec: QuadratureSpec):
         lg = rest - s * logx
         m = float(np.max(lg.real))
         g = np.exp(lg - m)
-        total = _csum(g, compensated)
+        total = complex(g.sum())
         abs_total = float(np.abs(g).sum())
         ends = abs(g[0]) + abs(g[-1])
-        sum_part = dirichlet_sum(s, q)
         # Everything is combined in units of e^{m} ("reduced" scale).
-        if abs(sum_part) == 0.0:
-            sum_red = 0.0 + 0.0j
-        elif m < math.log(abs(sum_part)) + 650.0:
-            sum_red = cmath.exp(cmath.log(sum_part) - m)
-        else:  # Dirichlet part negligible against the integral at scale e^m
-            sum_red = 0.0 + 0.0j
+        sum_red = _reduced(dirichlet_sum(s, q), m)
         level = 0
         if n == 0:  # no finer level: the 2h grid is every other base node
-            coarse = _csum(g[::2], compensated)
+            coarse = complex(g[::2].sum())
     for level in range(level + 1, n + 1):
         logx, rest = _LATTICE.rows(q, base_step / 2 ** level, base_n << level,
                                    False)
         g = np.exp(rest - s * logx - m)
         coarse = total
-        total = total + _csum(g, compensated)
+        total = total + complex(g.sum())
         abs_total += float(np.abs(g).sum())
     _PASS_MEMO = (key, n, (m, total, abs_total, ends, sum_red))
 
@@ -289,7 +295,7 @@ def _quadrature(s: complex, spec: QuadratureSpec):
     total_red = direction * t_h + sum_red
 
     disc = abs(t_h - t_2h)
-    tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
+    tail = ends * (h + 1.0 / (TWO_PI * spec.half_length)) * 2.0
     noise = 1e-16 * (h * abs_total + abs(sum_red))
 
     scale_red = max(abs(total_red), noise, 5e-324)
@@ -304,6 +310,44 @@ def _quadrature(s: complex, spec: QuadratureSpec):
     return log_total, rel_disc, rel_tail, noise_rel
 
 
+def _grid_derivative(s: complex, spec: QuadratureSpec) -> tuple[complex, float]:
+    """(R'(s), absolute error estimate) on the grid of one pass.
+
+    d/ds of x^{-s} is -log x x^{-s}, so R' is the same trapezoid sum with
+    each node weighted by -log x, plus the derivative of the Dirichlet sum.
+    The nodes, their lattice rows and the exponent scale e^m are those of
+    _quadrature on the same spec.  The estimate is the discrepancy against
+    the sum over every other node (the grid of twice the step) plus a
+    rounding floor: a node's exponent rest - s log x carries an absolute
+    error of about eps (|rest| + |s log x|), which is its relative error
+    (about 1e-12 at t = 2000).
+    """
+    q = spec.crossing
+    h = spec.step
+    n, base_step, base_n = _levels(spec)
+    logx, rest = _LATTICE.rows(q, base_step, base_n, True)
+    m = float(np.max((rest - s * logx).real))
+    total = noise = 0.0
+    for level in range(n + 1):
+        if level:
+            logx, rest = _LATTICE.rows(q, base_step / 2 ** level,
+                                       base_n << level, False)
+        wg = -logx * np.exp(rest - s * logx - m)
+        coarse = total if level else complex(wg[::2].sum())
+        total = total + complex(wg.sum())
+        noise += float((np.abs(rest) + abs(s) * np.abs(logx)) @ np.abs(wg))
+    t_h = h * total
+    d_red = _ORIENTATION * _LINE_DIR * t_h + _reduced(
+        dirichlet_sum_derivative(s, q), m)
+    # The Dirichlet terms' phases s log n carry the same kind of error.
+    dir_noise = (abs(s) * math.log(max(q, 1))
+                 * abs(dirichlet_sum_derivative(s.real, q)))
+    noise_red = _EPS * (h * noise + abs(_reduced(dir_noise, m)))
+    err_red = abs(t_h - 2.0 * h * coarse) + noise_red
+    value = _value_from_log(m + cmath.log(d_red)) if d_red != 0.0 else 0.0j
+    return value, abs(_value_from_log(m + math.log(err_red)))
+
+
 def _value_from_log(log_total: complex | None) -> complex:
     if log_total is None:
         return 0.0 + 0.0j
@@ -311,6 +355,13 @@ def _value_from_log(log_total: complex | None) -> complex:
         # out of double range; saturate (log_value stays exact)
         return cmath.rect(1.7e308, log_total.imag)
     return cmath.exp(log_total)
+
+
+def _checked(s) -> complex:
+    z = as_complex(s)
+    if z.imag < 0.0:
+        raise DomainError(f"evaluation requires Im(s) >= 0, got {z}")
+    return z
 
 
 def r_integral(s, spec: QuadratureSpec) -> EvaluationResult:
@@ -323,9 +374,7 @@ def r_integral(s, spec: QuadratureSpec) -> EvaluationResult:
     evaluation is rejected when it exceeds FAIL_THRESHOLD relative to the
     value.
     """
-    z = as_complex(s)
-    if z.imag < 0.0:
-        raise DomainError(f"evaluation requires Im(s) >= 0, got {z}")
+    z = _checked(s)
     log_total, rel_disc, rel_tail, _ = _quadrature(z, spec)
     value = _value_from_log(log_total)
     rel_err = rel_disc + rel_tail
@@ -345,8 +394,7 @@ def default_crossing(t: float) -> int:
     return max(0, int(math.floor(math.sqrt(max(t, 0.0) / TWO_PI))))
 
 
-def auto_spec(s, crossing: int | None = None, step: float = 0.125,
-              precision_mode: str = "standard") -> QuadratureSpec:
+def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> QuadratureSpec:
     """Spec with the default sizing rules for the point s.
 
     half_length = sqrt(log(1/eps)/pi) + sqrt(t)/4, widened when the crossing
@@ -358,36 +406,36 @@ def auto_spec(s, crossing: int | None = None, step: float = 0.125,
     saddle = math.sqrt(max(t, 0.0) / TWO_PI)
     half = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi) + 0.25 * math.sqrt(max(t, 0.0))
     half += math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
-    return QuadratureSpec(crossing=q, half_length=half, step=step,
-                          precision_mode=precision_mode)
+    return QuadratureSpec(crossing=q, half_length=half, step=step)
 
 
 @lru_cache(maxsize=400_000)
-def _r_eval_cached(sigma: float, t: float, precision_mode: str) -> EvaluationResult:
-    """Step-halving driver behind r_eval.
+def _r_eval_cached(sigma: float, t: float, derivative: bool) -> EvaluationResult:
+    """Step-halving driver behind r_eval and r_derivative.
 
     The half-length is rounded up to a multiple of 1/2, so every dyadic grid
     with step <= 1/4 spans the same nodes and the grid at step h is the
     even-indexed subset of the grid at h/2; each halving then computes only
     the new odd nodes (see _quadrature).  Widening for a large tail keeps
-    the multiple.
+    the multiple.  With ``derivative`` R'(s) is added from the accepted grid
+    (_grid_derivative); the value is computed the same way either way.
     """
     z = complex(sigma, t)
-    base = auto_spec(z, precision_mode=precision_mode)
+    base = auto_spec(z)
     half = math.ceil(2.0 * base.half_length) / 2.0
     step = 0.25
     prev_rel = None
-    best = None  # (rel_err, log_total)
+    best = None  # (rel_err, log_total, spec)
     for _ in range(16):
         spec = QuadratureSpec(crossing=base.crossing, half_length=half,
-                              step=step, precision_mode=precision_mode)
+                              step=step)
         log_total, rel_disc, rel_tail, noise_rel = _quadrature(z, spec)
         rel_err = rel_disc + rel_tail
         if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
             half = math.ceil(3.0 * half) / 2.0  # 1.5x, still a multiple of 1/2
             continue
         if best is None or rel_err < best[0]:
-            best = (rel_err, log_total)
+            best = (rel_err, log_total, spec)
         if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
             break
         # Halving the step squares the trapezoid error, so once the estimate
@@ -407,15 +455,17 @@ def _r_eval_cached(sigma: float, t: float, precision_mode: str) -> EvaluationRes
     # No raise here: at a zero of R the value is pure cancellation and the
     # relative figure is meaningless.  The absolute error_estimate is honest
     # and downstream integrality guards fail loudly on bad phases.
-    rel_err, log_total = best
+    rel_err, log_total, spec = best
     value = _value_from_log(log_total)
     err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
+    d_value, d_error = _grid_derivative(z, spec) if derivative else (None, None)
     return EvaluationResult(
-        value=value, method="quadrature", error_estimate=err, log_value=log_total
+        value=value, method="quadrature", error_estimate=err,
+        log_value=log_total, derivative=d_value, derivative_error=d_error,
     )
 
 
-def r_eval(s, precision_mode: str = "standard") -> EvaluationResult:
+def r_eval(s) -> EvaluationResult:
     """R(s) with automatic crossing choice and step/length refinement.
 
     The crossing is q = floor(sqrt(t/2pi)); step and half-length are refined
@@ -424,10 +474,8 @@ def r_eval(s, precision_mode: str = "standard") -> EvaluationResult:
     this quadrature route; the asymptotic surrogate is for comparison
     studies only.
     """
-    z = as_complex(s)
-    if z.imag < 0.0:
-        raise DomainError(f"evaluation requires Im(s) >= 0, got {z}")
-    return _r_eval_cached(z.real, z.imag, precision_mode)
+    z = _checked(s)
+    return _r_eval_cached(z.real, z.imag, False)
 
 
 def r_value(s) -> complex:
@@ -497,39 +545,20 @@ def r_asymptotic(s, t_min: float = 50.0, slope: float = 1.0,
     )
 
 
-def _r_value_any(z: complex) -> complex:
-    """R(z) including slightly negative Im(z).
+def r_derivative(s, with_estimate: bool = False):
+    """R'(s) from the grid that r_eval accepts at s.
 
-    The defining integral is entire in s and the quadrature converges for
-    moderately negative t (the Gaussian factor dominates); only derivative
-    rings around low points ever reach below the axis, so the public t >= 0
-    contract of r_eval is kept narrow.
+    R(s) is step-halved exactly as by r_eval(s) and R' is then summed over
+    the accepted nodes in one more pass (see _grid_derivative); the result
+    is cached apart from the plain value.  With ``with_estimate=True``
+    returns ``(value, error_estimate)`` where the estimate is the
+    discrepancy against the grid of every other node plus a rounding floor.
     """
-    if z.imag < -2.0:
-        raise DomainError(f"evaluation requires Im(s) >= -2, got {z}")
-    return _r_eval_cached(z.real, z.imag, "standard").value
-
-
-def r_derivative(s, radius: float = 1e-2, with_estimate: bool = False):
-    """R'(s) by the 16-point Cauchy ring mean of R(s + r e^{i theta}).
-
-    With ``with_estimate=True`` returns ``(value, error_estimate)`` where the
-    estimate is the discrepancy against the ring of half radius.
-    """
-    z = as_complex(s)
-
-    def ring(r: float) -> complex:
-        acc = 0.0 + 0.0j
-        for k in range(16):
-            w = cmath.exp(2j * math.pi * k / 16.0)
-            acc += _r_value_any(z + r * w) / w
-        return acc / (16.0 * r)
-
-    d1 = ring(radius)
-    if not with_estimate:
-        return d1
-    d2 = ring(0.5 * radius)
-    return d2, abs(d1 - d2)
+    z = _checked(s)
+    res = _r_eval_cached(z.real, z.imag, True)
+    if with_estimate:
+        return res.derivative, res.derivative_error
+    return res.derivative
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class RunConfig:
     grid_step: float = 0.5
     min_size: float = 1e-3
     tol: float | None = None
-    precision: str = "std"
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 12345
@@ -77,10 +76,6 @@ class RunConfig:
             raise ValueError("t-max below t-min")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
-
-    @property
-    def precision_mode(self) -> str:
-        return "compensated" if self.precision == "comp" else "standard"
 
 
 def _format_value(v) -> str:
@@ -146,7 +141,7 @@ def cmd_eval(config: RunConfig) -> int:
     rows = []
     for s in points:
         try:
-            res = r_eval(s, precision_mode=config.precision_mode)
+            res = r_eval(s)
         except RZeroError as exc:
             print(f"evaluation failed at {s}: {exc}", file=sys.stderr)
             return EXIT_EVAL_FAIL
@@ -422,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=None,
                    help="override contour tolerance / suite tolerances")
-    p.add_argument("--precision", choices=("std", "comp"), default="std")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, dest="output_path")
@@ -441,7 +435,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command, t_min=args.t_min, t_max=args.t_max,
         t_step=args.t_step, box_left=args.box_left, point=point,
         grid_n=args.grid_n, grid_step=args.grid_step,
-        min_size=args.min_size, tol=args.tol, precision=args.precision,
+        min_size=args.min_size, tol=args.tol,
         output_format=args.output_format, output_path=args.output_path,
         seed=args.seed, strict=args.strict, samples=args.samples,
     )

@@ -3,7 +3,9 @@
 Winding-driven quad-tree subdivision splits a rectangle until every piece
 encloses exactly one zero; Newton iteration (with bisection-style fallback)
 refines each piece to a point, and every returned zero carries an
-independent winding-1 certificate on a small circle around it.
+independent winding-1 certificate on a small circle around it.  By default
+R is evaluated through the same cached quadrature as counting, and each
+Newton step takes R'(s) from the grid that gave R(s) (r_derivative).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .auxiliary import r_derivative, r_eval
+from .auxiliary import r_derivative, r_value
 from .counting import DETECT_TOL, _arg_variation_param, rectangle_count
 from .errors import (
     ContourZeroError,
@@ -102,10 +104,6 @@ class IsolationResult(NamedTuple):
     clusters: list[tuple[Box, int]]
 
 
-def _default_r(z: complex) -> complex:
-    return r_eval(z, precision_mode="compensated").value
-
-
 def _box_winding(f, box: Box, tol: float) -> int:
     count, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
                                   box.t_hi, tol)
@@ -185,7 +183,7 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     winding of the input box.
     """
     if f is None:
-        f = _default_r
+        f = r_value
     total = _box_winding(f, box, tol)
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
@@ -236,7 +234,7 @@ def refine_zero(seed: Box, tol: float = 1e-3,
     10 * (final step + 1e-12).
     """
     if f is None:
-        f = _default_r
+        f = r_value
         if df is None:
             df = r_derivative
 

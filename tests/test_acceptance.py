@@ -6,7 +6,9 @@ table to height 2000) are session fixtures; their build times are charged to
 the criteria that first request them.
 """
 
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -28,6 +30,12 @@ from rzero.zeros import Box, locate_zeros
 
 SURVEY_BOX = Box(-12.0, 2.0, 10.0, 500.0)
 TABLE_GRID = [100.0 * k for k in range(1, 21)]
+
+# Zeros of SURVEY_BOX and N(T) on TABLE_GRID at 17 digits, written by
+# scripts/make_golden.py; the fixtures must keep reproducing them.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden.json")
+                    .read_text(encoding="utf-8"))
+GOLDEN_ZERO_TOL = 1e-10
 
 _timings: dict[str, float] = {}
 ACCEPTANCE_LINES: list[str] = []  # echoed in the terminal summary
@@ -253,3 +261,17 @@ def test_criterion_8_right_fraction(zero_survey):
     report("8 (right-of-critical-line fraction)",
            f"{right}/{len(in_range)} zeros with beta > 1/2 -> "
            f"fraction {fraction:.3f} in [0.20, 0.45]")
+
+
+def test_survey_matches_golden(zero_survey):
+    assert GOLDEN["survey_box"] == [SURVEY_BOX.sigma_lo, SURVEY_BOX.sigma_hi,
+                                    SURVEY_BOX.t_lo, SURVEY_BOX.t_hi]
+    expected = [(float(b), float(g)) for b, g in GOLDEN["zeros"]]
+    assert len(zero_survey) == len(expected)
+    worst = max(max(abs(z.beta - b), abs(z.gamma - g))
+                for z, (b, g) in zip(zero_survey, expected))
+    assert worst <= GOLDEN_ZERO_TOL, f"zero moved by {worst:.3e}"
+
+
+def test_counts_match_golden(count_table):
+    assert [[r.big_t, r.count] for r in count_table] == GOLDEN["counts"]

@@ -55,13 +55,6 @@ class TestEval:
         code, _, err = run(capsys, "--command", "eval")
         assert code == EXIT_EVAL_FAIL
 
-    def test_compensated_precision(self, capsys):
-        code, out, _ = run(capsys, "--command", "eval", "--point", "0.5+75j",
-                           "--precision", "comp")
-        assert code == EXIT_OK
-        row = parse_rows(out)[0]
-        assert abs(complex(float(row["re"]), float(row["im"]))) > 0.0
-
     def test_grid_deterministic_order(self, capsys):
         argv = ["--command", "eval", "--point", "2+30j", "--grid-n", "3",
                 "--grid-step", "0.5"]
@@ -220,8 +213,3 @@ class TestConfig:
     def test_finite_validated(self):
         with pytest.raises(ValueError):
             RunConfig(command="count", box_left=float("inf"))
-
-    def test_precision_mode_mapping(self):
-        assert RunConfig(command="eval").precision_mode == "standard"
-        assert RunConfig(command="eval",
-                         precision="comp").precision_mode == "compensated"

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from rzero.counting import rectangle_count
-from rzero.auxiliary import r_value
+from rzero.auxiliary import r_eval_cache_clear, r_value
 from rzero.errors import DomainError
 from rzero.zeros import (
     Box,
@@ -115,6 +115,13 @@ class TestRefineZero:
                                                                abs=1e-8)
         assert zero.residual_modulus < 1e-8
         assert zero.gamma > 0
+
+    def test_cold_runs_bit_identical(self):
+        seed = Box(-4.0, 2.0, 20.0, 25.0)
+        r_eval_cache_clear()
+        first = refine_zero(seed)
+        r_eval_cache_clear()
+        assert refine_zero(seed) == first
 
     def test_certificate_circle_independent(self):
         seed = Box(1.0, 2.0, 0.2, 1.0)
