@@ -1,54 +1,40 @@
 #!/usr/bin/env python3
-"""Locate every zero of R(s) up to a given height and summarise the share
-right of the critical line.
+"""Locate every zero of R(s) up to a given height with
+``rzero --command zeros`` and warn when the strip of width 20 left of the
+box holds zeros (the box would then miss them).
+
+Options other than the three below are passed on to the CLI.
 
 Example:
     python scripts/zero_survey.py --t-max 200 --out zeros.csv
 """
 
 import argparse
-import csv
 import sys
 
-from rzero.counting import rectangle_count
+from rzero import cli
 from rzero.auxiliary import r_value
-from rzero.zeros import Box, locate_zeros, zero_statistics
+from rzero.counting import rectangle_count
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t-min", type=float, default=10.0)
     ap.add_argument("--t-max", type=float, default=200.0)
     ap.add_argument("--box-left", type=float, default=-12.0)
-    ap.add_argument("--min-size", type=float, default=1e-3)
-    ap.add_argument("--out", type=str, default=None)
-    args = ap.parse_args()
+    args, rest = ap.parse_known_args(argv)
 
-    box = Box(args.box_left, 2.0, args.t_min, args.t_max)
-    zeros, clusters = locate_zeros(box, min_size=args.min_size)
-
+    code = cli.main(["--command", "zeros", "--t-min", repr(args.t_min),
+                     "--t-max", repr(args.t_max),
+                     "--box-left", repr(args.box_left), *rest])
+    if code != cli.EXIT_OK:
+        return code
     strip, _, _ = rectangle_count(r_value, args.box_left - 20.0,
                                   args.box_left, args.t_min, args.t_max)
     if strip != 0:
         print(f"# warning: {strip} zeros left of sigma = {args.box_left}; "
               "widen --box-left", file=sys.stderr)
-
-    writer = csv.writer(open(args.out, "w", newline="") if args.out
-                        else sys.stdout)
-    writer.writerow(["beta", "gamma", "enclosure_radius",
-                     "winding_certificate", "residual_modulus"])
-    for z in zeros:
-        writer.writerow([z.beta, z.gamma, z.enclosure_radius,
-                         z.winding_certificate, z.residual_modulus])
-
-    stats = zero_statistics(zeros)
-    print(f"# {stats.count} zeros; fraction with beta > 1/2: "
-          f"{stats.fraction_right:.3f}; beta range "
-          f"[{stats.min_beta:.3f}, {stats.max_beta:.3f}]; mean gamma gap "
-          f"{stats.mean_gap:.3f}", file=sys.stderr)
-    if clusters:
-        print(f"# {len(clusters)} unresolved clusters", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

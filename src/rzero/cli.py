@@ -3,9 +3,10 @@ validation suites, and emit machine-readable tables.
 
 Output is CSV (versioned header comment ``# rzero v1``) or JSON mirroring the
 CSV field names; reals carry 17 significant digits so files round-trip
-exactly.  Exit codes: 0 success, 1 failed validation suites, 2 evaluation or
-argument errors, 3 persistent zero-on-contour, 4 winding integrality
-failure, 5 unresolved clusters in strict mode.
+exactly.  Exit codes: 0 success, 1 failed validation suites, 2 argument
+errors and any other rzero error, 3 persistent zero-on-contour, 4 winding
+integrality failure, 5 unresolved clusters in strict mode.  Errors are
+mapped to exit codes in one place, ``main``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .counting import (
     arg_variation,
     backlund_bound,
     residual_table,
+    sqrt_fit,
 )
 from .errors import (
     ContourZeroError,
+    DomainError,
     NonIntegerWindingError,
     RZeroError,
 )
@@ -130,8 +133,7 @@ EVAL_COLUMNS = ["sigma", "t", "re", "im", "abs", "method", "error_estimate"]
 
 def cmd_eval(config: RunConfig) -> int:
     if config.point is None:
-        print("eval requires --point", file=sys.stderr)
-        return EXIT_EVAL_FAIL
+        raise DomainError("eval requires --point")
     offsets = range(-(config.grid_n // 2), config.grid_n // 2 + 1)
     points = sorted(
         (config.point + complex(i * config.grid_step, j * config.grid_step)
@@ -140,11 +142,7 @@ def cmd_eval(config: RunConfig) -> int:
     )
     rows = []
     for s in points:
-        try:
-            res = r_eval(s)
-        except RZeroError as exc:
-            print(f"evaluation failed at {s}: {exc}", file=sys.stderr)
-            return EXIT_EVAL_FAIL
+        res = r_eval(s)
         rows.append({
             "sigma": s.real, "t": s.imag,
             "re": res.value.real, "im": res.value.imag,
@@ -183,21 +181,17 @@ def _t_grid(config: RunConfig) -> list[float]:
     return ts
 
 
-def cmd_count(config: RunConfig) -> int:
+def _count_results(config: RunConfig) -> list[counting.CountResult]:
+    """residual_table over the T grid above the base height."""
     ts = [t for t in _t_grid(config) if t > counting.DESK_T0]
     if not ts:
-        print("empty T grid above the base height", file=sys.stderr)
-        return EXIT_EVAL_FAIL
-    try:
-        results = residual_table(ts, box_left=config.box_left,
-                                 tol=config.tol or 1e-3)
-    except ContourZeroError as exc:
-        print(f"persistent zero on contour: {exc}", file=sys.stderr)
-        return EXIT_CONTOUR_ZERO
-    except NonIntegerWindingError as exc:
-        print(f"winding integrality failure: {exc}", file=sys.stderr)
-        return EXIT_WINDING
-    emit_rows(_count_rows(results), COUNT_COLUMNS, config)
+        raise DomainError("empty T grid above the base height")
+    return residual_table(ts, box_left=config.box_left,
+                          tol=config.tol or 1e-3)
+
+
+def cmd_count(config: RunConfig) -> int:
+    emit_rows(_count_rows(_count_results(config)), COUNT_COLUMNS, config)
     return EXIT_OK
 
 
@@ -206,20 +200,9 @@ TABLE_COLUMNS = COUNT_COLUMNS[:-1] + ["r_smooth", "r_plus_sqrt"]
 
 def cmd_table(config: RunConfig) -> int:
     """Like count, with the square-root correction made explicit:
-    r_smooth = N - smooth and r_plus_sqrt = r_smooth + sqrt_term."""
-    ts = [t for t in _t_grid(config) if t > counting.DESK_T0]
-    if not ts:
-        print("empty T grid above the base height", file=sys.stderr)
-        return EXIT_EVAL_FAIL
-    try:
-        results = residual_table(ts, box_left=config.box_left,
-                                 tol=config.tol or 1e-3)
-    except ContourZeroError as exc:
-        print(f"persistent zero on contour: {exc}", file=sys.stderr)
-        return EXIT_CONTOUR_ZERO
-    except NonIntegerWindingError as exc:
-        print(f"winding integrality failure: {exc}", file=sys.stderr)
-        return EXIT_WINDING
+    r_smooth = N - smooth and r_plus_sqrt = r_smooth + sqrt_term; the
+    footer holds the fitted coefficient of sqrt(T/2pi)."""
+    results = _count_results(config)
     rows = [{
         "big_t": r.big_t, "count": r.count, "smooth_term": r.smooth_term,
         "sqrt_term": r.sqrt_term, "main_value": r.main_value,
@@ -227,15 +210,9 @@ def cmd_table(config: RunConfig) -> int:
         "r_smooth": r.count - r.smooth_term,
         "r_plus_sqrt": r.count - r.smooth_term + r.sqrt_term,
     } for r in results]
-    x = [math.sqrt(r.big_t / TWO_PI) for r in results]
-    y = [r.count - r.smooth_term for r in results]
-    n = len(x)
-    sx, sy = sum(x), sum(y)
-    sxx, sxy = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
-    denom = n * sxx - sx * sx
-    slope = (n * sxy - sx * sy) / denom if denom else float("nan")
+    coefficient, _ = sqrt_fit(results)
     emit_rows(rows, TABLE_COLUMNS, config,
-              footer={"sqrt_fit_coefficient": slope})
+              footer={"sqrt_fit_coefficient": coefficient})
     return EXIT_OK
 
 
@@ -245,15 +222,8 @@ ZERO_COLUMNS = ["beta", "gamma", "enclosure_radius", "winding_certificate",
 
 def cmd_zeros(config: RunConfig) -> int:
     box = Box(config.box_left, 2.0, config.t_min, config.t_max)
-    try:
-        found, clusters = locate_zeros(box, min_size=config.min_size,
-                                       tol=config.tol or 1e-3)
-    except ContourZeroError as exc:
-        print(f"persistent zero on contour: {exc}", file=sys.stderr)
-        return EXIT_CONTOUR_ZERO
-    except NonIntegerWindingError as exc:
-        print(f"winding integrality failure: {exc}", file=sys.stderr)
-        return EXIT_WINDING
+    found, clusters = locate_zeros(box, min_size=config.min_size,
+                                   tol=config.tol or 1e-3)
     rows = [{
         "beta": z.beta, "gamma": z.gamma,
         "enclosure_radius": z.enclosure_radius,
@@ -449,7 +419,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_EVAL_FAIL
-    return _COMMANDS[config.command](config)
+    try:
+        return _COMMANDS[config.command](config)
+    except ContourZeroError as exc:
+        print(f"persistent zero on contour: {exc}", file=sys.stderr)
+        return EXIT_CONTOUR_ZERO
+    except NonIntegerWindingError as exc:
+        print(f"winding integrality failure: {exc}", file=sys.stderr)
+        return EXIT_WINDING
+    except RZeroError as exc:
+        print(f"{config.command} failed: {exc}", file=sys.stderr)
+        return EXIT_EVAL_FAIL
 
 
 if __name__ == "__main__":

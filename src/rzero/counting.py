@@ -1,10 +1,16 @@
-"""Argument-principle machinery: adaptive argument variation along paths,
-winding numbers on closed contours, the Backlund argument bound, modulus
-bounds for the auxiliary function, and zero counting on rectangles with the
-main-term decomposition
+"""Argument-principle machinery: adaptive argument variation along any
+path with a ``point(u)`` method, winding numbers on closed contours of
+straight segments, the Backlund argument bound, modulus bounds for the
+auxiliary function, zero counting on rectangles with the main-term
+decomposition
 
-    N(T) ~ T/(4 pi) log(T/(2 pi)) - T/(4 pi) - (1/2) sqrt(T/(2 pi)).
+    N(T) ~ T/(4 pi) log(T/(2 pi)) - T/(4 pi) - (1/2) sqrt(T/(2 pi)),
 
+and the least-squares fit of its square-root coefficient.
+
+This is the one winding engine: ``winding_value`` and ``_rectangle_winding``
+share one sum over a contour, and ``integer_winding`` is the one
+integrality guard, also used by the circle certificates of ``zeros``.
 Counting works on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]; the
 region further left is certified empty by checking that an adjacent strip
 has winding zero.
@@ -26,9 +32,9 @@ from .errors import (
 from .special_functions import TWO_PI
 
 DESK_T0 = 10.0            # desk-scale counting base height
-LEFT_SLOPE = 1.0          # slope of the optional curved left edge
 PHASE_LIMIT = 0.5 * math.pi
 MAX_REFINE_DEPTH = 24
+MAX_WIDENINGS = 4
 WINDING_GUARD = 0.1
 _CHAIN_TOL = 1e-12
 # |f| below DETECT_TOL * (local scale) flags a zero on the path.  Kept well
@@ -39,49 +45,22 @@ DETECT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PathSegment:
-    """Oriented path piece: a straight segment or the curved left edge
-    sigma(t) = 1 - a t^{2/5} log t traversed over [t_lo, t_hi].
+    """Oriented straight segment from ``start`` to ``end``."""
 
-    ``orientation`` is "forward" or "reverse"; for curves, forward means
-    increasing t.
-    """
-
-    kind: str
-    start: complex = 0j
-    end: complex = 0j
-    t_lo: float = 0.0
-    t_hi: float = 0.0
-    slope: float = LEFT_SLOPE
-    orientation: str = "forward"
+    start: complex
+    end: complex
 
     def __post_init__(self):
-        if self.kind not in ("straight", "left_curve"):
-            raise DomainError(f"unknown segment kind {self.kind!r}")
-        if self.orientation not in ("forward", "reverse"):
-            raise DomainError(f"unknown orientation {self.orientation!r}")
-        if self.kind == "straight" and self.start == self.end:
+        if self.start == self.end:
             raise DomainError("degenerate straight segment")
-        if self.kind == "left_curve" and not 0.0 < self.t_lo < self.t_hi:
-            raise DomainError("left_curve requires 0 < t_lo < t_hi")
 
     @classmethod
     def line(cls, start: complex, end: complex) -> "PathSegment":
-        return cls(kind="straight", start=complex(start), end=complex(end))
-
-    @classmethod
-    def curve(cls, t_lo: float, t_hi: float, slope: float = LEFT_SLOPE,
-              reverse: bool = False) -> "PathSegment":
-        return cls(kind="left_curve", t_lo=t_lo, t_hi=t_hi, slope=slope,
-                   orientation="reverse" if reverse else "forward")
+        return cls(start=complex(start), end=complex(end))
 
     def point(self, u: float) -> complex:
-        """Point at parameter u in [0, 1] along the traversal direction."""
-        if self.orientation == "reverse":
-            u = 1.0 - u
-        if self.kind == "straight":
-            return self.start + u * (self.end - self.start)
-        t = self.t_lo + u * (self.t_hi - self.t_lo)
-        return complex(1.0 - self.slope * t ** 0.4 * math.log(t), t)
+        """Point at parameter u in [0, 1] from start to end."""
+        return self.start + u * (self.end - self.start)
 
     @property
     def first(self) -> complex:
@@ -94,24 +73,22 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Ordered list of segments; when ``closed`` each segment's end must
-    meet the next segment's start (cyclically)."""
+    """Closed chain of segments: each segment's end must meet the next
+    segment's start (cyclically)."""
 
     segments: tuple[PathSegment, ...]
-    closed: bool = True
 
     def __post_init__(self):
-        if self.closed:
-            segs = self.segments
-            for k, seg in enumerate(segs):
-                nxt = segs[(k + 1) % len(segs)]
-                gap = abs(seg.last - nxt.first)
-                scale = max(1.0, abs(seg.last))
-                if gap > _CHAIN_TOL * scale:
-                    raise DomainError(
-                        f"contour not closed between segments {k} and {k + 1} "
-                        f"(gap {gap:.3e})"
-                    )
+        segs = self.segments
+        for k, seg in enumerate(segs):
+            nxt = segs[(k + 1) % len(segs)]
+            gap = abs(seg.last - nxt.first)
+            scale = max(1.0, abs(seg.last))
+            if gap > _CHAIN_TOL * scale:
+                raise DomainError(
+                    f"contour not closed between segments {k} and {k + 1} "
+                    f"(gap {gap:.3e})"
+                )
 
     @classmethod
     def rectangle(cls, sigma_lo: float, sigma_hi: float, t_lo: float,
@@ -141,11 +118,11 @@ class ArgTrace:
     max_step_phase: float
 
 
-def _refine_phase(eval_fn, point_fn, values, params, tol, max_depth):
+def _refine_phase(f, point_fn, values, params):
     """Bisect parameter intervals until consecutive phase steps are < pi/2.
 
-    ``values[i]`` is eval_fn(params[i]).  Returns (params, values, deltas)
-    with deltas[i] the nearest-branch phase change over interval i.
+    ``values[i]`` is f(point_fn(params[i])).  Returns (params, values,
+    deltas) with deltas[i] the nearest-branch phase change over interval i.
     """
     out_p = [params[0]]
     out_v = [values[0]]
@@ -158,18 +135,19 @@ def _refine_phase(eval_fn, point_fn, values, params, tol, max_depth):
             out_v.append(v2)
             deltas.append(delta)
             return
-        if depth >= max_depth:
+        if depth >= MAX_REFINE_DEPTH:
             raise ZeroOnPathError(
                 f"phase step {delta:.3f} rad not resolvable near parameter "
                 f"{0.5 * (p1 + p2):.6g}; zero on or very near the path",
                 where=point_fn(0.5 * (p1 + p2)),
             )
         pm = 0.5 * (p1 + p2)
-        vm = eval_fn(pm)
+        vm = f(point_fn(pm))
         scale = max(abs(v1), abs(v2))
-        if abs(vm) < tol * scale:
+        if abs(vm) < DETECT_TOL * scale:
             raise ZeroOnPathError(
-                f"|f| = {abs(vm):.3e} below {tol} * local scale {scale:.3e}",
+                f"|f| = {abs(vm):.3e} below {DETECT_TOL} * local scale "
+                f"{scale:.3e}",
                 where=point_fn(pm),
             )
         emit(p1, v1, pm, vm, depth + 1)
@@ -180,14 +158,22 @@ def _refine_phase(eval_fn, point_fn, values, params, tol, max_depth):
     return out_p, out_v, deltas
 
 
-def _arg_variation_param(f, point_fn, tol, seeds, max_depth=MAX_REFINE_DEPTH):
-    def eval_fn(u):
-        return f(point_fn(u))
+def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
+    """Unwrapped argument change of f along a path: any object whose
+    ``point(u)`` gives the point at parameter u in [0, 1].
 
+    Samples f at ``seeds`` equispaced parameters, adaptively bisecting
+    parameter intervals until each consecutive nearest-branch phase
+    difference is below pi/2.  Raises ZeroOnPathError when |f| drops below
+    DETECT_TOL * (local scale) at a node or when MAX_REFINE_DEPTH bisection
+    levels cannot satisfy the phase contract.
+    """
+    point_fn = path.point
+    seeds = max(2, seeds)
     params = [k / (seeds - 1) for k in range(seeds)]
     values = []
-    for k, u in enumerate(params):
-        v = eval_fn(u)
+    for u in params:
+        v = f(point_fn(u))
         if v == 0.0:
             raise ZeroOnPathError("exact zero at a sample node",
                                   where=point_fn(u))
@@ -198,13 +184,12 @@ def _arg_variation_param(f, point_fn, tol, seeds, max_depth=MAX_REFINE_DEPTH):
             neighbours.append(abs(values[k - 1]))
         if k + 1 < len(values):
             neighbours.append(abs(values[k + 1]))
-        if abs(v) < tol * max(neighbours):
+        if abs(v) < DETECT_TOL * max(neighbours):
             raise ZeroOnPathError(
-                f"|f| = {abs(v):.3e} below {tol} * local scale",
+                f"|f| = {abs(v):.3e} below {DETECT_TOL} * local scale",
                 where=point_fn(params[k]),
             )
-    out_p, out_v, deltas = _refine_phase(eval_fn, point_fn, values, params,
-                                         tol, max_depth)
+    out_p, out_v, deltas = _refine_phase(f, point_fn, values, params)
     phase0 = cmath.phase(out_v[0])
     phases = [phase0]
     for d in deltas:
@@ -218,44 +203,38 @@ def _arg_variation_param(f, point_fn, tol, seeds, max_depth=MAX_REFINE_DEPTH):
     )
 
 
-def arg_variation(f, seg: PathSegment, tol: float = DETECT_TOL,
-                  seeds: int = 16) -> ArgTrace:
-    """Unwrapped argument change of f along the segment.
-
-    Samples f, adaptively bisecting parameter intervals until each
-    consecutive nearest-branch phase difference is below pi/2.  Raises
-    ZeroOnPathError when |f| drops below tol * (local scale) at a node or
-    when 24 bisection levels cannot satisfy the phase contract.
-    """
-    return _arg_variation_param(f, seg.point, tol, max(2, seeds))
-
-
-def winding_number(f, contour: ContourSpec, tol: float = DETECT_TOL,
-                   seeds: int = 16) -> int:
-    """Number of zeros of f enclosed by the closed contour.
-
-    Sum of the segment argument variations divided by 2 pi, rounded to the
-    nearest integer; rejected if the pre-rounding value is farther than 0.1
-    from an integer.
-    """
-    raw = winding_value(f, contour, tol=tol, seeds=seeds)
+def integer_winding(raw: float, where: str = "") -> int:
+    """The integrality guard: ``raw`` (a winding before rounding) rounded
+    to the nearest integer; NonIntegerWindingError when it lies farther
+    than WINDING_GUARD from one.  ``where`` is appended to the message."""
     nearest = round(raw)
     if abs(raw - nearest) > WINDING_GUARD:
         raise NonIntegerWindingError(
-            f"winding value {raw:.4f} too far from an integer"
+            f"winding value {raw:.4f} too far from an integer{where}"
         )
     return int(nearest)
 
 
-def winding_value(f, contour: ContourSpec, tol: float = DETECT_TOL,
-                  seeds: int = 16) -> float:
-    """Pre-rounding winding number (total variation over 2 pi)."""
-    if not contour.closed:
-        raise DomainError("winding number requires a closed contour")
+def _contour_winding(f, edges) -> tuple[float, list[ArgTrace]]:
+    """Raw winding of f along closed edges given as (segment, seeds) pairs:
+    the edge variations summed in order, over 2 pi; plus the edge traces."""
+    traces = [arg_variation(f, seg, seeds=seeds) for seg, seeds in edges]
     total = 0.0
-    for seg in contour.segments:
-        total += arg_variation(f, seg, tol=tol, seeds=seeds).total_variation
-    return total / TWO_PI
+    for trace in traces:
+        total += trace.total_variation
+    return total / TWO_PI, traces
+
+
+def winding_number(f, contour: ContourSpec, seeds: int = 16) -> int:
+    """Number of zeros of f enclosed by the closed contour: winding_value
+    through the integrality guard."""
+    return integer_winding(winding_value(f, contour, seeds=seeds))
+
+
+def winding_value(f, contour: ContourSpec, seeds: int = 16) -> float:
+    """Pre-rounding winding number (total variation over 2 pi)."""
+    raw, _ = _contour_winding(f, ((seg, seeds) for seg in contour.segments))
+    return raw
 
 
 @dataclass(frozen=True)
@@ -317,27 +296,25 @@ def modulus_bound(sigma: float, t: float) -> float:
     return math.exp(lg) if lg < 709.0 else math.inf
 
 
-def log_backlund_m_for_disc(center_t: float, radius: float,
-                            center_sigma: float = 2.0,
-                            grid: int = 400) -> float:
-    """log of the sup of the modulus bound over the disc about
-    center_sigma + i center_t.
+def log_backlund_m_for_disc(center_t: float, radius: float) -> float:
+    """log of the sup of the modulus bound over the disc about 2 + i center_t
+    (the start of the top edge, where |R| > 1/4).
 
     The bound is increasing in t, so the supremum is taken on the top of the
-    disc over a sigma grid.  Requires the whole disc above t = 16 pi.
+    disc over a grid of 401 sigma values.  Requires the whole disc above
+    t = 16 pi.
     """
     if center_t - radius <= 16.0 * math.pi:
         raise DomainError("disc dips below t = 16 pi; bound not applicable")
     t_top = center_t + radius
     best = -math.inf
-    for k in range(grid + 1):
-        sigma = center_sigma - radius + 2.0 * radius * k / grid
+    for k in range(401):
+        sigma = 2.0 - radius + 2.0 * radius * k / 400
         best = max(best, log_modulus_bound(sigma, t_top))
     return best
 
 
-def top_edge_certificate(big_t: float, box_left: float,
-                         slope: float = LEFT_SLOPE) -> float | None:
+def top_edge_certificate(big_t: float, box_left: float) -> float | None:
     """Backlund bound (in turns) for the argument variation of R along the
     top edge [box_left + iT, 2 + iT]; None when the disc geometry is not
     admissible at this height.
@@ -345,7 +322,7 @@ def top_edge_certificate(big_t: float, box_left: float,
     Computed from logs: the disc supremum M = exp(c T^{2/5} log^2 T) is far
     beyond the double range, but only log(M/|f(a)|) enters the bound.
     """
-    radius = 2.0 + 2.0 * slope * big_t ** 0.4 * math.log(big_t)
+    radius = 2.0 + 2.0 * big_t ** 0.4 * math.log(big_t)
     if big_t - radius <= 16.0 * math.pi:
         return None
     reach = 2.0 - box_left
@@ -393,6 +370,34 @@ class CountResult:
         return self.main_value + self.sqrt_term
 
 
+def _count_result(big_t: float, count: int,
+                  certificates: tuple[tuple[str, float | None], ...],
+                  window: tuple[float, float]) -> CountResult:
+    """CountResult for N(big_t) = count with the main term at big_t."""
+    smooth, sqrt_term = main_term(big_t)
+    main_value = smooth - sqrt_term
+    return CountResult(
+        big_t=big_t, count=count, main_value=main_value, sqrt_term=sqrt_term,
+        residual=count - main_value, certificates=certificates, window=window,
+    )
+
+
+def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
+    """Least-squares fit of N - smooth_term against sqrt(T/2pi) with an
+    intercept: returns (coefficient, intercept), the coefficient being the
+    counting formula's -1/2.  Both are nan for fewer than two heights."""
+    x = [math.sqrt(r.big_t / TWO_PI) for r in results]
+    y = [r.count - r.smooth_term for r in results]
+    n = len(x)
+    sx, sy = sum(x), sum(y)
+    sxx, sxy = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+    denom = n * sxx - sx * sx
+    if not denom:
+        return float("nan"), float("nan")
+    slope = (n * sxy - sx * sy) / denom
+    return slope, (sy - slope * sx) / n
+
+
 def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
     """Seed count keeping expected phase steps of R well under pi/2."""
     rate = 0.5 * math.log(max(t_level, 7.0) / TWO_PI) + 1.5
@@ -402,27 +407,15 @@ def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
 
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                       t_hi: float, detect_tol: float) -> tuple[float, dict]:
+                       t_hi: float) -> tuple[float, dict]:
     """Raw winding value around a rectangle plus per-edge traces."""
-    bl = complex(sigma_lo, t_lo)
-    br = complex(sigma_hi, t_lo)
-    tr = complex(sigma_hi, t_hi)
-    tl = complex(sigma_lo, t_hi)
     width = sigma_hi - sigma_lo
     height = t_hi - t_lo
-    edges = {
-        "bottom": (PathSegment.line(bl, br), _edge_seeds(t_lo, width, False)),
-        "right": (PathSegment.line(br, tr), _edge_seeds(t_hi, height, True)),
-        "top": (PathSegment.line(tr, tl), _edge_seeds(t_hi, width, False)),
-        "left": (PathSegment.line(tl, bl), _edge_seeds(t_hi, height, True)),
-    }
-    traces = {}
-    total = 0.0
-    for name, (seg, seeds) in edges.items():
-        trace = arg_variation(f, seg, tol=detect_tol, seeds=seeds)
-        traces[name] = trace
-        total += trace.total_variation
-    return total / TWO_PI, traces
+    seeds = (_edge_seeds(t_lo, width, False), _edge_seeds(t_hi, height, True),
+             _edge_seeds(t_hi, width, False), _edge_seeds(t_hi, height, True))
+    contour = ContourSpec.rectangle(sigma_lo, sigma_hi, t_lo, t_hi)
+    raw, traces = _contour_winding(f, zip(contour.segments, seeds))
+    return raw, dict(zip(("bottom", "right", "top", "left"), traces))
 
 
 def _perturbation_ladder(tol: float):
@@ -438,8 +431,7 @@ def _perturbation_ladder(tol: float):
 
 
 def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                    t_hi: float, tol: float = 1e-3,
-                    detect_tol: float = DETECT_TOL):
+                    t_hi: float, tol: float = 1e-3):
     """Integer winding of f around the rectangle, translating the box by
     multiples of tol (in t, then in sigma) when a zero sits on the contour.
 
@@ -452,17 +444,12 @@ def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
         if not lo < hi:
             continue
         try:
-            raw, traces = _rectangle_winding(f, slo, shi, lo, hi, detect_tol)
+            raw, traces = _rectangle_winding(f, slo, shi, lo, hi)
         except ZeroOnPathError as exc:
             last = exc
             continue
-        nearest = round(raw)
-        if abs(raw - nearest) > WINDING_GUARD:
-            raise NonIntegerWindingError(
-                f"winding value {raw:.4f} too far from an integer on "
-                f"[{slo},{shi}]x[{lo},{hi}]"
-            )
-        return int(nearest), (lo, hi), traces
+        count = integer_winding(raw, f" on [{slo},{shi}]x[{lo},{hi}]")
+        return count, (lo, hi), traces
     raise ContourZeroError(
         f"zero persists on the contour after the perturbation ladder "
         f"(tol {tol}): {last}"
@@ -487,17 +474,17 @@ def base_count(t_lo: float = DESK_T0, box_left: float = -6.0,
 
 
 def adequate_box_left(t_hi: float, box_left: float = -6.0,
-                      t_lo: float = DESK_T0, tol: float = 1e-3,
-                      max_widenings: int = 4) -> float:
+                      t_lo: float = DESK_T0, tol: float = 1e-3) -> float:
     """Left box edge certified to have no zeros further left up to t_hi.
 
     Starting from ``box_left``, the adjacent strip of width 20 is checked
-    for winding zero; the edge moves left until the certificate holds.  The
-    zeros drift slowly leftwards with height (beta ~ -8 near t = 2000), so
-    one or two widenings suffice at desk scale.
+    for winding zero; the edge moves left (at most MAX_WIDENINGS times)
+    until the certificate holds.  The zeros drift slowly leftwards with
+    height (beta ~ -8 near t = 2000), so one or two widenings suffice at
+    desk scale.
     """
     left = box_left
-    for _ in range(max_widenings):
+    for _ in range(MAX_WIDENINGS):
         strip, _, _ = rectangle_count(r_value, left - 20.0, left, t_lo,
                                       t_hi, tol)
         if strip == 0:
@@ -526,15 +513,9 @@ def count_zeros(t_lo: float, t_hi: float, box_left: float = -6.0,
     if t_hi < t_lo:
         raise DomainError("t_hi below t_lo")
 
-    smooth, sqrt_term = main_term(t_hi)
-    main_value = smooth - sqrt_term
     if t_hi == t_lo:
         base = base_count(t_lo, box_left, tol) if include_base else 0
-        return CountResult(
-            big_t=t_hi, count=base, main_value=main_value,
-            sqrt_term=sqrt_term, residual=base - main_value,
-            certificates=(), window=(t_lo, t_hi),
-        )
+        return _count_result(t_hi, base, (), (t_lo, t_hi))
 
     left = adequate_box_left(t_hi, box_left, t_lo, tol) if certify_left \
         else box_left
@@ -549,10 +530,7 @@ def count_zeros(t_lo: float, t_hi: float, box_left: float = -6.0,
         ("top", top_edge_certificate(window[1], left)),
         ("left", None),
     )
-    return CountResult(
-        big_t=t_hi, count=count, main_value=main_value, sqrt_term=sqrt_term,
-        residual=count - main_value, certificates=certs, window=window,
-    )
+    return _count_result(t_hi, count, certs, window)
 
 
 def residual_table(ts, box_left: float = -6.0, tol: float = 1e-3,
@@ -581,13 +559,8 @@ def residual_table(ts, box_left: float = -6.0, tol: float = 1e-3,
         strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi,
                                            big_t, tol)
         running += strip
-        smooth, sqrt_term = main_term(big_t)
-        main_value = smooth - sqrt_term
-        results.append(CountResult(
-            big_t=big_t, count=running, main_value=main_value,
-            sqrt_term=sqrt_term, residual=running - main_value,
-            certificates=(("top", top_edge_certificate(window[1], left)),),
-            window=(prev_hi, window[1]),
-        ))
+        certs = (("top", top_edge_certificate(window[1], left)),)
+        results.append(_count_result(big_t, running, certs,
+                                     (prev_hi, window[1])))
         prev_hi = window[1]
     return results

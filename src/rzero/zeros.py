@@ -3,9 +3,12 @@
 Winding-driven quad-tree subdivision splits a rectangle until every piece
 encloses exactly one zero; Newton iteration (with bisection-style fallback)
 refines each piece to a point, and every returned zero carries an
-independent winding-1 certificate on a small circle around it.  By default
-R is evaluated through the same cached quadrature as counting, and each
-Newton step takes R'(s) from the grid that gave R(s) (r_derivative).
+independent winding-1 certificate on a small circle around it.  Windings
+come from the engine in ``counting``: pieces are counted by
+``rectangle_count`` and circles by ``arg_variation`` through the same
+integrality guard.  By default R is evaluated through the same cached
+quadrature as counting, and each Newton step takes R'(s) from the grid that
+gave R(s) (r_derivative).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .auxiliary import r_derivative, r_value
-from .counting import DETECT_TOL, _arg_variation_param, rectangle_count
+from .counting import arg_variation, integer_winding, rectangle_count
 from .errors import (
     ContourZeroError,
     DomainError,
@@ -104,12 +107,6 @@ class IsolationResult(NamedTuple):
     clusters: list[tuple[Box, int]]
 
 
-def _box_winding(f, box: Box, tol: float) -> int:
-    count, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
-                                  box.t_hi, tol)
-    return count
-
-
 _SPLIT_OFFSETS = (0.0, 0.11, -0.13, 0.23, -0.27)
 
 
@@ -156,8 +153,8 @@ def _split_conserving(f, box: Box, parent_w: int, tol: float):
     for off in _SPLIT_OFFSETS:
         b1, b2 = box.split(off)
         try:
-            w1 = _box_winding(f, b1, tol)
-            w2 = _box_winding(f, b2, tol)
+            w1, w2 = (rectangle_count(f, b.sigma_lo, b.sigma_hi, b.t_lo,
+                                      b.t_hi, tol)[0] for b in (b1, b2))
         except (ZeroOnPathError, ContourZeroError, NonIntegerWindingError) as exc:
             last = exc
             continue
@@ -184,7 +181,8 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     """
     if f is None:
         f = r_value
-    total = _box_winding(f, box, tol)
+    total, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
+                                  box.t_hi, tol)
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
     stack = [(box, total)]
@@ -211,15 +209,21 @@ def _numeric_derivative(f, z: complex, scale: float) -> complex:
     return (f(z + h) - f(z - h)) / (2.0 * h)
 
 
-def _circle_winding(f, center: complex, radius: float) -> int | None:
-    def point(u: float) -> complex:
-        return center + radius * complex(math.cos(TWO_PI * u),
-                                         math.sin(TWO_PI * u))
+@dataclass(frozen=True)
+class _Circle:
+    """Counterclockwise circle, as a path for arg_variation."""
 
-    trace = _arg_variation_param(f, point, DETECT_TOL, seeds=17)
-    raw = trace.total_variation / TWO_PI
-    nearest = round(raw)
-    return int(nearest) if abs(raw - nearest) <= 0.1 else None
+    center: complex
+    radius: float
+
+    def point(self, u: float) -> complex:
+        return self.center + self.radius * complex(math.cos(TWO_PI * u),
+                                                   math.sin(TWO_PI * u))
+
+
+def _circle_winding(f, center: complex, radius: float) -> int:
+    trace = arg_variation(f, _Circle(center, radius), seeds=17)
+    return integer_winding(trace.total_variation / TWO_PI)
 
 
 def refine_zero(seed: Box, tol: float = 1e-3,
@@ -274,7 +278,7 @@ def refine_zero(seed: Box, tol: float = 1e-3,
             for bump in range(4):
                 try:
                     cert = _circle_winding(f, z, radius * (1.0 + bump))
-                except ZeroOnPathError:
+                except (ZeroOnPathError, NonIntegerWindingError):
                     continue
                 if cert == 1:
                     return Zero(beta=z.real, gamma=z.imag,

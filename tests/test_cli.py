@@ -1,15 +1,23 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rzero
+from rzero import cli
 from rzero.cli import (
     EXIT_CLUSTERS,
+    EXIT_CONTOUR_ZERO,
     EXIT_EVAL_FAIL,
     EXIT_OK,
     EXIT_VALIDATE_FAIL,
+    EXIT_WINDING,
     RunConfig,
     ZERO_COLUMNS,
     emit_rows,
@@ -17,6 +25,7 @@ from rzero.cli import (
     parse_complex,
     parse_rows,
 )
+from rzero.errors import ContourZeroError, NewtonError, NonIntegerWindingError
 
 
 def run(capsys, *argv):
@@ -213,3 +222,43 @@ class TestConfig:
     def test_finite_validated(self):
         with pytest.raises(ValueError):
             RunConfig(command="count", box_left=float("inf"))
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, expected", [
+        (ContourZeroError, EXIT_CONTOUR_ZERO),
+        (NonIntegerWindingError, EXIT_WINDING),
+        (NewtonError, EXIT_EVAL_FAIL),
+    ])
+    @pytest.mark.parametrize("command, target", [
+        ("count", "residual_table"),
+        ("table", "residual_table"),
+        ("zeros", "locate_zeros"),
+    ])
+    def test_error_maps_to_exit_code(self, monkeypatch, capsys, command,
+                                     target, error, expected):
+        def fail(*args, **kwargs):
+            raise error("forced failure")
+
+        monkeypatch.setattr(cli, target, fail)
+        code, out, err = run(capsys, "--command", command, "--t-min", "20",
+                             "--t-max", "40", "--t-step", "20")
+        assert code == expected
+        assert out == ""
+        assert "forced failure" in err
+
+    def test_degenerate_box_exits_2_without_traceback(self):
+        # a separate interpreter, so that an uncaught exception would show
+        # as a traceback and exit code 1
+        src = str(pathlib.Path(rzero.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rzero.cli", "--command", "zeros",
+             "--t-min", "10", "--t-max", "10"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_EVAL_FAIL
+        assert "degenerate box" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -22,6 +22,7 @@ from rzero.counting import (
     modulus_bound,
     rectangle_count,
     residual_table,
+    sqrt_fit,
     top_edge_certificate,
     winding_number,
     winding_value,
@@ -64,22 +65,9 @@ class TestPathSegment:
         seg = PathSegment.line(1.0, 1.0j)
         assert seg.first == 1.0 and seg.last == 1.0j
 
-    def test_curve_parametrisation(self):
-        seg = PathSegment.curve(20.0, 30.0)
-        z = seg.point(0.0)
-        assert z.imag == pytest.approx(20.0)
-        assert z.real == pytest.approx(1.0 - 20.0 ** 0.4 * math.log(20.0))
-
-    def test_curve_reversal(self):
-        fwd = PathSegment.curve(20.0, 30.0)
-        rev = PathSegment.curve(20.0, 30.0, reverse=True)
-        assert fwd.point(0.25) == rev.point(0.75)
-
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
             PathSegment.line(1.0, 1.0)
-        with pytest.raises(DomainError):
-            PathSegment.curve(30.0, 20.0)
 
 
 class TestArgVariation:
@@ -106,18 +94,6 @@ class TestArgVariation:
         seg = PathSegment.line(-1.0, 1.0)
         with pytest.raises(ZeroOnPathError):
             arg_variation(lambda z: z, seg)
-
-    def test_left_curve_with_smooth_function(self):
-        seg = PathSegment.curve(20.0, 40.0)
-        trace = arg_variation(cmath.exp, seg)
-        assert trace.total_variation == pytest.approx(20.0, rel=1e-9)
-
-    def test_reverse_negates(self):
-        fwd = PathSegment.curve(20.0, 40.0)
-        rev = PathSegment.curve(20.0, 40.0, reverse=True)
-        a = arg_variation(cmath.exp, fwd).total_variation
-        b = arg_variation(cmath.exp, rev).total_variation
-        assert a == pytest.approx(-b, rel=1e-12)
 
     def test_right_edge_variation_below_pi(self):
         # |R - 1| < 3/4 on sigma = 2 pins the argument inside a half turn
@@ -153,12 +129,6 @@ class TestWindingNumber:
                             lambda *a, **k: 0.63)
         with pytest.raises(NonIntegerWindingError):
             counting_mod.winding_number(lambda z: z, self.rect())
-
-    def test_open_contour_rejected(self):
-        spec = ContourSpec(segments=(PathSegment.line(0.0, 1.0),),
-                           closed=False)
-        with pytest.raises(DomainError):
-            winding_number(lambda z: z + 5.0, spec)
 
     def test_closure_validated(self):
         with pytest.raises(DomainError):
@@ -246,6 +216,14 @@ class TestCountZeros:
         full = count_zeros(10.0, 80.0, include_base=False, certify_left=False)
         assert lo.count + hi.count == full.count
 
+    def test_off_integer_rectangle_rejected(self, monkeypatch):
+        import rzero.counting as counting_mod
+        monkeypatch.setattr(counting_mod, "_rectangle_winding",
+                            lambda *a, **k: (1.37, {}))
+        with pytest.raises(NonIntegerWindingError):
+            counting_mod.rectangle_count(lambda z: z - (0.5 + 30j),
+                                         -6.0, 2.0, 10.0, 60.0)
+
     def test_polynomial_rectangle(self):
         count, window, traces = rectangle_count(
             lambda z: (z - (0.5 + 30j)) * (z - (-2 + 55j)),
@@ -293,3 +271,21 @@ class TestResidualTable:
         table = residual_table([30.0, 55.0], certify_left=False)
         direct = count_zeros(10.0, 55.0, certify_left=False)
         assert table[-1].count == direct.count
+
+
+class TestSqrtFit:
+    def test_exact_line(self):
+        # N - smooth = -x/2 + 0.7 exactly, x = sqrt(T/2pi)
+        results = []
+        for big_t in (100.0, 250.0, 400.0, 900.0):
+            y = -0.5 * math.sqrt(big_t / TWO_PI) + 0.7
+            results.append(CountResult(big_t=big_t, count=0, main_value=-y,
+                                       sqrt_term=0.0, residual=y))
+        coefficient, intercept = sqrt_fit(results)
+        assert coefficient == pytest.approx(-0.5, abs=1e-12)
+        assert intercept == pytest.approx(0.7, abs=1e-12)
+
+    def test_single_height_undetermined(self):
+        single = CountResult(big_t=30.0, count=1, main_value=0.4,
+                             sqrt_term=1.1, residual=0.6)
+        assert all(math.isnan(v) for v in sqrt_fit([single]))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -131,6 +132,30 @@ class TestRefineZero:
                                complex(zero.beta, zero.gamma),
                                1.7 * zero.enclosure_radius)
         assert cert == 1
+
+
+    def test_off_integer_circle_tries_next_radius(self, monkeypatch):
+        import rzero.zeros as zeros_mod
+        seed = Box(1.0, 2.0, 0.2, 1.0)
+        plain = refine_zero(seed, f=quadratic, df=lambda z: 2 * z)
+        real = zeros_mod.arg_variation
+        calls = []
+
+        def off_integer_first(f, path, seeds=16):
+            trace = real(f, path, seeds=seeds)
+            calls.append(path.radius)
+            if len(calls) > 1:
+                return trace
+            return dataclasses.replace(
+                trace, total_variation=0.63 * 2.0 * math.pi)
+
+        monkeypatch.setattr(zeros_mod, "arg_variation", off_integer_first)
+        zero = refine_zero(seed, f=quadratic, df=lambda z: 2 * z)
+        assert calls == [plain.enclosure_radius,
+                         2.0 * plain.enclosure_radius]
+        assert zero.enclosure_radius == 2.0 * plain.enclosure_radius
+        assert (zero.beta, zero.gamma) == (plain.beta, plain.gamma)
+        assert zero.winding_certificate == 1
 
 
 class TestLocateZeros:
