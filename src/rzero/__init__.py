@@ -11,6 +11,7 @@ from .auxiliary import (
     r_asymptotic,
     r_derivative,
     r_eval,
+    r_eval_many,
     r_integral,
     r_value,
     zeta_from_r,
@@ -60,7 +61,8 @@ __all__ = [
     "arg_variation", "backlund_bound", "chi", "count_zeros", "eta",
     "eta_series", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
     "log_s_series", "main_term", "modulus_bound", "r_asymptotic",
-    "r_derivative", "r_eval", "r_integral", "r_value", "refine_zero",
+    "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
+    "refine_zero",
     "residual_table", "winding_number", "zero_statistics", "zeta_from_r",
     "zeta_reference",
 ]

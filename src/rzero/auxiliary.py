@@ -10,27 +10,36 @@ cross-checks against an Euler-Maclaurin zeta evaluator through the identity
 
     zeta(s) = R(s) + chi(s) * conj(R(1 - conj(s))).
 
-The quadrature is organised around two kinds of reuse.  On the line
+The quadrature is organised around three kinds of reuse.  On the line
 x = q + 1/2 + v e^{i pi/4} the terms log x and
 i pi x^2 - log(e^{i pi x} - e^{-i pi x}) do not depend on s; they are kept
 per (crossing, dyadic step) in a bounded lattice table, so a pass reduces to
 one complex multiply-add and one exp per node.  The trapezoid grids at
 steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
 fixes the extent to a multiple of 1/2 and each halving of the step computes
-only the new odd nodes, reusing the sums of the previous pass.  R'(s) comes
-from the same accepted grid: differentiating under the integral multiplies
-each node by -log x, and the Dirichlet part by -log n.
+only the new odd nodes, adding them to the sums of the previous pass.  And
+points that share a crossing and an extent share every node row, so one
+step-halving loop (_step_halve) works on blocks of them: a round is one
+numpy kernel over a (points x nodes) block, -s_j log x_i plus the shared
+kernel row, and each point then takes its own stopping decisions.  The
+samples of a horizontal contour edge share t and form one block; those of a
+vertical edge fall into a few.  A single r_eval is a block of one.  R'(s)
+comes from the same accepted grid: differentiating under the integral
+multiplies each node by -log x, and the Dirichlet part by -log n.
 
 Everything here is a pure function; repeated evaluations at the same point
-are served from a cache, and the reuse never changes a bit of any result.
+are served from one cache, and neither the reuse nor the batching changes a
+bit of any result.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,8 +223,14 @@ class _Lattice:
 
 _LATTICE = _Lattice()
 
-# Single-slot memo of the last pass: (key, level, state), see _quadrature.
-_PASS_MEMO = None
+# A round of _step_halve sums one nesting level for a block of points that
+# share a crossing and a half-length, so they share every lattice row; a
+# block holds at most this many (point, node) pairs, which bounds the
+# temporaries of one round (one complex block is 512 KiB).
+BATCH_MAX_NODES = 1 << 15
+_MAX_PASSES = 16
+_FINEST_STEP = 1.0 / 1024.0
+_DIRECTION = _ORIENTATION * _LINE_DIR
 
 
 def _levels(spec: QuadratureSpec) -> tuple[int, float, int]:
@@ -241,73 +256,209 @@ def _reduced(value: complex, m: float) -> complex:
     return cmath.exp(cmath.log(value) - m)
 
 
-def _quadrature(s: complex, spec: QuadratureSpec):
-    """Core trapezoid pass.
+_sum_rows = np.add.reduce  # row sums of a block: np.sum's pairwise order
 
-    Returns (log_total | None, rel_disc, rel_tail, noise_rel) where
-    log_total is a log of the combined value (Dirichlet sum plus line
-    integral) and the relative figures are against that value.
 
-    The nodes follow the nesting layout of _levels.  Sums are accumulated
-    level by level and the exponent scale comes from the base grid, so the
-    result is the same whether the coarser levels are computed here or taken
-    from the previous pass at the same (s, crossing, half_length) and twice
-    the step; that reuse is what makes step halving in _r_eval_cached cost
-    only the new nodes.
+def _base_sums(q: int, step: float, n: int, zs: list[complex]):
+    """Sums of a block of points over the base grid |k| <= n of ``step``.
+
+    Returns per-point lists: the exponent scale m (the largest real part of
+    the log integrand; everything else is in units of e^m), the node sum,
+    the sum over every other node (the grid of twice the step), the sum of
+    moduli, the moduli of the two end nodes and the Dirichlet sum.  Each row
+    of the block gets the same bits as a block of that point alone.
     """
-    global _PASS_MEMO
+    logx, rest = _LATTICE.rows(q, step, n, True)
+    s = np.array(zs)[:, None]
+    lg = rest - s * logx
+    m = np.maximum.reduce(lg.real, axis=1)
+    # complex operands throughout: a float operand would be cast through
+    # numpy's buffered path; the bits are the same
+    g = np.exp(lg - m.astype(complex)[:, None])
+    m = m.tolist()
+    if q == 0:
+        residues = [0.0 + 0.0j] * len(zs)
+    else:
+        residues = _sum_rows(np.exp(-s * _log_n(q)), axis=1).tolist()
+    # abs() of single elements: np.abs of an array may take a vector path
+    # that differs in the last bit.
+    ends = [abs(a) + abs(b)
+            for a, b in zip(g[:, 0].tolist(), g[:, -1].tolist())]
+    return (m, _sum_rows(g, axis=1).tolist(),
+            _sum_rows(g[:, ::2], axis=1).tolist(),
+            _sum_rows(np.abs(g), axis=1).tolist(), ends,
+            [_reduced(r, mk) for r, mk in zip(residues, m)])
+
+
+@lru_cache(maxsize=None)
+def _log_n(q: int) -> np.ndarray:
+    """log n for n = 1..q, as complex numbers."""
+    return np.log(np.arange(1, q + 1, dtype=float)).astype(complex)
+
+
+def _odd_sums(q: int, step: float, n: int, zs: list[complex],
+              ms: list[float]):
+    """Sums of a block of points over the odd nodes |k| < n of ``step`` (a
+    halving of the base grid), at the points' scales ``ms``: per-point lists
+    of node sums and modulus sums."""
+    logx, rest = _LATTICE.rows(q, step, n, False)
+    g = np.exp(rest - np.array(zs)[:, None] * logx
+               - np.array(ms, dtype=complex)[:, None])
+    return _sum_rows(g, axis=1).tolist(), _sum_rows(np.abs(g), axis=1).tolist()
+
+
+def _pass_figures(h: float, half: float, m: float, total: complex,
+                  coarse: complex, abs_total: float, ends: float,
+                  sum_red: complex):
+    """(log_total | None, rel_disc, rel_tail, noise_rel) of a pass at step h
+    over [-half, half] from its sums in units of e^m (see _base_sums):
+    log_total is a log of the combined value (Dirichlet sum plus line
+    integral) and the relative figures are against that value."""
+    t_h = h * total
+    t_2h = 2.0 * h * coarse
+    total_red = _DIRECTION * t_h + sum_red
+
+    disc = abs(t_h - t_2h)
+    tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
+    noise = 1e-16 * (h * abs_total + abs(sum_red))
+
+    scale_red = max(abs(total_red), noise, 5e-324)
+    log_total = None if total_red == 0.0 else m + cmath.log(total_red)
+    return log_total, disc / scale_red, tail / scale_red, noise / scale_red
+
+
+def _quadrature(s: complex, spec: QuadratureSpec):
+    """Core trapezoid pass at one point; returns _pass_figures.
+
+    The nodes follow the nesting layout of _levels and the sums are
+    accumulated level by level with the exponent scale of the base grid, in
+    the same order as the step-halving loop (_step_halve) accumulates them.
+    """
     c = spec.crossing + 0.5
     if abs(c - round(c)) < 1e-6:
         raise PathThroughPoleError(f"crossing parameter {c} sits on a pole")
     q = spec.crossing
-    h = spec.step
     n, base_step, base_n = _levels(spec)
-    key = (s, q, base_step, base_n)
-
-    memo = _PASS_MEMO
-    if memo is not None and memo[0] == key and memo[1] < n:
-        level, (m, total, abs_total, ends, sum_red) = memo[1], memo[2]
-    else:
-        logx, rest = _LATTICE.rows(q, base_step, base_n, True)
-        lg = rest - s * logx
-        m = float(np.max(lg.real))
-        g = np.exp(lg - m)
-        total = complex(g.sum())
-        abs_total = float(np.abs(g).sum())
-        ends = abs(g[0]) + abs(g[-1])
-        # Everything is combined in units of e^{m} ("reduced" scale).
-        sum_red = _reduced(dirichlet_sum(s, q), m)
-        level = 0
-        if n == 0:  # no finer level: the 2h grid is every other base node
-            coarse = complex(g[::2].sum())
-    for level in range(level + 1, n + 1):
-        logx, rest = _LATTICE.rows(q, base_step / 2 ** level, base_n << level,
-                                   False)
-        g = np.exp(rest - s * logx - m)
+    (m,), (total,), (coarse,), (abs_total,), (ends,), (sum_red,) = \
+        _base_sums(q, base_step, base_n, [s])
+    for level in range(1, n + 1):
+        (part,), (abs_part,) = _odd_sums(q, base_step / 2 ** level,
+                                         base_n << level, [s], [m])
         coarse = total
-        total = total + complex(g.sum())
-        abs_total += float(np.abs(g).sum())
-    _PASS_MEMO = (key, n, (m, total, abs_total, ends, sum_red))
+        total = total + part
+        abs_total += abs_part
+    return _pass_figures(spec.step, spec.half_length, m, total, coarse,
+                         abs_total, ends, sum_red)
 
-    t_h = h * total
-    t_2h = 2.0 * h * coarse
-    direction = _ORIENTATION * _LINE_DIR
-    total_red = direction * t_h + sum_red
 
-    disc = abs(t_h - t_2h)
-    tail = ends * (h + 1.0 / (TWO_PI * spec.half_length)) * 2.0
-    noise = 1e-16 * (h * abs_total + abs(sum_red))
+class _Row:
+    """Step-halving state of one point: the extent and step of its current
+    pass, the nesting level its sums have reached, the figures the stopping
+    rules compare and the best pass so far, (rel_err, log_total, half,
+    step)."""
 
-    scale_red = max(abs(total_red), noise, 5e-324)
-    rel_disc = disc / scale_red
-    rel_tail = tail / scale_red
-    noise_rel = noise / scale_red
+    __slots__ = ("z", "q", "half", "step", "target", "level", "passes",
+                 "prev_rel", "best", "m", "total", "coarse", "abs_total",
+                 "ends", "sum_red")
 
-    if total_red == 0.0:
-        log_total = None
-    else:
-        log_total = m + cmath.log(total_red)
-    return log_total, rel_disc, rel_tail, noise_rel
+    def __init__(self, z: complex):
+        self.z = z
+        self.q = default_crossing(z.imag)
+        # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
+        self.half = math.ceil(2.0 * _half_length(z.imag, self.q)) / 2.0
+        self.step = _BASE_STEP
+        self.target = 0    # nesting level of self.step
+        self.level = -1    # finest level summed over the current extent
+        self.passes = 0
+        self.prev_rel = None
+        self.best = None
+
+    def judge(self) -> bool:
+        """Apply the stopping rules to the pass at the current step: widen
+        the extent, stop, or halve the step.  True when the point is done."""
+        h = self.step
+        log_total, rel_disc, rel_tail, noise_rel = _pass_figures(
+            h, self.half, self.m, self.total, self.coarse, self.abs_total,
+            self.ends, self.sum_red)
+        rel_err = rel_disc + rel_tail
+        self.passes += 1
+        if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
+            self.half = math.ceil(3.0 * self.half) / 2.0  # 1.5x, a multiple of 1/2
+            self.level = -1
+            return self.passes == _MAX_PASSES
+        if self.best is None or rel_err < self.best[0]:
+            self.best = (rel_err, log_total, self.half, h)
+        if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
+            return True
+        # Halving the step squares the trapezoid error, so once the estimate
+        # is small, stops shrinking and sits near the noise floor we are at
+        # the rounding plateau (the value is a near-cancellation, e.g. next
+        # to a zero); further nodes cannot help.  Far above the floor the
+        # grids are still pre-asymptotic and must keep halving.  The
+        # reported absolute estimate stays honest.
+        if (rel_err < 1e-3 and self.prev_rel is not None
+                and rel_err > 0.35 * self.prev_rel
+                and rel_err <= 1e4 * noise_rel):
+            return True
+        if h <= _FINEST_STEP:
+            return True
+        self.prev_rel = rel_err
+        self.step = h * 0.5
+        self.target += 1
+        return self.passes == _MAX_PASSES
+
+
+def _step_halve(points: list[complex]) -> list[_Row]:
+    """Step-halve R at every point, in rounds over blocks of points.
+
+    Each pass starts at step 1/4 over the extent of auto_spec rounded up to
+    a multiple of 1/2; a pass at h/2 adds only the odd nodes to the sums at
+    h.  A round groups the points by (crossing, half-length, next level),
+    sums that level for each block of the group in one numpy kernel and
+    then applies the stopping rules (_Row.judge) to every point whose sums
+    have reached its step.  A point whose tail is too large widens its
+    extent, regroups under it and sums its levels again from the base grid,
+    keeping its own step, previous estimate and best pass.  Rows of a block
+    never mix, so each point gets the bits it gets alone.
+    """
+    rows = [_Row(z) for z in points]
+    pending = rows
+    while pending:
+        groups: dict[tuple[int, float, int], list[_Row]] = {}
+        for row in pending:
+            key = (row.q, row.half, row.level + 1)
+            if key in groups:
+                groups[key].append(row)
+            else:
+                groups[key] = [row]
+        pending = []
+        for (q, half, level), group in groups.items():
+            base_n = int(4.0 * half)
+            nodes = (base_n << level) if level else 2 * base_n + 1
+            size = max(1, BATCH_MAX_NODES // nodes)
+            for lo in range(0, len(group), size):
+                block = group[lo:lo + size] if len(group) > size else group
+                zs = [row.z for row in block]
+                if level == 0:
+                    for row, m, total, coarse, abs_total, ends, sum_red in zip(
+                            block, *_base_sums(q, _BASE_STEP, base_n, zs)):
+                        row.m, row.total, row.coarse = m, total, coarse
+                        row.abs_total, row.ends = abs_total, ends
+                        row.sum_red = sum_red
+                        row.level = 0
+                else:
+                    parts, abs_parts = _odd_sums(
+                        q, _BASE_STEP / 2 ** level, base_n << level, zs,
+                        [row.m for row in block])
+                    for row, part, abs_part in zip(block, parts, abs_parts):
+                        row.coarse = row.total
+                        row.total = row.total + part
+                        row.abs_total += abs_part
+                        row.level = level
+                for row in block:
+                    if row.level < row.target or not row.judge():
+                        pending.append(row)
+    return rows
 
 
 def _grid_derivative(s: complex, spec: QuadratureSpec) -> tuple[complex, float]:
@@ -400,69 +551,127 @@ def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> Quadrature
     half_length = sqrt(log(1/eps)/pi) + sqrt(t)/4, widened when the crossing
     is moved off the saddle (the integrand hump shifts along the line).
     """
-    z = as_complex(s)
-    t = z.imag
+    t = as_complex(s).imag
     q = default_crossing(t) if crossing is None else crossing
+    return QuadratureSpec(crossing=q, half_length=_half_length(t, q), step=step)
+
+
+def _half_length(t: float, q: int) -> float:
+    """Default half-length of auto_spec at height t and crossing q."""
     saddle = math.sqrt(max(t, 0.0) / TWO_PI)
     half = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi) + 0.25 * math.sqrt(max(t, 0.0))
-    half += math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
-    return QuadratureSpec(crossing=q, half_length=half, step=step)
+    return half + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
 
 
-@lru_cache(maxsize=400_000)
-def _r_eval_cached(sigma: float, t: float, derivative: bool) -> EvaluationResult:
-    """Step-halving driver behind r_eval and r_derivative.
+def _evaluate(pairs: list[tuple[float, float]],
+              derivative: bool) -> list[EvaluationResult]:
+    """Results for (sigma, t) pairs from one step-halving run; with
+    ``derivative`` R'(s) is added from each accepted grid (_grid_derivative),
+    and the value is computed the same way either way."""
+    out = []
+    for row in _step_halve([complex(sigma, t) for sigma, t in pairs]):
+        # No raise here: at a zero of R the value is pure cancellation and
+        # the relative figure is meaningless.  The absolute error_estimate
+        # is honest and downstream integrality guards fail loudly on bad
+        # phases.
+        rel_err, log_total, half, step = row.best
+        value = _value_from_log(log_total)
+        err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
+        d_value, d_error = (None, None)
+        if derivative:
+            d_value, d_error = _grid_derivative(
+                row.z, QuadratureSpec(crossing=row.q, half_length=half,
+                                      step=step))
+        out.append(EvaluationResult(
+            value=value, method="quadrature", error_estimate=err,
+            log_value=log_total, derivative=d_value, derivative_error=d_error,
+        ))
+    return out
 
-    The half-length is rounded up to a multiple of 1/2, so every dyadic grid
-    with step <= 1/4 spans the same nodes and the grid at step h is the
-    even-indexed subset of the grid at h/2; each halving then computes only
-    the new odd nodes (see _quadrature).  Widening for a large tail keeps
-    the multiple.  With ``derivative`` R'(s) is added from the accepted grid
-    (_grid_derivative); the value is computed the same way either way.
+
+class _CacheInfo(NamedTuple):
+    """cache_info() of _RCache, as functools.lru_cache reports it."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _RCache:
+    """The one bounded cache of R results, keyed by (sigma, t, derivative)
+    and evicting the least recently used entry.
+
+    Called as ``_r_eval_cached(sigma, t, derivative)`` it serves one point
+    (r_eval, r_derivative); ``many`` serves a list (r_eval_many).  Misses of
+    one call are step-halved together.  A value request at a point that
+    holds a derivative entry is served from that entry, whose value fields
+    are the same bits.
     """
-    z = complex(sigma, t)
-    base = auto_spec(z)
-    half = math.ceil(2.0 * base.half_length) / 2.0
-    step = 0.25
-    prev_rel = None
-    best = None  # (rel_err, log_total, spec)
-    for _ in range(16):
-        spec = QuadratureSpec(crossing=base.crossing, half_length=half,
-                              step=step)
-        log_total, rel_disc, rel_tail, noise_rel = _quadrature(z, spec)
-        rel_err = rel_disc + rel_tail
-        if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
-            half = math.ceil(3.0 * half) / 2.0  # 1.5x, still a multiple of 1/2
-            continue
-        if best is None or rel_err < best[0]:
-            best = (rel_err, log_total, spec)
-        if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
-            break
-        # Halving the step squares the trapezoid error, so once the estimate
-        # is small, stops shrinking and sits near the noise floor we are at
-        # the rounding plateau (the value is a near-cancellation, e.g. next
-        # to a zero); further nodes cannot help.  Far above the floor the
-        # grids are still pre-asymptotic and must keep halving.  The
-        # reported absolute estimate stays honest.
-        if (rel_err < 1e-3 and prev_rel is not None
-                and rel_err > 0.35 * prev_rel
-                and rel_err <= 1e4 * noise_rel):
-            break
-        if step <= 1.0 / 1024.0:
-            break
-        prev_rel = rel_err
-        step *= 0.5
-    # No raise here: at a zero of R the value is pure cancellation and the
-    # relative figure is meaningless.  The absolute error_estimate is honest
-    # and downstream integrality guards fail loudly on bad phases.
-    rel_err, log_total, spec = best
-    value = _value_from_log(log_total)
-    err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
-    d_value, d_error = _grid_derivative(z, spec) if derivative else (None, None)
-    return EvaluationResult(
-        value=value, method="quadrature", error_estimate=err,
-        log_value=log_total, derivative=d_value, derivative_error=d_error,
-    )
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._store: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def _get(self, sigma: float, t: float, derivative: bool):
+        store = self._store
+        key = (sigma, t, derivative)
+        hit = store.get(key)
+        if hit is None and not derivative:
+            key = (sigma, t, True)
+            hit = store.get(key)
+            if hit is not None:
+                store.move_to_end(key)
+                return replace(hit, derivative=None, derivative_error=None)
+        if hit is not None:
+            store.move_to_end(key)
+        return hit
+
+    def _fill(self, pairs: list[tuple[float, float]],
+              derivative: bool) -> list[EvaluationResult]:
+        """Compute and store the results of distinct missing pairs."""
+        self._misses += len(pairs)
+        results = _evaluate(pairs, derivative)
+        store = self._store
+        for (sigma, t), res in zip(pairs, results):
+            store[(sigma, t, derivative)] = res
+            if len(store) > self.maxsize:
+                store.popitem(last=False)
+        return results
+
+    def __call__(self, sigma: float, t: float,
+                 derivative: bool) -> EvaluationResult:
+        hit = self._get(sigma, t, derivative)
+        if hit is None:
+            return self._fill([(sigma, t)], derivative)[0]
+        self._hits += 1
+        return hit
+
+    def many(self, pairs: list[tuple[float, float]],
+             derivative: bool) -> list[EvaluationResult]:
+        out = [self._get(sigma, t, derivative) for sigma, t in pairs]
+        missing = list(dict.fromkeys(
+            pair for pair, res in zip(pairs, out) if res is None))
+        self._hits += len(pairs) - len(missing)
+        if not missing:
+            return out
+        computed = dict(zip(missing, self._fill(missing, derivative)))
+        return [computed[pair] if res is None else res
+                for pair, res in zip(pairs, out)]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize,
+                         len(self._store))
+
+    def cache_clear(self) -> None:
+        self._store.clear()
+        self._hits = self._misses = 0
+
+
+# r_eval and r_derivative call the cache through the module attribute
+# _r_eval_cached; r_eval_many uses _R_CACHE, the same object.
+_R_CACHE = _r_eval_cached = _RCache(maxsize=400_000)
 
 
 def r_eval(s) -> EvaluationResult:
@@ -478,16 +687,34 @@ def r_eval(s) -> EvaluationResult:
     return _r_eval_cached(z.real, z.imag, False)
 
 
+def r_eval_many(points) -> list[EvaluationResult]:
+    """r_eval at each point, in order.
+
+    The points missing from the cache are step-halved together
+    (_step_halve): points that share a crossing and an extent, such as the
+    samples of a horizontal contour edge, share every integrand row, so one
+    numpy kernel serves the block.  Every result has the same bits as
+    r_eval would give, and lands in the same cache.
+    """
+    zs = [_checked(s) for s in points]
+    return _R_CACHE.many([(z.real, z.imag) for z in zs], False)
+
+
 def r_value(s) -> complex:
     """Convenience accessor: the complex value of r_eval(s)."""
     return r_eval(s).value
 
 
+def values_at(f, points) -> list:
+    """[f(z) for z in points], in one r_eval_many call when f is r_value."""
+    if f is r_value:
+        return [res.value for res in r_eval_many(points)]
+    return [f(z) for z in points]
+
+
 def r_eval_cache_clear() -> None:
-    """Drop every cached R value, the pass memo and the lattice table."""
-    global _PASS_MEMO
-    _r_eval_cached.cache_clear()
-    _PASS_MEMO = None
+    """Drop every cached R value and the lattice table."""
+    _R_CACHE.cache_clear()
     _LATTICE.clear()
 
 
@@ -550,7 +777,8 @@ def r_derivative(s, with_estimate: bool = False):
 
     R(s) is step-halved exactly as by r_eval(s) and R' is then summed over
     the accepted nodes in one more pass (see _grid_derivative); the result
-    is cached apart from the plain value.  With ``with_estimate=True``
+    is cached as its own entry, which also serves later r_eval(s) calls
+    (the value bits are the same).  With ``with_estimate=True``
     returns ``(value, error_estimate)`` where the estimate is the
     discrepancy against the grid of every other node plus a rounding floor.
     """

@@ -49,6 +49,11 @@ EXIT_CONTOUR_ZERO = 3
 EXIT_WINDING = 4
 EXIT_CLUSTERS = 5
 
+# --tol of count, table and zeros: the step of the contour perturbation
+# ladder.  Under validate --tol overrides the suite tolerances instead.
+CONTOUR_TOL = 1e-3
+_CONTOUR_COMMANDS = ("count", "table", "zeros")
+
 
 @dataclass
 class RunConfig:
@@ -79,6 +84,15 @@ class RunConfig:
             raise ValueError("t-max below t-min")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
+        if (self.command in _CONTOUR_COMMANDS and self.tol is not None
+                and not (math.isfinite(self.tol) and self.tol > 0.0)):
+            raise ValueError(f"--tol must be positive and finite for "
+                             f"{self.command}, got {self.tol}")
+
+    @property
+    def contour_tol(self) -> float:
+        """Perturbation step of count, table and zeros."""
+        return CONTOUR_TOL if self.tol is None else self.tol
 
 
 def _format_value(v) -> str:
@@ -187,7 +201,7 @@ def _count_results(config: RunConfig) -> list[counting.CountResult]:
     if not ts:
         raise DomainError("empty T grid above the base height")
     return residual_table(ts, box_left=config.box_left,
-                          tol=config.tol or 1e-3)
+                          tol=config.contour_tol)
 
 
 def cmd_count(config: RunConfig) -> int:
@@ -223,7 +237,7 @@ ZERO_COLUMNS = ["beta", "gamma", "enclosure_radius", "winding_certificate",
 def cmd_zeros(config: RunConfig) -> int:
     box = Box(config.box_left, 2.0, config.t_min, config.t_max)
     found, clusters = locate_zeros(box, min_size=config.min_size,
-                                   tol=config.tol or 1e-3)
+                                   tol=config.contour_tol)
     rows = [{
         "beta": z.beta, "gamma": z.gamma,
         "enclosure_radius": z.enclosure_radius,
@@ -386,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-left", type=float, default=-6.0)
     p.add_argument("--min-size", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=None,
-                   help="override contour tolerance / suite tolerances")
+                   help="contour perturbation step of count, table and "
+                        "zeros (> 0, default 1e-3); suite tolerance "
+                        "override of validate")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, dest="output_path")

@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .auxiliary import r_value
+from .auxiliary import r_value, values_at
 from .errors import (
     ContourZeroError,
     DomainError,
@@ -162,7 +162,8 @@ def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
     """Unwrapped argument change of f along a path: any object whose
     ``point(u)`` gives the point at parameter u in [0, 1].
 
-    Samples f at ``seeds`` equispaced parameters, adaptively bisecting
+    Samples f at ``seeds`` equispaced parameters (in one r_eval_many call
+    when f is r_value), adaptively bisecting
     parameter intervals until each consecutive nearest-branch phase
     difference is below pi/2.  Raises ZeroOnPathError when |f| drops below
     DETECT_TOL * (local scale) at a node or when MAX_REFINE_DEPTH bisection
@@ -171,13 +172,11 @@ def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
     point_fn = path.point
     seeds = max(2, seeds)
     params = [k / (seeds - 1) for k in range(seeds)]
-    values = []
-    for u in params:
-        v = f(point_fn(u))
+    points = [point_fn(u) for u in params]
+    values = values_at(f, points)
+    for z, v in zip(points, values):
         if v == 0.0:
-            raise ZeroOnPathError("exact zero at a sample node",
-                                  where=point_fn(u))
-        values.append(v)
+            raise ZeroOnPathError("exact zero at a sample node", where=z)
     for k, v in enumerate(values):
         neighbours = []
         if k > 0:

@@ -7,8 +7,9 @@ independent winding-1 certificate on a small circle around it.  Windings
 come from the engine in ``counting``: pieces are counted by
 ``rectangle_count`` and circles by ``arg_variation`` through the same
 integrality guard.  By default R is evaluated through the same cached
-quadrature as counting, and each Newton step takes R'(s) from the grid that
-gave R(s) (r_derivative).
+quadrature as counting, the samples of a contour edge and of each zoom row
+of a cut scan are evaluated in one batch (r_eval_many), and each Newton step
+takes R(s) and R'(s) from one derivative entry (r_derivative).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .auxiliary import r_derivative, r_value
+from .auxiliary import r_derivative, r_value, values_at
 from .counting import arg_variation, integer_winding, rectangle_count
 from .errors import (
     ContourZeroError,
@@ -117,7 +118,8 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     along it (f keeps a constant argument there), so the winding of both
     children looks consistent; a zoomed modulus scan of the cut exposes it.
     The zoomed minimum is judged against the scale next to the minimum (|f|
-    legitimately spans many orders of magnitude along long cuts).
+    legitimately spans many orders of magnitude along long cuts).  Each
+    33-point zoom row is one values_at call (one batch when f is r_value).
     """
     if child.t_hi < box.t_hi:  # horizontal cut at t = child.t_hi
         lo, hi = box.sigma_lo, box.sigma_hi
@@ -131,7 +133,7 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     minimum = math.inf
     for _ in range(4):
         us = [lo + (hi - lo) * k / 32.0 for k in range(33)]
-        mags = [abs(f(where(u))) for u in us]
+        mags = [abs(v) for v in values_at(f, [where(u) for u in us])]
         k_min = mags.index(min(mags))
         if local_scale is None:
             neighbours = [mags[k] for k in (k_min - 1, k_min + 1)
@@ -251,8 +253,10 @@ def refine_zero(seed: Box, tol: float = 1e-3,
         guard = box.dilated(2.0)
         step = math.inf
         for _ in range(NEWTON_MAX_ITER):
-            fz = f(z)
+            # R' first: with the default f and df, f(z) is then served from
+            # the derivative entry, so each iterate step-halves R once.
             dz = df(z) if df is not None else _numeric_derivative(f, z, box.max_side)
+            fz = f(z)
             if dz == 0.0:
                 return None, step
             nz = z - fz / dz

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from rzero.auxiliary import (
     r_derivative,
     r_eval,
     r_eval_cache_clear,
+    r_eval_many,
     r_integral,
     zeta_from_r,
     zeta_reference,
@@ -178,22 +180,27 @@ def _eval_all(points):
 class TestQuadratureReuse:
     @pytest.mark.parametrize("s", REUSE_POINTS)
     def test_halved_pass_reuses_bit_identically(self, s, monkeypatch):
-        spec = auto_spec(s)
-        coarse = QuadratureSpec(crossing=spec.crossing,
-                                half_length=math.ceil(2 * spec.half_length) / 2,
-                                step=0.0625)
-        fine = dataclasses.replace(coarse, step=0.03125)
+        # the step-halving loop sums the base grid once and then only the
+        # odd nodes of each halving; its figures at the last step equal a
+        # cold one-point pass over the whole grid
         r_eval_cache_clear()
-        cold = _quadrature(s, fine)
-        _quadrature(s, coarse)
         rows = []
         real_rows = auxiliary._LATTICE.rows
         monkeypatch.setattr(auxiliary._LATTICE, "rows",
                             lambda *a: rows.append(a) or real_rows(*a))
-        warm = _quadrature(s, fine)
+        (row,) = auxiliary._step_halve([s])
+        monkeypatch.undo()
+        assert row.target >= 2 and row.level == row.target
+        assert [(step, base) for _, step, _, base in rows] == [
+            (0.25 / 2 ** k, k == 0) for k in range(row.target + 1)]
+        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.total,
+                                       row.coarse, row.abs_total, row.ends,
+                                       row.sum_red)
+        r_eval_cache_clear()
+        cold = _quadrature(s, QuadratureSpec(crossing=row.q,
+                                             half_length=row.half,
+                                             step=row.step))
         assert warm == cold
-        # only the odd nodes of the new level were computed
-        assert [(step, base) for _, step, _, base in rows] == [(0.03125, False)]
 
     @pytest.mark.parametrize("s", REUSE_POINTS)
     def test_matches_fine_step_r_integral(self, s):
@@ -246,6 +253,114 @@ class TestQuadratureReuse:
         z = 1.0 - s.conjugate()
         scale = abs(r_eval(z).value) + abs(chi(z) * res.value)
         assert abs(zeta_from_r(z) - zeta_reference(z)) <= 1e-8 * scale
+
+
+# seeded points in the four bands with sigma in [-30, 2], sigma = -26 at
+# each band, and a point whose tail widens the extent at step 1/32
+_rng = random.Random(20240605)
+BATCH_POINTS = [complex(_rng.uniform(-30.0, 2.0), band * _rng.uniform(0.95, 1.05))
+                for band in (20.0, 100.0, 500.0, 2000.0) for _ in range(12)]
+BATCH_POINTS += [complex(-26.0, band) for band in (20.3, 99.1, 502.7, 1996.4)]
+WIDENING_POINT = complex(-26.244866515411786, 1.171470694917518)
+BATCH_POINTS.append(WIDENING_POINT)
+
+
+def _fields(results):
+    return [(r.value, r.error_estimate, r.log_value) for r in results]
+
+
+class TestEvalMany:
+    def test_matches_one_at_a_time(self):
+        r_eval_cache_clear()
+        alone = _fields(r_eval(p) for p in BATCH_POINTS)
+        r_eval_cache_clear()
+        assert _fields(r_eval_many(BATCH_POINTS)) == alone
+
+    def test_widening_row_regroups(self):
+        # the tail widens the extent after the step has been halved; the
+        # sums over the new extent start again from its base grid
+        (row,) = auxiliary._step_halve([WIDENING_POINT])
+        start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
+        assert row.half > start and row.best[2] == row.half
+        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.total,
+                                       row.coarse, row.abs_total, row.ends,
+                                       row.sum_red)
+        cold = _quadrature(WIDENING_POINT, QuadratureSpec(
+            crossing=row.q, half_length=row.half, step=row.step))
+        assert row.step < 0.25 and warm == cold
+
+    def test_cold_batch_bit_identical_in_both_orders(self):
+        r_eval_cache_clear()
+        forwards = _fields(r_eval_many(BATCH_POINTS))
+        r_eval_cache_clear()
+        backwards = _fields(r_eval_many(BATCH_POINTS[::-1]))[::-1]
+        assert forwards == backwards
+
+    def test_batch_entries_serve_r_eval(self):
+        r_eval_cache_clear()
+        points = BATCH_POINTS[:10] + BATCH_POINTS[:3]  # repeats are hits
+        batch = r_eval_many(points)
+        info = auxiliary._r_eval_cached.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (10, 10, 3)
+        assert all(r_eval(p) is res for p, res in zip(points, batch))
+        after = auxiliary._r_eval_cached.cache_info()
+        assert (after.misses, after.hits) == (10, 3 + len(points))
+        r_eval_cache_clear()
+        assert auxiliary._r_eval_cached.cache_info() == (0, 0, info.maxsize, 0)
+
+    def test_derivative_entries_untouched(self):
+        r_eval_cache_clear()
+        s = BATCH_POINTS[5]
+        d, d_err = r_derivative(s, with_estimate=True)
+        entry = auxiliary._r_eval_cached(s.real, s.imag, True)
+        batch = r_eval_many(BATCH_POINTS[:8])
+        assert auxiliary._r_eval_cached(s.real, s.imag, True) is entry
+        assert r_derivative(s, with_estimate=True) == (d, d_err)
+        assert all(res.derivative is None for res in batch)
+        # the value at s is read from the derivative entry: 1 + 7 entries
+        info = auxiliary._r_eval_cached.cache_info()
+        assert (info.currsize, info.misses) == (8, 8)
+        assert _fields([batch[5]]) == _fields([entry])
+
+    def test_block_size_within_cap(self, monkeypatch):
+        r_eval_cache_clear()
+        reference = _fields(r_eval_many(BATCH_POINTS))
+        blocks = []  # (crossing, points, nodes) per kernel call
+        real_base, real_odd = auxiliary._base_sums, auxiliary._odd_sums
+
+        def base(q, step, n, zs):
+            blocks.append((q, len(zs), 2 * n + 1))
+            return real_base(q, step, n, zs)
+
+        def odd(q, step, n, zs, ms):
+            blocks.append((q, len(zs), n))
+            return real_odd(q, step, n, zs, ms)
+
+        cap = 1 << 10
+        monkeypatch.setattr(auxiliary, "BATCH_MAX_NODES", cap)
+        monkeypatch.setattr(auxiliary, "_base_sums", base)
+        monkeypatch.setattr(auxiliary, "_odd_sums", odd)
+        r_eval_cache_clear()
+        edge = [complex(0.05 * k, 500.0) for k in range(40)]  # one crossing
+        assert _fields(r_eval_many(edge + BATCH_POINTS)[40:]) == reference
+        assert all(rows == 1 or rows * nodes <= cap for _, rows, nodes in blocks)
+        first = [rows for q, rows, _ in blocks if q == default_crossing(500.0)]
+        assert max(first) > 1 and first[0] < len(edge)
+
+    def test_cache_bounded_least_recently_used_out(self):
+        cache = auxiliary._RCache(maxsize=3)
+        a, b, c, d = [(0.5, t) for t in (20.0, 21.0, 22.0, 23.0)]
+        cache.many([a, b, c], False)
+        cache(*a, False)  # a is now the most recently used
+        cache.many([d], False)
+        assert cache.cache_info().currsize == 3
+        assert set(cache._store) == {(*p, False) for p in (a, c, d)}
+
+    def test_negative_imaginary_part_rejected(self):
+        r_eval_cache_clear()
+        with pytest.raises(DomainError):
+            r_eval_many([2.0 + 10.0j, 0.5 - 1.0j])
+        assert auxiliary._r_eval_cached.cache_info().currsize == 0
 
 
 class TestZetaFromR:

@@ -247,6 +247,34 @@ class TestExitCodes:
         assert out == ""
         assert "forced failure" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-0.001", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["count", "table", "zeros"])
+    def test_bad_tol_exits_2(self, monkeypatch, capsys, command, tol):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a rejected --tol")
+
+        monkeypatch.setattr(cli, "residual_table", never)
+        monkeypatch.setattr(cli, "locate_zeros", never)
+        code, out, err = run(capsys, "--command", command, "--t-min", "20",
+                             "--t-max", "40", "--t-step", "20", "--tol", tol)
+        assert code == EXIT_EVAL_FAIL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--tol" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        ((), 1e-3), (("--tol", "0.002"), 0.002)])
+    def test_contour_tol_passed(self, monkeypatch, capsys, argv, expected):
+        seen = []
+        monkeypatch.setattr(cli, "residual_table",
+                            lambda ts, box_left, tol: seen.append(tol) or [])
+        run(capsys, "--command", "count", "--t-min", "20", "--t-max", "40",
+            "--t-step", "20", *argv)
+        assert seen == [expected]
+
+    def test_validate_keeps_suite_tolerance(self):
+        config = RunConfig(command="validate", tol=0.0)
+        assert config.tol == 0.0
+
     def test_degenerate_box_exits_2_without_traceback(self):
         # a separate interpreter, so that an uncaught exception would show
         # as a traceback and exit code 1

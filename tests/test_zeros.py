@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rzero.counting import rectangle_count
+from rzero import auxiliary
 from rzero.auxiliary import r_eval_cache_clear, r_value
 from rzero.errors import DomainError
 from rzero.zeros import (
@@ -123,6 +124,21 @@ class TestRefineZero:
         first = refine_zero(seed)
         r_eval_cache_clear()
         assert refine_zero(seed) == first
+
+    def test_cold_default_refinement_one_entry_per_iterate(self, monkeypatch):
+        # each Newton iterate asks for R' first and then reads R from the
+        # same derivative entry: no value entry is made at an iterate
+        import rzero.zeros as zeros_mod
+        iterates = []
+        real = zeros_mod.r_derivative
+        monkeypatch.setattr(zeros_mod, "r_derivative",
+                            lambda z: iterates.append(z) or real(z))
+        r_eval_cache_clear()
+        refine_zero(Box(-4.0, 2.0, 20.0, 25.0))
+        keys = set(auxiliary._R_CACHE._store)
+        assert len(iterates) >= 3
+        assert {(z.real, z.imag, True) for z in iterates} <= keys
+        assert not {(z.real, z.imag, False) for z in iterates} & keys
 
     def test_certificate_circle_independent(self):
         seed = Box(1.0, 2.0, 0.2, 1.0)
