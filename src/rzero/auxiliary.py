@@ -24,8 +24,21 @@ numpy kernel over a (points x nodes) block, -s_j log x_i plus the shared
 kernel row, and each point then takes its own stopping decisions.  The
 samples of a horizontal contour edge share t and form one block; those of a
 vertical edge fall into a few.  A single r_eval is a block of one.  R'(s)
-comes from the same accepted grid: differentiating under the integral
-multiplies each node by -log x, and the Dirichlet part by -log n.
+comes from the same grids: differentiating under the integral multiplies
+each node by -log x, and the Dirichlet part by -log n, so a derivative
+request sums a second channel from the same exponentials.
+
+The stopping rule follows the trapezoid error model on a strip of
+analyticity, error(h) ~ C e^{-2 pi d/h}: each halving squares the error
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  The discrepancy between the
+grids at h and 2h measures the error of the 2h value, so a point whose
+discrepancy reaches EPS_TARGET stops with a grid that only confirms the
+previous one.  Once the discrepancies shrink and are small, the model
+fitted to the last two of them predicts the error of the h value itself,
+and the point stops when that prediction is below PRED_TARGET, a thousand
+times under EPS_TARGET.  A point whose discrepancies grow is pre-asymptotic
+and keeps halving.  The reported error_estimate is the prediction (or the
+discrepancy) plus the truncation tails and a rounding floor.
 
 Everything here is a pure function; repeated evaluations at the same point
 are served from one cache, and neither the reuse nor the batching changes a
@@ -61,6 +74,7 @@ from .special_functions import (
 )
 
 EPS_TARGET = 1e-9          # relative accuracy goal of automatic evaluation
+PRED_TARGET = 1e-3 * EPS_TARGET  # model-predicted error that accepts a grid
 FAIL_THRESHOLD = 1e-6      # relative error_estimate beyond which we refuse
 _EPS = 2.0 ** -52          # double precision machine epsilon
 
@@ -155,14 +169,23 @@ def _log_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def _line_rows(q: int, step: float, n: int, base: bool):
-    """(log x, log kernel) at x = q + 1/2 + step k e^{i pi/4} for one nesting
-    level: every integer |k| <= n when ``base``, else the odd |k| < n."""
+    """(log x, log kernel, peaks) at x = q + 1/2 + step k e^{i pi/4} for one
+    nesting level: every integer |k| <= n when ``base``, else the odd
+    |k| < n.  For a base level, column j of the (2, n + 1) array ``peaks``
+    holds max |log x| and max |log kernel| over |k| <= j, the scales of the
+    rounding floor (see _pass_figures); an odd level has None."""
     k = np.arange(-n, n + 1) if base else np.arange(1 - n, n, 2)
     x = (q + 0.5) + (step * k) * _LINE_DIR
     # The path must stay clear of the branch cut of log x (negative reals).
     if not np.all((x.imag != 0.0) | (x.real > 0.0)):
         raise PathThroughPoleError("integration path touched the logarithm cut")
-    return np.log(x), _log_kernel(x)
+    logx, rest = np.log(x), _log_kernel(x)
+    peaks = None
+    if base:
+        mod = np.abs(np.stack([logx, rest]))
+        peaks = np.maximum.accumulate(np.maximum(mod[:, n:], mod[:, n::-1]),
+                                      axis=1)
+    return logx, rest, peaks
 
 
 # Nesting: a pass at a dyadic step h <= _BASE_STEP starts from the grid of
@@ -183,7 +206,8 @@ class _Lattice:
 
     An entry (q, step, base) holds the rows of ``_line_rows`` for the widest
     extent requested so far; rows are centred in k, so any narrower extent is
-    a contiguous slice with the same bits as a direct computation.
+    a contiguous slice with the same bits as a direct computation, and the
+    peaks of a base slice |k| <= n are column n of the running maxima.
     """
 
     def __init__(self):
@@ -194,31 +218,39 @@ class _Lattice:
 
     @property
     def nbytes(self) -> int:
-        return sum(logx.nbytes + rest.nbytes for _, logx, rest in self._rows.values())
+        return sum(_nbytes(*entry[1:]) for entry in self._rows.values())
 
     def clear(self) -> None:
         self._rows.clear()
 
     def rows(self, q: int, step: float, n: int, base: bool):
-        if not (LATTICE_FINEST_STEP <= step <= _BASE_STEP
-                and math.frexp(step)[0] == 0.5):
-            return _line_rows(q, step, n, base)
+        """(log x, log kernel, peak) of a level with |k| <= n, where peak is
+        (max |log x|, max |log kernel|) for a base level and None for an odd
+        one."""
         key = (q, step, base)
         hit = self._rows.get(key)
         if hit is not None and hit[0] >= n:
-            n_max, logx, rest = hit
+            n_max, logx, rest, peaks = hit
             lo = n_max - n if base else (n_max - n) // 2
-            return logx[lo:len(logx) - lo], rest[lo:len(rest) - lo]
-        logx, rest = _line_rows(q, step, n, base)
-        size = logx.nbytes + rest.nbytes
-        if size > LATTICE_MAX_BYTES:
-            return logx, rest
-        self._rows.pop(key, None)
-        if (self.nbytes + size > LATTICE_MAX_BYTES
-                or len(self._rows) >= LATTICE_MAX_ENTRIES):
-            self.clear()
-        self._rows[key] = (n, logx, rest)
-        return logx, rest
+            logx, rest = logx[lo:len(logx) - lo], rest[lo:len(rest) - lo]
+        else:
+            logx, rest, peaks = _line_rows(q, step, n, base)
+            size = _nbytes(logx, rest, peaks)
+            if (LATTICE_FINEST_STEP <= step <= _BASE_STEP
+                    and math.frexp(step)[0] == 0.5
+                    and size <= LATTICE_MAX_BYTES):
+                self._rows.pop(key, None)
+                if (self.nbytes + size > LATTICE_MAX_BYTES
+                        or len(self._rows) >= LATTICE_MAX_ENTRIES):
+                    self.clear()
+                self._rows[key] = (n, logx, rest, peaks)
+        if peaks is None:
+            return logx, rest, None
+        return logx, rest, (peaks.item(0, n), peaks.item(1, n))
+
+
+def _nbytes(logx, rest, peaks) -> int:
+    return logx.nbytes + rest.nbytes + (0 if peaks is None else peaks.nbytes)
 
 
 _LATTICE = _Lattice()
@@ -259,16 +291,42 @@ def _reduced(value: complex, m: float) -> complex:
 _sum_rows = np.add.reduce  # row sums of a block: np.sum's pairwise order
 
 
-def _base_sums(q: int, step: float, n: int, zs: list[complex]):
+def _channel(w: np.ndarray, res: np.ndarray, zs: list[complex],
+             ms: list[float], q: int):
+    """Per-point lists of the sums of one channel over a base grid, in units
+    of e^m: total, coarse, abs_total, ends, sum_red and res_phase (see
+    _pass_figures), from the block ``w`` of node terms and the block ``res``
+    of residue terms."""
+    if q > 1:
+        # the phase s log n of a residue is good to about eps |s| log q
+        log_q = math.log(q)
+        res_phase = [math.exp(math.log(a * abs(z) * log_q) - m)
+                     for a, z, m in zip(_sum_rows(np.abs(res), axis=1).tolist(),
+                                        zs, ms)]
+    else:
+        res_phase = [0.0] * len(zs)
+    # abs() of single elements: np.abs of an array may take a vector path
+    # that differs in the last bit.
+    ends = [abs(a) + abs(b) for a, b in zip(w[:, 0].tolist(), w[:, -1].tolist())]
+    return (_sum_rows(w, axis=1).tolist(), _sum_rows(w[:, ::2], axis=1).tolist(),
+            _sum_rows(np.abs(w), axis=1).tolist(), ends,
+            [_reduced(r, m) for r, m in zip(_sum_rows(res, axis=1).tolist(), ms)],
+            res_phase)
+
+
+def _base_sums(q: int, step: float, n: int, zs: list[complex],
+               derivative: bool = False):
     """Sums of a block of points over the base grid |k| <= n of ``step``.
 
     Returns per-point lists: the exponent scale m (the largest real part of
-    the log integrand; everything else is in units of e^m), the node sum,
-    the sum over every other node (the grid of twice the step), the sum of
-    moduli, the moduli of the two end nodes and the Dirichlet sum.  Each row
-    of the block gets the same bits as a block of that point alone.
+    the log integrand; everything else is in units of e^m), the phase scale
+    max |log kernel| + |s| max |log x| of the rounding floor, the six sums
+    of the R channel (see _channel) and, with ``derivative``, the per-point
+    sums of the R' channel, whose node terms carry the factor -log x and
+    whose residues n^{-s} carry -log n.  Each row of the block gets the same
+    bits as a block of that point alone.
     """
-    logx, rest = _LATTICE.rows(q, step, n, True)
+    logx, rest, (peak_logx, peak_rest) = _LATTICE.rows(q, step, n, True)
     s = np.array(zs)[:, None]
     lg = rest - s * logx
     m = np.maximum.reduce(lg.real, axis=1)
@@ -276,18 +334,13 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex]):
     # numpy's buffered path; the bits are the same
     g = np.exp(lg - m.astype(complex)[:, None])
     m = m.tolist()
-    if q == 0:
-        residues = [0.0 + 0.0j] * len(zs)
-    else:
-        residues = _sum_rows(np.exp(-s * _log_n(q)), axis=1).tolist()
-    # abs() of single elements: np.abs of an array may take a vector path
-    # that differs in the last bit.
-    ends = [abs(a) + abs(b)
-            for a, b in zip(g[:, 0].tolist(), g[:, -1].tolist())]
-    return (m, _sum_rows(g, axis=1).tolist(),
-            _sum_rows(g[:, ::2], axis=1).tolist(),
-            _sum_rows(np.abs(g), axis=1).tolist(), ends,
-            [_reduced(r, mk) for r, mk in zip(residues, m)])
+    res = np.exp(-s * _log_n(q))
+    phase = [peak_rest + abs(z) * peak_logx for z in zs]
+    d_sums = [None] * len(zs)
+    if derivative:
+        d_sums = [list(sums) for sums in zip(
+            *_channel(g * -logx, res * -_log_n(q), zs, m, q))]
+    return (m, phase, *_channel(g, res, zs, m, q), d_sums)
 
 
 @lru_cache(maxsize=None)
@@ -297,23 +350,38 @@ def _log_n(q: int) -> np.ndarray:
 
 
 def _odd_sums(q: int, step: float, n: int, zs: list[complex],
-              ms: list[float]):
+              ms: list[float], derivative: bool = False):
     """Sums of a block of points over the odd nodes |k| < n of ``step`` (a
     halving of the base grid), at the points' scales ``ms``: per-point lists
-    of node sums and modulus sums."""
-    logx, rest = _LATTICE.rows(q, step, n, False)
+    of the node sums and modulus sums of the R channel, then of the R'
+    channel with ``derivative`` (None without)."""
+    logx, rest, _ = _LATTICE.rows(q, step, n, False)
     g = np.exp(rest - np.array(zs)[:, None] * logx
                - np.array(ms, dtype=complex)[:, None])
-    return _sum_rows(g, axis=1).tolist(), _sum_rows(np.abs(g), axis=1).tolist()
+    d_parts = d_abs_parts = [None] * len(zs)
+    if derivative:
+        wg = g * -logx
+        d_parts = _sum_rows(wg, axis=1).tolist()
+        d_abs_parts = _sum_rows(np.abs(wg), axis=1).tolist()
+    return (_sum_rows(g, axis=1).tolist(), _sum_rows(np.abs(g), axis=1).tolist(),
+            d_parts, d_abs_parts)
 
 
-def _pass_figures(h: float, half: float, m: float, total: complex,
-                  coarse: complex, abs_total: float, ends: float,
-                  sum_red: complex):
-    """(log_total | None, rel_disc, rel_tail, noise_rel) of a pass at step h
-    over [-half, half] from its sums in units of e^m (see _base_sums):
-    log_total is a log of the combined value (Dirichlet sum plus line
-    integral) and the relative figures are against that value."""
+def _pass_figures(h: float, half: float, m: float, phase: float,
+                  total: complex, coarse: complex, abs_total: float,
+                  ends: float, sum_red: complex, res_phase: float):
+    """(log_total | None, rel_disc, rel_tail, noise_rel, floor_rel) of a pass
+    at step h over [-half, half] from one channel's sums in units of e^m
+    (see _channel): log_total is a log of the combined value (residue sum
+    plus line integral) and the relative figures are against that value.
+
+    noise_rel is the accumulation noise the stopping rules allow for.
+    floor_rel is the rounding floor of the reported estimate: a node's
+    exponent rest - s log x carries an absolute error of about
+    eps (|rest| + |s log x|), at most eps * phase, which is the node's
+    relative error; a residue's phase s log n carries eps |s| log q at most
+    (res_phase is |s| log q times the sum of the residues' moduli).
+    """
     t_h = h * total
     t_2h = 2.0 * h * coarse
     total_red = _DIRECTION * t_h + sum_red
@@ -321,14 +389,16 @@ def _pass_figures(h: float, half: float, m: float, total: complex,
     disc = abs(t_h - t_2h)
     tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
     noise = 1e-16 * (h * abs_total + abs(sum_red))
+    floor = _EPS * (phase * h * abs_total + res_phase)
 
     scale_red = max(abs(total_red), noise, 5e-324)
     log_total = None if total_red == 0.0 else m + cmath.log(total_red)
-    return log_total, disc / scale_red, tail / scale_red, noise / scale_red
+    return (log_total, disc / scale_red, tail / scale_red, noise / scale_red,
+            floor / scale_red)
 
 
 def _quadrature(s: complex, spec: QuadratureSpec):
-    """Core trapezoid pass at one point; returns _pass_figures.
+    """Core trapezoid pass at one point; returns _pass_figures of R.
 
     The nodes follow the nesting layout of _levels and the sums are
     accumulated level by level with the exponent scale of the base grid, in
@@ -339,27 +409,57 @@ def _quadrature(s: complex, spec: QuadratureSpec):
         raise PathThroughPoleError(f"crossing parameter {c} sits on a pole")
     q = spec.crossing
     n, base_step, base_n = _levels(spec)
-    (m,), (total,), (coarse,), (abs_total,), (ends,), (sum_red,) = \
-        _base_sums(q, base_step, base_n, [s])
+    (m,), (phase,), (total,), (coarse,), (abs_total,), (ends,), (sum_red,), \
+        (res_phase,), _ = _base_sums(q, base_step, base_n, [s])
     for level in range(1, n + 1):
-        (part,), (abs_part,) = _odd_sums(q, base_step / 2 ** level,
-                                         base_n << level, [s], [m])
+        (part,), (abs_part,), _, _ = _odd_sums(q, base_step / 2 ** level,
+                                               base_n << level, [s], [m])
         coarse = total
         total = total + part
         abs_total += abs_part
-    return _pass_figures(spec.step, spec.half_length, m, total, coarse,
-                         abs_total, ends, sum_red)
+    return _pass_figures(spec.step, spec.half_length, m, phase, total, coarse,
+                         abs_total, ends, sum_red, res_phase)
+
+
+def _predicted(rel_disc: float, prev_disc: float | None) -> float | None:
+    """Relative error of the finer grid of a pass as the trapezoid model
+    predicts it, or None while the grids are pre-asymptotic.
+
+    On a strip of analyticity the error at step h is about C e^{-2 pi d/h},
+    so each halving squares it (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    The discrepancies rel_disc at h and prev_disc at 2h measure the errors
+    of the grids at 2h and 4h; fitting C to them predicts
+    rel_disc^3 / prev_disc^2 at h.  The fit is trusted only once the
+    discrepancy shrinks and is small.
+    """
+    if prev_disc is None or not (rel_disc < prev_disc and rel_disc <= 1e-3):
+        return None
+    return rel_disc ** 3 / prev_disc ** 2
+
+
+def _estimate(figures: tuple, prev_disc: float | None):
+    """(log_total, relative estimate) of one channel's pass from its
+    _pass_figures: the model's error of the pass when the grids are
+    asymptotic, else its discrepancy, plus the tails and the rounding
+    floor."""
+    log_total, rel_disc, rel_tail, _, rel_floor = figures
+    predicted = _predicted(rel_disc, prev_disc)
+    return (log_total,
+            (rel_disc if predicted is None else predicted) + rel_tail + rel_floor)
 
 
 class _Row:
     """Step-halving state of one point: the extent and step of its current
-    pass, the nesting level its sums have reached, the figures the stopping
-    rules compare and the best pass so far, (rel_err, log_total, half,
-    step)."""
+    pass, the nesting level its sums have reached, the R sums (and the R'
+    sums d_sums of a derivative request, in _channel's order), the figures
+    the stopping rules compare and the best pass so far, (rel_err, figures,
+    half, step, prev_disc) with the _pass_figures of each channel and their
+    discrepancies at the previous step (see _estimate)."""
 
     __slots__ = ("z", "q", "half", "step", "target", "level", "passes",
-                 "prev_rel", "best", "m", "total", "coarse", "abs_total",
-                 "ends", "sum_red")
+                 "prev_rel", "prev_disc", "best", "m", "phase", "total",
+                 "coarse", "abs_total", "ends", "sum_red", "res_phase",
+                 "d_sums")
 
     def __init__(self, z: complex):
         self.z = z
@@ -371,25 +471,38 @@ class _Row:
         self.level = -1    # finest level summed over the current extent
         self.passes = 0
         self.prev_rel = None
+        self.prev_disc = None  # per channel, at the previous step, same extent
         self.best = None
 
     def judge(self) -> bool:
         """Apply the stopping rules to the pass at the current step: widen
         the extent, stop, or halve the step.  True when the point is done."""
         h = self.step
-        log_total, rel_disc, rel_tail, noise_rel = _pass_figures(
-            h, self.half, self.m, self.total, self.coarse, self.abs_total,
-            self.ends, self.sum_red)
+        figures = (_pass_figures(h, self.half, self.m, self.phase, self.total,
+                                 self.coarse, self.abs_total, self.ends,
+                                 self.sum_red, self.res_phase),)
+        if self.d_sums is not None:
+            figures += (_pass_figures(h, self.half, self.m, self.phase,
+                                      *self.d_sums),)
+        _, rel_disc, rel_tail, noise_rel, _ = figures[0]
         rel_err = rel_disc + rel_tail
         self.passes += 1
         if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
             self.half = math.ceil(3.0 * self.half) / 2.0  # 1.5x, a multiple of 1/2
             self.level = -1
+            self.prev_disc = None
             return self.passes == _MAX_PASSES
+        prev_disc = self.prev_disc
         if self.best is None or rel_err < self.best[0]:
-            self.best = (rel_err, log_total, self.half, h)
+            self.best = (rel_err, figures, self.half, h, prev_disc)
         if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
             return True
+        # The h grid is accepted without a confirming halving once the model
+        # predicts its error below PRED_TARGET.
+        if prev_disc is not None:
+            predicted = _predicted(rel_disc, prev_disc[0])
+            if predicted is not None and predicted + rel_tail <= PRED_TARGET:
+                return True
         # Halving the step squares the trapezoid error, so once the estimate
         # is small, stops shrinking and sits near the noise floor we are at
         # the rounding plateau (the value is a near-cancellation, e.g. next
@@ -403,12 +516,13 @@ class _Row:
         if h <= _FINEST_STEP:
             return True
         self.prev_rel = rel_err
+        self.prev_disc = [f[1] for f in figures]
         self.step = h * 0.5
         self.target += 1
         return self.passes == _MAX_PASSES
 
 
-def _step_halve(points: list[complex]) -> list[_Row]:
+def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     """Step-halve R at every point, in rounds over blocks of points.
 
     Each pass starts at step 1/4 over the extent of auto_spec rounded up to
@@ -418,8 +532,11 @@ def _step_halve(points: list[complex]) -> list[_Row]:
     then applies the stopping rules (_Row.judge) to every point whose sums
     have reached its step.  A point whose tail is too large widens its
     extent, regroups under it and sums its levels again from the base grid,
-    keeping its own step, previous estimate and best pass.  Rows of a block
-    never mix, so each point gets the bits it gets alone.
+    keeping its own step, previous estimate and best pass (the model is
+    fitted again on the new extent).  With
+    ``derivative`` every level also sums the R' channel from the same
+    exponentials.  Rows of a block never mix, so each point gets the bits it
+    gets alone, and the R channel the bits it gets without ``derivative``.
     """
     rows = [_Row(z) for z in points]
     pending = rows
@@ -440,20 +557,30 @@ def _step_halve(points: list[complex]) -> list[_Row]:
                 block = group[lo:lo + size] if len(group) > size else group
                 zs = [row.z for row in block]
                 if level == 0:
-                    for row, m, total, coarse, abs_total, ends, sum_red in zip(
-                            block, *_base_sums(q, _BASE_STEP, base_n, zs)):
-                        row.m, row.total, row.coarse = m, total, coarse
+                    for (row, m, phase, total, coarse, abs_total, ends,
+                         sum_red, res_phase, d_sums) in zip(
+                            block, *_base_sums(q, _BASE_STEP, base_n, zs,
+                                               derivative)):
+                        row.m, row.phase, row.total, row.coarse = (
+                            m, phase, total, coarse)
                         row.abs_total, row.ends = abs_total, ends
-                        row.sum_red = sum_red
+                        row.sum_red, row.res_phase = sum_red, res_phase
+                        row.d_sums = d_sums
                         row.level = 0
                 else:
-                    parts, abs_parts = _odd_sums(
-                        q, _BASE_STEP / 2 ** level, base_n << level, zs,
-                        [row.m for row in block])
-                    for row, part, abs_part in zip(block, parts, abs_parts):
+                    for row, part, abs_part, d_part, d_abs_part in zip(
+                            block, *_odd_sums(q, _BASE_STEP / 2 ** level,
+                                              base_n << level, zs,
+                                              [row.m for row in block],
+                                              derivative)):
                         row.coarse = row.total
                         row.total = row.total + part
                         row.abs_total += abs_part
+                        if derivative:
+                            d_sums = row.d_sums
+                            d_sums[1] = d_sums[0]
+                            d_sums[0] = d_sums[0] + d_part
+                            d_sums[2] += d_abs_part
                         row.level = level
                 for row in block:
                     if row.level < row.target or not row.judge():
@@ -461,42 +588,12 @@ def _step_halve(points: list[complex]) -> list[_Row]:
     return rows
 
 
-def _grid_derivative(s: complex, spec: QuadratureSpec) -> tuple[complex, float]:
-    """(R'(s), absolute error estimate) on the grid of one pass.
-
-    d/ds of x^{-s} is -log x x^{-s}, so R' is the same trapezoid sum with
-    each node weighted by -log x, plus the derivative of the Dirichlet sum.
-    The nodes, their lattice rows and the exponent scale e^m are those of
-    _quadrature on the same spec.  The estimate is the discrepancy against
-    the sum over every other node (the grid of twice the step) plus a
-    rounding floor: a node's exponent rest - s log x carries an absolute
-    error of about eps (|rest| + |s log x|), which is its relative error
-    (about 1e-12 at t = 2000).
-    """
-    q = spec.crossing
-    h = spec.step
-    n, base_step, base_n = _levels(spec)
-    logx, rest = _LATTICE.rows(q, base_step, base_n, True)
-    m = float(np.max((rest - s * logx).real))
-    total = noise = 0.0
-    for level in range(n + 1):
-        if level:
-            logx, rest = _LATTICE.rows(q, base_step / 2 ** level,
-                                       base_n << level, False)
-        wg = -logx * np.exp(rest - s * logx - m)
-        coarse = total if level else complex(wg[::2].sum())
-        total = total + complex(wg.sum())
-        noise += float((np.abs(rest) + abs(s) * np.abs(logx)) @ np.abs(wg))
-    t_h = h * total
-    d_red = _ORIENTATION * _LINE_DIR * t_h + _reduced(
-        dirichlet_sum_derivative(s, q), m)
-    # The Dirichlet terms' phases s log n carry the same kind of error.
-    dir_noise = (abs(s) * math.log(max(q, 1))
-                 * abs(dirichlet_sum_derivative(s.real, q)))
-    noise_red = _EPS * (h * noise + abs(_reduced(dir_noise, m)))
-    err_red = abs(t_h - 2.0 * h * coarse) + noise_red
-    value = _value_from_log(m + cmath.log(d_red)) if d_red != 0.0 else 0.0j
-    return value, abs(_value_from_log(m + math.log(err_red)))
+def _absolute(log_total: complex | None, rel_err: float):
+    """(value, absolute error) from a log of the value and a relative
+    error."""
+    value = _value_from_log(log_total)
+    err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
+    return value, err
 
 
 def _value_from_log(log_total: complex | None) -> complex:
@@ -520,21 +617,21 @@ def r_integral(s, spec: QuadratureSpec) -> EvaluationResult:
 
     The finite Dirichlet sum collects the residues n^{-s} crossed while the
     line slides from (0,1) to (q, q+1); the remaining integral runs through
-    q + 1/2 where the integrand is pole-free.  The error estimate combines
-    the step-halving discrepancy with the truncation tails and is absolute;
-    evaluation is rejected when it exceeds FAIL_THRESHOLD relative to the
-    value.
+    q + 1/2 where the integrand is pole-free.  The error estimate is
+    absolute: the step-halving discrepancy, the truncation tails and the
+    rounding floor of the nodes and residues (see _pass_figures).
+    Evaluation is rejected when discrepancy and tails exceed FAIL_THRESHOLD
+    relative to the value.
     """
     z = _checked(s)
-    log_total, rel_disc, rel_tail, _ = _quadrature(z, spec)
-    value = _value_from_log(log_total)
+    log_total, rel_disc, rel_tail, _, rel_floor = _quadrature(z, spec)
     rel_err = rel_disc + rel_tail
     if not math.isfinite(rel_err) or rel_err > FAIL_THRESHOLD:
         raise NonConvergenceError(
             f"quadrature error {rel_err:.2e} (relative) at s = {z} exceeds "
             f"{FAIL_THRESHOLD}"
         )
-    err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
+    value, err = _absolute(log_total, rel_err + rel_floor)
     return EvaluationResult(
         value=value, method="quadrature", error_estimate=err, log_value=log_total
     )
@@ -566,22 +663,20 @@ def _half_length(t: float, q: int) -> float:
 def _evaluate(pairs: list[tuple[float, float]],
               derivative: bool) -> list[EvaluationResult]:
     """Results for (sigma, t) pairs from one step-halving run; with
-    ``derivative`` R'(s) is added from each accepted grid (_grid_derivative),
+    ``derivative`` R'(s) comes from the R' channel of each accepted grid,
     and the value is computed the same way either way."""
     out = []
-    for row in _step_halve([complex(sigma, t) for sigma, t in pairs]):
+    for row in _step_halve([complex(sigma, t) for sigma, t in pairs],
+                           derivative):
         # No raise here: at a zero of R the value is pure cancellation and
         # the relative figure is meaningless.  The absolute error_estimate
         # is honest and downstream integrality guards fail loudly on bad
         # phases.
-        rel_err, log_total, half, step = row.best
-        value = _value_from_log(log_total)
-        err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
-        d_value, d_error = (None, None)
-        if derivative:
-            d_value, d_error = _grid_derivative(
-                row.z, QuadratureSpec(crossing=row.q, half_length=half,
-                                      step=step))
+        _, figures, _, _, prev_disc = row.best
+        (log_total, rel_est), *d_result = map(
+            _estimate, figures, prev_disc or (None, None))
+        value, err = _absolute(log_total, rel_est)
+        d_value, d_error = _absolute(*d_result[0]) if derivative else (None, None)
         out.append(EvaluationResult(
             value=value, method="quadrature", error_estimate=err,
             log_value=log_total, derivative=d_value, derivative_error=d_error,
@@ -677,11 +772,15 @@ _R_CACHE = _r_eval_cached = _RCache(maxsize=400_000)
 def r_eval(s) -> EvaluationResult:
     """R(s) with automatic crossing choice and step/length refinement.
 
-    The crossing is q = floor(sqrt(t/2pi)); step and half-length are refined
-    until two successive grids agree to EPS_TARGET relative (or the noise
-    floor of the accumulation, whichever is larger).  All zero counting uses
-    this quadrature route; the asymptotic surrogate is for comparison
-    studies only.
+    The crossing is q = floor(sqrt(t/2pi)); the step is halved from 1/4 (and
+    the half-length widened while the tails dominate) until two successive
+    grids agree to EPS_TARGET relative (or the noise floor of the
+    accumulation, whichever is larger), or until the trapezoid model,
+    fitted to the discrepancies of the last two grids, predicts the error of
+    the finer one below PRED_TARGET.  error_estimate is that prediction
+    (the discrepancy while the grids are pre-asymptotic) plus the tails and
+    a rounding floor.  All zero counting uses this quadrature route; the
+    asymptotic surrogate is for comparison studies only.
     """
     z = _checked(s)
     return _r_eval_cached(z.real, z.imag, False)
@@ -775,12 +874,14 @@ def r_asymptotic(s, t_min: float = 50.0, slope: float = 1.0,
 def r_derivative(s, with_estimate: bool = False):
     """R'(s) from the grid that r_eval accepts at s.
 
-    R(s) is step-halved exactly as by r_eval(s) and R' is then summed over
-    the accepted nodes in one more pass (see _grid_derivative); the result
-    is cached as its own entry, which also serves later r_eval(s) calls
-    (the value bits are the same).  With ``with_estimate=True``
-    returns ``(value, error_estimate)`` where the estimate is the
-    discrepancy against the grid of every other node plus a rounding floor.
+    R(s) is step-halved exactly as by r_eval(s), and every level also sums
+    R' from the same node exponentials, each weighted by -log x (see
+    _step_halve); the result is cached as its own entry, which also serves
+    later r_eval(s) calls (the value bits are the same).  With
+    ``with_estimate=True`` returns ``(value, error_estimate)``, where the
+    estimate is formed from R''s own level discrepancies as r_eval's is
+    from R's: the trapezoid model's error of the accepted grid (or the
+    discrepancy while pre-asymptotic) plus tails and a rounding floor.
     """
     z = _checked(s)
     res = _r_eval_cached(z.real, z.imag, True)

@@ -131,7 +131,7 @@ class TestRIntegral:
         errs = []
         for step in (0.25, 0.125, 0.0625):
             spec = dataclasses.replace(auto_spec(s), step=step)
-            _, rel_disc, rel_tail, _ = _quadrature(complex(s), spec)
+            _, rel_disc, rel_tail, *_ = _quadrature(complex(s), spec)
             errs.append(rel_disc + rel_tail)
         assert errs[1] <= errs[0] / 4.0
         assert errs[2] <= errs[1] / 4.0
@@ -193,9 +193,9 @@ class TestQuadratureReuse:
         assert row.target >= 2 and row.level == row.target
         assert [(step, base) for _, step, _, base in rows] == [
             (0.25 / 2 ** k, k == 0) for k in range(row.target + 1)]
-        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.total,
-                                       row.coarse, row.abs_total, row.ends,
-                                       row.sum_red)
+        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.phase,
+                                       row.total, row.coarse, row.abs_total,
+                                       row.ends, row.sum_red, row.res_phase)
         r_eval_cache_clear()
         cold = _quadrature(s, QuadratureSpec(crossing=row.q,
                                              half_length=row.half,
@@ -237,7 +237,7 @@ class TestQuadratureReuse:
         r_eval_cache_clear()
         reference = _eval_all(REUSE_POINTS)
         uncapped = len(auxiliary._LATTICE)
-        cap = 64 << 10
+        cap = 16 << 10
         monkeypatch.setattr(auxiliary, "LATTICE_MAX_BYTES", cap)
         r_eval_cache_clear()
         assert _eval_all(REUSE_POINTS) == reference
@@ -282,9 +282,9 @@ class TestEvalMany:
         (row,) = auxiliary._step_halve([WIDENING_POINT])
         start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
         assert row.half > start and row.best[2] == row.half
-        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.total,
-                                       row.coarse, row.abs_total, row.ends,
-                                       row.sum_red)
+        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.phase,
+                                       row.total, row.coarse, row.abs_total,
+                                       row.ends, row.sum_red, row.res_phase)
         cold = _quadrature(WIDENING_POINT, QuadratureSpec(
             crossing=row.q, half_length=row.half, step=row.step))
         assert row.step < 0.25 and warm == cold
@@ -328,13 +328,13 @@ class TestEvalMany:
         blocks = []  # (crossing, points, nodes) per kernel call
         real_base, real_odd = auxiliary._base_sums, auxiliary._odd_sums
 
-        def base(q, step, n, zs):
+        def base(q, step, n, zs, *rest):
             blocks.append((q, len(zs), 2 * n + 1))
-            return real_base(q, step, n, zs)
+            return real_base(q, step, n, zs, *rest)
 
-        def odd(q, step, n, zs, ms):
+        def odd(q, step, n, zs, ms, *rest):
             blocks.append((q, len(zs), n))
-            return real_odd(q, step, n, zs, ms)
+            return real_odd(q, step, n, zs, ms, *rest)
 
         cap = 1 << 10
         monkeypatch.setattr(auxiliary, "BATCH_MAX_NODES", cap)
@@ -361,6 +361,67 @@ class TestEvalMany:
         with pytest.raises(DomainError):
             r_eval_many([2.0 + 10.0j, 0.5 - 1.0j])
         assert auxiliary._r_eval_cached.cache_info().currsize == 0
+
+
+def _oracle(s):
+    """r_integral at step 1/128 with the half-length widened by 2."""
+    spec = auto_spec(s)
+    return r_integral(s, dataclasses.replace(
+        spec, half_length=spec.half_length + 2.0, step=1 / 128))
+
+
+def _discrepancies(s, half, steps):
+    """Relative discrepancy of each grid against the grid of twice its step,
+    over one extent at the default crossing."""
+    q = default_crossing(s.imag)
+    return [_quadrature(s, QuadratureSpec(crossing=q, half_length=half,
+                                          step=h))[1] for h in steps]
+
+
+class TestStoppingRule:
+    def test_growing_discrepancy_keeps_halving(self):
+        # the plateau point's discrepancy grows from step 1/4 to 1/8, so the
+        # squaring model is not trusted there; it shrinks at 1/16, where the
+        # model is fitted to the last two discrepancies
+        s = 1.3762232190598911 + 2092.8020024430552j
+        r_eval_cache_clear()
+        (row,) = auxiliary._step_halve([s])
+        d4, d8, d16 = _discrepancies(s, row.half, (0.25, 0.125, 0.0625))
+        assert d4 < d8 and auxiliary._predicted(d8, d4) is None
+        assert auxiliary._predicted(d16, d8) == d16 ** 3 / d8 ** 2
+        assert row.step <= 0.0625
+        oracle = _oracle(s).value
+        assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
+
+    def test_early_rows_match_oracle(self):
+        # rows accepted on the model's prediction, before their discrepancy
+        # reached EPS_TARGET, in each of the four bands
+        r_eval_cache_clear()
+        rows = auxiliary._step_halve(BATCH_POINTS)
+        early = [row.z for row in rows if row.best[0] > EPS_TARGET]
+        bands = {min((20.0, 100.0, 500.0, 2000.0), key=lambda b: abs(b - s.imag))
+                 for s in early}
+        assert bands == {20.0, 100.0, 500.0, 2000.0}
+        for s in early:
+            oracle = _oracle(s).value
+            assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
+
+
+# 750 seeded points per band at t ~ 20/100/500/2000 with sigma in [-30, 2]
+_est_rng = random.Random(7)
+ESTIMATE_POINTS = [complex(_est_rng.uniform(-30.0, 2.0),
+                           band * _est_rng.uniform(0.95, 1.05))
+                   for band in (20.0, 100.0, 500.0, 2000.0) for _ in range(750)]
+
+
+def test_error_estimate_covers_oracle_deviation():
+    # the reported estimates include the rounding floor of the phases of
+    # nodes and residues, which dominates once the grids agree
+    r_eval_cache_clear()
+    for s, res in zip(ESTIMATE_POINTS, r_eval_many(ESTIMATE_POINTS)):
+        oracle = _oracle(s)
+        assert (abs(res.value - oracle.value)
+                <= res.error_estimate + oracle.error_estimate), s
 
 
 class TestZetaFromR:
@@ -444,6 +505,21 @@ class TestRDerivative:
         r_derivative(s)
         info = auxiliary._r_eval_cached.cache_info()
         assert (info.currsize, info.misses) == (1, 1)
+
+    def test_cold_derivative_reads_each_level_once(self, monkeypatch):
+        # R' is summed from the exponentials of the step halving itself
+        s = DERIVATIVE_POINTS[-1]
+        r_eval_cache_clear()
+        asked = []
+        real_rows = auxiliary._LATTICE.rows
+        monkeypatch.setattr(auxiliary._LATTICE, "rows",
+                            lambda *a: asked.append(a[1:]) or real_rows(*a))
+        r_derivative(s, with_estimate=True)
+        monkeypatch.undo()
+        (row,) = auxiliary._step_halve([s])
+        half_n = int(4 * row.half)
+        assert asked == [(0.25, half_n, True)] + [
+            (0.25 / 2 ** k, half_n << k, False) for k in range(1, row.target + 1)]
 
     def test_dirichlet_term_derivative(self):
         # the finite-sum term differentiates to -sum log(n) n^{-s}
