@@ -380,7 +380,8 @@ def _pass_figures(h: float, half: float, m: float, phase: float,
     exponent rest - s log x carries an absolute error of about
     eps (|rest| + |s log x|), at most eps * phase, which is the node's
     relative error; a residue's phase s log n carries eps |s| log q at most
-    (res_phase is |s| log q times the sum of the residues' moduli).
+    (res_phase is |s| log q times the sum of the residues' moduli); and the
+    value itself, exp(log_total), is good to about eps (3 + |log_total|).
     """
     t_h = h * total
     t_2h = 2.0 * h * coarse
@@ -392,9 +393,13 @@ def _pass_figures(h: float, half: float, m: float, phase: float,
     floor = _EPS * (phase * h * abs_total + res_phase)
 
     scale_red = max(abs(total_red), noise, 5e-324)
-    log_total = None if total_red == 0.0 else m + cmath.log(total_red)
+    rel_floor = floor / scale_red
+    log_total = None
+    if total_red != 0.0:
+        log_total = m + cmath.log(total_red)
+        rel_floor += _EPS * (3.0 + abs(log_total))
     return (log_total, disc / scale_red, tail / scale_red, noise / scale_red,
-            floor / scale_red)
+            rel_floor)
 
 
 def _quadrature(s: complex, spec: QuadratureSpec):
@@ -430,9 +435,11 @@ def _predicted(rel_disc: float, prev_disc: float | None) -> float | None:
     The discrepancies rel_disc at h and prev_disc at 2h measure the errors
     of the grids at 2h and 4h; fitting C to them predicts
     rel_disc^3 / prev_disc^2 at h.  The fit is trusted only once the
-    discrepancy shrinks and is small.
+    discrepancy shrinks and both are small: a first grid that misses the
+    integrand (a discrepancy of order one, as for sigma << 0 at t < 10)
+    makes the next ratio look like squaring when it is not.
     """
-    if prev_disc is None or not (rel_disc < prev_disc and rel_disc <= 1e-3):
+    if prev_disc is None or not rel_disc < prev_disc <= 1e-3:
         return None
     return rel_disc ** 3 / prev_disc ** 2
 

@@ -393,6 +393,19 @@ class TestStoppingRule:
         oracle = _oracle(s).value
         assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
 
+    def test_first_grid_missing_integrand_is_not_fitted(self):
+        # far left at small t the step-1/2 grid misses the integrand (the
+        # first discrepancy is of order one), so the drop to step 1/8 is no
+        # squaring; a model fitted there predicted 1e-12 for a value 1e-8 off
+        s = -25.072654647427967 + 0.35333344359005814j
+        r_eval_cache_clear()
+        (row,) = auxiliary._step_halve([s])
+        d4, d8 = _discrepancies(s, row.half, (0.25, 0.125))
+        assert d4 > 1.0 and d8 < 1e-3 and auxiliary._predicted(d8, d4) is None
+        assert row.step <= 0.0625
+        oracle = _oracle(s).value
+        assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
+
     def test_early_rows_match_oracle(self):
         # rows accepted on the model's prediction, before their discrepancy
         # reached EPS_TARGET, in each of the four bands
