@@ -435,11 +435,13 @@ def _predicted(rel_disc: float, prev_disc: float | None) -> float | None:
     The discrepancies rel_disc at h and prev_disc at 2h measure the errors
     of the grids at 2h and 4h; fitting C to them predicts
     rel_disc^3 / prev_disc^2 at h.  The fit is trusted only once the
-    discrepancy shrinks and both are small: a first grid that misses the
-    integrand (a discrepancy of order one, as for sigma << 0 at t < 10)
-    makes the next ratio look like squaring when it is not.
+    discrepancy shrinks to at most 1e-3 from at most 1e-2: a coarser grid
+    that misses the integrand (a discrepancy of order one, as for
+    sigma << 0 at t < 10) makes the next ratio look like squaring when it
+    is not.
     """
-    if prev_disc is None or not rel_disc < prev_disc <= 1e-3:
+    if prev_disc is None or not (rel_disc < prev_disc <= 1e-2
+                                 and rel_disc <= 1e-3):
         return None
     return rel_disc ** 3 / prev_disc ** 2
 
