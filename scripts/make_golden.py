@@ -15,11 +15,8 @@ import json
 import pathlib
 
 from rzero.counting import residual_table
-from rzero.zeros import Box, locate_zeros
-
-# Must match SURVEY_BOX and TABLE_GRID in tests/test_acceptance.py.
-SURVEY_BOX = Box(-12.0, 2.0, 10.0, 500.0)
-TABLE_GRID = [100.0 * k for k in range(1, 21)]
+from rzero.validation import SURVEY_BOX, TABLE_GRID
+from rzero.zeros import locate_zeros
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "golden.json"
 

@@ -33,14 +33,10 @@ from .counting import (
 )
 from .special_functions import (
     EtaValue,
-    SeriesEvaluation,
-    arg_chi_asymptotic,
     chi,
     eta,
-    eta_series,
     log_chi,
     log_gamma,
-    log_s_series,
 )
 from .zeros import (
     Box,
@@ -57,10 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgTrace", "BacklundInput", "Box", "ContourSpec", "CountResult",
     "EtaValue", "EvaluationResult", "PathSegment", "QuadratureSpec",
-    "SeriesEvaluation", "Zero", "ZeroStatistics", "arg_chi_asymptotic",
-    "arg_variation", "backlund_bound", "chi", "count_zeros", "eta",
-    "eta_series", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
-    "log_s_series", "main_term", "modulus_bound", "r_asymptotic",
+    "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
+    "count_zeros", "eta", "isolate_zeros", "locate_zeros", "log_chi",
+    "log_gamma", "main_term", "modulus_bound", "r_asymptotic",
     "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
     "refine_zero",
     "residual_table", "winding_number", "zero_statistics", "zeta_from_r",

@@ -118,36 +118,17 @@ class EvaluationResult:
 
     ``log_value`` is a logarithm of ``value`` (any branch); it stays finite
     and meaningful even when ``value`` itself overflows the double range,
-    which happens deep in the left half-plane.  ``u_proxy`` is only set for
-    the asymptotic method when a quadrature reference was requested.
-    ``derivative`` (R'(s)) and its absolute ``derivative_error`` are only set
-    when the derivative was requested (see r_derivative).
+    which happens deep in the left half-plane.  ``derivative`` (R'(s)) and
+    its absolute ``derivative_error`` are only set when the derivative was
+    requested (see r_derivative).
     """
 
     value: complex
     method: str
     error_estimate: float
-    u_proxy: float | None = None
     log_value: complex | None = None
     derivative: complex | None = None
     derivative_error: float | None = None
-
-
-def dirichlet_sum(s: complex, q: int) -> complex:
-    """sum_{n=1}^{q} n^{-s} (empty sum for q = 0)."""
-    if q == 0:
-        return 0.0 + 0.0j
-    n = np.arange(1, q + 1, dtype=float)
-    return complex(np.sum(np.exp(-s * np.log(n))))
-
-
-def dirichlet_sum_derivative(s: complex, q: int) -> complex:
-    """d/ds of dirichlet_sum: sum_{n=1}^{q} -log(n) n^{-s}."""
-    if q == 0:
-        return 0.0 + 0.0j
-    n = np.arange(1, q + 1, dtype=float)
-    ln = np.log(n)
-    return complex(np.sum(-ln * np.exp(-s * ln)))
 
 
 def _log_kernel(x: np.ndarray) -> np.ndarray:
@@ -826,24 +807,24 @@ def r_eval_cache_clear() -> None:
     _LATTICE.clear()
 
 
-def r_asymptotic(s, t_min: float = 50.0, slope: float = 1.0,
-                 with_reference: bool = False) -> EvaluationResult:
+SURROGATE_T_MIN = 50.0  # lowest height at which r_asymptotic is admissible
+
+
+def r_asymptotic(s) -> EvaluationResult:
     """Left-region surrogate for R(s):
 
         -chi(s) eta^{s-1} e^{-i pi eta^2} sqrt(2) e^{3 i pi/8}
             sin(pi eta) / (2 cos(2 pi eta)),
 
-    admissible for t >= t_min and sigma <= 1 - slope * t^{2/5} log t.  All
+    admissible for t >= SURROGATE_T_MIN and sigma <= 1 - t^{2/5} log t.  All
     factors are combined in the log domain (the value can exceed the double
-    range; ``log_value`` is then the meaningful field).  With
-    ``with_reference=True`` the quadrature value is also computed and
-    u_proxy = |R/surrogate - 1| is reported.
+    range; ``log_value`` is then the meaningful field).
     """
     z = as_complex(s)
     t = z.imag
-    if t < t_min:
-        raise RegionError(f"surrogate requires t >= {t_min}, got {t}")
-    sigma_max = 1.0 - slope * t ** 0.4 * math.log(t)
+    if t < SURROGATE_T_MIN:
+        raise RegionError(f"surrogate requires t >= {SURROGATE_T_MIN}, got {t}")
+    sigma_max = 1.0 - t ** 0.4 * math.log(t)
     if z.real > sigma_max:
         raise RegionError(
             f"surrogate requires sigma <= {sigma_max:.3f} at t = {t}, got {z.real}"
@@ -866,17 +847,9 @@ def r_asymptotic(s, t_min: float = 50.0, slope: float = 1.0,
         + log_sin
         - log_cos2
     ) + 1j * math.pi  # overall minus sign
-    value = _value_from_log(log_total)
-    u_proxy = None
-    if with_reference:
-        quad = r_eval(z)
-        if quad.log_value is None:
-            u_proxy = 1.0
-        else:
-            u_proxy = abs(cmath.exp(quad.log_value - log_total) - 1.0)
     return EvaluationResult(
-        value=value, method="asymptotic", error_estimate=0.0,
-        u_proxy=u_proxy, log_value=log_total,
+        value=_value_from_log(log_total), method="asymptotic",
+        error_estimate=0.0, log_value=log_total,
     )
 
 

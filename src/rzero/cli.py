@@ -1,5 +1,5 @@
 """Command-line front end: evaluate R(s), count zeros, locate zeros, run the
-validation suites, and emit machine-readable tables.
+validation suites of rzero.validation, and emit machine-readable tables.
 
 Output is CSV (versioned header comment ``# rzero v1``) or JSON mirroring the
 CSV field names; reals carry 17 significant digits so files round-trip
@@ -21,23 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import counting
-from .auxiliary import r_asymptotic, r_eval, zeta_from_r, zeta_reference
-from .counting import (
-    BacklundInput,
-    PathSegment,
-    arg_variation,
-    backlund_bound,
-    residual_table,
-    sqrt_fit,
-)
+from . import counting, validation
+from .auxiliary import r_eval
+from .counting import residual_table, sqrt_fit
 from .errors import (
     ContourZeroError,
     DomainError,
     NonIntegerWindingError,
     RZeroError,
 )
-from .special_functions import TWO_PI, chi, eta_batch
 from .zeros import Box, locate_zeros, zero_statistics
 
 SCHEMA_TAG = "# rzero v1"
@@ -121,12 +113,17 @@ def emit_rows(rows: list[dict], columns: list[str], config: RunConfig,
         if footer:
             doc["summary"] = footer
         text = json.dumps(doc, indent=1, default=_format_value) + "\n"
+    _write(text, config)
+    return text
+
+
+def _write(text: str, config: RunConfig) -> None:
+    """Write command output to the --out file if given, else to stdout."""
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return text
 
 
 def parse_rows(text: str) -> list[dict]:
@@ -256,105 +253,14 @@ def cmd_zeros(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _suite_identity(rng, samples, tol):
-    worst = 0.0
-    ts = np.linspace(5.0, 100.0, samples or 20)
-    for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        for t in ts:
-            s = complex(sigma, float(t))
-            dev = abs(zeta_from_r(s) - zeta_reference(s)) / abs(zeta_reference(s))
-            worst = max(worst, dev)
-    return worst, tol if tol is not None else 1e-8
-
-
-def _suite_functional_equation(rng, samples, tol):
-    n = samples or 2000
-    sigma = rng.uniform(-3.0, 4.0, n)
-    t = rng.uniform(1.0, 100.0, n)
-    worst = 0.0
-    for sg, tt in zip(sigma, t):
-        s = complex(sg, tt)
-        worst = max(worst, abs(chi(s) * chi(1.0 - s) - 1.0))
-    return worst, tol if tol is not None else 1e-10
-
-
-def _suite_eta_branch(rng, samples, tol):
-    n = samples or 200_000
-    sigma = rng.uniform(-3.0, 4.0, n)
-    t = rng.uniform(0.1, 1e5, n)
-    values = eta_batch(sigma, t)
-    if not np.all(values.real + values.imag > 0.0):
-        return math.inf, tol if tol is not None else 1e-12
-    squares = (sigma - 1.0 + 1j * t) / (2j * math.pi)
-    worst = float(np.max(np.abs(values * values - squares)
-                         / np.maximum(1.0, np.abs(squares))))
-    return worst, tol if tol is not None else 1e-12
-
-
-def _suite_backlund(rng, samples, tol):
-    # worst = max over cases of (measured variation - bound); any positive
-    # value is a violation.
-    n = samples or 200
-    worst = -math.inf
-    for _ in range(n):
-        degree = int(rng.integers(1, 13))
-        roots = rng.uniform(-1.5, 1.5, degree) + 1j * rng.uniform(-1.5, 1.5, degree)
-        reach = float(rng.uniform(0.1, 0.8))
-        radius = float(rng.uniform(reach + 0.1, 2.0))
-        angle = float(rng.uniform(0.0, TWO_PI))
-        b = reach * complex(math.cos(angle), math.sin(angle))
-        if min(abs(b * u - r) for r in roots for u in np.linspace(0, 1, 200)) < 1e-2:
-            continue
-
-        def poly(z):
-            out = 1.0 + 0.0j
-            for r in roots:
-                out *= z - r
-            return out
-
-        seg = PathSegment.line(0.0 + 0.0j, b)
-        try:
-            variation = arg_variation(poly, seg, seeds=64).total_variation
-        except RZeroError:
-            continue
-        measured = abs(variation) / TWO_PI
-        theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        sup = float(max(abs(poly(radius * complex(math.cos(a), math.sin(a))))
-                        for a in theta)) * 1.01
-        f0 = abs(poly(0.0 + 0.0j))
-        if f0 == 0.0 or f0 > sup:
-            continue
-        bound = backlund_bound(BacklundInput(
-            big_m=sup, f_at_center=f0, radius=radius, reach=reach))
-        worst = max(worst, measured - bound)
-    return worst, tol if tol is not None else 0.0
-
-
-def _suite_left_region(rng, samples, tol):
-    n = samples or 12
-    worst = 0.0
-    for t in np.geomspace(50.0, 2000.0, n):
-        sigma = 1.0 - t ** 0.4 * math.log(t)
-        res = r_asymptotic(complex(sigma, float(t)), with_reference=True)
-        worst = max(worst, res.u_proxy)
-    return worst, tol if tol is not None else 1.0
-
-
-_SUITES = (
-    ("identity", _suite_identity),
-    ("functional_equation", _suite_functional_equation),
-    ("eta_branch", _suite_eta_branch),
-    ("backlund", _suite_backlund),
-    ("left_region_surrogate", _suite_left_region),
-)
-
-
 def cmd_validate(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     failures = []
     lines = []
-    for name, suite in _SUITES:
-        worst, bound = suite(rng, config.samples, config.tol)
+    for name, suite, samples, bound in validation.SUITES:
+        worst = suite(rng, config.samples or samples)[0]
+        if config.tol is not None:
+            bound = config.tol
         passed = worst <= bound if bound == 0.0 else worst < bound
         if not passed:
             failures.append(name)
@@ -362,11 +268,7 @@ def cmd_validate(config: RunConfig) -> int:
             f"{name:24s} {'PASS' if passed else 'FAIL'} "
             f"worst={worst:.3e} bound={bound:.3e}"
         )
-    out = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    sys.stdout.write(out)
+    _write("\n".join(lines) + "\n", config)
     if failures:
         print("failed suites: " + ", ".join(failures), file=sys.stderr)
         return EXIT_VALIDATE_FAIL

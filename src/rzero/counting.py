@@ -295,31 +295,17 @@ def modulus_bound(sigma: float, t: float) -> float:
     return math.exp(lg) if lg < 709.0 else math.inf
 
 
-def log_backlund_m_for_disc(center_t: float, radius: float) -> float:
-    """log of the sup of the modulus bound over the disc about 2 + i center_t
-    (the start of the top edge, where |R| > 1/4).
-
-    The bound is increasing in t, so the supremum is taken on the top of the
-    disc over a grid of 401 sigma values.  Requires the whole disc above
-    t = 16 pi.
-    """
-    if center_t - radius <= 16.0 * math.pi:
-        raise DomainError("disc dips below t = 16 pi; bound not applicable")
-    t_top = center_t + radius
-    best = -math.inf
-    for k in range(401):
-        sigma = 2.0 - radius + 2.0 * radius * k / 400
-        best = max(best, log_modulus_bound(sigma, t_top))
-    return best
-
-
 def top_edge_certificate(big_t: float, box_left: float) -> float | None:
     """Backlund bound (in turns) for the argument variation of R along the
     top edge [box_left + iT, 2 + iT]; None when the disc geometry is not
     admissible at this height.
 
     Computed from logs: the disc supremum M = exp(c T^{2/5} log^2 T) is far
-    beyond the double range, but only log(M/|f(a)|) enters the bound.
+    beyond the double range, but only log(M/|f(a)|) enters the bound.  The
+    modulus bound grows with t, and for t > 16 pi it falls as sigma rises
+    on sigma <= 0 and is smaller still for sigma > 0, so over the disc
+    about 2 + iT it is largest at its leftmost top point, 2 - radius +
+    i(T + radius).
     """
     radius = 2.0 + 2.0 * big_t ** 0.4 * math.log(big_t)
     if big_t - radius <= 16.0 * math.pi:
@@ -327,7 +313,7 @@ def top_edge_certificate(big_t: float, box_left: float) -> float | None:
     reach = 2.0 - box_left
     if reach >= radius:
         return None
-    log_m = log_backlund_m_for_disc(center_t=big_t, radius=radius)
+    log_m = log_modulus_bound(2.0 - radius, big_t + radius)
     log_f_center = math.log(0.25)  # |R| > 1/4 at the centre 2 + iT
     return 0.5 * (log_m - log_f_center) / math.log(radius / reach)
 

@@ -21,10 +21,6 @@ class DegeneratePointError(DomainError):
     """eta requested at s = 1, where the square root branch is undefined."""
 
 
-class SeriesDivergenceError(DomainError):
-    """Series expansion requested outside its disc of convergence."""
-
-
 class RegionError(DomainError):
     """Asymptotic surrogate requested outside its admissible left region."""
 

@@ -3,9 +3,9 @@
 Provides a principal-branch log-gamma (Stirling with Bernoulli corrections
 after an upward recurrence shift), the functional-equation factor
 chi(s) = (2*pi)^s / (2*Gamma(s)*cos(pi*s/2)) together with a branch of
-log chi that is continuous on vertical lines, the square-root variable
-eta = sqrt((s-1)/(2*pi*i)) with the branch Re(eta) + Im(eta) > 0, and the
-truncated expansions of eta, log eta and log s in inverse powers of t.
+log chi that is continuous on vertical lines, and the square-root variable
+eta = sqrt((s-1)/(2*pi*i)) with the branch Re(eta) + Im(eta) > 0.  chi and
+eta also have vectorised forms for the property suites of rzero.validation.
 
 All functions are pure; inputs are ordinary ``complex`` numbers with finite
 components.
@@ -23,7 +23,6 @@ from .errors import (
     DegeneratePointError,
     DomainError,
     PoleOfGammaError,
-    SeriesDivergenceError,
     SingularPointError,
 )
 
@@ -198,96 +197,3 @@ def eta_batch(sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
     flip = (w.real + w.imag < 0.0) | ((w.real + w.imag == 0.0) & (w.real < 0.0))
     w[flip] = -w[flip]
     return w
-
-
-@dataclass(frozen=True)
-class SeriesEvaluation:
-    """A truncated expansion: retained-term count, value, and a bound on the
-    magnitude of the dropped tail."""
-
-    order: int
-    value: complex
-    truncation_estimate: float
-
-
-def _check_series_order(order: int) -> None:
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-
-
-def eta_series(sigma: float, t: float, order: int) -> tuple[SeriesEvaluation, SeriesEvaluation]:
-    """Truncated expansions of eta and log eta in powers of (1-sigma)/t.
-
-    eta     = sqrt(t/2pi) * sum_k binom(1/2, k) (i w)^k,        w = (1-sigma)/t
-    log eta = (1/2) log(t/2pi) + (1/2) sum_{k>=1} (-1)^{k-1} (i w)^k / k
-
-    Requires t > 0 and |w| < 1/2; raises SeriesDivergenceError otherwise.
-    The truncation estimate is the rigorous geometric tail bound
-    |first dropped term| / (1 - |w|).
-    """
-    _check_series_order(order)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    w = (1.0 - sigma) / t
-    if abs(w) >= 0.5:
-        raise SeriesDivergenceError(f"(1-sigma)/t = {w} outside (-1/2, 1/2)")
-    root = math.sqrt(t / TWO_PI)
-    iw = 1j * w
-
-    coeff = 1.0  # binom(1/2, k)
-    power = 1.0 + 0.0j
-    eta_sum = 0.0 + 0.0j
-    for k in range(order):
-        eta_sum += coeff * power
-        power *= iw
-        coeff *= (0.5 - k) / (k + 1.0)
-    geom = 1.0 / (1.0 - abs(w))
-    eta_trunc = root * abs(coeff) * abs(w) ** order * geom
-    eta_se = SeriesEvaluation(order=order, value=root * eta_sum, truncation_estimate=eta_trunc)
-
-    log_sum = 0.5 * math.log(t / TWO_PI) + 0.0j
-    power = iw
-    for k in range(1, order + 1):
-        log_sum += 0.5 * (-1.0) ** (k - 1) * power / k
-        power *= iw
-    log_trunc = 0.5 * abs(w) ** (order + 1) / (order + 1) * geom
-    log_se = SeriesEvaluation(order=order, value=log_sum, truncation_estimate=log_trunc)
-    return eta_se, log_se
-
-
-def log_s_series(sigma: float, t: float, order: int) -> SeriesEvaluation:
-    """Truncated expansion of log(sigma + i t) for t > |sigma|:
-
-    log s = log t + i pi/2 - sum_{k=1}^{order} (i sigma/t)^k / k.
-
-    Agrees with the principal complex logarithm within the truncation
-    estimate (geometric tail bound on the dropped terms).
-    """
-    _check_series_order(order)
-    if t <= abs(sigma):
-        raise DomainError(f"need t > |sigma|, got sigma={sigma}, t={t}")
-    u = sigma / t
-    iu = 1j * u
-    value = math.log(t) + 0.5j * math.pi
-    power = iu
-    for k in range(1, order + 1):
-        value -= power / k
-        power *= iu
-    trunc = abs(u) ** (order + 1) / (order + 1) / (1.0 - abs(u))
-    return SeriesEvaluation(order=order, value=value, truncation_estimate=trunc)
-
-
-def arg_chi_asymptotic(sigma: float, t: float) -> tuple[float, float]:
-    """Two-term asymptotic argument of chi on vertical lines.
-
-    Returns ``(leading, correction)`` where ``leading = -t*log(t/2pi) + t``
-    and ``correction = pi/4 - pi*sigma - sigma/(2t) + sigma**2/(2t)`` collects
-    the retained sub-leading terms.  The expansion is an asymptotic statement
-    meant for t of a few tens and beyond; the formula itself only needs
-    t > 0.
-    """
-    if t <= 0.0:
-        raise DomainError(f"asymptotic argument requires t > 0, got {t}")
-    leading = -t * math.log(t / TWO_PI) + t
-    correction = 0.25 * math.pi - math.pi * sigma - 0.5 * sigma / t + 0.5 * sigma * sigma / t
-    return leading, correction

@@ -7,30 +7,24 @@ the criteria that first request them.
 """
 
 import json
-import math
 import pathlib
 import time
 
 import numpy as np
 import pytest
 
-from rzero.auxiliary import r_asymptotic, r_eval, r_value, zeta_from_r, zeta_reference
+from rzero import validation
+from rzero.auxiliary import r_eval, r_value
 from rzero.counting import (
-    BacklundInput,
     ContourSpec,
-    PathSegment,
-    arg_variation,
-    backlund_bound,
     rectangle_count,
     residual_table,
     sqrt_fit,
     winding_value,
 )
-from rzero.special_functions import TWO_PI, _chi_batch, eta_batch
-from rzero.zeros import Box, locate_zeros
-
-SURVEY_BOX = Box(-12.0, 2.0, 10.0, 500.0)
-TABLE_GRID = [100.0 * k for k in range(1, 21)]
+from rzero.special_functions import TWO_PI
+from rzero.validation import SURVEY_BOX, TABLE_GRID
+from rzero.zeros import locate_zeros
 
 # Zeros of SURVEY_BOX and N(T) on TABLE_GRID at 17 digits, written by
 # scripts/make_golden.py; the fixtures must keep reproducing them.
@@ -72,14 +66,7 @@ def report(criterion: str, detail: str):
 
 def test_criterion_1_identity_suite():
     started = time.perf_counter()
-    worst, where = 0.0, None
-    for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        for t in range(5, 101, 5):
-            s = complex(sigma, t)
-            ref = zeta_reference(s)
-            dev = abs(zeta_from_r(s) - ref) / abs(ref)
-            if dev > worst:
-                worst, where = dev, s
+    worst, where = validation.identity(None, 20)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-8, f"worst {worst:.3e} at {where}"
     assert elapsed < 120.0
@@ -137,60 +124,15 @@ def test_criterion_3_sqrt_term(count_table):
 
 
 def test_criterion_4_backlund_property():
-    rng = np.random.default_rng(20250809)
-    checked = 0
-    margin = math.inf
-    while checked < 1000:
-        degree = int(rng.integers(1, 13))
-        roots = rng.uniform(-1.5, 1.5, degree) + 1j * rng.uniform(-1.5, 1.5, degree)
-        reach = float(rng.uniform(0.1, 0.8))
-        radius = float(rng.uniform(reach + 0.1, 2.0))
-        angle = float(rng.uniform(0.0, TWO_PI))
-        b = reach * complex(math.cos(angle), math.sin(angle))
-        line = [b * u for u in np.linspace(0.0, 1.0, 256)]
-        if min(abs(p - r) for r in roots for p in line) < 1e-2:
-            continue
-
-        def poly(z):
-            out = 1.0 + 0.0j
-            for r in roots:
-                out *= z - r
-            return out
-
-        f0 = abs(poly(0.0))
-        theta = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-        sup = max(abs(poly(radius * complex(math.cos(a), math.sin(a))))
-                  for a in theta) * 1.01
-        if f0 == 0.0 or f0 > sup:
-            continue
-        seg = PathSegment.line(0.0 + 0.0j, b)
-        measured = abs(arg_variation(poly, seg, seeds=64).total_variation) / TWO_PI
-        bound = backlund_bound(BacklundInput(
-            big_m=sup, f_at_center=f0, radius=radius, reach=reach))
-        assert measured <= bound, (
-            f"case {checked}: measured {measured:.4f} > bound {bound:.4f}"
-        )
-        margin = min(margin, bound - measured)
-        checked += 1
+    (worst,) = validation.backlund(np.random.default_rng(20250809), 1000)
+    assert worst <= 0.0, f"measured variation exceeds the bound by {worst:.4f}"
     report("4 (Backlund property)",
-           f"1000/1000 cases bounded; smallest margin {margin:.4f} turns")
+           f"1000/1000 cases bounded; smallest margin {-worst:.4f} turns")
 
 
 def test_criterion_5_left_region_surrogate():
-    rng = np.random.default_rng(1913)
-    ts = np.exp(rng.uniform(math.log(50.0), math.log(2000.0), 50))
-    worst = 0.0
-    high_t_worst = 0.0
-    for t in ts:
-        t = float(t)
-        sigma = 1.0 - t ** 0.4 * math.log(t)
-        res = r_asymptotic(complex(sigma, t), with_reference=True)
-        assert res.u_proxy is not None and res.u_proxy < 1.0, (
-            f"u proxy {res.u_proxy} at t={t:.1f}"
-        )
-        worst = max(worst, res.u_proxy)
-        if t >= 500.0:
-            high_t_worst = max(high_t_worst, res.u_proxy)
+    worst, high_t_worst = validation.left_region(np.random.default_rng(1913), 50)
+    assert worst < 1.0, f"u = {worst}"
     report("5 (left-region surrogate)",
            f"max |R/surrogate - 1| = {worst:.4f} < 1 over 50 points; "
            f"t >= 500 max {high_t_worst:.4f} (expectation <= 0.5: "
@@ -200,28 +142,11 @@ def test_criterion_5_left_region_surrogate():
 def test_criterion_6_functional_identities():
     rng = np.random.default_rng(271828)
     n = 1_000_000
-
-    sigma = rng.uniform(-3.0, 4.0, n)
-    t = rng.uniform(1.0, 100.0, n)
-    s = sigma + 1j * t
-    prod = _chi_batch(s) * np.conj(_chi_batch(1.0 - sigma + 1j * t))
-    worst_chi = float(np.max(np.abs(prod - 1.0)))
+    (worst_chi,) = validation.functional_equation(rng, n)
     assert worst_chi <= 1e-10, f"chi(s)chi(1-s) deviation {worst_chi:.3e}"
-
-    sigma = rng.uniform(-3.0, 4.0, n)
-    t = np.exp(rng.uniform(math.log(0.1), math.log(1e5), n))
-    values = eta_batch(sigma, t)
-    assert bool(np.all(values.real + values.imag > 0.0))
-    squares = (sigma - 1.0 + 1j * t) / (2j * math.pi)
-    worst_eta = float(np.max(np.abs(values * values - squares)
-                             / np.maximum(1.0, np.abs(squares))))
+    _, worst_eta, worst_exp = validation.eta_branch(rng, n)
     assert worst_eta <= 1e-12, f"eta branch deviation {worst_eta:.3e}"
-
-    exponent_im = (-1j * math.pi * values * values).imag
-    worst_exp = float(np.max(np.abs(exponent_im + t / 2.0)
-                             / np.maximum(1.0, t / 2.0)))
     assert worst_exp <= 1e-12, f"Im(-i pi eta^2) deviation {worst_exp:.3e}"
-
     report("6 (functional identities)",
            f"chi identity {worst_chi:.2e} <= 1e-10, eta branch "
            f"{worst_eta:.2e} <= 1e-12, exponent {worst_exp:.2e} <= 1e-12 "

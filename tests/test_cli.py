@@ -167,6 +167,13 @@ class TestValidate:
         assert "FAIL" in out
         assert "failed suites" in err
 
+    def test_out_file_replaces_stdout(self, capsys, tmp_path):
+        path = tmp_path / "validate.txt"
+        code, out, _ = run(capsys, *self.ARGS, "--out", str(path))
+        assert code == EXIT_OK
+        assert out == ""
+        assert path.read_text(encoding="utf-8").count("PASS") == 5
+
 
 class TestRoundTrip:
     def test_emitted_csv_parses_back(self, tmp_path, capsys):

@@ -246,6 +246,27 @@ class TestTopEdgeCertificate:
     def test_low_heights_inadmissible(self):
         assert top_edge_certificate(60.0, -6.0) is None
 
+    def test_matches_disc_scan(self):
+        # reference: the supremum of the modulus bound over 401 sigma values
+        # on the top of the disc about 2 + iT
+        def scanned(big_t, box_left):
+            radius = 2.0 + 2.0 * big_t ** 0.4 * math.log(big_t)
+            log_m = max(
+                log_modulus_bound(2.0 - radius + 2.0 * radius * k / 400,
+                                  big_t + radius)
+                for k in range(401))
+            return (0.5 * (log_m - math.log(0.25))
+                    / math.log(radius / (2.0 - box_left)))
+
+        checked = 0
+        for big_t in np.linspace(100.0, 4000.0, 300):
+            for box_left in (-6.0, -12.0):
+                bound = top_edge_certificate(float(big_t), box_left)
+                if bound is not None:
+                    assert bound == scanned(float(big_t), box_left)
+                    checked += 1
+        assert checked > 500
+
 
 class TestResidualTable:
     def test_small_grid(self):

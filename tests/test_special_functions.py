@@ -11,19 +11,15 @@ from rzero.errors import (
     DegeneratePointError,
     DomainError,
     PoleOfGammaError,
-    SeriesDivergenceError,
     SingularPointError,
 )
 from rzero.special_functions import (
     TWO_PI,
-    arg_chi_asymptotic,
     chi,
     eta,
     eta_batch,
-    eta_series,
     log_chi,
     log_gamma,
-    log_s_series,
 )
 
 mp.mp.dps = 30
@@ -169,88 +165,6 @@ class TestEta:
         e = eta(complex(sigma, t))
         lhs = (-1j * math.pi * e.value ** 2).imag
         assert abs(lhs + t / 2.0) <= 1e-12 * max(1.0, t / 2.0)
-
-
-class TestEtaSeries:
-    def test_sigma_one_exact(self):
-        for t in (0.7, 5.0, 123.0):
-            se, le = eta_series(1.0, t, 6)
-            assert se.value == pytest.approx(math.sqrt(t / TWO_PI), rel=1e-15)
-            assert le.value == pytest.approx(0.5 * math.log(t / TWO_PI), rel=1e-15)
-            assert se.truncation_estimate == 0.0
-
-    def test_quarter_ratio_against_eta(self):
-        t = 40.0
-        sigma = 1.0 - t / 4.0
-        se, le = eta_series(sigma, t, 4)
-        exact = eta(complex(sigma, t))
-        assert abs(se.value - exact.value) <= se.truncation_estimate
-        assert abs(le.value - cmath.log(exact.value)) <= le.truncation_estimate
-
-    def test_divergence(self):
-        with pytest.raises(SeriesDivergenceError):
-            eta_series(1.0 - 0.6 * 10.0, 10.0, 3)
-
-    def test_bad_order(self):
-        with pytest.raises(DomainError):
-            eta_series(0.5, 10.0, 0)
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
-    def test_convergence_in_order(self, order):
-        t, sigma = 30.0, 1.0 - 30.0 / 4.0
-        se, le = eta_series(sigma, t, order)
-        exact = eta(complex(sigma, t))
-        assert abs(se.value - exact.value) <= se.truncation_estimate
-        assert abs(le.value - cmath.log(exact.value)) <= le.truncation_estimate
-
-
-class TestLogSSeries:
-    def test_pure_imaginary(self):
-        se = log_s_series(0.0, math.e, 3)
-        assert se.value == pytest.approx(1.0 + 0.5j * math.pi, rel=1e-15)
-
-    def test_against_principal_log(self):
-        se = log_s_series(-3.0, 100.0, 3)
-        assert abs(se.value - cmath.log(complex(-3.0, 100.0))) \
-            <= se.truncation_estimate
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            log_s_series(5.0, 4.0, 3)
-
-    @given(st.floats(-8.0, 8.0), st.integers(1, 10))
-    def test_truncation_honest(self, sigma, order):
-        t = 40.0
-        se = log_s_series(sigma, t, order)
-        assert abs(se.value - cmath.log(complex(sigma, t))) \
-            <= se.truncation_estimate + 1e-15
-
-
-class TestArgChiAsymptotic:
-    def test_at_two_pi(self):
-        leading, _ = arg_chi_asymptotic(0.5, TWO_PI)
-        assert leading == pytest.approx(TWO_PI, rel=1e-14)
-
-    def test_at_two_pi_e(self):
-        leading, _ = arg_chi_asymptotic(0.5, TWO_PI * math.e)
-        assert abs(leading) < 1e-10
-
-    def test_nonpositive_height_rejected(self):
-        with pytest.raises(DomainError):
-            arg_chi_asymptotic(0.0, 0.0)
-
-    def test_matches_unwrapped_argument(self):
-        # oracle: march arg(chi) up the vertical line from sigma + 10i,
-        # keeping steps small, with no use of the log_chi branch bookkeeping
-        sigma, t_top = -10.0, 500.0
-        ts = np.linspace(10.0, t_top, 8000)
-        phases = np.unwrap([cmath.phase(chi(complex(sigma, t))) for t in ts])
-        steps = np.abs(np.diff(phases))
-        assert steps.max() < 0.5 * math.pi
-        unwrapped = phases[-1]
-        leading, correction = arg_chi_asymptotic(sigma, t_top)
-        tolerance = 5.0 * t_top ** 0.4 * math.log(t_top)
-        assert abs((leading + correction) - unwrapped) <= tolerance
 
 
 class TestExpansionChecks:
