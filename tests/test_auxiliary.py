@@ -4,7 +4,6 @@ import math
 import random
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +29,6 @@ from rzero.auxiliary import (
 )
 from rzero.errors import (
     DomainError,
-    NearZeroDenominatorError,
     NonConvergenceError,
     PoleOfGammaError,
     RegionError,
@@ -117,6 +115,18 @@ class TestRIntegral:
         with pytest.raises(DomainError):
             QuadratureSpec(crossing=0, half_length=0.5, step=0.1)
 
+    def test_non_integer_crossing_rejected(self):
+        # the line through 1.3 + 1/2 crosses the real axis at 1.8, past the
+        # pole at 1 only: the residue sum up to n = 2 would be wrong
+        with pytest.raises(DomainError):
+            QuadratureSpec(crossing=1.3, half_length=8.0, step=1 / 32)
+        with pytest.raises(DomainError):
+            r_integral(2 + 10j, QuadratureSpec(crossing=2.0, half_length=8.0,
+                                               step=1 / 32))
+        good = r_integral(2 + 10j, QuadratureSpec(crossing=2, half_length=8.0,
+                                                  step=1 / 32))
+        assert abs(good.value - r_eval(2 + 10j).value) <= 1e-12
+
     def test_default_crossing(self):
         assert default_crossing(50.0) == 2
         assert default_crossing(0.0) == 0
@@ -191,9 +201,7 @@ class TestQuadratureReuse:
         assert row.target >= 2 and row.level == row.target
         assert [(step, base) for _, step, _, base in rows] == [
             (0.25 / 2 ** k, k == 0) for k in range(row.target + 1)]
-        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.phase,
-                                       row.total, row.coarse, row.abs_total,
-                                       row.ends, row.sum_red, row.res_phase)
+        (warm,) = _figures(row)
         r_eval_cache_clear()
         cold = _quadrature(s, QuadratureSpec(crossing=row.q,
                                              half_length=row.half,
@@ -267,6 +275,24 @@ def _fields(results):
     return [(r.value, r.error_estimate, r.log_value) for r in results]
 
 
+def _figures(row):
+    """_pass_figures of each channel of a row at its current step."""
+    return [auxiliary._pass_figures(row.step, row.half, row.m, row.phase, sums)
+            for sums in row.sums]
+
+
+def _cold_row(s, q, half, step, derivative):
+    """A row holding the sums of one fixed pass at s, summed level by level
+    from the base grid as _quadrature sums them."""
+    row = auxiliary._Row(s, q, half)
+    row.step = step
+    n, base_step, base_n = auxiliary._levels(
+        QuadratureSpec(crossing=q, half_length=half, step=step))
+    for level in range(n + 1):
+        auxiliary._sum_level([row], q, base_step, base_n, level, derivative)
+    return row
+
+
 class TestEvalMany:
     def test_matches_one_at_a_time(self):
         r_eval_cache_clear()
@@ -280,12 +306,24 @@ class TestEvalMany:
         (row,) = auxiliary._step_halve([WIDENING_POINT])
         start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
         assert row.half > start and row.best[2] == row.half
-        warm = auxiliary._pass_figures(row.step, row.half, row.m, row.phase,
-                                       row.total, row.coarse, row.abs_total,
-                                       row.ends, row.sum_red, row.res_phase)
+        (warm,) = _figures(row)
         cold = _quadrature(WIDENING_POINT, QuadratureSpec(
             crossing=row.q, half_length=row.half, step=row.step))
         assert row.step < 0.25 and warm == cold
+
+    def test_widening_row_restarts_derivative(self):
+        # a derivative request sums R' over the widened extent from its base
+        # grid as well, and its R figures are those of the value request
+        (alone,) = auxiliary._step_halve([WIDENING_POINT])
+        (row,) = auxiliary._step_halve([WIDENING_POINT], derivative=True)
+        start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
+        assert row.half > start and row.step < 0.25
+        assert (row.half, row.step) == (alone.half, alone.step)
+        warm_r, warm_d = _figures(row)
+        cold = _cold_row(WIDENING_POINT, row.q, row.half, row.step, True)
+        assert warm_d == _figures(cold)[1]
+        assert [warm_r] == _figures(alone)
+        assert row.best[1][0] == alone.best[1][0]
 
     def test_cold_batch_bit_identical_in_both_orders(self):
         r_eval_cache_clear()
@@ -403,6 +441,19 @@ class TestStoppingRule:
         assert row.step <= 0.0625
         oracle = _oracle(s).value
         assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
+
+    def test_slow_decrement_estimate_covers_oracle(self):
+        # the discrepancies 1.4e-6, 1.0e-8, 1.4e-12 at steps 1/4, 1/8, 1/16
+        # fall 1.8 times as far at each halving where the model assumes 2;
+        # step 1/8 is accepted on the model's prediction of 5e-13, short of
+        # its 1.39e-12 deviation, which the reported estimate must cover
+        s = 4.79684058150567 + 505.6091186702189j
+        r_eval_cache_clear()
+        (row,) = auxiliary._step_halve([s])
+        assert row.step == 0.125 and row.best[0] > EPS_TARGET
+        res, oracle = r_eval(s), _oracle(s)
+        assert (abs(res.value - oracle.value)
+                <= res.error_estimate + oracle.error_estimate)
 
     def test_early_rows_match_oracle(self):
         # rows accepted on the model's prediction, before their discrepancy

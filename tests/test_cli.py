@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 import rzero
 from rzero import cli
 from rzero.cli import (
-    EXIT_CLUSTERS,
     EXIT_CONTOUR_ZERO,
     EXIT_EVAL_FAIL,
     EXIT_OK,

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from rzero.auxiliary import r_value
 from rzero.counting import (
-    DESK_T0,
-    ArgTrace,
     BacklundInput,
     ContourSpec,
     CountResult,

@@ -10,7 +10,6 @@ from rzero.auxiliary import r_eval_cache_clear, r_value
 from rzero.errors import DomainError
 from rzero.zeros import (
     Box,
-    IsolationResult,
     Zero,
     _circle_winding,
     isolate_zeros,
