@@ -28,7 +28,7 @@ def main() -> None:
     zeros, clusters = locate_zeros(SURVEY_BOX)
     if clusters:
         raise SystemExit(f"unresolved clusters: {clusters}")
-    table = residual_table(TABLE_GRID, box_left=-6.0, certify_left=True)
+    table = residual_table(TABLE_GRID, box_left=-6.0)
     box = [SURVEY_BOX.sigma_lo, SURVEY_BOX.sigma_hi, SURVEY_BOX.t_lo,
            SURVEY_BOX.t_hi]
     # One zero (beta, gamma) or count (T, N(T)) per line, as 17-digit strings

@@ -25,9 +25,7 @@ from .counting import (
     PathSegment,
     arg_variation,
     backlund_bound,
-    count_zeros,
     main_term,
-    modulus_bound,
     residual_table,
     winding_number,
 )
@@ -54,8 +52,8 @@ __all__ = [
     "ArgTrace", "BacklundInput", "Box", "ContourSpec", "CountResult",
     "EtaValue", "EvaluationResult", "PathSegment", "QuadratureSpec",
     "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
-    "count_zeros", "eta", "isolate_zeros", "locate_zeros", "log_chi",
-    "log_gamma", "main_term", "modulus_bound", "r_asymptotic",
+    "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
+    "main_term", "r_asymptotic",
     "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
     "refine_zero",
     "residual_table", "winding_number", "zero_statistics", "zeta_from_r",

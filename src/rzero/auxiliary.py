@@ -83,6 +83,9 @@ EPS_TARGET = 1e-9          # relative accuracy goal of automatic evaluation
 PRED_TARGET = 1e-3 * EPS_TARGET  # model-predicted error that accepts a grid
 FAIL_THRESHOLD = 1e-6      # relative error_estimate beyond which we refuse
 _EPS = 2.0 ** -52          # double precision machine epsilon
+# shortest admissible half-length: the Gaussian factor of the integrand
+# falls below EPS_TARGET there
+_MIN_HALF = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi)
 
 # Direction of traversal of the integration line.  The line has slope one
 # (direction e^{i pi/4}); the sign fixes the down-left traversal and was
@@ -113,10 +116,9 @@ class QuadratureSpec:
             raise DomainError(f"step must be positive, got {self.step}")
         if self.step > self.half_length:
             raise DomainError("step exceeds half_length")
-        min_half = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi)
-        if self.half_length < min_half:
+        if self.half_length < _MIN_HALF:
             raise DomainError(
-                f"half_length {self.half_length} below minimum {min_half:.3f}"
+                f"half_length {self.half_length} below minimum {_MIN_HALF:.3f}"
             )
 
 
@@ -549,10 +551,14 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     channel the bits it gets without ``derivative``.
     """
     rows = []
+    extents: dict[float, tuple[int, float]] = {}  # the points of an edge share t
     for z in points:
-        q = default_crossing(z.imag)
-        # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
-        rows.append(_Row(z, q, math.ceil(2.0 * _half_length(z.imag, q)) / 2.0))
+        t = z.imag
+        if t not in extents:
+            q = default_crossing(t)
+            # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
+            extents[t] = q, math.ceil(2.0 * _half_length(t, q)) / 2.0
+        rows.append(_Row(z, *extents[t]))
     pending = rows
     while pending:
         groups: dict[tuple[int, float, int], list[_Row]] = {}
@@ -645,7 +651,7 @@ def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> Quadrature
 def _half_length(t: float, q: int) -> float:
     """Default half-length of auto_spec at height t and crossing q."""
     saddle = math.sqrt(max(t, 0.0) / TWO_PI)
-    half = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi) + 0.25 * math.sqrt(max(t, 0.0))
+    half = _MIN_HALF + 0.25 * math.sqrt(max(t, 0.0))
     return half + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
 
 

@@ -168,18 +168,13 @@ COUNT_COLUMNS = ["big_t", "count", "smooth_term", "sqrt_term", "main_value",
                  "residual", "certificates"]
 
 
-def _cert_summary(result: counting.CountResult) -> str:
-    parts = []
-    for name, bound in result.certificates:
-        parts.append(f"{name}:{'-' if bound is None else format(bound, '.6g')}")
-    return ";".join(parts)
-
-
 def _count_rows(results: list[counting.CountResult]) -> list[dict]:
     return [{
         "big_t": r.big_t, "count": r.count, "smooth_term": r.smooth_term,
         "sqrt_term": r.sqrt_term, "main_value": r.main_value,
-        "residual": r.residual, "certificates": _cert_summary(r),
+        "residual": r.residual,
+        "certificates": "top:" + ("-" if r.top_bound is None
+                                  else format(r.top_bound, ".6g")),
     } for r in results]
 
 

@@ -1,8 +1,8 @@
 """Argument-principle machinery: adaptive argument variation along any
 path with a ``point(u)`` method, winding numbers on closed contours of
-straight segments, the Backlund argument bound, modulus bounds for the
-auxiliary function, zero counting on rectangles with the main-term
-decomposition
+straight segments, the Backlund argument bound with the log modulus bound
+of the auxiliary function behind the top-edge certificate, zero counting
+on rectangles with the main-term decomposition
 
     N(T) ~ T/(4 pi) log(T/(2 pi)) - T/(4 pi) - (1/2) sqrt(T/(2 pi)),
 
@@ -13,7 +13,8 @@ share one sum over a contour, and ``integer_winding`` is the one
 integrality guard, also used by the circle certificates of ``zeros``.
 Counting works on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]; the
 region further left is certified empty by checking that an adjacent strip
-has winding zero.
+has winding zero.  ``residual_table`` is the one place where N(T) is
+assembled: the base count below DESK_T0 plus one strip per height.
 """
 
 from __future__ import annotations
@@ -288,13 +289,6 @@ def log_modulus_bound(sigma: float, t: float) -> float:
     )
 
 
-def modulus_bound(sigma: float, t: float) -> float:
-    """Explicit upper bound for |R(sigma + i t)| (see log_modulus_bound);
-    returns inf when the value exceeds the double range."""
-    lg = log_modulus_bound(sigma, t)
-    return math.exp(lg) if lg < 709.0 else math.inf
-
-
 def top_edge_certificate(big_t: float, box_left: float) -> float | None:
     """Backlund bound (in turns) for the argument variation of R along the
     top edge [box_left + iT, 2 + iT]; None when the disc geometry is not
@@ -334,12 +328,15 @@ def main_term(big_t: float) -> tuple[float, float]:
 class CountResult:
     """Zero count up to height big_t with the main-term decomposition.
 
-    count       -- N(t_hi): winding of the counting box plus the zeros below
-                   its bottom edge (the configured base count)
-    main_value  -- smooth_term - sqrt_term
-    residual    -- count - main_value
-    certificates -- per-edge (segment id, argument bound in turns or None)
-    window      -- realised (t_lo, t_hi) after zero-on-contour perturbation
+    count      -- N(big_t): the base count below DESK_T0 plus the windings of
+                  the stacked strips up to this height
+    main_value -- smooth_term - sqrt_term
+    residual   -- count - main_value
+    top_bound  -- Backlund bound (turns) on the argument variation along the
+                  top edge, from top_edge_certificate; None where the disc
+                  geometry is not admissible
+    window     -- (t_lo, t_hi) of the strip rectangle_count evaluated for
+                  this row, after zero-on-contour perturbation
     """
 
     big_t: float
@@ -347,24 +344,12 @@ class CountResult:
     main_value: float
     sqrt_term: float
     residual: float
-    certificates: tuple[tuple[str, float | None], ...] = ()
+    top_bound: float | None = None
     window: tuple[float, float] = (0.0, 0.0)
 
     @property
     def smooth_term(self) -> float:
         return self.main_value + self.sqrt_term
-
-
-def _count_result(big_t: float, count: int,
-                  certificates: tuple[tuple[str, float | None], ...],
-                  window: tuple[float, float]) -> CountResult:
-    """CountResult for N(big_t) = count with the main term at big_t."""
-    smooth, sqrt_term = main_term(big_t)
-    main_value = smooth - sqrt_term
-    return CountResult(
-        big_t=big_t, count=count, main_value=main_value, sqrt_term=sqrt_term,
-        residual=count - main_value, certificates=certificates, window=window,
-    )
 
 
 def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
@@ -445,22 +430,22 @@ _BASE_COUNT_CACHE: dict = {}
 _BASE_FLOOR = 0.05  # bottom edge of the base-count box; gamma below is ignored
 
 
-def base_count(t_lo: float = DESK_T0, box_left: float = -6.0,
-               tol: float = 1e-3) -> int:
-    """Number of zeros with 0 < gamma <= t_lo, by direct winding enumeration
-    on [box_left, 2] x (0, t_lo] (bottom edge placed just above the real
-    axis)."""
-    key = (t_lo, box_left)
+def base_count(box_left: float = -6.0, tol: float = 1e-3) -> int:
+    """Number of zeros with 0 < gamma <= DESK_T0, by direct winding
+    enumeration on [box_left, 2] x (0, DESK_T0] (bottom edge placed just
+    above the real axis)."""
+    key = (box_left, tol)
     if key not in _BASE_COUNT_CACHE:
         count, _, _ = rectangle_count(r_value, box_left, 2.0, _BASE_FLOOR,
-                                      t_lo, tol)
+                                      DESK_T0, tol)
         _BASE_COUNT_CACHE[key] = count
     return _BASE_COUNT_CACHE[key]
 
 
 def adequate_box_left(t_hi: float, box_left: float = -6.0,
-                      t_lo: float = DESK_T0, tol: float = 1e-3) -> float:
-    """Left box edge certified to have no zeros further left up to t_hi.
+                      tol: float = 1e-3) -> float:
+    """Left box edge certified to have no zeros further left on
+    DESK_T0 <= t <= t_hi.
 
     Starting from ``box_left``, the adjacent strip of width 20 is checked
     for winding zero; the edge moves left (at most MAX_WIDENINGS times)
@@ -470,7 +455,7 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0,
     """
     left = box_left
     for _ in range(MAX_WIDENINGS):
-        strip, _, _ = rectangle_count(r_value, left - 20.0, left, t_lo,
+        strip, _, _ = rectangle_count(r_value, left - 20.0, left, DESK_T0,
                                       t_hi, tol)
         if strip == 0:
             return left
@@ -480,72 +465,43 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0,
     )
 
 
-def count_zeros(t_lo: float, t_hi: float, box_left: float = -6.0,
-                tol: float = 1e-3, include_base: bool = True,
-                certify_left: bool = True) -> CountResult:
-    """Count the zeros of R in the strip t_lo < gamma <= t_hi.
-
-    The winding of R is taken around [box_left, 2] x [t_lo, t_hi]; when
-    ``include_base`` the zeros below t_lo are added so that ``count`` is
-    N(t_hi).  When ``certify_left`` the adjacent strip of width 20 is
-    checked to have winding zero and the box widens leftwards as needed.
-    Zero-on-contour heights are perturbed by multiples of tol.
-    """
-    if t_lo < DESK_T0:
-        raise DomainError(f"counting starts at t >= {DESK_T0}, got {t_lo}")
-    if box_left > -2.0:
-        raise DomainError(f"box_left must be <= -2, got {box_left}")
-    if t_hi < t_lo:
-        raise DomainError("t_hi below t_lo")
-
-    if t_hi == t_lo:
-        base = base_count(t_lo, box_left, tol) if include_base else 0
-        return _count_result(t_hi, base, (), (t_lo, t_hi))
-
-    left = adequate_box_left(t_hi, box_left, t_lo, tol) if certify_left \
-        else box_left
-    count, window, traces = rectangle_count(r_value, left, 2.0, t_lo, t_hi,
-                                            tol)
-    if include_base:
-        count += base_count(t_lo, left, tol)
-
-    certs = (
-        ("bottom", None),
-        ("right", 0.5),  # |R - 1| < 3/4 keeps the variation under pi
-        ("top", top_edge_certificate(window[1], left)),
-        ("left", None),
-    )
-    return _count_result(t_hi, count, certs, window)
-
-
 def residual_table(ts, box_left: float = -6.0, tol: float = 1e-3,
-                   include_base: bool = True,
                    certify_left: bool = True) -> list[CountResult]:
-    """CountResult per T over an increasing grid, stacking strip windings.
+    """CountResult per T over an increasing grid of heights above DESK_T0.
 
+    This is where N(T) is assembled: the base count below DESK_T0 plus the
+    winding of R around [left, 2] x [t_prev, T] for each height in turn,
+    t_prev being the top of the previous strip (DESK_T0 for the first).
     Consecutive heights share contour edges, so the table costs little more
     than a single count to max(ts).  The box uses one left edge wide enough
     for the whole grid (certified on the full-height strip when
-    ``certify_left``).
+    ``certify_left``).  Zero-on-contour heights are perturbed by multiples
+    of tol.
     """
     ts = list(ts)
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise DomainError("heights must be strictly increasing")
+    if box_left > -2.0:
+        raise DomainError(f"box_left must be <= -2, got {box_left}")
     if not ts:
         return []
-    left = adequate_box_left(ts[-1], box_left, DESK_T0, tol) if certify_left \
+    if ts[0] <= DESK_T0:
+        raise DomainError(f"heights must rise above {DESK_T0}, got {ts[0]}")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("heights must be strictly increasing")
+    left = adequate_box_left(ts[-1], box_left, tol) if certify_left \
         else box_left
-    head = count_zeros(DESK_T0, ts[0], left, tol,
-                       include_base=include_base, certify_left=False)
-    results = [head]
-    running = head.count
-    prev_hi = head.window[1]
-    for big_t in ts[1:]:
+    running = base_count(left, tol)
+    prev_hi = DESK_T0
+    results = []
+    for big_t in ts:
         strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi,
                                            big_t, tol)
         running += strip
-        certs = (("top", top_edge_certificate(window[1], left)),)
-        results.append(_count_result(big_t, running, certs,
-                                     (prev_hi, window[1])))
+        smooth, sqrt_term = main_term(big_t)
+        main_value = smooth - sqrt_term
+        results.append(CountResult(
+            big_t=big_t, count=running, main_value=main_value,
+            sqrt_term=sqrt_term, residual=running - main_value,
+            top_bound=top_edge_certificate(window[1], left), window=window,
+        ))
         prev_hi = window[1]
     return results

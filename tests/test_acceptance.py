@@ -17,6 +17,7 @@ from rzero import validation
 from rzero.auxiliary import r_eval, r_value
 from rzero.counting import (
     ContourSpec,
+    base_count,
     rectangle_count,
     residual_table,
     sqrt_fit,
@@ -78,16 +79,18 @@ def test_criterion_2_counting_consistency(zero_survey):
     started = time.perf_counter()
     heights = [50.0, 100.0, 200.0, 400.0]
     table = residual_table(heights, box_left=SURVEY_BOX.sigma_lo,
-                           include_base=False, certify_left=False)
+                           certify_left=False)
+    base = base_count(SURVEY_BOX.sigma_lo)
     lines = []
     for res in table:
         hi = res.window[1]
+        counted = res.count - base
         enumerated = sum(1 for z in zero_survey if z.gamma < hi)
-        assert res.count == enumerated, (
-            f"T={res.big_t}: winding count {res.count} != "
+        assert counted == enumerated, (
+            f"T={res.big_t}: winding count {counted} != "
             f"enumeration {enumerated}"
         )
-        lines.append(f"T={res.big_t:.0f}: {res.count}")
+        lines.append(f"T={res.big_t:.0f}: {counted}")
     elapsed = time.perf_counter() - started + _timings.get("survey", 0.0)
     assert elapsed < 600.0
     report("2 (counting consistency)",

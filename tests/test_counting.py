@@ -14,10 +14,9 @@ from rzero.counting import (
     PathSegment,
     arg_variation,
     backlund_bound,
-    count_zeros,
+    base_count,
     log_modulus_bound,
     main_term,
-    modulus_bound,
     rectangle_count,
     residual_table,
     sqrt_fit,
@@ -142,21 +141,28 @@ class TestWindingNumber:
 
 class TestModulusBound:
     def test_right_half(self):
-        assert modulus_bound(1.0, 100.0) == pytest.approx(
+        assert math.exp(log_modulus_bound(1.0, 100.0)) == pytest.approx(
             math.sqrt(100.0 / TWO_PI), rel=1e-12)
 
     def test_left_half(self):
         # 19 * 100/(2 pi) * (1 + 100^2)^(1/4), frozen from a 30-digit run
-        assert modulus_bound(0.0, 100.0) == pytest.approx(3024.019515, rel=1e-9)
+        assert math.exp(log_modulus_bound(0.0, 100.0)) == pytest.approx(
+            3024.019515, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            modulus_bound(0.5, 16.0 * math.pi)
+            log_modulus_bound(0.5, 16.0 * math.pi)
 
     def test_log_form_consistent(self):
+        # the log form against the bound written as a product
         for sigma, t in ((-3.0, 120.0), (0.5, 70.0), (-40.0, 300.0)):
+            if sigma > 0.0:
+                direct = math.sqrt(t / TWO_PI)
+            else:
+                direct = (19.0 * t / TWO_PI ** (1.0 - sigma)
+                          * ((1.0 - sigma) ** 2 + t * t) ** (0.25 - 0.5 * sigma))
             assert math.exp(log_modulus_bound(sigma, t)) == pytest.approx(
-                modulus_bound(sigma, t), rel=1e-12)
+                direct, rel=1e-12)
 
 
 class TestMainTerm:
@@ -188,31 +194,35 @@ class TestMainTerm:
 
 class TestCountZeros:
     def test_empty_strip(self):
-        res = count_zeros(10.0, 10.0, include_base=False)
+        # no zero below DESK_T0 and none in the strip up to 20
+        res = residual_table([20.0], certify_left=False)[0]
         assert res.count == 0
         assert res.residual == pytest.approx(res.count - res.main_value)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            count_zeros(5.0, 50.0)
+            residual_table([5.0, 50.0])
         with pytest.raises(DomainError):
-            count_zeros(10.0, 50.0, box_left=0.0)
+            residual_table([10.0, 50.0])
         with pytest.raises(DomainError):
-            count_zeros(20.0, 10.0)
+            residual_table([50.0], box_left=0.0)
+        with pytest.raises(DomainError):
+            residual_table([20.0, 10.0])
 
     def test_strip_10_60(self):
-        res = count_zeros(10.0, 60.0, certify_left=False)
+        res = residual_table([60.0], certify_left=False)[0]
         assert res.count == 6
         assert res.window[0] == pytest.approx(10.0, abs=0.01)
         assert res.residual == pytest.approx(res.count - res.main_value)
-        names = [name for name, _ in res.certificates]
-        assert names == ["bottom", "right", "top", "left"]
+        assert res.top_bound == top_edge_certificate(res.window[1], -6.0)
 
     def test_additivity(self):
-        lo = count_zeros(10.0, 45.0, include_base=False, certify_left=False)
-        hi = count_zeros(45.0, 80.0, include_base=False, certify_left=False)
-        full = count_zeros(10.0, 80.0, include_base=False, certify_left=False)
-        assert lo.count + hi.count == full.count
+        lo, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
+        hi, _, _ = rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
+        full, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
+        assert lo + hi == full
+        table = residual_table([45.0, 80.0], certify_left=False)
+        assert [r.count for r in table] == [lo, lo + hi]
 
     def test_off_integer_rectangle_rejected(self, monkeypatch):
         import rzero.counting as counting_mod
@@ -288,8 +298,28 @@ class TestResidualTable:
 
     def test_matches_direct_count(self):
         table = residual_table([30.0, 55.0], certify_left=False)
-        direct = count_zeros(10.0, 55.0, certify_left=False)
-        assert table[-1].count == direct.count
+        direct, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 55.0)
+        assert table[-1].count == base_count() + direct
+
+    def test_window_is_evaluated_rectangle(self, monkeypatch):
+        # a zero forced onto the 40 -> 60 strip moves it up by tol; the row
+        # reports the strip that was counted, not the requested one
+        import rzero.counting as counting_mod
+        winding = counting_mod._rectangle_winding
+        forced = []
+
+        def zero_once(f, sigma_lo, sigma_hi, t_lo, t_hi):
+            if (t_lo, t_hi) == (40.0, 60.0) and not forced:
+                forced.append(t_lo)
+                raise ZeroOnPathError("forced", where=complex(0.0, t_lo))
+            return winding(f, sigma_lo, sigma_hi, t_lo, t_hi)
+
+        monkeypatch.setattr(counting_mod, "_rectangle_winding", zero_once)
+        table = residual_table([20.0, 40.0, 60.0], certify_left=False)
+        assert forced == [40.0]
+        assert table[0].window == (10.0, 20.0)
+        assert table[1].window == (20.0, 40.0)
+        assert table[2].window == pytest.approx((40.001, 60.001), abs=1e-12)
 
 
 class TestSqrtFit:
