@@ -551,14 +551,14 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     channel the bits it gets without ``derivative``.
     """
     rows = []
-    extents: dict[float, tuple[int, float]] = {}  # the points of an edge share t
+    t = None
     for z in points:
-        t = z.imag
-        if t not in extents:
+        if z.imag != t:  # the points of a horizontal edge share t
+            t = z.imag
             q = default_crossing(t)
             # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
-            extents[t] = q, math.ceil(2.0 * _half_length(t, q)) / 2.0
-        rows.append(_Row(z, *extents[t]))
+            half = math.ceil(2.0 * _half_length(t, q)) / 2.0
+        rows.append(_Row(z, q, half))
     pending = rows
     while pending:
         groups: dict[tuple[int, float, int], list[_Row]] = {}
