@@ -551,14 +551,10 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     channel the bits it gets without ``derivative``.
     """
     rows = []
-    t = None
     for z in points:
-        if z.imag != t:  # the points of a horizontal edge share t
-            t = z.imag
-            q = default_crossing(t)
-            # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
-            half = math.ceil(2.0 * _half_length(t, q)) / 2.0
-        rows.append(_Row(z, q, half))
+        q = default_crossing(z.imag)
+        # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
+        rows.append(_Row(z, q, math.ceil(2.0 * _half_length(z.imag, q)) / 2.0))
     pending = rows
     while pending:
         groups: dict[tuple[int, float, int], list[_Row]] = {}

@@ -302,25 +302,42 @@ class TestResidualTable:
         direct, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 55.0)
         assert table[-1].count - base_count() == direct
 
-    def test_window_is_evaluated_rectangle(self, monkeypatch):
-        # a zero forced onto the 40 -> 60 strip moves it up by tol; the row
-        # reports the strip that was counted, not the requested one
+    @staticmethod
+    def _table_with_zero_on_strip(monkeypatch):
+        """residual_table([20, 40, 60]) with a zero forced once onto the
+        40 -> 60 strip; returns the table and the t-extents evaluated."""
         import rzero.counting as counting_mod
         winding = counting_mod._rectangle_winding
-        forced = []
+        forced, evaluated = [], []
 
         def zero_once(f, sigma_lo, sigma_hi, t_lo, t_hi):
             if (t_lo, t_hi) == (40.0, 60.0) and not forced:
                 forced.append(t_lo)
                 raise ZeroOnPathError("forced", where=complex(0.0, t_lo))
-            return winding(f, sigma_lo, sigma_hi, t_lo, t_hi)
+            result = winding(f, sigma_lo, sigma_hi, t_lo, t_hi)
+            evaluated.append((t_lo, t_hi))
+            return result
 
         monkeypatch.setattr(counting_mod, "_rectangle_winding", zero_once)
         table = residual_table([20.0, 40.0, 60.0], certify_left=False)
         assert forced == [40.0]
+        return table, evaluated
+
+    def test_window_is_evaluated_rectangle(self, monkeypatch):
+        # the ladder moves the forced strip (today to 40.001 -> 60.001); each
+        # row reports the strip that was counted, not the requested one
+        table, evaluated = self._table_with_zero_on_strip(monkeypatch)
+        assert [row.window for row in table] == evaluated[-3:]
         assert table[0].window == (10.0, 20.0)
         assert table[1].window == (20.0, 40.0)
-        assert table[2].window == pytest.approx((40.001, 60.001), abs=1e-12)
+        assert table[2].window[1] == pytest.approx(60.001, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4, window gap: the ladder moves a strip's bottom with "
+        "its top, so [40, 40.001] is counted in no row"))
+    def test_strips_are_contiguous(self, monkeypatch):
+        table, _ = self._table_with_zero_on_strip(monkeypatch)
+        assert table[2].window[0] == table[1].window[1]
 
 
 class TestSqrtFit:
