@@ -6,7 +6,9 @@ CSV field names; reals carry 17 significant digits so files round-trip
 exactly.  Exit codes: 0 success, 1 failed validation suites, 2 argument
 errors and any other rzero error, 3 persistent zero-on-contour, 4 winding
 integrality failure, 5 unresolved clusters in strict mode.  Errors are
-mapped to exit codes in one place, ``main``.
+mapped to exit codes in one place, ``main``.  ``--tol`` belongs to validate
+alone; count, table and zeros perturb contours by the fixed
+``counting.PERTURB_STEP``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ EXIT_CONTOUR_ZERO = 3
 EXIT_WINDING = 4
 EXIT_CLUSTERS = 5
 
-# --tol of count, table and zeros: the step of the contour perturbation
-# ladder.  Under validate --tol overrides the suite tolerances instead.
-CONTOUR_TOL = 1e-3
-_CONTOUR_COMMANDS = ("count", "table", "zeros")
-
-
 @dataclass
 class RunConfig:
     """Parsed invocation; numeric parameters are finite, t range ordered."""
@@ -76,15 +72,9 @@ class RunConfig:
             raise ValueError("t-max below t-min")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
-        if (self.command in _CONTOUR_COMMANDS and self.tol is not None
-                and not (math.isfinite(self.tol) and self.tol > 0.0)):
-            raise ValueError(f"--tol must be positive and finite for "
-                             f"{self.command}, got {self.tol}")
-
-    @property
-    def contour_tol(self) -> float:
-        """Perturbation step of count, table and zeros."""
-        return CONTOUR_TOL if self.tol is None else self.tol
+        if self.tol is not None and self.command != "validate":
+            raise ValueError(f"--tol applies to validate only, not to "
+                             f"{self.command}")
 
 
 def _format_value(v) -> str:
@@ -192,8 +182,7 @@ def _count_results(config: RunConfig) -> list[counting.CountResult]:
     ts = [t for t in _t_grid(config) if t > counting.DESK_T0]
     if not ts:
         raise DomainError("empty T grid above the base height")
-    return residual_table(ts, box_left=config.box_left,
-                          tol=config.contour_tol)
+    return residual_table(ts, box_left=config.box_left)
 
 
 def cmd_count(config: RunConfig) -> int:
@@ -228,8 +217,7 @@ ZERO_COLUMNS = ["beta", "gamma", "enclosure_radius", "winding_certificate",
 
 def cmd_zeros(config: RunConfig) -> int:
     box = Box(config.box_left, 2.0, config.t_min, config.t_max)
-    found, clusters = locate_zeros(box, min_size=config.min_size,
-                                   tol=config.contour_tol)
+    found, clusters = locate_zeros(box, min_size=config.min_size)
     rows = [{
         "beta": z.beta, "gamma": z.gamma,
         "enclosure_radius": z.enclosure_radius,
@@ -297,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-left", type=float, default=-6.0)
     p.add_argument("--min-size", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=None,
-                   help="contour perturbation step of count, table and "
-                        "zeros (> 0, default 1e-3); suite tolerance "
-                        "override of validate")
+                   help="suite tolerance override of validate (refused "
+                        "by every other command)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, dest="output_path")

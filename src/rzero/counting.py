@@ -14,7 +14,9 @@ integrality guard, also used by the circle certificates of ``zeros``.
 Counting works on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]; the
 region further left is certified empty by checking that an adjacent strip
 has winding zero.  ``residual_table`` is the one place where N(T) is
-assembled: the base count below DESK_T0 plus one strip per height.
+assembled: the base count below DESK_T0 plus one strip per height.  A zero
+on a contour is escaped by ``rectangle_count``'s one perturbation ladder,
+in steps of the constant PERTURB_STEP.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ MAX_WIDENINGS = 4
 WINDING_GUARD = 0.1
 _CHAIN_TOL = 1e-12
 # |f| below DETECT_TOL * (local scale) flags a zero on the path.  Kept well
-# under the contour perturbation step so that a retry actually escapes the
-# detection radius.
+# under PERTURB_STEP so that a retry actually escapes the detection radius.
 DETECT_TOL = 1e-6
+PERTURB_STEP = 1e-3  # step of rectangle_count's contour perturbation ladder
 
 
 @dataclass(frozen=True)
@@ -388,41 +390,43 @@ def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     return raw, dict(zip(("bottom", "right", "top", "left"), traces))
 
 
-def _perturbation_ladder(tol: float):
-    # t-shifts first (the common case is a zero on a horizontal edge), then
-    # sigma-shifts for zeros sitting on a vertical edge.
+def _perturbation_ladder():
+    # t-steps of the top edge first (the common case is a zero on a
+    # horizontal edge), then sigma-shifts for zeros sitting on a vertical
+    # edge.  The bottom edge never moves, so a strip stacked on a previous
+    # top stays contiguous with it.
     yield 0.0, 0.0
     for k in range(1, 6):
-        yield k * tol, 0.0
-        yield -k * tol, 0.0
+        yield k * PERTURB_STEP, 0.0
+        yield -k * PERTURB_STEP, 0.0
     for k in range(1, 6):
-        yield 0.0, k * tol
-        yield 0.0, -k * tol
+        yield 0.0, k * PERTURB_STEP
+        yield 0.0, -k * PERTURB_STEP
 
 
 def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                    t_hi: float, tol: float = 1e-3):
-    """Integer winding of f around the rectangle, translating the box by
-    multiples of tol (in t, then in sigma) when a zero sits on the contour.
+                    t_hi: float):
+    """Integer winding of f around the rectangle, moving its top edge and
+    then translating it in sigma by multiples of PERTURB_STEP when a zero
+    sits on the contour.
 
     Returns (count, realised (t_lo, t_hi), per-edge traces).
     """
     last: ZeroOnPathError | None = None
-    for dt, dsigma in _perturbation_ladder(tol):
-        lo, hi = t_lo + dt, t_hi + dt
+    for dt, dsigma in _perturbation_ladder():
+        hi = t_hi + dt
         slo, shi = sigma_lo + dsigma, sigma_hi + dsigma
-        if not lo < hi:
+        if not t_lo < hi:
             continue
         try:
-            raw, traces = _rectangle_winding(f, slo, shi, lo, hi)
+            raw, traces = _rectangle_winding(f, slo, shi, t_lo, hi)
         except ZeroOnPathError as exc:
             last = exc
             continue
-        count = integer_winding(raw, f" on [{slo},{shi}]x[{lo},{hi}]")
-        return count, (lo, hi), traces
+        count = integer_winding(raw, f" on [{slo},{shi}]x[{t_lo},{hi}]")
+        return count, (t_lo, hi), traces
     raise ContourZeroError(
-        f"zero persists on the contour after the perturbation ladder "
-        f"(tol {tol}): {last}"
+        f"zero persists on the contour after the perturbation ladder: {last}"
     )
 
 
@@ -430,20 +434,18 @@ _BASE_COUNT_CACHE: dict = {}
 _BASE_FLOOR = 0.05  # bottom edge of the base-count box; gamma below is ignored
 
 
-def base_count(box_left: float = -6.0, tol: float = 1e-3) -> int:
+def base_count(box_left: float = -6.0) -> int:
     """Number of zeros with 0 < gamma <= DESK_T0, by direct winding
     enumeration on [box_left, 2] x (0, DESK_T0] (bottom edge placed just
     above the real axis)."""
-    key = (box_left, tol)
-    if key not in _BASE_COUNT_CACHE:
+    if box_left not in _BASE_COUNT_CACHE:
         count, _, _ = rectangle_count(r_value, box_left, 2.0, _BASE_FLOOR,
-                                      DESK_T0, tol)
-        _BASE_COUNT_CACHE[key] = count
-    return _BASE_COUNT_CACHE[key]
+                                      DESK_T0)
+        _BASE_COUNT_CACHE[box_left] = count
+    return _BASE_COUNT_CACHE[box_left]
 
 
-def adequate_box_left(t_hi: float, box_left: float = -6.0,
-                      tol: float = 1e-3) -> float:
+def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     """Left box edge certified to have no zeros further left on
     DESK_T0 <= t <= t_hi.
 
@@ -456,7 +458,7 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0,
     left = box_left
     for _ in range(MAX_WIDENINGS):
         strip, _, _ = rectangle_count(r_value, left - 20.0, left, DESK_T0,
-                                      t_hi, tol)
+                                      t_hi)
         if strip == 0:
             return left
         left -= 20.0
@@ -465,18 +467,17 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0,
     )
 
 
-def residual_table(ts, box_left: float = -6.0, tol: float = 1e-3,
-                   certify_left: bool = True) -> list[CountResult]:
+def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     """CountResult per T over an increasing grid of heights above DESK_T0.
 
     This is where N(T) is assembled: the base count below DESK_T0 plus the
     winding of R around [left, 2] x [t_prev, T] for each height in turn,
     t_prev being the top of the previous strip (DESK_T0 for the first).
     Consecutive heights share contour edges, so the table costs little more
-    than a single count to max(ts).  The box uses one left edge wide enough
-    for the whole grid (certified on the full-height strip when
-    ``certify_left``).  Zero-on-contour heights are perturbed by multiples
-    of tol.
+    than a single count to max(ts).  The box uses one left edge, from
+    ``box_left`` widened by adequate_box_left until the full-height strip
+    further left is certified empty.  A zero on the contour moves a strip's
+    top by a multiple of PERTURB_STEP; the next strip starts there.
     """
     ts = list(ts)
     if box_left > -2.0:
@@ -487,14 +488,12 @@ def residual_table(ts, box_left: float = -6.0, tol: float = 1e-3,
         raise DomainError(f"heights must rise above {DESK_T0}, got {ts[0]}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("heights must be strictly increasing")
-    left = adequate_box_left(ts[-1], box_left, tol) if certify_left \
-        else box_left
-    running = base_count(left, tol)
+    left = adequate_box_left(ts[-1], box_left)
+    running = base_count(left)
     prev_hi = DESK_T0
     results = []
     for big_t in ts:
-        strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi,
-                                           big_t, tol)
+        strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
         running += strip
         smooth, sqrt_term = main_term(big_t)
         main_value = smooth - sqrt_term

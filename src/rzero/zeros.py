@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .auxiliary import r_derivative, r_value, values_at
-from .counting import arg_variation, integer_winding, rectangle_count
+from .counting import (
+    PERTURB_STEP,
+    arg_variation,
+    integer_winding,
+    rectangle_count,
+)
 from .errors import (
     ContourZeroError,
     DomainError,
@@ -147,7 +152,7 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     return minimum < 1e-4 * local_scale
 
 
-def _split_conserving(f, box: Box, parent_w: int, tol: float):
+def _split_conserving(f, box: Box, parent_w: int):
     """Split the box into two children whose windings sum to the parent's,
     nudging the cut (deterministic ladder) when a zero lands on it or the
     children disagree with the parent."""
@@ -156,7 +161,7 @@ def _split_conserving(f, box: Box, parent_w: int, tol: float):
         b1, b2 = box.split(off)
         try:
             w1, w2 = (rectangle_count(f, b.sigma_lo, b.sigma_hi, b.t_lo,
-                                      b.t_hi, tol)[0] for b in (b1, b2))
+                                      b.t_hi)[0] for b in (b1, b2))
         except (ZeroOnPathError, ContourZeroError, NonIntegerWindingError) as exc:
             last = exc
             continue
@@ -171,7 +176,7 @@ def _split_conserving(f, box: Box, parent_w: int, tol: float):
 
 
 def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
-                  tol: float = 1e-3, f: Callable[[complex], complex] | None = None,
+                  f: Callable[[complex], complex] | None = None,
                   ) -> IsolationResult:
     """Subdivide ``box`` into disjoint winding-1 rectangles.
 
@@ -184,7 +189,7 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     if f is None:
         f = r_value
     total, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
-                                  box.t_hi, tol)
+                                  box.t_hi)
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
     stack = [(box, total)]
@@ -198,7 +203,7 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
         if piece.max_side < min_size:
             clusters.append((piece, w))
             continue
-        (b1, w1), (b2, w2) = _split_conserving(f, piece, w, tol)
+        (b1, w1), (b2, w2) = _split_conserving(f, piece, w)
         stack.append((b1, w1))
         stack.append((b2, w2))
     isolated.sort(key=lambda b: (b.t_lo, b.sigma_lo))
@@ -228,8 +233,7 @@ def _circle_winding(f, center: complex, radius: float) -> int:
     return integer_winding(trace.total_variation / TWO_PI)
 
 
-def refine_zero(seed: Box, tol: float = 1e-3,
-                f: Callable[[complex], complex] | None = None,
+def refine_zero(seed: Box, f: Callable[[complex], complex] | None = None,
                 df: Callable[[complex], complex] | None = None) -> Zero:
     """Refine a winding-1 seed rectangle to a certified Zero.
 
@@ -245,8 +249,8 @@ def refine_zero(seed: Box, tol: float = 1e-3,
             df = r_derivative
 
     # The refined point must land in the seed box (slightly extended: the
-    # winding windows may have been perturbed by a few multiples of tol).
-    accept_margin = 6.0 * tol
+    # winding windows may have been perturbed by a few PERTURB_STEPs).
+    accept_margin = 6.0 * PERTURB_STEP
 
     def newton_from(z0: complex, box: Box):
         z = z0
@@ -295,13 +299,12 @@ def refine_zero(seed: Box, tol: float = 1e-3,
         # bisection-style fallback: shrink to the winding-1 child and retry
         if box.max_side < 64.0 * NEWTON_STEP_TOL:
             break
-        (b1, w1), (b2, w2) = _split_conserving(f, box, 1, tol)
+        (b1, w1), (b2, w2) = _split_conserving(f, box, 1)
         box = b1 if w1 == 1 else b2
     raise NewtonError(f"Newton failed to converge inside {seed}")
 
 
 def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
-                 tol: float = 1e-3,
                  f: Callable[[complex], complex] | None = None,
                  df: Callable[[complex], complex] | None = None,
                  ) -> tuple[list[Zero], list[tuple[Box, int]]]:
@@ -310,8 +313,8 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     Output is ordered by gamma then beta, independent of the subdivision
     execution order.
     """
-    iso = isolate_zeros(box, min_size=min_size, tol=tol, f=f)
-    zeros = [refine_zero(piece, tol=tol, f=f, df=df) for piece in iso.isolated]
+    iso = isolate_zeros(box, min_size=min_size, f=f)
+    zeros = [refine_zero(piece, f=f, df=df) for piece in iso.isolated]
     zeros.sort(key=lambda z: (z.gamma, z.beta))
     return zeros, iso.clusters
 

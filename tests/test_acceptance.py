@@ -54,7 +54,7 @@ def zero_survey():
 @pytest.fixture(scope="session")
 def count_table():
     t0 = time.perf_counter()
-    table = residual_table(TABLE_GRID, box_left=-6.0, certify_left=True)
+    table = residual_table(TABLE_GRID, box_left=-6.0)
     _timings["table"] = time.perf_counter() - t0
     return table
 
@@ -78,8 +78,7 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_counting_consistency(zero_survey):
     started = time.perf_counter()
     heights = [50.0, 100.0, 200.0, 400.0]
-    table = residual_table(heights, box_left=SURVEY_BOX.sigma_lo,
-                           certify_left=False)
+    table = residual_table(heights, box_left=SURVEY_BOX.sigma_lo)
     base = base_count(SURVEY_BOX.sigma_lo)
     lines = []
     for res in table:

@@ -252,7 +252,7 @@ class TestExitCodes:
         assert out == ""
         assert "forced failure" in err
 
-    @pytest.mark.parametrize("tol", ["0", "-0.001", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["0", "-0.001", "nan", "inf", "0.002"])
     @pytest.mark.parametrize("command", ["count", "table", "zeros"])
     def test_bad_tol_exits_2(self, monkeypatch, capsys, command, tol):
         def never(*args, **kwargs):
@@ -265,16 +265,6 @@ class TestExitCodes:
         assert code == EXIT_EVAL_FAIL
         assert out == ""
         assert len(err.splitlines()) == 1 and "--tol" in err
-
-    @pytest.mark.parametrize("argv, expected", [
-        ((), 1e-3), (("--tol", "0.002"), 0.002)])
-    def test_contour_tol_passed(self, monkeypatch, capsys, argv, expected):
-        seen = []
-        monkeypatch.setattr(cli, "residual_table",
-                            lambda ts, box_left, tol: seen.append(tol) or [])
-        run(capsys, "--command", "count", "--t-min", "20", "--t-max", "40",
-            "--t-step", "20", *argv)
-        assert seen == [expected]
 
     def test_validate_keeps_suite_tolerance(self):
         config = RunConfig(command="validate", tol=0.0)

@@ -12,6 +12,7 @@ from rzero.counting import (
     ContourSpec,
     CountResult,
     PathSegment,
+    adequate_box_left,
     arg_variation,
     backlund_bound,
     base_count,
@@ -25,6 +26,7 @@ from rzero.counting import (
     winding_value,
 )
 from rzero.errors import (
+    ContourZeroError,
     DomainError,
     NonIntegerWindingError,
     ZeroOnPathError,
@@ -195,7 +197,7 @@ class TestMainTerm:
 class TestCountZeros:
     def test_empty_strip(self):
         # no zero below DESK_T0 and none in the strip up to 20
-        res = residual_table([20.0], certify_left=False)[0]
+        res = residual_table([20.0])[0]
         assert res.count == 0
         assert res.residual == pytest.approx(res.count - res.main_value)
 
@@ -210,18 +212,26 @@ class TestCountZeros:
             residual_table([20.0, 10.0])
 
     def test_strip_10_60(self):
-        res = residual_table([60.0], certify_left=False)[0]
+        res = residual_table([60.0])[0]
         assert res.count == 6
         assert res.window[0] == pytest.approx(10.0, abs=0.01)
         assert res.residual == pytest.approx(res.count - res.main_value)
         assert res.top_bound == top_edge_certificate(res.window[1], -6.0)
+
+    def test_left_edge_widens_past_a_zero(self):
+        # the zero -2.8217 + 54.2696i lies left of sigma = -2, so the box
+        # must widen to -22 before the table counts it
+        assert adequate_box_left(60.0, -2.0) == -22.0
+        res = residual_table([60.0], box_left=-2.0)[0]
+        assert res.count == 6
+        assert res.count == residual_table([60.0])[0].count
 
     def test_additivity(self):
         lo, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
         hi, _, _ = rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
         full, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
         assert lo + hi == full
-        table = residual_table([45.0, 80.0], certify_left=False)
+        table = residual_table([45.0, 80.0])
         assert table[0].count - base_count() == lo
         assert table[1].count - table[0].count == hi
 
@@ -232,6 +242,16 @@ class TestCountZeros:
         with pytest.raises(NonIntegerWindingError):
             counting_mod.rectangle_count(lambda z: z - (0.5 + 30j),
                                          -6.0, 2.0, 10.0, 60.0)
+
+    def test_ladder_moves_only_the_top(self):
+        # a zero on the top edge is escaped by raising the top; the bottom
+        # never moves, so a zero on it stays on the contour
+        count, window, _ = rectangle_count(lambda z: z - (0.5 + 20j),
+                                           -6.0, 2.0, 10.0, 20.0)
+        assert count == 1
+        assert window == (10.0, 20.0 + 1e-3)
+        with pytest.raises(ContourZeroError):
+            rectangle_count(lambda z: z - (0.5 + 10j), -6.0, 2.0, 10.0, 20.0)
 
     def test_polynomial_rectangle(self):
         count, window, traces = rectangle_count(
@@ -279,7 +299,7 @@ class TestTopEdgeCertificate:
 
 class TestResidualTable:
     def test_small_grid(self):
-        table = residual_table([20.0, 40.0, 60.0], certify_left=False)
+        table = residual_table([20.0, 40.0, 60.0])
         assert [r.big_t for r in table] == [20.0, 40.0, 60.0]
         counts = [r.count for r in table]
         assert counts == sorted(counts)
@@ -290,7 +310,7 @@ class TestResidualTable:
 
     def test_square_heights(self):
         k = 3
-        table = residual_table([TWO_PI * k * k], certify_left=False)
+        table = residual_table([TWO_PI * k * k])
         assert table[0].sqrt_term == pytest.approx(k / 2.0, rel=1e-13)
 
     def test_monotone_grid_required(self):
@@ -298,7 +318,7 @@ class TestResidualTable:
             residual_table([30.0, 30.0])
 
     def test_matches_direct_count(self):
-        table = residual_table([30.0, 55.0], certify_left=False)
+        table = residual_table([30.0, 55.0])
         direct, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 55.0)
         assert table[-1].count - base_count() == direct
 
@@ -319,22 +339,19 @@ class TestResidualTable:
             return result
 
         monkeypatch.setattr(counting_mod, "_rectangle_winding", zero_once)
-        table = residual_table([20.0, 40.0, 60.0], certify_left=False)
+        table = residual_table([20.0, 40.0, 60.0])
         assert forced == [40.0]
         return table, evaluated
 
     def test_window_is_evaluated_rectangle(self, monkeypatch):
-        # the ladder moves the forced strip (today to 40.001 -> 60.001); each
-        # row reports the strip that was counted, not the requested one
+        # the ladder moves the forced strip's top (to 40 -> 60.001); each row
+        # reports the strip that was counted, not the requested one
         table, evaluated = self._table_with_zero_on_strip(monkeypatch)
         assert [row.window for row in table] == evaluated[-3:]
         assert table[0].window == (10.0, 20.0)
         assert table[1].window == (20.0, 40.0)
         assert table[2].window[1] == pytest.approx(60.001, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4, window gap: the ladder moves a strip's bottom with "
-        "its top, so [40, 40.001] is counted in no row"))
     def test_strips_are_contiguous(self, monkeypatch):
         table, _ = self._table_with_zero_on_strip(monkeypatch)
         assert table[2].window[0] == table[1].window[1]
