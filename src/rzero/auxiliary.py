@@ -305,6 +305,11 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
     [total, coarse, abs_total, ends, sum_red, res_phase] that _pass_figures
     reads and _sum_level extends.  Each row of the block gets the same bits
     as a block of that point alone.
+
+    The largest residue n^{-s} has modulus e^{-sigma log q}, beyond the
+    double range once sigma log q < -709; such a point's residues are formed
+    in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
+    only when some point needs it, so every other row keeps its bits.
     """
     logx, rest, (peak_logx, peak_rest) = _LATTICE.rows(q, step, n, True)
     s = np.array(zs)[:, None]
@@ -314,10 +319,14 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
     # numpy's buffered path; the bits are the same
     w = _channels(np.exp(lg - m.astype(complex)[:, None]), logx, derivative)
     m = m.tolist()
-    res = _channels(np.exp(-s * _log_n(q)), _log_n(q), derivative)
+    log_q = math.log(q) if q > 1 else 0.0
+    mr = [max(0.0, -z.real * log_q - 700.0) for z in zs]
+    exponents = -s * _log_n(q)
+    if any(mr):
+        exponents -= np.array(mr, dtype=complex)[:, None]
+    res = _channels(np.exp(exponents), _log_n(q), derivative)
     if q > 1:
         # the phase s log n of a residue is good to about eps |s| log q
-        log_q = math.log(q)
         abs_res = _sum_rows(np.abs(res), axis=1).tolist()
     c = 1 + derivative  # channels per point
     sums = []
@@ -327,7 +336,7 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
             _sum_rows(w, axis=1).tolist(), _sum_rows(w[:, ::2], axis=1).tolist(),
             _sum_rows(np.abs(w), axis=1).tolist(), w[:, 0].tolist(),
             w[:, -1].tolist(), _sum_rows(res, axis=1).tolist())):
-        mi = m[i // c]
+        mi = m[i // c] - mr[i // c]  # the residues' scale
         sums.append([total, coarse, abs_total, abs(first) + abs(last),
                      _reduced(res_sum, mi),
                      math.exp(math.log(abs_res[i] * abs(zs[i // c]) * log_q)
@@ -770,8 +779,11 @@ def r_eval(s) -> EvaluationResult:
     fitted to the discrepancies of the last two grids, predicts the error of
     the finer one below PRED_TARGET.  error_estimate is that prediction
     (the discrepancy while the grids are pre-asymptotic) plus the tails and
-    a rounding floor.  All zero counting uses this quadrature route; the
-    asymptotic surrogate is for comparison studies only.
+    a rounding floor.  Zero counting and isolation sample R through this
+    route on every edge they walk.  Above counting.CURVE_T0 the left side
+    of the counting contour follows curve_sigma, where the argument of R
+    comes from the asymptotic surrogate r_asymptotic; this route gives R at
+    the side's two ends only, where it checks the surrogate.
     """
     z = _checked(s)
     return _r_eval_cached(z.real, z.imag, False)
@@ -811,6 +823,13 @@ def r_eval_cache_clear() -> None:
 SURROGATE_T_MIN = 50.0  # lowest height at which r_asymptotic is admissible
 
 
+def curve_sigma(t: float) -> float:
+    """1 - t^{2/5} log t: r_asymptotic is admissible left of this abscissa
+    at height t >= SURROGATE_T_MIN, and the counting contour above
+    counting.CURVE_T0 runs along it."""
+    return 1.0 - t ** 0.4 * math.log(t)
+
+
 def r_asymptotic(s) -> EvaluationResult:
     """Left-region surrogate for R(s):
 
@@ -825,7 +844,7 @@ def r_asymptotic(s) -> EvaluationResult:
     t = z.imag
     if t < SURROGATE_T_MIN:
         raise RegionError(f"surrogate requires t >= {SURROGATE_T_MIN}, got {t}")
-    sigma_max = 1.0 - t ** 0.4 * math.log(t)
+    sigma_max = curve_sigma(t)
     if z.real > sigma_max:
         raise RegionError(
             f"surrogate requires sigma <= {sigma_max:.3f} at t = {t}, got {z.real}"

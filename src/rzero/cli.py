@@ -158,13 +158,19 @@ COUNT_COLUMNS = ["big_t", "count", "smooth_term", "sqrt_term", "main_value",
                  "residual", "certificates"]
 
 
+def _certificates(r: counting.CountResult) -> str:
+    """``top:<bound>``, plus ``;turns:<top_turns>`` for a curve row."""
+    cell = "top:" + ("-" if r.top_bound is None else format(r.top_bound, ".6g"))
+    if r.top_turns is not None:
+        cell += ";turns:" + format(r.top_turns, ".6g")
+    return cell
+
+
 def _count_rows(results: list[counting.CountResult]) -> list[dict]:
     return [{
         "big_t": r.big_t, "count": r.count, "smooth_term": r.smooth_term,
         "sqrt_term": r.sqrt_term, "main_value": r.main_value,
-        "residual": r.residual,
-        "certificates": "top:" + ("-" if r.top_bound is None
-                                  else format(r.top_bound, ".6g")),
+        "residual": r.residual, "certificates": _certificates(r),
     } for r in results]
 
 

@@ -11,12 +11,19 @@ and the least-squares fit of its square-root coefficient.
 This is the one winding engine: ``winding_value`` and ``_rectangle_winding``
 share one sum over a contour, and ``integer_winding`` is the one
 integrality guard, also used by the circle certificates of ``zeros``.
-Counting works on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]; the
-region further left is certified empty by checking that an adjacent strip
-has winding zero.  ``residual_table`` is the one place where N(T) is
-assembled: the base count below DESK_T0 plus one strip per height.  A zero
-on a contour is escaped by ``rectangle_count``'s one perturbation ladder,
-in steps of the constant PERTURB_STEP.
+``residual_table`` is the one place where N(T) is assembled.  Up to
+CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
+the base count below DESK_T0 plus one strip per height, the region further
+left certified empty by an adjacent strip of winding zero.  Above CURVE_T0
+it counts on the paper's contour, whose left side follows the curve
+sigma = 1 - t^{2/5} log t where R is close to the asymptotic surrogate S;
+only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
+of R instead of O(T log T).  Three sampled facts carry that contour, each
+checked where a row already has the values: |R/S - 1| < 1 along the curve
+(|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT
+at each height) and the continuity of Im log S along the curve (tested on
+a grid of step 1/4 to T = 10^4).  A zero on a contour is escaped by one
+perturbation ladder, in steps of the constant PERTURB_STEP.
 """
 
 from __future__ import annotations
@@ -25,16 +32,29 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .auxiliary import r_value, values_at
+from .auxiliary import (
+    curve_sigma,
+    r_asymptotic,
+    r_eval,
+    r_value,
+    values_at,
+)
 from .errors import (
+    BacklundError,
     ContourZeroError,
     DomainError,
     NonIntegerWindingError,
+    RegionError,
     ZeroOnPathError,
 )
 from .special_functions import TWO_PI
 
 DESK_T0 = 10.0            # desk-scale counting base height
+# Heights above CURVE_T0 are counted on the curve contour; its left side
+# needs r_asymptotic, so CURVE_T0 >= SURROGATE_T_MIN.
+CURVE_T0 = 100.0
+U_LIMIT = 0.5      # largest |R/S - 1| accepted at an end of the curve side
+RIGHT_LIMIT = 0.75  # |R(2 + it) - 1| must stay below this on sigma = 2
 PHASE_LIMIT = 0.5 * math.pi
 MAX_REFINE_DEPTH = 24
 MAX_WIDENINGS = 4
@@ -330,15 +350,20 @@ def main_term(big_t: float) -> tuple[float, float]:
 class CountResult:
     """Zero count up to height big_t with the main-term decomposition.
 
-    count      -- N(big_t): the base count below DESK_T0 plus the windings of
-                  the stacked strips up to this height
+    count      -- N(big_t) as residual_table assembles it: the base count
+                  below DESK_T0 plus the windings of the stacked strips, and
+                  above CURVE_T0 the winding of the curve contour
     main_value -- smooth_term - sqrt_term
     residual   -- count - main_value
     top_bound  -- Backlund bound (turns) on the argument variation along the
                   top edge, from top_edge_certificate; None where the disc
                   geometry is not admissible
     window     -- (t_lo, t_hi) of the strip rectangle_count evaluated for
-                  this row, after zero-on-contour perturbation
+                  this row, or (t0, T) of the curve contour above CURVE_T0,
+                  after zero-on-contour perturbation
+    top_turns  -- measured variation (turns) along the curve contour's top
+                  edge, from sigma = 2 to the curve, checked against
+                  top_bound; None for a strip row
     """
 
     big_t: float
@@ -348,6 +373,7 @@ class CountResult:
     residual: float
     top_bound: float | None = None
     window: tuple[float, float] = (0.0, 0.0)
+    top_turns: float | None = None
 
     @property
     def smooth_term(self) -> float:
@@ -390,15 +416,21 @@ def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     return raw, dict(zip(("bottom", "right", "top", "left"), traces))
 
 
+def _t_steps():
+    """Offsets of a horizontal edge on the perturbation ladder."""
+    yield 0.0
+    for k in range(1, 6):
+        yield k * PERTURB_STEP
+        yield -k * PERTURB_STEP
+
+
 def _perturbation_ladder():
     # t-steps of the top edge first (the common case is a zero on a
     # horizontal edge), then sigma-shifts for zeros sitting on a vertical
     # edge.  The bottom edge never moves, so a strip stacked on a previous
     # top stays contiguous with it.
-    yield 0.0, 0.0
-    for k in range(1, 6):
-        yield k * PERTURB_STEP, 0.0
-        yield -k * PERTURB_STEP, 0.0
+    for dt in _t_steps():
+        yield dt, 0.0
     for k in range(1, 6):
         yield 0.0, k * PERTURB_STEP
         yield 0.0, -k * PERTURB_STEP
@@ -447,7 +479,7 @@ def base_count(box_left: float = -6.0) -> int:
 
 def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     """Left box edge certified to have no zeros further left on
-    DESK_T0 <= t <= t_hi.
+    DESK_T0 <= t <= t_hi (residual_table asks up to CURVE_T0 at most).
 
     Starting from ``box_left``, the adjacent strip of width 20 is checked
     for winding zero; the edge moves left (at most MAX_WIDENINGS times)
@@ -467,17 +499,108 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     )
 
 
+def _curve_turns(t: float) -> tuple[float, float, float, float | None]:
+    """(t, phi(t) / 2 pi, top_turns, top_bound) at height t of the curve
+    contour.
+
+    The top edge [curve_sigma(t), 2] + it is walked by arg_variation;
+    top_turns is its variation from sigma = 2 to the curve, in turns.  phi(t)
+    is Arg R(2 + it) plus that variation minus the argument of R at the
+    curve point taken as Im log S + Arg(1 + u), S = r_asymptotic and
+    u = R/S - 1.  Both are determinations of one argument, so the winding of
+    the contour between heights t0 < t is (phi(t) - phi(t0)) / 2 pi, while
+    Arg R stays principal on sigma = 2 and Im log S + Arg(1 + u) continuous
+    along the curve.  The values at hand are checked for that: RegionError
+    unless |R(2 + it) - 1| < RIGHT_LIMIT and |u| <= U_LIMIT.  BacklundError
+    when |top_turns| exceeds top_bound, the edge's top_edge_certificate.
+    """
+    left = curve_sigma(t)
+    corner = complex(left, t)
+    edge = arg_variation(r_value, PathSegment.line(corner, complex(2.0, t)),
+                         seeds=_edge_seeds(t, 2.0 - left, False))
+    top_turns = -edge.total_variation / TWO_PI
+    bound = top_edge_certificate(t, left)
+    if bound is not None and abs(top_turns) > bound:
+        raise BacklundError(f"top edge at t = {t} turns {top_turns:.4f} "
+                            f"times, beyond its bound {bound:.4f}")
+    right = r_eval(complex(2.0, t)).value
+    if not abs(right - 1.0) < RIGHT_LIMIT:
+        raise RegionError(f"|R - 1| = {abs(right - 1.0):.3f} at 2 + {t}i, "
+                          f"not below {RIGHT_LIMIT}")
+    log_s = r_asymptotic(corner).log_value
+    ratio = cmath.exp(r_eval(corner).log_value - log_s)
+    if not abs(ratio - 1.0) <= U_LIMIT:
+        raise RegionError(f"|R/S - 1| = {abs(ratio - 1.0):.3f} at {corner}, "
+                          f"above {U_LIMIT}")
+    phi = (cmath.phase(right) + TWO_PI * top_turns
+           - log_s.imag - cmath.phase(ratio))
+    return t, phi / TWO_PI, top_turns, bound
+
+
+def _on_ladder(t: float, floor: float, walk):
+    """walk(t + dt) for the first t-step dt of the perturbation ladder with
+    t + dt >= floor on which walk meets no zero."""
+    last: ZeroOnPathError | None = None
+    for dt in _t_steps():
+        if t + dt >= floor:
+            try:
+                return walk(t + dt)
+            except ZeroOnPathError as exc:
+                last = exc
+    raise ContourZeroError(
+        f"zero persists on the curve contour's edge at t = {t}: {last}")
+
+
+def _curve_base(left: float, count: int, prev_hi: float):
+    """(N(t0), _curve_turns(t0)) at the bottom edge t0 of the curve
+    contour, given count = N(prev_hi): t0 is max(prev_hi, CURVE_T0) moved
+    along the ladder, and the strip [left, 2] x [prev_hi, t0] is counted on
+    top of N(prev_hi)."""
+
+    def walk(t0):
+        n = count
+        if t0 > prev_hi:
+            strip, (_, t0), _ = rectangle_count(r_value, left, 2.0, prev_hi,
+                                                t0)
+            n += strip
+        return n, _curve_turns(t0)
+
+    return _on_ladder(max(prev_hi, CURVE_T0), prev_hi, walk)
+
+
+def _result(big_t: float, count: int, window: tuple[float, float],
+            top_bound: float | None,
+            top_turns: float | None = None) -> CountResult:
+    smooth, sqrt_term = main_term(big_t)
+    main_value = smooth - sqrt_term
+    return CountResult(
+        big_t=big_t, count=count, main_value=main_value, sqrt_term=sqrt_term,
+        residual=count - main_value, top_bound=top_bound, window=window,
+        top_turns=top_turns,
+    )
+
+
 def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     """CountResult per T over an increasing grid of heights above DESK_T0.
 
-    This is where N(T) is assembled: the base count below DESK_T0 plus the
-    winding of R around [left, 2] x [t_prev, T] for each height in turn,
-    t_prev being the top of the previous strip (DESK_T0 for the first).
-    Consecutive heights share contour edges, so the table costs little more
-    than a single count to max(ts).  The box uses one left edge, from
-    ``box_left`` widened by adequate_box_left until the full-height strip
-    further left is certified empty.  A zero on the contour moves a strip's
-    top by a multiple of PERTURB_STEP; the next strip starts there.
+    This is where N(T) is assembled.  Up to CURVE_T0 it is the base count
+    below DESK_T0 plus the winding of R around [left, 2] x [t_prev, T] for
+    each height in turn, t_prev being the top of the previous strip (DESK_T0
+    for the first).  The box uses one left edge, from ``box_left`` widened
+    by adequate_box_left until the strip further left is certified empty up
+    to min(max(ts), CURVE_T0).  A zero on the contour moves a strip's top by
+    a multiple of PERTURB_STEP; the next strip starts there.
+
+    Above CURVE_T0 the count is N(t0) (one more strip, to t0 = CURVE_T0)
+    plus the winding of the paper's contour: the bottom edge
+    [curve_sigma(t0), 2] + it0, walked once for all rows; sigma = 2 from t0
+    to T, taken as the difference of principal Args of R; the top edge
+    [curve_sigma(T), 2] + iT, walked by arg_variation; and the curve
+    sigma = curve_sigma(t) from T down to t0, where the argument of R is
+    that of the asymptotic surrogate S times 1 + u, u = R/S - 1, so R is
+    needed only at its ends (see _curve_turns).  Only the top edge grows
+    with T, as T^{2/5} log T.  A zero on the top or bottom edge moves it by
+    the ladder's t-steps; ``window`` is the realised (t0, T).
     """
     ts = list(ts)
     if box_left > -2.0:
@@ -488,19 +611,23 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
         raise DomainError(f"heights must rise above {DESK_T0}, got {ts[0]}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("heights must be strictly increasing")
-    left = adequate_box_left(ts[-1], box_left)
+    left = adequate_box_left(min(ts[-1], CURVE_T0), box_left)
     running = base_count(left)
     prev_hi = DESK_T0
     results = []
-    for big_t in ts:
+    stacked = [t for t in ts if t <= CURVE_T0]
+    for big_t in stacked:
         strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
         running += strip
-        smooth, sqrt_term = main_term(big_t)
-        main_value = smooth - sqrt_term
-        results.append(CountResult(
-            big_t=big_t, count=running, main_value=main_value,
-            sqrt_term=sqrt_term, residual=running - main_value,
-            top_bound=top_edge_certificate(window[1], left), window=window,
-        ))
+        results.append(_result(big_t, running, window,
+                               top_edge_certificate(window[1], left)))
         prev_hi = window[1]
+    if len(stacked) == len(ts):
+        return results
+    running, (t0, turns0, _, _) = _curve_base(left, running, prev_hi)
+    for big_t in ts[len(stacked):]:
+        hi, turns, top_turns, bound = _on_ladder(big_t, t0, _curve_turns)
+        count = running + integer_winding(
+            turns - turns0, f" on the curve contour [{t0}, {hi}]")
+        results.append(_result(big_t, count, (t0, hi), bound, top_turns))
     return results

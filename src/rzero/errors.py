@@ -59,3 +59,8 @@ class ContourZeroError(RZeroError, ArithmeticError):
 
 class NewtonError(RZeroError, ArithmeticError):
     """Newton refinement of a zero failed to converge."""
+
+
+class BacklundError(RZeroError, ArithmeticError):
+    """A measured argument variation along a contour edge exceeded the
+    Backlund bound that certifies it."""

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from .auxiliary import r_asymptotic, r_eval, zeta_from_r, zeta_reference
+from .auxiliary import (
+    curve_sigma,
+    r_asymptotic,
+    r_eval,
+    zeta_from_r,
+    zeta_reference,
+)
 from .counting import BacklundInput, PathSegment, arg_variation, backlund_bound
 from .special_functions import TWO_PI, _chi_batch, eta_batch
 from .zeros import Box
@@ -117,7 +123,7 @@ def left_region(rng, samples: int) -> tuple[float, float]:
     worst = high_t_worst = 0.0
     for t in np.exp(rng.uniform(math.log(50.0), math.log(2000.0), samples)):
         t = float(t)
-        s = complex(1.0 - t ** 0.4 * math.log(t), t)
+        s = complex(curve_sigma(t), t)
         log_r = r_eval(s).log_value
         u = 1.0 if log_r is None else abs(
             cmath.exp(log_r - r_asymptotic(s).log_value) - 1.0)

@@ -174,6 +174,14 @@ class TestREval:
         b = r_eval(0.25 + 33.3j)
         assert a is b
 
+    def test_far_left_residues_in_range(self):
+        # the largest residue n^{-s} is e^{300 log 28}, past the double
+        # range; R there is finite in log form and agrees with the surrogate
+        s = complex(-300.0, 5000.0)
+        log_r = r_eval(s).log_value
+        assert log_r is not None and cmath.isfinite(log_r)
+        assert abs(cmath.exp(log_r - r_asymptotic(s).log_value) - 1.0) < 0.05
+
 
 # sigma in [-2, 3] at the four layer heights of the benchmark
 REUSE_POINTS = [complex(-1.3, 20.4), complex(0.5, 101.7), complex(2.6, 493.2),

@@ -96,6 +96,16 @@ class TestCount:
         assert code == EXIT_OK
         assert n_count == len(zs)
 
+    def test_certificates_cell(self, capsys):
+        code, out, _ = run(capsys, "--command", "count", "--t-min", "100",
+                           "--t-max", "150", "--t-step", "50")
+        assert code == EXIT_OK
+        strip_row, curve_row = parse_rows(out)
+        assert strip_row["certificates"] == "top:-"
+        top, turns = curve_row["certificates"].split(";")
+        assert top.startswith("top:") and turns.startswith("turns:")
+        assert abs(float(turns[len("turns:"):])) <= float(top[len("top:"):])
+
     def test_empty_grid(self, capsys):
         code, _, err = run(capsys, "--command", "count", "--t-min", "5",
                            "--t-max", "9", "--t-step", "1")

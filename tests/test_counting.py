@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rzero.auxiliary import r_value
+from rzero import auxiliary
+from rzero.auxiliary import (
+    SURROGATE_T_MIN,
+    curve_sigma,
+    r_asymptotic,
+    r_eval_many,
+    r_value,
+)
 from rzero.counting import (
+    CURVE_T0,
+    PERTURB_STEP,
     BacklundInput,
     ContourSpec,
     CountResult,
@@ -26,9 +35,11 @@ from rzero.counting import (
     winding_value,
 )
 from rzero.errors import (
+    BacklundError,
     ContourZeroError,
     DomainError,
     NonIntegerWindingError,
+    RegionError,
     ZeroOnPathError,
 )
 from rzero.special_functions import TWO_PI
@@ -355,6 +366,92 @@ class TestResidualTable:
     def test_strips_are_contiguous(self, monkeypatch):
         table, _ = self._table_with_zero_on_strip(monkeypatch)
         assert table[2].window[0] == table[1].window[1]
+
+
+class TestCurveContour:
+    def test_t0_admits_the_surrogate(self):
+        assert CURVE_T0 >= SURROGATE_T_MIN
+
+    @pytest.mark.parametrize("big_t, expected", [(5000.0, 2247),
+                                                 (10000.0, 5051)])
+    def test_far_heights(self, big_t, expected):
+        # 2247 is also the stacked-strip count of [-6, 2] x [10, 5000], which
+        # takes 91 317 R computations; the curve contour samples only its
+        # top edge (2592 R computations from a cold cache)
+        before = auxiliary._R_CACHE.cache_info().misses
+        (row,) = residual_table([big_t])
+        assert auxiliary._R_CACHE.cache_info().misses - before < 4000
+        assert row.count == expected
+        assert row.window == (CURVE_T0, big_t)
+        assert abs(row.top_turns) <= row.top_bound
+
+    def test_row_at_t0_is_a_strip_row(self):
+        table = residual_table([60.0, CURVE_T0, 150.0])
+        assert [r.big_t for r in table] == [60.0, CURVE_T0, 150.0]
+        assert table[1].window == (60.0, CURVE_T0)
+        assert table[1].count == 13 and table[1].top_turns is None
+        assert table[2].window == (CURVE_T0, 150.0)
+        strip, _, _ = rectangle_count(r_value, -6.0, 2.0, CURVE_T0, 150.0)
+        assert table[2].count == 13 + strip
+        assert table[2].count == residual_table([150.0])[0].count
+
+    @pytest.mark.parametrize("height, window", [
+        (150.0, (CURVE_T0, 150.0 + PERTURB_STEP)),
+        (CURVE_T0, (CURVE_T0 + PERTURB_STEP, 150.0)),
+    ], ids=["top", "bottom"])
+    def test_ladder_moves_a_curve_edge(self, monkeypatch, height, window):
+        # a zero forced once onto the edge [curve_sigma(t), 2] + it at this
+        # height moves that edge up by one ladder step; the count holds
+        import rzero.counting as counting_mod
+        expected = residual_table([150.0])[0].count
+        walk = counting_mod.arg_variation
+        corner = complex(curve_sigma(height), height)
+        forced = []
+
+        def zero_once(f, path, seeds=16):
+            if path.first == corner and not forced:
+                forced.append(corner)
+                raise ZeroOnPathError("forced", where=corner)
+            return walk(f, path, seeds=seeds)
+
+        monkeypatch.setattr(counting_mod, "arg_variation", zero_once)
+        (row,) = residual_table([150.0])
+        assert forced == [corner]
+        assert row.window == window
+        assert row.count == expected
+
+    def test_backlund_check(self, monkeypatch):
+        import rzero.counting as counting_mod
+        monkeypatch.setattr(counting_mod, "top_edge_certificate",
+                            lambda t, left: 1e-3 if t > 120.0 else None)
+        with pytest.raises(BacklundError):
+            residual_table([150.0])
+
+    @pytest.mark.parametrize("limit", ["U_LIMIT", "RIGHT_LIMIT"])
+    def test_heuristic_checks_raise(self, monkeypatch, limit):
+        import rzero.counting as counting_mod
+        monkeypatch.setattr(counting_mod, limit, 0.0)
+        with pytest.raises(RegionError):
+            residual_table([150.0])
+
+    def test_log_surrogate_continuous_on_curve(self):
+        # the curve side's argument is Im log S; summed principal increments
+        # on a grid of step 1/4 must reproduce its direct difference
+        ts = np.arange(100.0, 10000.0 + 0.125, 0.25)
+        phases = [r_asymptotic(complex(curve_sigma(t), t)).log_value.imag
+                  for t in ts.tolist()]
+        summed = math.fsum(math.remainder(b - a, TWO_PI)
+                           for a, b in zip(phases, phases[1:]))
+        assert abs(summed - (phases[-1] - phases[0])) <= 1e-9
+
+    def test_surrogate_ratio_small_on_curve(self):
+        # |u| = |R/S - 1| at dense heights of the curve side
+        points = [complex(curve_sigma(t), t)
+                  for t in np.linspace(100.0, 2000.0, 1901).tolist()]
+        worst = max(
+            abs(cmath.exp(res.log_value - r_asymptotic(s).log_value) - 1.0)
+            for s, res in zip(points, r_eval_many(points)))
+        assert worst < 0.1
 
 
 class TestSqrtFit:
