@@ -19,7 +19,6 @@ from .auxiliary import (
 )
 from .counting import (
     ArgTrace,
-    BacklundInput,
     ContourSpec,
     CountResult,
     PathSegment,
@@ -49,7 +48,7 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgTrace", "BacklundInput", "Box", "ContourSpec", "CountResult",
+    "ArgTrace", "Box", "ContourSpec", "CountResult",
     "EtaValue", "EvaluationResult", "PathSegment", "QuadratureSpec",
     "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
     "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",

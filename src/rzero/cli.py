@@ -144,6 +144,9 @@ def cmd_eval(config: RunConfig) -> int:
     rows = []
     for s in points:
         res = r_eval(s)
+        if res.log_value is not None and res.log_value.real > 709.0:
+            raise DomainError(f"|R(s)| beyond the double range at s = {s}: "
+                              f"log R = {res.log_value:.6g}")
         rows.append({
             "sigma": s.real, "t": s.imag,
             "re": res.value.real, "im": res.value.imag,

@@ -22,8 +22,11 @@ of R instead of O(T log T).  Three sampled facts carry that contour, each
 checked where a row already has the values: |R/S - 1| < 1 along the curve
 (|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT
 at each height) and the continuity of Im log S along the curve (tested on
-a grid of step 1/4 to T = 10^4).  A zero on a contour is escaped by one
-perturbation ladder, in steps of the constant PERTURB_STEP.
+a grid of step 1/4 to T = 10^4).  Each top edge's variation is checked
+against ``backlund_bound``, the one Backlund formula, which acceptance
+criterion 4 also validates.  A zero on a strip's top or on a curve row's top
+edge is escaped by one perturbation ladder, in steps of the constant
+PERTURB_STEP; the curve contour's bottom edge, at CURVE_T0, does not move.
 """
 
 from __future__ import annotations
@@ -259,36 +262,27 @@ def winding_value(f, contour: ContourSpec, seeds: int = 16) -> float:
     return raw
 
 
-@dataclass(frozen=True)
-class BacklundInput:
-    """Data of the argument bound: sup |f| over a disc of radius ``radius``
-    about the segment's start, |f| at that centre, and the farthest distance
-    ``reach`` of the segment from the centre."""
-
-    big_m: float
-    f_at_center: float
-    radius: float
-    reach: float
-
-    def __post_init__(self):
-        if not (self.f_at_center > 0.0 and self.big_m > 0.0):
-            raise DomainError("big_m and f_at_center must be positive")
-        if self.f_at_center > self.big_m:
-            raise DomainError("f_at_center exceeds the disc supremum")
-        if not (0.0 < self.reach < self.radius):
-            raise DomainError("need 0 < reach < radius")
-
-
-def backlund_bound(inp: BacklundInput) -> float:
+def backlund_bound(log_m: float, log_f_center: float, radius: float,
+                   reach: float) -> float:
     """Upper bound (in winding turns) for |Re (1/2πi) ∫ f'/f| along a
-    segment from the disc centre:
+    segment from the centre a of a disc of radius ``radius`` on which
+    log|f| <= ``log_m``, with log|f(a)| = ``log_f_center`` and ``reach`` the
+    segment's farthest distance from a:
 
-        (1/2) log(M/|f(a)|) / log(R/reach).
+        (1/2) (log M - log|f(a)|) / log(radius/reach).
 
-    The same bound applies with ``reach`` the maximum of |z - a| over any
-    segment of a line through the centre.
+    Logs are taken because M may lie beyond the double range.  The same
+    bound applies with ``reach`` the maximum of |z - a| over any segment of
+    a line through the centre.  DomainError unless both logs are finite,
+    log|f(a)| <= log M and 0 < reach < radius.
     """
-    return 0.5 * math.log(inp.big_m / inp.f_at_center) / math.log(inp.radius / inp.reach)
+    if not (math.isfinite(log_m) and math.isfinite(log_f_center)):
+        raise DomainError("log_m and log_f_center must be finite")
+    if log_f_center > log_m:
+        raise DomainError("f at the centre exceeds the disc supremum")
+    if not 0.0 < reach < radius:
+        raise DomainError("need 0 < reach < radius")
+    return 0.5 * (log_m - log_f_center) / math.log(radius / reach)
 
 
 def log_modulus_bound(sigma: float, t: float) -> float:
@@ -313,25 +307,26 @@ def log_modulus_bound(sigma: float, t: float) -> float:
 
 def top_edge_certificate(big_t: float, box_left: float) -> float | None:
     """Backlund bound (in turns) for the argument variation of R along the
-    top edge [box_left + iT, 2 + iT]; None when the disc geometry is not
-    admissible at this height.
+    top edge [box_left + iT, 2 + iT], from backlund_bound on a disc about
+    2 + iT; None when no disc reaches the edge above t = 16 pi.
 
-    Computed from logs: the disc supremum M = exp(c T^{2/5} log^2 T) is far
-    beyond the double range, but only log(M/|f(a)|) enters the bound.  The
-    modulus bound grows with t, and for t > 16 pi it falls as sigma rises
-    on sigma <= 0 and is smaller still for sigma > 0, so over the disc
-    about 2 + iT it is largest at its leftmost top point, 2 - radius +
-    i(T + radius).
+    The disc's radius is 2 + 2 T^{2/5} log T, or T - 16 pi - 1 where that
+    disc would dip to t <= 16 pi (below T of about 115.9).  The disc
+    supremum M = exp(c T^{2/5} log^2 T) is far beyond the double range, so
+    the bound is formed from logs.  The modulus bound grows with t, and for
+    t > 16 pi it falls as sigma rises on sigma <= 0 and is smaller still for
+    sigma > 0, so over the disc it is largest at its leftmost top point,
+    2 - radius + i(T + radius).
     """
     radius = 2.0 + 2.0 * big_t ** 0.4 * math.log(big_t)
     if big_t - radius <= 16.0 * math.pi:
-        return None
+        radius = big_t - 16.0 * math.pi - 1.0
     reach = 2.0 - box_left
     if reach >= radius:
         return None
     log_m = log_modulus_bound(2.0 - radius, big_t + radius)
-    log_f_center = math.log(0.25)  # |R| > 1/4 at the centre 2 + iT
-    return 0.5 * (log_m - log_f_center) / math.log(radius / reach)
+    # |R| > 1/4 at the centre 2 + iT
+    return backlund_bound(log_m, math.log(0.25), radius, reach)
 
 
 def main_term(big_t: float) -> tuple[float, float]:
@@ -356,8 +351,8 @@ class CountResult:
     main_value -- smooth_term - sqrt_term
     residual   -- count - main_value
     top_bound  -- Backlund bound (turns) on the argument variation along the
-                  top edge, from top_edge_certificate; None where the disc
-                  geometry is not admissible
+                  curve contour's top edge, from top_edge_certificate; None
+                  for a strip row
     window     -- (t_lo, t_hi) of the strip rectangle_count evaluated for
                   this row, or (t0, T) of the curve contour above CURVE_T0,
                   after zero-on-contour perturbation
@@ -499,7 +494,7 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     )
 
 
-def _curve_turns(t: float) -> tuple[float, float, float, float | None]:
+def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """(t, phi(t) / 2 pi, top_turns, top_bound) at height t of the curve
     contour.
 
@@ -512,7 +507,7 @@ def _curve_turns(t: float) -> tuple[float, float, float, float | None]:
     Arg R stays principal on sigma = 2 and Im log S + Arg(1 + u) continuous
     along the curve.  The values at hand are checked for that: RegionError
     unless |R(2 + it) - 1| < RIGHT_LIMIT and |u| <= U_LIMIT.  BacklundError
-    when |top_turns| exceeds top_bound, the edge's top_edge_certificate.
+    when the edge has no top_edge_certificate or |top_turns| exceeds it.
     """
     left = curve_sigma(t)
     corner = complex(left, t)
@@ -520,9 +515,9 @@ def _curve_turns(t: float) -> tuple[float, float, float, float | None]:
                          seeds=_edge_seeds(t, 2.0 - left, False))
     top_turns = -edge.total_variation / TWO_PI
     bound = top_edge_certificate(t, left)
-    if bound is not None and abs(top_turns) > bound:
+    if bound is None or abs(top_turns) > bound:
         raise BacklundError(f"top edge at t = {t} turns {top_turns:.4f} "
-                            f"times, beyond its bound {bound:.4f}")
+                            f"times; its Backlund bound is {bound}")
     right = r_eval(complex(2.0, t)).value
     if not abs(right - 1.0) < RIGHT_LIMIT:
         raise RegionError(f"|R - 1| = {abs(right - 1.0):.3f} at 2 + {t}i, "
@@ -537,39 +532,22 @@ def _curve_turns(t: float) -> tuple[float, float, float, float | None]:
     return t, phi / TWO_PI, top_turns, bound
 
 
-def _on_ladder(t: float, floor: float, walk):
-    """walk(t + dt) for the first t-step dt of the perturbation ladder with
-    t + dt >= floor on which walk meets no zero."""
+def _on_ladder(t: float, floor: float):
+    """_curve_turns(t + dt) for the first t-step dt of the perturbation
+    ladder with t + dt >= floor on whose top edge no zero sits."""
     last: ZeroOnPathError | None = None
     for dt in _t_steps():
         if t + dt >= floor:
             try:
-                return walk(t + dt)
+                return _curve_turns(t + dt)
             except ZeroOnPathError as exc:
                 last = exc
     raise ContourZeroError(
-        f"zero persists on the curve contour's edge at t = {t}: {last}")
-
-
-def _curve_base(left: float, count: int, prev_hi: float):
-    """(N(t0), _curve_turns(t0)) at the bottom edge t0 of the curve
-    contour, given count = N(prev_hi): t0 is max(prev_hi, CURVE_T0) moved
-    along the ladder, and the strip [left, 2] x [prev_hi, t0] is counted on
-    top of N(prev_hi)."""
-
-    def walk(t0):
-        n = count
-        if t0 > prev_hi:
-            strip, (_, t0), _ = rectangle_count(r_value, left, 2.0, prev_hi,
-                                                t0)
-            n += strip
-        return n, _curve_turns(t0)
-
-    return _on_ladder(max(prev_hi, CURVE_T0), prev_hi, walk)
+        f"zero persists on the curve contour's top edge at t = {t}: {last}")
 
 
 def _result(big_t: float, count: int, window: tuple[float, float],
-            top_bound: float | None,
+            top_bound: float | None = None,
             top_turns: float | None = None) -> CountResult:
     smooth, sqrt_term = main_term(big_t)
     main_value = smooth - sqrt_term
@@ -589,18 +567,21 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     for the first).  The box uses one left edge, from ``box_left`` widened
     by adequate_box_left until the strip further left is certified empty up
     to min(max(ts), CURVE_T0).  A zero on the contour moves a strip's top by
-    a multiple of PERTURB_STEP; the next strip starts there.
+    a multiple of PERTURB_STEP; the next strip starts there.  Strip rows
+    carry no top_bound.
 
-    Above CURVE_T0 the count is N(t0) (one more strip, to t0 = CURVE_T0)
-    plus the winding of the paper's contour: the bottom edge
-    [curve_sigma(t0), 2] + it0, walked once for all rows; sigma = 2 from t0
-    to T, taken as the difference of principal Args of R; the top edge
-    [curve_sigma(T), 2] + iT, walked by arg_variation; and the curve
-    sigma = curve_sigma(t) from T down to t0, where the argument of R is
-    that of the asymptotic surrogate S times 1 + u, u = R/S - 1, so R is
-    needed only at its ends (see _curve_turns).  Only the top edge grows
-    with T, as T^{2/5} log T.  A zero on the top or bottom edge moves it by
-    the ladder's t-steps; ``window`` is the realised (t0, T).
+    Above CURVE_T0 the count is N(t0), t0 the realised top of the strip
+    ending at CURVE_T0 (counted once more when the grid has none), plus the
+    winding of the paper's contour: the bottom edge [curve_sigma(t0), 2] +
+    it0, walked once for all rows; sigma = 2 from t0 to T, taken as the
+    difference of principal Args of R; the top edge [curve_sigma(T), 2] +
+    iT, walked by arg_variation and checked against its Backlund bound; and
+    the curve sigma = curve_sigma(t) from T down to t0, where the argument
+    of R is that of the asymptotic surrogate S times 1 + u, u = R/S - 1, so
+    R is needed only at its ends (see _curve_turns).  Only the top edge
+    grows with T, as T^{2/5} log T.  A zero on a top edge moves it by the
+    ladder's t-steps, and ``window`` is the realised (t0, T); the bottom
+    edge does not move, and a zero on it raises ContourZeroError.
     """
     ts = list(ts)
     if box_left > -2.0:
@@ -619,14 +600,22 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     for big_t in stacked:
         strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
         running += strip
-        results.append(_result(big_t, running, window,
-                               top_edge_certificate(window[1], left)))
+        results.append(_result(big_t, running, window))
         prev_hi = window[1]
     if len(stacked) == len(ts):
         return results
-    running, (t0, turns0, _, _) = _curve_base(left, running, prev_hi)
+    if prev_hi < CURVE_T0:
+        strip, (_, prev_hi), _ = rectangle_count(r_value, left, 2.0, prev_hi,
+                                                 CURVE_T0)
+        running += strip
+    try:
+        t0, turns0, _, _ = _curve_turns(prev_hi)
+    except ZeroOnPathError as exc:
+        raise ContourZeroError(
+            f"zero on the curve contour's bottom edge at t = {prev_hi}: "
+            f"{exc}") from exc
     for big_t in ts[len(stacked):]:
-        hi, turns, top_turns, bound = _on_ladder(big_t, t0, _curve_turns)
+        hi, turns, top_turns, bound = _on_ladder(big_t, t0)
         count = running + integer_winding(
             turns - turns0, f" on the curve contour [{t0}, {hi}]")
         results.append(_result(big_t, count, (t0, hi), bound, top_turns))

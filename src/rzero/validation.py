@@ -21,7 +21,7 @@ from .auxiliary import (
     zeta_from_r,
     zeta_reference,
 )
-from .counting import BacklundInput, PathSegment, arg_variation, backlund_bound
+from .counting import PathSegment, arg_variation, backlund_bound
 from .special_functions import TWO_PI, _chi_batch, eta_batch
 from .zeros import Box
 
@@ -108,8 +108,7 @@ def backlund(rng, samples: int) -> tuple[float]:
             continue
         seg = PathSegment.line(0.0 + 0.0j, b)
         measured = abs(arg_variation(poly, seg, seeds=64).total_variation) / TWO_PI
-        bound = backlund_bound(BacklundInput(
-            big_m=sup, f_at_center=f0, radius=radius, reach=reach))
+        bound = backlund_bound(math.log(sup), math.log(f0), radius, reach)
         worst = max(worst, measured - bound)
         checked += 1
     return (worst,)

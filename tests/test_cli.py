@@ -62,6 +62,19 @@ class TestEval:
         code, _, err = run(capsys, "--command", "eval")
         assert code == EXIT_EVAL_FAIL
 
+    def test_out_of_range_point_exits_2(self, capsys):
+        # |R(-300 + 5000i)| = e^999 has no double; the row is refused, not
+        # printed saturated, and the message carries log R
+        code, out, err = run(capsys, "--command", "eval",
+                             "--point=-300+5000j")
+        assert code == EXIT_EVAL_FAIL
+        assert out == ""
+        assert "log R = 998.9" in err
+        code, out, _ = run(capsys, "--command", "eval", "--point=-100+100j")
+        assert code == EXIT_OK
+        assert float(parse_rows(out)[0]["abs"]) == pytest.approx(2.086e60,
+                                                                 rel=1e-3)
+
     def test_grid_deterministic_order(self, capsys):
         argv = ["--command", "eval", "--point", "2+30j", "--grid-n", "3",
                 "--grid-step", "0.5"]

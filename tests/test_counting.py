@@ -17,7 +17,6 @@ from rzero.auxiliary import (
 from rzero.counting import (
     CURVE_T0,
     PERTURB_STEP,
-    BacklundInput,
     ContourSpec,
     CountResult,
     PathSegment,
@@ -47,27 +46,24 @@ from rzero.special_functions import TWO_PI
 
 class TestBacklundBound:
     def test_zero_when_flat(self):
-        inp = BacklundInput(big_m=3.0, f_at_center=3.0, radius=1.0, reach=0.5)
-        assert backlund_bound(inp) == 0.0
+        assert backlund_bound(math.log(3.0), math.log(3.0), 1.0, 0.5) == 0.0
 
     def test_unit_case(self):
-        inp = BacklundInput(big_m=math.e ** 2, f_at_center=1.0,
-                            radius=math.e, reach=1.0)
-        assert backlund_bound(inp) == pytest.approx(1.0, rel=1e-12)
+        assert backlund_bound(2.0, 0.0, math.e, 1.0) == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_reference_value(self):
-        inp = BacklundInput(big_m=100.0, f_at_center=0.25, radius=2.0,
-                            reach=1.0)
         # (1/2) log(400) / log(2), frozen from a 30-digit evaluation
-        assert backlund_bound(inp) == pytest.approx(4.321928094887362, rel=1e-13)
+        bound = backlund_bound(math.log(100.0), math.log(0.25), 2.0, 1.0)
+        assert bound == pytest.approx(4.321928094887362, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            BacklundInput(big_m=1.0, f_at_center=0.0, radius=1.0, reach=0.5)
+            backlund_bound(0.0, -math.inf, 1.0, 0.5)  # f(a) = 0
         with pytest.raises(DomainError):
-            BacklundInput(big_m=1.0, f_at_center=0.5, radius=0.5, reach=0.5)
+            backlund_bound(0.0, math.log(0.5), 0.5, 0.5)
         with pytest.raises(DomainError):
-            BacklundInput(big_m=1.0, f_at_center=2.0, radius=1.0, reach=0.5)
+            backlund_bound(0.0, math.log(2.0), 1.0, 0.5)
 
 
 class TestPathSegment:
@@ -227,7 +223,7 @@ class TestCountZeros:
         assert res.count == 6
         assert res.window[0] == pytest.approx(10.0, abs=0.01)
         assert res.residual == pytest.approx(res.count - res.main_value)
-        assert res.top_bound == top_edge_certificate(res.window[1], -6.0)
+        assert res.top_bound is None  # strip rows carry no certificate
 
     def test_left_edge_widens_past_a_zero(self):
         # the zero -2.8217 + 54.2696i lies left of sigma = -2, so the box
@@ -284,13 +280,21 @@ class TestTopEdgeCertificate:
         assert abs(trace.total_variation) <= TWO_PI * bound_turns
 
     def test_low_heights_inadmissible(self):
-        assert top_edge_certificate(60.0, -6.0) is None
+        # the fallback disc of radius T - 16 pi - 1 = 3.7 cannot reach -6
+        assert top_edge_certificate(55.0, -6.0) is None
+
+    def test_every_curve_height_certified(self):
+        heights = np.geomspace(CURVE_T0, 1e5, 400).tolist()
+        assert all(math.isfinite(top_edge_certificate(t, curve_sigma(t)))
+                   for t in heights)
 
     def test_matches_disc_scan(self):
         # reference: the supremum of the modulus bound over 401 sigma values
         # on the top of the disc about 2 + iT
         def scanned(big_t, box_left):
             radius = 2.0 + 2.0 * big_t ** 0.4 * math.log(big_t)
+            if big_t - radius <= 16.0 * math.pi:
+                radius = big_t - 16.0 * math.pi - 1.0
             log_m = max(
                 log_modulus_bound(2.0 - radius + 2.0 * radius * k / 400,
                                   big_t + radius)
@@ -395,15 +399,12 @@ class TestCurveContour:
         assert table[2].count == 13 + strip
         assert table[2].count == residual_table([150.0])[0].count
 
-    @pytest.mark.parametrize("height, window", [
-        (150.0, (CURVE_T0, 150.0 + PERTURB_STEP)),
-        (CURVE_T0, (CURVE_T0 + PERTURB_STEP, 150.0)),
-    ], ids=["top", "bottom"])
-    def test_ladder_moves_a_curve_edge(self, monkeypatch, height, window):
-        # a zero forced once onto the edge [curve_sigma(t), 2] + it at this
-        # height moves that edge up by one ladder step; the count holds
+    @staticmethod
+    def _force_zero_once(monkeypatch, height):
+        """Make arg_variation meet a zero once on the edge
+        [curve_sigma(height), 2] + i height; returns the list of points
+        where it did."""
         import rzero.counting as counting_mod
-        expected = residual_table([150.0])[0].count
         walk = counting_mod.arg_variation
         corner = complex(curve_sigma(height), height)
         forced = []
@@ -415,16 +416,41 @@ class TestCurveContour:
             return walk(f, path, seeds=seeds)
 
         monkeypatch.setattr(counting_mod, "arg_variation", zero_once)
+        return forced
+
+    @pytest.mark.parametrize("height, window", [
+        (150.0, (CURVE_T0, 150.0 + PERTURB_STEP)),
+    ], ids=["top"])
+    def test_ladder_moves_a_curve_edge(self, monkeypatch, height, window):
+        # a zero forced once onto the top edge moves it up by one ladder
+        # step; the count holds
+        expected = residual_table([150.0])[0].count
+        forced = self._force_zero_once(monkeypatch, height)
         (row,) = residual_table([150.0])
-        assert forced == [corner]
+        assert forced == [complex(curve_sigma(height), height)]
         assert row.window == window
         assert row.count == expected
+
+    def test_zero_on_base_edge_raises(self, monkeypatch):
+        # the bottom edge stays at CURVE_T0: a zero on it is not escaped
+        forced = self._force_zero_once(monkeypatch, CURVE_T0)
+        with pytest.raises(ContourZeroError):
+            residual_table([150.0])
+        assert forced == [complex(curve_sigma(CURVE_T0), CURVE_T0)]
 
     def test_backlund_check(self, monkeypatch):
         import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, "top_edge_certificate",
                             lambda t, left: 1e-3 if t > 120.0 else None)
         with pytest.raises(BacklundError):
+            residual_table([150.0])
+
+    def test_backlund_bound_exceeded(self, monkeypatch):
+        # every edge has a bound here, so only the measured turns can fail
+        import rzero.counting as counting_mod
+        monkeypatch.setattr(counting_mod, "top_edge_certificate",
+                            lambda t, left: 1e-6)
+        with pytest.raises(BacklundError, match="bound is 1e-06"):
             residual_table([150.0])
 
     @pytest.mark.parametrize("limit", ["U_LIMIT", "RIGHT_LIMIT"])
