@@ -77,6 +77,7 @@ from .special_functions import (
     chi,
     eta,
     log_chi,
+    log_sin_pi,
 )
 
 EPS_TARGET = 1e-9          # relative accuracy goal of automatic evaluation
@@ -851,9 +852,7 @@ def r_asymptotic(s) -> EvaluationResult:
         )
     ev = eta(z).value
     log_eta = cmath.log(ev)  # principal; Re(ev) > 0 in the region
-    # sin(pi eta) = e^{-i pi eta} (1 - e^{2 i pi eta}) * (i/2): Im(eta) > 0
-    log_sin = -1j * math.pi * ev + cmath.log(1.0 - cmath.exp(2j * math.pi * ev)) \
-        + complex(-math.log(2.0), 0.5 * math.pi)
+    log_sin = log_sin_pi(ev)  # Im(eta) > 0 in the region
     # 2 cos(2 pi eta) = e^{-2 i pi eta} (1 + e^{4 i pi eta})
     log_cos2 = -2j * math.pi * ev + cmath.log(1.0 + cmath.exp(4j * math.pi * ev))
     if log_cos2.real - math.log(2.0) < math.log(1e-8):
@@ -939,7 +938,7 @@ def zeta_from_r(s) -> complex:
         raise PoleOfGammaError("zeta pole at s = 1")
     if z.imag < 0.0:
         return zeta_from_r(z.conjugate()).conjugate()
-    # Im(1 - conj(z)) = Im(z) >= 0, so both evaluations stay in the domain.
-    first = r_eval(z).value
-    second = r_eval(1.0 - z.conjugate()).value.conjugate()
-    return first + chi(z) * second
+    # Im(1 - conj(z)) = Im(z) >= 0, so both evaluations stay in the domain;
+    # the two points share t, so they are step-halved as one block.
+    first, second = r_eval_many((z, 1.0 - z.conjugate()))
+    return first.value + chi(z) * second.value.conjugate()

@@ -11,6 +11,12 @@ and the least-squares fit of its square-root coefficient.
 This is the one winding engine: ``winding_value`` and ``_rectangle_winding``
 share one sum over a contour, and ``integer_winding`` is the one
 integrality guard, also used by the circle certificates of ``zeros``.
+Every rectangle edge (strips, the base box, ``adequate_box_left`` and every
+isolation piece of ``zeros``) is an ``AxisEdge`` sampled on one lattice
+per line: its ends plus the points k/m between them.  Edges of a line that
+share m share their samples bit for bit, so a child box reads most of its
+edges from its parent's cache entries and the cut between two children is
+computed once.
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -88,6 +94,9 @@ class PathSegment:
         """Point at parameter u in [0, 1] from start to end."""
         return self.start + u * (self.end - self.start)
 
+    def seed_params(self, seeds: int) -> list[float]:
+        return unit_params(seeds)
+
     @property
     def first(self) -> complex:
         return self.point(0.0)
@@ -95,6 +104,56 @@ class PathSegment:
     @property
     def last(self) -> complex:
         return self.point(1.0)
+
+
+@dataclass(frozen=True)
+class AxisEdge:
+    """Edge of a rectangle on the line t = ``level`` (horizontal) or
+    sigma = ``level`` (vertical), from ``start`` to ``end`` of the moving
+    coordinate.  Its parameter is that coordinate itself, so a point is
+    formed as complex(x, level) or complex(level, x) and a bisection
+    midpoint 0.5 (x1 + x2) has the same bits in either direction."""
+
+    level: float
+    start: float
+    end: float
+    vertical: bool
+
+    def __post_init__(self):
+        if self.start == self.end:
+            raise DomainError("degenerate axis-parallel edge")
+
+    def point(self, x: float) -> complex:
+        if self.vertical:
+            return complex(self.level, x)
+        return complex(x, self.level)
+
+    def seed_params(self, seeds: int) -> list[float]:
+        """The two ends and every k/m strictly between them, in walking
+        order, with m = ceil((seeds - 1) / length): a spacing never coarser
+        than length / (seeds - 1), on a lattice that depends on the line
+        only through m.  k/m is correctly rounded, so every edge of the
+        line with the same m, walked either way, samples the same bits."""
+        lo, hi = sorted((self.start, self.end))
+        m = math.ceil((seeds - 1) / (hi - lo))
+        inner = [k / m for k in range(math.floor(lo * m), math.ceil(hi * m) + 1)
+                 if lo < k / m < hi]
+        if self.start > self.end:
+            inner.reverse()
+        return [self.start, *inner, self.end]
+
+    @property
+    def first(self) -> complex:
+        return self.point(self.start)
+
+    @property
+    def last(self) -> complex:
+        return self.point(self.end)
+
+
+def unit_params(seeds: int) -> list[float]:
+    """k / (seeds - 1) for k = 0 .. seeds - 1: equispaced seeds on [0, 1]."""
+    return [k / (seeds - 1) for k in range(seeds)]
 
 
 @dataclass(frozen=True)
@@ -186,18 +245,19 @@ def _refine_phase(f, point_fn, values, params):
 
 def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
     """Unwrapped argument change of f along a path: any object whose
-    ``point(u)`` gives the point at parameter u in [0, 1].
+    ``point(u)`` gives the point at parameter u and whose
+    ``seed_params(seeds)`` gives the seed parameters in walking order.
 
-    Samples f at ``seeds`` equispaced parameters (in one r_eval_many call
-    when f is r_value), adaptively bisecting
-    parameter intervals until each consecutive nearest-branch phase
+    Samples f at the path's seed parameters (in one r_eval_many call when f
+    is r_value): the ``seeds`` equispaced k/(seeds - 1) of a PathSegment or
+    a circle, the lattice points of an AxisEdge.  Then bisects parameter
+    intervals at 0.5 (u1 + u2) until each consecutive nearest-branch phase
     difference is below pi/2.  Raises ZeroOnPathError when |f| drops below
     DETECT_TOL * (local scale) at a node or when MAX_REFINE_DEPTH bisection
     levels cannot satisfy the phase contract.
     """
     point_fn = path.point
-    seeds = max(2, seeds)
-    params = [k / (seeds - 1) for k in range(seeds)]
+    params = path.seed_params(max(2, seeds))
     points = [point_fn(u) for u in params]
     values = values_at(f, points)
     for z, v in zip(points, values):
@@ -392,7 +452,11 @@ def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
 
 
 def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
-    """Seed count keeping expected phase steps of R well under pi/2."""
+    """Seed count keeping expected phase steps of R well under pi/2.
+
+    A rectangle edge of this length takes its seeds on the lattice k/m of
+    its line, m = ceil((seeds - 1) / length) (AxisEdge.seed_params), so its
+    spacing is never coarser than length / (seeds - 1)."""
     rate = 0.5 * math.log(max(t_level, 7.0) / TWO_PI) + 1.5
     if not vertical:
         rate += 2.0  # horizontal edges pick up the chi-argument drift
@@ -401,13 +465,19 @@ def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> tuple[float, dict]:
-    """Raw winding value around a rectangle plus per-edge traces."""
+    """Raw winding value around a rectangle plus per-edge traces; the
+    edges are AxisEdges, sampled on the lattice of their lines."""
     width = sigma_hi - sigma_lo
-    height = t_hi - t_lo
-    seeds = (_edge_seeds(t_lo, width, False), _edge_seeds(t_hi, height, True),
-             _edge_seeds(t_hi, width, False), _edge_seeds(t_hi, height, True))
-    contour = ContourSpec.rectangle(sigma_lo, sigma_hi, t_lo, t_hi)
-    raw, traces = _contour_winding(f, zip(contour.segments, seeds))
+    side = _edge_seeds(t_hi, t_hi - t_lo, True)
+    edges = (
+        (AxisEdge(t_lo, sigma_lo, sigma_hi, False),
+         _edge_seeds(t_lo, width, False)),
+        (AxisEdge(sigma_hi, t_lo, t_hi, True), side),
+        (AxisEdge(t_hi, sigma_hi, sigma_lo, False),
+         _edge_seeds(t_hi, width, False)),
+        (AxisEdge(sigma_lo, t_hi, t_lo, True), side),
+    )
+    raw, traces = _contour_winding(f, edges)
     return raw, dict(zip(("bottom", "right", "top", "left"), traces))
 
 

@@ -1,7 +1,8 @@
 """Complex special functions used by the auxiliary-function machinery.
 
 Provides a principal-branch log-gamma (Stirling with Bernoulli corrections
-after an upward recurrence shift), the functional-equation factor
+after an upward recurrence shift, or by reflection far left), a log of
+sin(pi z) continuous on the upper half-plane, the functional-equation factor
 chi(s) = (2*pi)^s / (2*Gamma(s)*cos(pi*s/2)) together with a branch of
 log chi that is continuous on vertical lines, and the square-root variable
 eta = sqrt((s-1)/(2*pi*i)) with the branch Re(eta) + Im(eta) > 0.  chi and
@@ -28,6 +29,8 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
+LOG_PI = math.log(math.pi)
+_LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)  # log(i/2)
 
 # B_{2k} for k = 1..10; Stirling correction uses B_{2k}/((2k)(2k-1) w^{2k-1}).
 _BERNOULLI_2K = (
@@ -67,6 +70,16 @@ def _stirling(w: complex) -> complex:
     return res
 
 
+def log_sin_pi(z: complex) -> complex:
+    """log sin(pi z) for Im z > 0, continuous there and 0 at z = 1/2:
+
+        -i pi z + log(1 - e^{2 i pi z}) + log(i/2),
+
+    the principal log being safe since |e^{2 i pi z}| < 1."""
+    return (-1j * math.pi * z + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
+            + _LOG_HALF_I)
+
+
 def log_gamma(s) -> complex:
     """Principal branch of log Gamma(s).
 
@@ -81,6 +94,10 @@ def log_gamma(s) -> complex:
             raise PoleOfGammaError(f"gamma pole at {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
+    if z.imag > 0.0 and z.real <= -_SHIFT_REAL:
+        # Reflection, O(1) in sigma.  Both sides are continuous on Im z > 0
+        # and agree as z -> 1/2, so the result is the principal branch.
+        return LOG_PI - log_sin_pi(z) - log_gamma(1.0 - z)
     # Upward recurrence keeps every intermediate point in the cut plane for
     # Im(z) >= 0, so principal logs compose to the principal branch.
     acc = 0.0 + 0.0j

@@ -9,7 +9,10 @@ come from the engine in ``counting``: pieces are counted by
 integrality guard.  By default R is evaluated through the same cached
 quadrature as counting, the samples of a contour edge and of each zoom row
 of a cut scan are evaluated in one batch (r_eval_many), and each Newton step
-takes R(s) and R'(s) from one derivative entry (r_derivative).
+takes R(s) and R'(s) from one derivative entry (r_derivative).  Piece edges
+lie on counting's per-line sample lattice, so the two children of a split
+read the cut's samples from one set of cache entries and most of their
+outer edges from the parent's.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .counting import (
     arg_variation,
     integer_winding,
     rectangle_count,
+    unit_params,
 )
 from .errors import (
     ContourZeroError,
@@ -226,6 +230,9 @@ class _Circle:
     def point(self, u: float) -> complex:
         return self.center + self.radius * complex(math.cos(TWO_PI * u),
                                                    math.sin(TWO_PI * u))
+
+    def seed_params(self, seeds: int) -> list[float]:
+        return unit_params(seeds)
 
 
 def _circle_winding(f, center: complex, radius: float) -> int:

@@ -522,6 +522,17 @@ class TestZetaFromR:
         with pytest.raises(PoleOfGammaError):
             zeta_from_r(1.0)
 
+    def test_bits_of_two_single_evaluations(self):
+        # R(s) and R(1 - conj s) are step-halved as one block, with the
+        # bits each gets alone
+        s = -1.3 + 101.7j
+        r_eval_cache_clear()
+        zeta = zeta_from_r(s)
+        r_eval_cache_clear()
+        first = r_eval(s).value
+        second = r_eval(1.0 - s.conjugate()).value
+        assert zeta == first + chi(s) * second.conjugate()
+
     def test_lower_half_plane(self):
         s = 0.5 - 25j
         ref = zeta_reference(s)

@@ -17,6 +17,7 @@ from rzero.auxiliary import (
 from rzero.counting import (
     CURVE_T0,
     PERTURB_STEP,
+    AxisEdge,
     ContourSpec,
     CountResult,
     PathSegment,
@@ -32,6 +33,7 @@ from rzero.counting import (
     top_edge_certificate,
     winding_number,
     winding_value,
+    _edge_seeds,
 )
 from rzero.errors import (
     BacklundError,
@@ -106,6 +108,86 @@ class TestArgVariation:
         seg = PathSegment.line(complex(2.0, 10.0), complex(2.0, 100.0))
         trace = arg_variation(r_value, seg, seeds=128)
         assert abs(trace.total_variation) <= math.pi
+
+
+class TestSampleLattice:
+    @staticmethod
+    def _computed(monkeypatch):
+        """Record the (sigma, t) pairs for which R is computed afresh."""
+        computed = []
+        evaluate = auxiliary._evaluate
+
+        def record(pairs, derivative):
+            computed.extend(pairs)
+            return evaluate(pairs, derivative)
+
+        monkeypatch.setattr(auxiliary, "_evaluate", record)
+        return computed
+
+    def test_child_box_reuses_parent_samples(self, monkeypatch):
+        # the child [-6, 2] x [10, 45] shares its bottom edge and the lattice
+        # points of its sides with the parent [-6, 2] x [10, 80]: only its
+        # new top edge at t = 45 needs R
+        auxiliary.r_eval_cache_clear()
+        rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
+        computed = self._computed(monkeypatch)
+        misses = auxiliary._r_eval_cached.cache_info().misses
+        _, window, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
+        assert window == (10.0, 45.0)
+        assert computed and {t for _, t in computed} == {45.0}
+        assert auxiliary._r_eval_cached.cache_info().misses - misses == len(
+            computed)
+
+    def test_cut_is_sampled_once(self, monkeypatch):
+        # the upper child's bottom edge is the lower child's top edge,
+        # walked the other way
+        auxiliary.r_eval_cache_clear()
+        rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
+        computed = self._computed(monkeypatch)
+        rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
+        assert computed and all(t > 45.0 for _, t in computed)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_spacing_never_coarser(self, vertical):
+        for level in (10.0, 45.3, 149.2):
+            for start in (-12.0, -6.0, -0.37, 1.5):
+                for length in (1e-3, 0.0371, 0.5, 2.0, 8.0, 20.0, 70.0):
+                    end = start + length
+                    seeds = _edge_seeds(level, end - start, vertical)
+                    params = AxisEdge(level, start, end,
+                                      vertical).seed_params(seeds)
+                    assert params[0] == start and params[-1] == end
+                    gaps = np.diff(params)
+                    assert np.all(gaps > 0.0)
+                    # a difference of coordinates rounds to their ulp
+                    slack = 4.0 * math.ulp(abs(start) + abs(end))
+                    assert gaps.max() <= (end - start) / (seeds - 1) + slack
+
+    @pytest.mark.parametrize("level, lo, hi, vertical", [
+        (500.0, -6.0, 2.0, False),
+        (-0.5, 20.0, 33.0, True),
+    ], ids=["horizontal", "vertical"])
+    def test_either_direction_requests_same_points(self, level, lo, hi,
+                                                   vertical):
+        # few seeds, so the walk bisects; the midpoints match too
+        def walk(start, end):
+            requested = []
+
+            def f(z):
+                requested.append(z)
+                return r_value(z)
+
+            trace = arg_variation(f, AxisEdge(level, start, end, vertical),
+                                  seeds=4)
+            return trace, requested
+
+        forward, there = walk(lo, hi)
+        backward, back = walk(hi, lo)
+        assert len(there) > len(AxisEdge(level, lo, hi, vertical)
+                                .seed_params(4))
+        assert set(there) == set(back)
+        assert forward.total_variation == pytest.approx(
+            -backward.total_variation, abs=1e-9)
 
 
 class TestWindingNumber:

@@ -72,6 +72,21 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(complex(float("nan"), 1.0))
 
+    def test_far_left_against_mpmath(self):
+        # left of -_SHIFT_REAL log_gamma reflects instead of recurring
+        rng = np.random.default_rng(13)
+        for sigma, t in zip(rng.uniform(-1260.0, -10.0, 200),
+                            rng.uniform(0.3, 1e5, 200)):
+            ref = complex(mp.loggamma(mp.mpc(sigma, t)))
+            assert abs(log_gamma(complex(sigma, t)) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("t", [0.3, 7.0, 120.0, 1e4])
+    def test_continuous_across_reflection_threshold(self, t):
+        # same branch on both sides of sigma = -10
+        left = log_gamma(complex(-10.0 - 1e-9, t))
+        right = log_gamma(complex(-10.0 + 1e-9, t))
+        assert abs(left - right) < 1e-6
+
     @given(st.floats(-5.0, 15.0), st.floats(0.1, 200.0))
     def test_recurrence(self, sigma, t):
         s = complex(sigma, t)
