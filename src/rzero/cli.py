@@ -45,7 +45,8 @@ EXIT_CLUSTERS = 5
 
 @dataclass
 class RunConfig:
-    """Parsed invocation; numeric parameters are finite, t range ordered."""
+    """Parsed invocation; numeric parameters are finite, t range ordered,
+    t step positive and grid size odd."""
 
     command: str
     t_min: float = 10.0
@@ -70,6 +71,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite")
         if self.t_max < self.t_min:
             raise ValueError("t-max below t-min")
+        if self.t_step <= 0.0:
+            raise ValueError("--t-step must be positive")
+        if self.grid_n < 1 or self.grid_n % 2 == 0:
+            raise ValueError("--grid-n must be an odd size of at least 1")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
         if self.tol is not None and self.command != "validate":

@@ -463,22 +463,33 @@ def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
     return max(8, int(math.ceil(length * rate / 1.2)) + 1)
 
 
+def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
+                     t_hi: float) -> dict[str, tuple[AxisEdge, int]]:
+    """The (AxisEdge, seeds) pairs of a rectangle, counterclockwise from
+    the bottom and keyed "bottom", "right", "top", "left".  Two rectangles
+    that share a side sample it on the same lattice: the seeds of a
+    horizontal edge depend on its line and width, those of a vertical edge
+    on the rectangle's top and height."""
+    width = sigma_hi - sigma_lo
+    side = _edge_seeds(t_hi, t_hi - t_lo, True)
+    return {
+        "bottom": (AxisEdge(t_lo, sigma_lo, sigma_hi, False),
+                   _edge_seeds(t_lo, width, False)),
+        "right": (AxisEdge(sigma_hi, t_lo, t_hi, True), side),
+        "top": (AxisEdge(t_hi, sigma_hi, sigma_lo, False),
+                _edge_seeds(t_hi, width, False)),
+        "left": (AxisEdge(sigma_lo, t_hi, t_lo, True), side),
+    }
+
+
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> tuple[float, dict]:
     """Raw winding value around a rectangle plus per-edge traces; the
-    edges are AxisEdges, sampled on the lattice of their lines."""
-    width = sigma_hi - sigma_lo
-    side = _edge_seeds(t_hi, t_hi - t_lo, True)
-    edges = (
-        (AxisEdge(t_lo, sigma_lo, sigma_hi, False),
-         _edge_seeds(t_lo, width, False)),
-        (AxisEdge(sigma_hi, t_lo, t_hi, True), side),
-        (AxisEdge(t_hi, sigma_hi, sigma_lo, False),
-         _edge_seeds(t_hi, width, False)),
-        (AxisEdge(sigma_lo, t_hi, t_lo, True), side),
-    )
-    raw, traces = _contour_winding(f, edges)
-    return raw, dict(zip(("bottom", "right", "top", "left"), traces))
+    edges are those of _rectangle_edges, sampled on the lattice of their
+    lines."""
+    edges = _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi)
+    raw, traces = _contour_winding(f, edges.values())
+    return raw, dict(zip(edges, traces))
 
 
 def _t_steps():

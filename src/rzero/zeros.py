@@ -7,12 +7,14 @@ independent winding-1 certificate on a small circle around it.  Windings
 come from the engine in ``counting``: pieces are counted by
 ``rectangle_count`` and circles by ``arg_variation`` through the same
 integrality guard.  By default R is evaluated through the same cached
-quadrature as counting, the samples of a contour edge and of each zoom row
-of a cut scan are evaluated in one batch (r_eval_many), and each Newton step
+quadrature as counting, the samples of a contour edge and of each row of a
+cut scan are evaluated in one batch (r_eval_many), and each Newton step
 takes R(s) and R'(s) from one derivative entry (r_derivative).  Piece edges
 lie on counting's per-line sample lattice, so the two children of a split
 read the cut's samples from one set of cache entries and most of their
-outer edges from the parent's.
+outer edges from the parent's.  The scan of a split's cut for a zero of
+even multiplicity starts from those same lattice samples and adds two
+33-point zoom rows, so only the zoom rows compute R.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, NamedTuple
 from .auxiliary import r_derivative, r_value, values_at
 from .counting import (
     PERTURB_STEP,
+    _rectangle_edges,
     arg_variation,
     integer_winding,
     rectangle_count,
@@ -126,33 +129,42 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     An even-multiplicity zero exactly on the cut does not disturb the phase
     along it (f keeps a constant argument there), so the winding of both
     children looks consistent; a zoomed modulus scan of the cut exposes it.
-    The zoomed minimum is judged against the scale next to the minimum (|f|
-    legitimately spans many orders of magnitude along long cuts).  Each
-    33-point zoom row is one values_at call (one batch when f is r_value).
+
+    The first row is the cut's own lattice samples, the points at which
+    both children's windings sampled their shared edge (``child``'s top
+    edge for a horizontal cut, its right edge for a vertical one), so for
+    r_value it is read from the cache.  Two zoom rows follow, each 33
+    points over [x_{k-1}, x_{k+1}] around the previous row's minimum x_k
+    and each one values_at call.  The zoomed minimum is judged against the
+    local scale, the larger neighbour of the first row's minimum (|f|
+    legitimately spans many orders of magnitude along long cuts).
+
+    Two zoom rows suffice.  Near a double zero p on the cut,
+    |f(x)| ~ |c| (x - p)^2, and p lies in [x_{k-1}, x_{k+1}], of width w
+    (2h on a lattice of spacing h); one of the two neighbours is at least
+    w/2 from p, so the local scale is at least |c| (w/2)^2 = |c| h^2.  The
+    first zoom row has spacing w/32 and the second w/512, so a sample lies
+    within w/1024 = h/512 of p and minimum / local <= (1/512)^2 ~ 4e-6,
+    25 times under the threshold 1e-4.
     """
-    if child.t_hi < box.t_hi:  # horizontal cut at t = child.t_hi
-        lo, hi = box.sigma_lo, box.sigma_hi
-        level = child.t_hi
-        where = lambda u: complex(u, level)
-    else:  # vertical cut at sigma = child.sigma_hi
-        lo, hi = box.t_lo, box.t_hi
-        level = child.sigma_hi
-        where = lambda u: complex(level, u)
+    edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
+                             child.t_hi)
+    edge, seeds = edges["top" if child.t_hi < box.t_hi else "right"]
+    us = sorted(edge.seed_params(seeds))
     local_scale = None
-    minimum = math.inf
-    for _ in range(4):
-        us = [lo + (hi - lo) * k / 32.0 for k in range(33)]
-        mags = [abs(v) for v in values_at(f, [where(u) for u in us])]
+    for _ in range(3):  # the lattice row, then two zoom rows
+        mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
         k_min = mags.index(min(mags))
         if local_scale is None:
             neighbours = [mags[k] for k in (k_min - 1, k_min + 1)
-                          if 0 <= k <= 32]
+                          if 0 <= k < len(us)]
             local_scale = max(max(neighbours), 1e-12 * max(mags))
         minimum = mags[k_min]
         if minimum == 0.0:
             return True
         lo = us[max(0, k_min - 1)]
-        hi = us[min(32, k_min + 1)]
+        hi = us[min(len(us) - 1, k_min + 1)]
+        us = [lo + (hi - lo) * k / 32.0 for k in range(33)]
     return minimum < 1e-4 * local_scale
 
 

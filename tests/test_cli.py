@@ -251,6 +251,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(command="count", box_left=float("inf"))
 
+    @pytest.mark.parametrize("t_step", [0.0, -5.0, -0.0])
+    def test_t_step_positive(self, t_step):
+        with pytest.raises(ValueError, match="--t-step"):
+            RunConfig(command="table", t_min=20.0, t_max=40.0, t_step=t_step)
+
+    @pytest.mark.parametrize("grid_n", [0, -1, 2, 4])
+    def test_grid_n_odd_and_positive(self, grid_n):
+        with pytest.raises(ValueError, match="--grid-n"):
+            RunConfig(command="eval", point=0.5 + 50j, grid_n=grid_n)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error, expected", [
@@ -288,6 +298,23 @@ class TestExitCodes:
         assert code == EXIT_EVAL_FAIL
         assert out == ""
         assert len(err.splitlines()) == 1 and "--tol" in err
+
+    @pytest.mark.parametrize("command", ["count", "table", "zeros"])
+    @pytest.mark.parametrize("t_step", ["0", "-5"])
+    def test_non_positive_t_step_exits_2(self, capsys, command, t_step):
+        code, out, err = run(capsys, "--command", command, "--t-min", "20",
+                             "--t-max", "40", "--t-step", t_step)
+        assert code == EXIT_EVAL_FAIL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--t-step" in err
+
+    @pytest.mark.parametrize("grid_n", ["0", "2"])
+    def test_even_or_empty_grid_exits_2(self, capsys, grid_n):
+        code, out, err = run(capsys, "--command", "eval", "--point", "0.5+50j",
+                             "--grid-n", grid_n)
+        assert code == EXIT_EVAL_FAIL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--grid-n" in err
 
     def test_validate_keeps_suite_tolerance(self):
         config = RunConfig(command="validate", tol=0.0)

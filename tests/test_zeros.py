@@ -6,12 +6,13 @@ import pytest
 
 from rzero.counting import rectangle_count
 from rzero import auxiliary
-from rzero.auxiliary import r_eval_cache_clear, r_value
+from rzero.auxiliary import r_eval_cache_clear, r_value, values_at
 from rzero.errors import DomainError
 from rzero.zeros import (
     Box,
     Zero,
     _circle_winding,
+    _split_conserving,
     isolate_zeros,
     locate_zeros,
     refine_zero,
@@ -79,6 +80,44 @@ class TestIsolateZeros:
         assert res.isolated == []
         assert len(res.clusters) == 1
         assert res.clusters[0][1] == 2
+
+
+class TestCutScan:
+    @pytest.mark.parametrize("sigma", [1.0 / 3.0, 0.7071])
+    def test_double_zero_between_lattice_samples(self, sigma):
+        # the first split of the box cuts along t = 10, through the double
+        # zero, whose sigma lies between the cut's lattice samples k/4
+        zero = complex(sigma, 10.0)
+        f = lambda z: (z - zero) ** 2
+        res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), min_size=1e-2, f=f)
+        assert res.isolated == []
+        assert len(res.clusters) == 1
+        cluster, winding = res.clusters[0]
+        assert winding == 2 and cluster.contains(zero)
+
+    def test_first_row_read_from_the_cache(self, monkeypatch):
+        # two zeros, at t ~ 22.4 and ~ 32.2, one in each child of the cut
+        # t = 27.5, so the split scans the cut; its first row is the lattice
+        # row both children sampled, so only the two zoom rows compute R
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 20.0, 35.0)
+        r_eval_cache_clear()
+        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
+                                   box.t_lo, box.t_hi)[0]
+        rows = []  # (points, R values computed) of each scan row
+
+        def counted(f, points):
+            before = auxiliary._R_CACHE.cache_info().misses
+            out = values_at(f, points)
+            rows.append((len(points),
+                         auxiliary._R_CACHE.cache_info().misses - before))
+            return out
+
+        monkeypatch.setattr(zeros_mod, "values_at", counted)
+        (b1, w1), (b2, w2) = _split_conserving(r_value, box, parent_w)
+        assert (w1, w2) == (1, 1) and b1.t_hi == 27.5
+        assert rows and rows[0][0] > 8 and rows[0][1] == 0
+        assert sum(computed for _, computed in rows) <= 66
 
 
 class TestRefineZero:
