@@ -186,8 +186,9 @@ def _line_rows(q: int, step: float, n: int, base: bool):
 _BASE_STEP = 0.25
 # The lattice table keeps dyadic levels from _BASE_STEP down to this step;
 # finer or non-dyadic levels are computed on every pass.  It is flushed
-# before it would exceed either cap (about 0.4 MiB covers every crossing up
-# to t = 2000 at the extents automatic evaluation uses).
+# before it would exceed either cap (every level of every crossing, at the
+# extents automatic evaluation starts from, takes about 0.32 MiB up to
+# t = 2000 and 0.72 MiB up to t = 10^4).
 LATTICE_FINEST_STEP = 1.0 / 64.0
 LATTICE_MAX_BYTES = 2 << 20
 LATTICE_MAX_ENTRIES = 256
@@ -646,8 +647,9 @@ def default_crossing(t: float) -> int:
 def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> QuadratureSpec:
     """Spec with the default sizing rules for the point s.
 
-    half_length = sqrt(log(1/eps)/pi) + sqrt(t)/4, widened when the crossing
-    is moved off the saddle (the integrand hump shifts along the line).
+    half_length = sqrt(log(1/eps)/pi) + 1, widened by sqrt(2) times the
+    distance of the crossing q + 1/2 from the saddle sqrt(t/2pi) (the
+    integrand hump shifts along the line); see _half_length.
     """
     t = as_complex(s).imag
     q = default_crossing(t) if crossing is None else crossing
@@ -655,10 +657,17 @@ def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> Quadrature
 
 
 def _half_length(t: float, q: int) -> float:
-    """Default half-length of auto_spec at height t and crossing q."""
+    """Default half-length of auto_spec at height t and crossing q.
+
+    With the crossing at the saddle sqrt(t/2pi) the real part of the log
+    integrand falls like -2 pi v^2 along the line (-pi v^2 from e^{i pi x^2},
+    -pi v^2 from the phase of x^{-s}), the same hump at every height; so the
+    extent is the Gaussian's _MIN_HALF plus the crossing's offset from the
+    saddle along the line and one unit of slack.  Where the hump is wider
+    or shifted (far left at small t) the tail rule of _Row.judge widens it.
+    """
     saddle = math.sqrt(max(t, 0.0) / TWO_PI)
-    half = _MIN_HALF + 0.25 * math.sqrt(max(t, 0.0))
-    return half + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
+    return _MIN_HALF + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0
 
 
 def _evaluate(pairs: list[tuple[float, float]],

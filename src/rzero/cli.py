@@ -192,10 +192,12 @@ def _t_grid(config: RunConfig) -> list[float]:
 
 
 def _count_results(config: RunConfig) -> list[counting.CountResult]:
-    """residual_table over the T grid above the base height."""
-    ts = [t for t in _t_grid(config) if t > counting.DESK_T0]
-    if not ts:
-        raise DomainError("empty T grid above the base height")
+    """residual_table over the T grid, every height of which must lie above
+    the base height DESK_T0 (a lower height is refused, not dropped)."""
+    ts = _t_grid(config)  # never empty: RunConfig has t_min <= t_max
+    if ts[0] <= counting.DESK_T0:
+        raise DomainError(f"T grid height {ts[0]:g} is at or below the base "
+                          f"height DESK_T0 = {counting.DESK_T0:g}")
     return residual_table(ts, box_left=config.box_left)
 
 

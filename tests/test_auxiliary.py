@@ -218,9 +218,7 @@ class TestQuadratureReuse:
 
     @pytest.mark.parametrize("s", REUSE_POINTS)
     def test_matches_fine_step_r_integral(self, s):
-        spec = auto_spec(s)
-        oracle = r_integral(s, dataclasses.replace(
-            spec, half_length=spec.half_length + 2.0, step=1 / 128))
+        oracle = _oracle(s)
         assert abs(r_eval(s).value - oracle.value) <= 1e-12 * abs(oracle.value)
 
     def test_cold_runs_bit_identical(self):
@@ -408,10 +406,16 @@ class TestEvalMany:
 
 
 def _oracle(s):
-    """r_integral at step 1/128 with the half-length widened by 2."""
-    spec = auto_spec(s)
-    return r_integral(s, dataclasses.replace(
-        spec, half_length=spec.half_length + 2.0, step=1 / 128))
+    """r_integral at step 1/128 at the default crossing, over an extent
+    pinned apart from the default sizing under test: the wider rule
+    _MIN_HALF + sqrt(t)/4 + sqrt(2) |q + 1/2 - saddle| + 1, plus 2."""
+    t = s.imag
+    q = default_crossing(t)
+    saddle = math.sqrt(max(t, 0.0) / TWO_PI)
+    half = (auxiliary._MIN_HALF + 0.25 * math.sqrt(max(t, 0.0))
+            + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0)
+    return r_integral(s, QuadratureSpec(crossing=q, half_length=half + 2.0,
+                                        step=1 / 128))
 
 
 def _discrepancies(s, half, steps):
@@ -492,6 +496,39 @@ def test_error_estimate_covers_oracle_deviation():
         oracle = _oracle(s)
         assert (abs(res.value - oracle.value)
                 <= res.error_estimate + oracle.error_estimate), s
+
+
+# 200 seeded points far left at small t, where the integrand's hump is
+# widest and the tail rule widens the extent
+_left_rng = random.Random(15)
+FAR_LEFT_POINTS = [complex(_left_rng.uniform(-60.0, -20.0),
+                           _left_rng.uniform(0.0, 8.0)) for _ in range(200)]
+
+
+def test_far_left_estimate_covers_oracle_deviation():
+    r_eval_cache_clear()
+    for s, res in zip(FAR_LEFT_POINTS, r_eval_many(FAR_LEFT_POINTS)):
+        oracle = _oracle(s)
+        deviation = abs(res.value - oracle.value)
+        assert deviation <= res.error_estimate + oracle.error_estimate, s
+        assert deviation <= EPS_TARGET * abs(oracle.value), s
+
+
+def test_default_extent_same_at_every_height(monkeypatch):
+    # at the saddle crossing the log integrand falls like -2 pi v^2 along
+    # the line at every height, so a pass starts from the same extent
+    bases = []
+    real_rows = auxiliary._LATTICE.rows
+    monkeypatch.setattr(auxiliary._LATTICE, "rows",
+                        lambda q, step, n, base: (base and bases.append(n))
+                        or real_rows(q, step, n, base))
+    starts = []
+    for t in (100.0, 2000.0, 1e4, 1e5):
+        r_eval_cache_clear()
+        bases.clear()
+        auxiliary._step_halve([complex(0.5, t)])
+        starts.append(bases[0] / 4.0)  # base grid |k| <= n at step 1/4
+    assert len(set(starts)) == 1 and starts[0] <= 5.0, starts
 
 
 class TestZetaFromR:

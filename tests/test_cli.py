@@ -124,6 +124,14 @@ class TestCount:
                            "--t-max", "9", "--t-step", "1")
         assert code == EXIT_EVAL_FAIL
 
+    @pytest.mark.parametrize("command", ["count", "table"])
+    def test_grid_reaching_below_base_height_refused(self, capsys, command):
+        # a height at or below DESK_T0 is refused, not dropped from the grid
+        code, out, err = run(capsys, "--command", command, "--t-min", "5",
+                             "--t-max", "20", "--t-step", "5")
+        assert code == EXIT_EVAL_FAIL and out == ""
+        assert len(err.splitlines()) == 1 and "DESK_T0" in err
+
 
 class TestZerosCommand:
     def test_schema_and_footer(self, capsys):
