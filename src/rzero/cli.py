@@ -46,10 +46,11 @@ EXIT_CLUSTERS = 5
 @dataclass
 class RunConfig:
     """Parsed invocation; numeric parameters are finite, t range ordered,
-    t step positive and grid size odd."""
+    t step positive and grid size odd.  An unset t_min is 10, or for count
+    and table the first grid height above DESK_T0, DESK_T0 + t_step."""
 
     command: str
-    t_min: float = 10.0
+    t_min: float | None = None
     t_max: float = 100.0
     t_step: float = 10.0
     box_left: float = -6.0
@@ -65,7 +66,10 @@ class RunConfig:
     samples: int = 0  # 0 = suite defaults
 
     def __post_init__(self):
-        for name in ("t_min", "t_max", "t_step", "box_left", "grid_step",
+        if self.t_min is None:
+            self.t_min = (counting.DESK_T0 + self.t_step
+                          if self.command in ("count", "table") else 10.0)
+        for name in ("t_step", "t_min", "t_max", "box_left", "grid_step",
                      "min_size"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -295,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=1,
                    help="odd grid size n for an n x n grid around --point")
     p.add_argument("--grid-step", type=float, default=0.5)
-    p.add_argument("--t-min", type=float, default=10.0)
+    p.add_argument("--t-min", type=float, default=None,
+                   help="first T (default 10; for count and table "
+                        "DESK_T0 + t-step, the first height above DESK_T0)")
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--t-step", type=float, default=10.0)
     p.add_argument("--box-left", type=float, default=-6.0)

@@ -235,10 +235,10 @@ class TestQuadratureReuse:
         r_eval_cache_clear()
         _eval_all(REUSE_POINTS)
         s = REUSE_POINTS[-1]
-        spec = auto_spec(s)
-        forced = QuadratureSpec(crossing=spec.crossing,
-                                half_length=math.ceil(2 * spec.half_length) / 2,
-                                step=1 / 1024)
+        q = default_crossing(s.imag)
+        forced = QuadratureSpec(
+            crossing=q, half_length=math.ceil(2 * _pinned_half(s.imag, q)) / 2,
+            step=1 / 1024)
         _quadrature(s, forced)
         lattice = auxiliary._LATTICE
         assert 0 < len(lattice) <= LATTICE_MAX_ENTRIES
@@ -405,17 +405,20 @@ class TestEvalMany:
         assert auxiliary._r_eval_cached.cache_info().currsize == 0
 
 
-def _oracle(s):
-    """r_integral at step 1/128 at the default crossing, over an extent
-    pinned apart from the default sizing under test: the wider rule
-    _MIN_HALF + sqrt(t)/4 + sqrt(2) |q + 1/2 - saddle| + 1, plus 2."""
-    t = s.imag
-    q = default_crossing(t)
+def _pinned_half(t, q):
+    """An extent pinned apart from the default sizing under test: the wider
+    rule _MIN_HALF + sqrt(t)/4 + sqrt(2) |q + 1/2 - saddle| + 1."""
     saddle = math.sqrt(max(t, 0.0) / TWO_PI)
-    half = (auxiliary._MIN_HALF + 0.25 * math.sqrt(max(t, 0.0))
+    return (auxiliary._MIN_HALF + 0.25 * math.sqrt(max(t, 0.0))
             + math.sqrt(2.0) * abs(q + 0.5 - saddle) + 1.0)
-    return r_integral(s, QuadratureSpec(crossing=q, half_length=half + 2.0,
-                                        step=1 / 128))
+
+
+def _oracle(s):
+    """r_integral at step 1/128 at the default crossing over the pinned
+    extent plus 2."""
+    q = default_crossing(s.imag)
+    return r_integral(s, QuadratureSpec(
+        crossing=q, half_length=_pinned_half(s.imag, q) + 2.0, step=1 / 128))
 
 
 def _discrepancies(s, half, steps):

@@ -132,6 +132,17 @@ class TestCount:
         assert code == EXIT_EVAL_FAIL and out == ""
         assert len(err.splitlines()) == 1 and "DESK_T0" in err
 
+    @pytest.mark.parametrize("command", ["count", "table"])
+    def test_default_grid_starts_above_base_height(self, capsys, command):
+        # with no --t-min the grid starts one step above DESK_T0 = 10
+        code, out, _ = run(capsys, "--command", command)
+        assert code == EXIT_OK
+        big_ts = [float(r["big_t"]) for r in parse_rows(out)]
+        assert big_ts == [20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0,
+                          100.0]
+        assert RunConfig(command=command, t_step=5.0).t_min == 15.0
+        assert RunConfig(command="zeros").t_min == 10.0
+
 
 class TestZerosCommand:
     def test_schema_and_footer(self, capsys):
