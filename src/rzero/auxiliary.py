@@ -129,9 +129,11 @@ class EvaluationResult:
 
     ``log_value`` is a logarithm of ``value`` (any branch); it stays finite
     and meaningful even when ``value`` itself overflows the double range,
-    which happens deep in the left half-plane.  ``derivative`` (R'(s)) and
-    its absolute ``derivative_error`` are only set when the derivative was
-    requested (see r_derivative).
+    which happens deep in the left half-plane.  ``derivative`` (R'(s)), its
+    absolute ``derivative_error`` and the logarithmic derivative
+    ``log_derivative`` (R'/R, formed as exp(log R' - log R), so it stays
+    meaningful where both values saturate) are only set when the derivative
+    was requested (see r_derivative).
     """
 
     value: complex
@@ -140,6 +142,7 @@ class EvaluationResult:
     log_value: complex | None = None
     derivative: complex | None = None
     derivative_error: float | None = None
+    log_derivative: complex | None = None
 
 
 def _log_kernel(x: np.ndarray) -> np.ndarray:
@@ -328,8 +331,11 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
         exponents -= np.array(mr, dtype=complex)[:, None]
     res = _channels(np.exp(exponents), _log_n(q), derivative)
     if q > 1:
-        # the phase s log n of a residue is good to about eps |s| log q
+        # the phase s log n of a residue is good to about eps |s| log q; its
+        # scale is formed from logs, as the residues' moduli may lie beyond
+        # the double range
         abs_res = _sum_rows(np.abs(res), axis=1).tolist()
+        log_phase = [math.log(abs(z) * log_q) for z in zs]
     c = 1 + derivative  # channels per point
     sums = []
     # abs() of single elements: np.abs of an array may take a vector path
@@ -341,8 +347,8 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
         mi = m[i // c] - mr[i // c]  # the residues' scale
         sums.append([total, coarse, abs_total, abs(first) + abs(last),
                      _reduced(res_sum, mi),
-                     math.exp(math.log(abs_res[i] * abs(zs[i // c]) * log_q)
-                              - mi) if q > 1 else 0.0])
+                     math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
+                     if q > 1 else 0.0])
     return m, [peak_rest + abs(z) * peak_logx for z in zs], sums
 
 
@@ -686,10 +692,17 @@ def _evaluate(pairs: list[tuple[float, float]],
         (log_total, rel_est), *d_result = map(
             _estimate, figures, prev_disc or (None, None))
         value, err = _absolute(log_total, rel_est)
-        d_value, d_error = _absolute(*d_result[0]) if derivative else (None, None)
+        d_value = d_error = log_ratio = None
+        if derivative:
+            (d_log, d_rel), = d_result
+            d_value, d_error = _absolute(d_log, d_rel)
+            if log_total is not None:
+                log_ratio = (0.0j if d_log is None
+                             else cmath.exp(d_log - log_total))
         out.append(EvaluationResult(
             value=value, method="quadrature", error_estimate=err,
             log_value=log_total, derivative=d_value, derivative_error=d_error,
+            log_derivative=log_ratio,
         ))
     return out
 
@@ -728,7 +741,8 @@ class _RCache:
             hit = store.get(key)
             if hit is not None:
                 store.move_to_end(key)
-                return replace(hit, derivative=None, derivative_error=None)
+                return replace(hit, derivative=None, derivative_error=None,
+                               log_derivative=None)
         if hit is not None:
             store.move_to_end(key)
         return hit
@@ -799,17 +813,18 @@ def r_eval(s) -> EvaluationResult:
     return _r_eval_cached(z.real, z.imag, False)
 
 
-def r_eval_many(points) -> list[EvaluationResult]:
-    """r_eval at each point, in order.
+def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
+    """r_eval at each point, in order; with ``derivative``, r_derivative's
+    results, which also carry R'/R as ``log_derivative``.
 
     The points missing from the cache are step-halved together
     (_step_halve): points that share a crossing and an extent, such as the
     samples of a horizontal contour edge, share every integrand row, so one
     numpy kernel serves the block.  Every result has the same bits as
-    r_eval would give, and lands in the same cache.
+    r_eval (or r_derivative) would give, and lands in the same cache.
     """
     zs = [_checked(s) for s in points]
-    return _R_CACHE.many([(z.real, z.imag) for z in zs], False)
+    return _R_CACHE.many([(z.real, z.imag) for z in zs], derivative)
 
 
 def r_value(s) -> complex:

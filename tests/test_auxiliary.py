@@ -182,6 +182,16 @@ class TestREval:
         assert log_r is not None and cmath.isfinite(log_r)
         assert abs(cmath.exp(log_r - r_asymptotic(s).log_value) - 1.0) < 0.05
 
+    @pytest.mark.parametrize("s", [complex(-365.7, 1e4), complex(-575.0, 1e5),
+                                   complex(-100.0, 1e7)])
+    def test_far_left_estimate_finite(self, s):
+        # |R| is beyond the double range here (e^1345 at the first point, the
+        # corner of the curve contour's top edge at T = 10^4), and so are the
+        # residues whose phase errors enter the rounding floor
+        res = r_eval(s)
+        assert res.log_value.real > 709.0
+        assert math.isfinite(res.error_estimate) and res.error_estimate > 0.0
+
 
 # sigma in [-2, 3] at the four layer heights of the benchmark
 REUSE_POINTS = [complex(-1.3, 20.4), complex(0.5, 101.7), complex(2.6, 493.2),
@@ -618,6 +628,19 @@ class TestRDerivative:
         assert fields(alone) == fields(with_d) == fields(after)
         assert alone.derivative is None and after.derivative is None
         assert with_d.derivative == r_derivative(s)
+
+    @pytest.mark.parametrize("s", DERIVATIVE_POINTS + [complex(-365.7, 1e4)])
+    def test_log_derivative(self, s):
+        # R'/R from logs: the ratio of the values where they are in range,
+        # and finite where both saturate (the last point, |R| = e^1345)
+        r_eval_cache_clear()
+        (res,) = r_eval_many([s], derivative=True)
+        assert res.value == r_eval(s).value
+        assert r_eval(s).log_derivative is None
+        assert cmath.isfinite(res.log_derivative)
+        if res.log_value.real < 700.0:
+            assert res.log_derivative == pytest.approx(
+                res.derivative / res.value, rel=1e-13)
 
     def test_cold_derivative_computes_one_entry(self):
         s = DERIVATIVE_POINTS[1]

@@ -14,9 +14,14 @@ from rzero.auxiliary import (
     r_eval_many,
     r_value,
 )
+import json
+import pathlib
+import random
+
 from rzero.counting import (
     CURVE_T0,
     PERTURB_STEP,
+    WALK_MODULUS,
     AxisEdge,
     ContourSpec,
     CountResult,
@@ -33,7 +38,10 @@ from rzero.counting import (
     top_edge_certificate,
     winding_number,
     winding_value,
+    _curve_turns,
     _edge_seeds,
+    _too_coarse,
+    _walk_edge,
 )
 from rzero.errors import (
     BacklundError,
@@ -463,13 +471,70 @@ class TestCurveContour:
     def test_far_heights(self, big_t, expected):
         # 2247 is also the stacked-strip count of [-6, 2] x [10, 5000], which
         # takes 91 317 R computations; the curve contour samples only its
-        # top edge (2592 R computations from a cold cache)
+        # top edge, walked at the step its phase needs (1357 R computations
+        # from a cold cache at 10^4; 3450 at the equispaced seed rate)
         before = auxiliary._R_CACHE.cache_info().misses
         (row,) = residual_table([big_t])
-        assert auxiliary._R_CACHE.cache_info().misses - before < 4000
+        assert auxiliary._R_CACHE.cache_info().misses - before < 2000
         assert row.count == expected
         assert row.window == (CURVE_T0, big_t)
         assert abs(row.top_turns) <= row.top_bound
+
+    def test_walk_matches_equispaced_edge(self):
+        # the walk against the same edge sampled at the seed rate it had
+        # before (pinned here, so the reference does not move with the code)
+        def pinned_seeds(t, length):
+            rate = 0.5 * math.log(max(t, 7.0) / TWO_PI) + 3.5
+            return max(8, int(math.ceil(length * rate / 1.2)) + 1)
+
+        rng = random.Random(1600)
+        for _ in range(40):
+            t = rng.uniform(100.5, 3000.0)
+            left = curve_sigma(t)
+            seeds = pinned_seeds(t, 2.0 - left)
+            dense = arg_variation(r_value, PathSegment.line(
+                complex(left, t), complex(2.0, t)), seeds=seeds)
+            _, _, top_turns, _ = _curve_turns(t)
+            assert top_turns == pytest.approx(
+                -dense.total_variation / TWO_PI, abs=1e-9)
+
+    def test_walk_on_the_seed_lattice(self):
+        # a subset of the equispaced seeds, ends included, far sparser than
+        # they are; neighbours differ in log |R| by at most WALK_MODULUS
+        t = 1e4
+        left = curve_sigma(t)
+        seeds = _edge_seeds(t, 2.0 - left, False)
+        segment = PathSegment.line(complex(left, t), complex(2.0, t))
+        path = _walk_edge(segment, seeds)
+        lattice = set(segment.seed_params(seeds))
+        assert path.params[0] == 0.0 and path.params[-1] == 1.0
+        assert set(path.params) <= lattice
+        assert 3 * len(path.params) < seeds
+        logs = [res.log_value.real for res in
+                r_eval_many([segment.point(u) for u in path.params])]
+        assert max(abs(b - a) for a, b in zip(logs, logs[1:])) < WALK_MODULUS
+
+    def test_too_coarse(self):
+        # each of the three tests alone splits an interval
+        assert not _too_coarse(1.0, 0j, 0.3j, 0.3j, 0.3j)
+        assert _too_coarse(2.0, 0j, 0.3j, 0.6j, 0.3j)  # phase step 0.6
+        assert _too_coarse(1.0, 0j, 7.0, 7.0 + 0j, 7.0)  # modulus step 7
+        assert _too_coarse(1.0, 0j, 0.3j, 3.4j, 0.3j)  # a hidden half turn
+        assert not _too_coarse(1.0, 0j, 0.3j, (0.3 + TWO_PI) * 1j, 0.3j)
+        assert not _too_coarse(1.0, None, None, 3.4j, 0.3j)  # exact zero
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_top_edge_at_a_located_zero(self, which):
+        # the top edge through a golden zero (the first above CURVE_T0 and
+        # the highest): the ladder moves it by one step, and the count is
+        # the number of golden zeros up to that height
+        golden = json.loads((pathlib.Path(__file__).parent / "data"
+                             / "golden.json").read_text())
+        gammas = sorted(float(g) for _, g in golden["zeros"])
+        gamma = [g for g in gammas if g > CURVE_T0][which]
+        (row,) = residual_table([gamma])
+        assert row.window == (CURVE_T0, gamma + PERTURB_STEP)
+        assert row.count == sum(g <= gamma for g in gammas)
 
     def test_row_at_t0_is_a_strip_row(self):
         table = residual_table([60.0, CURVE_T0, 150.0])
