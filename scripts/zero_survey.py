@@ -29,8 +29,8 @@ def main(argv=None) -> int:
                      "--box-left", repr(args.box_left), *rest])
     if code != cli.EXIT_OK:
         return code
-    strip, _, _ = rectangle_count(r_value, args.box_left - 20.0,
-                                  args.box_left, args.t_min, args.t_max)
+    strip, _ = rectangle_count(r_value, args.box_left - 20.0,
+                               args.box_left, args.t_min, args.t_max)
     if strip != 0:
         print(f"# warning: {strip} zeros left of sigma = {args.box_left}; "
               "widen --box-left", file=sys.stderr)

@@ -19,14 +19,12 @@ from .auxiliary import (
 )
 from .counting import (
     ArgTrace,
-    ContourSpec,
     CountResult,
     PathSegment,
     arg_variation,
     backlund_bound,
     main_term,
     residual_table,
-    winding_number,
 )
 from .special_functions import (
     EtaValue,
@@ -48,13 +46,13 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgTrace", "Box", "ContourSpec", "CountResult",
+    "ArgTrace", "Box", "CountResult",
     "EtaValue", "EvaluationResult", "PathSegment", "QuadratureSpec",
     "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
     "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
     "main_term", "r_asymptotic",
     "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
     "refine_zero",
-    "residual_table", "winding_number", "zero_statistics", "zeta_from_r",
+    "residual_table", "zero_statistics", "zeta_from_r",
     "zeta_reference",
 ]

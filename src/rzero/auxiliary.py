@@ -896,23 +896,18 @@ def r_asymptotic(s) -> EvaluationResult:
     )
 
 
-def r_derivative(s, with_estimate: bool = False):
+def r_derivative(s) -> complex:
     """R'(s) from the grid that r_eval accepts at s.
 
     R(s) is step-halved exactly as by r_eval(s), and every level also sums
     R' from the same node exponentials, each weighted by -log x (see
     _step_halve); the result is cached as its own entry, which also serves
-    later r_eval(s) calls (the value bits are the same).  With
-    ``with_estimate=True`` returns ``(value, error_estimate)``, where the
-    estimate is formed from R''s own level discrepancies as r_eval's is
-    from R's: the trapezoid model's error of the accepted grid (or the
-    discrepancy while pre-asymptotic) plus tails and a rounding floor.
+    later r_eval(s) calls (the value bits are the same).  That entry's
+    ``derivative_error`` (r_eval_many(..., derivative=True)) is formed from
+    R''s own level discrepancies as r_eval's estimate is from R's.
     """
     z = _checked(s)
-    res = _r_eval_cached(z.real, z.imag, True)
-    if with_estimate:
-        return res.derivative, res.derivative_error
-    return res.derivative
+    return _r_eval_cached(z.real, z.imag, True).derivative
 
 
 # ---------------------------------------------------------------------------

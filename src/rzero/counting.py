@@ -1,16 +1,16 @@
 """Argument-principle machinery: adaptive argument variation along any
-path with a ``point(u)`` method, winding numbers on closed contours of
-straight segments, the Backlund argument bound with the log modulus bound
-of the auxiliary function behind the top-edge certificate, zero counting
-on rectangles with the main-term decomposition
+path with a ``point(u)`` method, the Backlund argument bound with the log
+modulus bound of the auxiliary function behind the top-edge certificate,
+zero counting on rectangles with the main-term decomposition
 
     N(T) ~ T/(4 pi) log(T/(2 pi)) - T/(4 pi) - (1/2) sqrt(T/(2 pi)),
 
 and the least-squares fit of its square-root coefficient.
 
-This is the one winding engine: ``winding_value`` and ``_rectangle_winding``
-share one sum over a contour, and ``integer_winding`` is the one
-integrality guard, also used by the circle certificates of ``zeros``.
+This is the one winding engine: ``_rectangle_winding`` sums the edge
+variations of ``arg_variation`` around a rectangle, and ``integer_winding``
+is the one integrality guard, also used by the circle certificates of
+``zeros``.
 Every rectangle edge (strips, the base box, ``adequate_box_left`` and every
 isolation piece of ``zeros``) is an ``AxisEdge`` sampled on one lattice
 per line: its ends plus the points k/m between them.  Edges of a line that
@@ -73,7 +73,6 @@ PHASE_LIMIT = 0.5 * math.pi
 MAX_REFINE_DEPTH = 24
 MAX_WIDENINGS = 4
 WINDING_GUARD = 0.1
-_CHAIN_TOL = 1e-12
 # |f| below DETECT_TOL * (local scale) flags a zero on the path.  Kept well
 # under PERTURB_STEP so that a retry actually escapes the detection radius.
 DETECT_TOL = 1e-6
@@ -102,24 +101,12 @@ class PathSegment:
         if self.start == self.end:
             raise DomainError("degenerate straight segment")
 
-    @classmethod
-    def line(cls, start: complex, end: complex) -> "PathSegment":
-        return cls(start=complex(start), end=complex(end))
-
     def point(self, u: float) -> complex:
         """Point at parameter u in [0, 1] from start to end."""
         return self.start + u * (self.end - self.start)
 
     def seed_params(self, seeds: int) -> list[float]:
         return unit_params(seeds)
-
-    @property
-    def first(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def last(self) -> complex:
-        return self.point(1.0)
 
 
 @dataclass(frozen=True)
@@ -169,53 +156,10 @@ class AxisEdge:
             inner.reverse()
         return [self.start, *inner, self.end]
 
-    @property
-    def first(self) -> complex:
-        return self.point(self.start)
-
-    @property
-    def last(self) -> complex:
-        return self.point(self.end)
-
 
 def unit_params(seeds: int) -> list[float]:
     """k / (seeds - 1) for k = 0 .. seeds - 1: equispaced seeds on [0, 1]."""
     return [k / (seeds - 1) for k in range(seeds)]
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Closed chain of segments: each segment's end must meet the next
-    segment's start (cyclically)."""
-
-    segments: tuple[PathSegment, ...]
-
-    def __post_init__(self):
-        segs = self.segments
-        for k, seg in enumerate(segs):
-            nxt = segs[(k + 1) % len(segs)]
-            gap = abs(seg.last - nxt.first)
-            scale = max(1.0, abs(seg.last))
-            if gap > _CHAIN_TOL * scale:
-                raise DomainError(
-                    f"contour not closed between segments {k} and {k + 1} "
-                    f"(gap {gap:.3e})"
-                )
-
-    @classmethod
-    def rectangle(cls, sigma_lo: float, sigma_hi: float, t_lo: float,
-                  t_hi: float) -> "ContourSpec":
-        """Counterclockwise rectangle [sigma_lo, sigma_hi] x [t_lo, t_hi]."""
-        bl = complex(sigma_lo, t_lo)
-        br = complex(sigma_hi, t_lo)
-        tr = complex(sigma_hi, t_hi)
-        tl = complex(sigma_lo, t_hi)
-        return cls(segments=(
-            PathSegment.line(bl, br),
-            PathSegment.line(br, tr),
-            PathSegment.line(tr, tl),
-            PathSegment.line(tl, bl),
-        ))
 
 
 @dataclass(frozen=True)
@@ -325,28 +269,6 @@ def integer_winding(raw: float, where: str = "") -> int:
             f"winding value {raw:.4f} too far from an integer{where}"
         )
     return int(nearest)
-
-
-def _contour_winding(f, edges) -> tuple[float, list[ArgTrace]]:
-    """Raw winding of f along closed edges given as (segment, seeds) pairs:
-    the edge variations summed in order, over 2 pi; plus the edge traces."""
-    traces = [arg_variation(f, seg, seeds=seeds) for seg, seeds in edges]
-    total = 0.0
-    for trace in traces:
-        total += trace.total_variation
-    return total / TWO_PI, traces
-
-
-def winding_number(f, contour: ContourSpec, seeds: int = 16) -> int:
-    """Number of zeros of f enclosed by the closed contour: winding_value
-    through the integrality guard."""
-    return integer_winding(winding_value(f, contour, seeds=seeds))
-
-
-def winding_value(f, contour: ContourSpec, seeds: int = 16) -> float:
-    """Pre-rounding winding number (total variation over 2 pi)."""
-    raw, _ = _contour_winding(f, ((seg, seeds) for seg in contour.segments))
-    return raw
 
 
 def backlund_bound(log_m: float, log_f_center: float, radius: float,
@@ -512,13 +434,15 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
 
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                       t_hi: float) -> tuple[float, dict]:
-    """Raw winding value around a rectangle plus per-edge traces; the
-    edges are those of _rectangle_edges, sampled on the lattice of their
-    lines."""
-    edges = _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi)
-    raw, traces = _contour_winding(f, edges.values())
-    return raw, dict(zip(edges, traces))
+                       t_hi: float) -> float:
+    """Raw winding value around a rectangle: the variations of f along the
+    edges of _rectangle_edges, sampled on the lattice of their lines,
+    summed counterclockwise, over 2 pi."""
+    total = 0.0
+    for edge, seeds in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
+                                        t_hi).values():
+        total += arg_variation(f, edge, seeds=seeds).total_variation
+    return total / TWO_PI
 
 
 def _t_steps():
@@ -547,7 +471,7 @@ def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     then translating it in sigma by multiples of PERTURB_STEP when a zero
     sits on the contour.
 
-    Returns (count, realised (t_lo, t_hi), per-edge traces).
+    Returns (count, realised (t_lo, t_hi)).
     """
     last: ZeroOnPathError | None = None
     for dt, dsigma in _perturbation_ladder():
@@ -556,12 +480,12 @@ def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
         if not t_lo < hi:
             continue
         try:
-            raw, traces = _rectangle_winding(f, slo, shi, t_lo, hi)
+            raw = _rectangle_winding(f, slo, shi, t_lo, hi)
         except ZeroOnPathError as exc:
             last = exc
             continue
         count = integer_winding(raw, f" on [{slo},{shi}]x[{t_lo},{hi}]")
-        return count, (t_lo, hi), traces
+        return count, (t_lo, hi)
     raise ContourZeroError(
         f"zero persists on the contour after the perturbation ladder: {last}"
     )
@@ -576,8 +500,8 @@ def base_count(box_left: float = -6.0) -> int:
     enumeration on [box_left, 2] x (0, DESK_T0] (bottom edge placed just
     above the real axis)."""
     if box_left not in _BASE_COUNT_CACHE:
-        count, _, _ = rectangle_count(r_value, box_left, 2.0, _BASE_FLOOR,
-                                      DESK_T0)
+        count, _ = rectangle_count(r_value, box_left, 2.0, _BASE_FLOOR,
+                                   DESK_T0)
         _BASE_COUNT_CACHE[box_left] = count
     return _BASE_COUNT_CACHE[box_left]
 
@@ -594,8 +518,7 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     """
     left = box_left
     for _ in range(MAX_WIDENINGS):
-        strip, _, _ = rectangle_count(r_value, left - 20.0, left, DESK_T0,
-                                      t_hi)
+        strip, _ = rectangle_count(r_value, left - 20.0, left, DESK_T0, t_hi)
         if strip == 0:
             return left
         left -= 20.0
@@ -683,7 +606,7 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """
     left = curve_sigma(t)
     corner = complex(left, t)
-    path = _walk_edge(PathSegment.line(corner, complex(2.0, t)),
+    path = _walk_edge(PathSegment(corner, complex(2.0, t)),
                       _edge_seeds(t, 2.0 - left, False))
     edge = arg_variation(r_value, path, seeds=len(path.params))
     top_turns = -edge.total_variation / TWO_PI
@@ -762,7 +685,8 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     if not ts:
         return []
     if ts[0] <= DESK_T0:
-        raise DomainError(f"heights must rise above {DESK_T0}, got {ts[0]}")
+        raise DomainError(f"heights must rise above DESK_T0 = {DESK_T0:g}, "
+                          f"got {ts[0]:g}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("heights must be strictly increasing")
     left = adequate_box_left(min(ts[-1], CURVE_T0), box_left)
@@ -771,15 +695,15 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     results = []
     stacked = [t for t in ts if t <= CURVE_T0]
     for big_t in stacked:
-        strip, window, _ = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
+        strip, window = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
         running += strip
         results.append(_result(big_t, running, window))
         prev_hi = window[1]
     if len(stacked) == len(ts):
         return results
     if prev_hi < CURVE_T0:
-        strip, (_, prev_hi), _ = rectangle_count(r_value, left, 2.0, prev_hi,
-                                                 CURVE_T0)
+        strip, (_, prev_hi) = rectangle_count(r_value, left, 2.0, prev_hi,
+                                              CURVE_T0)
         running += strip
     try:
         t0, turns0, _, _ = _curve_turns(prev_hi)

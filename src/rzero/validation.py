@@ -106,7 +106,7 @@ def backlund(rng, samples: int) -> tuple[float]:
                   for a in theta) * 1.01
         if f0 == 0.0 or f0 > sup:
             continue
-        seg = PathSegment.line(0.0 + 0.0j, b)
+        seg = PathSegment(0.0 + 0.0j, b)
         measured = abs(arg_variation(poly, seg, seeds=64).total_variation) / TWO_PI
         bound = backlund_bound(math.log(sup), math.log(f0), radius, reach)
         worst = max(worst, measured - bound)

@@ -204,8 +204,8 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     """
     if f is None:
         f = r_value
-    total, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
-                                  box.t_hi)
+    total, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
+                               box.t_hi)
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
     stack = [(box, total)]

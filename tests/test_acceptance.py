@@ -16,12 +16,12 @@ import pytest
 from rzero import validation
 from rzero.auxiliary import r_eval, r_value
 from rzero.counting import (
-    ContourSpec,
+    PathSegment,
+    arg_variation,
     base_count,
     rectangle_count,
     residual_table,
     sqrt_fit,
-    winding_value,
 )
 from rzero.special_functions import TWO_PI
 from rzero.validation import SURVEY_BOX, TABLE_GRID
@@ -42,9 +42,9 @@ def zero_survey():
     t0 = time.perf_counter()
     zeros, clusters = locate_zeros(SURVEY_BOX)
     # emptiness further left of the survey box
-    strip, _, _ = rectangle_count(r_value, SURVEY_BOX.sigma_lo - 20.0,
-                                  SURVEY_BOX.sigma_lo, SURVEY_BOX.t_lo,
-                                  SURVEY_BOX.t_hi)
+    strip, _ = rectangle_count(r_value, SURVEY_BOX.sigma_lo - 20.0,
+                               SURVEY_BOX.sigma_lo, SURVEY_BOX.t_lo,
+                               SURVEY_BOX.t_hi)
     _timings["survey"] = time.perf_counter() - t0
     assert strip == 0, "survey box too narrow"
     assert clusters == []
@@ -163,8 +163,14 @@ def test_criterion_7_zero_free_band():
         hi = float(rng.uniform(lo + 0.2, 8.0))
         t_lo = float(rng.uniform(10.0, 900.0))
         t_hi = float(rng.uniform(t_lo + 5.0, 1000.0))
-        contour = ContourSpec.rectangle(lo, hi, t_lo, t_hi)
-        raw = winding_value(r_value, contour, seeds=128)
+        # counterclockwise from the bottom, 128 equispaced seeds per edge
+        corners = [complex(lo, t_lo), complex(hi, t_lo), complex(hi, t_hi),
+                   complex(lo, t_hi)]
+        total = 0.0
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            total += arg_variation(r_value, PathSegment(a, b),
+                                   seeds=128).total_variation
+        raw = total / TWO_PI
         assert abs(raw) < 0.02, f"winding {raw:.4f} on [{lo},{hi}]x[{t_lo},{t_hi}]"
         worst_offset = max(worst_offset, abs(raw))
 

@@ -363,11 +363,9 @@ class TestEvalMany:
     def test_derivative_entries_untouched(self):
         r_eval_cache_clear()
         s = BATCH_POINTS[5]
-        d, d_err = r_derivative(s, with_estimate=True)
         entry = auxiliary._r_eval_cached(s.real, s.imag, True)
         batch = r_eval_many(BATCH_POINTS[:8])
         assert auxiliary._r_eval_cached(s.real, s.imag, True) is entry
-        assert r_derivative(s, with_estimate=True) == (d, d_err)
         assert all(res.derivative is None for res in batch)
         # the value at s is read from the derivative entry: 1 + 7 entries
         info = auxiliary._r_eval_cached.cache_info()
@@ -613,7 +611,8 @@ class TestRDerivative:
             ring += res.value / w
             ring_err += res.error_estimate
         ring, ring_err = ring / (16 * radius), ring_err / (16 * radius)
-        d, err = r_derivative(s, with_estimate=True)
+        (res,) = r_eval_many([s], derivative=True)
+        d, err = res.derivative, res.derivative_error
         assert abs(d - ring) <= 1e-9 * abs(d)
         assert abs(d - ring) <= err + ring_err
 
@@ -645,7 +644,7 @@ class TestRDerivative:
     def test_cold_derivative_computes_one_entry(self):
         s = DERIVATIVE_POINTS[1]
         r_eval_cache_clear()
-        r_derivative(s, with_estimate=True)
+        r_eval_many([s], derivative=True)
         r_derivative(s)
         info = auxiliary._r_eval_cached.cache_info()
         assert (info.currsize, info.misses) == (1, 1)
@@ -658,7 +657,7 @@ class TestRDerivative:
         real_rows = auxiliary._LATTICE.rows
         monkeypatch.setattr(auxiliary._LATTICE, "rows",
                             lambda *a: asked.append(a[1:]) or real_rows(*a))
-        r_derivative(s, with_estimate=True)
+        r_derivative(s)
         monkeypatch.undo()
         (row,) = auxiliary._step_halve([s])
         half_n = int(4 * row.half)

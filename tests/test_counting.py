@@ -23,23 +23,22 @@ from rzero.counting import (
     PERTURB_STEP,
     WALK_MODULUS,
     AxisEdge,
-    ContourSpec,
     CountResult,
     PathSegment,
     adequate_box_left,
     arg_variation,
     backlund_bound,
     base_count,
+    integer_winding,
     log_modulus_bound,
     main_term,
     rectangle_count,
     residual_table,
     sqrt_fit,
     top_edge_certificate,
-    winding_number,
-    winding_value,
     _curve_turns,
     _edge_seeds,
+    _rectangle_winding,
     _too_coarse,
     _walk_edge,
 )
@@ -78,27 +77,27 @@ class TestBacklundBound:
 
 class TestPathSegment:
     def test_line_endpoints(self):
-        seg = PathSegment.line(1.0, 1.0j)
-        assert seg.first == 1.0 and seg.last == 1.0j
+        seg = PathSegment(1.0, 1.0j)
+        assert seg.point(0.0) == 1.0 and seg.point(1.0) == 1.0j
 
     def test_degenerate_rejected(self):
         with pytest.raises(DomainError):
-            PathSegment.line(1.0, 1.0)
+            PathSegment(1.0, 1.0)
 
 
 class TestArgVariation:
     def test_quarter_turn(self):
-        trace = arg_variation(lambda z: z, PathSegment.line(1.0, 1.0j))
+        trace = arg_variation(lambda z: z, PathSegment(1.0, 1.0j))
         assert trace.total_variation == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_exponential_vertical(self):
         h = 11.0
-        seg = PathSegment.line(0.3, complex(0.3, h))
+        seg = PathSegment(0.3, complex(0.3, h))
         trace = arg_variation(cmath.exp, seg)
         assert trace.total_variation == pytest.approx(h, rel=1e-12)
 
     def test_trace_invariants(self):
-        seg = PathSegment.line(1.0, complex(1.0, 30.0))
+        seg = PathSegment(1.0, complex(1.0, 30.0))
         trace = arg_variation(cmath.exp, seg, seeds=4)
         steps = np.diff(trace.phases)
         assert np.all(np.abs(steps) < 0.5 * math.pi)
@@ -107,13 +106,13 @@ class TestArgVariation:
             trace.phases[-1] - trace.phases[0])
 
     def test_zero_on_path(self):
-        seg = PathSegment.line(-1.0, 1.0)
+        seg = PathSegment(-1.0, 1.0)
         with pytest.raises(ZeroOnPathError):
             arg_variation(lambda z: z, seg)
 
     def test_right_edge_variation_below_pi(self):
         # |R - 1| < 3/4 on sigma = 2 pins the argument inside a half turn
-        seg = PathSegment.line(complex(2.0, 10.0), complex(2.0, 100.0))
+        seg = PathSegment(complex(2.0, 10.0), complex(2.0, 100.0))
         trace = arg_variation(r_value, seg, seeds=128)
         assert abs(trace.total_variation) <= math.pi
 
@@ -140,7 +139,7 @@ class TestSampleLattice:
         rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
         computed = self._computed(monkeypatch)
         misses = auxiliary._r_eval_cached.cache_info().misses
-        _, window, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
+        _, window = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
         assert window == (10.0, 45.0)
         assert computed and {t for _, t in computed} == {45.0}
         assert auxiliary._r_eval_cached.cache_info().misses - misses == len(
@@ -199,42 +198,33 @@ class TestSampleLattice:
 
 
 class TestWindingNumber:
-    def rect(self):
-        return ContourSpec.rectangle(0.0, 2.0, 9.0, 11.0)
+    RECT = (0.0, 2.0, 9.0, 11.0)
 
     def test_single_zero(self):
-        assert winding_number(lambda z: z - (1 + 10j), self.rect()) == 1
+        assert rectangle_count(lambda z: z - (1 + 10j), *self.RECT)[0] == 1
 
     def test_multiplicity(self):
         f = lambda z: (z - (1 + 10j)) ** 2 * (z - (1.2 + 10.5j))
-        assert winding_number(f, self.rect()) == 3
+        assert rectangle_count(f, *self.RECT)[0] == 3
 
     def test_no_zero(self):
-        assert winding_number(lambda z: z - (5 + 10j), self.rect()) == 0
+        assert rectangle_count(lambda z: z - (5 + 10j), *self.RECT)[0] == 0
 
     def test_branch_cut_rejected(self):
         # the principal-sqrt discontinuity crosses the contour: the phase
-        # contract cannot be met there and the failure must be loud
+        # contract cannot be met there, on any rung of the ladder, and the
+        # failure must be loud
         f = lambda z: cmath.sqrt(z - (1 + 10j))
-        with pytest.raises(ZeroOnPathError):
-            winding_number(f, self.rect())
+        with pytest.raises(ContourZeroError):
+            rectangle_count(f, *self.RECT)
 
-    def test_integrality_guard(self, monkeypatch):
-        import rzero.counting as counting_mod
-        monkeypatch.setattr(counting_mod, "winding_value",
-                            lambda *a, **k: 0.63)
+    def test_integrality_guard(self):
+        assert integer_winding(0.93) == 1 and integer_winding(-0.02) == 0
         with pytest.raises(NonIntegerWindingError):
-            counting_mod.winding_number(lambda z: z, self.rect())
-
-    def test_closure_validated(self):
-        with pytest.raises(DomainError):
-            ContourSpec(segments=(
-                PathSegment.line(0.0, 1.0),
-                PathSegment.line(2.0, 0.0),
-            ))
+            integer_winding(0.63)
 
     def test_integrality_margin(self):
-        raw = winding_value(lambda z: z - (1 + 10j), self.rect())
+        raw = _rectangle_winding(lambda z: z - (1 + 10j), *self.RECT)
         assert abs(raw - 1.0) < 0.02
 
 
@@ -324,9 +314,9 @@ class TestCountZeros:
         assert res.count == residual_table([60.0])[0].count
 
     def test_additivity(self):
-        lo, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
-        hi, _, _ = rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
-        full, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
+        lo, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
+        hi, _ = rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
+        full, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 80.0)
         assert lo + hi == full
         table = residual_table([45.0, 80.0])
         assert table[0].count - base_count() == lo
@@ -335,7 +325,7 @@ class TestCountZeros:
     def test_off_integer_rectangle_rejected(self, monkeypatch):
         import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, "_rectangle_winding",
-                            lambda *a, **k: (1.37, {}))
+                            lambda *a, **k: 1.37)
         with pytest.raises(NonIntegerWindingError):
             counting_mod.rectangle_count(lambda z: z - (0.5 + 30j),
                                          -6.0, 2.0, 10.0, 60.0)
@@ -343,19 +333,18 @@ class TestCountZeros:
     def test_ladder_moves_only_the_top(self):
         # a zero on the top edge is escaped by raising the top; the bottom
         # never moves, so a zero on it stays on the contour
-        count, window, _ = rectangle_count(lambda z: z - (0.5 + 20j),
-                                           -6.0, 2.0, 10.0, 20.0)
+        count, window = rectangle_count(lambda z: z - (0.5 + 20j),
+                                        -6.0, 2.0, 10.0, 20.0)
         assert count == 1
         assert window == (10.0, 20.0 + 1e-3)
         with pytest.raises(ContourZeroError):
             rectangle_count(lambda z: z - (0.5 + 10j), -6.0, 2.0, 10.0, 20.0)
 
     def test_polynomial_rectangle(self):
-        count, window, traces = rectangle_count(
+        count, window = rectangle_count(
             lambda z: (z - (0.5 + 30j)) * (z - (-2 + 55j)),
             -6.0, 2.0, 10.0, 60.0)
-        assert count == 2
-        assert set(traces) == {"bottom", "right", "top", "left"}
+        assert count == 2 and window == (10.0, 60.0)
 
 
 class TestTopEdgeCertificate:
@@ -365,7 +354,7 @@ class TestTopEdgeCertificate:
         big_t, box_left = 200.0, -6.0
         bound_turns = top_edge_certificate(big_t, box_left)
         assert bound_turns is not None
-        seg = PathSegment.line(complex(2.0, big_t), complex(box_left, big_t))
+        seg = PathSegment(complex(2.0, big_t), complex(box_left, big_t))
         trace = arg_variation(r_value, seg, seeds=64)
         assert abs(trace.total_variation) <= TWO_PI * bound_turns
 
@@ -424,7 +413,7 @@ class TestResidualTable:
 
     def test_matches_direct_count(self):
         table = residual_table([30.0, 55.0])
-        direct, _, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 55.0)
+        direct, _ = rectangle_count(r_value, -6.0, 2.0, 10.0, 55.0)
         assert table[-1].count - base_count() == direct
 
     @staticmethod
@@ -492,7 +481,7 @@ class TestCurveContour:
             t = rng.uniform(100.5, 3000.0)
             left = curve_sigma(t)
             seeds = pinned_seeds(t, 2.0 - left)
-            dense = arg_variation(r_value, PathSegment.line(
+            dense = arg_variation(r_value, PathSegment(
                 complex(left, t), complex(2.0, t)), seeds=seeds)
             _, _, top_turns, _ = _curve_turns(t)
             assert top_turns == pytest.approx(
@@ -504,7 +493,7 @@ class TestCurveContour:
         t = 1e4
         left = curve_sigma(t)
         seeds = _edge_seeds(t, 2.0 - left, False)
-        segment = PathSegment.line(complex(left, t), complex(2.0, t))
+        segment = PathSegment(complex(left, t), complex(2.0, t))
         path = _walk_edge(segment, seeds)
         lattice = set(segment.seed_params(seeds))
         assert path.params[0] == 0.0 and path.params[-1] == 1.0
@@ -542,7 +531,7 @@ class TestCurveContour:
         assert table[1].window == (60.0, CURVE_T0)
         assert table[1].count == 13 and table[1].top_turns is None
         assert table[2].window == (CURVE_T0, 150.0)
-        strip, _, _ = rectangle_count(r_value, -6.0, 2.0, CURVE_T0, 150.0)
+        strip, _ = rectangle_count(r_value, -6.0, 2.0, CURVE_T0, 150.0)
         assert table[2].count == 13 + strip
         assert table[2].count == residual_table([150.0])[0].count
 
@@ -557,7 +546,7 @@ class TestCurveContour:
         forced = []
 
         def zero_once(f, path, seeds=16):
-            if path.first == corner and not forced:
+            if path.start == corner and not forced:
                 forced.append(corner)
                 raise ZeroOnPathError("forced", where=corner)
             return walk(f, path, seeds=seeds)

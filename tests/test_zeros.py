@@ -70,8 +70,8 @@ class TestIsolateZeros:
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j)) * (z - (0.3 + 9.4j))
         box = Box(0.0, 2.0, 9.0, 11.0)
         res = isolate_zeros(box, f=f)
-        total, _, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi,
-                                      box.t_lo, box.t_hi)
+        total, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi,
+                                   box.t_lo, box.t_hi)
         assert len(res.isolated) == total == 3
 
     def test_double_zero_reported_as_cluster(self):
@@ -216,7 +216,7 @@ class TestLocateZeros:
     def test_box_10_60(self):
         zeros, clusters = locate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
         assert clusters == []
-        count, _, _ = rectangle_count(r_value, -4.0, 2.0, 10.0, 60.0)
+        count, _ = rectangle_count(r_value, -4.0, 2.0, 10.0, 60.0)
         assert len(zeros) == count == 6
         gammas = [z.gamma for z in zeros]
         assert gammas == sorted(gammas)
