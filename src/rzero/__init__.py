@@ -27,7 +27,6 @@ from .counting import (
     residual_table,
 )
 from .special_functions import (
-    EtaValue,
     chi,
     eta,
     log_chi,
@@ -46,8 +45,8 @@ from .zeros import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgTrace", "Box", "CountResult",
-    "EtaValue", "EvaluationResult", "PathSegment", "QuadratureSpec",
+    "ArgTrace", "Box", "CountResult", "EvaluationResult", "PathSegment",
+    "QuadratureSpec",
     "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
     "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
     "main_term", "r_asymptotic",

@@ -13,7 +13,7 @@ cross-checks against an Euler-Maclaurin zeta evaluator through the identity
 The quadrature is organised around three kinds of reuse.  On the line
 x = q + 1/2 + v e^{i pi/4} the terms log x and
 i pi x^2 - log(e^{i pi x} - e^{-i pi x}) do not depend on s; they are kept
-per (crossing, dyadic step) in a bounded lattice table, so a pass reduces to
+per (crossing, dyadic step, extent) in a bounded memo, so a pass reduces to
 one complex multiply-add and one exp per node.  The trapezoid grids at
 steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
 fixes the extent to a multiple of 1/2 and each halving of the step computes
@@ -163,97 +163,49 @@ def _log_kernel(x: np.ndarray) -> np.ndarray:
     return 1j * math.pi * x * x - den
 
 
-def _line_rows(q: int, step: float, n: int, base: bool):
-    """(log x, log kernel, peaks) at x = q + 1/2 + step k e^{i pi/4} for one
+def _build_rows(q: int, step: float, n: int, base: bool):
+    """(log x, log kernel, peak) at x = q + 1/2 + step k e^{i pi/4} for one
     nesting level: every integer |k| <= n when ``base``, else the odd
-    |k| < n.  For a base level, column j of the (2, n + 1) array ``peaks``
-    holds max |log x| and max |log kernel| over |k| <= j, the scales of the
-    rounding floor (see _pass_figures); an odd level has None."""
+    |k| < n.  For a base level peak is (max |log x|, max |log kernel|) over
+    the row, the scales of the rounding floor (see _pass_figures); an odd
+    level has None."""
     k = np.arange(-n, n + 1) if base else np.arange(1 - n, n, 2)
     x = (q + 0.5) + (step * k) * _LINE_DIR
     # The path must stay clear of the branch cut of log x (negative reals).
     if not np.all((x.imag != 0.0) | (x.real > 0.0)):
         raise PathThroughPoleError("integration path touched the logarithm cut")
     logx, rest = np.log(x), _log_kernel(x)
-    peaks = None
+    peak = None
     if base:
-        mod = np.abs(np.stack([logx, rest]))
-        peaks = np.maximum.accumulate(np.maximum(mod[:, n:], mod[:, n::-1]),
-                                      axis=1)
-    return logx, rest, peaks
+        peak = tuple(np.maximum.reduce(np.abs(np.stack([logx, rest])),
+                                       axis=1).tolist())
+    return logx, rest, peak
 
 
 # Nesting: a pass at a dyadic step h <= _BASE_STEP starts from the grid of
 # step _BASE_STEP (its nodes also fix the exponent scale) and adds the odd
 # nodes of each halving down to h.
 _BASE_STEP = 0.25
-# The lattice table keeps dyadic levels from _BASE_STEP down to this step;
-# finer or non-dyadic levels are computed on every pass.  It is flushed
-# before it would exceed either cap (every level of every crossing, at the
-# extents automatic evaluation starts from, takes about 0.32 MiB up to
-# t = 2000 and 0.72 MiB up to t = 10^4).
+# The rows of dyadic levels from _BASE_STEP down to LATTICE_FINEST_STEP are
+# memoised per (q, step, n, base), least recently used first out; finer or
+# non-dyadic levels are built on every pass.  The largest memoised row is
+# 9 KiB (the odd nodes of step 1/64 over half-length 4.5) on seeded points
+# with t up to 10^7 and sigma far left, so a full memo holds about 2.3 MiB.
 LATTICE_FINEST_STEP = 1.0 / 64.0
-LATTICE_MAX_BYTES = 2 << 20
 LATTICE_MAX_ENTRIES = 256
+_lattice_rows = lru_cache(maxsize=LATTICE_MAX_ENTRIES)(_build_rows)
 
 
-class _Lattice:
-    """Bounded table of the s-independent rows of the log integrand.
+def _line_rows(q: int, step: float, n: int, base: bool):
+    """_build_rows of a level, from the memo _lattice_rows where it keeps
+    the level.  The rows are shared and must not be written to."""
+    if LATTICE_FINEST_STEP <= step <= _BASE_STEP and math.frexp(step)[0] == 0.5:
+        return _lattice_rows(q, step, n, base)
+    return _build_rows(q, step, n, base)
 
-    An entry (q, step, base) holds the rows of ``_line_rows`` for the widest
-    extent requested so far; rows are centred in k, so any narrower extent is
-    a contiguous slice with the same bits as a direct computation, and the
-    peaks of a base slice |k| <= n are column n of the running maxima.
-    ``nbytes`` is the size of the stored rows, kept as entries come and go.
-    """
-
-    def __init__(self):
-        self._rows: dict[tuple[int, float, bool], tuple] = {}
-        self.nbytes = 0
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def clear(self) -> None:
-        self._rows.clear()
-        self.nbytes = 0
-
-    def rows(self, q: int, step: float, n: int, base: bool):
-        """(log x, log kernel, peak) of a level with |k| <= n, where peak is
-        (max |log x|, max |log kernel|) for a base level and None for an odd
-        one."""
-        key = (q, step, base)
-        hit = self._rows.get(key)
-        if hit is not None and hit[0] >= n:
-            n_max, logx, rest, peaks = hit
-            lo = n_max - n if base else (n_max - n) // 2
-            logx, rest = logx[lo:len(logx) - lo], rest[lo:len(rest) - lo]
-        else:
-            logx, rest, peaks = _line_rows(q, step, n, base)
-            size = _nbytes(logx, rest, peaks)
-            if (LATTICE_FINEST_STEP <= step <= _BASE_STEP
-                    and math.frexp(step)[0] == 0.5
-                    and size <= LATTICE_MAX_BYTES):
-                if hit is not None:
-                    self.nbytes -= _nbytes(*self._rows.pop(key)[1:])
-                if (self.nbytes + size > LATTICE_MAX_BYTES
-                        or len(self._rows) >= LATTICE_MAX_ENTRIES):
-                    self.clear()
-                self._rows[key] = (n, logx, rest, peaks)
-                self.nbytes += size
-        if peaks is None:
-            return logx, rest, None
-        return logx, rest, (peaks.item(0, n), peaks.item(1, n))
-
-
-def _nbytes(logx, rest, peaks) -> int:
-    return logx.nbytes + rest.nbytes + (0 if peaks is None else peaks.nbytes)
-
-
-_LATTICE = _Lattice()
 
 # A round of _step_halve sums one nesting level for a block of points that
-# share a crossing and a half-length, so they share every lattice row; a
+# share a crossing and a half-length, so they share every integrand row; a
 # block holds at most this many (point, node) pairs, which bounds the
 # temporaries of one round (a complex block is 512 KiB, twice that with R').
 BATCH_MAX_NODES = 1 << 15
@@ -316,7 +268,7 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
     in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
     only when some point needs it, so every other row keeps its bits.
     """
-    logx, rest, (peak_logx, peak_rest) = _LATTICE.rows(q, step, n, True)
+    logx, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, True)
     s = np.array(zs)[:, None]
     lg = rest - s * logx
     m = np.maximum.reduce(lg.real, axis=1)
@@ -363,7 +315,7 @@ def _odd_sums(q: int, step: float, n: int, zs: list[complex],
     """Sums of a block of points over the odd nodes |k| < n of ``step`` (a
     halving of the base grid), at the points' scales ``ms``: the node sums
     and the modulus sums of each channel of each point (see _channels)."""
-    logx, rest, _ = _LATTICE.rows(q, step, n, False)
+    logx, rest, _ = _line_rows(q, step, n, False)
     w = _channels(np.exp(rest - np.array(zs)[:, None] * logx
                          - np.array(ms, dtype=complex)[:, None]),
                   logx, derivative)
@@ -761,21 +713,20 @@ class _RCache:
 
     def __call__(self, sigma: float, t: float,
                  derivative: bool) -> EvaluationResult:
-        hit = self._get(sigma, t, derivative)
-        if hit is None:
-            return self._fill([(sigma, t)], derivative)[0]
-        self._hits += 1
-        return hit
+        return self.many([(sigma, t)], derivative)[0]
 
     def many(self, pairs: list[tuple[float, float]],
              derivative: bool) -> list[EvaluationResult]:
-        out = [self._get(sigma, t, derivative) for sigma, t in pairs]
-        missing = list(dict.fromkeys(
-            pair for pair, res in zip(pairs, out) if res is None))
+        out, missing = [], {}  # missing: the distinct pairs, in order
+        for sigma, t in pairs:
+            res = self._get(sigma, t, derivative)
+            out.append(res)
+            if res is None:
+                missing[sigma, t] = None
         self._hits += len(pairs) - len(missing)
         if not missing:
             return out
-        computed = dict(zip(missing, self._fill(missing, derivative)))
+        computed = dict(zip(missing, self._fill(list(missing), derivative)))
         return [computed[pair] if res is None else res
                 for pair, res in zip(pairs, out)]
 
@@ -840,9 +791,9 @@ def values_at(f, points) -> list:
 
 
 def r_eval_cache_clear() -> None:
-    """Drop every cached R value and the lattice table."""
+    """Drop every cached R value and the memoised integrand rows."""
     _R_CACHE.cache_clear()
-    _LATTICE.clear()
+    _lattice_rows.cache_clear()
 
 
 SURROGATE_T_MIN = 50.0  # lowest height at which r_asymptotic is admissible
@@ -874,7 +825,7 @@ def r_asymptotic(s) -> EvaluationResult:
         raise RegionError(
             f"surrogate requires sigma <= {sigma_max:.3f} at t = {t}, got {z.real}"
         )
-    ev = eta(z).value
+    ev = eta(z)
     log_eta = cmath.log(ev)  # principal; Re(ev) > 0 in the region
     log_sin = log_sin_pi(ev)  # Im(eta) > 0 in the region
     # 2 cos(2 pi eta) = e^{-2 i pi eta} (1 + e^{4 i pi eta})

@@ -46,8 +46,9 @@ EXIT_CLUSTERS = 5
 @dataclass
 class RunConfig:
     """Parsed invocation; numeric parameters are finite, t range ordered,
-    t step positive and grid size odd.  An unset t_min is 10, or for count
-    and table the first grid height above DESK_T0, DESK_T0 + t_step."""
+    t step, grid step and min size positive, grid size odd and samples not
+    negative.  An unset t_min is 10, or for count and table the first grid
+    height above DESK_T0, DESK_T0 + t_step."""
 
     command: str
     t_min: float | None = None
@@ -79,6 +80,13 @@ class RunConfig:
             raise ValueError("--t-step must be positive")
         if self.grid_n < 1 or self.grid_n % 2 == 0:
             raise ValueError("--grid-n must be an odd size of at least 1")
+        if self.grid_step <= 0.0:
+            raise ValueError("--grid-step must be positive")
+        if self.min_size <= 0.0:
+            raise ValueError("--min-size must be positive")
+        if self.samples < 0:
+            raise ValueError("--samples must be at least 0 (0 = suite "
+                             "defaults)")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
         if self.tol is not None and self.command != "validate":
@@ -215,13 +223,11 @@ def cmd_table(config: RunConfig) -> int:
     r_smooth = N - smooth and r_plus_sqrt = r_smooth + sqrt_term; the
     footer holds the fitted coefficient of sqrt(T/2pi)."""
     results = _count_results(config)
-    rows = [{
-        "big_t": r.big_t, "count": r.count, "smooth_term": r.smooth_term,
-        "sqrt_term": r.sqrt_term, "main_value": r.main_value,
-        "residual": r.residual,
-        "r_smooth": r.count - r.smooth_term,
-        "r_plus_sqrt": r.count - r.smooth_term + r.sqrt_term,
-    } for r in results]
+    rows = _count_rows(results)
+    for row, r in zip(rows, results):
+        del row["certificates"]
+        row["r_smooth"] = r.count - r.smooth_term
+        row["r_plus_sqrt"] = row["r_smooth"] + r.sqrt_term
     coefficient, _ = sqrt_fit(results)
     emit_rows(rows, TABLE_COLUMNS, config,
               footer={"sqrt_fit_coefficient": coefficient})

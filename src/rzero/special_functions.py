@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,19 +177,7 @@ def _chi_batch(z: np.ndarray) -> np.ndarray:
     return np.exp(log_val)
 
 
-@dataclass(frozen=True)
-class EtaValue:
-    """eta together with its exact square (s-1)/(2*pi*i).
-
-    The branch satisfies Re(value) + Im(value) > 0; ``square`` is kept for
-    consistency checks against value**2.
-    """
-
-    value: complex
-    square: complex
-
-
-def eta(s) -> EtaValue:
+def eta(s) -> complex:
     """Square root of (s-1)/(2*pi*i) with the branch Re + Im > 0.
 
     On the (unreachable for t > 0) boundary Re + Im = 0 the tie is broken
@@ -199,12 +186,11 @@ def eta(s) -> EtaValue:
     z = as_complex(s)
     if z == 1.0:
         raise DegeneratePointError("eta undefined at s = 1")
-    square = (z - 1.0) / (2j * math.pi)
-    w = cmath.sqrt(square)
+    w = cmath.sqrt((z - 1.0) / (2j * math.pi))
     sel = w.real + w.imag
     if sel < 0.0 or (sel == 0.0 and w.real < 0.0):
         w = -w
-    return EtaValue(value=w, square=square)
+    return w
 
 
 def eta_batch(sigma: np.ndarray, t: np.ndarray) -> np.ndarray:

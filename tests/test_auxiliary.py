@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import random
 
@@ -12,7 +13,6 @@ from rzero import auxiliary
 from rzero.auxiliary import (
     EPS_TARGET,
     LATTICE_FINEST_STEP,
-    LATTICE_MAX_BYTES,
     LATTICE_MAX_ENTRIES,
     QuadratureSpec,
     _quadrature,
@@ -211,8 +211,8 @@ class TestQuadratureReuse:
         # cold one-point pass over the whole grid
         r_eval_cache_clear()
         rows = []
-        real_rows = auxiliary._LATTICE.rows
-        monkeypatch.setattr(auxiliary._LATTICE, "rows",
+        real_rows = auxiliary._line_rows
+        monkeypatch.setattr(auxiliary, "_line_rows",
                             lambda *a: rows.append(a) or real_rows(*a))
         (row,) = auxiliary._step_halve([s])
         monkeypatch.undo()
@@ -241,7 +241,21 @@ class TestQuadratureReuse:
         backwards = _eval_all(points[::-1])[::-1]
         assert first == again == backwards
 
-    def test_lattice_memory_bound(self):
+    def test_lattice_memory_bound(self, monkeypatch):
+        # the memo keeps no level finer than LATTICE_FINEST_STEP, holds at
+        # most LATTICE_MAX_ENTRIES rows, and the rows it builds for this
+        # job stay within 2 MiB
+        assert auxiliary._lattice_rows.cache_info().maxsize \
+            == LATTICE_MAX_ENTRIES
+        built = []
+
+        def build(*key):
+            rows = auxiliary._build_rows(*key)
+            built.append((key, rows))
+            return rows
+
+        monkeypatch.setattr(auxiliary, "_lattice_rows",
+                            functools.lru_cache(LATTICE_MAX_ENTRIES)(build))
         r_eval_cache_clear()
         _eval_all(REUSE_POINTS)
         s = REUSE_POINTS[-1]
@@ -250,21 +264,26 @@ class TestQuadratureReuse:
             crossing=q, half_length=math.ceil(2 * _pinned_half(s.imag, q)) / 2,
             step=1 / 1024)
         _quadrature(s, forced)
-        lattice = auxiliary._LATTICE
-        assert 0 < len(lattice) <= LATTICE_MAX_ENTRIES
-        assert 0 < lattice.nbytes <= LATTICE_MAX_BYTES
-        assert all(step >= LATTICE_FINEST_STEP for _, step, _ in lattice._rows)
+        info = auxiliary._lattice_rows.cache_info()
+        assert 0 < info.currsize <= LATTICE_MAX_ENTRIES
+        assert min(step for (_, step, _, _), _ in built) == LATTICE_FINEST_STEP
+        nbytes = sum(logx.nbytes + rest.nbytes for _, (logx, rest, _) in built)
+        assert 0 < nbytes <= 2 << 20
 
     def test_lattice_flush_keeps_results(self, monkeypatch):
+        # each reflected point shares its crossing and extent with a point
+        # evaluated four points earlier, which a memo of two rows forgets
+        points = REUSE_POINTS + [1.0 - p.conjugate() for p in REUSE_POINTS]
         r_eval_cache_clear()
-        reference = _eval_all(REUSE_POINTS)
-        uncapped = len(auxiliary._LATTICE)
-        cap = 16 << 10
-        monkeypatch.setattr(auxiliary, "LATTICE_MAX_BYTES", cap)
+        reference = _eval_all(points)
+        uncapped = auxiliary._lattice_rows.cache_info()
+        assert uncapped.hits > 0
+        monkeypatch.setattr(auxiliary, "_lattice_rows",
+                            functools.lru_cache(2)(auxiliary._build_rows))
         r_eval_cache_clear()
-        assert _eval_all(REUSE_POINTS) == reference
-        assert 0 < auxiliary._LATTICE.nbytes <= cap
-        assert len(auxiliary._LATTICE) < uncapped
+        assert _eval_all(points) == reference
+        info = auxiliary._lattice_rows.cache_info()
+        assert info.currsize == 2 and info.misses > uncapped.misses
 
     def test_plateau_exit_needs_noise_floor(self):
         # steps 0.25 and 0.125 disagree more than 0.25 and its halving did;
@@ -529,8 +548,8 @@ def test_default_extent_same_at_every_height(monkeypatch):
     # at the saddle crossing the log integrand falls like -2 pi v^2 along
     # the line at every height, so a pass starts from the same extent
     bases = []
-    real_rows = auxiliary._LATTICE.rows
-    monkeypatch.setattr(auxiliary._LATTICE, "rows",
+    real_rows = auxiliary._line_rows
+    monkeypatch.setattr(auxiliary, "_line_rows",
                         lambda q, step, n, base: (base and bases.append(n))
                         or real_rows(q, step, n, base))
     starts = []
@@ -654,8 +673,8 @@ class TestRDerivative:
         s = DERIVATIVE_POINTS[-1]
         r_eval_cache_clear()
         asked = []
-        real_rows = auxiliary._LATTICE.rows
-        monkeypatch.setattr(auxiliary._LATTICE, "rows",
+        real_rows = auxiliary._line_rows
+        monkeypatch.setattr(auxiliary, "_line_rows",
                             lambda *a: asked.append(a[1:]) or real_rows(*a))
         r_derivative(s)
         monkeypatch.undo()

@@ -335,6 +335,23 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and "--grid-n" in err
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--samples", ["--command", "validate", "--samples", "-3"]),
+        ("--grid-step", ["--command", "eval", "--point", "0.5+50j",
+                         "--grid-n", "3", "--grid-step", "0"]),
+        ("--grid-step", ["--command", "eval", "--point", "0.5+50j",
+                         "--grid-step", "-0.5"]),
+        ("--min-size", ["--command", "zeros", "--t-min", "10",
+                        "--t-max", "20", "--min-size", "0"]),
+        ("--min-size", ["--command", "zeros", "--t-min", "10",
+                        "--t-max", "20", "--min-size", "-0.001"]),
+    ])
+    def test_out_of_range_flag_exits_2(self, capsys, flag, args):
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_EVAL_FAIL
+        assert out == ""
+        assert len(err.splitlines()) == 1 and flag in err
+
     def test_validate_keeps_suite_tolerance(self):
         config = RunConfig(command="validate", tol=0.0)
         assert config.tol == 0.0
