@@ -17,19 +17,21 @@ per (crossing, dyadic step, extent) in a bounded memo, so a pass reduces to
 one complex multiply-add and one exp per node.  The trapezoid grids at
 steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
 fixes the extent to a multiple of 1/2 and each halving of the step computes
-only the new odd nodes, adding them to the sums of the previous pass.  And
-points that share a crossing and an extent share every node row, so one
-step-halving loop (_step_halve) works on blocks of them: a round is one
-numpy kernel over a (points x nodes) block, -s_j log x_i plus the shared
-kernel row, and each point then takes its own stopping decisions.  The
-samples of a horizontal contour edge share t and form one block; those of a
-vertical edge fall into a few.  A single r_eval is a block of one.  One
-routine (_sum_level) sums every level, so the fixed-step pass of r_integral
-runs the same code as r_eval.  R'(s) comes from the same grids:
-differentiating under the integral multiplies each node by -log x, and the
-Dirichlet part by -log n, so a derivative request follows each point's row
-of R terms by a row of R' terms from the same exponentials, and the same
-kernels sum both channels.
+only the new odd nodes, adding them to the sums of the previous pass.
+Nearly every pass reaches step 1/16, so its first round takes the base grid
+and the odd nodes of steps 1/8 and 1/16 in one kernel, each level summed
+apart.  And points that share a crossing and an extent share every node
+row, so one step-halving loop (_step_halve) works on blocks of them: a round
+is one numpy kernel over a (points x nodes) block, -s_j log x_i plus the
+shared kernel row, and each point then takes its own stopping decisions at
+each step its sums reach.  The samples of a horizontal contour edge share t
+and form one block; those of a vertical edge fall into a few.  A single
+r_eval is a block of one.  One routine (_sum_level) sums every level, so the
+fixed-step pass of r_integral runs the same code as r_eval.  R'(s) comes
+from the same grids: differentiating under the integral multiplies each node
+by -log x, and the Dirichlet part by -log n, so a derivative request follows
+each point's row of R terms by a row of R' terms from the same exponentials,
+and the same kernels sum both channels.
 
 The stopping rule follows the trapezoid error model on a strip of
 analyticity, error(h) ~ C e^{-2 pi d/h}: each halving squares the error
@@ -163,20 +165,25 @@ def _log_kernel(x: np.ndarray) -> np.ndarray:
     return 1j * math.pi * x * x - den
 
 
-def _build_rows(q: int, step: float, n: int, base: bool):
-    """(log x, log kernel, peak) at x = q + 1/2 + step k e^{i pi/4} for one
-    nesting level: every integer |k| <= n when ``base``, else the odd
-    |k| < n.  For a base level peak is (max |log x|, max |log kernel|) over
-    the row, the scales of the rounding floor (see _pass_figures); an odd
-    level has None."""
-    k = np.arange(-n, n + 1) if base else np.arange(1 - n, n, 2)
+def _build_rows(q: int, step: float, n: int, depth: int | None):
+    """(log x, log kernel, peak) at x = q + 1/2 + step k e^{i pi/4}: with
+    depth None at the odd |k| < n, with peak None; else at the base grid
+    |k| <= n, then the odd nodes of each of its first ``depth`` halvings,
+    with peak (max |log x|, max |log kernel|) over the base grid, the scales
+    of the rounding floor (see _pass_figures)."""
+    if depth:
+        logx, rest, peaks = zip(*[
+            _build_rows(q, step / 2 ** j, n << j, None if j else 0)
+            for j in range(depth + 1)])
+        return np.concatenate(logx), np.concatenate(rest), peaks[0]
+    k = np.arange(-n, n + 1) if depth == 0 else np.arange(1 - n, n, 2)
     x = (q + 0.5) + (step * k) * _LINE_DIR
     # The path must stay clear of the branch cut of log x (negative reals).
     if not np.all((x.imag != 0.0) | (x.real > 0.0)):
         raise PathThroughPoleError("integration path touched the logarithm cut")
     logx, rest = np.log(x), _log_kernel(x)
     peak = None
-    if base:
+    if depth == 0:
         peak = tuple(np.maximum.reduce(np.abs(np.stack([logx, rest])),
                                        axis=1).tolist())
     return logx, rest, peak
@@ -186,8 +193,11 @@ def _build_rows(q: int, step: float, n: int, base: bool):
 # step _BASE_STEP (its nodes also fix the exponent scale) and adds the odd
 # nodes of each halving down to h.
 _BASE_STEP = 0.25
+# The first round of a pass also sums this many halvings: the model rule
+# needs two discrepancies, so nearly every pass reaches step 1/16.
+_FIRST_HALVINGS = 2
 # The rows of dyadic levels from _BASE_STEP down to LATTICE_FINEST_STEP are
-# memoised per (q, step, n, base), least recently used first out; finer or
+# memoised per (q, step, n, depth), least recently used first out; finer or
 # non-dyadic levels are built on every pass.  The largest memoised row is
 # 9 KiB (the odd nodes of step 1/64 over half-length 4.5) on seeded points
 # with t up to 10^7 and sigma far left, so a full memo holds about 2.3 MiB.
@@ -196,12 +206,12 @@ LATTICE_MAX_ENTRIES = 256
 _lattice_rows = lru_cache(maxsize=LATTICE_MAX_ENTRIES)(_build_rows)
 
 
-def _line_rows(q: int, step: float, n: int, base: bool):
-    """_build_rows of a level, from the memo _lattice_rows where it keeps
-    the level.  The rows are shared and must not be written to."""
+def _line_rows(q: int, step: float, n: int, depth: int | None):
+    """_build_rows of nesting levels, from the memo _lattice_rows where it
+    keeps them.  The rows are shared and must not be written to."""
     if LATTICE_FINEST_STEP <= step <= _BASE_STEP and math.frexp(step)[0] == 0.5:
-        return _lattice_rows(q, step, n, base)
-    return _build_rows(q, step, n, base)
+        return _lattice_rows(q, step, n, depth)
+    return _build_rows(q, step, n, depth)
 
 
 # A round of _step_halve sums one nesting level for a block of points that
@@ -251,30 +261,41 @@ def _channels(terms: np.ndarray, logs: np.ndarray,
         2 * len(terms), terms.shape[1])
 
 
-def _base_sums(q: int, step: float, n: int, zs: list[complex],
-               derivative: bool = False):
-    """Sums of a block of points over the base grid |k| <= n of ``step``.
+def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
+                derivative: bool = False):
+    """Sums of a block of points over the base grid |k| <= n of ``step``
+    and the odd nodes of its first ``depth`` halvings, from one exp.
 
-    Returns (m, phase, sums): per point the exponent scale m (the largest
-    real part of the log integrand; everything else is in units of e^m) and
-    the phase scale max |log kernel| + |s| max |log x| of the rounding
-    floor, and per channel of each point (see _channels) the list
-    [total, coarse, abs_total, ends, sum_red, res_phase] that _pass_figures
-    reads and _sum_level extends.  Each row of the block gets the same bits
-    as a block of that point alone.
+    Returns (m, phase, sums, halvings): per point the exponent scale m (the
+    largest real part of the log integrand on the base grid; everything
+    else is in units of e^m) and the phase scale max |log kernel| +
+    |s| max |log x| of the rounding floor, per channel of each point (see
+    _channels) the base grid's [total, coarse, abs_total, ends, sum_red,
+    res_phase] that _pass_figures reads, and per halving the node sums and
+    the modulus sums of each channel of each point over its own columns.
+    Each row, and each level, gets the bits of a kernel over it alone.
 
     The largest residue n^{-s} has modulus e^{-sigma log q}, beyond the
     double range once sigma log q < -709; such a point's residues are formed
     in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
     only when some point needs it, so every other row keeps its bits.
     """
-    logx, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, True)
+    logx, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, depth)
     s = np.array(zs)[:, None]
     lg = rest - s * logx
-    m = np.maximum.reduce(lg.real, axis=1)
+    nb = 2 * n + 1  # the base grid's columns
+    m = np.maximum.reduce(lg[:, :nb].real, axis=1)
     # complex operands throughout: a float operand would be cast through
     # numpy's buffered path; the bits are the same
-    w = _channels(np.exp(lg - m.astype(complex)[:, None]), logx, derivative)
+    lg -= m.astype(complex)[:, None]  # in place: fewer temporaries
+    w = _channels(np.exp(lg, out=lg), logx, derivative)
+    del lg
+    abs_w = np.abs(w)
+    halvings = []
+    for level in range(1, depth + 1):
+        cols = slice(nb + (n << level) - 2 * n, nb + (n << level + 1) - 2 * n)
+        halvings.append((_sum_rows(w[:, cols], axis=1).tolist(),
+                         _sum_rows(abs_w[:, cols], axis=1).tolist()))
     m = m.tolist()
     log_q = math.log(q) if q > 1 else 0.0
     mr = [max(0.0, -z.real * log_q - 700.0) for z in zs]
@@ -293,15 +314,16 @@ def _base_sums(q: int, step: float, n: int, zs: list[complex],
     # abs() of single elements: np.abs of an array may take a vector path
     # that differs in the last bit.
     for i, (total, coarse, abs_total, first, last, res_sum) in enumerate(zip(
-            _sum_rows(w, axis=1).tolist(), _sum_rows(w[:, ::2], axis=1).tolist(),
-            _sum_rows(np.abs(w), axis=1).tolist(), w[:, 0].tolist(),
-            w[:, -1].tolist(), _sum_rows(res, axis=1).tolist())):
+            _sum_rows(w[:, :nb], axis=1).tolist(),
+            _sum_rows(w[:, :nb:2], axis=1).tolist(),
+            _sum_rows(abs_w[:, :nb], axis=1).tolist(), w[:, 0].tolist(),
+            w[:, nb - 1].tolist(), _sum_rows(res, axis=1).tolist())):
         mi = m[i // c] - mr[i // c]  # the residues' scale
         sums.append([total, coarse, abs_total, abs(first) + abs(last),
                      _reduced(res_sum, mi),
                      math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
                      if q > 1 else 0.0])
-    return m, [peak_rest + abs(z) * peak_logx for z in zs], sums
+    return m, [peak_rest + abs(z) * peak_logx for z in zs], sums, halvings
 
 
 @lru_cache(maxsize=None)
@@ -310,38 +332,38 @@ def _log_n(q: int) -> np.ndarray:
     return np.log(np.arange(1, q + 1, dtype=float)).astype(complex)
 
 
-def _odd_sums(q: int, step: float, n: int, zs: list[complex],
-              ms: list[float], derivative: bool = False):
-    """Sums of a block of points over the odd nodes |k| < n of ``step`` (a
-    halving of the base grid), at the points' scales ``ms``: the node sums
-    and the modulus sums of each channel of each point (see _channels)."""
-    logx, rest, _ = _line_rows(q, step, n, False)
-    w = _channels(np.exp(rest - np.array(zs)[:, None] * logx
-                         - np.array(ms, dtype=complex)[:, None]),
-                  logx, derivative)
-    return _sum_rows(w, axis=1).tolist(), _sum_rows(np.abs(w), axis=1).tolist()
-
-
 def _sum_level(block: list, q: int, base_step: float, base_n: int,
-               level: int, derivative: bool) -> None:
-    """Sum one nesting level into the rows of ``block``, points that share
-    the crossing q and the base grid |k| <= base_n of step base_step: level
-    0 sets each row's scales m and phase and its sums, a list per channel
-    (see _base_sums); level l adds the odd nodes of the l-th halving, and
-    the total before them becomes the coarse sum.  The step-halving loop
-    (_step_halve) and the fixed pass (_quadrature) both sum through here."""
+               level: int, derivative: bool, depth: int) -> list:
+    """Sum nesting levels into the rows of ``block``, points that share the
+    crossing q and the base grid |k| <= base_n of step base_step: level 0
+    sets each row's scales m and phase and its sums, a list per channel,
+    and returns the sums of its first ``depth`` halvings for _add_level (see
+    _first_sums); level l adds the odd nodes of the l-th halving.  The
+    step-halving loop (_step_halve) and the fixed pass (_quadrature) both
+    sum through here."""
     zs = [row.z for row in block]
     if level == 0:
-        ms, phases, sums = _base_sums(q, base_step, base_n, zs, derivative)
+        ms, phases, sums, halvings = _first_sums(q, base_step, base_n, depth,
+                                                 zs, derivative)
         c = 1 + derivative  # channels per point
         for i, row in enumerate(block):
             row.m, row.phase, row.sums = ms[i], phases[i], sums[c * i:c * i + c]
-        return
-    parts, abs_parts = _odd_sums(q, base_step / 2 ** level, base_n << level,
-                                 zs, [row.m for row in block], derivative)
-    channel_sums = []
-    for row in block:
-        channel_sums += row.sums
+        return halvings
+    logx, rest, _ = _line_rows(q, base_step / 2 ** level, base_n << level,
+                               None)
+    ms = np.array([row.m for row in block], dtype=complex)[:, None]
+    w = _channels(np.exp(rest - np.array(zs)[:, None] * logx - ms), logx,
+                  derivative)
+    _add_level([sums for row in block for sums in row.sums],
+               _sum_rows(w, axis=1).tolist(),
+               _sum_rows(np.abs(w), axis=1).tolist())
+    return []
+
+
+def _add_level(channel_sums: list, parts: list, abs_parts: list) -> None:
+    """Add a halving's node and modulus sums to the sums of each channel
+    (per point, see _channels); the total before them becomes the coarse
+    sum."""
     for sums, part, abs_part in zip(channel_sums, parts, abs_parts):
         sums[1] = sums[0]
         sums[0] += part
@@ -351,7 +373,7 @@ def _sum_level(block: list, q: int, base_step: float, base_n: int,
 def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
     """(log_total | None, rel_disc, rel_tail, noise_rel, floor_rel) of a pass
     at step h over [-half, half] from one channel's sums in units of e^m
-    (see _base_sums): log_total is a log of the combined value (residue sum
+    (see _first_sums): log_total is a log of the combined value (residue sum
     plus line integral) and the relative figures are against that value.
 
     noise_rel is the accumulation noise the stopping rules allow for.
@@ -385,13 +407,16 @@ def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
 def _quadrature(s: complex, spec: QuadratureSpec):
     """Core trapezoid pass at one point; returns _pass_figures of R.
 
-    The nodes follow the nesting layout of _levels and are summed level by
-    level by _sum_level, the routine of the step-halving loop (_step_halve).
+    The nodes follow the nesting layout of _levels and are summed by
+    _sum_level in the rounds of the step-halving loop (_step_halve).
     """
     row = _Row(s, spec.crossing, spec.half_length)
     n, base_step, base_n = _levels(spec)
-    for level in range(n + 1):
-        _sum_level([row], row.q, base_step, base_n, level, False)
+    depth = min(_FIRST_HALVINGS, n)
+    for level in (0, *range(depth + 1, n + 1)):
+        for parts in _sum_level([row], row.q, base_step, base_n, level, False,
+                                depth):
+            _add_level(row.sums, *parts)
     return _pass_figures(spec.step, spec.half_length, row.m, row.phase,
                          row.sums[0])
 
@@ -510,14 +535,16 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     a multiple of 1/2; a pass at h/2 adds only the odd nodes to the sums at
     h.  A round groups the points by (crossing, half-length, next level),
     sums that level for each block of the group in one numpy kernel
-    (_sum_level) and then applies the stopping rules (_Row.judge) to every
-    point whose sums have reached its step.  A point whose tail is too large
-    widens its extent, regroups under it and sums its levels again from the
-    base grid, keeping its own step, previous estimate and best pass (the
-    model is fitted again on the new extent).  With ``derivative`` every
-    level also sums the R' channel from the same exponentials.  Rows of a
-    block never mix, so each point gets the bits it gets alone, and the R
-    channel the bits it gets without ``derivative``.
+    (_sum_level), the first round of an extent down to step 1/16, and then
+    applies the stopping rules (_Row.judge) at each step its points reach,
+    adding each halving to every row of the block: a point that is done
+    keeps its best pass.  A point whose tail is too large widens its extent,
+    regroups under it and sums its levels again from the base grid, keeping
+    its own step, previous estimate and best pass (the model is fitted
+    again on the new extent).  With ``derivative`` every level also sums
+    the R' channel from the same exponentials.  Rows of a block never mix,
+    so each point gets the bits it gets alone, and the R channel the bits
+    it gets without ``derivative``.
     """
     rows = []
     for z in points:
@@ -536,15 +563,26 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
         pending = []
         for (q, half, level), group in groups.items():
             base_n = int(4.0 * half)
-            nodes = (base_n << level) if level else 2 * base_n + 1
+            nodes = ((base_n << level) if level
+                     else (2 * base_n << _FIRST_HALVINGS) + 1)
             size = max(1, BATCH_MAX_NODES // nodes)
             for lo in range(0, len(group), size):
                 block = group[lo:lo + size] if len(group) > size else group
-                _sum_level(block, q, _BASE_STEP, base_n, level, derivative)
-                for row in block:
-                    row.level = level
-                    if level < row.target or not row.judge():
-                        pending.append(row)
+                halvings = _sum_level(block, q, _BASE_STEP, base_n, level,
+                                      derivative, _FIRST_HALVINGS)
+                live = block
+                for j, parts in enumerate([None, *halvings]):
+                    if parts:
+                        _add_level([sums for row in block for sums in row.sums],
+                                   *parts)
+                    going = []
+                    for row in live:
+                        row.level = level + j
+                        if row.level < row.target or not row.judge():
+                            # a widened row (level -1) starts a new round
+                            (going if row.level >= 0 else pending).append(row)
+                    live = going
+                pending += live
     return rows
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counting, validation
-from .auxiliary import r_eval
+from .auxiliary import r_eval_many
 from .counting import residual_table, sqrt_fit
 from .errors import (
     ContourZeroError,
@@ -159,8 +159,7 @@ def cmd_eval(config: RunConfig) -> int:
         key=lambda z: (z.imag, z.real),
     )
     rows = []
-    for s in points:
-        res = r_eval(s)
+    for s, res in zip(points, r_eval_many(points)):
         if res.log_value is not None and res.log_value.real > 709.0:
             raise DomainError(f"|R(s)| beyond the double range at s = {s}: "
                               f"log R = {res.log_value:.6g}")

@@ -200,8 +200,11 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     split (longer side first) until their side drops below ``min_size``, at
     which point they are reported as unresolved clusters rather than being
     silently merged.  The winding numbers of the output always sum to the
-    winding of the input box.
+    winding of the input box.  A ``min_size`` that is not positive is
+    refused: no piece would ever be small enough to report as a cluster.
     """
+    if not min_size > 0.0:
+        raise DomainError(f"min_size must be positive, got {min_size}")
     if f is None:
         f = r_value
     total, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,

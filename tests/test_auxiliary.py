@@ -206,9 +206,10 @@ def _eval_all(points):
 class TestQuadratureReuse:
     @pytest.mark.parametrize("s", REUSE_POINTS)
     def test_halved_pass_reuses_bit_identically(self, s, monkeypatch):
-        # the step-halving loop sums the base grid once and then only the
-        # odd nodes of each halving; its figures at the last step equal a
-        # cold one-point pass over the whole grid
+        # the step-halving loop sums the base grid and its first two
+        # halvings in one round and then only the odd nodes of each further
+        # halving; its figures at the last step equal a cold one-point pass
+        # over the whole grid
         r_eval_cache_clear()
         rows = []
         real_rows = auxiliary._line_rows
@@ -217,8 +218,8 @@ class TestQuadratureReuse:
         (row,) = auxiliary._step_halve([s])
         monkeypatch.undo()
         assert row.target >= 2 and row.level == row.target
-        assert [(step, base) for _, step, _, base in rows] == [
-            (0.25 / 2 ** k, k == 0) for k in range(row.target + 1)]
+        assert [(step, depth) for _, step, _, depth in rows] == [(0.25, 2)] + [
+            (0.25 / 2 ** k, None) for k in range(3, row.target + 1)]
         (warm,) = _figures(row)
         r_eval_cache_clear()
         cold = _quadrature(s, QuadratureSpec(crossing=row.q,
@@ -243,8 +244,9 @@ class TestQuadratureReuse:
 
     def test_lattice_memory_bound(self, monkeypatch):
         # the memo keeps no level finer than LATTICE_FINEST_STEP, holds at
-        # most LATTICE_MAX_ENTRIES rows, and the rows it builds for this
-        # job stay within 2 MiB
+        # most LATTICE_MAX_ENTRIES entries, keeps the base grid and its first
+        # two halvings as one entry, and the rows it builds for this job
+        # stay within 2 MiB
         assert auxiliary._lattice_rows.cache_info().maxsize \
             == LATTICE_MAX_ENTRIES
         built = []
@@ -267,12 +269,14 @@ class TestQuadratureReuse:
         info = auxiliary._lattice_rows.cache_info()
         assert 0 < info.currsize <= LATTICE_MAX_ENTRIES
         assert min(step for (_, step, _, _), _ in built) == LATTICE_FINEST_STEP
+        assert {(step, depth) for (_, step, _, depth), _ in built
+                if step >= 1 / 16} == {(0.25, 2)}
         nbytes = sum(logx.nbytes + rest.nbytes for _, (logx, rest, _) in built)
         assert 0 < nbytes <= 2 << 20
 
     def test_lattice_flush_keeps_results(self, monkeypatch):
         # each reflected point shares its crossing and extent with a point
-        # evaluated four points earlier, which a memo of two rows forgets
+        # evaluated four points earlier, which a memo of two entries forgets
         points = REUSE_POINTS + [1.0 - p.conjugate() for p in REUSE_POINTS]
         r_eval_cache_clear()
         reference = _eval_all(points)
@@ -317,14 +321,14 @@ def _figures(row):
 
 
 def _cold_row(s, q, half, step, derivative):
-    """A row holding the sums of one fixed pass at s, summed level by level
-    from the base grid as _quadrature sums them."""
+    """A row holding the sums of one fixed pass at s, summed one level a
+    round from the base grid."""
     row = auxiliary._Row(s, q, half)
     row.step = step
     n, base_step, base_n = auxiliary._levels(
         QuadratureSpec(crossing=q, half_length=half, step=step))
     for level in range(n + 1):
-        auxiliary._sum_level([row], q, base_step, base_n, level, derivative)
+        auxiliary._sum_level([row], q, base_step, base_n, level, derivative, 0)
     return row
 
 
@@ -394,26 +398,32 @@ class TestEvalMany:
     def test_block_size_within_cap(self, monkeypatch):
         r_eval_cache_clear()
         reference = _fields(r_eval_many(BATCH_POINTS))
-        blocks = []  # (crossing, points, nodes) per kernel call
-        real_base, real_odd = auxiliary._base_sums, auxiliary._odd_sums
+        blocks = []  # (crossing, points, nodes, depth) per kernel call
+        points = []  # the points of the block being summed
+        real_sum, real_rows = auxiliary._sum_level, auxiliary._line_rows
 
-        def base(q, step, n, zs, *rest):
-            blocks.append((q, len(zs), 2 * n + 1))
-            return real_base(q, step, n, zs, *rest)
+        def sum_level(block, *rest):
+            points[:] = [len(block)]
+            return real_sum(block, *rest)
 
-        def odd(q, step, n, zs, ms, *rest):
-            blocks.append((q, len(zs), n))
-            return real_odd(q, step, n, zs, ms, *rest)
+        def line_rows(q, step, n, depth):
+            rows = real_rows(q, step, n, depth)
+            blocks.append((q, points[0], len(rows[0]), depth))
+            return rows
 
         cap = 1 << 10
         monkeypatch.setattr(auxiliary, "BATCH_MAX_NODES", cap)
-        monkeypatch.setattr(auxiliary, "_base_sums", base)
-        monkeypatch.setattr(auxiliary, "_odd_sums", odd)
+        monkeypatch.setattr(auxiliary, "_sum_level", sum_level)
+        monkeypatch.setattr(auxiliary, "_line_rows", line_rows)
         r_eval_cache_clear()
         edge = [complex(0.05 * k, 500.0) for k in range(40)]  # one crossing
         assert _fields(r_eval_many(edge + BATCH_POINTS)[40:]) == reference
-        assert all(rows == 1 or rows * nodes <= cap for _, rows, nodes in blocks)
-        first = [rows for q, rows, _ in blocks if q == default_crossing(500.0)]
+        assert all(rows == 1 or rows * nodes <= cap
+                   for _, rows, nodes, _ in blocks)
+        # the cap holds for the first round of an extent, which reads the
+        # base grid and its first two halvings, and for the rounds after it
+        assert {depth for *_, depth in blocks} == {2, None}
+        first = [rows for q, rows, *_ in blocks if q == default_crossing(500.0)]
         assert max(first) > 1 and first[0] < len(edge)
 
     def test_cache_bounded_least_recently_used_out(self):
@@ -430,6 +440,79 @@ class TestEvalMany:
         with pytest.raises(DomainError):
             r_eval_many([2.0 + 10.0j, 0.5 - 1.0j])
         assert auxiliary._r_eval_cached.cache_info().currsize == 0
+
+
+# A point that stops at step 1/8, short of the third level of its first
+# round, and one whose tail widens the extent at step 1/8, which then sums
+# the new extent's first round unjudged up to 1/8; with the fields of
+# r_eval_many(..., derivative=True) as one level a round gave them.
+FUSED_CASES = {
+    complex(0.11832227475606683, 480.01679897274346): (
+        [(0.25, 4.0), (0.125, 4.0)],
+        (5.1583516622645424+3.1304960392182073j), 9.580029783862995e-11,
+        (1.7974024684752812+0.5454623466054431j),
+        (-5.675308068620372-5.1207624254556405j), 3.7346846844072075e-09,
+        (-1.2443698640236434-0.2375308189572379j)),
+    complex(-59.42806163036971, 1.869084747957661): (
+        [(0.25, 4.0), (0.125, 4.0), (0.125, 6.0), (0.0625, 6.0)],
+        (-4629515959682.256+43473449564426.805j), 13.886619350176083,
+        (31.40880973289652+1.6768871512542254j),
+        (40711099395173.625-42134318507795.06j), 17.50862973392781,
+        (-1.0569347827618987-0.8239052412197596j)),
+}
+
+
+class TestFirstRound:
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("s", list(FUSED_CASES))
+    def test_judged_sums_match_cold_rows(self, s, derivative, monkeypatch):
+        # every pass the stopping rules judge holds the sums of a cold pass
+        # summed one level a round, also where its level came from the
+        # first round unjudged
+        judged = []
+        real_judge = auxiliary._Row.judge
+
+        def judge(row):
+            judged.append((row.step, row.half, row.m, row.phase,
+                           [list(sums) for sums in row.sums]))
+            return real_judge(row)
+
+        monkeypatch.setattr(auxiliary._Row, "judge", judge)
+        (row,) = auxiliary._step_halve([s], derivative)
+        monkeypatch.undo()
+        assert [(step, half) for step, half, *_ in judged] == FUSED_CASES[s][0]
+        for step, half, m, phase, sums in judged:
+            cold = _cold_row(s, row.q, half, step, derivative)
+            assert (m, phase, sums) == (cold.m, cold.phase, cold.sums)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("s", list(FUSED_CASES))
+    def test_each_level_matches_cold_row(self, s, derivative):
+        # the first round's sums at steps 1/4, 1/8 and 1/16, judged or not
+        q = default_crossing(s.imag)
+        for half in {half for _, half in FUSED_CASES[s][0]}:
+            row = auxiliary._Row(s, q, half)
+            halvings = auxiliary._sum_level([row], q, 0.25, int(4 * half), 0,
+                                            derivative, 2)
+            for level, step in enumerate((0.25, 0.125, 0.0625)):
+                if level:
+                    auxiliary._add_level(row.sums, *halvings[level - 1])
+                cold = _cold_row(s, q, half, step, derivative)
+                assert (row.m, row.phase, row.sums) == (
+                    cold.m, cold.phase, cold.sums)
+
+    @pytest.mark.parametrize("s", list(FUSED_CASES))
+    def test_results_unchanged(self, s):
+        r_eval_cache_clear()
+        value = r_eval(s)
+        r_eval_cache_clear()
+        (both,) = r_eval_many([s], derivative=True)
+        expected = FUSED_CASES[s][1:]
+        assert (value.value, value.error_estimate, value.log_value) \
+            == expected[:3]
+        assert (both.value, both.error_estimate, both.log_value,
+                both.derivative, both.derivative_error,
+                both.log_derivative) == expected
 
 
 def _pinned_half(t, q):
@@ -550,8 +633,9 @@ def test_default_extent_same_at_every_height(monkeypatch):
     bases = []
     real_rows = auxiliary._line_rows
     monkeypatch.setattr(auxiliary, "_line_rows",
-                        lambda q, step, n, base: (base and bases.append(n))
-                        or real_rows(q, step, n, base))
+                        lambda q, step, n, depth: (depth is not None
+                                                   and bases.append(n))
+                        or real_rows(q, step, n, depth))
     starts = []
     for t in (100.0, 2000.0, 1e4, 1e5):
         r_eval_cache_clear()
@@ -680,8 +764,8 @@ class TestRDerivative:
         monkeypatch.undo()
         (row,) = auxiliary._step_halve([s])
         half_n = int(4 * row.half)
-        assert asked == [(0.25, half_n, True)] + [
-            (0.25 / 2 ** k, half_n << k, False) for k in range(1, row.target + 1)]
+        assert asked == [(0.25, half_n, 2)] + [
+            (0.25 / 2 ** k, half_n << k, None) for k in range(3, row.target + 1)]
 
 
 class TestRAsymptotic:

@@ -81,6 +81,23 @@ class TestIsolateZeros:
         assert len(res.clusters) == 1
         assert res.clusters[0][1] == 2
 
+    @pytest.mark.parametrize("min_size", [0.0, -1e-3, math.nan])
+    def test_min_size_must_be_positive(self, min_size):
+        # a double zero could never be reported as a cluster; the box is
+        # refused before any winding is computed
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return (z - (1 + 10j)) ** 2
+
+        box = Box(0.0, 2.0, 9.0, 11.0)
+        with pytest.raises(DomainError, match="min_size"):
+            isolate_zeros(box, min_size=min_size, f=f)
+        with pytest.raises(DomainError, match="min_size"):
+            locate_zeros(box, min_size=min_size, f=f)
+        assert calls == []
+
 
 class TestCutScan:
     @pytest.mark.parametrize("sigma", [1.0 / 3.0, 0.7071])
