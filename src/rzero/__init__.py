@@ -39,6 +39,7 @@ from .zeros import (
     isolate_zeros,
     locate_zeros,
     refine_zero,
+    refine_zeros,
     zero_statistics,
 )
 
@@ -51,7 +52,7 @@ __all__ = [
     "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
     "main_term", "r_asymptotic",
     "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
-    "refine_zero",
+    "refine_zero", "refine_zeros",
     "residual_table", "zero_statistics", "zeta_from_r",
     "zeta_reference",
 ]

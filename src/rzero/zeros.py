@@ -8,24 +8,31 @@ come from the engine in ``counting``: pieces are counted by
 ``rectangle_count`` and circles by ``arg_variation`` through the same
 integrality guard.  By default R is evaluated through the same cached
 quadrature as counting, the samples of a contour edge and of each row of a
-cut scan are evaluated in one batch (r_eval_many), and each Newton step
-takes R(s) and R'(s) from one derivative entry (r_derivative).  Piece edges
-lie on counting's per-line sample lattice, so the two children of a split
-read the cut's samples from one set of cache entries and most of their
-outer edges from the parent's.  The scan of a split's cut for a zero of
-even multiplicity starts from those same lattice samples and adds two
-33-point zoom rows, so only the zoom rows compute R.
+cut scan are evaluated in one batch (r_eval_many), and the pieces of a box
+are refined in lockstep: each Newton round takes R(s) and R'(s) at every
+live iterate from one r_eval_many(..., derivative=True) call, and the
+residuals of all refined points are one more call.  Piece edges lie on
+counting's per-line sample lattice, so the two children of a split read
+the cut's samples from one set of cache entries and most of their outer
+edges from the parent's.  The scan of a split's cut for a zero of even
+multiplicity starts from those same lattice samples; when their minimum
+is interior and too large against its neighbours for a double zero to lie
+beside it, the scan ends there, and otherwise two 33-point zoom rows
+follow, so only the zoom rows compute R.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .auxiliary import r_derivative, r_value, values_at
+from .auxiliary import r_eval_many, r_value, values_at
+from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
     PERTURB_STEP,
+    PHASE_LIMIT,
     _rectangle_edges,
     arg_variation,
     integer_winding,
@@ -122,9 +129,15 @@ class IsolationResult(NamedTuple):
 
 _SPLIT_OFFSETS = (0.0, 0.11, -0.13, 0.23, -0.27)
 
+# |f| ~ |c| (x - p)^2 holds only to leading order near a double zero p, so
+# a lattice row rules a zero out only when its minimum exceeds the model's
+# bound on minimum / local scale (1/9 on a uniform lattice) by this factor.
+_CUT_MODEL_MARGIN = 2.0
+
 
 def _zero_on_cut(f, box: Box, child: Box) -> bool:
-    """Detect a zero sitting on the shared cut line of a split.
+    """Detect a zero sitting on, or just beside, the shared cut line of a
+    split.
 
     An even-multiplicity zero exactly on the cut does not disturb the phase
     along it (f keeps a constant argument there), so the winding of both
@@ -146,26 +159,69 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     first zoom row has spacing w/32 and the second w/512, so a sample lies
     within w/1024 = h/512 of p and minimum / local <= (1/512)^2 ~ 4e-6,
     25 times under the threshold 1e-4.
+
+    The lattice row alone can rule a double zero out.  Let x_k be interior,
+    with h1 = x_k - x_{k-1} and h2 = x_{k+1} - x_k.  If p lies right of x_k
+    at distance d, then d <= h2/2 (x_k is nearer p than x_{k+1} is) and the
+    left neighbour is h1 + d from p, so minimum / local
+    <= d^2 / (h1 + d)^2 <= (h2/2)^2 / (h1 + h2/2)^2 = (h2 / (2 h1 + h2))^2;
+    p left of x_k gives the same with h1 and h2 swapped.  On a uniform
+    stretch of the lattice that is 1/9; the row's end intervals are
+    partial, so the bound is formed from the actual spacings.  A row whose
+    ratio exceeds _CUT_MODEL_MARGIN times it ends the scan with no zoom
+    rows.  A minimum at an end of the row has one neighbour and no such
+    bound, and is always zoomed.
+
+    A double zero just off the cut, at distance e, is the other hazard.
+    Between the two lattice samples that straddle it f turns by up to
+    4 atan(h / 2e), and once that exceeds 3 pi / 2 (e below about h/5) the
+    winding walk's nearest-branch rule reads the turn as a small step:
+    both children then wind 1 instead of 0 and 2.  The zoomed ratio there
+    is about (e/h)^2, far above 1e-4, so the scan also compares the lattice
+    row's nearest-branch turn over [x_{k-1}, x_{k+1}] with the turn the
+    zoom rows resolve there (the first zoom row's steps, its own zoomed
+    window's replaced by the second row's).  A difference above pi is a
+    misread turn and is reported as a zero on the cut.  A simple zero turns
+    f by less than pi between two samples, so it never trips this test;
+    lattice steps of PHASE_LIMIT or more are bisected by the walk and are
+    not judged here.  Such a zero raises the lattice row's ratio by at most
+    e^2 / (h1 + d)^2, to under 0.13 on a uniform stretch, below the exit's
+    2/9.
     """
     edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
                              child.t_hi)
     edge, seeds = edges["top" if child.t_hi < box.t_hi else "right"]
     us = sorted(edge.seed_params(seeds))
     local_scale = None
+    turns = []  # per row: its total turn, and its steps over [lo, hi]
     for _ in range(3):  # the lattice row, then two zoom rows
-        mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
+        values = values_at(f, [edge.point(u) for u in us])
+        mags = [abs(v) for v in values]
         k_min = mags.index(min(mags))
+        minimum = mags[k_min]
+        if minimum == 0.0:
+            return True
+        lo, hi = max(0, k_min - 1), min(len(us) - 1, k_min + 1)
+        steps = [math.remainder(cmath.phase(b) - cmath.phase(a), TWO_PI)
+                 for a, b in zip(values, values[1:])]
+        turns.append((sum(steps), steps[lo:hi]))
         if local_scale is None:
             neighbours = [mags[k] for k in (k_min - 1, k_min + 1)
                           if 0 <= k < len(us)]
             local_scale = max(max(neighbours), 1e-12 * max(mags))
-        minimum = mags[k_min]
-        if minimum == 0.0:
-            return True
-        lo = us[max(0, k_min - 1)]
-        hi = us[min(len(us) - 1, k_min + 1)]
-        us = [lo + (hi - lo) * k / 32.0 for k in range(33)]
-    return minimum < 1e-4 * local_scale
+            if len(neighbours) == 2:
+                h1, h2 = us[k_min] - us[k_min - 1], us[k_min + 1] - us[k_min]
+                bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
+                if minimum > _CUT_MODEL_MARGIN * bound * local_scale:
+                    return False
+        us = [us[lo] + (us[hi] - us[lo]) * k / 32.0 for k in range(33)]
+    if minimum < 1e-4 * local_scale:
+        return True
+    (_, lattice), (zoom1, window1), (zoom2, _) = turns
+    if max(abs(d) for d in lattice) >= PHASE_LIMIT:
+        return False
+    resolved = zoom1 - sum(window1) + zoom2
+    return abs(resolved - sum(lattice)) > math.pi
 
 
 def _split_conserving(f, box: Box, parent_w: int):
@@ -255,75 +311,138 @@ def _circle_winding(f, center: complex, radius: float) -> int:
     return integer_winding(trace.total_variation / TWO_PI)
 
 
-def refine_zero(seed: Box, f: Callable[[complex], complex] | None = None,
-                df: Callable[[complex], complex] | None = None) -> Zero:
-    """Refine a winding-1 seed rectangle to a certified Zero.
+# The refined point must land in the seed box (slightly extended: the
+# winding windows may have been perturbed by a few PERTURB_STEPs).
+_ACCEPT_MARGIN = 6.0 * PERTURB_STEP
+_MAX_STARTS = 48
 
-    Newton iterates from the seed centre until the step is below 1e-10 (or
-    50 iterations); an iterate escaping twice the seed triggers a
-    bisection-style re-subdivision of the seed and a restart.  The final
-    point is re-certified by a winding-1 circle of radius
-    10 * (final step + 1e-12).
+
+class _Newton:
+    """One seed's Newton run from the centre of ``box``, a winding-1 piece
+    of ``seed``: the current iterate, the last step and the iterations
+    taken, and the runs started so far."""
+
+    def __init__(self, seed: Box):
+        self.seed = seed
+        self.starts = 0
+        self.restart(seed)
+
+    def restart(self, box: Box) -> None:
+        self.box = box
+        self.guard = box.dilated(2.0)
+        self.z = box.center
+        self.step = math.inf
+        self.iters = 0
+        self.starts += 1
+
+    def advance(self, fz: complex, dz: complex) -> bool | None:
+        """Take one Newton step from f and f' at the iterate: None while
+        the run goes on, then True when it ends at an accepted point and
+        False when it fails."""
+        if dz == 0.0:
+            return False
+        nz = self.z - fz / dz
+        self.step = abs(nz - self.z)
+        self.z = nz
+        self.iters += 1
+        if not self.guard.contains(nz):
+            return False
+        if self.step >= NEWTON_STEP_TOL:
+            if self.iters < NEWTON_MAX_ITER:
+                return None
+            if self.step >= 1e-6:
+                return False
+        return self.seed.contains(nz, margin=_ACCEPT_MARGIN)
+
+
+def refine_zeros(seeds: list[Box],
+                 f: Callable[[complex], complex] | None = None,
+                 df: Callable[[complex], complex] | None = None) -> list[Zero]:
+    """Refine winding-1 seed rectangles to certified Zeros, in input order.
+
+    Per seed, Newton iterates from the seed centre until the step is below
+    1e-10 (or 50 iterations); an iterate escaping twice the seed triggers a
+    bisection-style re-subdivision of the seed and a restart from the centre
+    of its winding-1 child.  The final point is re-certified by a winding-1
+    circle of radius 10 * (final step + 1e-12), doubled, tripled and
+    quadrupled while that circle fails.  The seeds run in lockstep, one
+    Newton step each per round: with the default f and df every round takes
+    R and R' at all live iterates from one r_eval_many(..., derivative=True)
+    call, and the residuals of all final points are one more call; a
+    caller's f or df is called point by point.  Each seed's iterates, and
+    so its Zero, are those of refining it alone.  A failure raises for the
+    first failing seed in input order.
     """
+    batched = f is None and df is None
     if f is None:
         f = r_value
-        if df is None:
-            df = r_derivative
-
-    # The refined point must land in the seed box (slightly extended: the
-    # winding windows may have been perturbed by a few PERTURB_STEPs).
-    accept_margin = 6.0 * PERTURB_STEP
-
-    def newton_from(z0: complex, box: Box):
-        z = z0
-        guard = box.dilated(2.0)
-        step = math.inf
-        for _ in range(NEWTON_MAX_ITER):
-            # R' first: with the default f and df, f(z) is then served from
-            # the derivative entry, so each iterate step-halves R once.
-            dz = df(z) if df is not None else _numeric_derivative(f, z, box.max_side)
-            fz = f(z)
-            if dz == 0.0:
-                return None, step
-            nz = z - fz / dz
-            step = abs(nz - z)
-            z = nz
-            if not guard.contains(z):
-                return None, step
-            if step < NEWTON_STEP_TOL:
-                break
+    runs = [_Newton(seed) for seed in seeds]
+    ends: dict[int, tuple[complex, float]] = {}
+    errors: dict[int, Exception] = {}
+    live = list(range(len(runs)))
+    while live:
+        zs = [runs[i].z for i in live]
+        if batched:
+            rows = [(res.value, res.derivative)
+                    for res in r_eval_many(zs, derivative=True)]
         else:
-            if step >= 1e-6:
-                return None, step
-        if not seed.contains(z, margin=accept_margin):
-            return None, step
-        return z, step
-
-    box = seed
-    for _ in range(48):
-        z, step = newton_from(box.center, box)
-        if z is not None:
-            radius = 10.0 * (step + 1e-12)
-            residual = abs(f(z))
-            for bump in range(4):
+            rows = [(f(z), df(z) if df is not None else
+                     _numeric_derivative(f, z, runs[i].box.max_side))
+                    for i, z in zip(live, zs)]
+        still = []
+        for i, (fz, dz) in zip(live, rows):
+            run = runs[i]
+            verdict = run.advance(fz, dz)
+            if verdict is None:
+                still.append(i)
+            elif verdict:
+                ends[i] = run.z, run.step
+            else:
                 try:
-                    cert = _circle_winding(f, z, radius * (1.0 + bump))
-                except (ZeroOnPathError, NonIntegerWindingError):
+                    split = (run.box.max_side >= 64.0 * NEWTON_STEP_TOL
+                             and _split_conserving(f, run.box, 1))
+                except ContourZeroError as exc:
+                    errors[i] = exc
                     continue
-                if cert == 1:
-                    return Zero(beta=z.real, gamma=z.imag,
+                if not split or run.starts == _MAX_STARTS:
+                    errors[i] = NewtonError(
+                        f"Newton failed to converge inside {run.seed}")
+                    continue
+                (b1, w1), (b2, w2) = split
+                run.restart(b1 if w1 == 1 else b2)
+                still.append(i)
+        live = still
+
+    done = sorted(ends)
+    values = values_at(f, [ends[i][0] for i in done])
+    zeros: dict[int, Zero] = {}
+    for i, value in zip(done, values):
+        z, step = ends[i]
+        radius = 10.0 * (step + 1e-12)
+        for bump in range(4):
+            try:
+                cert = _circle_winding(f, z, radius * (1.0 + bump))
+            except (ZeroOnPathError, NonIntegerWindingError):
+                continue
+            if cert == 1:
+                zeros[i] = Zero(beta=z.real, gamma=z.imag,
                                 enclosure_radius=radius * (1.0 + bump),
                                 winding_certificate=cert,
-                                residual_modulus=residual)
-            raise NewtonError(
-                f"refined point {z} failed the winding-1 circle certificate"
-            )
-        # bisection-style fallback: shrink to the winding-1 child and retry
-        if box.max_side < 64.0 * NEWTON_STEP_TOL:
-            break
-        (b1, w1), (b2, w2) = _split_conserving(f, box, 1)
-        box = b1 if w1 == 1 else b2
-    raise NewtonError(f"Newton failed to converge inside {seed}")
+                                residual_modulus=abs(value))
+                break
+        else:
+            errors[i] = NewtonError(
+                f"refined point {z} failed the winding-1 circle certificate")
+    if errors:
+        raise errors[min(errors)]
+    return [zeros[i] for i in range(len(runs))]
+
+
+def refine_zero(seed: Box, f: Callable[[complex], complex] | None = None,
+                df: Callable[[complex], complex] | None = None) -> Zero:
+    """Refine one winding-1 seed rectangle to a certified Zero: the
+    one-seed call of refine_zeros."""
+    return refine_zeros([seed], f, df)[0]
 
 
 def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
@@ -336,7 +455,7 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     execution order.
     """
     iso = isolate_zeros(box, min_size=min_size, f=f)
-    zeros = [refine_zero(piece, f=f, df=df) for piece in iso.isolated]
+    zeros = refine_zeros(iso.isolated, f, df)
     zeros.sort(key=lambda z: (z.gamma, z.beta))
     return zeros, iso.clusters
 

@@ -7,7 +7,7 @@ import pytest
 from rzero.counting import rectangle_count
 from rzero import auxiliary
 from rzero.auxiliary import r_eval_cache_clear, r_value, values_at
-from rzero.errors import DomainError
+from rzero.errors import DomainError, NewtonError
 from rzero.zeros import (
     Box,
     Zero,
@@ -16,6 +16,7 @@ from rzero.zeros import (
     isolate_zeros,
     locate_zeros,
     refine_zero,
+    refine_zeros,
     zero_statistics,
 )
 
@@ -100,17 +101,31 @@ class TestIsolateZeros:
 
 
 class TestCutScan:
-    @pytest.mark.parametrize("sigma", [1.0 / 3.0, 0.7071])
-    def test_double_zero_between_lattice_samples(self, sigma):
-        # the first split of the box cuts along t = 10, through the double
-        # zero, whose sigma lies between the cut's lattice samples k/4
-        zero = complex(sigma, 10.0)
+    @staticmethod
+    def assert_one_double_cluster(box, zero, min_size=1e-2):
         f = lambda z: (z - zero) ** 2
-        res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), min_size=1e-2, f=f)
+        res = isolate_zeros(box, min_size=min_size, f=f)
         assert res.isolated == []
         assert len(res.clusters) == 1
         cluster, winding = res.clusters[0]
         assert winding == 2 and cluster.contains(zero)
+        return res
+
+    # 0.375 is mid-interval, where the lattice row's ratio is its bound
+    # 1/9; 1.0625 is a quarter step right of a sample
+    @pytest.mark.parametrize("sigma", [1.0 / 3.0, 0.7071, 0.375, 1.0625])
+    def test_double_zero_between_lattice_samples(self, sigma):
+        # the first split of the box cuts along t = 10, through the double
+        # zero, whose sigma lies between the cut's lattice samples k/4
+        self.assert_one_double_cluster(Box(0.0, 2.0, 9.0, 11.0),
+                                       complex(sigma, 10.0))
+
+    def test_double_zero_beside_a_partial_end_interval(self):
+        # on [0.2, 2.2] the cut's row starts with the partial interval
+        # [0.2, 0.25]; a zero midway between 0.25 and 0.5 leaves a ratio of
+        # 0.51, the bound for those spacings and far above 1/9
+        self.assert_one_double_cluster(Box(0.2, 2.2, 9.0, 11.0),
+                                       complex(0.375, 10.0))
 
     def test_first_row_read_from_the_cache(self, monkeypatch):
         # two zeros, at t ~ 22.4 and ~ 32.2, one in each child of the cut
@@ -135,6 +150,46 @@ class TestCutScan:
         assert (w1, w2) == (1, 1) and b1.t_hi == 27.5
         assert rows and rows[0][0] > 8 and rows[0][1] == 0
         assert sum(computed for _, computed in rows) <= 66
+
+    def test_lattice_row_rules_out_a_double_zero(self, monkeypatch):
+        # the cut t = 22.5 of [-4, 2] x [10, 35] passes the zero at
+        # t ~ 22.42; the lattice row's minimum is interior and too large
+        # against its neighbours for a double zero beside it, so the scan
+        # computes no R beyond that row
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 10.0, 35.0)
+        r_eval_cache_clear()
+        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
+                                   box.t_lo, box.t_hi)[0]
+        rows = []  # (|R| along the row, R values computed) of each row
+
+        def counted(f, points):
+            before = auxiliary._R_CACHE.cache_info().misses
+            out = values_at(f, points)
+            rows.append(([abs(v) for v in out],
+                         auxiliary._R_CACHE.cache_info().misses - before))
+            return out
+
+        monkeypatch.setattr(zeros_mod, "values_at", counted)
+        (b1, w1), (b2, w2) = _split_conserving(r_value, box, parent_w)
+        assert (w1, w2) == (1, 1) and b1.t_hi == 22.5
+        assert len(rows) == 1 and rows[0][1] == 0
+        mags = rows[0][0]
+        assert 0 < mags.index(min(mags)) < len(mags) - 1
+
+    def test_double_zero_beside_a_fine_cut(self, monkeypatch):
+        # at min_size 1e-5 a cut runs 6e-7 from the double zero, where its
+        # 8-sample lattice is 8.7e-6 apart: the winding walk reads the
+        # 2 pi turn between two samples as a small step, so both children
+        # wind 1, and the zoomed modulus ratio (~5e-3) stays above 1e-4;
+        # the scan's phase comparison reports the zero
+        import rzero.zeros as zeros_mod
+        zero = complex(1.0, 10.3)
+        box = Box(0.0, 2.0, 9.0, 11.0)
+        res = self.assert_one_double_cluster(box, zero, min_size=1e-5)
+        # the lattice-row exit plays no part here
+        monkeypatch.setattr(zeros_mod, "_CUT_MODEL_MARGIN", math.inf)
+        assert self.assert_one_double_cluster(box, zero, min_size=1e-5) == res
 
 
 class TestRefineZero:
@@ -181,13 +236,18 @@ class TestRefineZero:
         assert refine_zero(seed) == first
 
     def test_cold_default_refinement_one_entry_per_iterate(self, monkeypatch):
-        # each Newton iterate asks for R' first and then reads R from the
-        # same derivative entry: no value entry is made at an iterate
+        # each Newton round takes R and R' at its iterates from derivative
+        # entries: no value entry is made at an iterate
         import rzero.zeros as zeros_mod
         iterates = []
-        real = zeros_mod.r_derivative
-        monkeypatch.setattr(zeros_mod, "r_derivative",
-                            lambda z: iterates.append(z) or real(z))
+        real = zeros_mod.r_eval_many
+
+        def spy(points, derivative=False):
+            if derivative:
+                iterates.extend(points)
+            return real(points, derivative)
+
+        monkeypatch.setattr(zeros_mod, "r_eval_many", spy)
         r_eval_cache_clear()
         refine_zero(Box(-4.0, 2.0, 20.0, 25.0))
         keys = set(auxiliary._R_CACHE._store)
@@ -227,6 +287,73 @@ class TestRefineZero:
         assert zero.enclosure_radius == 2.0 * plain.enclosure_radius
         assert (zero.beta, zero.gamma) == (plain.beta, plain.gamma)
         assert zero.winding_certificate == 1
+
+
+class TestRefineZeros:
+    ROOTS = (0.0, 2.0, 2.3)
+    # Newton from the first seed's centre, 0.7, meets f' ~ 0.05 and leaves
+    # the guard box, so that seed restarts from its winding-1 child
+    SEEDS = [Box(-0.3, 1.7, -0.3, 0.3), Box(1.9, 2.1, -0.1, 0.1),
+             Box(2.2, 2.4, -0.1, 0.1)]
+
+    def cubic(self, z):
+        a, b, c = self.ROOTS
+        return (z - a) * (z - b) * (z - c)
+
+    def cubic_prime(self, z):
+        a, b, c = self.ROOTS
+        return (z - b) * (z - c) + (z - a) * (z - c) + (z - a) * (z - b)
+
+    def test_lockstep_equals_one_at_a_time(self):
+        iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
+        assert len(iso.isolated) == 6
+        r_eval_cache_clear()
+        together = refine_zeros(iso.isolated)
+        alone = []
+        for seed in iso.isolated:
+            r_eval_cache_clear()
+            alone.append(refine_zero(seed))
+        assert together == alone
+
+    def test_step_halve_calls(self, monkeypatch):
+        # each Newton round of the six seeds, and their residuals, step-halve
+        # as one block (24 calls); one seed at a time took 68
+        iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
+        calls = []
+        real = auxiliary._step_halve
+        monkeypatch.setattr(auxiliary, "_step_halve",
+                            lambda points, derivative=False:
+                            calls.append(len(points)) or real(points, derivative))
+        refine_zeros(iso.isolated)
+        assert len(calls) <= 30
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_caller_functions_per_seed(self, monkeypatch, numeric):
+        import rzero.zeros as zeros_mod
+        df = None if numeric else self.cubic_prime
+        splits = []
+        real = zeros_mod._split_conserving
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, box, w: splits.append(box)
+                            or real(f, box, w))
+        together = refine_zeros(self.SEEDS, self.cubic, df)
+        assert splits == [self.SEEDS[0]]
+        alone = [refine_zero(seed, self.cubic, df) for seed in self.SEEDS]
+        assert together == alone
+        for zero, root in zip(together, self.ROOTS):
+            assert complex(zero.beta, zero.gamma) == pytest.approx(root,
+                                                                   abs=1e-9)
+            assert zero.winding_certificate == 1
+
+    def test_error_names_first_failing_seed(self, monkeypatch):
+        import rzero.zeros as zeros_mod
+        real = zeros_mod._circle_winding
+        monkeypatch.setattr(zeros_mod, "_circle_winding",
+                            lambda f, z, r: 0 if z.real > 1.0 else real(f, z, r))
+        seeds = [self.SEEDS[0], self.SEEDS[2], self.SEEDS[1]]
+        with pytest.raises(NewtonError, match=r"\(2\.3"):
+            refine_zeros(seeds, self.cubic, self.cubic_prime)
+        assert refine_zeros(seeds[:1], self.cubic, self.cubic_prime)
 
 
 class TestLocateZeros:
