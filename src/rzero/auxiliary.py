@@ -41,11 +41,12 @@ discrepancy reaches EPS_TARGET stops with a grid that only confirms the
 previous one.  Once the discrepancies shrink and are small, the model
 fitted to the last two of them predicts the error of the h value itself,
 and the point stops when that prediction is below PRED_TARGET, a thousand
-times under EPS_TARGET.  A point whose discrepancies grow is pre-asymptotic
-and keeps halving.  The reported error_estimate is the model's error with
-an allowance for discrepancies that fall more slowly than it assumes (see
-_estimate), or the discrepancy, plus the truncation tails and a rounding
-floor.
+times under EPS_TARGET.  A point whose discrepancy and tail are at or below
+the rounding floor of its pass stops too: no finer grid can do better.  A
+point whose discrepancies grow is pre-asymptotic and keeps halving.  The
+reported error_estimate is the model's error with an allowance for
+discrepancies that fall more slowly than it assumes (see _estimate), or the
+discrepancy, plus the truncation tails and a rounding floor.
 
 Everything here is a pure function; repeated evaluations at the same point
 are served from one cache, and neither the reuse nor the batching changes a
@@ -279,6 +280,17 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     double range once sigma log q < -709; such a point's residues are formed
     in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
     only when some point needs it, so every other row keeps its bits.
+
+    Left of sigma = 0 the residues grow with n, each by about e^{-sigma/n}
+    over the one before, so far left only the last few reach a double: from
+    q = _RESIDUE_CUT_MIN_Q on, a row sums only the residues within
+    e^{-_RESIDUE_CUT} of its largest (see _residue_cuts), and the d it
+    drops, at most d e^{-_RESIDUE_CUT} of the largest term of each channel,
+    enter its res_phase (divided by eps, so that _pass_figures adds them to
+    the floor).  The block's exp runs over the widest suffix any of its
+    rows keeps, and each row sums its own suffix (_kept_sums), so a row
+    that drops nothing, every row with sigma >= 0 included, keeps its bits,
+    and a row that drops some gets the bits it gets alone.
     """
     logx, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, depth)
     s = np.array(zs)[:, None]
@@ -299,17 +311,28 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     m = m.tolist()
     log_q = math.log(q) if q > 1 else 0.0
     mr = [max(0.0, -z.real * log_q - 700.0) for z in zs]
-    exponents = -s * _log_n(q)
+    c = 1 + derivative  # channels per point
+    cuts = _residue_cuts(zs, q)
+    log_n = _log_n(q)
+    if cuts:
+        lo = min(cuts)
+        log_n = log_n[lo:]
+    exponents = -s * log_n
     if any(mr):
         exponents -= np.array(mr, dtype=complex)[:, None]
-    res = _channels(np.exp(exponents), _log_n(q), derivative)
+    res = _channels(np.exp(exponents), log_n, derivative)
+    if cuts:
+        res_sums, abs_res = _kept_sums(res, cuts, lo, c)
+        largest = res[:, -1].tolist()
+    else:
+        res_sums = _sum_rows(res, axis=1).tolist()
+        if q > 1:
+            abs_res = _sum_rows(np.abs(res), axis=1).tolist()
     if q > 1:
         # the phase s log n of a residue is good to about eps |s| log q; its
         # scale is formed from logs, as the residues' moduli may lie beyond
         # the double range
-        abs_res = _sum_rows(np.abs(res), axis=1).tolist()
         log_phase = [math.log(abs(z) * log_q) for z in zs]
-    c = 1 + derivative  # channels per point
     sums = []
     # abs() of single elements: np.abs of an array may take a vector path
     # that differs in the last bit.
@@ -317,13 +340,64 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
             _sum_rows(w[:, :nb], axis=1).tolist(),
             _sum_rows(w[:, :nb:2], axis=1).tolist(),
             _sum_rows(abs_w[:, :nb], axis=1).tolist(), w[:, 0].tolist(),
-            w[:, nb - 1].tolist(), _sum_rows(res, axis=1).tolist())):
+            w[:, nb - 1].tolist(), res_sums)):
         mi = m[i // c] - mr[i // c]  # the residues' scale
+        res_phase = 0.0
+        if q > 1:
+            res_phase = math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
+            if cuts and cuts[i // c]:
+                res_phase += math.exp(math.log(cuts[i // c] * abs(largest[i]))
+                                      - _RESIDUE_CUT - math.log(_EPS) - mi)
         sums.append([total, coarse, abs_total, abs(first) + abs(last),
-                     _reduced(res_sum, mi),
-                     math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
-                     if q > 1 else 0.0])
+                     _reduced(res_sum, mi), res_phase])
     return m, [peak_rest + abs(z) * peak_logx for z in zs], sums, halvings
+
+
+# A row with sigma < 0 drops the residues n with
+# |sigma| (log q - log n) > _RESIDUE_CUT, each below e^{-46} = 1.1e-20 of the
+# largest, q^{-s}.  With q <= 4000 (t up to 10^8) all of them together stay
+# under eps/5 of it, while the phase floor charges eps |s| log q > 46 eps
+# times it, so the estimate hardly moves; at the curve corner of T = 10^8
+# (sigma = -29 194) a row keeps 7 of the 3989 residues.  Below
+# _RESIDUE_CUT_MIN_Q residues the cut's bookkeeping, about 60 us a block,
+# costs more than the exps it saves, about 20 ns each, so there every row
+# keeps them all.
+_RESIDUE_CUT = 46.0
+_RESIDUE_CUT_MIN_Q = 100
+
+
+def _residue_cuts(zs: list[complex], q: int) -> list[int] | None:
+    """Per point, the number of leading residues n = 1, 2, ... it drops:
+    those with |sigma| (log q - log n) > _RESIDUE_CUT, the n below
+    q e^{-_RESIDUE_CUT/|sigma|}.  None when no point drops any, as at
+    sigma >= 0 and at q < _RESIDUE_CUT_MIN_Q."""
+    if q < _RESIDUE_CUT_MIN_Q:
+        return None
+    log_q = math.log(q)
+    cuts = [math.ceil(q * math.exp(_RESIDUE_CUT / z.real)) - 1
+            if z.real * log_q < -_RESIDUE_CUT else 0 for z in zs]
+    return cuts if any(cuts) else None
+
+
+def _kept_sums(res: np.ndarray, cuts: list[int], lo: int, c: int):
+    """Per row of ``res`` (the residues n = lo + 1 .. q of each of the c
+    channels of each point), the sum of the residues the point keeps and
+    the sum of their moduli, as lists.  A row that drops none is summed
+    pairwise, as every row sum is; a row that drops some is summed as a
+    running sum from n = q down, whose value at its cut depends on its own
+    residues alone, so either way a row gets the bits it gets alone."""
+    row_cuts = np.repeat(np.array(cuts), c)
+    dropping = row_cuts > 0
+    abs_res = np.abs(res)
+    sums, abs_sums = np.empty(len(res), dtype=complex), np.empty(len(res))
+    if not dropping.all():
+        sums[~dropping] = _sum_rows(res[~dropping], axis=1)
+        abs_sums[~dropping] = _sum_rows(abs_res[~dropping], axis=1)
+    # the column of n = cut + 1 from the end of each dropping row
+    at = (np.arange(dropping.sum()), lo - 1 - row_cuts[dropping])
+    sums[dropping] = np.cumsum(res[dropping, ::-1], axis=1)[at]
+    abs_sums[dropping] = np.cumsum(abs_res[dropping, ::-1], axis=1)[at]
+    return sums.tolist(), abs_sums.tolist()
 
 
 @lru_cache(maxsize=None)
@@ -485,12 +559,20 @@ class _Row:
 
     def judge(self) -> bool:
         """Apply the stopping rules to the pass at the current step: widen
-        the extent, stop, or halve the step.  True when the point is done."""
+        the extent, stop, or halve the step.  True when the point is done.
+
+        A pass whose discrepancy and tail are at or below its rounding floor
+        (floor_rel of _pass_figures) is accepted: a finer step cannot take
+        the value below that floor, and its estimate already carries it.
+        Next to a zero of R, where the value is a cancellation, and at
+        height, where the phases s log x lose eps t log q, the floor is
+        above EPS_TARGET; the EPS_TARGET rule alone would halve such a
+        point down to step 1/1024 without gaining a digit."""
         h = self.step
         figures = []  # a loop: cheaper than a comprehension for one channel
         for sums in self.sums:
             figures.append(_pass_figures(h, self.half, self.m, self.phase, sums))
-        _, rel_disc, rel_tail, noise_rel, _ = figures[0]
+        _, rel_disc, rel_tail, noise_rel, floor_rel = figures[0]
         rel_err = rel_disc + rel_tail
         self.passes += 1
         if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
@@ -501,7 +583,7 @@ class _Row:
         prev_disc = self.prev_disc
         if self.best is None or rel_err < self.best[0]:
             self.best = (rel_err, figures, self.half, h, prev_disc)
-        if rel_err <= max(EPS_TARGET, 4.0 * noise_rel):
+        if rel_err <= max(EPS_TARGET, 4.0 * noise_rel, floor_rel):
             return True
         # The h grid is accepted without a confirming halving once the model
         # predicts its error below PRED_TARGET.
@@ -538,13 +620,18 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     (_sum_level), the first round of an extent down to step 1/16, and then
     applies the stopping rules (_Row.judge) at each step its points reach,
     adding each halving to every row of the block: a point that is done
-    keeps its best pass.  A point whose tail is too large widens its extent,
-    regroups under it and sums its levels again from the base grid, keeping
-    its own step, previous estimate and best pass (the model is fitted
-    again on the new extent).  With ``derivative`` every level also sums
-    the R' channel from the same exponentials.  Rows of a block never mix,
-    so each point gets the bits it gets alone, and the R channel the bits
-    it gets without ``derivative``.
+    keeps its best pass.  A point stops at the latest where its discrepancy
+    and tail reach its rounding floor, so a value that cancels (next to a
+    zero of R) or whose phases lose eps t log q (at height) takes no finer
+    step than its floor allows; far left, the first round sums only the
+    residues that reach a double against the largest (see _first_sums).
+    A point whose tail is too large widens its extent, regroups under it
+    and sums its levels again from the base grid, keeping its own step,
+    previous estimate and best pass (the model is fitted again on the new
+    extent).  With ``derivative`` every level also sums the R' channel from
+    the same exponentials.  Rows of a block never mix, so each point gets
+    the bits it gets alone, and the R channel the bits it gets without
+    ``derivative``.
     """
     rows = []
     for z in points:
@@ -787,8 +874,9 @@ def r_eval(s) -> EvaluationResult:
 
     The crossing is q = floor(sqrt(t/2pi)); the step is halved from 1/4 (and
     the half-length widened while the tails dominate) until two successive
-    grids agree to EPS_TARGET relative (or the noise floor of the
-    accumulation, whichever is larger), or until the trapezoid model,
+    grids agree to EPS_TARGET relative (or to the noise floor of the
+    accumulation or the rounding floor of the pass, whichever is largest),
+    or until the trapezoid model,
     fitted to the discrepancies of the last two grids, predicts the error of
     the finer one below PRED_TARGET.  error_estimate is that prediction
     (the discrepancy while the grids are pre-asymptotic) plus the tails and

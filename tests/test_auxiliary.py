@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.functions import rszeta
 
 from rzero import auxiliary
 from rzero.auxiliary import (
@@ -17,6 +18,7 @@ from rzero.auxiliary import (
     QuadratureSpec,
     _quadrature,
     auto_spec,
+    curve_sigma,
     default_crossing,
     r_asymptotic,
     r_derivative,
@@ -33,7 +35,9 @@ from rzero.errors import (
     PoleOfGammaError,
     RegionError,
 )
+from rzero.counting import unit_params
 from rzero.special_functions import TWO_PI, chi
+from rzero.zeros import Box, _Circle, refine_zero
 
 mp.mp.dps = 30
 
@@ -625,6 +629,85 @@ def test_far_left_estimate_covers_oracle_deviation():
         deviation = abs(res.value - oracle.value)
         assert deviation <= res.error_estimate + oracle.error_estimate, s
         assert deviation <= EPS_TARGET * abs(oracle.value), s
+
+
+def test_circle_about_a_zero_stops_at_the_rounding_floor():
+    # the 16 samples of the winding-1 certificate circle about a zero of R:
+    # |R| there is about 1e-11 of the integrand's scale, so the rounding
+    # floor is far above EPS_TARGET and a finer step than 1/32 cannot help
+    # (the EPS_TARGET rule alone halves them to steps 1/64 and 1/128); each
+    # estimate still covers the deviation from a fixed pass at step 1/1024
+    zero = refine_zero(Box(-2.9, -2.7, 54.2, 54.35))
+    circle = _Circle(complex(zero.beta, zero.gamma), zero.enclosure_radius)
+    points = [circle.point(u) for u in unit_params(17)[:16]]
+    r_eval_cache_clear()
+    rows = auxiliary._step_halve(points)
+    assert min(row.step for row in rows) == 1 / 32
+    for row, res in zip(rows, r_eval_many(points)):
+        figures = _quadrature(row.z, QuadratureSpec(
+            crossing=row.q, half_length=row.half, step=1 / 1024))
+        ref, ref_err = auxiliary._absolute(*auxiliary._estimate(figures, None))
+        assert abs(res.value - ref) <= res.error_estimate + ref_err, row.z
+
+
+# R(s) by the Riemann-Siegel expansion of Arias de Reyna (Math. Comp. 80,
+# 2011), which shares no code with the quadrature
+ORACLE_POINTS = [complex(2.0, 1e4), complex(-5.0, 1e4), complex(0.5, 1e5),
+                 complex(-5.0, 1e6), complex(2.0, 1e7), complex(0.5, 1e8)]
+
+
+def test_estimates_cover_riemann_siegel_oracle():
+    r_eval_cache_clear()
+    with mp.workdps(20):
+        for s, res in zip(ORACLE_POINTS, r_eval_many(ORACLE_POINTS)):
+            oracle = complex(rszeta.Rzeta_set(mp.mp, mp.mpc(s.real, s.imag),
+                                              [0])[0])
+            assert abs(res.value - oracle) <= res.error_estimate, s
+
+
+def _relative_estimate(res):
+    """error_estimate relative to the value, also where it saturates."""
+    return res.error_estimate / min(abs(res.value), 1e300)
+
+
+# 20 seeded points from sigma = -50 down to the counting contour's curve
+# at t in [10^6, 10^8], where the residues of a row far outnumber those
+# within e^{-_RESIDUE_CUT} of its largest
+_cut_rng = random.Random(21)
+CUT_POINTS = [complex(_cut_rng.uniform(curve_sigma(t), -50.0), t)
+              for t in (10 ** _cut_rng.uniform(6.0, 8.0) for _ in range(20))]
+
+
+class TestResidueCut:
+    def test_every_point_drops_residues(self):
+        for s in CUT_POINTS:
+            q = default_crossing(s.imag)
+            (dropped,) = auxiliary._residue_cuts([s], q)
+            assert 0 < dropped < q, s
+
+    def test_matches_every_residue(self, monkeypatch):
+        r_eval_cache_clear()
+        cut = r_eval_many(CUT_POINTS)
+        monkeypatch.setattr(auxiliary, "_RESIDUE_CUT", math.inf)
+        r_eval_cache_clear()
+        full = r_eval_many(CUT_POINTS)
+        r_eval_cache_clear()
+        for s, a, b in zip(CUT_POINTS, cut, full):
+            deviation = abs(cmath.exp(a.log_value - b.log_value) - 1.0)
+            assert deviation <= _relative_estimate(a) + _relative_estimate(b), s
+
+    def test_block_rows_keep_their_bits(self):
+        # rows with different cuts, and rows that drop nothing, share one
+        # block at t = 10^6 and get the bits each gets alone
+        points = [complex(sigma, 1e6) for sigma in
+                  (-400.0, 2.0, -7.0, -30.0, -400.0, -3000.0, 0.5, -30.0)]
+        cuts = auxiliary._residue_cuts(points, default_crossing(1e6))
+        assert cuts[1] == cuts[2] == cuts[6] == 0
+        assert 0 < cuts[3] < cuts[0] < cuts[5]
+        r_eval_cache_clear()
+        batched = _fields(r_eval_many(points))
+        r_eval_cache_clear()
+        assert _fields(r_eval(p) for p in points) == batched
 
 
 def test_default_extent_same_at_every_height(monkeypatch):

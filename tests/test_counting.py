@@ -21,6 +21,7 @@ import random
 from rzero.counting import (
     CURVE_T0,
     PERTURB_STEP,
+    U_LIMIT,
     WALK_MODULUS,
     AxisEdge,
     CountResult,
@@ -614,6 +615,16 @@ class TestCurveContour:
             abs(cmath.exp(res.log_value - r_asymptotic(s).log_value) - 1.0)
             for s, res in zip(points, r_eval_many(points)))
         assert worst < 0.1
+
+    def test_surrogate_holds_on_the_curve_to_1e8(self):
+        # the facts the curve side rests on, at the heights N(T) is counted
+        # to: |u| <= U_LIMIT at 20 seeded heights in [10^7, 10^8]
+        rng = random.Random(10 ** 8)
+        points = [complex(curve_sigma(t), t)
+                  for t in (10.0 ** rng.uniform(7.0, 8.0) for _ in range(20))]
+        for s, res in zip(points, r_eval_many(points)):
+            u = abs(cmath.exp(res.log_value - r_asymptotic(s).log_value) - 1.0)
+            assert u <= U_LIMIT, s
 
 
 class TestSqrtFit:
