@@ -7,12 +7,10 @@ validation of the counting formula
 
 from .auxiliary import (
     EvaluationResult,
-    QuadratureSpec,
     r_asymptotic,
     r_derivative,
     r_eval,
     r_eval_many,
-    r_integral,
     r_value,
     zeta_from_r,
     zeta_reference,
@@ -47,11 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgTrace", "Box", "CountResult", "EvaluationResult", "PathSegment",
-    "QuadratureSpec",
     "Zero", "ZeroStatistics", "arg_variation", "backlund_bound", "chi",
     "eta", "isolate_zeros", "locate_zeros", "log_chi", "log_gamma",
     "main_term", "r_asymptotic",
-    "r_derivative", "r_eval", "r_eval_many", "r_integral", "r_value",
+    "r_derivative", "r_eval", "r_eval_many", "r_value",
     "refine_zero", "refine_zeros",
     "residual_table", "zero_statistics", "zeta_from_r",
     "zeta_reference",

@@ -26,12 +26,13 @@ is one numpy kernel over a (points x nodes) block, -s_j log x_i plus the
 shared kernel row, and each point then takes its own stopping decisions at
 each step its sums reach.  The samples of a horizontal contour edge share t
 and form one block; those of a vertical edge fall into a few.  A single
-r_eval is a block of one.  One routine (_sum_level) sums every level, so the
-fixed-step pass of r_integral runs the same code as r_eval.  R'(s) comes
-from the same grids: differentiating under the integral multiplies each node
-by -log x, and the Dirichlet part by -log n, so a derivative request follows
-each point's row of R terms by a row of R' terms from the same exponentials,
-and the same kernels sum both channels.
+r_eval is a block of one.  One routine (_sum_level) sums every level, and
+r_eval, r_eval_many and r_derivative all reach it through _step_halve; the
+fixed pass _quadrature, the tests' reference, sums through it too.  R'(s)
+comes from the same grids: differentiating under the integral multiplies
+each node by -log x, and the Dirichlet part by -log n, so a derivative
+request follows each point's row of R terms by a row of R' terms from the
+same exponentials, and the same kernels sum both channels.
 
 The stopping rule follows the trapezoid error model on a strip of
 analyticity, error(h) ~ C e^{-2 pi d/h}: each halving squares the error
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -68,7 +68,6 @@ import numpy as np
 from .errors import (
     DomainError,
     NearZeroDenominatorError,
-    NonConvergenceError,
     PathThroughPoleError,
     PoleOfGammaError,
     RegionError,
@@ -85,10 +84,9 @@ from .special_functions import (
 
 EPS_TARGET = 1e-9          # relative accuracy goal of automatic evaluation
 PRED_TARGET = 1e-3 * EPS_TARGET  # model-predicted error that accepts a grid
-FAIL_THRESHOLD = 1e-6      # relative error_estimate beyond which we refuse
 _EPS = 2.0 ** -52          # double precision machine epsilon
-# shortest admissible half-length: the Gaussian factor of the integrand
-# falls below EPS_TARGET there
+# half-length at which the Gaussian factor of the integrand falls below
+# EPS_TARGET
 _MIN_HALF = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi)
 
 # Direction of traversal of the integration line.  The line has slope one
@@ -96,34 +94,6 @@ _MIN_HALF = math.sqrt(math.log(1.0 / EPS_TARGET) / math.pi)
 # calibrated once against the zeta identity at s = 2.
 _LINE_DIR = cmath.exp(1j * math.pi / 4.0)
 _ORIENTATION = -1.0
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Discretisation of the line integral.
-
-    crossing     -- integer q >= 0; the path crosses the real axis at q + 1/2
-    half_length  -- truncation of the line parameter (nodes span +-half_length)
-    step         -- trapezoidal node spacing
-    """
-
-    crossing: int
-    half_length: float
-    step: float
-
-    def __post_init__(self):
-        if not isinstance(self.crossing, numbers.Integral):
-            raise DomainError(f"crossing must be an integer, got {self.crossing}")
-        if self.crossing < 0:
-            raise DomainError(f"crossing must be >= 0, got {self.crossing}")
-        if not self.step > 0.0:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if self.step > self.half_length:
-            raise DomainError("step exceeds half_length")
-        if self.half_length < _MIN_HALF:
-            raise DomainError(
-                f"half_length {self.half_length} below minimum {_MIN_HALF:.3f}"
-            )
 
 
 @dataclass(frozen=True)
@@ -198,10 +168,11 @@ _BASE_STEP = 0.25
 # needs two discrepancies, so nearly every pass reaches step 1/16.
 _FIRST_HALVINGS = 2
 # The rows of dyadic levels from _BASE_STEP down to LATTICE_FINEST_STEP are
-# memoised per (q, step, n, depth), least recently used first out; finer or
-# non-dyadic levels are built on every pass.  The largest memoised row is
-# 9 KiB (the odd nodes of step 1/64 over half-length 4.5) on seeded points
-# with t up to 10^7 and sigma far left, so a full memo holds about 2.3 MiB.
+# memoised per (q, step, n, depth), least recently used first out; finer
+# levels are built on every pass.  Every level is dyadic and starts from
+# _BASE_STEP, so the step alone decides.  The largest memoised row is 9 KiB
+# (the odd nodes of step 1/64 over half-length 4.5) on seeded points with t
+# up to 10^7 and sigma far left, so a full memo holds about 2.3 MiB.
 LATTICE_FINEST_STEP = 1.0 / 64.0
 LATTICE_MAX_ENTRIES = 256
 _lattice_rows = lru_cache(maxsize=LATTICE_MAX_ENTRIES)(_build_rows)
@@ -210,7 +181,7 @@ _lattice_rows = lru_cache(maxsize=LATTICE_MAX_ENTRIES)(_build_rows)
 def _line_rows(q: int, step: float, n: int, depth: int | None):
     """_build_rows of nesting levels, from the memo _lattice_rows where it
     keeps them.  The rows are shared and must not be written to."""
-    if LATTICE_FINEST_STEP <= step <= _BASE_STEP and math.frexp(step)[0] == 0.5:
+    if step >= LATTICE_FINEST_STEP:
         return _lattice_rows(q, step, n, depth)
     return _build_rows(q, step, n, depth)
 
@@ -223,22 +194,6 @@ BATCH_MAX_NODES = 1 << 15
 _MAX_PASSES = 16
 _FINEST_STEP = 1.0 / 1024.0
 _DIRECTION = _ORIENTATION * _LINE_DIR
-
-
-def _levels(spec: QuadratureSpec) -> tuple[int, float, int]:
-    """Nesting layout of a pass: (n, base_step, base_n).
-
-    The nodes are v = step k with |k| <= m_half (even), laid out as a base
-    grid of step base_step = step * 2^n <= _BASE_STEP with |k| <= base_n
-    (n as large as the extent allows), then the odd nodes of each of the n
-    halvings.
-    """
-    h = spec.step
-    m_half = 2 * int(math.ceil(spec.half_length / (2.0 * h)))  # even: 2h nests
-    n = 0
-    while h * 2 ** (n + 1) <= _BASE_STEP and m_half % 2 ** (n + 1) == 0:
-        n += 1
-    return n, h * 2 ** n, m_half >> n
 
 
 def _reduced(value: complex, m: float) -> complex:
@@ -400,30 +355,32 @@ def _kept_sums(res: np.ndarray, cuts: list[int], lo: int, c: int):
     return sums.tolist(), abs_sums.tolist()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_MAX_ENTRIES)
 def _log_n(q: int) -> np.ndarray:
-    """log n for n = 1..q, as complex numbers."""
+    """log n for n = 1..q, as complex numbers; memoised for as many
+    crossings as the integrand rows hold entries."""
     return np.log(np.arange(1, q + 1, dtype=float)).astype(complex)
 
 
-def _sum_level(block: list, q: int, base_step: float, base_n: int,
-               level: int, derivative: bool, depth: int) -> list:
+def _sum_level(block: list, q: int, base_n: int, level: int,
+               derivative: bool, depth: int) -> list:
     """Sum nesting levels into the rows of ``block``, points that share the
-    crossing q and the base grid |k| <= base_n of step base_step: level 0
+    crossing q and the base grid |k| <= base_n of step _BASE_STEP: level 0
     sets each row's scales m and phase and its sums, a list per channel,
     and returns the sums of its first ``depth`` halvings for _add_level (see
-    _first_sums); level l adds the odd nodes of the l-th halving.  The
-    step-halving loop (_step_halve) and the fixed pass (_quadrature) both
-    sum through here."""
+    _first_sums); level l adds the odd nodes of the l-th halving.  Every R
+    value is summed here by the step-halving loop (_step_halve), a block and
+    a round at a time; the tests' fixed pass (_quadrature) sums one level a
+    call."""
     zs = [row.z for row in block]
     if level == 0:
-        ms, phases, sums, halvings = _first_sums(q, base_step, base_n, depth,
-                                                 zs, derivative)
+        ms, phases, sums, halvings = _first_sums(q, _BASE_STEP, base_n,
+                                                 depth, zs, derivative)
         c = 1 + derivative  # channels per point
         for i, row in enumerate(block):
             row.m, row.phase, row.sums = ms[i], phases[i], sums[c * i:c * i + c]
         return halvings
-    logx, rest, _ = _line_rows(q, base_step / 2 ** level, base_n << level,
+    logx, rest, _ = _line_rows(q, _BASE_STEP / 2 ** level, base_n << level,
                                None)
     ms = np.array([row.m for row in block], dtype=complex)[:, None]
     w = _channels(np.exp(rest - np.array(zs)[:, None] * logx - ms), logx,
@@ -476,23 +433,6 @@ def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
         rel_floor += _EPS * (3.0 + abs(log_total))
     return (log_total, disc / scale_red, tail / scale_red, noise / scale_red,
             rel_floor)
-
-
-def _quadrature(s: complex, spec: QuadratureSpec):
-    """Core trapezoid pass at one point; returns _pass_figures of R.
-
-    The nodes follow the nesting layout of _levels and are summed by
-    _sum_level in the rounds of the step-halving loop (_step_halve).
-    """
-    row = _Row(s, spec.crossing, spec.half_length)
-    n, base_step, base_n = _levels(spec)
-    depth = min(_FIRST_HALVINGS, n)
-    for level in (0, *range(depth + 1, n + 1)):
-        for parts in _sum_level([row], row.q, base_step, base_n, level, False,
-                                depth):
-            _add_level(row.sums, *parts)
-    return _pass_figures(spec.step, spec.half_length, row.m, row.phase,
-                         row.sums[0])
 
 
 def _predicted(rel_disc: float, prev_disc: float | None) -> float | None:
@@ -613,9 +553,9 @@ class _Row:
 def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     """Step-halve R at every point, in rounds over blocks of points.
 
-    Each pass starts at step 1/4 over the extent of auto_spec rounded up to
-    a multiple of 1/2; a pass at h/2 adds only the odd nodes to the sums at
-    h.  A round groups the points by (crossing, half-length, next level),
+    Each pass starts at step 1/4 over the extent of _half_length rounded up
+    to a multiple of 1/2; a pass at h/2 adds only the odd nodes to the sums
+    at h.  A round groups the points by (crossing, half-length, next level),
     sums that level for each block of the group in one numpy kernel
     (_sum_level), the first round of an extent down to step 1/16, and then
     applies the stopping rules (_Row.judge) at each step its points reach,
@@ -655,8 +595,8 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
             size = max(1, BATCH_MAX_NODES // nodes)
             for lo in range(0, len(group), size):
                 block = group[lo:lo + size] if len(group) > size else group
-                halvings = _sum_level(block, q, _BASE_STEP, base_n, level,
-                                      derivative, _FIRST_HALVINGS)
+                halvings = _sum_level(block, q, base_n, level, derivative,
+                                      _FIRST_HALVINGS)
                 live = block
                 for j, parts in enumerate([None, *halvings]):
                     if parts:
@@ -671,6 +611,22 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
                     live = going
                 pending += live
     return rows
+
+
+def _quadrature(s: complex, q: int, half: float, step: float,
+                derivative: bool = False) -> _Row:
+    """A _Row holding the sums of one fixed pass at s, on the layout of
+    _step_halve: crossing q, extent half a multiple of 1/2, and the base
+    grid of step 1/4 followed by the odd nodes of each halving down to the
+    dyadic step in [_FINEST_STEP, _BASE_STEP].  Each level is summed by its
+    own _sum_level call, apart from the fused first round of _step_halve;
+    the tests compare that loop, and r_eval, with this pass."""
+    row = _Row(s, q, half)
+    row.step = step
+    row.target = int(math.log2(_BASE_STEP / step))
+    for level in range(row.target + 1):
+        _sum_level([row], q, int(4.0 * half), level, derivative, 0)
+    return row
 
 
 def _absolute(log_total: complex | None, rel_err: float):
@@ -697,50 +653,14 @@ def _checked(s) -> complex:
     return z
 
 
-def r_integral(s, spec: QuadratureSpec) -> EvaluationResult:
-    """R(s) by residue-collected trapezoidal quadrature with the given spec.
-
-    The finite Dirichlet sum collects the residues n^{-s} crossed while the
-    line slides from (0,1) to (q, q+1); the remaining integral runs through
-    q + 1/2 where the integrand is pole-free.  The error estimate is
-    absolute: the step-halving discrepancy, the truncation tails and the
-    rounding floor of the nodes and residues (see _pass_figures).
-    Evaluation is rejected when discrepancy and tails exceed FAIL_THRESHOLD
-    relative to the value.
-    """
-    z = _checked(s)
-    figures = _quadrature(z, spec)
-    rel_err = figures[1] + figures[2]
-    if not math.isfinite(rel_err) or rel_err > FAIL_THRESHOLD:
-        raise NonConvergenceError(
-            f"quadrature error {rel_err:.2e} (relative) at s = {z} exceeds "
-            f"{FAIL_THRESHOLD}"
-        )
-    value, err = _absolute(*_estimate(figures, None))
-    return EvaluationResult(
-        value=value, method="quadrature", error_estimate=err, log_value=figures[0]
-    )
-
-
 def default_crossing(t: float) -> int:
     """q placing the crossing near the integrand saddle sqrt(t/2pi)."""
     return max(0, int(math.floor(math.sqrt(max(t, 0.0) / TWO_PI))))
 
 
-def auto_spec(s, crossing: int | None = None, step: float = 0.125) -> QuadratureSpec:
-    """Spec with the default sizing rules for the point s.
-
-    half_length = sqrt(log(1/eps)/pi) + 1, widened by sqrt(2) times the
-    distance of the crossing q + 1/2 from the saddle sqrt(t/2pi) (the
-    integrand hump shifts along the line); see _half_length.
-    """
-    t = as_complex(s).imag
-    q = default_crossing(t) if crossing is None else crossing
-    return QuadratureSpec(crossing=q, half_length=_half_length(t, q), step=step)
-
-
 def _half_length(t: float, q: int) -> float:
-    """Default half-length of auto_spec at height t and crossing q.
+    """Half-length at which _step_halve starts at height t and crossing q
+    (rounded up to a multiple of 1/2).
 
     With the crossing at the saddle sqrt(t/2pi) the real part of the log
     integrand falls like -2 pi v^2 along the line (-pi v^2 from e^{i pi x^2},
@@ -917,9 +837,11 @@ def values_at(f, points) -> list:
 
 
 def r_eval_cache_clear() -> None:
-    """Drop every cached R value and the memoised integrand rows."""
+    """Drop every cached R value, the memoised integrand rows and the
+    memoised log n rows of the residues."""
     _R_CACHE.cache_clear()
     _lattice_rows.cache_clear()
+    _log_n.cache_clear()
 
 
 SURROGATE_T_MIN = 50.0  # lowest height at which r_asymptotic is admissible

@@ -33,10 +33,6 @@ class NearZeroDenominatorError(RZeroError, ArithmeticError):
     """A denominator factor of the asymptotic surrogate is below tolerance."""
 
 
-class NonConvergenceError(RZeroError, ArithmeticError):
-    """Quadrature refinement failed to reach the requested accuracy."""
-
-
 class ZeroOnPathError(RZeroError, ArithmeticError):
     """A zero lies on (or numerically indistinguishably close to) a path.
 

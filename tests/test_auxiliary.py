@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import functools
 import math
 import random
@@ -15,9 +14,7 @@ from rzero.auxiliary import (
     EPS_TARGET,
     LATTICE_FINEST_STEP,
     LATTICE_MAX_ENTRIES,
-    QuadratureSpec,
     _quadrature,
-    auto_spec,
     curve_sigma,
     default_crossing,
     r_asymptotic,
@@ -25,13 +22,11 @@ from rzero.auxiliary import (
     r_eval,
     r_eval_cache_clear,
     r_eval_many,
-    r_integral,
     zeta_from_r,
     zeta_reference,
 )
 from rzero.errors import (
     DomainError,
-    NonConvergenceError,
     PoleOfGammaError,
     RegionError,
 )
@@ -68,19 +63,36 @@ class TestZetaReference:
         assert abs(zeta_reference(s) - ref) < 1e-11 * abs(ref)
 
 
+def _start_half(s, q):
+    """The extent at which _step_halve starts at s and crossing q."""
+    return math.ceil(2 * auxiliary._half_length(s.imag, q)) / 2
+
+
+def _figures(row):
+    """_pass_figures of each channel of a row at its current step."""
+    return [auxiliary._pass_figures(row.step, row.half, row.m, row.phase, sums)
+            for sums in row.sums]
+
+
+def _fixed(s, q, half, step):
+    """(value, error_estimate) of R from the fixed pass at s: the
+    discrepancy against step 2 * step, the tails and the rounding floor."""
+    (figures,) = _figures(_quadrature(s, q, half, step))
+    return auxiliary._absolute(*auxiliary._estimate(figures, None))
+
+
 class TestRIntegral:
+    """R(s) as the line integral itself, from the fixed pass _quadrature."""
+
     def test_value_at_two(self):
-        res = r_integral(2.0, auto_spec(2.0, step=1 / 32))
-        assert abs(res.value - R_AT_2) < 1e-11
+        value, _ = _fixed(2.0, 0, _start_half(2.0, 0), 1 / 32)
+        assert abs(value - R_AT_2) < 1e-11
         # closed form of the same number
-        assert res.value == pytest.approx(
+        assert value == pytest.approx(
             complex(-math.pi ** 2 / 12.0, -math.pi / 2.0), abs=1e-11)
 
     def test_crossing_invariance_at_two(self):
-        vals = []
-        for q in (0, 1, 2):
-            res = r_integral(2.0, auto_spec(2.0, crossing=q, step=1 / 32))
-            vals.append((res.value, res.error_estimate))
+        vals = [_fixed(2.0, q, _start_half(2.0, q), 1 / 32) for q in (0, 1, 2)]
         for v, e in vals[1:]:
             assert abs(v - vals[0][0]) <= e + vals[0][1] + 1e-12
 
@@ -90,10 +102,7 @@ class TestRIntegral:
         # cancellation noise floor near 1e-8 relative, reflected in their
         # error estimates
         s = 0.5 + 50j
-        vals = []
-        for q in (0, 1, 2, 3, 4):
-            res = r_integral(s, auto_spec(s, crossing=q, step=1 / 64))
-            vals.append((res.value, res.error_estimate))
+        vals = [_fixed(s, q, _start_half(s, q), 1 / 64) for q in range(5)]
         ref = r_eval(s)
         for v, e in vals:
             assert abs(v - ref.value) <= 4.0 * (e + ref.error_estimate) + 1e-11
@@ -102,34 +111,15 @@ class TestRIntegral:
         res = r_eval(0.5 + 50j)
         assert abs(res.value - R_AT_HALF_50) < 1e-12
 
-    def test_nonconvergence_on_coarse_spec(self):
-        spec = QuadratureSpec(crossing=0, half_length=8.0, step=0.5)
-        with pytest.raises(NonConvergenceError):
-            r_integral(0.5 + 30j, spec)
-
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
-            r_integral(2.0 - 5.0j, auto_spec(2.0))
+            r_eval(2.0 - 5.0j)
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(crossing=-1, half_length=8.0, step=0.1)
-        with pytest.raises(DomainError):
-            QuadratureSpec(crossing=0, half_length=8.0, step=9.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(crossing=0, half_length=0.5, step=0.1)
-
-    def test_non_integer_crossing_rejected(self):
-        # the line through 1.3 + 1/2 crosses the real axis at 1.8, past the
-        # pole at 1 only: the residue sum up to n = 2 would be wrong
-        with pytest.raises(DomainError):
-            QuadratureSpec(crossing=1.3, half_length=8.0, step=1 / 32)
-        with pytest.raises(DomainError):
-            r_integral(2 + 10j, QuadratureSpec(crossing=2.0, half_length=8.0,
-                                               step=1 / 32))
-        good = r_integral(2 + 10j, QuadratureSpec(crossing=2, half_length=8.0,
-                                                  step=1 / 32))
-        assert abs(good.value - r_eval(2 + 10j).value) <= 1e-12
+    def test_value_at_crossing_two(self):
+        # the fixed pass through 2 + 1/2 at step 1/32 gives r_eval's value,
+        # whose own crossing at t = 10 is 1
+        value, _ = _fixed(2 + 10j, 2, 8.0, 1 / 32)
+        assert abs(value - r_eval(2 + 10j).value) <= 1e-12
 
     def test_default_crossing(self):
         assert default_crossing(50.0) == 2
@@ -140,19 +130,14 @@ class TestRIntegral:
     def test_step_halving_convergence(self, s):
         # trapezoid on an analytic integrand: each halving must cut the
         # error estimate by at least 4x (actual decay is much faster)
+        q = default_crossing(s.imag)
         errs = []
         for step in (0.25, 0.125, 0.0625):
-            spec = dataclasses.replace(auto_spec(s), step=step)
-            _, rel_disc, rel_tail, *_ = _quadrature(complex(s), spec)
+            (figures,) = _figures(_quadrature(s, q, _start_half(s, q), step))
+            _, rel_disc, rel_tail, *_ = figures
             errs.append(rel_disc + rel_tail)
         assert errs[1] <= errs[0] / 4.0
         assert errs[2] <= errs[1] / 4.0
-
-    def test_step_halving_public_route(self):
-        s = 0.5 + 30j
-        e16 = r_integral(s, auto_spec(s, step=1 / 16)).error_estimate
-        e32 = r_integral(s, auto_spec(s, step=1 / 32)).error_estimate
-        assert e32 <= e16 / 4.0
 
 
 class TestREval:
@@ -226,15 +211,13 @@ class TestQuadratureReuse:
             (0.25 / 2 ** k, None) for k in range(3, row.target + 1)]
         (warm,) = _figures(row)
         r_eval_cache_clear()
-        cold = _quadrature(s, QuadratureSpec(crossing=row.q,
-                                             half_length=row.half,
-                                             step=row.step))
+        (cold,) = _figures(_quadrature(s, row.q, row.half, row.step))
         assert warm == cold
 
     @pytest.mark.parametrize("s", REUSE_POINTS)
-    def test_matches_fine_step_r_integral(self, s):
-        oracle = _oracle(s)
-        assert abs(r_eval(s).value - oracle.value) <= 1e-12 * abs(oracle.value)
+    def test_matches_fine_step_oracle(self, s):
+        oracle, _ = _oracle(s)
+        assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
 
     def test_cold_runs_bit_identical(self):
         points = REUSE_POINTS + [1.0 - p.conjugate() for p in REUSE_POINTS]
@@ -264,19 +247,27 @@ class TestQuadratureReuse:
                             functools.lru_cache(LATTICE_MAX_ENTRIES)(build))
         r_eval_cache_clear()
         _eval_all(REUSE_POINTS)
+        halving = list(built)
         s = REUSE_POINTS[-1]
         q = default_crossing(s.imag)
-        forced = QuadratureSpec(
-            crossing=q, half_length=math.ceil(2 * _pinned_half(s.imag, q)) / 2,
-            step=1 / 1024)
-        _quadrature(s, forced)
+        _quadrature(s, q, math.ceil(2 * _pinned_half(s.imag, q)) / 2, 1 / 1024)
         info = auxiliary._lattice_rows.cache_info()
         assert 0 < info.currsize <= LATTICE_MAX_ENTRIES
         assert min(step for (_, step, _, _), _ in built) == LATTICE_FINEST_STEP
-        assert {(step, depth) for (_, step, _, depth), _ in built
+        assert {(step, depth) for (_, step, _, depth), _ in halving
                 if step >= 1 / 16} == {(0.25, 2)}
         nbytes = sum(logx.nbytes + rest.nbytes for _, (logx, rest, _) in built)
         assert 0 < nbytes <= 2 << 20
+
+    def test_log_n_memo_bounded_and_cleared(self):
+        # the log n rows of the residues are bounded like the integrand
+        # rows and dropped with them
+        assert auxiliary._log_n.cache_info().maxsize == LATTICE_MAX_ENTRIES
+        r_eval_cache_clear()
+        _eval_all(REUSE_POINTS)
+        assert auxiliary._log_n.cache_info().currsize > 0
+        r_eval_cache_clear()
+        assert auxiliary._log_n.cache_info().currsize == 0
 
     def test_lattice_flush_keeps_results(self, monkeypatch):
         # each reflected point shares its crossing and extent with a point
@@ -318,24 +309,6 @@ def _fields(results):
     return [(r.value, r.error_estimate, r.log_value) for r in results]
 
 
-def _figures(row):
-    """_pass_figures of each channel of a row at its current step."""
-    return [auxiliary._pass_figures(row.step, row.half, row.m, row.phase, sums)
-            for sums in row.sums]
-
-
-def _cold_row(s, q, half, step, derivative):
-    """A row holding the sums of one fixed pass at s, summed one level a
-    round from the base grid."""
-    row = auxiliary._Row(s, q, half)
-    row.step = step
-    n, base_step, base_n = auxiliary._levels(
-        QuadratureSpec(crossing=q, half_length=half, step=step))
-    for level in range(n + 1):
-        auxiliary._sum_level([row], q, base_step, base_n, level, derivative, 0)
-    return row
-
-
 class TestEvalMany:
     def test_matches_one_at_a_time(self):
         r_eval_cache_clear()
@@ -347,11 +320,11 @@ class TestEvalMany:
         # the tail widens the extent after the step has been halved; the
         # sums over the new extent start again from its base grid
         (row,) = auxiliary._step_halve([WIDENING_POINT])
-        start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
+        start = _start_half(WIDENING_POINT, row.q)
         assert row.half > start and row.best[2] == row.half
         (warm,) = _figures(row)
-        cold = _quadrature(WIDENING_POINT, QuadratureSpec(
-            crossing=row.q, half_length=row.half, step=row.step))
+        (cold,) = _figures(_quadrature(WIDENING_POINT, row.q, row.half,
+                                       row.step))
         assert row.step < 0.25 and warm == cold
 
     def test_widening_row_restarts_derivative(self):
@@ -359,11 +332,11 @@ class TestEvalMany:
         # grid as well, and its R figures are those of the value request
         (alone,) = auxiliary._step_halve([WIDENING_POINT])
         (row,) = auxiliary._step_halve([WIDENING_POINT], derivative=True)
-        start = math.ceil(2 * auto_spec(WIDENING_POINT).half_length) / 2
+        start = _start_half(WIDENING_POINT, row.q)
         assert row.half > start and row.step < 0.25
         assert (row.half, row.step) == (alone.half, alone.step)
         warm_r, warm_d = _figures(row)
-        cold = _cold_row(WIDENING_POINT, row.q, row.half, row.step, True)
+        cold = _quadrature(WIDENING_POINT, row.q, row.half, row.step, True)
         assert warm_d == _figures(cold)[1]
         assert [warm_r] == _figures(alone)
         assert row.best[1][0] == alone.best[1][0]
@@ -486,7 +459,7 @@ class TestFirstRound:
         monkeypatch.undo()
         assert [(step, half) for step, half, *_ in judged] == FUSED_CASES[s][0]
         for step, half, m, phase, sums in judged:
-            cold = _cold_row(s, row.q, half, step, derivative)
+            cold = _quadrature(s, row.q, half, step, derivative)
             assert (m, phase, sums) == (cold.m, cold.phase, cold.sums)
 
     @pytest.mark.parametrize("derivative", [False, True])
@@ -496,12 +469,12 @@ class TestFirstRound:
         q = default_crossing(s.imag)
         for half in {half for _, half in FUSED_CASES[s][0]}:
             row = auxiliary._Row(s, q, half)
-            halvings = auxiliary._sum_level([row], q, 0.25, int(4 * half), 0,
+            halvings = auxiliary._sum_level([row], q, int(4 * half), 0,
                                             derivative, 2)
             for level, step in enumerate((0.25, 0.125, 0.0625)):
                 if level:
                     auxiliary._add_level(row.sums, *halvings[level - 1])
-                cold = _cold_row(s, q, half, step, derivative)
+                cold = _quadrature(s, q, half, step, derivative)
                 assert (row.m, row.phase, row.sums) == (
                     cold.m, cold.phase, cold.sums)
 
@@ -528,19 +501,19 @@ def _pinned_half(t, q):
 
 
 def _oracle(s):
-    """r_integral at step 1/128 at the default crossing over the pinned
-    extent plus 2."""
+    """(value, error_estimate) of the fixed pass at step 1/128 at the
+    default crossing over the pinned extent plus 2, rounded up to a
+    multiple of 1/2."""
     q = default_crossing(s.imag)
-    return r_integral(s, QuadratureSpec(
-        crossing=q, half_length=_pinned_half(s.imag, q) + 2.0, step=1 / 128))
+    return _fixed(s, q, math.ceil(2 * _pinned_half(s.imag, q) + 4.0) / 2,
+                  1 / 128)
 
 
 def _discrepancies(s, half, steps):
     """Relative discrepancy of each grid against the grid of twice its step,
     over one extent at the default crossing."""
     q = default_crossing(s.imag)
-    return [_quadrature(s, QuadratureSpec(crossing=q, half_length=half,
-                                          step=h))[1] for h in steps]
+    return [_figures(_quadrature(s, q, half, h))[0][1] for h in steps]
 
 
 class TestStoppingRule:
@@ -555,7 +528,7 @@ class TestStoppingRule:
         assert d4 < d8 and auxiliary._predicted(d8, d4) is None
         assert auxiliary._predicted(d16, d8) == d16 ** 3 / d8 ** 2
         assert row.step <= 0.0625
-        oracle = _oracle(s).value
+        oracle, _ = _oracle(s)
         assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
 
     def test_first_grid_missing_integrand_is_not_fitted(self):
@@ -568,7 +541,7 @@ class TestStoppingRule:
         d4, d8 = _discrepancies(s, row.half, (0.25, 0.125))
         assert d4 > 1.0 and d8 < 1e-3 and auxiliary._predicted(d8, d4) is None
         assert row.step <= 0.0625
-        oracle = _oracle(s).value
+        oracle, _ = _oracle(s)
         assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
 
     def test_slow_decrement_estimate_covers_oracle(self):
@@ -580,9 +553,8 @@ class TestStoppingRule:
         r_eval_cache_clear()
         (row,) = auxiliary._step_halve([s])
         assert row.step == 0.125 and row.best[0] > EPS_TARGET
-        res, oracle = r_eval(s), _oracle(s)
-        assert (abs(res.value - oracle.value)
-                <= res.error_estimate + oracle.error_estimate)
+        res, (oracle, oracle_err) = r_eval(s), _oracle(s)
+        assert abs(res.value - oracle) <= res.error_estimate + oracle_err
 
     def test_early_rows_match_oracle(self):
         # rows accepted on the model's prediction, before their discrepancy
@@ -594,7 +566,7 @@ class TestStoppingRule:
                  for s in early}
         assert bands == {20.0, 100.0, 500.0, 2000.0}
         for s in early:
-            oracle = _oracle(s).value
+            oracle, _ = _oracle(s)
             assert abs(r_eval(s).value - oracle) <= 1e-12 * abs(oracle)
 
 
@@ -610,9 +582,8 @@ def test_error_estimate_covers_oracle_deviation():
     # nodes and residues, which dominates once the grids agree
     r_eval_cache_clear()
     for s, res in zip(ESTIMATE_POINTS, r_eval_many(ESTIMATE_POINTS)):
-        oracle = _oracle(s)
-        assert (abs(res.value - oracle.value)
-                <= res.error_estimate + oracle.error_estimate), s
+        oracle, oracle_err = _oracle(s)
+        assert abs(res.value - oracle) <= res.error_estimate + oracle_err, s
 
 
 # 200 seeded points far left at small t, where the integrand's hump is
@@ -625,10 +596,10 @@ FAR_LEFT_POINTS = [complex(_left_rng.uniform(-60.0, -20.0),
 def test_far_left_estimate_covers_oracle_deviation():
     r_eval_cache_clear()
     for s, res in zip(FAR_LEFT_POINTS, r_eval_many(FAR_LEFT_POINTS)):
-        oracle = _oracle(s)
-        deviation = abs(res.value - oracle.value)
-        assert deviation <= res.error_estimate + oracle.error_estimate, s
-        assert deviation <= EPS_TARGET * abs(oracle.value), s
+        oracle, oracle_err = _oracle(s)
+        deviation = abs(res.value - oracle)
+        assert deviation <= res.error_estimate + oracle_err, s
+        assert deviation <= EPS_TARGET * abs(oracle), s
 
 
 def test_circle_about_a_zero_stops_at_the_rounding_floor():
@@ -644,9 +615,7 @@ def test_circle_about_a_zero_stops_at_the_rounding_floor():
     rows = auxiliary._step_halve(points)
     assert min(row.step for row in rows) == 1 / 32
     for row, res in zip(rows, r_eval_many(points)):
-        figures = _quadrature(row.z, QuadratureSpec(
-            crossing=row.q, half_length=row.half, step=1 / 1024))
-        ref, ref_err = auxiliary._absolute(*auxiliary._estimate(figures, None))
+        ref, ref_err = _fixed(row.z, row.q, row.half, 1 / 1024)
         assert abs(res.value - ref) <= res.error_estimate + ref_err, row.z
 
 

@@ -1,11 +1,14 @@
 """The python block under "Library quick tour" in README.md runs as shown
-and gives the values its comments state."""
+and gives the values its comments state, and every name the package
+exports resolves."""
 
 import ast
 import math
 import pathlib
 
 import pytest
+
+import rzero
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +34,8 @@ def test_quick_tour():
                                                        rel=1e-12)
     assert namespace["clusters"] == []
     assert len(namespace["zeros"]) == 6
+
+
+def test_public_names_resolve():
+    assert len(set(rzero.__all__)) == len(rzero.__all__)
+    assert [name for name in rzero.__all__ if not hasattr(rzero, name)] == []
