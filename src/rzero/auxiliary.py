@@ -71,6 +71,7 @@ from .errors import (
     PathThroughPoleError,
     PoleOfGammaError,
     RegionError,
+    ZeroOnPathError,
 )
 from .special_functions import (
     TWO_PI,
@@ -485,7 +486,7 @@ class _Row:
     step (see _estimate)."""
 
     __slots__ = ("z", "q", "half", "step", "target", "level", "passes",
-                 "prev_rel", "prev_disc", "best", "m", "phase", "sums")
+                 "prev_disc", "best", "m", "phase", "sums")
 
     def __init__(self, z: complex, q: int, half: float):
         self.z, self.q, self.half = z, q, half
@@ -493,7 +494,6 @@ class _Row:
         self.target = 0    # nesting level of self.step
         self.level = -1    # finest level summed over the current extent
         self.passes = 0
-        self.prev_rel = None
         self.prev_disc = None  # per channel, at the previous step, same extent
         self.best = None
 
@@ -531,19 +531,8 @@ class _Row:
             predicted = _predicted(rel_disc, prev_disc[0])
             if predicted is not None and predicted + rel_tail <= PRED_TARGET:
                 return True
-        # Halving the step squares the trapezoid error, so once the estimate
-        # is small, stops shrinking and sits near the noise floor we are at
-        # the rounding plateau (the value is a near-cancellation, e.g. next
-        # to a zero); further nodes cannot help.  Far above the floor the
-        # grids are still pre-asymptotic and must keep halving.  The
-        # reported absolute estimate stays honest.
-        if (rel_err < 1e-3 and self.prev_rel is not None
-                and rel_err > 0.35 * self.prev_rel
-                and rel_err <= 1e4 * noise_rel):
-            return True
         if h <= _FINEST_STEP:
             return True
-        self.prev_rel = rel_err
         self.prev_disc = [f[1] for f in figures]
         self.step = h * 0.5
         self.target += 1
@@ -834,6 +823,20 @@ def values_at(f, points) -> list:
     if f is r_value:
         return [res.value for res in r_eval_many(points)]
     return [f(z) for z in points]
+
+
+def logs_at(f, points) -> list[complex]:
+    """A log of f at each point: the log_value of one r_eval_many call when
+    f is r_value (finite where the value saturates), else cmath.log(f(z)).
+    ZeroOnPathError at a point where f is exactly 0."""
+    if f is r_value:
+        logs = [res.log_value for res in r_eval_many(points)]
+    else:
+        logs = [None if v == 0 else cmath.log(v) for v in map(f, points)]
+    if None in logs:
+        raise ZeroOnPathError("exact zero at a sample node",
+                              where=points[logs.index(None)])
+    return logs
 
 
 def r_eval_cache_clear() -> None:

@@ -25,18 +25,18 @@ it counts on the paper's contour, whose left side follows the curve
 sigma = 1 - t^{2/5} log t where R is close to the asymptotic surrogate S;
 only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
 of R instead of O(T log T).  That edge is walked (_walk_edge) at the step
-its phase and modulus need, read from R'/R, and never denser than the
-equispaced seeds of a rectangle edge: 1357 values of R at T = 10^4 and
-17 059 at 10^7, against 3450 and 91 431 at the seed rate.  Three sampled
-facts carry that contour, each
-checked where a row already has the values: |R/S - 1| < 1 along the curve
-(|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT
-at each height) and the continuity of Im log S along the curve (tested on
-a grid of step 1/4 to T = 10^4).  Each top edge's variation is checked
-against ``backlund_bound``, the one Backlund formula, which acceptance
-criterion 4 also validates.  A zero on a strip's top or on a curve row's top
-edge is escaped by one perturbation ladder, in steps of the constant
-PERTURB_STEP; the curve contour's bottom edge, at CURVE_T0, does not move.
+its phase needs, read from R'/R, and never denser than the equispaced
+seeds of a rectangle edge: 1355 values of R at T = 10^4 and 6454 at 10^7,
+against 3450 and 91 431 at the seed rate.  Three sampled facts carry that
+contour, each checked where a row already has the values: |R/S - 1| < 1
+along the curve (|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2
+(below RIGHT_LIMIT at each height) and the continuity of Im log S along
+the curve (tested on a grid of step 1/4 to T = 10^4).  Each top edge's
+variation is checked against ``backlund_bound``, the one Backlund formula,
+which acceptance criterion 4 also validates.  A zero on a strip's top or on
+a curve row's top edge is escaped by one perturbation ladder, in steps of
+the constant PERTURB_STEP; the curve contour's bottom edge, at CURVE_T0,
+does not move.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from dataclasses import dataclass
 
 from .auxiliary import (
     curve_sigma,
+    logs_at,
     r_asymptotic,
     r_eval,
     r_eval_many,
     r_value,
-    values_at,
 )
 from .errors import (
     BacklundError,
@@ -73,8 +73,9 @@ PHASE_LIMIT = 0.5 * math.pi
 MAX_REFINE_DEPTH = 24
 MAX_WIDENINGS = 4
 WINDING_GUARD = 0.1
-# |f| below DETECT_TOL * (local scale) flags a zero on the path.  Kept well
-# under PERTURB_STEP so that a retry actually escapes the detection radius.
+# log|f| more than log(1/DETECT_TOL) below the line through two nearby nodes
+# flags a zero on the path (_check_dip).  Kept well under PERTURB_STEP so
+# that a retry actually escapes the detection radius.
 DETECT_TOL = 1e-6
 PERTURB_STEP = 1e-3  # step of rectangle_count's contour perturbation ladder
 # The walk of a curve contour's horizontal edge (_walk_edge): the length of
@@ -84,10 +85,6 @@ PERTURB_STEP = 1e-3  # step of rectangle_count's contour perturbation ladder
 WALK_STEP = 2.0
 WALK_PHASE = 0.5
 WALK_BRANCH = 0.1
-# Largest predicted log-modulus step: neighbours then differ in |R| by a
-# factor of at most 1/sqrt(DETECT_TOL), so arg_variation's zero-on-path test
-# against the larger neighbour keeps its meaning on a sparse walk.
-WALK_MODULUS = 0.5 * math.log(1.0 / DETECT_TOL)
 
 
 @dataclass(frozen=True)
@@ -174,44 +171,19 @@ class ArgTrace:
     max_step_phase: float
 
 
-def _refine_phase(f, point_fn, values, params):
-    """Bisect parameter intervals until consecutive phase steps are < pi/2.
-
-    ``values[i]`` is f(point_fn(params[i])).  Returns (params, values,
-    deltas) with deltas[i] the nearest-branch phase change over interval i.
-    """
-    out_p = [params[0]]
-    out_v = [values[0]]
-    deltas = []
-
-    def emit(p1, v1, p2, v2, depth):
-        delta = math.remainder(cmath.phase(v2) - cmath.phase(v1), TWO_PI)
-        if abs(delta) < PHASE_LIMIT:
-            out_p.append(p2)
-            out_v.append(v2)
-            deltas.append(delta)
-            return
-        if depth >= MAX_REFINE_DEPTH:
-            raise ZeroOnPathError(
-                f"phase step {delta:.3f} rad not resolvable near parameter "
-                f"{0.5 * (p1 + p2):.6g}; zero on or very near the path",
-                where=point_fn(0.5 * (p1 + p2)),
-            )
-        pm = 0.5 * (p1 + p2)
-        vm = f(point_fn(pm))
-        scale = max(abs(v1), abs(v2))
-        if abs(vm) < DETECT_TOL * scale:
-            raise ZeroOnPathError(
-                f"|f| = {abs(vm):.3e} below {DETECT_TOL} * local scale "
-                f"{scale:.3e}",
-                where=point_fn(pm),
-            )
-        emit(p1, v1, pm, vm, depth + 1)
-        emit(pm, vm, p2, v2, depth + 1)
-
-    for i in range(len(params) - 1):
-        emit(params[i], values[i], params[i + 1], values[i + 1], 0)
-    return out_p, out_v, deltas
+def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
+    """The one zero-on-path rule: ZeroOnPathError when log|f| at parameter u
+    falls more than log(1/DETECT_TOL) below the line through log|f| at ua
+    and ub (the level of log|f| at ua when ua == ub).  On steady
+    exponential growth log|f| is linear along the path, so no node dips."""
+    slope = 0.0 if ua == ub else (log_b.real - log_a.real) / (ub - ua)
+    line = log_a.real + slope * (u - ua)
+    if log_f.real < line + math.log(DETECT_TOL):
+        raise ZeroOnPathError(
+            f"log|f| = {log_f.real:.3f} more than log(1/{DETECT_TOL}) below "
+            f"{line:.3f}, the line through its neighbours",
+            where=point_fn(u),
+        )
 
 
 def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
@@ -219,35 +191,51 @@ def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
     ``point(u)`` gives the point at parameter u and whose
     ``seed_params(seeds)`` gives the seed parameters in walking order.
 
-    Samples f at the path's seed parameters (in one r_eval_many call when f
-    is r_value): the ``seeds`` equispaced k/(seeds - 1) of a PathSegment or
-    a circle, the lattice points of an AxisEdge.  Then bisects parameter
-    intervals at 0.5 (u1 + u2) until each consecutive nearest-branch phase
-    difference is below pi/2.  Raises ZeroOnPathError when |f| drops below
-    DETECT_TOL * (local scale) at a node or when MAX_REFINE_DEPTH bisection
+    Reads a log of f (logs_at) at the path's seed parameters: the
+    ``seeds`` equispaced k/(seeds - 1) of a PathSegment or a circle, the
+    lattice points of an AxisEdge.  Then bisects parameter intervals at
+    0.5 (u1 + u2) until each consecutive nearest-branch step of Im log f is
+    below pi/2.  Raises ZeroOnPathError at an exact zero of f at a node,
+    where a node dips (_check_dip: a seed against its two nearest nodes, a
+    bisection midpoint against its ends; no modulus is compared, so the
+    test holds where |f| saturates) or when MAX_REFINE_DEPTH bisection
     levels cannot satisfy the phase contract.
     """
     point_fn = path.point
     params = path.seed_params(max(2, seeds))
-    points = [point_fn(u) for u in params]
-    values = values_at(f, points)
-    for z, v in zip(points, values):
-        if v == 0.0:
-            raise ZeroOnPathError("exact zero at a sample node", where=z)
-    for k, v in enumerate(values):
-        neighbours = []
-        if k > 0:
-            neighbours.append(abs(values[k - 1]))
-        if k + 1 < len(values):
-            neighbours.append(abs(values[k + 1]))
-        if abs(v) < DETECT_TOL * max(neighbours):
+    logs = logs_at(f, [point_fn(u) for u in params])
+    last = len(params) - 1
+    for k, u in enumerate(params):
+        # the two nearest nodes: an interior seed's neighbours, the next two
+        # of an end seed (its one neighbour, twice, on a two-node path)
+        a = k - 1 if k else min(2, last)
+        b = k + 1 if k < last else max(last - 2, 0)
+        _check_dip(point_fn, u, logs[k], params[a], logs[a], params[b],
+                   logs[b])
+    out_p = [params[0]]
+    deltas = []  # deltas[i]: nearest-branch phase step over out_p[i: i + 2]
+
+    def emit(p1, l1, p2, l2, depth):
+        delta = math.remainder(l2.imag - l1.imag, TWO_PI)
+        if abs(delta) < PHASE_LIMIT:
+            out_p.append(p2)
+            deltas.append(delta)
+            return
+        pm = 0.5 * (p1 + p2)
+        if depth >= MAX_REFINE_DEPTH:
             raise ZeroOnPathError(
-                f"|f| = {abs(v):.3e} below {DETECT_TOL} * local scale",
-                where=point_fn(params[k]),
+                f"phase step {delta:.3f} rad not resolvable near parameter "
+                f"{pm:.6g}; zero on or very near the path",
+                where=point_fn(pm),
             )
-    out_p, out_v, deltas = _refine_phase(f, point_fn, values, params)
-    phase0 = cmath.phase(out_v[0])
-    phases = [phase0]
+        lm, = logs_at(f, [point_fn(pm)])
+        _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
+        emit(p1, l1, pm, lm, depth + 1)
+        emit(pm, lm, p2, l2, depth + 1)
+
+    for i in range(len(params) - 1):
+        emit(params[i], logs[i], params[i + 1], logs[i + 1], 0)
+    phases = [math.remainder(logs[0].imag, TWO_PI)]
     for d in deltas:
         phases.append(phases[-1] + d)
     nodes = tuple(point_fn(u) for u in out_p)
@@ -535,16 +523,18 @@ def _walk_edge(segment: PathSegment, seeds: int) -> SampledSegment:
     step is at most WALK_STEP long, plus k = n.  Each round requests R with
     R'/R at its new points in one r_eval_many call, then bisects (at the
     integer midpoint) every interval longer than one lattice step that
-    fails one of three tests on its step h and the rates omega = R'/R at
+    fails one of two tests on its step h and the rates omega = R'/R at
     its ends, omega h being a predicted step of log R:
 
     - max |Im omega h| > WALK_PHASE, a predicted phase step too large;
-    - max |Re omega h| > WALK_MODULUS, a predicted modulus step too large;
     - the nearest-branch step of Im log R differs by more than WALK_BRANCH
       from the trapezoid Im (omega_a + omega_b) h / 2, which catches a turn
       hidden between the ends.
 
-    So the walk is never denser than the equispaced seeds; below their
+    The modulus step is not bounded: arg_variation's zero-on-path test
+    compares log|R| with the line through nearby nodes, so steady growth of
+    |R| (about (1/2) log(t / 2 pi) per unit of sigma far left) is no zero.
+    The walk is never denser than the equispaced seeds; below their
     spacing arg_variation's bisection stays the guard.  An interval with an
     exact zero of R at an end is left as it is; arg_variation rejects it.
     """
@@ -579,8 +569,6 @@ def _too_coarse(h: complex, log_a, rate_a, log_b, rate_b) -> bool:
         return False
     step_a, step_b = rate_a * h, rate_b * h
     if max(abs(step_a.imag), abs(step_b.imag)) > WALK_PHASE:
-        return True
-    if max(abs(step_a.real), abs(step_b.real)) > WALK_MODULUS:
         return True
     step = math.remainder(log_b.imag - log_a.imag, TWO_PI)
     return abs(step - 0.5 * (step_a.imag + step_b.imag)) > WALK_BRANCH

@@ -18,6 +18,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             lines = getattr(module, "ACCEPTANCE_LINES", None)
             if lines:
                 terminalreporter.section("acceptance criteria")
-                for line in lines:
+                for line in lines + getattr(module, "TIMING_LINES", []):
                     terminalreporter.write_line(line)
             break

@@ -22,7 +22,6 @@ from rzero.counting import (
     CURVE_T0,
     PERTURB_STEP,
     U_LIMIT,
-    WALK_MODULUS,
     AxisEdge,
     CountResult,
     PathSegment,
@@ -110,6 +109,19 @@ class TestArgVariation:
         seg = PathSegment(-1.0, 1.0)
         with pytest.raises(ZeroOnPathError):
             arg_variation(lambda z: z, seg)
+
+    def test_steady_growth_is_no_zero(self):
+        # |f| grows by e^20 between seeds: log |f| is linear along the path,
+        # so no seed dips below the line through its neighbours
+        trace = arg_variation(lambda z: cmath.exp(80 * z), PathSegment(0, 1),
+                              seeds=5)
+        assert trace.total_variation == 0.0
+
+    def test_zero_next_to_a_seed(self):
+        # the seed at 1/4 sits 1e-8 from the zero of f
+        with pytest.raises(ZeroOnPathError) as info:
+            arg_variation(lambda z: z - 0.25000001, PathSegment(0, 1), seeds=5)
+        assert info.value.where == 0.25
 
     def test_right_edge_variation_below_pi(self):
         # |R - 1| < 3/4 on sigma = 2 pins the argument inside a half turn
@@ -490,7 +502,7 @@ class TestCurveContour:
 
     def test_walk_on_the_seed_lattice(self):
         # a subset of the equispaced seeds, ends included, far sparser than
-        # they are; neighbours differ in log |R| by at most WALK_MODULUS
+        # they are
         t = 1e4
         left = curve_sigma(t)
         seeds = _edge_seeds(t, 2.0 - left, False)
@@ -500,15 +512,11 @@ class TestCurveContour:
         assert path.params[0] == 0.0 and path.params[-1] == 1.0
         assert set(path.params) <= lattice
         assert 3 * len(path.params) < seeds
-        logs = [res.log_value.real for res in
-                r_eval_many([segment.point(u) for u in path.params])]
-        assert max(abs(b - a) for a, b in zip(logs, logs[1:])) < WALK_MODULUS
 
     def test_too_coarse(self):
-        # each of the three tests alone splits an interval
+        # each of the two tests alone splits an interval
         assert not _too_coarse(1.0, 0j, 0.3j, 0.3j, 0.3j)
         assert _too_coarse(2.0, 0j, 0.3j, 0.6j, 0.3j)  # phase step 0.6
-        assert _too_coarse(1.0, 0j, 7.0, 7.0 + 0j, 7.0)  # modulus step 7
         assert _too_coarse(1.0, 0j, 0.3j, 3.4j, 0.3j)  # a hidden half turn
         assert not _too_coarse(1.0, 0j, 0.3j, (0.3 + TWO_PI) * 1j, 0.3j)
         assert not _too_coarse(1.0, None, None, 3.4j, 0.3j)  # exact zero
