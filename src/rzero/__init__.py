@@ -23,6 +23,7 @@ from .counting import (
     backlund_bound,
     main_term,
     residual_table,
+    unit_params,
 )
 from .special_functions import (
     chi,
@@ -50,6 +51,6 @@ __all__ = [
     "main_term", "r_asymptotic",
     "r_derivative", "r_eval", "r_eval_many", "r_value",
     "refine_zero", "refine_zeros",
-    "residual_table", "zero_statistics", "zeta_from_r",
+    "residual_table", "unit_params", "zero_statistics", "zeta_from_r",
     "zeta_reference",
 ]

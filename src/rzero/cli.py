@@ -290,49 +290,44 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; an option left out is left out of the namespace,
+    so RunConfig's defaults are the only ones."""
     p = argparse.ArgumentParser(
         prog="rzero",
         description="Evaluate the auxiliary function R(s), count and locate "
                     "its zeros, and validate the counting formula.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--command", required=True, choices=sorted(_COMMANDS))
-    p.add_argument("--point", type=str, default=None,
+    p.add_argument("--point", type=str,
                    help="complex evaluation point, e.g. '0.5+25j'")
-    p.add_argument("--grid-n", type=int, default=1,
+    p.add_argument("--grid-n", type=int,
                    help="odd grid size n for an n x n grid around --point")
-    p.add_argument("--grid-step", type=float, default=0.5)
-    p.add_argument("--t-min", type=float, default=None,
+    p.add_argument("--grid-step", type=float)
+    p.add_argument("--t-min", type=float,
                    help="first T (default 10; for count and table "
                         "DESK_T0 + t-step, the first height above DESK_T0)")
-    p.add_argument("--t-max", type=float, default=100.0)
-    p.add_argument("--t-step", type=float, default=10.0)
-    p.add_argument("--box-left", type=float, default=-6.0)
-    p.add_argument("--min-size", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--t-max", type=float)
+    p.add_argument("--t-step", type=float)
+    p.add_argument("--box-left", type=float)
+    p.add_argument("--min-size", type=float)
+    p.add_argument("--tol", type=float,
                    help="suite tolerance override of validate (refused "
                         "by every other command)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   dest="output_format")
-    p.add_argument("--out", type=str, default=None, dest="output_path")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    p.add_argument("--out", type=str, dest="output_path")
+    p.add_argument("--seed", type=int)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=int,
                    help="sample-count override for validate suites")
     return p
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    point = None
-    if args.point is not None:
-        point = parse_complex(args.point)
-    return RunConfig(
-        command=args.command, t_min=args.t_min, t_max=args.t_max,
-        t_step=args.t_step, box_left=args.box_left, point=point,
-        grid_n=args.grid_n, grid_step=args.grid_step,
-        min_size=args.min_size, tol=args.tol,
-        output_format=args.output_format, output_path=args.output_path,
-        seed=args.seed, strict=args.strict, samples=args.samples,
-    )
+    fields = dict(vars(args))
+    if "point" in fields:
+        fields["point"] = parse_complex(fields["point"])
+    return RunConfig(**fields)
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,12 @@ This is the one winding engine: ``_rectangle_winding`` sums the edge
 variations of ``arg_variation`` around a rectangle, and ``integer_winding``
 is the one integrality guard, also used by the circle certificates of
 ``zeros``.
-Every rectangle edge (strips, the base box, ``adequate_box_left`` and every
-isolation piece of ``zeros``) is an ``AxisEdge`` sampled on one lattice
-per line: its ends plus the points k/m between them.  Edges of a line that
-share m share their samples bit for bit, so a child box reads most of its
-edges from its parent's cache entries and the cut between two children is
-computed once.
+Every contour edge (strips, the base box, ``adequate_box_left``, every
+isolation piece of ``zeros`` and the curve contour's horizontal edges) is
+an ``AxisEdge`` sampled on one lattice per line: its ends plus the points
+k/m between them.  Edges of a line that share m share their samples bit
+for bit, so a child box reads most of its edges from its parent's cache
+entries and the cut between two children is computed once.
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -24,19 +24,18 @@ left certified empty by an adjacent strip of winding zero.  Above CURVE_T0
 it counts on the paper's contour, whose left side follows the curve
 sigma = 1 - t^{2/5} log t where R is close to the asymptotic surrogate S;
 only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
-of R instead of O(T log T).  That edge is walked (_walk_edge) at the step
-its phase needs, read from R'/R, and never denser than the equispaced
-seeds of a rectangle edge: 1355 values of R at T = 10^4 and 6454 at 10^7,
-against 3450 and 91 431 at the seed rate.  Three sampled facts carry that
-contour, each checked where a row already has the values: |R/S - 1| < 1
-along the curve (|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2
-(below RIGHT_LIMIT at each height) and the continuity of Im log S along
-the curve (tested on a grid of step 1/4 to T = 10^4).  Each top edge's
-variation is checked against ``backlund_bound``, the one Backlund formula,
-which acceptance criterion 4 also validates.  A zero on a strip's top or on
-a curve row's top edge is escaped by one perturbation ladder, in steps of
-the constant PERTURB_STEP; the curve contour's bottom edge, at CURVE_T0,
-does not move.
+of R instead of O(T log T).  That edge is walked (_walk_edge) on a subset
+of its line's lattice, at the step its phase needs, read from R'/R: 1338
+values of R at T = 10^4 and 6234 at 10^7, against 3450 and 91 431 at the
+seed rate.  Three sampled facts carry that contour, each checked where a
+row already has the values: |R/S - 1| < 1 along the curve (|u| <= U_LIMIT
+at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT at each height)
+and the continuity of Im log S along the curve (tested on a grid of step
+1/4 to T = 10^4).  Each top edge's variation is checked against
+``backlund_bound``, the one Backlund formula, which acceptance criterion 4
+also validates.  A zero on a strip's top or on a curve row's top edge is
+escaped by one perturbation ladder, in steps of the constant PERTURB_STEP;
+the curve contour's bottom edge, at CURVE_T0, does not move.
 """
 
 from __future__ import annotations
@@ -101,20 +100,6 @@ class PathSegment:
     def point(self, u: float) -> complex:
         """Point at parameter u in [0, 1] from start to end."""
         return self.start + u * (self.end - self.start)
-
-    def seed_params(self, seeds: int) -> list[float]:
-        return unit_params(seeds)
-
-
-@dataclass(frozen=True)
-class SampledSegment(PathSegment):
-    """PathSegment whose seed parameters were chosen in advance, as by
-    _walk_edge; ``seed_params`` returns them whatever ``seeds`` is."""
-
-    params: tuple[float, ...]
-
-    def seed_params(self, seeds: int) -> list[float]:
-        return list(self.params)
 
 
 @dataclass(frozen=True)
@@ -186,23 +171,25 @@ def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
         )
 
 
-def arg_variation(f, path, seeds: int = 16) -> ArgTrace:
-    """Unwrapped argument change of f along a path: any object whose
-    ``point(u)`` gives the point at parameter u and whose
-    ``seed_params(seeds)`` gives the seed parameters in walking order.
+def arg_variation(f, path, params) -> ArgTrace:
+    """Unwrapped argument change of f along a path, any object whose
+    ``point(u)`` gives the point at parameter u, walked through the seed
+    parameters ``params`` in the order given: unit_params(n) for a
+    PathSegment or a circle, the lattice of an AxisEdge's line
+    (AxisEdge.seed_params), or a subset of it picked by _walk_edge.
 
-    Reads a log of f (logs_at) at the path's seed parameters: the
-    ``seeds`` equispaced k/(seeds - 1) of a PathSegment or a circle, the
-    lattice points of an AxisEdge.  Then bisects parameter intervals at
-    0.5 (u1 + u2) until each consecutive nearest-branch step of Im log f is
-    below pi/2.  Raises ZeroOnPathError at an exact zero of f at a node,
-    where a node dips (_check_dip: a seed against its two nearest nodes, a
-    bisection midpoint against its ends; no modulus is compared, so the
-    test holds where |f| saturates) or when MAX_REFINE_DEPTH bisection
-    levels cannot satisfy the phase contract.
+    Reads a log of f (logs_at) at the seeds, then bisects parameter
+    intervals at 0.5 (u1 + u2) until each consecutive nearest-branch step
+    of Im log f is below pi/2.  DomainError for fewer than two seeds.
+    Raises ZeroOnPathError at an exact zero of f at a node, where a node
+    dips (_check_dip: a seed against its two nearest nodes, a bisection
+    midpoint against its ends; no modulus is compared, so the test holds
+    where |f| saturates) or when MAX_REFINE_DEPTH bisection levels cannot
+    satisfy the phase contract.
     """
     point_fn = path.point
-    params = path.seed_params(max(2, seeds))
+    if len(params) < 2:
+        raise DomainError(f"arg_variation needs two seeds, got {len(params)}")
     logs = logs_at(f, [point_fn(u) for u in params])
     last = len(params) - 1
     for k, u in enumerate(params):
@@ -391,11 +378,10 @@ def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
 def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
     """Seed count keeping expected phase steps of R well under pi/2.
 
-    A rectangle edge of this length takes its seeds on the lattice k/m of
-    its line, m = ceil((seeds - 1) / length) (AxisEdge.seed_params), so its
-    spacing is never coarser than length / (seeds - 1).  A horizontal edge
-    of the curve contour samples a subset of the k / (seeds - 1) of its
-    length (_walk_edge)."""
+    An edge of this length takes its seeds on the lattice k/m of its line,
+    m = ceil((seeds - 1) / length) (AxisEdge.seed_params), so its spacing
+    is never coarser than length / (seeds - 1); the curve contour's
+    horizontal edges sample a subset of that lattice (_walk_edge)."""
     rate = 0.5 * math.log(max(t_level, 7.0) / TWO_PI) + 1.5
     if not vertical:
         rate += 2.0  # horizontal edges pick up the chi-argument drift
@@ -429,7 +415,8 @@ def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     total = 0.0
     for edge, seeds in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
                                         t_hi).values():
-        total += arg_variation(f, edge, seeds=seeds).total_variation
+        trace = arg_variation(f, edge, edge.seed_params(seeds))
+        total += trace.total_variation
     return total / TWO_PI
 
 
@@ -515,16 +502,17 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     )
 
 
-def _walk_edge(segment: PathSegment, seeds: int) -> SampledSegment:
-    """The segment with sample parameters from a walk of R in batched
-    rounds, on the lattice k/n, n = seeds - 1, of its equispaced seeds.
+def _walk_edge(edge: AxisEdge, seeds: int) -> list[float]:
+    """Sample parameters of a horizontal edge, from a walk of R in batched
+    rounds on the lattice of its line, edge.seed_params(seeds), by index.
 
-    Round 0 takes every k that is a multiple of the largest stride whose
-    step is at most WALK_STEP long, plus k = n.  Each round requests R with
-    R'/R at its new points in one r_eval_many call, then bisects (at the
-    integer midpoint) every interval longer than one lattice step that
-    fails one of two tests on its step h and the rates omega = R'/R at
-    its ends, omega h being a predicted step of log R:
+    Round 0 takes every index that is a multiple of the largest stride
+    whose step is at most WALK_STEP long (at the lattice's mean spacing),
+    plus the last.  Each round requests R with R'/R at its new points in
+    one r_eval_many call, then bisects (at the integer midpoint) every
+    interval longer than one lattice step that fails one of two tests on
+    its step h and the rates omega = R'/R at its ends, omega h being a
+    predicted step of log R:
 
     - max |Im omega h| > WALK_PHASE, a predicted phase step too large;
     - the nearest-branch step of Im log R differs by more than WALK_BRANCH
@@ -534,32 +522,32 @@ def _walk_edge(segment: PathSegment, seeds: int) -> SampledSegment:
     The modulus step is not bounded: arg_variation's zero-on-path test
     compares log|R| with the line through nearby nodes, so steady growth of
     |R| (about (1/2) log(t / 2 pi) per unit of sigma far left) is no zero.
-    The walk is never denser than the equispaced seeds; below their
-    spacing arg_variation's bisection stays the guard.  An interval with an
-    exact zero of R at an end is left as it is; arg_variation rejects it.
+    The walk is never denser than the lattice; below its spacing
+    arg_variation's bisection stays the guard.  An interval with an exact
+    zero of R at an end is left as it is; arg_variation rejects it.
     """
-    n = seeds - 1
-    dz = (segment.end - segment.start) / n  # one lattice step
-    stride = max(1, int(WALK_STEP / abs(dz)))
-    rates = {}  # k -> (log R, R'/R) at parameter k / n
+    lattice = edge.seed_params(seeds)
+    last = len(lattice) - 1
+    stride = max(1, int(WALK_STEP * last / abs(edge.end - edge.start)))
+    rates = {}  # k -> (log R, R'/R) at lattice[k]
 
     def sample(ks):
-        points = [segment.point(k / n) for k in ks]
+        points = [edge.point(lattice[k]) for k in ks]
         for k, res in zip(ks, r_eval_many(points, derivative=True)):
             rates[k] = (res.log_value, res.log_derivative)
 
-    ks = [*range(0, n, stride), n]
+    ks = [*range(0, last, stride), last]
     sample(ks)
     todo = list(zip(ks, ks[1:]))
     while todo:
-        split = [(a, b) for a, b in todo if b - a > 1
-                 and _too_coarse((b - a) * dz, *rates[a], *rates[b])]
+        split = [(a, b) for a, b in todo if b - a > 1 and _too_coarse(
+            edge.point(lattice[b]) - edge.point(lattice[a]),
+            *rates[a], *rates[b])]
         mids = [(a + b) // 2 for a, b in split]
         sample(mids)
         todo = [half for (a, b), m in zip(split, mids)
                 for half in ((a, m), (m, b))]
-    return SampledSegment(segment.start, segment.end,
-                          tuple(k / n for k in sorted(rates)))
+    return [lattice[k] for k in sorted(rates)]
 
 
 def _too_coarse(h: complex, log_a, rate_a, log_b, rate_b) -> bool:
@@ -579,7 +567,7 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     contour.
 
     The top edge [curve_sigma(t), 2] + it is sampled by _walk_edge, on a
-    subset of its _edge_seeds lattice chosen from the rates R'/R, and those
+    subset of its line's lattice chosen from the rates R'/R, and those
     samples are walked by arg_variation, whose bisection, zero-on-path test
     and phase contract are those of every edge; top_turns is its variation
     from sigma = 2 to the curve, in turns.  phi(t)
@@ -594,10 +582,9 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """
     left = curve_sigma(t)
     corner = complex(left, t)
-    path = _walk_edge(PathSegment(corner, complex(2.0, t)),
-                      _edge_seeds(t, 2.0 - left, False))
-    edge = arg_variation(r_value, path, seeds=len(path.params))
-    top_turns = -edge.total_variation / TWO_PI
+    edge = AxisEdge(t, left, 2.0, False)
+    params = _walk_edge(edge, _edge_seeds(t, 2.0 - left, False))
+    top_turns = -arg_variation(r_value, edge, params).total_variation / TWO_PI
     bound = top_edge_certificate(t, left)
     if bound is None or abs(top_turns) > bound:
         raise BacklundError(f"top edge at t = {t} turns {top_turns:.4f} "

@@ -21,7 +21,7 @@ from .auxiliary import (
     zeta_from_r,
     zeta_reference,
 )
-from .counting import PathSegment, arg_variation, backlund_bound
+from .counting import PathSegment, arg_variation, backlund_bound, unit_params
 from .special_functions import TWO_PI, _chi_batch, eta_batch
 from .zeros import Box
 
@@ -107,7 +107,8 @@ def backlund(rng, samples: int) -> tuple[float]:
         if f0 == 0.0 or f0 > sup:
             continue
         seg = PathSegment(0.0 + 0.0j, b)
-        measured = abs(arg_variation(poly, seg, seeds=64).total_variation) / TWO_PI
+        trace = arg_variation(poly, seg, unit_params(64))
+        measured = abs(trace.total_variation) / TWO_PI
         bound = backlund_bound(math.log(sup), math.log(f0), radius, reach)
         worst = max(worst, measured - bound)
         checked += 1

@@ -302,12 +302,9 @@ class _Circle:
         return self.center + self.radius * complex(math.cos(TWO_PI * u),
                                                    math.sin(TWO_PI * u))
 
-    def seed_params(self, seeds: int) -> list[float]:
-        return unit_params(seeds)
-
 
 def _circle_winding(f, center: complex, radius: float) -> int:
-    trace = arg_variation(f, _Circle(center, radius), seeds=17)
+    trace = arg_variation(f, _Circle(center, radius), unit_params(17))
     return integer_winding(trace.total_variation / TWO_PI)
 
 

@@ -22,6 +22,7 @@ from rzero.counting import (
     rectangle_count,
     residual_table,
     sqrt_fit,
+    unit_params,
 )
 from rzero.special_functions import TWO_PI
 from rzero.validation import SURVEY_BOX, TABLE_GRID
@@ -180,7 +181,7 @@ def test_criterion_7_zero_free_band():
         total = 0.0
         for a, b in zip(corners, corners[1:] + corners[:1]):
             total += arg_variation(r_value, PathSegment(a, b),
-                                   seeds=128).total_variation
+                                   unit_params(128)).total_variation
         raw = total / TWO_PI
         assert abs(raw) < 0.02, f"winding {raw:.4f} on [{lo},{hi}]x[{t_lo},{t_hi}]"
         worst_offset = max(worst_offset, abs(raw))

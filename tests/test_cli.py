@@ -18,6 +18,8 @@ from rzero.cli import (
     EXIT_WINDING,
     RunConfig,
     ZERO_COLUMNS,
+    build_parser,
+    config_from_args,
     emit_rows,
     main,
     parse_complex,
@@ -57,6 +59,11 @@ class TestEval:
         code, _, err = run(capsys, "--command", "eval", "--point", "nope")
         assert code == EXIT_EVAL_FAIL
         assert "bad arguments" in err
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_defaults_are_run_config_defaults(self, command):
+        args = build_parser().parse_args(["--command", command])
+        assert config_from_args(args) == RunConfig(command=command)
 
     def test_missing_point(self, capsys):
         code, _, err = run(capsys, "--command", "eval")

@@ -36,6 +36,7 @@ from rzero.counting import (
     residual_table,
     sqrt_fit,
     top_edge_certificate,
+    unit_params,
     _curve_turns,
     _edge_seeds,
     _rectangle_winding,
@@ -87,46 +88,53 @@ class TestPathSegment:
 
 class TestArgVariation:
     def test_quarter_turn(self):
-        trace = arg_variation(lambda z: z, PathSegment(1.0, 1.0j))
+        trace = arg_variation(lambda z: z, PathSegment(1.0, 1.0j),
+                              unit_params(16))
         assert trace.total_variation == pytest.approx(0.5 * math.pi, abs=1e-12)
 
     def test_exponential_vertical(self):
         h = 11.0
         seg = PathSegment(0.3, complex(0.3, h))
-        trace = arg_variation(cmath.exp, seg)
+        trace = arg_variation(cmath.exp, seg, unit_params(16))
         assert trace.total_variation == pytest.approx(h, rel=1e-12)
 
     def test_trace_invariants(self):
         seg = PathSegment(1.0, complex(1.0, 30.0))
-        trace = arg_variation(cmath.exp, seg, seeds=4)
+        trace = arg_variation(cmath.exp, seg, unit_params(4))
         steps = np.diff(trace.phases)
         assert np.all(np.abs(steps) < 0.5 * math.pi)
         assert trace.max_step_phase == pytest.approx(np.abs(steps).max())
         assert trace.total_variation == pytest.approx(
             trace.phases[-1] - trace.phases[0])
 
+    @pytest.mark.parametrize("params", [[], [0.5]], ids=["none", "one"])
+    def test_fewer_than_two_seeds_rejected(self, params):
+        with pytest.raises(DomainError):
+            arg_variation(lambda z: z, PathSegment(1.0, 1.0j), params)
+
     def test_zero_on_path(self):
         seg = PathSegment(-1.0, 1.0)
         with pytest.raises(ZeroOnPathError):
-            arg_variation(lambda z: z, seg)
+            arg_variation(lambda z: z, seg, unit_params(16))
 
     def test_steady_growth_is_no_zero(self):
         # |f| grows by e^20 between seeds: log |f| is linear along the path,
         # so no seed dips below the line through its neighbours
         trace = arg_variation(lambda z: cmath.exp(80 * z), PathSegment(0, 1),
-                              seeds=5)
+                              unit_params(5))
         assert trace.total_variation == 0.0
 
     def test_zero_next_to_a_seed(self):
         # the seed at 1/4 sits 1e-8 from the zero of f
         with pytest.raises(ZeroOnPathError) as info:
-            arg_variation(lambda z: z - 0.25000001, PathSegment(0, 1), seeds=5)
+            arg_variation(lambda z: z - 0.25000001, PathSegment(0, 1),
+                          unit_params(5))
         assert info.value.where == 0.25
 
     def test_right_edge_variation_below_pi(self):
         # |R - 1| < 3/4 on sigma = 2 pins the argument inside a half turn
         seg = PathSegment(complex(2.0, 10.0), complex(2.0, 100.0))
-        trace = arg_variation(r_value, seg, seeds=128)
+        trace = arg_variation(r_value, seg, unit_params(128))
         assert abs(trace.total_variation) <= math.pi
 
 
@@ -197,8 +205,8 @@ class TestSampleLattice:
                 requested.append(z)
                 return r_value(z)
 
-            trace = arg_variation(f, AxisEdge(level, start, end, vertical),
-                                  seeds=4)
+            edge = AxisEdge(level, start, end, vertical)
+            trace = arg_variation(f, edge, edge.seed_params(4))
             return trace, requested
 
         forward, there = walk(lo, hi)
@@ -368,7 +376,7 @@ class TestTopEdgeCertificate:
         bound_turns = top_edge_certificate(big_t, box_left)
         assert bound_turns is not None
         seg = PathSegment(complex(2.0, big_t), complex(box_left, big_t))
-        trace = arg_variation(r_value, seg, seeds=64)
+        trace = arg_variation(r_value, seg, unit_params(64))
         assert abs(trace.total_variation) <= TWO_PI * bound_turns
 
     def test_low_heights_inadmissible(self):
@@ -495,23 +503,23 @@ class TestCurveContour:
             left = curve_sigma(t)
             seeds = pinned_seeds(t, 2.0 - left)
             dense = arg_variation(r_value, PathSegment(
-                complex(left, t), complex(2.0, t)), seeds=seeds)
+                complex(left, t), complex(2.0, t)), unit_params(seeds))
             _, _, top_turns, _ = _curve_turns(t)
             assert top_turns == pytest.approx(
                 -dense.total_variation / TWO_PI, abs=1e-9)
 
     def test_walk_on_the_seed_lattice(self):
-        # a subset of the equispaced seeds, ends included, far sparser than
-        # they are
+        # a subset of the lattice of the edge's line, ends included, far
+        # sparser than it is
         t = 1e4
         left = curve_sigma(t)
+        edge = AxisEdge(t, left, 2.0, False)
         seeds = _edge_seeds(t, 2.0 - left, False)
-        segment = PathSegment(complex(left, t), complex(2.0, t))
-        path = _walk_edge(segment, seeds)
-        lattice = set(segment.seed_params(seeds))
-        assert path.params[0] == 0.0 and path.params[-1] == 1.0
-        assert set(path.params) <= lattice
-        assert 3 * len(path.params) < seeds
+        params = _walk_edge(edge, seeds)
+        lattice = edge.seed_params(seeds)
+        assert params[0] == left and params[-1] == 2.0
+        assert set(params) <= set(lattice)
+        assert 3 * len(params) < len(lattice)
 
     def test_too_coarse(self):
         # each of the two tests alone splits an interval
@@ -554,11 +562,11 @@ class TestCurveContour:
         corner = complex(curve_sigma(height), height)
         forced = []
 
-        def zero_once(f, path, seeds=16):
-            if path.start == corner and not forced:
+        def zero_once(f, path, params):
+            if path.point(path.start) == corner and not forced:
                 forced.append(corner)
                 raise ZeroOnPathError("forced", where=corner)
-            return walk(f, path, seeds=seeds)
+            return walk(f, path, params)
 
         monkeypatch.setattr(counting_mod, "arg_variation", zero_once)
         return forced

@@ -272,8 +272,8 @@ class TestRefineZero:
         real = zeros_mod.arg_variation
         calls = []
 
-        def off_integer_first(f, path, seeds=16):
-            trace = real(f, path, seeds=seeds)
+        def off_integer_first(f, path, params):
+            trace = real(f, path, params)
             calls.append(path.radius)
             if len(calls) > 1:
                 return trace
