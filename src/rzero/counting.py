@@ -13,10 +13,9 @@ is the one integrality guard, also used by the circle certificates of
 ``zeros``.
 Every contour edge (strips, the base box, ``adequate_box_left``, every
 isolation piece of ``zeros`` and the curve contour's horizontal edges) is
-an ``AxisEdge`` sampled on one lattice per line: its ends plus the points
-k/m between them.  Edges of a line that share m share their samples bit
-for bit, so a child box reads most of its edges from its parent's cache
-entries and the cut between two children is computed once.
+an ``AxisEdge`` that carries its lattice, k/m between its ends.  Edges of a
+line that share m share their samples bit for bit, so a child box reads
+most of its edges from its parent's cache and a cut is computed once.
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -33,16 +32,16 @@ at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT at each height)
 and the continuity of Im log S along the curve (tested on a grid of step
 1/4 to T = 10^4).  Each top edge's variation is checked against
 ``backlund_bound``, the one Backlund formula, which acceptance criterion 4
-also validates.  A zero on a strip's top or on a curve row's top edge is
-escaped by one perturbation ladder, in steps of the constant PERTURB_STEP;
-the curve contour's bottom edge, at CURVE_T0, does not move.
+also validates.  Only a top edge moves to escape a zero on a contour, by
+the t-steps of the constant PERTURB_STEP (_on_ladder); a zero on a side or
+on a bottom edge, the curve contour's included, raises ContourZeroError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .auxiliary import (
     curve_sigma,
@@ -106,37 +105,52 @@ class PathSegment:
 class AxisEdge:
     """Edge of a rectangle on the line t = ``level`` (horizontal) or
     sigma = ``level`` (vertical), from ``start`` to ``end`` of the moving
-    coordinate.  Its parameter is that coordinate itself, so a point is
-    formed as complex(x, level) or complex(level, x) and a bisection
-    midpoint 0.5 (x1 + x2) has the same bits in either direction."""
+    coordinate x, its parameter: a point is complex(x, level) or
+    complex(level, x).  It carries the lattice of its line that ``seeds``
+    fixes, m = ceil((seeds - 1) / length), a spacing never coarser than
+    length / (seeds - 1): lattice point i = 0 .. len(ks) + 1 in walking
+    order, param(i), is start, then k/m for k in ``ks``, then end.  k/m is
+    correctly rounded, so every edge of the line with the same m, walked
+    either way, samples the same bits, as does a midpoint 0.5 (x1 + x2)."""
 
     level: float
     start: float
     end: float
     vertical: bool
+    seeds: int
+    m: int = field(init=False, repr=False)
+    ks: range = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.start == self.end:
             raise DomainError("degenerate axis-parallel edge")
+        lo, hi = sorted((self.start, self.end))
+        m = math.ceil((self.seeds - 1) / (hi - lo))
+        # lo * m and hi * m are rounded: step in to the k with lo < k/m < hi
+        first, last = math.floor(lo * m), math.ceil(hi * m)
+        while not lo < first / m:
+            first += 1
+        while not last / m < hi:
+            last -= 1
+        ks = range(first, last + 1)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ks", ks if self.start == lo else ks[::-1])
 
     def point(self, x: float) -> complex:
         if self.vertical:
             return complex(self.level, x)
         return complex(x, self.level)
 
-    def seed_params(self, seeds: int) -> list[float]:
-        """The two ends and every k/m strictly between them, in walking
-        order, with m = ceil((seeds - 1) / length): a spacing never coarser
-        than length / (seeds - 1), on a lattice that depends on the line
-        only through m.  k/m is correctly rounded, so every edge of the
-        line with the same m, walked either way, samples the same bits."""
-        lo, hi = sorted((self.start, self.end))
-        m = math.ceil((seeds - 1) / (hi - lo))
-        inner = [k / m for k in range(math.floor(lo * m), math.ceil(hi * m) + 1)
-                 if lo < k / m < hi]
-        if self.start > self.end:
-            inner.reverse()
-        return [self.start, *inner, self.end]
+    def param(self, i: int) -> float:
+        """Lattice point i in walking order, 0 <= i <= len(ks) + 1."""
+        if 0 < i <= len(self.ks):
+            return self.ks[i - 1] / self.m
+        return self.end if i else self.start
+
+    def seed_params(self) -> list[float]:
+        """Every lattice point, in walking order."""
+        m = self.m
+        return [self.start, *[k / m for k in self.ks], self.end]
 
 
 def unit_params(seeds: int) -> list[float]:
@@ -376,12 +390,10 @@ def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
 
 
 def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
-    """Seed count keeping expected phase steps of R well under pi/2.
-
-    An edge of this length takes its seeds on the lattice k/m of its line,
-    m = ceil((seeds - 1) / length) (AxisEdge.seed_params), so its spacing
-    is never coarser than length / (seeds - 1); the curve contour's
-    horizontal edges sample a subset of that lattice (_walk_edge)."""
+    """Seed count keeping expected phase steps of R well under pi/2: the
+    ``seeds`` of an AxisEdge of this length, which fix the lattice it is
+    sampled on; the curve contour's horizontal edges sample a subset of
+    that lattice (_walk_edge)."""
     rate = 0.5 * math.log(max(t_level, 7.0) / TWO_PI) + 1.5
     if not vertical:
         rate += 2.0  # horizontal edges pick up the chi-argument drift
@@ -389,21 +401,21 @@ def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
 
 
 def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
-                     t_hi: float) -> dict[str, tuple[AxisEdge, int]]:
-    """The (AxisEdge, seeds) pairs of a rectangle, counterclockwise from
-    the bottom and keyed "bottom", "right", "top", "left".  Two rectangles
-    that share a side sample it on the same lattice: the seeds of a
-    horizontal edge depend on its line and width, those of a vertical edge
-    on the rectangle's top and height."""
+                     t_hi: float) -> dict[str, AxisEdge]:
+    """The AxisEdges of a rectangle, counterclockwise from the bottom and
+    keyed "bottom", "right", "top", "left", each with its seeds from
+    _edge_seeds.  Two rectangles that share a side sample it on the same
+    lattice: the seeds of a horizontal edge depend on its line and width,
+    those of a vertical edge on the rectangle's top and height."""
     width = sigma_hi - sigma_lo
     side = _edge_seeds(t_hi, t_hi - t_lo, True)
     return {
-        "bottom": (AxisEdge(t_lo, sigma_lo, sigma_hi, False),
-                   _edge_seeds(t_lo, width, False)),
-        "right": (AxisEdge(sigma_hi, t_lo, t_hi, True), side),
-        "top": (AxisEdge(t_hi, sigma_hi, sigma_lo, False),
-                _edge_seeds(t_hi, width, False)),
-        "left": (AxisEdge(sigma_lo, t_hi, t_lo, True), side),
+        "bottom": AxisEdge(t_lo, sigma_lo, sigma_hi, False,
+                           _edge_seeds(t_lo, width, False)),
+        "right": AxisEdge(sigma_hi, t_lo, t_hi, True, side),
+        "top": AxisEdge(t_hi, sigma_hi, sigma_lo, False,
+                        _edge_seeds(t_hi, width, False)),
+        "left": AxisEdge(sigma_lo, t_hi, t_lo, True, side),
     }
 
 
@@ -413,57 +425,55 @@ def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     edges of _rectangle_edges, sampled on the lattice of their lines,
     summed counterclockwise, over 2 pi."""
     total = 0.0
-    for edge, seeds in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
-                                        t_hi).values():
-        trace = arg_variation(f, edge, edge.seed_params(seeds))
-        total += trace.total_variation
+    for edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi).values():
+        total += arg_variation(f, edge, edge.seed_params()).total_variation
     return total / TWO_PI
 
 
-def _t_steps():
-    """Offsets of a horizontal edge on the perturbation ladder."""
+def _t_steps(rungs: int):
+    """Offsets of a contour's top edge on the perturbation ladder."""
     yield 0.0
-    for k in range(1, 6):
+    for k in range(1, rungs + 1):
         yield k * PERTURB_STEP
         yield -k * PERTURB_STEP
 
 
-def _perturbation_ladder():
-    # t-steps of the top edge first (the common case is a zero on a
-    # horizontal edge), then sigma-shifts for zeros sitting on a vertical
-    # edge.  The bottom edge never moves, so a strip stacked on a previous
-    # top stays contiguous with it.
-    for dt in _t_steps():
-        yield dt, 0.0
-    for k in range(1, 6):
-        yield 0.0, k * PERTURB_STEP
-        yield 0.0, -k * PERTURB_STEP
+def _on_ladder(measure, t: float, floor: float, where: str, rungs: int = 5):
+    """measure(t + dt), t the height of a contour's top edge, for the first
+    of its t-steps dt (_t_steps) with t + dt > floor at which measure meets
+    no zero on the contour: the one retry loop of rectangle_count and the
+    curve contour.  ContourZeroError, naming ``where``, when all do."""
+    last: ZeroOnPathError | None = None
+    for dt in _t_steps(rungs):
+        if t + dt > floor:
+            try:
+                return measure(t + dt)
+            except ZeroOnPathError as exc:
+                last = exc
+    raise ContourZeroError(f"zero persists on {where}: {last}")
 
 
 def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                     t_hi: float):
-    """Integer winding of f around the rectangle, moving its top edge and
-    then translating it in sigma by multiples of PERTURB_STEP when a zero
-    sits on the contour.
+    """Integer winding of f around the rectangle [sigma_lo, sigma_hi] x
+    [t_lo, t_hi], moving its top edge by the ladder's t-steps (_on_ladder)
+    when a zero sits on the contour.  Only the top moves, so a zero on a
+    side or on the bottom edge raises ContourZeroError.  DomainError unless
+    the rectangle is finite, with sigma_lo < sigma_hi and t_lo < t_hi.
 
     Returns (count, realised (t_lo, t_hi)).
     """
-    last: ZeroOnPathError | None = None
-    for dt, dsigma in _perturbation_ladder():
-        hi = t_hi + dt
-        slo, shi = sigma_lo + dsigma, sigma_hi + dsigma
-        if not t_lo < hi:
-            continue
-        try:
-            raw = _rectangle_winding(f, slo, shi, t_lo, hi)
-        except ZeroOnPathError as exc:
-            last = exc
-            continue
-        count = integer_winding(raw, f" on [{slo},{shi}]x[{t_lo},{hi}]")
-        return count, (t_lo, hi)
-    raise ContourZeroError(
-        f"zero persists on the contour after the perturbation ladder: {last}"
-    )
+    where = f"[{sigma_lo},{sigma_hi}]x[{t_lo},{t_hi}]"
+    if not (sigma_lo < sigma_hi and t_lo < t_hi and all(
+            map(math.isfinite, (sigma_lo, sigma_hi, t_lo, t_hi)))):
+        raise DomainError(f"rectangle {where} is not finite and proper")
+
+    def winding(hi):
+        raw = _rectangle_winding(f, sigma_lo, sigma_hi, t_lo, hi)
+        return integer_winding(
+            raw, f" on [{sigma_lo},{sigma_hi}]x[{t_lo},{hi}]"), (t_lo, hi)
+
+    return _on_ladder(winding, t_hi, t_lo, f"the contour of {where}")
 
 
 _BASE_COUNT_CACHE: dict = {}
@@ -502,9 +512,9 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     )
 
 
-def _walk_edge(edge: AxisEdge, seeds: int) -> list[float]:
+def _walk_edge(edge: AxisEdge) -> list[float]:
     """Sample parameters of a horizontal edge, from a walk of R in batched
-    rounds on the lattice of its line, edge.seed_params(seeds), by index.
+    rounds on its lattice by index (edge.param), forming only those picked.
 
     Round 0 takes every index that is a multiple of the largest stride
     whose step is at most WALK_STEP long (at the lattice's mean spacing),
@@ -526,13 +536,12 @@ def _walk_edge(edge: AxisEdge, seeds: int) -> list[float]:
     arg_variation's bisection stays the guard.  An interval with an exact
     zero of R at an end is left as it is; arg_variation rejects it.
     """
-    lattice = edge.seed_params(seeds)
-    last = len(lattice) - 1
+    last = len(edge.ks) + 1
     stride = max(1, int(WALK_STEP * last / abs(edge.end - edge.start)))
-    rates = {}  # k -> (log R, R'/R) at lattice[k]
+    rates = {}  # k -> (log R, R'/R) at edge.param(k)
 
     def sample(ks):
-        points = [edge.point(lattice[k]) for k in ks]
+        points = [edge.point(edge.param(k)) for k in ks]
         for k, res in zip(ks, r_eval_many(points, derivative=True)):
             rates[k] = (res.log_value, res.log_derivative)
 
@@ -541,13 +550,13 @@ def _walk_edge(edge: AxisEdge, seeds: int) -> list[float]:
     todo = list(zip(ks, ks[1:]))
     while todo:
         split = [(a, b) for a, b in todo if b - a > 1 and _too_coarse(
-            edge.point(lattice[b]) - edge.point(lattice[a]),
+            edge.point(edge.param(b)) - edge.point(edge.param(a)),
             *rates[a], *rates[b])]
         mids = [(a + b) // 2 for a, b in split]
         sample(mids)
         todo = [half for (a, b), m in zip(split, mids)
                 for half in ((a, m), (m, b))]
-    return [lattice[k] for k in sorted(rates)]
+    return [edge.param(k) for k in sorted(rates)]
 
 
 def _too_coarse(h: complex, log_a, rate_a, log_b, rate_b) -> bool:
@@ -582,9 +591,9 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """
     left = curve_sigma(t)
     corner = complex(left, t)
-    edge = AxisEdge(t, left, 2.0, False)
-    params = _walk_edge(edge, _edge_seeds(t, 2.0 - left, False))
-    top_turns = -arg_variation(r_value, edge, params).total_variation / TWO_PI
+    edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
+    top_turns = -arg_variation(r_value, edge,
+                               _walk_edge(edge)).total_variation / TWO_PI
     bound = top_edge_certificate(t, left)
     if bound is None or abs(top_turns) > bound:
         raise BacklundError(f"top edge at t = {t} turns {top_turns:.4f} "
@@ -601,20 +610,6 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     phi = (cmath.phase(right) + TWO_PI * top_turns
            - log_s.imag - cmath.phase(ratio))
     return t, phi / TWO_PI, top_turns, bound
-
-
-def _on_ladder(t: float, floor: float):
-    """_curve_turns(t + dt) for the first t-step dt of the perturbation
-    ladder with t + dt >= floor on whose top edge no zero sits."""
-    last: ZeroOnPathError | None = None
-    for dt in _t_steps():
-        if t + dt >= floor:
-            try:
-                return _curve_turns(t + dt)
-            except ZeroOnPathError as exc:
-                last = exc
-    raise ContourZeroError(
-        f"zero persists on the curve contour's top edge at t = {t}: {last}")
 
 
 def _result(big_t: float, count: int, window: tuple[float, float],
@@ -650,15 +645,16 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     the curve sigma = curve_sigma(t) from T down to t0, where the argument
     of R is that of the asymptotic surrogate S times 1 + u, u = R/S - 1, so
     R is needed only at its ends (see _curve_turns).  Only the top edge
-    grows with T, as T^{2/5} log T.  A zero on a top edge moves it by the
-    ladder's t-steps, and ``window`` is the realised (t0, T); the bottom
-    edge does not move, and a zero on it raises ContourZeroError.
+    grows with T, as T^{2/5} log T.  A zero on a top edge moves it
+    (_on_ladder), and ``window`` is the realised (t0, T).
     """
     ts = list(ts)
     if box_left > -2.0:
         raise DomainError(f"box_left must be <= -2, got {box_left}")
     if not ts:
         return []
+    if not all(map(math.isfinite, ts)):
+        raise DomainError("heights must be finite")
     if ts[0] <= DESK_T0:
         raise DomainError(f"heights must rise above DESK_T0 = {DESK_T0:g}, "
                           f"got {ts[0]:g}")
@@ -680,14 +676,13 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
         strip, (_, prev_hi) = rectangle_count(r_value, left, 2.0, prev_hi,
                                               CURVE_T0)
         running += strip
-    try:
-        t0, turns0, _, _ = _curve_turns(prev_hi)
-    except ZeroOnPathError as exc:
-        raise ContourZeroError(
-            f"zero on the curve contour's bottom edge at t = {prev_hi}: "
-            f"{exc}") from exc
+    t0, turns0, _, _ = _on_ladder(  # the bottom edge: one rung, no move
+        _curve_turns, prev_hi, DESK_T0,
+        f"the curve contour's bottom edge at t = {prev_hi}", 0)
     for big_t in ts[len(stacked):]:
-        hi, turns, top_turns, bound = _on_ladder(big_t, t0)
+        hi, turns, top_turns, bound = _on_ladder(
+            _curve_turns, big_t, t0,
+            f"the curve contour's top edge at t = {big_t}")
         count = running + integer_winding(
             turns - turns0, f" on the curve contour [{t0}, {hi}]")
         results.append(_result(big_t, count, (t0, hi), bound, top_turns))

@@ -190,8 +190,8 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     """
     edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
                              child.t_hi)
-    edge, seeds = edges["top" if child.t_hi < box.t_hi else "right"]
-    us = sorted(edge.seed_params(seeds))
+    edge = edges["top" if child.t_hi < box.t_hi else "right"]
+    us = sorted(edge.seed_params())
     local_scale = None
     turns = []  # per row: its total turn, and its steps over [lo, hi]
     for _ in range(3):  # the lattice row, then two zoom rows

@@ -182,14 +182,20 @@ class TestSampleLattice:
                 for length in (1e-3, 0.0371, 0.5, 2.0, 8.0, 20.0, 70.0):
                     end = start + length
                     seeds = _edge_seeds(level, end - start, vertical)
-                    params = AxisEdge(level, start, end,
-                                      vertical).seed_params(seeds)
+                    edge = AxisEdge(level, start, end, vertical, seeds)
+                    params = edge.seed_params()
                     assert params[0] == start and params[-1] == end
                     gaps = np.diff(params)
                     assert np.all(gaps > 0.0)
                     # a difference of coordinates rounds to their ulp
                     slack = 4.0 * math.ulp(abs(start) + abs(end))
                     assert gaps.max() <= (end - start) / (seeds - 1) + slack
+                    # index access gives the same bits, walked either way
+                    back = AxisEdge(level, end, start, vertical, seeds)
+                    for e, full in ((edge, params), (back, params[::-1])):
+                        assert len(e.ks) + 2 == len(full)
+                        assert [e.param(i) for i in range(len(full))] == full
+                        assert e.seed_params() == full
 
     @pytest.mark.parametrize("level, lo, hi, vertical", [
         (500.0, -6.0, 2.0, False),
@@ -197,25 +203,30 @@ class TestSampleLattice:
     ], ids=["horizontal", "vertical"])
     def test_either_direction_requests_same_points(self, level, lo, hi,
                                                    vertical):
-        # few seeds, so the walk bisects; the midpoints match too
-        def walk(start, end):
+        # few seeds, so the walk bisects; the midpoints match too, and the
+        # seeds taken point by point by index walk as the full lattice does
+        def walk(start, end, by_index):
             requested = []
 
             def f(z):
                 requested.append(z)
                 return r_value(z)
 
-            edge = AxisEdge(level, start, end, vertical)
-            trace = arg_variation(f, edge, edge.seed_params(4))
+            edge = AxisEdge(level, start, end, vertical, 4)
+            params = ([edge.param(i) for i in range(len(edge.ks) + 2)]
+                      if by_index else edge.seed_params())
+            trace = arg_variation(f, edge, params)
             return trace, requested
 
-        forward, there = walk(lo, hi)
-        backward, back = walk(hi, lo)
-        assert len(there) > len(AxisEdge(level, lo, hi, vertical)
-                                .seed_params(4))
+        forward, there = walk(lo, hi, False)
+        backward, back = walk(hi, lo, False)
+        assert len(there) > len(AxisEdge(level, lo, hi, vertical, 4)
+                                .seed_params())
         assert set(there) == set(back)
         assert forward.total_variation == pytest.approx(
             -backward.total_variation, abs=1e-9)
+        assert walk(lo, hi, True) == (forward, there)
+        assert walk(hi, lo, True) == (backward, back)
 
 
 class TestWindingNumber:
@@ -318,6 +329,13 @@ class TestCountZeros:
             residual_table([50.0], box_left=0.0)
         with pytest.raises(DomainError):
             residual_table([20.0, 10.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                residual_table([20.0, bad])
+        for rect in ((0.0, 2.0, 20.0, 10.0), (0.0, 0.0, 10.0, 20.0),
+                     (-math.inf, 2.0, 10.0, 20.0), (0.0, 2.0, 10.0, math.nan)):
+            with pytest.raises(DomainError):
+                rectangle_count(lambda z: z - 15j, *rect)
 
     def test_strip_10_60(self):
         res = residual_table([60.0])[0]
@@ -353,13 +371,15 @@ class TestCountZeros:
 
     def test_ladder_moves_only_the_top(self):
         # a zero on the top edge is escaped by raising the top; the bottom
-        # never moves, so a zero on it stays on the contour
+        # and the sides never move, so a zero on any of them stays on the
+        # contour
         count, window = rectangle_count(lambda z: z - (0.5 + 20j),
                                         -6.0, 2.0, 10.0, 20.0)
         assert count == 1
         assert window == (10.0, 20.0 + 1e-3)
-        with pytest.raises(ContourZeroError):
-            rectangle_count(lambda z: z - (0.5 + 10j), -6.0, 2.0, 10.0, 20.0)
+        for zero in (0.5 + 10j, 15j, 2.0 + 15j):  # bottom, left, right
+            with pytest.raises(ContourZeroError):
+                rectangle_count(lambda z: z - zero, 0.0, 2.0, 10.0, 20.0)
 
     def test_polynomial_rectangle(self):
         count, window = rectangle_count(
@@ -513,10 +533,9 @@ class TestCurveContour:
         # sparser than it is
         t = 1e4
         left = curve_sigma(t)
-        edge = AxisEdge(t, left, 2.0, False)
-        seeds = _edge_seeds(t, 2.0 - left, False)
-        params = _walk_edge(edge, seeds)
-        lattice = edge.seed_params(seeds)
+        edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
+        params = _walk_edge(edge)
+        lattice = edge.seed_params()
         assert params[0] == left and params[-1] == 2.0
         assert set(params) <= set(lattice)
         assert 3 * len(params) < len(lattice)
