@@ -68,7 +68,6 @@ import numpy as np
 from .errors import (
     DomainError,
     NearZeroDenominatorError,
-    PathThroughPoleError,
     PoleOfGammaError,
     RegionError,
     ZeroOnPathError,
@@ -149,10 +148,9 @@ def _build_rows(q: int, step: float, n: int, depth: int | None):
             for j in range(depth + 1)])
         return np.concatenate(logx), np.concatenate(rest), peaks[0]
     k = np.arange(-n, n + 1) if depth == 0 else np.arange(1 - n, n, 2)
+    # The path stays clear of the branch cut of log x (negative reals):
+    # Im x = step k / sqrt(2) vanishes only at k = 0, where x = q + 1/2 > 0.
     x = (q + 0.5) + (step * k) * _LINE_DIR
-    # The path must stay clear of the branch cut of log x (negative reals).
-    if not np.all((x.imag != 0.0) | (x.real > 0.0)):
-        raise PathThroughPoleError("integration path touched the logarithm cut")
     logx, rest = np.log(x), _log_kernel(x)
     peak = None
     if depth == 0:
@@ -302,7 +300,9 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
         if q > 1:
             res_phase = math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
             if cuts and cuts[i // c]:
-                res_phase += math.exp(math.log(cuts[i // c] * abs(largest[i]))
+                # logs: the product overflows past a cut of 17 700 (t ~ 2e9)
+                res_phase += math.exp(math.log(cuts[i // c])
+                                      + math.log(abs(largest[i]))
                                       - _RESIDUE_CUT - math.log(_EPS) - mi)
         sums.append([total, coarse, abs_total, abs(first) + abs(last),
                      _reduced(res_sum, mi), res_phase])
@@ -403,18 +403,23 @@ def _add_level(channel_sums: list, parts: list, abs_parts: list) -> None:
 
 
 def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
-    """(log_total | None, rel_disc, rel_tail, noise_rel, floor_rel) of a pass
-    at step h over [-half, half] from one channel's sums in units of e^m
-    (see _first_sums): log_total is a log of the combined value (residue sum
-    plus line integral) and the relative figures are against that value.
+    """(log_total | None, rel_disc, rel_tail, floor_rel) of a pass at step h
+    over [-half, half] from one channel's sums in units of e^m (see
+    _first_sums): log_total is a log of the combined value (residue sum plus
+    line integral) and the relative figures are against that value.
 
-    noise_rel is the accumulation noise the stopping rules allow for.
-    floor_rel is the rounding floor of the reported estimate: a node's
-    exponent rest - s log x carries an absolute error of about
+    floor_rel is the rounding floor, the one allowance for rounding of the
+    stopping rules and of the reported estimate: a node's exponent
+    rest - s log x carries an absolute error of about
     eps (|rest| + |s log x|), at most eps * phase, which is the node's
     relative error; a residue's phase s log n carries eps |s| log q at most
     (res_phase is |s| log q times the sum of the residues' moduli); and the
     value itself, exp(log_total), is good to about eps (3 + |log_total|).
+    It also covers the rounding of the sums, about 1e-16 (h sum |node| +
+    |residue sum|): max |log kernel| >= 32 on every base grid (q <= 4000,
+    half-length 2.5 to 6), so eps * phase * h sum |node| is at least 70
+    times the nodes' share, and for q >= 2 (|s| >= 25) eps |s| log q
+    sum |n^-s| at least 38 times the residues' (q = 1 has 1^-s = 1, exact).
     """
     total, coarse, abs_total, ends, sum_red, res_phase = sums
     t_h = h * total
@@ -423,17 +428,15 @@ def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
 
     disc = abs(t_h - t_2h)
     tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
-    noise = 1e-16 * (h * abs_total + abs(sum_red))
     floor = _EPS * (phase * h * abs_total + res_phase)
 
-    scale_red = max(abs(total_red), noise, 5e-324)
+    scale_red = max(abs(total_red), 5e-324)
     rel_floor = floor / scale_red
     log_total = None
     if total_red != 0.0:
         log_total = m + cmath.log(total_red)
         rel_floor += _EPS * (3.0 + abs(log_total))
-    return (log_total, disc / scale_red, tail / scale_red, noise / scale_red,
-            rel_floor)
+    return log_total, disc / scale_red, tail / scale_red, rel_floor
 
 
 def _predicted(rel_disc: float, prev_disc: float | None) -> float | None:
@@ -470,7 +473,7 @@ def _estimate(figures: tuple, prev_disc: float | None):
     is still accepted on the prediction; the report is never below it, and
     after such an acceptance (d_h <= 1e-3) it stays below 2e-10.
     """
-    log_total, rel_disc, rel_tail, _, rel_floor = figures
+    log_total, rel_disc, rel_tail, rel_floor = figures
     if _predicted(rel_disc, prev_disc) is not None:
         rel_disc *= (rel_disc / prev_disc) ** 1.5
     return log_total, rel_disc + rel_tail + rel_floor
@@ -481,9 +484,9 @@ class _Row:
     its current pass, the nesting level its sums have reached, the scales m
     and phase and the sums of each channel (R, and R' for a derivative
     request; see _sum_level), the figures the stopping rules compare and
-    the best pass so far, (rel_err, figures, half, step, prev_disc) with the
-    _pass_figures of each channel and their discrepancies at the previous
-    step (see _estimate)."""
+    ``best``, (figures, prev_disc) of its last pass that did not widen (the
+    pass it stops on): the _pass_figures of each channel and their
+    discrepancies at the previous step (see _estimate)."""
 
     __slots__ = ("z", "q", "half", "step", "target", "level", "passes",
                  "prev_disc", "best", "m", "phase", "sums")
@@ -507,23 +510,25 @@ class _Row:
         Next to a zero of R, where the value is a cancellation, and at
         height, where the phases s log x lose eps t log q, the floor is
         above EPS_TARGET; the EPS_TARGET rule alone would halve such a
-        point down to step 1/1024 without gaining a digit."""
+        point down to step 1/1024 without gaining a digit.  The tail rule
+        allows for the same floor; a floor that is not finite allows
+        nothing, so such a pass halves."""
         h = self.step
         figures = []  # a loop: cheaper than a comprehension for one channel
         for sums in self.sums:
             figures.append(_pass_figures(h, self.half, self.m, self.phase, sums))
-        _, rel_disc, rel_tail, noise_rel, floor_rel = figures[0]
+        _, rel_disc, rel_tail, floor_rel = figures[0]
+        floor_rel = floor_rel if math.isfinite(floor_rel) else 0.0
         rel_err = rel_disc + rel_tail
         self.passes += 1
-        if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, noise_rel):
+        if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, floor_rel):
             self.half = math.ceil(3.0 * self.half) / 2.0  # 1.5x, a multiple of 1/2
             self.level = -1
             self.prev_disc = None
             return self.passes == _MAX_PASSES
         prev_disc = self.prev_disc
-        if self.best is None or rel_err < self.best[0]:
-            self.best = (rel_err, figures, self.half, h, prev_disc)
-        if rel_err <= max(EPS_TARGET, 4.0 * noise_rel, floor_rel):
+        self.best = (figures, prev_disc)
+        if rel_err <= max(EPS_TARGET, floor_rel):
             return True
         # The h grid is accepted without a confirming halving once the model
         # predicts its error below PRED_TARGET.
@@ -549,18 +554,17 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     (_sum_level), the first round of an extent down to step 1/16, and then
     applies the stopping rules (_Row.judge) at each step its points reach,
     adding each halving to every row of the block: a point that is done
-    keeps its best pass.  A point stops at the latest where its discrepancy
-    and tail reach its rounding floor, so a value that cancels (next to a
-    zero of R) or whose phases lose eps t log q (at height) takes no finer
-    step than its floor allows; far left, the first round sums only the
-    residues that reach a double against the largest (see _first_sums).
-    A point whose tail is too large widens its extent, regroups under it
-    and sums its levels again from the base grid, keeping its own step,
-    previous estimate and best pass (the model is fitted again on the new
-    extent).  With ``derivative`` every level also sums the R' channel from
-    the same exponentials.  Rows of a block never mix, so each point gets
-    the bits it gets alone, and the R channel the bits it gets without
-    ``derivative``.
+    keeps the pass it stopped on.  A point stops at the latest where its
+    discrepancy and tail reach its rounding floor, so a value that cancels
+    (next to a zero of R) or whose phases lose eps t log q (at height) takes
+    no finer step than its floor allows; far left, the first round sums only
+    the residues that reach a double against the largest (see _first_sums).
+    A point whose tail is too large widens its extent, regroups under it and
+    sums its levels again from the base grid, keeping its own step (the
+    model is fitted again on the new extent).  With ``derivative`` every
+    level also sums the R' channel from the same exponentials.  Rows of a
+    block never mix, so each point gets the bits it gets alone, and the R
+    channel the bits it gets without ``derivative``.
     """
     rows = []
     for z in points:
@@ -674,7 +678,7 @@ def _evaluate(pairs: list[tuple[float, float]],
         # the relative figure is meaningless.  The absolute error_estimate
         # is honest and downstream integrality guards fail loudly on bad
         # phases.
-        _, figures, _, _, prev_disc = row.best
+        figures, prev_disc = row.best
         (log_total, rel_est), *d_result = map(
             _estimate, figures, prev_disc or (None, None))
         value, err = _absolute(log_total, rel_est)
@@ -783,17 +787,16 @@ def r_eval(s) -> EvaluationResult:
 
     The crossing is q = floor(sqrt(t/2pi)); the step is halved from 1/4 (and
     the half-length widened while the tails dominate) until two successive
-    grids agree to EPS_TARGET relative (or to the noise floor of the
-    accumulation or the rounding floor of the pass, whichever is largest),
-    or until the trapezoid model,
-    fitted to the discrepancies of the last two grids, predicts the error of
-    the finer one below PRED_TARGET.  error_estimate is that prediction
-    (the discrepancy while the grids are pre-asymptotic) plus the tails and
-    a rounding floor.  Zero counting and isolation sample R through this
-    route on every edge they walk.  Above counting.CURVE_T0 the left side
-    of the counting contour follows curve_sigma, where the argument of R
-    comes from the asymptotic surrogate r_asymptotic; this route gives R at
-    the side's two ends only, where it checks the surrogate.
+    grids agree to EPS_TARGET relative (or to the rounding floor of the
+    pass, whichever is larger), or until the trapezoid model, fitted to the
+    discrepancies of the last two grids, predicts the error of the finer one
+    below PRED_TARGET.  error_estimate is that prediction (the discrepancy
+    while the grids are pre-asymptotic) plus the tails and a rounding
+    floor.  Zero counting and isolation sample R through this route on
+    every edge they walk.  Above counting.CURVE_T0 the left side of the
+    counting contour follows curve_sigma, where the argument of R comes from
+    the asymptotic surrogate r_asymptotic; this route gives R at the side's
+    two ends only, where it checks the surrogate.
     """
     z = _checked(s)
     return _r_eval_cached(z.real, z.imag, False)

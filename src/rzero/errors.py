@@ -25,10 +25,6 @@ class RegionError(DomainError):
     """Asymptotic surrogate requested outside its admissible left region."""
 
 
-class PathThroughPoleError(DomainError):
-    """Quadrature path would pass within tolerance of an integrand pole."""
-
-
 class NearZeroDenominatorError(RZeroError, ArithmeticError):
     """A denominator factor of the asymptotic surrogate is below tolerance."""
 

@@ -284,7 +284,7 @@ class TestQuadratureReuse:
         info = auxiliary._lattice_rows.cache_info()
         assert info.currsize == 2 and info.misses > uncapped.misses
 
-    def test_plateau_exit_needs_noise_floor(self):
+    def test_growing_discrepancy_reaches_target(self):
         # steps 0.25 and 0.125 disagree more than 0.25 and its halving did;
         # that is a pre-asymptotic grid, not a rounding plateau
         s = 1.3762232190598911 + 2092.8020024430552j
@@ -321,7 +321,7 @@ class TestEvalMany:
         # sums over the new extent start again from its base grid
         (row,) = auxiliary._step_halve([WIDENING_POINT])
         start = _start_half(WIDENING_POINT, row.q)
-        assert row.half > start and row.best[2] == row.half
+        assert row.half > start and row.best[0] == _figures(row)
         (warm,) = _figures(row)
         (cold,) = _figures(_quadrature(WIDENING_POINT, row.q, row.half,
                                        row.step))
@@ -339,7 +339,7 @@ class TestEvalMany:
         cold = _quadrature(WIDENING_POINT, row.q, row.half, row.step, True)
         assert warm_d == _figures(cold)[1]
         assert [warm_r] == _figures(alone)
-        assert row.best[1][0] == alone.best[1][0]
+        assert row.best[0][0] == alone.best[0][0]
 
     def test_cold_batch_bit_identical_in_both_orders(self):
         r_eval_cache_clear()
@@ -552,7 +552,7 @@ class TestStoppingRule:
         s = 4.79684058150567 + 505.6091186702189j
         r_eval_cache_clear()
         (row,) = auxiliary._step_halve([s])
-        assert row.step == 0.125 and row.best[0] > EPS_TARGET
+        assert row.step == 0.125 and row.best[0][0][1] > EPS_TARGET
         res, (oracle, oracle_err) = r_eval(s), _oracle(s)
         assert abs(res.value - oracle) <= res.error_estimate + oracle_err
 
@@ -561,7 +561,7 @@ class TestStoppingRule:
         # reached EPS_TARGET, in each of the four bands
         r_eval_cache_clear()
         rows = auxiliary._step_halve(BATCH_POINTS)
-        early = [row.z for row in rows if row.best[0] > EPS_TARGET]
+        early = [row.z for row in rows if row.best[0][0][1] > EPS_TARGET]
         bands = {min((20.0, 100.0, 500.0, 2000.0), key=lambda b: abs(b - s.imag))
                  for s in early}
         assert bands == {20.0, 100.0, 500.0, 2000.0}

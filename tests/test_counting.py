@@ -651,15 +651,20 @@ class TestCurveContour:
             for s, res in zip(points, r_eval_many(points)))
         assert worst < 0.1
 
-    def test_surrogate_holds_on_the_curve_to_1e8(self):
+    def test_surrogate_holds_on_the_curve_to_1e10(self):
         # the facts the curve side rests on, at the heights N(T) is counted
-        # to: |u| <= U_LIMIT at 20 seeded heights in [10^7, 10^8]
-        rng = random.Random(10 ** 8)
-        points = [complex(curve_sigma(t), t)
-                  for t in (10.0 ** rng.uniform(7.0, 8.0) for _ in range(20))]
-        for s, res in zip(points, r_eval_many(points)):
-            u = abs(cmath.exp(res.log_value - r_asymptotic(s).log_value) - 1.0)
-            assert u <= U_LIMIT, s
+        # to: |u| <= U_LIMIT and a finite error estimate at 20 seeded
+        # heights in each of [10^7, 10^8] and [10^9, 10^10]; above
+        # t ~ 2e9 the far-left residue cut drops more than 17 700 residues,
+        # where a rounding floor formed as a product overflowed
+        for lo in (7, 9):
+            rng = random.Random(10 ** (lo + 1))
+            points = [complex(curve_sigma(t), t) for t in
+                      (10.0 ** rng.uniform(lo, lo + 1) for _ in range(20))]
+            for s, res in zip(points, r_eval_many(points)):
+                u = abs(cmath.exp(res.log_value - r_asymptotic(s).log_value)
+                        - 1.0)
+                assert u <= U_LIMIT and math.isfinite(res.error_estimate), s
 
 
 class TestSqrtFit:
@@ -678,3 +683,12 @@ class TestSqrtFit:
         single = CountResult(big_t=30.0, count=1, main_value=0.4,
                              sqrt_term=1.1, residual=0.6)
         assert all(math.isnan(v) for v in sqrt_fit([single]))
+
+    def test_paper_coefficient_at_scale(self):
+        # the counting formula's -1/2 from counts at 2 heights per decade
+        # from 10^4 to 10^8; criterion 3 fits over TABLE_GRID (100 ... 2000)
+        # and gets -0.4846
+        rows = residual_table([10.0 ** (4 + k / 2) for k in range(9)])
+        coefficient, _ = sqrt_fit(rows)
+        assert abs(coefficient + 0.5) <= 1e-3
+        assert all(abs(row.residual) <= 2.0 for row in rows)
