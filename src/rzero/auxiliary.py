@@ -842,12 +842,26 @@ def logs_at(f, points) -> list[complex]:
     return logs
 
 
+# Caches built from R values in modules that import this one (counting's
+# base counts and edge variations), emptied with the values they come from.
+_DERIVED_CACHES: list[dict] = []
+
+
+def cleared_with_r_values(cache: dict) -> dict:
+    """Register ``cache`` to be emptied by r_eval_cache_clear; returns it."""
+    _DERIVED_CACHES.append(cache)
+    return cache
+
+
 def r_eval_cache_clear() -> None:
-    """Drop every cached R value, the memoised integrand rows and the
-    memoised log n rows of the residues."""
+    """Drop every cached R value, the memoised integrand rows, the
+    memoised log n rows of the residues and every cache registered by
+    cleared_with_r_values."""
     _R_CACHE.cache_clear()
     _lattice_rows.cache_clear()
     _log_n.cache_clear()
+    for cache in _DERIVED_CACHES:
+        cache.clear()
 
 
 SURROGATE_T_MIN = 50.0  # lowest height at which r_asymptotic is admissible

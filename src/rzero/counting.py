@@ -15,7 +15,11 @@ Every contour edge (strips, the base box, ``adequate_box_left``, every
 isolation piece of ``zeros`` and the curve contour's horizontal edges) is
 an ``AxisEdge`` that carries its lattice, k/m between its ends.  Edges of a
 line that share m share their samples bit for bit, so a child box reads
-most of its edges from its parent's cache and a cut is computed once.
+most of its edges from its parent's cache and a cut is computed once.  For
+R an edge is also walked once per R-cache lifetime: _rectangle_winding
+keeps each edge's variation, an edge met again reads it (negated when it
+is walked the other way), and r_eval_cache_clear empties that memo and the
+base counts with the R values they come from.
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -42,8 +46,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .auxiliary import (
+    cleared_with_r_values,
     curve_sigma,
     logs_at,
     r_asymptotic,
@@ -75,6 +81,7 @@ WINDING_GUARD = 0.1
 # flags a zero on the path (_check_dip).  Kept well under PERTURB_STEP so
 # that a retry actually escapes the detection radius.
 DETECT_TOL = 1e-6
+_LOG_DETECT_TOL = math.log(DETECT_TOL)
 PERTURB_STEP = 1e-3  # step of rectangle_count's contour perturbation ladder
 # The walk of a curve contour's horizontal edge (_walk_edge): the length of
 # its first round's steps, and the largest predicted phase step (rad) and
@@ -177,7 +184,7 @@ def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
     exponential growth log|f| is linear along the path, so no node dips."""
     slope = 0.0 if ua == ub else (log_b.real - log_a.real) / (ub - ua)
     line = log_a.real + slope * (u - ua)
-    if log_f.real < line + math.log(DETECT_TOL):
+    if log_f.real < line + _LOG_DETECT_TOL:
         raise ZeroOnPathError(
             f"log|f| = {log_f.real:.3f} more than log(1/{DETECT_TOL}) below "
             f"{line:.3f}, the line through its neighbours",
@@ -199,52 +206,67 @@ def arg_variation(f, path, params) -> ArgTrace:
     dips (_check_dip: a seed against its two nearest nodes, a bisection
     midpoint against its ends; no modulus is compared, so the test holds
     where |f| saturates) or when MAX_REFINE_DEPTH bisection levels cannot
-    satisfy the phase contract.
+    satisfy the phase contract.  Each point is formed once.  The walk is
+    the same whichever way it goes, up to rounding, so _rectangle_winding
+    walks a contour edge of R once per R-cache lifetime and reads the
+    negated variation for the edge walked the other way.
     """
     point_fn = path.point
     if len(params) < 2:
         raise DomainError(f"arg_variation needs two seeds, got {len(params)}")
-    logs = logs_at(f, [point_fn(u) for u in params])
+    points = [point_fn(u) for u in params]
+    logs = logs_at(f, points)
+    moduli = [log.real for log in logs]
     last = len(params) - 1
     for k, u in enumerate(params):
         # the two nearest nodes: an interior seed's neighbours, the next two
-        # of an end seed (its one neighbour, twice, on a two-node path)
+        # of an end seed (its one neighbour, twice, on a two-node path);
+        # _check_dip's test, inline, and the call only to raise
         a = k - 1 if k else min(2, last)
         b = k + 1 if k < last else max(last - 2, 0)
-        _check_dip(point_fn, u, logs[k], params[a], logs[a], params[b],
-                   logs[b])
-    out_p = [params[0]]
-    deltas = []  # deltas[i]: nearest-branch phase step over out_p[i: i + 2]
-
-    def emit(p1, l1, p2, l2, depth):
-        delta = math.remainder(l2.imag - l1.imag, TWO_PI)
+        ua, ub = params[a], params[b]
+        slope = 0.0 if ua == ub else (moduli[b] - moduli[a]) / (ub - ua)
+        line = moduli[a] + slope * (u - ua)
+        if moduli[k] < line + _LOG_DETECT_TOL:
+            _check_dip(point_fn, u, logs[k], ua, logs[a], ub, logs[b])
+    nodes = [points[0]]
+    deltas = []  # deltas[i]: nearest-branch phase step over nodes[i: i + 2]
+    for i in range(last):
+        delta = math.remainder(logs[i + 1].imag - logs[i].imag, TWO_PI)
         if abs(delta) < PHASE_LIMIT:
-            out_p.append(p2)
+            nodes.append(points[i + 1])
             deltas.append(delta)
-            return
-        pm = 0.5 * (p1 + p2)
-        if depth >= MAX_REFINE_DEPTH:
-            raise ZeroOnPathError(
-                f"phase step {delta:.3f} rad not resolvable near parameter "
-                f"{pm:.6g}; zero on or very near the path",
-                where=point_fn(pm),
-            )
-        lm, = logs_at(f, [point_fn(pm)])
-        _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
-        emit(p1, l1, pm, lm, depth + 1)
-        emit(pm, lm, p2, l2, depth + 1)
-
-    for i in range(len(params) - 1):
-        emit(params[i], logs[i], params[i + 1], logs[i + 1], 0)
-    phases = [math.remainder(logs[0].imag, TWO_PI)]
-    for d in deltas:
-        phases.append(phases[-1] + d)
-    nodes = tuple(point_fn(u) for u in out_p)
+            continue
+        # bisect depth first, left half first, from a list rather than a
+        # recursive closure, which would hold the walk in a reference cycle
+        todo = [(params[i], logs[i], params[i + 1], points[i + 1],
+                 logs[i + 1], 0)]
+        while todo:
+            p1, l1, p2, z2, l2, depth = todo.pop()
+            delta = math.remainder(l2.imag - l1.imag, TWO_PI)
+            if abs(delta) < PHASE_LIMIT:
+                nodes.append(z2)
+                deltas.append(delta)
+                continue
+            pm = 0.5 * (p1 + p2)
+            if depth >= MAX_REFINE_DEPTH:
+                raise ZeroOnPathError(
+                    f"phase step {delta:.3f} rad not resolvable near "
+                    f"parameter {pm:.6g}; zero on or very near the path",
+                    where=point_fn(pm),
+                )
+            zm = point_fn(pm)
+            lm, = logs_at(f, [zm])
+            _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
+            todo.append((pm, lm, p2, z2, l2, depth + 1))
+            todo.append((p1, l1, pm, zm, lm, depth + 1))
+    phases = list(accumulate(deltas,
+                             initial=math.remainder(logs[0].imag, TWO_PI)))
     return ArgTrace(
-        nodes=nodes,
+        nodes=tuple(nodes),
         phases=tuple(phases),
         total_variation=phases[-1] - phases[0],
-        max_step_phase=max((abs(d) for d in deltas), default=0.0),
+        max_step_phase=max(map(abs, deltas), default=0.0),
     )
 
 
@@ -419,14 +441,37 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
     }
 
 
+# total_variation of R along each AxisEdge walked since the R cache was last
+# cleared, keyed by (vertical, level, lower end, upper end, seeds) and taken
+# from the lower end to the upper
+_EDGE_VARIATIONS: dict = cleared_with_r_values({})
+
+
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> float:
     """Raw winding value around a rectangle: the variations of f along the
     edges of _rectangle_edges, sampled on the lattice of their lines,
-    summed counterclockwise, over 2 pi."""
+    summed counterclockwise, over 2 pi.
+
+    For f = r_value each edge's variation is kept until r_eval_cache_clear,
+    so an edge is walked once per R-cache lifetime: a split's children read
+    their parent's two edges parallel to the cut, and the cut walked the
+    other way reads the negated value.  A walk that raises keeps nothing.
+    A caller's f is walked every time."""
     total = 0.0
     for edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi).values():
-        total += arg_variation(f, edge, edge.seed_params()).total_variation
+        if f is not r_value:
+            total += arg_variation(f, edge, edge.seed_params()).total_variation
+            continue
+        sign = 1.0 if edge.start < edge.end else -1.0
+        key = (edge.vertical, edge.level, *sorted((edge.start, edge.end)),
+               edge.seeds)
+        variation = _EDGE_VARIATIONS.get(key)
+        if variation is None:
+            variation = sign * arg_variation(
+                f, edge, edge.seed_params()).total_variation
+            _EDGE_VARIATIONS[key] = variation
+        total += sign * variation
     return total / TWO_PI
 
 
@@ -476,7 +521,7 @@ def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     return _on_ladder(winding, t_hi, t_lo, f"the contour of {where}")
 
 
-_BASE_COUNT_CACHE: dict = {}
+_BASE_COUNT_CACHE: dict = cleared_with_r_values({})
 _BASE_FLOOR = 0.05  # bottom edge of the base-count box; gamma below is ignored
 
 

@@ -622,10 +622,14 @@ def test_circle_about_a_zero_stops_at_the_rounding_floor():
 # R(s) by the Riemann-Siegel expansion of Arias de Reyna (Math. Comp. 80,
 # 2011), which shares no code with the quadrature
 ORACLE_POINTS = [complex(2.0, 1e4), complex(-5.0, 1e4), complex(0.5, 1e5),
-                 complex(-5.0, 1e6), complex(2.0, 1e7), complex(0.5, 1e8)]
+                 complex(-5.0, 1e6), complex(2.0, 1e7), complex(0.5, 1e8),
+                 complex(2.0, 1e9), complex(-5.0, 1e9), complex(0.5, 1e10),
+                 complex(-3.0, 1e10)]
 
 
 def test_estimates_cover_riemann_siegel_oracle():
+    # at t = 10^9 and 10^10 the deviations stay over 100 times under the
+    # estimates
     r_eval_cache_clear()
     with mp.workdps(20):
         for s, res in zip(ORACLE_POINTS, r_eval_many(ORACLE_POINTS)):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rzero import auxiliary
+from rzero import counting as counting_mod
 from rzero.auxiliary import (
     SURROGATE_T_MIN,
     curve_sigma,
@@ -39,6 +40,7 @@ from rzero.counting import (
     unit_params,
     _curve_turns,
     _edge_seeds,
+    _rectangle_edges,
     _rectangle_winding,
     _too_coarse,
     _walk_edge,
@@ -229,6 +231,79 @@ class TestSampleLattice:
         assert walk(hi, lo, True) == (backward, back)
 
 
+class TestEdgeMemo:
+    """The variations of R along rectangle edges are kept until
+    r_eval_cache_clear; the rectangles are those of TestSampleLattice."""
+
+    PARENT = (-6.0, 2.0, 10.0, 80.0)
+    CHILDREN = ((-6.0, 2.0, 10.0, 45.0), (-6.0, 2.0, 45.0, 80.0))
+
+    @staticmethod
+    def _walked(monkeypatch):
+        """Record the paths arg_variation walks."""
+        walked = []
+        walk = counting_mod.arg_variation
+
+        def record(f, path, params):
+            walked.append(path)
+            return walk(f, path, params)
+
+        monkeypatch.setattr(counting_mod, "arg_variation", record)
+        return walked
+
+    def test_split_walks_five_edges(self, monkeypatch):
+        # the children read the parent's bottom and top edges, and the upper
+        # child reads the cut the lower one walked, the other way: 5 of the
+        # children's 8 edges are walked
+        auxiliary.r_eval_cache_clear()
+        rectangle_count(r_value, *self.PARENT)
+        walked = self._walked(monkeypatch)
+        for child in self.CHILDREN:
+            assert rectangle_count(r_value, *child)[1] == child[2:]
+        assert len(walked) == len(set(walked)) == 5
+        assert {edge.level for edge in walked if not edge.vertical} == {45.0}
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["lower", "upper"])
+    def test_equals_unmemoised_sum(self, first):
+        # the second child reads the cut in the direction opposite to the
+        # walk that stored it
+        auxiliary.r_eval_cache_clear()
+        for rect in (self.CHILDREN[first], self.CHILDREN[1 - first]):
+            direct = sum(
+                arg_variation(r_value, edge, edge.seed_params()).total_variation
+                for edge in _rectangle_edges(*rect).values()) / TWO_PI
+            for _ in range(2):
+                assert _rectangle_winding(r_value, *rect) == pytest.approx(
+                    direct, abs=1e-12)
+
+    def test_caller_function_is_walked_every_time(self):
+        calls = [0]
+
+        def poly(z):
+            calls[0] += 1
+            return (z - (1 + 10j)) * (z - (1.2 + 10.5j))
+
+        made = []
+        for _ in range(2):
+            before = calls[0]
+            assert rectangle_count(poly, *TestWindingNumber.RECT)[0] == 2
+            made.append(calls[0] - before)
+        assert made[0] > 0 and made[0] == made[1]
+
+    def test_clear_empties_the_memos(self, monkeypatch):
+        # a base count after a clear computes its R values again
+        auxiliary.r_eval_cache_clear()
+        computed = TestSampleLattice._computed(monkeypatch)
+        first = base_count(-6.0)
+        cold = len(computed)
+        assert counting_mod._BASE_COUNT_CACHE and counting_mod._EDGE_VARIATIONS
+        auxiliary.r_eval_cache_clear()
+        assert not counting_mod._BASE_COUNT_CACHE
+        assert not counting_mod._EDGE_VARIATIONS
+        assert base_count(-6.0) == first
+        assert cold > 0 and len(computed) == 2 * cold
+
+
 class TestWindingNumber:
     RECT = (0.0, 2.0, 9.0, 11.0)
 
@@ -362,7 +437,6 @@ class TestCountZeros:
         assert table[1].count - table[0].count == hi
 
     def test_off_integer_rectangle_rejected(self, monkeypatch):
-        import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, "_rectangle_winding",
                             lambda *a, **k: 1.37)
         with pytest.raises(NonIntegerWindingError):
@@ -461,7 +535,6 @@ class TestResidualTable:
     def _table_with_zero_on_strip(monkeypatch):
         """residual_table([20, 40, 60]) with a zero forced once onto the
         40 -> 60 strip; returns the table and the t-extents evaluated."""
-        import rzero.counting as counting_mod
         winding = counting_mod._rectangle_winding
         forced, evaluated = [], []
 
@@ -576,7 +649,6 @@ class TestCurveContour:
         """Make arg_variation meet a zero once on the edge
         [curve_sigma(height), 2] + i height; returns the list of points
         where it did."""
-        import rzero.counting as counting_mod
         walk = counting_mod.arg_variation
         corner = complex(curve_sigma(height), height)
         forced = []
@@ -611,7 +683,6 @@ class TestCurveContour:
         assert forced == [complex(curve_sigma(CURVE_T0), CURVE_T0)]
 
     def test_backlund_check(self, monkeypatch):
-        import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, "top_edge_certificate",
                             lambda t, left: 1e-3 if t > 120.0 else None)
         with pytest.raises(BacklundError):
@@ -619,7 +690,6 @@ class TestCurveContour:
 
     def test_backlund_bound_exceeded(self, monkeypatch):
         # every edge has a bound here, so only the measured turns can fail
-        import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, "top_edge_certificate",
                             lambda t, left: 1e-6)
         with pytest.raises(BacklundError, match="bound is 1e-06"):
@@ -627,7 +697,6 @@ class TestCurveContour:
 
     @pytest.mark.parametrize("limit", ["U_LIMIT", "RIGHT_LIMIT"])
     def test_heuristic_checks_raise(self, monkeypatch, limit):
-        import rzero.counting as counting_mod
         monkeypatch.setattr(counting_mod, limit, 0.0)
         with pytest.raises(RegionError):
             residual_table([150.0])
