@@ -59,7 +59,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -731,8 +731,8 @@ class _RCache:
             hit = store.get(key)
             if hit is not None:
                 store.move_to_end(key)
-                return replace(hit, derivative=None, derivative_error=None,
-                               log_derivative=None)
+                return EvaluationResult(hit.value, hit.method,
+                                        hit.error_estimate, hit.log_value)
         if hit is not None:
             store.move_to_end(key)
         return hit

@@ -15,10 +15,11 @@ residuals of all refined points are one more call.  Piece edges lie on
 counting's per-line sample lattice, so the two children of a split read
 the cut's samples from one set of cache entries and most of their outer
 edges from the parent's.  The scan of a split's cut for a zero of even
-multiplicity starts from those same lattice samples; when their minimum
-is interior and too large against its neighbours for a double zero to lie
-beside it, the scan ends there, and otherwise two 33-point zoom rows
-follow, so only the zoom rows compute R.
+multiplicity starts from those same lattice samples.  It ends there when
+their minimum is interior and too large against its neighbours for a
+double zero to lie beside it, or, for R, lies at an end of the row where
+|R'/R| is too small for one (R' at that one point is the only R it
+computes); otherwise two 33-point zoom rows follow.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ _SPLIT_OFFSETS = (0.0, 0.11, -0.13, 0.23, -0.27)
 # bound on minimum / local scale (1/9 on a uniform lattice) by this factor.
 _CUT_MODEL_MARGIN = 2.0
 
+# A double zero that the zoom rows must find, beside an end minimum of a
+# cut's lattice row, leaves |f'/f| h at least this there while the modulus
+# trend stays under R's estimated 1.2 a step (see _zero_on_cut).
+_END_SLOPE_BOUND = 1.64
+
 
 def _zero_on_cut(f, box: Box, child: Box) -> bool:
     """Detect a zero sitting on, or just beside, the shared cut line of a
@@ -146,9 +152,10 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     The first row is the cut's own lattice samples, the points at which
     both children's windings sampled their shared edge (``child``'s top
     edge for a horizontal cut, its right edge for a vertical one), so for
-    r_value it is read from the cache.  Two zoom rows follow, each 33
-    points over [x_{k-1}, x_{k+1}] around the previous row's minimum x_k
-    and each one values_at call.  The zoomed minimum is judged against the
+    r_value it is read from the cache.  Unless that row rules a double
+    zero out (below), two zoom rows follow, each 33 points over
+    [x_{k-1}, x_{k+1}] around the previous row's minimum x_k and each one
+    values_at call.  The zoomed minimum is judged against the
     local scale, the larger neighbour of the first row's minimum (|f|
     legitimately spans many orders of magnitude along long cuts).
 
@@ -169,8 +176,36 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     stretch of the lattice that is 1/9; the row's end intervals are
     partial, so the bound is formed from the actual spacings.  A row whose
     ratio exceeds _CUT_MODEL_MARGIN times it ends the scan with no zoom
-    rows.  A minimum at an end of the row has one neighbour and no such
-    bound, and is always zoomed.
+    rows.
+
+    A minimum at an end x_e of the row has one neighbour and no such
+    bound.  For r_value the scan reads R'/R at x_e instead, the
+    log_derivative of one r_eval_many call (finite where |R| saturates),
+    h being the row's end interval.  Near a double zero p,
+    f = (z - p)^2 g and f'/f = 2 / (z - p) + g'/g.  The zoom rows, which
+    cover the end interval, guard two hazards there: p on the cut, and p
+    less than h / (2 tan(3 pi / 8)) = h / 4.83 off it, where the walk
+    misreads the turn (see below).  With no modulus trend p lies nearer
+    x_e than the interval's other end, so
+    |x_e - p| <= h (1/4 + 1/4.83^2)^(1/2) = 0.541 h.  A trend moves the
+    minimum: with k >= |g'/g| h, the change of log|g| over the interval,
+    |f(x_e)| <= |f(x_e +- h)| gives |x_e - p| <= e^(k/2) |x_e +- h - p|,
+    and with p at most h / 4.83 off the cut and k = 1.2 that keeps
+    |x_e - p| <= 0.704 h.  Such a p leaves |f'/f| h >= 2 / 0.704 - 1.2
+    = 1.64 (_END_SLOPE_BOUND), and a row whose end reads |R'/R| h below
+    _END_SLOPE_BOUND / _CUT_MODEL_MARGIN = 0.82 ends the scan with no zoom
+    rows.  The same derivation gives 0.82 at k = 1.75 and 0.46 at k = 2.
+
+    k = 1.2 is an estimate for R, not a bound: _edge_seeds spaces the
+    lattice from log t so that R's phase moves by about 1.2 a step, and
+    nothing bounds |R'/R|.  At an end sample with no zero beside it
+    |R'/R| h is R's own trend; the readings are 0.07 or less below
+    t = 300, at most 0.71 in [10^4, 10^4 + 10] and 0.85 at -49 + 10^6 i
+    (that scan zooms), and the tests keep every cut end of the windows at
+    10^4 and 10^6 under 1.2.  Higher windows are unchecked.  A caller's f
+    has no such estimate, and its end minimum is always zoomed:
+    (z - p)^2 e^(8z) on the cut t = 10 of [0, 2] x [9, 11], with p at
+    0.18 + 10 i (0.72 h from the end), has k = 2 and reads 0.78 there.
 
     A double zero just off the cut, at distance e, is the other hazard.
     Between the two lattice samples that straddle it f turns by up to
@@ -213,6 +248,12 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
                 h1, h2 = us[k_min] - us[k_min - 1], us[k_min + 1] - us[k_min]
                 bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
                 if minimum > _CUT_MODEL_MARGIN * bound * local_scale:
+                    return False
+            elif f is r_value:  # an end minimum: |R'/R| h, h its interval
+                z = edge.point(us[k_min])
+                slope = r_eval_many([z], derivative=True)[0].log_derivative
+                if (abs(slope) * (us[hi] - us[lo])
+                        < _END_SLOPE_BOUND / _CUT_MODEL_MARGIN):
                     return False
         us = [us[lo] + (us[hi] - us[lo]) * k / 32.0 for k in range(33)]
     if minimum < 1e-4 * local_scale:

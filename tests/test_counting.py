@@ -711,6 +711,17 @@ class TestCurveContour:
                            for a, b in zip(phases, phases[1:]))
         assert abs(summed - (phases[-1] - phases[0])) <= 1e-9
 
+    @pytest.mark.parametrize("t0", [1e6, 1e8, 1e10])
+    def test_log_surrogate_continuous_at_height(self, t0):
+        # Im log S along 2000 steps of 1/20 of the curve side: every raw
+        # increment is its own principal value and stays under pi/2 (the
+        # largest are about 0.30, 0.42 and 0.53 at 10^6, 10^8 and 10^10)
+        phases = [r_asymptotic(complex(curve_sigma(t), t)).log_value.imag
+                  for t in (t0 + k / 20.0 for k in range(2001))]
+        steps = [b - a for a, b in zip(phases, phases[1:])]
+        assert all(math.remainder(d, TWO_PI) == d for d in steps)
+        assert max(abs(d) for d in steps) < 0.5 * math.pi
+
     def test_surrogate_ratio_small_on_curve(self):
         # |u| = |R/S - 1| at dense heights of the curve side
         points = [complex(curve_sigma(t), t)

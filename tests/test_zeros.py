@@ -4,9 +4,14 @@ import math
 
 import pytest
 
-from rzero.counting import rectangle_count
+from rzero.counting import _rectangle_edges, rectangle_count
 from rzero import auxiliary
-from rzero.auxiliary import r_eval_cache_clear, r_value, values_at
+from rzero.auxiliary import (
+    r_eval_cache_clear,
+    r_eval_many,
+    r_value,
+    values_at,
+)
 from rzero.errors import DomainError, NewtonError
 from rzero.zeros import (
     Box,
@@ -102,8 +107,9 @@ class TestIsolateZeros:
 
 class TestCutScan:
     @staticmethod
-    def assert_one_double_cluster(box, zero, min_size=1e-2):
-        f = lambda z: (z - zero) ** 2
+    def assert_one_double_cluster(box, zero, min_size=1e-2, f=None):
+        if f is None:
+            f = lambda z: (z - zero) ** 2
         res = isolate_zeros(box, min_size=min_size, f=f)
         assert res.isolated == []
         assert len(res.clusters) == 1
@@ -127,10 +133,114 @@ class TestCutScan:
         self.assert_one_double_cluster(Box(0.2, 2.2, 9.0, 11.0),
                                        complex(0.375, 10.0))
 
+    # a double zero near an end of the cut t = 10's lattice row (end
+    # interval h = 1/4), on the cut or h/5 off it (where the walk misreads
+    # its 2 pi turn), times e^{-a z} with |a| h = 0, 2 or 3; the sign of a
+    # makes |e^{-a z}| grow into the box, so g'/g = -a cancels part of
+    # 2/(z - p) at the end sample and draws the row's minimum there.  At
+    # 0.18 and 1.82 (0.72 h from the end) with |a| h = 2, |f'/f| h at the
+    # end sample is 0.78, under the exit's 0.82 for R, yet p is there
+    @pytest.mark.parametrize("trend", [0.0, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma, off", [
+        (0.05, 0.0), (0.12, 0.0), (0.18, 0.0), (1.82, 0.0), (1.88, 0.0),
+        (1.95, 0.0), (0.12, 0.05), (0.12, -0.05), (1.88, 0.05),
+        (1.88, -0.05)])
+    def test_double_zero_near_an_end_of_the_cut(self, monkeypatch, sigma,
+                                                off, trend):
+        # a caller's f has no bound on its trend, so the first scan reads
+        # no f'/f at its end minimum: it evaluates f only at its lattice
+        # row and two zoom rows, and the zero is one cluster
+        import rzero.zeros as zeros_mod
+        zero = complex(sigma, 10.0 + off)
+        a = (trend if sigma > 1.0 else -trend) / 0.25
+        calls = [0]
+
+        def f(z):
+            calls[0] += 1
+            return (z - zero) ** 2 * cmath.exp(-a * z)
+
+        scans = []  # per scan: its rows' sizes and its calls of f
+        real_scan = zeros_mod._zero_on_cut
+        real_rows = zeros_mod.values_at
+
+        def scan(f, box, child):
+            scans.append([])
+            before = calls[0]
+            out = real_scan(f, box, child)
+            scans[-1].append(calls[0] - before)
+            return out
+
+        def rows(f, points):
+            scans[-1].append(len(points))
+            return real_rows(f, points)
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
+        monkeypatch.setattr(zeros_mod, "values_at", rows)
+        self.assert_one_double_cluster(Box(0.0, 2.0, 9.0, 11.0), zero, f=f)
+        assert scans[0] == [9, 33, 33, 75]
+
+    # the windows at height that CI pins
+    @pytest.mark.parametrize("t_lo, t_hi, left", [
+        (10000.0, 10010.0, -30.0), (1000000.0, 1000003.0, -100.0)])
+    def test_trend_at_cut_ends_under_estimate(self, monkeypatch, t_lo, t_hi,
+                                              left):
+        # the end exit's bound assumes |g'/g| h <= 1.2 for R; at an end
+        # sample with no zero beside it |R'/R| h is that trend, so every
+        # end of every cut row the split scans reads under 1.2 (largest
+        # 0.71 at -6 + 10010 i and 0.85 at -49 + 10^6 i)
+        import rzero.zeros as zeros_mod
+        readings = []  # per end sample: |R'/R| h, and whether it is min
+        real = zeros_mod._zero_on_cut
+
+        def scan(f, box, child):
+            edges = _rectangle_edges(child.sigma_lo, child.sigma_hi,
+                                     child.t_lo, child.t_hi)
+            edge = edges["top" if child.t_hi < box.t_hi else "right"]
+            us = sorted(edge.seed_params())
+            mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
+            for k, j in ((0, 1), (-1, -2)):
+                res = r_eval_many([edge.point(us[k])], derivative=True)[0]
+                readings.append((abs(res.log_derivative) * abs(us[k] - us[j]),
+                                 mags[k] == min(mags)))
+            return real(f, box, child)
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
+        r_eval_cache_clear()
+        locate_zeros(Box(left, 2.0, t_lo, t_hi), min_size=1e-3)
+        assert any(at_min for _, at_min in readings)
+        assert max(k for k, _ in readings) < 1.2
+
+    def test_end_minimum_computes_one_derivative(self, monkeypatch):
+        # the cut t = 27.5 of [-4, 2] x [20, 35] has its smallest |R| at
+        # sigma = 2, an end of the row; R'/R there rules a double zero out,
+        # so the scan computes one R value (R' at the end sample; the two
+        # zoom rows it replaces computed 62)
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 20.0, 35.0)
+        r_eval_cache_clear()
+        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
+                                   box.t_lo, box.t_hi)[0]
+        computed = []
+        real = zeros_mod._zero_on_cut
+
+        def counted(f, box, child):
+            before = auxiliary._R_CACHE.cache_info().misses
+            out = real(f, box, child)
+            computed.append(auxiliary._R_CACHE.cache_info().misses - before)
+            return out
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", counted)
+        (b1, w1), (b2, w2) = _split_conserving(r_value, box, parent_w)
+        assert (w1, w2) == (1, 1) and b1.t_hi == 27.5
+        assert computed == [1]
+        assert (2.0, 27.5, True) in auxiliary._R_CACHE._store
+
     def test_first_row_read_from_the_cache(self, monkeypatch):
         # two zeros, at t ~ 22.4 and ~ 32.2, one in each child of the cut
         # t = 27.5, so the split scans the cut; its first row is the lattice
-        # row both children sampled, so only the two zoom rows compute R
+        # row both children sampled, so it computes no R (any zoom rows
+        # would compute at most 66; here R'/R at the row's end minimum
+        # stands in for them)
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 20.0, 35.0)
         r_eval_cache_clear()
