@@ -5,26 +5,26 @@ encloses exactly one zero; Newton iteration (with bisection-style fallback)
 refines each piece to a point, and every returned zero carries an
 independent winding-1 certificate on a small circle around it.  Windings
 come from the engine in ``counting``: pieces are counted by
-``rectangle_count`` and circles by ``arg_variation`` through the same
-integrality guard.  By default R is evaluated through the same cached
-quadrature as counting, the samples of a contour edge and of each row of a
-cut scan are evaluated in one batch (r_eval_many), and the pieces of a box
-are refined in lockstep: each Newton round takes R(s) and R'(s) at every
-live iterate from one r_eval_many(..., derivative=True) call, and the
-residuals of all refined points are one more call.  Piece edges lie on
-counting's per-line sample lattice, so the two children of a split read
-the cut's samples from one set of cache entries and most of their outer
-edges from the parent's.  The scan of a split's cut for a zero of even
-multiplicity starts from those same lattice samples.  It ends there when
-their minimum is interior and too large against its neighbours for a
-double zero to lie beside it, or, for R, lies at an end of the row where
-|R'/R| is too small for one (R' at that one point is the only R it
-computes); otherwise two 33-point zoom rows follow.
+``rectangle_count``, a cut scan's window by ``_rectangle_winding`` and
+circles by ``arg_variation``, all through the same integrality guard.  By
+default R is evaluated through the same cached quadrature as counting, the
+samples of a contour edge and of a cut scan's lattice row are evaluated in
+one batch (r_eval_many), and the pieces of a box are refined in lockstep:
+each Newton round takes R(s) and R'(s) at every live iterate from one
+r_eval_many(..., derivative=True) call, and the residuals of all refined
+points are one more call.  Piece edges lie on counting's per-line sample
+lattice, so the two children of a split read the cut's samples from one
+set of cache entries and most of their outer edges from the parent's.  The
+scan of a split's cut for a zero of even multiplicity starts from those
+same lattice samples.  It ends there when their minimum is interior and
+too large against its neighbours for a double zero to lie beside it, or,
+for R, lies at an end of the row where |R'/R| is too small for one (R' at
+that one point is the only R it computes); otherwise it winds f around one
+small window rectangle about that minimum.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -33,8 +33,8 @@ from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
     PERTURB_STEP,
-    PHASE_LIMIT,
     _rectangle_edges,
+    _rectangle_winding,
     arg_variation,
     integer_winding,
     rectangle_count,
@@ -135,8 +135,8 @@ _SPLIT_OFFSETS = (0.0, 0.11, -0.13, 0.23, -0.27)
 # bound on minimum / local scale (1/9 on a uniform lattice) by this factor.
 _CUT_MODEL_MARGIN = 2.0
 
-# A double zero that the zoom rows must find, beside an end minimum of a
-# cut's lattice row, leaves |f'/f| h at least this there while the modulus
+# A double zero that the window must find, beside an end minimum of a cut's
+# lattice row, leaves |f'/f| h at least this there while the modulus
 # trend stays under R's estimated 1.2 a step (see _zero_on_cut).
 _END_SLOPE_BOUND = 1.64
 
@@ -147,122 +147,108 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
 
     An even-multiplicity zero exactly on the cut does not disturb the phase
     along it (f keeps a constant argument there), so the winding of both
-    children looks consistent; a zoomed modulus scan of the cut exposes it.
+    children looks consistent; a double zero a fraction of a lattice step
+    off the cut turns f by nearly 2 pi between two of the cut's samples,
+    which the children's walk reads as a small step, so both wind 1.
 
-    The first row is the cut's own lattice samples, the points at which
-    both children's windings sampled their shared edge (``child``'s top
-    edge for a horizontal cut, its right edge for a vertical one), so for
-    r_value it is read from the cache.  Unless that row rules a double
-    zero out (below), two zoom rows follow, each 33 points over
-    [x_{k-1}, x_{k+1}] around the previous row's minimum x_k and each one
-    values_at call.  The zoomed minimum is judged against the
-    local scale, the larger neighbour of the first row's minimum (|f|
-    legitimately spans many orders of magnitude along long cuts).
+    The scan reads the cut's own lattice samples, the points at which both
+    children's windings sampled their shared edge (``child``'s top edge for
+    a horizontal cut, its right edge for a vertical one), so for r_value
+    the row is read from the cache.  Unless that row rules a double zero
+    out (below), the scan winds f around one window rectangle: along the
+    cut it spans [x_{k-1}, x_{k+1}] around the row's minimum x_k, clipped
+    at the row's ends, and across it +-d, d half the larger lattice spacing
+    h beside x_k.  The cut holds a zero when that integer winding is 2 or
+    more, or when the window's walk meets a zero or a non-integer winding.
 
-    Two zoom rows suffice.  Near a double zero p on the cut,
-    |f(x)| ~ |c| (x - p)^2, and p lies in [x_{k-1}, x_{k+1}], of width w
-    (2h on a lattice of spacing h); one of the two neighbours is at least
-    w/2 from p, so the local scale is at least |c| (w/2)^2 = |c| h^2.  The
-    first zoom row has spacing w/32 and the second w/512, so a sample lies
-    within w/1024 = h/512 of p and minimum / local <= (1/512)^2 ~ 4e-6,
-    25 times under the threshold 1e-4.
+    The window covers both hazards.  A double zero p on the cut lies in
+    [x_{k-1}, x_{k+1}], and one the children's walk misreads lies less
+    than h / (2 tan(3 pi / 8)) = h / 4.83 off the cut: between the two
+    lattice samples that straddle it f turns by up to 4 atan(h / 2e), e
+    its distance from the cut, and the walk's nearest-branch rule misreads
+    turns above 3 pi / 2.  h / 4.83 < d, so such a p lies inside the
+    window.  The window's own walk reads it correctly: its long edges
+    (_edge_seeds gives every edge at least 8 seeds) have samples at most
+    2h / 7 apart, and p stays at least d - h / 4.83 ~ 0.29 h from them,
+    far more than (2h / 7) / 4.83.  The rule is conservative: a close pair
+    of simple zeros in the window also winds 2, and the split then moves
+    its cut to the next offset.  The window's walk does not use
+    rectangle_count, whose ladder moves the top edge by PERTURB_STEP, far
+    more than a window at a fine min_size.
 
     The lattice row alone can rule a double zero out.  Let x_k be interior,
-    with h1 = x_k - x_{k-1} and h2 = x_{k+1} - x_k.  If p lies right of x_k
-    at distance d, then d <= h2/2 (x_k is nearer p than x_{k+1} is) and the
-    left neighbour is h1 + d from p, so minimum / local
-    <= d^2 / (h1 + d)^2 <= (h2/2)^2 / (h1 + h2/2)^2 = (h2 / (2 h1 + h2))^2;
+    with h1 = x_k - x_{k-1} and h2 = x_{k+1} - x_k.  Near p,
+    |f(x)| ~ |c| (x - p)^2.  If p lies right of x_k at distance a, then
+    a <= h2/2 (x_k is nearer p than x_{k+1} is) and the left neighbour is
+    h1 + a from p, so minimum / local, local the larger neighbour,
+    <= a^2 / (h1 + a)^2 <= (h2/2)^2 / (h1 + h2/2)^2 = (h2 / (2 h1 + h2))^2;
     p left of x_k gives the same with h1 and h2 swapped.  On a uniform
     stretch of the lattice that is 1/9; the row's end intervals are
     partial, so the bound is formed from the actual spacings.  A row whose
-    ratio exceeds _CUT_MODEL_MARGIN times it ends the scan with no zoom
-    rows.
+    ratio exceeds _CUT_MODEL_MARGIN times it ends the scan with no window.
+    A double zero at distance e off the cut raises the ratio by at most
+    e^2 / (h1 + a)^2, to under 0.13 on a uniform stretch for the e the
+    window guards, below the exit's 2/9.
 
     A minimum at an end x_e of the row has one neighbour and no such
     bound.  For r_value the scan reads R'/R at x_e instead, the
     log_derivative of one r_eval_many call (finite where |R| saturates),
     h being the row's end interval.  Near a double zero p,
-    f = (z - p)^2 g and f'/f = 2 / (z - p) + g'/g.  The zoom rows, which
-    cover the end interval, guard two hazards there: p on the cut, and p
-    less than h / (2 tan(3 pi / 8)) = h / 4.83 off it, where the walk
-    misreads the turn (see below).  With no modulus trend p lies nearer
-    x_e than the interval's other end, so
+    f = (z - p)^2 g and f'/f = 2 / (z - p) + g'/g.  The window guards p on
+    the cut in the end interval and p less than h / 4.83 off it.  With no
+    modulus trend p lies nearer x_e than the interval's other end, so
     |x_e - p| <= h (1/4 + 1/4.83^2)^(1/2) = 0.541 h.  A trend moves the
     minimum: with k >= |g'/g| h, the change of log|g| over the interval,
     |f(x_e)| <= |f(x_e +- h)| gives |x_e - p| <= e^(k/2) |x_e +- h - p|,
     and with p at most h / 4.83 off the cut and k = 1.2 that keeps
     |x_e - p| <= 0.704 h.  Such a p leaves |f'/f| h >= 2 / 0.704 - 1.2
     = 1.64 (_END_SLOPE_BOUND), and a row whose end reads |R'/R| h below
-    _END_SLOPE_BOUND / _CUT_MODEL_MARGIN = 0.82 ends the scan with no zoom
-    rows.  The same derivation gives 0.82 at k = 1.75 and 0.46 at k = 2.
+    _END_SLOPE_BOUND / _CUT_MODEL_MARGIN = 0.82 ends the scan with no
+    window.  The same derivation gives 0.82 at k = 1.75 and 0.46 at k = 2.
 
     k = 1.2 is an estimate for R, not a bound: _edge_seeds spaces the
     lattice from log t so that R's phase moves by about 1.2 a step, and
     nothing bounds |R'/R|.  At an end sample with no zero beside it
     |R'/R| h is R's own trend; the readings are 0.07 or less below
     t = 300, at most 0.71 in [10^4, 10^4 + 10] and 0.85 at -49 + 10^6 i
-    (that scan zooms), and the tests keep every cut end of the windows at
-    10^4 and 10^6 under 1.2.  Higher windows are unchecked.  A caller's f
-    has no such estimate, and its end minimum is always zoomed:
-    (z - p)^2 e^(8z) on the cut t = 10 of [0, 2] x [9, 11], with p at
-    0.18 + 10 i (0.72 h from the end), has k = 2 and reads 0.78 there.
-
-    A double zero just off the cut, at distance e, is the other hazard.
-    Between the two lattice samples that straddle it f turns by up to
-    4 atan(h / 2e), and once that exceeds 3 pi / 2 (e below about h/5) the
-    winding walk's nearest-branch rule reads the turn as a small step:
-    both children then wind 1 instead of 0 and 2.  The zoomed ratio there
-    is about (e/h)^2, far above 1e-4, so the scan also compares the lattice
-    row's nearest-branch turn over [x_{k-1}, x_{k+1}] with the turn the
-    zoom rows resolve there (the first zoom row's steps, its own zoomed
-    window's replaced by the second row's).  A difference above pi is a
-    misread turn and is reported as a zero on the cut.  A simple zero turns
-    f by less than pi between two samples, so it never trips this test;
-    lattice steps of PHASE_LIMIT or more are bisected by the walk and are
-    not judged here.  Such a zero raises the lattice row's ratio by at most
-    e^2 / (h1 + d)^2, to under 0.13 on a uniform stretch, below the exit's
-    2/9.
+    (that scan winds its window), and the tests keep every cut end of the
+    windows at 10^4 and 10^6 under 1.2.  Higher windows are unchecked.  A
+    caller's f has no such estimate, and its end minimum always takes the
+    window: (z - p)^2 e^(8z) on the cut t = 10 of [0, 2] x [9, 11], with
+    p at 0.18 + 10 i (0.72 h from the end), has k = 2 and reads 0.78 there.
     """
     edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
                              child.t_hi)
     edge = edges["top" if child.t_hi < box.t_hi else "right"]
     us = sorted(edge.seed_params())
-    local_scale = None
-    turns = []  # per row: its total turn, and its steps over [lo, hi]
-    for _ in range(3):  # the lattice row, then two zoom rows
-        values = values_at(f, [edge.point(u) for u in us])
-        mags = [abs(v) for v in values]
-        k_min = mags.index(min(mags))
-        minimum = mags[k_min]
-        if minimum == 0.0:
-            return True
-        lo, hi = max(0, k_min - 1), min(len(us) - 1, k_min + 1)
-        steps = [math.remainder(cmath.phase(b) - cmath.phase(a), TWO_PI)
-                 for a, b in zip(values, values[1:])]
-        turns.append((sum(steps), steps[lo:hi]))
-        if local_scale is None:
-            neighbours = [mags[k] for k in (k_min - 1, k_min + 1)
-                          if 0 <= k < len(us)]
-            local_scale = max(max(neighbours), 1e-12 * max(mags))
-            if len(neighbours) == 2:
-                h1, h2 = us[k_min] - us[k_min - 1], us[k_min + 1] - us[k_min]
-                bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
-                if minimum > _CUT_MODEL_MARGIN * bound * local_scale:
-                    return False
-            elif f is r_value:  # an end minimum: |R'/R| h, h its interval
-                z = edge.point(us[k_min])
-                slope = r_eval_many([z], derivative=True)[0].log_derivative
-                if (abs(slope) * (us[hi] - us[lo])
-                        < _END_SLOPE_BOUND / _CUT_MODEL_MARGIN):
-                    return False
-        us = [us[lo] + (us[hi] - us[lo]) * k / 32.0 for k in range(33)]
-    if minimum < 1e-4 * local_scale:
+    mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
+    k_min = mags.index(min(mags))
+    minimum = mags[k_min]
+    if minimum == 0.0:
         return True
-    (_, lattice), (zoom1, window1), (zoom2, _) = turns
-    if max(abs(d) for d in lattice) >= PHASE_LIMIT:
-        return False
-    resolved = zoom1 - sum(window1) + zoom2
-    return abs(resolved - sum(lattice)) > math.pi
+    last = len(us) - 1
+    lo, hi = max(0, k_min - 1), min(last, k_min + 1)
+    if 0 < k_min < last:
+        local_scale = max(mags[lo], mags[hi], 1e-12 * max(mags))
+        h1, h2 = us[k_min] - us[lo], us[hi] - us[k_min]
+        bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
+        if minimum > _CUT_MODEL_MARGIN * bound * local_scale:
+            return False
+    elif f is r_value:  # an end minimum: |R'/R| h, h its interval
+        z = edge.point(us[k_min])
+        slope = r_eval_many([z], derivative=True)[0].log_derivative
+        if (abs(slope) * (us[hi] - us[lo])
+                < _END_SLOPE_BOUND / _CUT_MODEL_MARGIN):
+            return False
+    d = 0.5 * max(us[k_min] - us[lo], us[hi] - us[k_min])
+    if edge.vertical:
+        window = (edge.level - d, edge.level + d, us[lo], us[hi])
+    else:
+        window = (us[lo], us[hi], edge.level - d, edge.level + d)
+    try:
+        return integer_winding(_rectangle_winding(f, *window)) >= 2
+    except (ZeroOnPathError, NonIntegerWindingError):
+        return True
 
 
 def _split_conserving(f, box: Box, parent_w: int):

@@ -148,8 +148,8 @@ class TestCutScan:
     def test_double_zero_near_an_end_of_the_cut(self, monkeypatch, sigma,
                                                 off, trend):
         # a caller's f has no bound on its trend, so the first scan reads
-        # no f'/f at its end minimum: it evaluates f only at its lattice
-        # row and two zoom rows, and the zero is one cluster
+        # no f'/f at its end minimum: it evaluates f only at its 9-point
+        # lattice row and in its window's walk, and the zero is one cluster
         import rzero.zeros as zeros_mod
         zero = complex(sigma, 10.0 + off)
         a = (trend if sigma > 1.0 else -trend) / 0.25
@@ -159,9 +159,10 @@ class TestCutScan:
             calls[0] += 1
             return (z - zero) ** 2 * cmath.exp(-a * z)
 
-        scans = []  # per scan: its rows' sizes and its calls of f
+        scans = []  # per scan: its row reads, window walks and calls of f
         real_scan = zeros_mod._zero_on_cut
         real_rows = zeros_mod.values_at
+        real_window = zeros_mod._rectangle_winding
 
         def scan(f, box, child):
             scans.append([])
@@ -171,13 +172,23 @@ class TestCutScan:
             return out
 
         def rows(f, points):
-            scans[-1].append(len(points))
+            scans[-1].append(("row", len(points)))
             return real_rows(f, points)
+
+        def window(f, *sides):
+            before = calls[0]
+            try:
+                return real_window(f, *sides)
+            finally:
+                scans[-1].append(("window", calls[0] - before))
 
         monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
         monkeypatch.setattr(zeros_mod, "values_at", rows)
+        monkeypatch.setattr(zeros_mod, "_rectangle_winding", window)
         self.assert_one_double_cluster(Box(0.0, 2.0, 9.0, 11.0), zero, f=f)
-        assert scans[0] == [9, 33, 33, 75]
+        # the window [x_e, x_e -+ h] x [10 - h/2, 10 + h/2], h = 1/4: its
+        # edges take 8, 9, 8 and 9 lattice points and none is bisected
+        assert scans[0] == [("row", 9), ("window", 34), 43]
 
     # the windows at height that CI pins
     @pytest.mark.parametrize("t_lo, t_hi, left", [
@@ -213,8 +224,8 @@ class TestCutScan:
     def test_end_minimum_computes_one_derivative(self, monkeypatch):
         # the cut t = 27.5 of [-4, 2] x [20, 35] has its smallest |R| at
         # sigma = 2, an end of the row; R'/R there rules a double zero out,
-        # so the scan computes one R value (R' at the end sample; the two
-        # zoom rows it replaces computed 62)
+        # so the scan computes one R value (R' at the end sample) and winds
+        # no window
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 20.0, 35.0)
         r_eval_cache_clear()
@@ -237,10 +248,9 @@ class TestCutScan:
 
     def test_first_row_read_from_the_cache(self, monkeypatch):
         # two zeros, at t ~ 22.4 and ~ 32.2, one in each child of the cut
-        # t = 27.5, so the split scans the cut; its first row is the lattice
-        # row both children sampled, so it computes no R (any zoom rows
-        # would compute at most 66; here R'/R at the row's end minimum
-        # stands in for them)
+        # t = 27.5, so the split scans the cut; its row is the lattice row
+        # both children sampled, so it computes no R (R'/R at the row's end
+        # minimum then ends the scan before any window)
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 20.0, 35.0)
         r_eval_cache_clear()
@@ -291,8 +301,8 @@ class TestCutScan:
         # at min_size 1e-5 a cut runs 6e-7 from the double zero, where its
         # 8-sample lattice is 8.7e-6 apart: the winding walk reads the
         # 2 pi turn between two samples as a small step, so both children
-        # wind 1, and the zoomed modulus ratio (~5e-3) stays above 1e-4;
-        # the scan's phase comparison reports the zero
+        # wind 1; the scan's window, h/2 either side of the cut, holds the
+        # zero and winds 2
         import rzero.zeros as zeros_mod
         zero = complex(1.0, 10.3)
         box = Box(0.0, 2.0, 9.0, 11.0)
@@ -300,6 +310,69 @@ class TestCutScan:
         # the lattice-row exit plays no part here
         monkeypatch.setattr(zeros_mod, "_CUT_MODEL_MARGIN", math.inf)
         assert self.assert_one_double_cluster(box, zero, min_size=1e-5) == res
+
+    def test_window_computes_fewer_r_values_at_height(self, monkeypatch):
+        # in the window at 10^6 one cold scan passes both exits (its end
+        # reads |R'/R| h = 0.85) and winds its window: the scans compute 31
+        # R values, where two 33-point zoom rows computed 63
+        import rzero.zeros as zeros_mod
+        computed, windows = [], []
+        real_scan = zeros_mod._zero_on_cut
+        real_window = zeros_mod._rectangle_winding
+
+        def scan(f, box, child):
+            before = auxiliary._R_CACHE.cache_info().misses
+            out = real_scan(f, box, child)
+            computed.append(auxiliary._R_CACHE.cache_info().misses - before)
+            return out
+
+        def window(f, *sides):
+            windows.append(sides)
+            return real_window(f, *sides)
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
+        monkeypatch.setattr(zeros_mod, "_rectangle_winding", window)
+        r_eval_cache_clear()
+        locate_zeros(Box(-100.0, 2.0, 1e6, 1e6 + 3.0))
+        assert len(windows) == 1
+        assert sum(computed) < 63
+
+    def test_window_walk_meeting_a_zero_moves_the_cut(self, monkeypatch):
+        # the first scan's window is [0.25, 0.75] x [9.875, 10.125]; its top
+        # edge's lattice (k/14) samples the double zero at 0.5 + 10.125 i,
+        # so the walk raises and the scan reports the cut, and the split
+        # moves to offset 0.11 (the cut t = 10.22): the rule is
+        # conservative, and the zero is still one cluster
+        import rzero.zeros as zeros_mod
+        zero = complex(0.5, 10.125)
+        decisions = []
+        real = zeros_mod._zero_on_cut
+
+        def scan(f, box, child):
+            decisions.append((child.t_hi, real(f, box, child)))
+            return decisions[-1][1]
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
+        res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), min_size=1e-2,
+                            f=lambda z: (z - zero) ** 2 * (z - (1.5 + 9.5j)))
+        assert decisions[:2] == [(10.0, True), (10.22, False)]
+        assert len(res.isolated) == 1 and res.isolated[0].contains(1.5 + 9.5j)
+        assert len(res.clusters) == 1
+        cluster, winding = res.clusters[0]
+        assert winding == 2 and cluster.contains(zero)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the interior exit assumes the row's minimum is the sample nearest "
+        "the double zero; a trend of one e-fold a step moves it away"))
+    def test_double_zero_under_a_trend_of_one_a_step(self):
+        # p = 1.1 + 10 i on the cut t = 10 (h = 1/4) times e^{-4z}: the
+        # trend draws the row's minimum to 1.25, not the sample 1.0 nearest
+        # p, and its ratio there, 0.382, clears the exit's 2/9, so the
+        # split keeps two winding-1 children
+        zero = complex(1.1, 10.0)
+        self.assert_one_double_cluster(
+            Box(0.0, 2.0, 9.0, 11.0), zero,
+            f=lambda z: (z - zero) ** 2 * cmath.exp(-4.0 * z))
 
 
 class TestRefineZero:
