@@ -16,10 +16,12 @@ isolation piece of ``zeros`` and the curve contour's horizontal edges) is
 an ``AxisEdge`` that carries its lattice, k/m between its ends.  Edges of a
 line that share m share their samples bit for bit, so a child box reads
 most of its edges from its parent's cache and a cut is computed once.  For
-R an edge is also walked once per R-cache lifetime: _rectangle_winding
-keeps each edge's variation, an edge met again reads it (negated when it
-is walked the other way), and r_eval_cache_clear empties that memo and the
-base counts with the R values they come from.
+R an edge is also walked once per R-cache lifetime, from its lower end to
+its upper: _edge_walk keeps each edge's variation and first moment
+(ArgTrace.moment), an edge met again reads them (negated when it is taken
+the other way), and r_eval_cache_clear empties that memo and the base
+counts with the R values they come from.  The moments of a rectangle's
+edges locate the zero of a winding-1 piece (zeros._winding_mean).
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -169,12 +171,20 @@ def unit_params(seeds: int) -> list[float]:
 class ArgTrace:
     """Realised argument of f along a path: sampled nodes, unwrapped phases
     (successive differences below pi/2 by construction), the total variation
-    phases[-1] - phases[0], and the largest single phase step."""
+    phases[-1] - phases[0], the largest single phase step, and the path's
+    first moment, the integral of z d log f, summed over the nodes as
+
+        sum_i (1/2) (z_i + z_{i+1}) (log|f|_{i+1} - log|f|_i + i dphi_i),
+
+    dphi_i the nearest-branch phase step.  Around a closed contour the
+    moments of its paths sum to 2 pi i times the sum of the zeros inside
+    (less that of the poles), up to the quadrature error of the nodes."""
 
     nodes: tuple[complex, ...]
     phases: tuple[float, ...]
     total_variation: float
     max_step_phase: float
+    moment: complex
 
 
 def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
@@ -207,9 +217,10 @@ def arg_variation(f, path, params) -> ArgTrace:
     midpoint against its ends; no modulus is compared, so the test holds
     where |f| saturates) or when MAX_REFINE_DEPTH bisection levels cannot
     satisfy the phase contract.  Each point is formed once.  The walk is
-    the same whichever way it goes, up to rounding, so _rectangle_winding
-    walks a contour edge of R once per R-cache lifetime and reads the
-    negated variation for the edge walked the other way.
+    the same whichever way it goes, up to rounding, so _edge_walk walks a
+    contour edge of R once per R-cache lifetime, always in one direction,
+    and reads the negated variation and moment for the edge taken the
+    other way.
     """
     point_fn = path.point
     if len(params) < 2:
@@ -231,9 +242,12 @@ def arg_variation(f, path, params) -> ArgTrace:
             _check_dip(point_fn, u, logs[k], ua, logs[a], ub, logs[b])
     nodes = [points[0]]
     deltas = []  # deltas[i]: nearest-branch phase step over nodes[i: i + 2]
+    moment = 0.0j  # twice the path's first moment, summed node by node
     for i in range(last):
         delta = math.remainder(logs[i + 1].imag - logs[i].imag, TWO_PI)
         if abs(delta) < PHASE_LIMIT:
+            moment += (nodes[-1] + points[i + 1]) * complex(
+                logs[i + 1].real - logs[i].real, delta)
             nodes.append(points[i + 1])
             deltas.append(delta)
             continue
@@ -245,6 +259,7 @@ def arg_variation(f, path, params) -> ArgTrace:
             p1, l1, p2, z2, l2, depth = todo.pop()
             delta = math.remainder(l2.imag - l1.imag, TWO_PI)
             if abs(delta) < PHASE_LIMIT:
+                moment += (nodes[-1] + z2) * complex(l2.real - l1.real, delta)
                 nodes.append(z2)
                 deltas.append(delta)
                 continue
@@ -267,6 +282,7 @@ def arg_variation(f, path, params) -> ArgTrace:
         phases=tuple(phases),
         total_variation=phases[-1] - phases[0],
         max_step_phase=max(map(abs, deltas), default=0.0),
+        moment=0.5 * moment,
     )
 
 
@@ -441,38 +457,49 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
     }
 
 
-# total_variation of R along each AxisEdge walked since the R cache was last
-# cleared, keyed by (vertical, level, lower end, upper end, seeds) and taken
-# from the lower end to the upper
+# (total_variation, moment) of R along each AxisEdge walked since the R
+# cache was last cleared, keyed by (vertical, level, lower end, upper end,
+# seeds) and walked from the lower end to the upper
 _EDGE_VARIATIONS: dict = cleared_with_r_values({})
+
+
+def _edge_walk(f, edge: AxisEdge) -> tuple[float, complex]:
+    """(total_variation, moment) of f along an edge, from its start to its
+    end, walked by arg_variation on the lattice of its line.
+
+    For f = r_value the pair is kept in _EDGE_VARIATIONS until
+    r_eval_cache_clear, so an edge is walked once per R-cache lifetime.  It
+    is always walked in its key's orientation, from its lower end to its
+    upper end, so a read and a fresh walk give the same bits whichever
+    rectangle met the edge first; an edge taken the other way reads both
+    values negated.  A walk that raises keeps nothing.  A caller's f is
+    walked every time, in the edge's own direction."""
+    if f is not r_value:
+        trace = arg_variation(f, edge, edge.seed_params())
+        return trace.total_variation, trace.moment
+    lo, hi = sorted((edge.start, edge.end))
+    key = (edge.vertical, edge.level, lo, hi, edge.seeds)
+    walk = _EDGE_VARIATIONS.get(key)
+    if walk is None:
+        up = edge if edge.start == lo else AxisEdge(
+            edge.level, lo, hi, edge.vertical, edge.seeds)
+        trace = arg_variation(f, up, up.seed_params())
+        walk = _EDGE_VARIATIONS[key] = trace.total_variation, trace.moment
+    if edge.start == lo:
+        return walk
+    return -walk[0], -walk[1]
 
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> float:
     """Raw winding value around a rectangle: the variations of f along the
-    edges of _rectangle_edges, sampled on the lattice of their lines,
-    summed counterclockwise, over 2 pi.
-
-    For f = r_value each edge's variation is kept until r_eval_cache_clear,
-    so an edge is walked once per R-cache lifetime: a split's children read
-    their parent's two edges parallel to the cut, and the cut walked the
-    other way reads the negated value.  A walk that raises keeps nothing.
-    A caller's f is walked every time."""
-    total = 0.0
-    for edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi).values():
-        if f is not r_value:
-            total += arg_variation(f, edge, edge.seed_params()).total_variation
-            continue
-        sign = 1.0 if edge.start < edge.end else -1.0
-        key = (edge.vertical, edge.level, *sorted((edge.start, edge.end)),
-               edge.seeds)
-        variation = _EDGE_VARIATIONS.get(key)
-        if variation is None:
-            variation = sign * arg_variation(
-                f, edge, edge.seed_params()).total_variation
-            _EDGE_VARIATIONS[key] = variation
-        total += sign * variation
-    return total / TWO_PI
+    edges of _rectangle_edges (_edge_walk), summed counterclockwise, over
+    2 pi.  For f = r_value the edge walks are memoised, so a split's
+    children read their parent's two edges parallel to the cut, and the
+    second child reads the cut the first one walked."""
+    return sum(_edge_walk(f, edge)[0] for edge in
+               _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi).values()
+               ) / TWO_PI
 
 
 def _t_steps(rungs: int):

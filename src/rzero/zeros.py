@@ -3,7 +3,11 @@
 Winding-driven quad-tree subdivision splits a rectangle until every piece
 encloses exactly one zero; Newton iteration (with bisection-style fallback)
 refines each piece to a point, and every returned zero carries an
-independent winding-1 certificate on a small circle around it.  Windings
+independent winding-1 certificate on a small circle around it.  For R a
+run starts at its piece's argument-principle mean, (1/2 pi i) times the
+integral of z d log R around it, which is the zero up to the quadrature
+error of the edges; the edge walks of isolation already hold those
+integrals (ArgTrace.moment), so the start costs no R value.  Windings
 come from the engine in ``counting``: pieces are counted by
 ``rectangle_count``, a cut scan's window by ``_rectangle_winding`` and
 circles by ``arg_variation``, all through the same integrality guard.  By
@@ -33,6 +37,7 @@ from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
     PERTURB_STEP,
+    _edge_walk,
     _rectangle_edges,
     _rectangle_winding,
     arg_variation,
@@ -335,34 +340,57 @@ def _circle_winding(f, center: complex, radius: float) -> int:
     return integer_winding(trace.total_variation / TWO_PI)
 
 
+def _winding_mean(box: Box) -> complex | None:
+    """(1/2 pi i) times the integral of z d log R around ``box``: the sum of
+    the first moments of its four edges (ArgTrace.moment), read from the
+    memo of counting._edge_walk, which the windings of isolation filled.
+    An edge missing from it is walked here.  For a winding-1 box this is
+    its zero, up to the quadrature error of the edges' nodes (Delves and
+    Lyness, Math. Comp. 21, 1967).  None when a walk meets a zero."""
+    edges = _rectangle_edges(box.sigma_lo, box.sigma_hi, box.t_lo, box.t_hi)
+    try:
+        moment = sum(_edge_walk(r_value, edge)[1] for edge in edges.values())
+    except ZeroOnPathError:
+        return None
+    return moment / complex(0.0, TWO_PI)
+
+
 # The refined point must land in the seed box (slightly extended: the
 # winding windows may have been perturbed by a few PERTURB_STEPs).
 _ACCEPT_MARGIN = 6.0 * PERTURB_STEP
 _MAX_STARTS = 48
 
+# The certificate circle starts no smaller than this many times the
+# distance over which R's noise can move a zero, error_estimate / |R'|
+# (see refine_zeros).
+_CERT_NOISE_FACTOR = 10.0
+
 
 class _Newton:
-    """One seed's Newton run from the centre of ``box``, a winding-1 piece
-    of ``seed``: the current iterate, the last step and the iterations
-    taken, and the runs started so far."""
+    """One seed's Newton run from ``z`` in ``box``, a winding-1 piece of
+    ``seed``: the current iterate, the last step and the iterations taken,
+    and the runs started so far."""
 
-    def __init__(self, seed: Box):
+    def __init__(self, seed: Box, z: complex):
         self.seed = seed
         self.starts = 0
-        self.restart(seed)
+        self.restart(seed, z)
 
-    def restart(self, box: Box) -> None:
+    def restart(self, box: Box, z: complex) -> None:
         self.box = box
         self.guard = box.dilated(2.0)
-        self.z = box.center
+        self.z = z
         self.step = math.inf
         self.iters = 0
         self.starts += 1
 
-    def advance(self, fz: complex, dz: complex) -> bool | None:
-        """Take one Newton step from f and f' at the iterate: None while
-        the run goes on, then True when it ends at an accepted point and
-        False when it fails."""
+    def advance(self, fz: complex, dz: complex, noise: float = 0.0
+                ) -> bool | None:
+        """Take one Newton step from f and f' at the iterate, f known to
+        within ``noise``: None while the run goes on, then True when it
+        ends at an accepted point and False when it fails.  A step under
+        NEWTON_STEP_TOL, or under noise / |f'|, the distance over which the
+        noise can move a zero, ends the run."""
         if dz == 0.0:
             return False
         nz = self.z - fz / dz
@@ -371,7 +399,7 @@ class _Newton:
         self.iters += 1
         if not self.guard.contains(nz):
             return False
-        if self.step >= NEWTON_STEP_TOL:
+        if self.step >= max(NEWTON_STEP_TOL, noise / abs(dz)):
             if self.iters < NEWTON_MAX_ITER:
                 return None
             if self.step >= 1e-6:
@@ -384,39 +412,55 @@ def refine_zeros(seeds: list[Box],
                  df: Callable[[complex], complex] | None = None) -> list[Zero]:
     """Refine winding-1 seed rectangles to certified Zeros, in input order.
 
-    Per seed, Newton iterates from the seed centre until the step is below
-    1e-10 (or 50 iterations); an iterate escaping twice the seed triggers a
-    bisection-style re-subdivision of the seed and a restart from the centre
-    of its winding-1 child.  The final point is re-certified by a winding-1
-    circle of radius 10 * (final step + 1e-12), doubled, tripled and
-    quadrupled while that circle fails.  The seeds run in lockstep, one
-    Newton step each per round: with the default f and df every round takes
-    R and R' at all live iterates from one r_eval_many(..., derivative=True)
-    call, and the residuals of all final points are one more call; a
-    caller's f or df is called point by point.  Each seed's iterates, and
-    so its Zero, are those of refining it alone.  A failure raises for the
-    first failing seed in input order.
+    Per seed, Newton iterates until the step is below 1e-10 (or 50
+    iterations); an iterate escaping twice the seed triggers a
+    bisection-style re-subdivision of the seed and a restart in its
+    winding-1 child.  For f = R a run starts at its box's argument-principle
+    mean (_winding_mean), from the edge moments that isolation's windings
+    left in counting's memo, when that lies inside the box, and otherwise at
+    the centre; a caller's f starts at the centre.  The final point is
+    re-certified by a winding-1 circle of radius 10 * (final step + 1e-12),
+    doubled, tripled and quadrupled while that circle fails.  The seeds run
+    in lockstep, one Newton step each per round: with the default f and df
+    every round takes R and R' at all live iterates from one
+    r_eval_many(..., derivative=True) call, and the residuals of all final
+    points are one more such call; a caller's f or df is called point by
+    point.  Each seed's iterates, and so its Zero, are those of refining it
+    alone.  A failure raises for the first failing seed in input order.
+
+    For R, whose values carry an error_estimate e, a step under e / |R'|
+    also ends a run: a zero is located no better than that.  The circle
+    then starts at no less than _CERT_NOISE_FACTOR = 10 times e / |R'| at
+    the final point, from its residual call.  On that circle
+    |R| ~ |R'| r is at least 10 e, so the noise moves each sample's phase
+    by under asin(0.1) ~ 0.1 rad, far inside the walk's pi/2 contract and
+    the integrality guard's 0.1 turn.
     """
     batched = f is None and df is None
     if f is None:
         f = r_value
-    runs = [_Newton(seed) for seed in seeds]
+
+    def start(box: Box) -> complex:
+        mean = _winding_mean(box) if f is r_value else None
+        return mean if mean is not None and box.contains(mean) else box.center
+
+    runs = [_Newton(seed, start(seed)) for seed in seeds]
     ends: dict[int, tuple[complex, float]] = {}
     errors: dict[int, Exception] = {}
     live = list(range(len(runs)))
     while live:
         zs = [runs[i].z for i in live]
         if batched:
-            rows = [(res.value, res.derivative)
+            rows = [(res.value, res.derivative, res.error_estimate)
                     for res in r_eval_many(zs, derivative=True)]
         else:
             rows = [(f(z), df(z) if df is not None else
-                     _numeric_derivative(f, z, runs[i].box.max_side))
+                     _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
                     for i, z in zip(live, zs)]
         still = []
-        for i, (fz, dz) in zip(live, rows):
+        for i, row in zip(live, rows):
             run = runs[i]
-            verdict = run.advance(fz, dz)
+            verdict = run.advance(*row)
             if verdict is None:
                 still.append(i)
             elif verdict:
@@ -433,16 +477,23 @@ def refine_zeros(seeds: list[Box],
                         f"Newton failed to converge inside {run.seed}")
                     continue
                 (b1, w1), (b2, w2) = split
-                run.restart(b1 if w1 == 1 else b2)
+                child = b1 if w1 == 1 else b2
+                run.restart(child, start(child))
                 still.append(i)
         live = still
 
     done = sorted(ends)
-    values = values_at(f, [ends[i][0] for i in done])
+    points = [ends[i][0] for i in done]
+    if batched:
+        residuals = [(res.value, _CERT_NOISE_FACTOR * res.error_estimate
+                      / abs(res.derivative) if res.derivative else 0.0)
+                     for res in r_eval_many(points, derivative=True)]
+    else:
+        residuals = [(value, 0.0) for value in values_at(f, points)]
     zeros: dict[int, Zero] = {}
-    for i, value in zip(done, values):
+    for i, (value, least) in zip(done, residuals):
         z, step = ends[i]
-        radius = 10.0 * (step + 1e-12)
+        radius = max(10.0 * (step + 1e-12), least)
         for bump in range(4):
             try:
                 cert = _circle_winding(f, z, radius * (1.0 + bump))

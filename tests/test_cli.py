@@ -176,6 +176,23 @@ class TestZerosCommand:
         assert doc["rows"][0]["winding_certificate"] == 1
 
 
+    def test_window_at_1e7_certified(self, capsys):
+        # R's error_estimate at these zeros is about 1e-6 with |R'| ~ 7, so
+        # no circle of radius 10 (step + 1e-12) could certify them; the
+        # circle starts at 10 error_estimate / |R'| instead.  The window
+        # holds N(10^7 + 2) - N(10^7) = 2 zeros
+        code, out, _ = run(capsys, "--command", "zeros",
+                           "--t-min", "10000000", "--t-max", "10000002",
+                           "--box-left", "-300")
+        assert code == EXIT_OK
+        rows = parse_rows(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert int(row["winding_certificate"]) == 1
+            assert 1e-7 < float(row["enclosure_radius"]) < 1e-4
+        assert "# unresolved_clusters = 0" in out.splitlines()
+
+
 class TestTable:
     def test_sqrt_columns(self, capsys):
         code, out, _ = run(capsys, "--command", "table", "--t-min", "30",

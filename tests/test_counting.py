@@ -133,6 +133,24 @@ class TestArgVariation:
                           unit_params(5))
         assert info.value.where == 0.25
 
+    def test_moment_locates_a_zero(self):
+        # around a square holding one simple zero p of f the moments sum to
+        # 2 pi i p, to O(h^2) in the seed spacing h; the factor e^{0.3 z}
+        # adds a telescoping sum, so it changes nothing but rounding
+        p = 0.7 + 1.3j
+        corners = [0.0, 2.0, 2.0 + 2.0j, 2.0j, 0.0]
+
+        def located(seeds):
+            moment = sum(
+                arg_variation(lambda z: (z - p) * cmath.exp(0.3 * z),
+                              PathSegment(a, b), unit_params(seeds)).moment
+                for a, b in zip(corners, corners[1:]))
+            return abs(moment / (2j * math.pi) - p)
+
+        coarse, fine = located(17), located(33)
+        assert coarse < 5e-4
+        assert 3.5 < coarse / fine < 4.5
+
     def test_right_edge_variation_below_pi(self):
         # |R - 1| < 3/4 on sigma = 2 pins the argument inside a half turn
         seg = PathSegment(complex(2.0, 10.0), complex(2.0, 100.0))
@@ -275,6 +293,35 @@ class TestEdgeMemo:
             for _ in range(2):
                 assert _rectangle_winding(r_value, *rect) == pytest.approx(
                     direct, abs=1e-12)
+
+    # the cut t = 45 of PARENT, shared by both children
+    CUT = AxisEdge(45.0, -6.0, 2.0, False, _edge_seeds(45.0, 8.0, False))
+
+    @pytest.mark.parametrize("first", ["lower", "upper", "fresh"])
+    def test_entry_has_the_same_bits_either_way(self, first):
+        # the lower child walks the cut right to left as its top, the upper
+        # child left to right as its bottom; the memo holds the walk from
+        # the lower end to the upper whichever came first, and that of a
+        # fresh walk after a clear
+        auxiliary.r_eval_cache_clear()
+        if first == "fresh":
+            counting_mod._edge_walk(r_value, self.CUT)
+        else:
+            rectangle_count(r_value, *self.CHILDREN[first == "upper"])
+        key = (False, 45.0, -6.0, 2.0, self.CUT.seeds)
+        entry = counting_mod._EDGE_VARIATIONS[key]
+        trace = arg_variation(r_value, self.CUT, self.CUT.seed_params())
+        assert entry == (trace.total_variation, trace.moment)
+
+    def test_reversed_edge_reads_both_values_negated(self):
+        auxiliary.r_eval_cache_clear()
+        back = AxisEdge(45.0, 2.0, -6.0, False, self.CUT.seeds)
+        variation, moment = counting_mod._edge_walk(r_value, self.CUT)
+        assert counting_mod._edge_walk(r_value, back) == (-variation, -moment)
+        # a walk of the reversed edge itself agrees up to rounding
+        trace = arg_variation(r_value, back, back.seed_params())
+        assert trace.total_variation == pytest.approx(-variation, abs=1e-12)
+        assert trace.moment == pytest.approx(-moment, abs=1e-10)
 
     def test_caller_function_is_walked_every_time(self):
         calls = [0]

@@ -18,6 +18,7 @@ from rzero.zeros import (
     Zero,
     _circle_winding,
     _split_conserving,
+    _winding_mean,
     isolate_zeros,
     locate_zeros,
     refine_zero,
@@ -192,13 +193,15 @@ class TestCutScan:
 
     # the windows at height that CI pins
     @pytest.mark.parametrize("t_lo, t_hi, left", [
-        (10000.0, 10010.0, -30.0), (1000000.0, 1000003.0, -100.0)])
+        (10000.0, 10010.0, -30.0), (1000000.0, 1000003.0, -100.0),
+        (10000000.0, 10000002.0, -300.0)])
     def test_trend_at_cut_ends_under_estimate(self, monkeypatch, t_lo, t_hi,
                                               left):
         # the end exit's bound assumes |g'/g| h <= 1.2 for R; at an end
         # sample with no zero beside it |R'/R| h is that trend, so every
         # end of every cut row the split scans reads under 1.2 (largest
-        # 0.71 at -6 + 10010 i and 0.85 at -49 + 10^6 i)
+        # 0.71 at -6 + 10010 i, 0.85 at -49 + 10^6 i and 0.39 in the one
+        # scan at 10^7)
         import rzero.zeros as zeros_mod
         readings = []  # per end sample: |R'/R| h, and whether it is min
         real = zeros_mod._zero_on_cut
@@ -500,7 +503,9 @@ class TestRefineZeros:
 
     def test_step_halve_calls(self, monkeypatch):
         # each Newton round of the six seeds, and their residuals, step-halve
-        # as one block (24 calls); one seed at a time took 68
+        # as one block: from the pieces' argument-principle means 3 rounds
+        # and the residuals, then the 6 certificate circles (10 calls); from
+        # the centres it took 24, and one seed at a time 68
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
         calls = []
         real = auxiliary._step_halve
@@ -508,7 +513,32 @@ class TestRefineZeros:
                             lambda points, derivative=False:
                             calls.append(len(points)) or real(points, derivative))
         refine_zeros(iso.isolated)
-        assert len(calls) <= 30
+        assert len(calls) <= 12
+
+    def test_runs_start_at_the_winding_mean(self, monkeypatch):
+        # the mean of each winding-1 piece lies inside it and near its zero,
+        # and that is where its Newton run starts
+        import rzero.zeros as zeros_mod
+        iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
+        means = [_winding_mean(seed) for seed in iso.isolated]
+        starts = []
+        real = zeros_mod._Newton.restart
+
+        def restart(run, box, z):
+            starts.append(z)
+            real(run, box, z)
+
+        monkeypatch.setattr(zeros_mod._Newton, "restart", restart)
+        zeros = refine_zeros(iso.isolated)
+        assert starts == means
+        for seed, mean, zero in zip(iso.isolated, means, zeros):
+            assert seed.contains(mean)
+            assert abs(mean - complex(zero.beta, zero.gamma)) < 1e-2
+
+    def test_no_winding_mean_across_a_zero(self):
+        # the right edge of this box runs through the lowest zero, so its
+        # walk raises and the run would start at the centre
+        assert _winding_mean(Box(-4.0, LOWEST_ZERO.real, 20.0, 25.0)) is None
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_caller_functions_per_seed(self, monkeypatch, numeric):
