@@ -233,7 +233,10 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     The largest residue n^{-s} has modulus e^{-sigma log q}, beyond the
     double range once sigma log q < -709; such a point's residues are formed
     in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
-    only when some point needs it, so every other row keeps its bits.
+    only when some point needs it, so every other row keeps its bits.  The
+    kept residues of a point far left can still sum past the double range
+    (those of R' at sigma = -70, t = 10^11, q ~ 126 000): such a row alone
+    is summed again in units q log q times larger.
 
     Left of sigma = 0 the residues grow with n, each by about e^{-sigma/n}
     over the one before, so far left only the last few reach a double: from
@@ -275,8 +278,18 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     if any(mr):
         exponents -= np.array(mr, dtype=complex)[:, None]
     res = _channels(np.exp(exponents), log_n, derivative)
+    shift = [0.0] * len(res)  # a row's residues are in units e^(mr + shift)
     if cuts:
-        res_sums, abs_res = _kept_sums(res, cuts, lo, c)
+        with np.errstate(over="ignore"):
+            res_sums, abs_res = _kept_sums(res, cuts, lo, c)
+        over = [i for i, a in enumerate(abs_res) if a == math.inf]
+        if over:
+            # each residue is below e^700 log q, so in units q log q times
+            # larger no sum of at most q of them overflows
+            res[over] /= q * log_q
+            for i in over:
+                shift[i] = math.log(q * log_q)
+            res_sums, abs_res = _kept_sums(res, cuts, lo, c)
         largest = res[:, -1].tolist()
     else:
         res_sums = _sum_rows(res, axis=1).tolist()
@@ -295,7 +308,7 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
             _sum_rows(w[:, :nb:2], axis=1).tolist(),
             _sum_rows(abs_w[:, :nb], axis=1).tolist(), w[:, 0].tolist(),
             w[:, nb - 1].tolist(), res_sums)):
-        mi = m[i // c] - mr[i // c]  # the residues' scale
+        mi = m[i // c] - mr[i // c] - shift[i]  # the residues' scale
         res_phase = 0.0
         if q > 1:
             res_phase = math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)

@@ -6,9 +6,8 @@ CSV field names; reals carry 17 significant digits so files round-trip
 exactly.  Exit codes: 0 success, 1 failed validation suites, 2 argument
 errors and any other rzero error, 3 persistent zero-on-contour, 4 winding
 integrality failure, 5 unresolved clusters in strict mode.  Errors are
-mapped to exit codes in one place, ``main``.  ``--tol`` belongs to validate
-alone; count, table and zeros perturb contours by the fixed
-``counting.PERTURB_STEP``.
+mapped to exit codes in one place, ``main``.  Count, table and zeros
+perturb contours by the fixed ``counting.PERTURB_STEP``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class RunConfig:
     grid_n: int = 1
     grid_step: float = 0.5
     min_size: float = 1e-3
-    tol: float | None = None
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 12345
@@ -89,9 +87,6 @@ class RunConfig:
                              "defaults)")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format}")
-        if self.tol is not None and self.command != "validate":
-            raise ValueError(f"--tol applies to validate only, not to "
-                             f"{self.command}")
 
 
 def _format_value(v) -> str:
@@ -264,8 +259,6 @@ def cmd_validate(config: RunConfig) -> int:
     lines = []
     for name, suite, samples, bound in validation.SUITES:
         worst = suite(rng, config.samples or samples)[0]
-        if config.tol is not None:
-            bound = config.tol
         passed = worst <= bound if bound == 0.0 else worst < bound
         if not passed:
             failures.append(name)
@@ -311,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-step", type=float)
     p.add_argument("--box-left", type=float)
     p.add_argument("--min-size", type=float)
-    p.add_argument("--tol", type=float,
-                   help="suite tolerance override of validate (refused "
-                        "by every other command)")
     p.add_argument("--format", choices=("csv", "json"), dest="output_format")
     p.add_argument("--out", type=str, dest="output_path")
     p.add_argument("--seed", type=int)

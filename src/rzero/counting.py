@@ -13,15 +13,16 @@ is the one integrality guard, also used by the circle certificates of
 ``zeros``.
 Every contour edge (strips, the base box, ``adequate_box_left``, every
 isolation piece of ``zeros`` and the curve contour's horizontal edges) is
-an ``AxisEdge`` that carries its lattice, k/m between its ends.  Edges of a
-line that share m share their samples bit for bit, so a child box reads
-most of its edges from its parent's cache and a cut is computed once.  For
-R an edge is also walked once per R-cache lifetime, from its lower end to
-its upper: _edge_walk keeps each edge's variation and first moment
-(ArgTrace.moment), an edge met again reads them (negated when it is taken
-the other way), and r_eval_cache_clear empties that memo and the base
-counts with the R values they come from.  The moments of a rectangle's
-edges locate the zero of a winding-1 piece (zeros._winding_mean).
+an ``AxisEdge`` that carries its lattice, k/m between its ends, and runs
+upward; a rectangle counts its top and left edges negatively
+(_EDGE_SIGNS).  Edges of a line that share m share their samples bit for
+bit, so a child box reads most of its edges from its parent's cache and a
+cut is computed once.  For R an edge is also walked once per R-cache
+lifetime: _edge_walk keeps each edge's variation and first moment
+(ArgTrace.moment), an edge met again reads them, and r_eval_cache_clear
+empties that memo and the base counts with the R values they come from.
+The moments around a rectangle (_rectangle_sums) locate the zero of a
+winding-1 piece (zeros._winding_mean).
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -48,7 +49,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .auxiliary import (
     cleared_with_r_values,
@@ -113,14 +113,16 @@ class PathSegment:
 @dataclass(frozen=True)
 class AxisEdge:
     """Edge of a rectangle on the line t = ``level`` (horizontal) or
-    sigma = ``level`` (vertical), from ``start`` to ``end`` of the moving
+    sigma = ``level`` (vertical), from ``start`` up to ``end`` of the moving
     coordinate x, its parameter: a point is complex(x, level) or
-    complex(level, x).  It carries the lattice of its line that ``seeds``
+    complex(level, x).  DomainError unless start < end; a contour that
+    takes an edge the other way counts its variation negatively
+    (_EDGE_SIGNS).  It carries the lattice of its line that ``seeds``
     fixes, m = ceil((seeds - 1) / length), a spacing never coarser than
-    length / (seeds - 1): lattice point i = 0 .. len(ks) + 1 in walking
-    order, param(i), is start, then k/m for k in ``ks``, then end.  k/m is
-    correctly rounded, so every edge of the line with the same m, walked
-    either way, samples the same bits, as does a midpoint 0.5 (x1 + x2)."""
+    length / (seeds - 1): lattice point i = 0 .. len(ks) + 1, param(i), is
+    start, then k/m for k in ``ks``, then end.  k/m is correctly rounded,
+    so every edge of the line with the same m samples the same bits, as
+    does a midpoint 0.5 (x1 + x2)."""
 
     level: float
     start: float
@@ -131,9 +133,10 @@ class AxisEdge:
     ks: range = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.start == self.end:
-            raise DomainError("degenerate axis-parallel edge")
-        lo, hi = sorted((self.start, self.end))
+        lo, hi = self.start, self.end
+        if not lo < hi:
+            raise DomainError(f"axis-parallel edge from {lo} to {hi} does "
+                              f"not run upward")
         m = math.ceil((self.seeds - 1) / (hi - lo))
         # lo * m and hi * m are rounded: step in to the k with lo < k/m < hi
         first, last = math.floor(lo * m), math.ceil(hi * m)
@@ -141,9 +144,8 @@ class AxisEdge:
             first += 1
         while not last / m < hi:
             last -= 1
-        ks = range(first, last + 1)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ks", ks if self.start == lo else ks[::-1])
+        object.__setattr__(self, "ks", range(first, last + 1))
 
     def point(self, x: float) -> complex:
         if self.vertical:
@@ -151,13 +153,13 @@ class AxisEdge:
         return complex(x, self.level)
 
     def param(self, i: int) -> float:
-        """Lattice point i in walking order, 0 <= i <= len(ks) + 1."""
+        """Lattice point i, 0 <= i <= len(ks) + 1."""
         if 0 < i <= len(self.ks):
             return self.ks[i - 1] / self.m
         return self.end if i else self.start
 
     def seed_params(self) -> list[float]:
-        """Every lattice point, in walking order."""
+        """Every lattice point, from start to end."""
         m = self.m
         return [self.start, *[k / m for k in self.ks], self.end]
 
@@ -169,10 +171,10 @@ def unit_params(seeds: int) -> list[float]:
 
 @dataclass(frozen=True)
 class ArgTrace:
-    """Realised argument of f along a path: sampled nodes, unwrapped phases
-    (successive differences below pi/2 by construction), the total variation
-    phases[-1] - phases[0], the largest single phase step, and the path's
-    first moment, the integral of z d log f, summed over the nodes as
+    """Realised argument of f along a path: the sampled nodes, between which
+    each nearest-branch phase step is below pi/2 by construction, the total
+    variation, the sum of those steps, and the path's first moment, the
+    integral of z d log f, summed over the nodes as
 
         sum_i (1/2) (z_i + z_{i+1}) (log|f|_{i+1} - log|f|_i + i dphi_i),
 
@@ -181,9 +183,7 @@ class ArgTrace:
     (less that of the poles), up to the quadrature error of the nodes."""
 
     nodes: tuple[complex, ...]
-    phases: tuple[float, ...]
     total_variation: float
-    max_step_phase: float
     moment: complex
 
 
@@ -216,11 +216,7 @@ def arg_variation(f, path, params) -> ArgTrace:
     dips (_check_dip: a seed against its two nearest nodes, a bisection
     midpoint against its ends; no modulus is compared, so the test holds
     where |f| saturates) or when MAX_REFINE_DEPTH bisection levels cannot
-    satisfy the phase contract.  Each point is formed once.  The walk is
-    the same whichever way it goes, up to rounding, so _edge_walk walks a
-    contour edge of R once per R-cache lifetime, always in one direction,
-    and reads the negated variation and moment for the edge taken the
-    other way.
+    satisfy the phase contract.  Each point is formed once.
     """
     point_fn = path.point
     if len(params) < 2:
@@ -241,7 +237,8 @@ def arg_variation(f, path, params) -> ArgTrace:
         if moduli[k] < line + _LOG_DETECT_TOL:
             _check_dip(point_fn, u, logs[k], ua, logs[a], ub, logs[b])
     nodes = [points[0]]
-    deltas = []  # deltas[i]: nearest-branch phase step over nodes[i: i + 2]
+    # the unwrapped phase, summed step by step from the first principal one
+    first = phase = math.remainder(logs[0].imag, TWO_PI)
     moment = 0.0j  # twice the path's first moment, summed node by node
     for i in range(last):
         delta = math.remainder(logs[i + 1].imag - logs[i].imag, TWO_PI)
@@ -249,7 +246,7 @@ def arg_variation(f, path, params) -> ArgTrace:
             moment += (nodes[-1] + points[i + 1]) * complex(
                 logs[i + 1].real - logs[i].real, delta)
             nodes.append(points[i + 1])
-            deltas.append(delta)
+            phase += delta
             continue
         # bisect depth first, left half first, from a list rather than a
         # recursive closure, which would hold the walk in a reference cycle
@@ -261,7 +258,7 @@ def arg_variation(f, path, params) -> ArgTrace:
             if abs(delta) < PHASE_LIMIT:
                 moment += (nodes[-1] + z2) * complex(l2.real - l1.real, delta)
                 nodes.append(z2)
-                deltas.append(delta)
+                phase += delta
                 continue
             pm = 0.5 * (p1 + p2)
             if depth >= MAX_REFINE_DEPTH:
@@ -275,15 +272,8 @@ def arg_variation(f, path, params) -> ArgTrace:
             _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
             todo.append((pm, lm, p2, z2, l2, depth + 1))
             todo.append((p1, l1, pm, zm, lm, depth + 1))
-    phases = list(accumulate(deltas,
-                             initial=math.remainder(logs[0].imag, TWO_PI)))
-    return ArgTrace(
-        nodes=tuple(nodes),
-        phases=tuple(phases),
-        total_variation=phases[-1] - phases[0],
-        max_step_phase=max(map(abs, deltas), default=0.0),
-        moment=0.5 * moment,
-    )
+    return ArgTrace(nodes=tuple(nodes), total_variation=phase - first,
+                    moment=0.5 * moment)
 
 
 def integer_winding(raw: float, where: str = "") -> int:
@@ -440,8 +430,8 @@ def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
 
 def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
                      t_hi: float) -> dict[str, AxisEdge]:
-    """The AxisEdges of a rectangle, counterclockwise from the bottom and
-    keyed "bottom", "right", "top", "left", each with its seeds from
+    """The AxisEdges of a rectangle, keyed "bottom", "right", "top", "left"
+    in counterclockwise order, each running upward with its seeds from
     _edge_seeds.  Two rectangles that share a side sample it on the same
     lattice: the seeds of a horizontal edge depend on its line and width,
     those of a vertical edge on the rectangle's top and height."""
@@ -451,55 +441,58 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
         "bottom": AxisEdge(t_lo, sigma_lo, sigma_hi, False,
                            _edge_seeds(t_lo, width, False)),
         "right": AxisEdge(sigma_hi, t_lo, t_hi, True, side),
-        "top": AxisEdge(t_hi, sigma_hi, sigma_lo, False,
+        "top": AxisEdge(t_hi, sigma_lo, sigma_hi, False,
                         _edge_seeds(t_hi, width, False)),
-        "left": AxisEdge(sigma_lo, t_hi, t_lo, True, side),
+        "left": AxisEdge(sigma_lo, t_lo, t_hi, True, side),
     }
 
 
+# The sign of each edge of _rectangle_edges in the counterclockwise sum:
+# the top and left edges run against the contour.
+_EDGE_SIGNS = {"bottom": 1, "right": 1, "top": -1, "left": -1}
+
 # (total_variation, moment) of R along each AxisEdge walked since the R
-# cache was last cleared, keyed by (vertical, level, lower end, upper end,
-# seeds) and walked from the lower end to the upper
+# cache was last cleared, keyed by (vertical, level, start, end, seeds)
 _EDGE_VARIATIONS: dict = cleared_with_r_values({})
 
 
 def _edge_walk(f, edge: AxisEdge) -> tuple[float, complex]:
     """(total_variation, moment) of f along an edge, from its start to its
-    end, walked by arg_variation on the lattice of its line.
+    end, walked by arg_variation on the lattice of its line.  For
+    f = r_value the pair is kept in _EDGE_VARIATIONS until
+    r_eval_cache_clear, so an edge is walked once per R-cache lifetime; a
+    walk that raises keeps nothing.  A caller's f is walked every time."""
+    key = (edge.vertical, edge.level, edge.start, edge.end, edge.seeds)
+    if f is r_value and key in _EDGE_VARIATIONS:
+        return _EDGE_VARIATIONS[key]
+    trace = arg_variation(f, edge, edge.seed_params())
+    walk = trace.total_variation, trace.moment
+    if f is r_value:
+        _EDGE_VARIATIONS[key] = walk
+    return walk
 
-    For f = r_value the pair is kept in _EDGE_VARIATIONS until
-    r_eval_cache_clear, so an edge is walked once per R-cache lifetime.  It
-    is always walked in its key's orientation, from its lower end to its
-    upper end, so a read and a fresh walk give the same bits whichever
-    rectangle met the edge first; an edge taken the other way reads both
-    values negated.  A walk that raises keeps nothing.  A caller's f is
-    walked every time, in the edge's own direction."""
-    if f is not r_value:
-        trace = arg_variation(f, edge, edge.seed_params())
-        return trace.total_variation, trace.moment
-    lo, hi = sorted((edge.start, edge.end))
-    key = (edge.vertical, edge.level, lo, hi, edge.seeds)
-    walk = _EDGE_VARIATIONS.get(key)
-    if walk is None:
-        up = edge if edge.start == lo else AxisEdge(
-            edge.level, lo, hi, edge.vertical, edge.seeds)
-        trace = arg_variation(f, up, up.seed_params())
-        walk = _EDGE_VARIATIONS[key] = trace.total_variation, trace.moment
-    if edge.start == lo:
-        return walk
-    return -walk[0], -walk[1]
+
+def _rectangle_sums(f, sigma_lo: float, sigma_hi: float, t_lo: float,
+                    t_hi: float) -> tuple[float, complex]:
+    """(variation, moment) of f counterclockwise around a rectangle: the
+    walks of its edges (_rectangle_edges, _edge_walk) summed with their
+    _EDGE_SIGNS.  For f = r_value the walks are memoised, so a split's
+    children read their parent's two edges parallel to the cut, and the
+    second child reads the cut the first one walked."""
+    variation, moment = 0, 0
+    for name, edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
+                                       t_hi).items():
+        edge_variation, edge_moment = _edge_walk(f, edge)
+        variation += _EDGE_SIGNS[name] * edge_variation
+        moment += _EDGE_SIGNS[name] * edge_moment
+    return variation, moment
 
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> float:
-    """Raw winding value around a rectangle: the variations of f along the
-    edges of _rectangle_edges (_edge_walk), summed counterclockwise, over
-    2 pi.  For f = r_value the edge walks are memoised, so a split's
-    children read their parent's two edges parallel to the cut, and the
-    second child reads the cut the first one walked."""
-    return sum(_edge_walk(f, edge)[0] for edge in
-               _rectangle_edges(sigma_lo, sigma_hi, t_lo, t_hi).values()
-               ) / TWO_PI
+    """Raw winding value around a rectangle: its _rectangle_sums variation
+    over 2 pi."""
+    return _rectangle_sums(f, sigma_lo, sigma_hi, t_lo, t_hi)[0] / TWO_PI
 
 
 def _t_steps(rungs: int):
@@ -609,7 +602,7 @@ def _walk_edge(edge: AxisEdge) -> list[float]:
     zero of R at an end is left as it is; arg_variation rejects it.
     """
     last = len(edge.ks) + 1
-    stride = max(1, int(WALK_STEP * last / abs(edge.end - edge.start)))
+    stride = max(1, int(WALK_STEP * last / (edge.end - edge.start)))
     rates = {}  # k -> (log R, R'/R) at edge.param(k)
 
     def sample(ks):

@@ -37,8 +37,8 @@ from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
     PERTURB_STEP,
-    _edge_walk,
     _rectangle_edges,
+    _rectangle_sums,
     _rectangle_winding,
     arg_variation,
     integer_winding,
@@ -225,7 +225,7 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
                              child.t_hi)
     edge = edges["top" if child.t_hi < box.t_hi else "right"]
-    us = sorted(edge.seed_params())
+    us = edge.seed_params()
     mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
     k_min = mags.index(min(mags))
     minimum = mags[k_min]
@@ -341,15 +341,15 @@ def _circle_winding(f, center: complex, radius: float) -> int:
 
 
 def _winding_mean(box: Box) -> complex | None:
-    """(1/2 pi i) times the integral of z d log R around ``box``: the sum of
-    the first moments of its four edges (ArgTrace.moment), read from the
-    memo of counting._edge_walk, which the windings of isolation filled.
-    An edge missing from it is walked here.  For a winding-1 box this is
-    its zero, up to the quadrature error of the edges' nodes (Delves and
+    """(1/2 pi i) times the integral of z d log R around ``box``, its
+    counting._rectangle_sums moment: the edges' first moments
+    (ArgTrace.moment), which the windings of isolation left in counting's
+    memo; an edge missing from it is walked here.  For a winding-1 box this
+    is its zero, up to the quadrature error of the edges' nodes (Delves and
     Lyness, Math. Comp. 21, 1967).  None when a walk meets a zero."""
-    edges = _rectangle_edges(box.sigma_lo, box.sigma_hi, box.t_lo, box.t_hi)
     try:
-        moment = sum(_edge_walk(r_value, edge)[1] for edge in edges.values())
+        _, moment = _rectangle_sums(r_value, box.sigma_lo, box.sigma_hi,
+                                    box.t_lo, box.t_hi)
     except ZeroOnPathError:
         return None
     return moment / complex(0.0, TWO_PI)
@@ -421,11 +421,11 @@ def refine_zeros(seeds: list[Box],
     the centre; a caller's f starts at the centre.  The final point is
     re-certified by a winding-1 circle of radius 10 * (final step + 1e-12),
     doubled, tripled and quadrupled while that circle fails.  The seeds run
-    in lockstep, one Newton step each per round: with the default f and df
-    every round takes R and R' at all live iterates from one
-    r_eval_many(..., derivative=True) call, and the residuals of all final
-    points are one more such call; a caller's f or df is called point by
-    point.  Each seed's iterates, and so its Zero, are those of refining it
+    in lockstep, one Newton step each per round: for f = R, passed or by
+    default, and no df, every round takes R and R' at all live iterates
+    from one r_eval_many(..., derivative=True) call, and the residuals of
+    all final points are one more such call; a caller's f or df is called
+    point by point.  Each seed's iterates, and so its Zero, are those of refining it
     alone.  A failure raises for the first failing seed in input order.
 
     For R, whose values carry an error_estimate e, a step under e / |R'|
@@ -436,9 +436,9 @@ def refine_zeros(seeds: list[Box],
     by under asin(0.1) ~ 0.1 rad, far inside the walk's pi/2 contract and
     the integrality guard's 0.1 turn.
     """
-    batched = f is None and df is None
     if f is None:
         f = r_value
+    batched = f is r_value and df is None
 
     def start(box: Box) -> complex:
         mean = _winding_mean(box) if f is r_value else None

@@ -682,6 +682,23 @@ class TestResidueCut:
         r_eval_cache_clear()
         assert _fields(r_eval(p) for p in points) == batched
 
+    @pytest.mark.parametrize("sigma", [-60.0, -70.0, -80.0])
+    def test_far_left_derivative_sums_stay_finite(self, sigma):
+        # at t = 10^11 the kept residues of R' sum past the double range in
+        # the units of the largest residue; that row alone is summed again
+        # in larger units, so the values keep the bits they get without R',
+        # and a point sharing the block keeps the bits it gets alone
+        points = [complex(sigma, 1e11), complex(-5.0, 1e11)]
+        r_eval_cache_clear()
+        far, near = r_eval_many(points, derivative=True)
+        assert math.isfinite(far.derivative_error)
+        assert far.derivative_error < 1e-8 * abs(far.derivative)
+        r_eval_cache_clear()
+        assert _fields([far, near]) == _fields(r_eval_many(points))
+        r_eval_cache_clear()
+        assert near == r_eval_many(points[1:], derivative=True)[0]
+        r_eval_cache_clear()
+
 
 def test_default_extent_same_at_every_height(monkeypatch):
     # at the saddle crossing the log integrand falls like -2 pi v^2 along

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rzero
-from rzero import cli
+from rzero import cli, validation
 from rzero.cli import (
     EXIT_CONTOUR_ZERO,
     EXIT_EVAL_FAIL,
@@ -224,9 +224,13 @@ class TestValidate:
         _, out2, _ = run(capsys, *self.ARGS)
         assert out1 == out2
 
-    def test_tightened_tolerance_fails(self, capsys):
+    def test_tightened_tolerance_fails(self, monkeypatch, capsys):
+        # a suite bound below its worst error fails validate with exit 1
+        monkeypatch.setattr(validation, "SUITES", [
+            (name, suite, samples, 1e-15 if name == "identity" else bound)
+            for name, suite, samples, bound in validation.SUITES])
         code, out, err = run(capsys, "--command", "validate", "--samples",
-                             "30", "--seed", "11", "--tol", "1e-15")
+                             "30", "--seed", "11")
         assert code == EXIT_VALIDATE_FAIL
         assert "FAIL" in out
         assert "failed suites" in err
@@ -329,18 +333,23 @@ class TestExitCodes:
         assert "forced failure" in err
 
     @pytest.mark.parametrize("tol", ["0", "-0.001", "nan", "inf", "0.002"])
-    @pytest.mark.parametrize("command", ["count", "table", "zeros"])
+    @pytest.mark.parametrize("command", ["count", "table", "zeros",
+                                         "validate"])
     def test_bad_tol_exits_2(self, monkeypatch, capsys, command, tol):
+        # there is no --tol: the parser refuses it as an unknown flag
         def never(*args, **kwargs):
             raise AssertionError("ran with a rejected --tol")
 
         monkeypatch.setattr(cli, "residual_table", never)
         monkeypatch.setattr(cli, "locate_zeros", never)
-        code, out, err = run(capsys, "--command", command, "--t-min", "20",
-                             "--t-max", "40", "--t-step", "20", "--tol", tol)
-        assert code == EXIT_EVAL_FAIL
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "--tol" in err
+        monkeypatch.setitem(cli._COMMANDS, "validate", never)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--command", command, "--t-min", "20", "--t-max", "40",
+                  "--t-step", "20", "--tol", tol])
+        captured = capsys.readouterr()
+        assert exit_.value.code == EXIT_EVAL_FAIL
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
     @pytest.mark.parametrize("command", ["count", "table", "zeros"])
     @pytest.mark.parametrize("t_step", ["0", "-5"])
@@ -376,9 +385,13 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and flag in err
 
-    def test_validate_keeps_suite_tolerance(self):
-        config = RunConfig(command="validate", tol=0.0)
-        assert config.tol == 0.0
+    def test_validate_keeps_suite_tolerance(self, capsys):
+        # every validate line reports its suite's own bound
+        code, out, _ = run(capsys, "--command", "validate", "--samples", "3")
+        assert code == EXIT_OK
+        bounds = [line.split("bound=")[1] for line in out.splitlines()]
+        assert bounds == [f"{bound:.3e}"
+                          for *_, bound in validation.SUITES]
 
     def test_degenerate_box_exits_2_without_traceback(self):
         # a separate interpreter, so that an uncaught exception would show

@@ -39,6 +39,7 @@ from rzero.counting import (
     top_edge_certificate,
     unit_params,
     _curve_turns,
+    _EDGE_SIGNS,
     _edge_seeds,
     _rectangle_edges,
     _rectangle_winding,
@@ -101,13 +102,16 @@ class TestArgVariation:
         assert trace.total_variation == pytest.approx(h, rel=1e-12)
 
     def test_trace_invariants(self):
+        # arg exp(z) = Im z mod 2 pi: the nodes run from end to end, each
+        # nearest-branch phase step between them is below pi/2, and the
+        # steps sum to the variation
         seg = PathSegment(1.0, complex(1.0, 30.0))
         trace = arg_variation(cmath.exp, seg, unit_params(4))
-        steps = np.diff(trace.phases)
-        assert np.all(np.abs(steps) < 0.5 * math.pi)
-        assert trace.max_step_phase == pytest.approx(np.abs(steps).max())
-        assert trace.total_variation == pytest.approx(
-            trace.phases[-1] - trace.phases[0])
+        assert trace.nodes[0] == seg.start and trace.nodes[-1] == seg.end
+        steps = [math.remainder(b.imag - a.imag, TWO_PI)
+                 for a, b in zip(trace.nodes, trace.nodes[1:])]
+        assert max(map(abs, steps)) < 0.5 * math.pi
+        assert trace.total_variation == pytest.approx(sum(steps), rel=1e-12)
 
     @pytest.mark.parametrize("params", [[], [0.5]], ids=["none", "one"])
     def test_fewer_than_two_seeds_rejected(self, params):
@@ -187,8 +191,7 @@ class TestSampleLattice:
             computed)
 
     def test_cut_is_sampled_once(self, monkeypatch):
-        # the upper child's bottom edge is the lower child's top edge,
-        # walked the other way
+        # the upper child's bottom edge is the lower child's top edge
         auxiliary.r_eval_cache_clear()
         rectangle_count(r_value, -6.0, 2.0, 10.0, 45.0)
         computed = self._computed(monkeypatch)
@@ -210,43 +213,42 @@ class TestSampleLattice:
                     # a difference of coordinates rounds to their ulp
                     slack = 4.0 * math.ulp(abs(start) + abs(end))
                     assert gaps.max() <= (end - start) / (seeds - 1) + slack
-                    # index access gives the same bits, walked either way
-                    back = AxisEdge(level, end, start, vertical, seeds)
-                    for e, full in ((edge, params), (back, params[::-1])):
-                        assert len(e.ks) + 2 == len(full)
-                        assert [e.param(i) for i in range(len(full))] == full
-                        assert e.seed_params() == full
+                    # index access gives the same bits
+                    assert len(edge.ks) + 2 == len(params)
+                    assert [edge.param(i)
+                            for i in range(len(params))] == params
+
+    @pytest.mark.parametrize("start, end", [(2.0, -6.0), (2.0, 2.0)],
+                             ids=["downward", "degenerate"])
+    def test_edge_not_running_upward_rejected(self, start, end):
+        with pytest.raises(DomainError):
+            AxisEdge(45.0, start, end, False, 8)
 
     @pytest.mark.parametrize("level, lo, hi, vertical", [
         (500.0, -6.0, 2.0, False),
         (-0.5, 20.0, 33.0, True),
     ], ids=["horizontal", "vertical"])
-    def test_either_direction_requests_same_points(self, level, lo, hi,
-                                                   vertical):
-        # few seeds, so the walk bisects; the midpoints match too, and the
-        # seeds taken point by point by index walk as the full lattice does
-        def walk(start, end, by_index):
+    def test_walk_by_index_requests_same_points(self, level, lo, hi,
+                                                vertical):
+        # few seeds, so the walk bisects; the seeds taken point by point by
+        # index walk as the full lattice does, midpoints included
+        def walk(by_index):
             requested = []
 
             def f(z):
                 requested.append(z)
                 return r_value(z)
 
-            edge = AxisEdge(level, start, end, vertical, 4)
+            edge = AxisEdge(level, lo, hi, vertical, 4)
             params = ([edge.param(i) for i in range(len(edge.ks) + 2)]
                       if by_index else edge.seed_params())
             trace = arg_variation(f, edge, params)
             return trace, requested
 
-        forward, there = walk(lo, hi, False)
-        backward, back = walk(hi, lo, False)
-        assert len(there) > len(AxisEdge(level, lo, hi, vertical, 4)
-                                .seed_params())
-        assert set(there) == set(back)
-        assert forward.total_variation == pytest.approx(
-            -backward.total_variation, abs=1e-9)
-        assert walk(lo, hi, True) == (forward, there)
-        assert walk(hi, lo, True) == (backward, back)
+        trace, requested = walk(False)
+        assert len(requested) > len(AxisEdge(level, lo, hi, vertical, 4)
+                                    .seed_params())
+        assert walk(True) == (trace, requested)
 
 
 class TestEdgeMemo:
@@ -271,8 +273,8 @@ class TestEdgeMemo:
 
     def test_split_walks_five_edges(self, monkeypatch):
         # the children read the parent's bottom and top edges, and the upper
-        # child reads the cut the lower one walked, the other way: 5 of the
-        # children's 8 edges are walked
+        # child reads as its bottom the cut the lower one walked as its top:
+        # 5 of the children's 8 edges are walked
         auxiliary.r_eval_cache_clear()
         rectangle_count(r_value, *self.PARENT)
         walked = self._walked(monkeypatch)
@@ -283,25 +285,25 @@ class TestEdgeMemo:
 
     @pytest.mark.parametrize("first", [0, 1], ids=["lower", "upper"])
     def test_equals_unmemoised_sum(self, first):
-        # the second child reads the cut in the direction opposite to the
-        # walk that stored it
+        # the second child reads the cut, which counts positively in one
+        # child and negatively in the other, from the first child's walk;
+        # a memo read gives the bits of a fresh walk
         auxiliary.r_eval_cache_clear()
         for rect in (self.CHILDREN[first], self.CHILDREN[1 - first]):
-            direct = sum(
-                arg_variation(r_value, edge, edge.seed_params()).total_variation
-                for edge in _rectangle_edges(*rect).values()) / TWO_PI
+            direct = 0
+            for name, edge in _rectangle_edges(*rect).items():
+                trace = arg_variation(r_value, edge, edge.seed_params())
+                direct += _EDGE_SIGNS[name] * trace.total_variation
             for _ in range(2):
-                assert _rectangle_winding(r_value, *rect) == pytest.approx(
-                    direct, abs=1e-12)
+                assert _rectangle_winding(r_value, *rect) == direct / TWO_PI
 
     # the cut t = 45 of PARENT, shared by both children
     CUT = AxisEdge(45.0, -6.0, 2.0, False, _edge_seeds(45.0, 8.0, False))
 
     @pytest.mark.parametrize("first", ["lower", "upper", "fresh"])
     def test_entry_has_the_same_bits_either_way(self, first):
-        # the lower child walks the cut right to left as its top, the upper
-        # child left to right as its bottom; the memo holds the walk from
-        # the lower end to the upper whichever came first, and that of a
+        # the cut is the lower child's top and the upper child's bottom; the
+        # memo holds the same walk whichever came first, and that of a
         # fresh walk after a clear
         auxiliary.r_eval_cache_clear()
         if first == "fresh":
@@ -312,16 +314,6 @@ class TestEdgeMemo:
         entry = counting_mod._EDGE_VARIATIONS[key]
         trace = arg_variation(r_value, self.CUT, self.CUT.seed_params())
         assert entry == (trace.total_variation, trace.moment)
-
-    def test_reversed_edge_reads_both_values_negated(self):
-        auxiliary.r_eval_cache_clear()
-        back = AxisEdge(45.0, 2.0, -6.0, False, self.CUT.seeds)
-        variation, moment = counting_mod._edge_walk(r_value, self.CUT)
-        assert counting_mod._edge_walk(r_value, back) == (-variation, -moment)
-        # a walk of the reversed edge itself agrees up to rounding
-        trace = arg_variation(r_value, back, back.seed_params())
-        assert trace.total_variation == pytest.approx(-variation, abs=1e-12)
-        assert trace.moment == pytest.approx(-moment, abs=1e-10)
 
     def test_caller_function_is_walked_every_time(self):
         calls = [0]

@@ -591,6 +591,16 @@ class TestLocateZeros:
         b, _ = locate_zeros(Box(-4.0, 2.0, 10.0, 40.0))
         assert a == b  # bit-for-bit
 
+    def test_explicit_r_value_is_the_default(self):
+        # R passed as f takes the default's batched route, with R's noise in
+        # the Newton stop and the certificate circle: near 10^7 the
+        # point-by-point route cannot certify the second zero
+        box = Box(-300.0, 2.0, 1e7, 1e7 + 2.0)
+        r_eval_cache_clear()
+        explicit = locate_zeros(box, f=r_value)
+        assert len(explicit[0]) == 2
+        assert explicit == locate_zeros(box)
+
     def test_polynomial_cross_check(self):
         roots = (0.5 + 20j, -1.5 + 33j, 1.1 + 47.5j)
 
