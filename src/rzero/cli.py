@@ -6,8 +6,9 @@ CSV field names; reals carry 17 significant digits so files round-trip
 exactly.  Exit codes: 0 success, 1 failed validation suites, 2 argument
 errors and any other rzero error, 3 persistent zero-on-contour, 4 winding
 integrality failure, 5 unresolved clusters in strict mode.  Errors are
-mapped to exit codes in one place, ``main``.  Count, table and zeros
-perturb contours by the fixed ``counting.PERTURB_STEP``.
+mapped to exit codes in one place, ``main``.  Count and table move a
+contour's top edge by the fixed ``counting.PERTURB_STEP``, zeros only its
+outer box's top; a zero on a piece's contour moves the split's cut.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     NonIntegerWindingError,
     RZeroError,
 )
-from .zeros import Box, locate_zeros, zero_statistics
+from .zeros import MIN_SIZE_DEFAULT, Box, locate_zeros, zero_statistics
 
 SCHEMA_TAG = "# rzero v1"
 
@@ -57,7 +58,7 @@ class RunConfig:
     point: complex | None = None
     grid_n: int = 1
     grid_step: float = 0.5
-    min_size: float = 1e-3
+    min_size: float = MIN_SIZE_DEFAULT
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 12345

@@ -8,9 +8,10 @@ run starts at its piece's argument-principle mean, (1/2 pi i) times the
 integral of z d log R around it, which is the zero up to the quadrature
 error of the edges; the edge walks of isolation already hold those
 integrals (ArgTrace.moment), so the start costs no R value.  Windings
-come from the engine in ``counting``: pieces are counted by
-``rectangle_count``, a cut scan's window by ``_rectangle_winding`` and
-circles by ``arg_variation``, all through the same integrality guard.  By
+come from the engine in ``counting``, all through one integrality guard:
+the caller's box by ``rectangle_count``, each piece and a cut scan's
+window on its own contour by ``_rectangle_winding``, circles by
+``arg_variation``.  By
 default R is evaluated through the same cached quadrature as counting, the
 samples of a contour edge and of a cut scan's lattice row are evaluated in
 one batch (r_eval_many), and the pieces of a box are refined in lockstep:
@@ -36,7 +37,6 @@ from typing import Callable, NamedTuple
 from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
-    PERTURB_STEP,
     _rectangle_edges,
     _rectangle_sums,
     _rectangle_winding,
@@ -177,9 +177,9 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     2h / 7 apart, and p stays at least d - h / 4.83 ~ 0.29 h from them,
     far more than (2h / 7) / 4.83.  The rule is conservative: a close pair
     of simple zeros in the window also winds 2, and the split then moves
-    its cut to the next offset.  The window's walk does not use
-    rectangle_count, whose ladder moves the top edge by PERTURB_STEP, far
-    more than a window at a fine min_size.
+    its cut to the next offset.  A zero at one of the row's samples never
+    reaches the scan: both children walked those samples, and a walk
+    raises at an exact zero, which moves the cut.
 
     The lattice row alone can rule a double zero out.  Let x_k be interior,
     with h1 = x_k - x_{k-1} and h2 = x_{k+1} - x_k.  Near p,
@@ -229,8 +229,6 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
     k_min = mags.index(min(mags))
     minimum = mags[k_min]
-    if minimum == 0.0:
-        return True
     last = len(us) - 1
     lo, hi = max(0, k_min - 1), min(last, k_min + 1)
     if 0 < k_min < last:
@@ -258,15 +256,16 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
 
 def _split_conserving(f, box: Box, parent_w: int):
     """Split the box into two children whose windings sum to the parent's,
-    nudging the cut (deterministic ladder) when a zero lands on it or the
-    children disagree with the parent."""
+    each counted on its own rectangle as the cut scan's window is; the cut
+    moves along _SPLIT_OFFSETS when a zero lies on a child's contour or on
+    the cut, or a winding is off an integer or off the parent's."""
     last: Exception | None = None
     for off in _SPLIT_OFFSETS:
         b1, b2 = box.split(off)
         try:
-            w1, w2 = (rectangle_count(f, b.sigma_lo, b.sigma_hi, b.t_lo,
-                                      b.t_hi)[0] for b in (b1, b2))
-        except (ZeroOnPathError, ContourZeroError, NonIntegerWindingError) as exc:
+            w1, w2 = (integer_winding(_rectangle_winding(
+                f, b.sigma_lo, b.sigma_hi, b.t_lo, b.t_hi)) for b in (b1, b2))
+        except (ZeroOnPathError, NonIntegerWindingError) as exc:
             last = exc
             continue
         if w1 + w2 != parent_w:
@@ -284,22 +283,25 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                   ) -> IsolationResult:
     """Subdivide ``box`` into disjoint winding-1 rectangles.
 
-    Pieces with winding zero are discarded; pieces with winding >= 2 are
-    split (longer side first) until their side drops below ``min_size``, at
-    which point they are reported as unresolved clusters rather than being
-    silently merged.  The winding numbers of the output always sum to the
-    winding of the input box.  A ``min_size`` that is not positive is
-    refused: no piece would ever be small enough to report as a cluster.
+    ``box`` is counted by rectangle_count, whose ladder may move its top
+    edge, and the realised rectangle is split, so the pieces tile what was
+    counted.  Pieces with winding zero are discarded; pieces with winding
+    >= 2 are split (longer side first) until their side drops below
+    ``min_size``, at which point they are reported as unresolved clusters
+    rather than being silently merged.  The winding numbers of the output
+    always sum to the winding of the realised box.  A ``min_size`` that is
+    not positive is refused: no piece would ever be small enough to report
+    as a cluster.
     """
     if not min_size > 0.0:
         raise DomainError(f"min_size must be positive, got {min_size}")
     if f is None:
         f = r_value
-    total, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi, box.t_lo,
-                               box.t_hi)
+    total, (t_lo, t_hi) = rectangle_count(f, box.sigma_lo, box.sigma_hi,
+                                          box.t_lo, box.t_hi)
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
-    stack = [(box, total)]
+    stack = [(Box(box.sigma_lo, box.sigma_hi, t_lo, t_hi), total)]
     while stack:
         piece, w = stack.pop()
         if w == 0:
@@ -355,11 +357,6 @@ def _winding_mean(box: Box) -> complex | None:
     return moment / complex(0.0, TWO_PI)
 
 
-# The refined point must land in the seed box (slightly extended: the
-# winding windows may have been perturbed by a few PERTURB_STEPs).
-_ACCEPT_MARGIN = 6.0 * PERTURB_STEP
-_MAX_STARTS = 48
-
 # The certificate circle starts no smaller than this many times the
 # distance over which R's noise can move a zero, error_estimate / |R'|
 # (see refine_zeros).
@@ -368,12 +365,11 @@ _CERT_NOISE_FACTOR = 10.0
 
 class _Newton:
     """One seed's Newton run from ``z`` in ``box``, a winding-1 piece of
-    ``seed``: the current iterate, the last step and the iterations taken,
-    and the runs started so far."""
+    ``seed``: the current iterate, the last step and the iterations
+    taken."""
 
     def __init__(self, seed: Box, z: complex):
         self.seed = seed
-        self.starts = 0
         self.restart(seed, z)
 
     def restart(self, box: Box, z: complex) -> None:
@@ -382,15 +378,15 @@ class _Newton:
         self.z = z
         self.step = math.inf
         self.iters = 0
-        self.starts += 1
 
     def advance(self, fz: complex, dz: complex, noise: float = 0.0
                 ) -> bool | None:
         """Take one Newton step from f and f' at the iterate, f known to
         within ``noise``: None while the run goes on, then True when it
-        ends at an accepted point and False when it fails.  A step under
-        NEWTON_STEP_TOL, or under noise / |f'|, the distance over which the
-        noise can move a zero, ends the run."""
+        ends at a point that the seed contains within the final step, and
+        False when it fails.  A step under NEWTON_STEP_TOL, or under
+        noise / |f'|, the distance over which the noise can move a zero,
+        ends the run."""
         if dz == 0.0:
             return False
         nz = self.z - fz / dz
@@ -404,7 +400,7 @@ class _Newton:
                 return None
             if self.step >= 1e-6:
                 return False
-        return self.seed.contains(nz, margin=_ACCEPT_MARGIN)
+        return self.seed.contains(nz, margin=self.step)
 
 
 def refine_zeros(seeds: list[Box],
@@ -413,20 +409,22 @@ def refine_zeros(seeds: list[Box],
     """Refine winding-1 seed rectangles to certified Zeros, in input order.
 
     Per seed, Newton iterates until the step is below 1e-10 (or 50
-    iterations); an iterate escaping twice the seed triggers a
-    bisection-style re-subdivision of the seed and a restart in its
-    winding-1 child.  For f = R a run starts at its box's argument-principle
-    mean (_winding_mean), from the edge moments that isolation's windings
-    left in counting's memo, when that lies inside the box, and otherwise at
-    the centre; a caller's f starts at the centre.  The final point is
-    re-certified by a winding-1 circle of radius 10 * (final step + 1e-12),
-    doubled, tripled and quadrupled while that circle fails.  The seeds run
-    in lockstep, one Newton step each per round: for f = R, passed or by
-    default, and no df, every round takes R and R' at all live iterates
-    from one r_eval_many(..., derivative=True) call, and the residuals of
-    all final points are one more such call; a caller's f or df is called
-    point by point.  Each seed's iterates, and so its Zero, are those of refining it
-    alone.  A failure raises for the first failing seed in input order.
+    iterations) and accepts a point the seed contains within that step; a
+    failed run restarts in the winding-1 child of a split of its piece,
+    which leaves at most 0.77 of the split side, until the piece is under
+    64 * NEWTON_STEP_TOL.  For f = R a run starts at its box's
+    argument-principle mean (_winding_mean), from the edge moments that
+    isolation's windings left in counting's memo, when that lies inside
+    the box, and otherwise at the centre; a caller's f starts at the
+    centre.  The final point is re-certified by a winding-1 circle of
+    radius 10 * (final step + 1e-12), doubled, tripled and quadrupled
+    while that circle fails.  The seeds run in lockstep, one Newton step
+    each per round; each round and the residuals of all final points read
+    (f, f', noise) from one row call: for f = R, passed or by default, and
+    no df, one r_eval_many(..., derivative=True) call, and for a caller's
+    f its f and df (or a central difference) point by point, noise 0.
+    Each seed's iterates, and so its Zero, are those of refining it alone.
+    A failure raises for the first failing seed in input order.
 
     For R, whose values carry an error_estimate e, a step under e / |R'|
     also ends a run: a zero is located no better than that.  The circle
@@ -444,27 +442,28 @@ def refine_zeros(seeds: list[Box],
         mean = _winding_mean(box) if f is r_value else None
         return mean if mean is not None and box.contains(mean) else box.center
 
+    def rows(indices: list[int]) -> list[tuple[complex, complex, float]]:
+        zs = [runs[i].z for i in indices]
+        if batched:
+            return [(res.value, res.derivative, res.error_estimate)
+                    for res in r_eval_many(zs, derivative=True)]
+        return [(f(z), df(z) if df is not None else
+                 _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
+                for i, z in zip(indices, zs)]
+
     runs = [_Newton(seed, start(seed)) for seed in seeds]
-    ends: dict[int, tuple[complex, float]] = {}
+    steps: dict[int, float] = {}
     errors: dict[int, Exception] = {}
     live = list(range(len(runs)))
     while live:
-        zs = [runs[i].z for i in live]
-        if batched:
-            rows = [(res.value, res.derivative, res.error_estimate)
-                    for res in r_eval_many(zs, derivative=True)]
-        else:
-            rows = [(f(z), df(z) if df is not None else
-                     _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
-                    for i, z in zip(live, zs)]
         still = []
-        for i, row in zip(live, rows):
+        for i, row in zip(live, rows(live)):
             run = runs[i]
             verdict = run.advance(*row)
             if verdict is None:
                 still.append(i)
             elif verdict:
-                ends[i] = run.z, run.step
+                steps[i] = run.step
             else:
                 try:
                     split = (run.box.max_side >= 64.0 * NEWTON_STEP_TOL
@@ -472,7 +471,7 @@ def refine_zeros(seeds: list[Box],
                 except ContourZeroError as exc:
                     errors[i] = exc
                     continue
-                if not split or run.starts == _MAX_STARTS:
+                if not split:
                     errors[i] = NewtonError(
                         f"Newton failed to converge inside {run.seed}")
                     continue
@@ -482,18 +481,12 @@ def refine_zeros(seeds: list[Box],
                 still.append(i)
         live = still
 
-    done = sorted(ends)
-    points = [ends[i][0] for i in done]
-    if batched:
-        residuals = [(res.value, _CERT_NOISE_FACTOR * res.error_estimate
-                      / abs(res.derivative) if res.derivative else 0.0)
-                     for res in r_eval_many(points, derivative=True)]
-    else:
-        residuals = [(value, 0.0) for value in values_at(f, points)]
+    done = sorted(steps)
     zeros: dict[int, Zero] = {}
-    for i, (value, least) in zip(done, residuals):
-        z, step = ends[i]
-        radius = max(10.0 * (step + 1e-12), least)
+    for i, (value, slope, noise) in zip(done, rows(done)):
+        z = runs[i].z
+        least = _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0
+        radius = max(10.0 * (steps[i] + 1e-12), least)
         for bump in range(4):
             try:
                 cert = _circle_winding(f, z, radius * (1.0 + bump))

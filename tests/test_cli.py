@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import rzero
 from rzero import cli, validation
 from rzero.cli import (
+    EXIT_CLUSTERS,
     EXIT_CONTOUR_ZERO,
     EXIT_EVAL_FAIL,
     EXIT_OK,
@@ -191,6 +192,20 @@ class TestZerosCommand:
             assert int(row["winding_certificate"]) == 1
             assert 1e-7 < float(row["enclosure_radius"]) < 1e-4
         assert "# unresolved_clusters = 0" in out.splitlines()
+
+    @pytest.mark.parametrize("strict, expected", [(False, EXIT_OK),
+                                                  (True, EXIT_CLUSTERS)])
+    def test_unresolved_cluster_exits_5_when_strict(self, capsys, strict,
+                                                    expected):
+        # the box [-6, 2] x [10, 60] is already under --min-size 100, so its
+        # 6 zeros stay one unresolved cluster of winding 6
+        code, out, err = run(capsys, "--command", "zeros", "--t-min", "10",
+                             "--t-max", "60", "--box-left", "-6",
+                             "--min-size", "100", *["--strict"] * strict)
+        assert code == expected
+        assert parse_rows(out) == []
+        assert "# unresolved_clusters = 1" in out.splitlines()
+        assert err == ("1 unresolved clusters\n" if strict else "")
 
 
 class TestTable:

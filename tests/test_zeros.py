@@ -12,8 +12,9 @@ from rzero.auxiliary import (
     r_value,
     values_at,
 )
-from rzero.errors import DomainError, NewtonError
+from rzero.errors import ContourZeroError, DomainError, NewtonError
 from rzero.zeros import (
+    NEWTON_STEP_TOL,
     Box,
     Zero,
     _circle_winding,
@@ -88,6 +89,40 @@ class TestIsolateZeros:
         assert len(res.clusters) == 1
         assert res.clusters[0][1] == 2
 
+    def test_zero_just_above_the_top_lies_in_its_piece(self):
+        # the zero lies 1e-7 above the box's top, so rectangle_count's ladder
+        # lifts the top to 10.001, and that realised box is the piece
+        zero = complex(1.0, 10.0000001)
+        f = lambda z: z - zero
+        box = Box(0.0, 2.0, 9.0, 10.0)
+        res = isolate_zeros(box, f=f)
+        assert res.isolated == [Box(0.0, 2.0, 9.0, 10.0 + 1e-3)]
+        assert res.isolated[0].contains(zero)
+        found, _ = locate_zeros(box, f=f, df=lambda z: 1.0)
+        assert [complex(z.beta, z.gamma) for z in found] == [zero]
+
+    def test_children_counted_on_their_own_contours(self, monkeypatch):
+        # the zero 0.5 + 10 i is a lattice sample of the cut t = 10, so the
+        # children of the first cut meet it and the split moves its cut;
+        # with no offset left it raises, and only the caller's box is ever
+        # counted through rectangle_count
+        import rzero.zeros as zeros_mod
+        counted = []
+        real = zeros_mod.rectangle_count
+        monkeypatch.setattr(zeros_mod, "rectangle_count",
+                            lambda f, *sides: counted.append(sides)
+                            or real(f, *sides))
+        f = lambda z: (z - (0.5 + 10j)) * (z - (1.5 + 9.5j))
+        box = Box(0.0, 2.0, 9.0, 11.0)
+        res = isolate_zeros(box, f=f)
+        assert [[piece.contains(zero) for zero in (0.5 + 10j, 1.5 + 9.5j)]
+                for piece in res.isolated] == [[True, False], [False, True]]
+        assert counted == [(0.0, 2.0, 9.0, 11.0)]
+        monkeypatch.setattr(zeros_mod, "_SPLIT_OFFSETS", (0.0,))
+        with pytest.raises(ContourZeroError, match="could not split"):
+            _split_conserving(f, box, 2)
+        assert counted == [(0.0, 2.0, 9.0, 11.0)]
+
     @pytest.mark.parametrize("min_size", [0.0, -1e-3, math.nan])
     def test_min_size_must_be_positive(self, min_size):
         # a double zero could never be reported as a cluster; the box is
@@ -161,6 +196,7 @@ class TestCutScan:
             return (z - zero) ** 2 * cmath.exp(-a * z)
 
         scans = []  # per scan: its row reads, window walks and calls of f
+        scanning = [False]  # the children's windings wind outside a scan
         real_scan = zeros_mod._zero_on_cut
         real_rows = zeros_mod.values_at
         real_window = zeros_mod._rectangle_winding
@@ -168,7 +204,11 @@ class TestCutScan:
         def scan(f, box, child):
             scans.append([])
             before = calls[0]
-            out = real_scan(f, box, child)
+            scanning[0] = True
+            try:
+                out = real_scan(f, box, child)
+            finally:
+                scanning[0] = False
             scans[-1].append(calls[0] - before)
             return out
 
@@ -181,7 +221,8 @@ class TestCutScan:
             try:
                 return real_window(f, *sides)
             finally:
-                scans[-1].append(("window", calls[0] - before))
+                if scanning[0]:
+                    scans[-1].append(("window", calls[0] - before))
 
         monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
         monkeypatch.setattr(zeros_mod, "values_at", rows)
@@ -320,17 +361,23 @@ class TestCutScan:
         # R values, where two 33-point zoom rows computed 63
         import rzero.zeros as zeros_mod
         computed, windows = [], []
+        scanning = [False]  # the children's windings wind outside a scan
         real_scan = zeros_mod._zero_on_cut
         real_window = zeros_mod._rectangle_winding
 
         def scan(f, box, child):
             before = auxiliary._R_CACHE.cache_info().misses
-            out = real_scan(f, box, child)
+            scanning[0] = True
+            try:
+                out = real_scan(f, box, child)
+            finally:
+                scanning[0] = False
             computed.append(auxiliary._R_CACHE.cache_info().misses - before)
             return out
 
         def window(f, *sides):
-            windows.append(sides)
+            if scanning[0]:
+                windows.append(sides)
             return real_window(f, *sides)
 
         monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
@@ -557,6 +604,24 @@ class TestRefineZeros:
             assert complex(zero.beta, zero.gamma) == pytest.approx(root,
                                                                    abs=1e-9)
             assert zero.winding_certificate == 1
+
+    def test_restarts_end_at_the_size_floor(self, monkeypatch):
+        # a run that never converges restarts in ever smaller winding-1
+        # pieces, each at most 0.77 of its parent's split side, and raises
+        # only once its piece is under 64 NEWTON_STEP_TOL
+        import rzero.zeros as zeros_mod
+        sides = []
+
+        def advance(run, fz, dz, noise=0.0):
+            sides.append(run.box.max_side)
+            return False
+
+        monkeypatch.setattr(zeros_mod._Newton, "advance", advance)
+        with pytest.raises(NewtonError, match="failed to converge"):
+            refine_zero(Box(1.0, 2.0, 0.2, 1.0), f=quadratic,
+                        df=lambda z: 2 * z)
+        assert sides[-1] < 64.0 * NEWTON_STEP_TOL <= min(sides[:-1])
+        assert all(b <= 0.77 * a for a, b in zip(sides[::2], sides[2::2]))
 
     def test_error_names_first_failing_seed(self, monkeypatch):
         import rzero.zeros as zeros_mod
