@@ -18,11 +18,12 @@ upward; a rectangle counts its top and left edges negatively
 (_EDGE_SIGNS).  Edges of a line that share m share their samples bit for
 bit, so a child box reads most of its edges from its parent's cache and a
 cut is computed once.  For R an edge is also walked once per R-cache
-lifetime: _edge_walk keeps each edge's variation and first moment
-(ArgTrace.moment), an edge met again reads them, and r_eval_cache_clear
-empties that memo and the base counts with the R values they come from.
-The moments around a rectangle (_rectangle_sums) locate the zero of a
-winding-1 piece (zeros._winding_mean).
+lifetime: _edge_walk keeps each edge's variation and its moments of order
+0 to 3 (ArgTrace.moments), an edge met again reads them, and
+r_eval_cache_clear empties that memo and the base counts with the R values
+they come from.  The moments around a rectangle (_rectangle_sums) give the
+power sums from which zeros places the zeros of a small piece
+(zeros._power_sum_roots).
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
 the base count below DESK_T0 plus one strip per height, the region further
@@ -173,18 +174,25 @@ def unit_params(seeds: int) -> list[float]:
 class ArgTrace:
     """Realised argument of f along a path: the sampled nodes, between which
     each nearest-branch phase step is below pi/2 by construction, the total
-    variation, the sum of those steps, and the path's first moment, the
-    integral of z d log f, summed over the nodes as
+    variation, the sum of those steps, and the path's moments about its
+    first node a, moments[k] the integral of (z - a)^k d log f for
+    k = 0 .. 3.  moments[0] is log|f| at the last node less at the first,
+    plus i times the total variation; the others are summed over the nodes
+    as
 
-        sum_i (1/2) (z_i + z_{i+1}) (log|f|_{i+1} - log|f|_i + i dphi_i),
+        sum_i (1/2) ((z_i - a)^k + (z_{i+1} - a)^k)
+                    (log|f|_{i+1} - log|f|_i + i dphi_i),
 
     dphi_i the nearest-branch phase step.  Around a closed contour the
-    moments of its paths sum to 2 pi i times the sum of the zeros inside
-    (less that of the poles), up to the quadrature error of the nodes."""
+    moments of its paths, moved to one point c (_rectangle_sums), sum to
+    2 pi i times the power sums of (rho - c)^k over the zeros rho inside
+    (less those of the poles), up to the quadrature error of the nodes.
+    Moments about the path's own first point keep every term as small as
+    the path; about 0 they would cancel badly at z ~ 10^6 i."""
 
     nodes: tuple[complex, ...]
     total_variation: float
-    moment: complex
+    moments: tuple[complex, complex, complex, complex]
 
 
 def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
@@ -237,14 +245,13 @@ def arg_variation(f, path, params) -> ArgTrace:
         if moduli[k] < line + _LOG_DETECT_TOL:
             _check_dip(point_fn, u, logs[k], ua, logs[a], ub, logs[b])
     nodes = [points[0]]
+    steps = []  # log f at each node after the first, less at the one before
     # the unwrapped phase, summed step by step from the first principal one
     first = phase = math.remainder(logs[0].imag, TWO_PI)
-    moment = 0.0j  # twice the path's first moment, summed node by node
     for i in range(last):
         delta = math.remainder(logs[i + 1].imag - logs[i].imag, TWO_PI)
         if abs(delta) < PHASE_LIMIT:
-            moment += (nodes[-1] + points[i + 1]) * complex(
-                logs[i + 1].real - logs[i].real, delta)
+            steps.append(complex(logs[i + 1].real - logs[i].real, delta))
             nodes.append(points[i + 1])
             phase += delta
             continue
@@ -256,7 +263,7 @@ def arg_variation(f, path, params) -> ArgTrace:
             p1, l1, p2, z2, l2, depth = todo.pop()
             delta = math.remainder(l2.imag - l1.imag, TWO_PI)
             if abs(delta) < PHASE_LIMIT:
-                moment += (nodes[-1] + z2) * complex(l2.real - l1.real, delta)
+                steps.append(complex(l2.real - l1.real, delta))
                 nodes.append(z2)
                 phase += delta
                 continue
@@ -272,8 +279,22 @@ def arg_variation(f, path, params) -> ArgTrace:
             _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
             todo.append((pm, lm, p2, z2, l2, depth + 1))
             todo.append((p1, l1, pm, zm, lm, depth + 1))
-    return ArgTrace(nodes=tuple(nodes), total_variation=phase - first,
-                    moment=0.5 * moment)
+    variation = phase - first
+    # twice the moments k = 1 .. 3 about the first node, summed node by
+    # node from the powers of z - anchor at each step's two ends (a, b)
+    anchor = nodes[0]
+    m1 = m2 = m3 = a1 = a2 = a3 = 0j
+    for z, step in zip(nodes[1:], steps):
+        b1 = z - anchor
+        b2 = b1 * b1
+        b3 = b2 * b1
+        m1 += (a1 + b1) * step
+        m2 += (a2 + b2) * step
+        m3 += (a3 + b3) * step
+        a1, a2, a3 = b1, b2, b3
+    return ArgTrace(nodes=tuple(nodes), total_variation=variation,
+                    moments=(complex(moduli[last] - moduli[0], variation),
+                             0.5 * m1, 0.5 * m2, 0.5 * m3))
 
 
 def integer_winding(raw: float, where: str = "") -> int:
@@ -451,48 +472,61 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
 # the top and left edges run against the contour.
 _EDGE_SIGNS = {"bottom": 1, "right": 1, "top": -1, "left": -1}
 
-# (total_variation, moment) of R along each AxisEdge walked since the R
+# (total_variation, moments) of R along each AxisEdge walked since the R
 # cache was last cleared, keyed by (vertical, level, start, end, seeds)
 _EDGE_VARIATIONS: dict = cleared_with_r_values({})
 
 
-def _edge_walk(f, edge: AxisEdge) -> tuple[float, complex]:
-    """(total_variation, moment) of f along an edge, from its start to its
-    end, walked by arg_variation on the lattice of its line.  For
-    f = r_value the pair is kept in _EDGE_VARIATIONS until
-    r_eval_cache_clear, so an edge is walked once per R-cache lifetime; a
-    walk that raises keeps nothing.  A caller's f is walked every time."""
+def _edge_walk(f, edge: AxisEdge) -> tuple[float, tuple[complex, ...]]:
+    """(total_variation, moments) of f along an edge, from its start to its
+    end, walked by arg_variation on the lattice of its line; the moments
+    (ArgTrace.moments) are about the edge's first point.  For f = r_value
+    the pair is kept in _EDGE_VARIATIONS until r_eval_cache_clear, so an
+    edge is walked once per R-cache lifetime; a walk that raises keeps
+    nothing.  A caller's f is walked every time."""
     key = (edge.vertical, edge.level, edge.start, edge.end, edge.seeds)
     if f is r_value and key in _EDGE_VARIATIONS:
         return _EDGE_VARIATIONS[key]
     trace = arg_variation(f, edge, edge.seed_params())
-    walk = trace.total_variation, trace.moment
+    walk = trace.total_variation, trace.moments
     if f is r_value:
         _EDGE_VARIATIONS[key] = walk
     return walk
 
 
-def _rectangle_sums(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                    t_hi: float) -> tuple[float, complex]:
-    """(variation, moment) of f counterclockwise around a rectangle: the
-    walks of its edges (_rectangle_edges, _edge_walk) summed with their
-    _EDGE_SIGNS.  For f = r_value the walks are memoised, so a split's
-    children read their parent's two edges parallel to the cut, and the
-    second child reads the cut the first one walked."""
-    variation, moment = 0, 0
-    for name, edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
-                                       t_hi).items():
-        edge_variation, edge_moment = _edge_walk(f, edge)
-        variation += _EDGE_SIGNS[name] * edge_variation
-        moment += _EDGE_SIGNS[name] * edge_moment
-    return variation, moment
-
-
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> float:
-    """Raw winding value around a rectangle: its _rectangle_sums variation
-    over 2 pi."""
-    return _rectangle_sums(f, sigma_lo, sigma_hi, t_lo, t_hi)[0] / TWO_PI
+    """Raw winding value around a rectangle: the variations of its edges
+    (_rectangle_edges, _edge_walk) summed with their _EDGE_SIGNS, over
+    2 pi.  For f = r_value the walks are memoised, so a split's children
+    read their parent's two edges parallel to the cut, and the second child
+    reads the cut the first one walked."""
+    return sum(_EDGE_SIGNS[name] * _edge_walk(f, edge)[0]
+               for name, edge in _rectangle_edges(
+                   sigma_lo, sigma_hi, t_lo, t_hi).items()) / TWO_PI
+
+
+def _rectangle_sums(f, sigma_lo: float, sigma_hi: float, t_lo: float,
+                    t_hi: float) -> list[complex]:
+    """The integrals of (z - c)^k d log f counterclockwise around a
+    rectangle, k = 0 .. 3, c = 0.5 (sigma_lo + sigma_hi) + 0.5 (t_lo + t_hi) i
+    its centre: 2 pi i times the power sums of (rho - c)^k over the zeros
+    rho inside, up to the quadrature error of the edges' nodes.  Each
+    edge's moments about its first point a (_edge_walk, memoised for R)
+    move to c by the binomial shift
+    (z - c)^k = sum_j C(k, j) (a - c)^(k - j) (z - a)^j, over distances no
+    larger than the rectangle."""
+    centre = complex(0.5 * (sigma_lo + sigma_hi), 0.5 * (t_lo + t_hi))
+    sums = [0j] * 4
+    for name, edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
+                                       t_hi).items():
+        moments = _edge_walk(f, edge)[1]
+        shift = edge.point(edge.start) - centre
+        for k in range(4):
+            sums[k] += _EDGE_SIGNS[name] * sum(
+                math.comb(k, j) * shift ** (k - j) * moments[j]
+                for j in range(k + 1))
+    return sums
 
 
 def _t_steps(rungs: int):

@@ -1,38 +1,48 @@
 """Isolation and refinement of individual zeros inside a box.
 
 Winding-driven quad-tree subdivision splits a rectangle until every piece
-encloses exactly one zero; Newton iteration (with bisection-style fallback)
-refines each piece to a point, and every returned zero carries an
-independent winding-1 certificate on a small circle around it.  For R a
-run starts at its piece's argument-principle mean, (1/2 pi i) times the
-integral of z d log R around it, which is the zero up to the quadrature
-error of the edges; the edge walks of isolation already hold those
-integrals (ArgTrace.moment), so the start costs no R value.  Windings
-come from the engine in ``counting``, all through one integrality guard:
-the caller's box by ``rectangle_count``, each piece and a cut scan's
-window on its own contour by ``_rectangle_winding``, circles by
-``arg_variation``.  By
-default R is evaluated through the same cached quadrature as counting, the
-samples of a contour edge and of a cut scan's lattice row are evaluated in
-one batch (r_eval_many), and the pieces of a box are refined in lockstep:
-each Newton round takes R(s) and R'(s) at every live iterate from one
-r_eval_many(..., derivative=True) call, and the residuals of all refined
-points are one more call.  Piece edges lie on counting's per-line sample
-lattice, so the two children of a split read the cut's samples from one
-set of cache entries and most of their outer edges from the parent's.  The
-scan of a split's cut for a zero of even multiplicity starts from those
-same lattice samples.  It ends there when their minimum is interior and
-too large against its neighbours for a double zero to lie beside it, or,
-for R, lies at an end of the row where |R'/R| is too small for one (R' at
-that one point is the only R it computes); otherwise it winds f around one
-small window rectangle about that minimum.
+encloses exactly one zero or, for R, a few zeros that its power sums
+place; Newton iteration (with bisection-style fallback for a winding-1
+piece) refines each zero to a point, and every returned zero carries an
+independent winding-1 certificate on a small circle around it.  The power
+sums of a box are s_k = (1/2 pi i) times the integral of (z - c)^k d log R
+around it, c its centre; the edge walks of isolation already hold the
+moments they come from (ArgTrace.moments, to order 3), so they cost no R
+value.  A piece of winding m <= GROUP_CAP = 3 stops splitting when the m
+roots of the polynomial that Newton's identities build from s_1 .. s_m lie
+inside it and pairwise apart (a Group); its m Newton runs start at those
+roots, and it is accepted only when their m certificate circles are
+pairwise disjoint and lie inside it, so all m of its zeros are found.
+Otherwise locate_zeros splits it on.  A winding-1 piece's run starts at
+its root for m = 1, its argument-principle mean c + s_1.  Windings come
+from the engine in ``counting``, all through one integrality guard: the
+caller's box by ``rectangle_count``, each piece and a cut scan's window on
+its own contour by ``_rectangle_winding``, circles by ``arg_variation``.
+By default R is evaluated through the same cached quadrature as counting,
+the samples of a contour edge and of a cut scan's lattice row are
+evaluated in one batch (r_eval_many), and all runs are refined in
+lockstep: each Newton round takes R(s) and R'(s) at every live iterate
+from one r_eval_many(..., derivative=True) call, and the residuals of all
+refined points are one more call.  Piece edges lie on counting's per-line
+sample lattice, so the two children of a split read the cut's samples from
+one set of cache entries and most of their outer edges from the parent's.
+The scan of a split's cut for a zero of even multiplicity starts from
+those same lattice samples.  It ends there when their minimum is interior
+and too large against its neighbours for a double zero to lie beside it,
+or, for R, lies at an end of the row where |R'/R| is too small for one (R'
+at that one point is the only R it computes); otherwise it winds f around
+one small window rectangle about that minimum.  A caller's f forms no
+groups: its pieces split down to winding 1 and start at their centres.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
@@ -126,12 +136,29 @@ class Zero:
             raise DomainError("enclosure radius must be positive")
 
 
+class Group(NamedTuple):
+    """A box of winding len(starts), 2 .. GROUP_CAP, with one Newton start
+    per zero: the roots of its power-sum polynomial (_power_sum_roots)."""
+
+    box: Box
+    starts: tuple[complex, ...]
+
+
 class IsolationResult(NamedTuple):
-    """Winding-1 rectangles plus any clusters unresolved at min_size."""
+    """Winding-1 rectangles, any clusters unresolved at min_size, and for R
+    the groups of a few zeros that refinement resolves from their starts."""
 
     isolated: list[Box]
     clusters: list[tuple[Box, int]]
+    groups: list[Group]
 
+
+# A box of R whose winding is at most this many stops splitting when its
+# power-sum roots lie inside it and pairwise farther apart than
+# _GROUP_SEPARATION times its longer side.  The moments of an edge go to
+# order 3 (ArgTrace.moments), so the cap cannot exceed 3.
+GROUP_CAP = 3
+_GROUP_SEPARATION = 0.05
 
 _SPLIT_OFFSETS = (0.0, 0.11, -0.13, 0.23, -0.27)
 
@@ -281,17 +308,24 @@ def _split_conserving(f, box: Box, parent_w: int):
 def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                   f: Callable[[complex], complex] | None = None,
                   ) -> IsolationResult:
-    """Subdivide ``box`` into disjoint winding-1 rectangles.
+    """Subdivide ``box`` into disjoint winding-1 rectangles and, for R,
+    groups of a few zeros.
 
     ``box`` is counted by rectangle_count, whose ladder may move its top
     edge, and the realised rectangle is split, so the pieces tile what was
     counted.  Pieces with winding zero are discarded; pieces with winding
     >= 2 are split (longer side first) until their side drops below
     ``min_size``, at which point they are reported as unresolved clusters
-    rather than being silently merged.  The winding numbers of the output
-    always sum to the winding of the realised box.  A ``min_size`` that is
-    not positive is refused: no piece would ever be small enough to report
-    as a cluster.
+    rather than being silently merged.  For f = R a piece of winding
+    m <= GROUP_CAP that is not yet a cluster stops splitting when the m
+    roots of its power-sum polynomial (_power_sum_roots) lie inside it and
+    are pairwise farther apart than _GROUP_SEPARATION times its longer
+    side: it becomes a Group whose roots start refine_zeros' Newton runs,
+    and locate_zeros splits it on if refinement does not resolve its
+    zeros.  A caller's f forms no groups.  The winding numbers of the
+    output (a group's is len(starts)) always sum to the winding of the
+    realised box.  A ``min_size`` that is not positive is refused: no
+    piece would ever be small enough to report as a cluster.
     """
     if not min_size > 0.0:
         raise DomainError(f"min_size must be positive, got {min_size}")
@@ -299,9 +333,17 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
         f = r_value
     total, (t_lo, t_hi) = rectangle_count(f, box.sigma_lo, box.sigma_hi,
                                           box.t_lo, box.t_hi)
+    return _isolate([(Box(box.sigma_lo, box.sigma_hi, t_lo, t_hi), total)],
+                    min_size, f)
+
+
+def _isolate(stack: list[tuple[Box, int]], min_size: float,
+             f) -> IsolationResult:
+    """isolate_zeros' subdivision of the (piece, winding) pairs of
+    ``stack``, which tile the region counted."""
     isolated: list[Box] = []
     clusters: list[tuple[Box, int]] = []
-    stack = [(Box(box.sigma_lo, box.sigma_hi, t_lo, t_hi), total)]
+    groups: list[Group] = []
     while stack:
         piece, w = stack.pop()
         if w == 0:
@@ -312,12 +354,20 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
         if piece.max_side < min_size:
             clusters.append((piece, w))
             continue
-        (b1, w1), (b2, w2) = _split_conserving(f, piece, w)
-        stack.append((b1, w1))
-        stack.append((b2, w2))
+        if f is r_value and w <= GROUP_CAP:
+            roots = _power_sum_roots(piece, w)
+            gap = _GROUP_SEPARATION * piece.max_side
+            if roots is not None and all(map(piece.contains, roots)) and all(
+                    abs(a - b) > gap
+                    for a, b in itertools.combinations(roots, 2)):
+                groups.append(Group(piece, tuple(roots)))
+                continue
+        stack.extend(_split_conserving(f, piece, w))
     isolated.sort(key=lambda b: (b.t_lo, b.sigma_lo))
     clusters.sort(key=lambda bw: (bw[0].t_lo, bw[0].sigma_lo))
-    return IsolationResult(isolated=isolated, clusters=clusters)
+    groups.sort(key=lambda g: (g.box.t_lo, g.box.sigma_lo))
+    return IsolationResult(isolated=isolated, clusters=clusters,
+                           groups=groups)
 
 
 def _numeric_derivative(f, z: complex, scale: float) -> complex:
@@ -342,19 +392,36 @@ def _circle_winding(f, center: complex, radius: float) -> int:
     return integer_winding(trace.total_variation / TWO_PI)
 
 
-def _winding_mean(box: Box) -> complex | None:
-    """(1/2 pi i) times the integral of z d log R around ``box``, its
-    counting._rectangle_sums moment: the edges' first moments
-    (ArgTrace.moment), which the windings of isolation left in counting's
-    memo; an edge missing from it is walked here.  For a winding-1 box this
-    is its zero, up to the quadrature error of the edges' nodes (Delves and
-    Lyness, Math. Comp. 21, 1967).  None when a walk meets a zero."""
+def _power_sum_roots(box: Box, m: int) -> list[complex] | None:
+    """The m roots of the power-sum polynomial of R in ``box``, ordered by
+    (imag, real), or None when a walk meets a zero.
+
+    The power sums s_k = (1/2 pi i) times the integral of (z - c)^k d log R
+    around the box, c its centre, k = 1 .. m, come from
+    counting._rectangle_sums, that is from the edges' moments that the
+    windings of isolation left in counting's memo (an edge missing from it
+    is walked here).  Newton's identities turn them into the elementary
+    symmetric functions e_k of the zeros' offsets from c, and the roots of
+    w^m - e_1 w^(m-1) + ... + (-1)^m e_m, moved back by c, are the box's m
+    zeros, up to the quadrature error of the edges' nodes (Delves and
+    Lyness, Math. Comp. 21, 1967).  For m = 1 the root is c + s_1, the
+    box's argument-principle mean."""
     try:
-        _, moment = _rectangle_sums(r_value, box.sigma_lo, box.sigma_hi,
-                                    box.t_lo, box.t_hi)
+        sums = _rectangle_sums(r_value, box.sigma_lo, box.sigma_hi,
+                               box.t_lo, box.t_hi)
     except ZeroOnPathError:
         return None
-    return moment / complex(0.0, TWO_PI)
+    c = box.center
+    s = [v / complex(0.0, TWO_PI) for v in sums]
+    if m == 1:
+        return [c + s[1]]
+    e = [1.0 + 0.0j]
+    for k in range(1, m + 1):
+        e.append(sum((-1) ** (j - 1) * e[k - j] * s[j]
+                     for j in range(1, k + 1)) / k)
+    roots = np.roots([(-1) ** k * e[k] for k in range(m + 1)])
+    return sorted((c + complex(w) for w in roots),
+                  key=lambda z: (z.imag, z.real))
 
 
 # The certificate circle starts no smaller than this many times the
@@ -403,28 +470,34 @@ class _Newton:
         return self.seed.contains(nz, margin=self.step)
 
 
-def refine_zeros(seeds: list[Box],
+def refine_zeros(seeds: list[Box | Group],
                  f: Callable[[complex], complex] | None = None,
                  df: Callable[[complex], complex] | None = None) -> list[Zero]:
-    """Refine winding-1 seed rectangles to certified Zeros, in input order.
+    """Refine winding-1 seed rectangles and Groups to certified Zeros, in
+    input order, a group's zeros in the order of its starts.
 
-    Per seed, Newton iterates until the step is below 1e-10 (or 50
-    iterations) and accepts a point the seed contains within that step; a
-    failed run restarts in the winding-1 child of a split of its piece,
-    which leaves at most 0.77 of the split side, until the piece is under
-    64 * NEWTON_STEP_TOL.  For f = R a run starts at its box's
-    argument-principle mean (_winding_mean), from the edge moments that
-    isolation's windings left in counting's memo, when that lies inside
-    the box, and otherwise at the centre; a caller's f starts at the
-    centre.  The final point is re-certified by a winding-1 circle of
-    radius 10 * (final step + 1e-12), doubled, tripled and quadrupled
-    while that circle fails.  The seeds run in lockstep, one Newton step
-    each per round; each round and the residuals of all final points read
-    (f, f', noise) from one row call: for f = R, passed or by default, and
-    no df, one r_eval_many(..., derivative=True) call, and for a caller's
-    f its f and df (or a central difference) point by point, noise 0.
-    Each seed's iterates, and so its Zero, are those of refining it alone.
-    A failure raises for the first failing seed in input order.
+    Per run, Newton iterates until the step is below 1e-10 (or 50
+    iterations) and accepts a point its seed box contains within that
+    step.  A winding-1 seed has one run; for f = R it starts at the box's
+    argument-principle mean (_power_sum_roots with m = 1), from the edge
+    moments that isolation's windings left in counting's memo, when that
+    lies inside the box, and otherwise at the centre; a caller's f starts
+    at the centre.  Its failed run restarts in the winding-1 child of a
+    split of its piece, which leaves at most 0.77 of the split side, until
+    the piece is under 64 * NEWTON_STEP_TOL.  A Group has one run from
+    each of its starts and no restart.  The final point is re-certified by
+    a winding-1 circle of radius 10 * (final step + 1e-12), doubled,
+    tripled and quadrupled while that circle fails.  A group resolves only
+    when each of its runs ends so and its circles are pairwise disjoint
+    and lie inside its box: then the m zeros it winds are all found.  The
+    runs go in lockstep, one Newton step each per round; each round and the
+    residuals of all final points read (f, f', noise) from one row call:
+    for f = R, passed or by default, and no df, one
+    r_eval_many(..., derivative=True) call, and for a caller's f its f and
+    df (or a central difference) point by point, noise 0.  Each seed's
+    iterates, and so its Zeros, are those of refining it alone.  A failure,
+    a group's included, raises for the first failing seed in input order;
+    locate_zeros splits a failed group on instead.
 
     For R, whose values carry an error_estimate e, a step under e / |R'|
     also ends a run: a zero is located no better than that.  The circle
@@ -434,13 +507,25 @@ def refine_zeros(seeds: list[Box],
     by under asin(0.1) ~ 0.1 rad, far inside the walk's pi/2 contract and
     the integrality guard's 0.1 turn.
     """
+    found, errors = _refine(seeds, f, df)
+    if errors:
+        raise errors[min(errors)]
+    return [zero for k in range(len(seeds)) for zero in found[k]]
+
+
+def _refine(seeds: list[Box | Group], f, df
+            ) -> tuple[dict[int, list[Zero]], dict[int, Exception]]:
+    """refine_zeros' runs: the Zeros of each seed that resolved and the
+    error of each that failed, both keyed by the seed's index."""
     if f is None:
         f = r_value
     batched = f is r_value and df is None
 
     def start(box: Box) -> complex:
-        mean = _winding_mean(box) if f is r_value else None
-        return mean if mean is not None and box.contains(mean) else box.center
+        mean = _power_sum_roots(box, 1) if f is r_value else None
+        if mean is not None and box.contains(mean[0]):
+            return mean[0]
+        return box.center
 
     def rows(indices: list[int]) -> list[tuple[complex, complex, float]]:
         zs = [runs[i].z for i in indices]
@@ -451,7 +536,15 @@ def refine_zeros(seeds: list[Box],
                  _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
                 for i, z in zip(indices, zs)]
 
-    runs = [_Newton(seed, start(seed)) for seed in seeds]
+    runs: list[_Newton] = []
+    owner: list[int] = []  # the index of each run's seed
+    for k, seed in enumerate(seeds):
+        if isinstance(seed, Group):
+            runs += [_Newton(seed.box, z) for z in seed.starts]
+            owner += [k] * len(seed.starts)
+        else:
+            runs.append(_Newton(seed, start(seed)))
+            owner.append(k)
     steps: dict[int, float] = {}
     errors: dict[int, Exception] = {}
     live = list(range(len(runs)))
@@ -464,26 +557,31 @@ def refine_zeros(seeds: list[Box],
                 still.append(i)
             elif verdict:
                 steps[i] = run.step
+            elif isinstance(seeds[owner[i]], Group):
+                errors[owner[i]] = NewtonError(
+                    f"a Newton run of the group in {run.seed} failed")
             else:
                 try:
                     split = (run.box.max_side >= 64.0 * NEWTON_STEP_TOL
                              and _split_conserving(f, run.box, 1))
                 except ContourZeroError as exc:
-                    errors[i] = exc
+                    errors[owner[i]] = exc
                     continue
                 if not split:
-                    errors[i] = NewtonError(
+                    errors[owner[i]] = NewtonError(
                         f"Newton failed to converge inside {run.seed}")
                     continue
                 (b1, w1), (b2, w2) = split
                 child = b1 if w1 == 1 else b2
                 run.restart(child, start(child))
                 still.append(i)
-        live = still
+        live = [i for i in still if owner[i] not in errors]
 
-    done = sorted(steps)
+    done = sorted(i for i in steps if owner[i] not in errors)
     zeros: dict[int, Zero] = {}
     for i, (value, slope, noise) in zip(done, rows(done)):
+        if owner[i] in errors:  # a circle of its group failed
+            continue
         z = runs[i].z
         least = _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0
         radius = max(10.0 * (steps[i] + 1e-12), least)
@@ -499,11 +597,28 @@ def refine_zeros(seeds: list[Box],
                                 residual_modulus=abs(value))
                 break
         else:
-            errors[i] = NewtonError(
+            errors[owner[i]] = NewtonError(
                 f"refined point {z} failed the winding-1 circle certificate")
-    if errors:
-        raise errors[min(errors)]
-    return [zeros[i] for i in range(len(runs))]
+    found: dict[int, list[Zero]] = {}
+    for i, k in enumerate(owner):
+        if k not in errors:
+            found.setdefault(k, []).append(zeros[i])
+    for k, group in enumerate(seeds):
+        if (isinstance(group, Group) and k in found
+                and not _resolved(group.box, found[k])):
+            del found[k]
+            errors[k] = NewtonError(
+                f"the circles of the group in {group.box} overlap or leave it")
+    return found, errors
+
+
+def _resolved(box: Box, zeros: list[Zero]) -> bool:
+    """The certificate circles of ``zeros`` lie inside ``box`` and are
+    pairwise disjoint."""
+    discs = [(complex(z.beta, z.gamma), z.enclosure_radius) for z in zeros]
+    return (all(box.contains(c, margin=-r) for c, r in discs)
+            and all(abs(c1 - c2) > r1 + r2 for (c1, r1), (c2, r2)
+                    in itertools.combinations(discs, 2)))
 
 
 def refine_zero(seed: Box, f: Callable[[complex], complex] | None = None,
@@ -519,13 +634,31 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                  ) -> tuple[list[Zero], list[tuple[Box, int]]]:
     """Isolate and refine all zeros in the box; returns (zeros, clusters).
 
-    Output is ordered by gamma then beta, independent of the subdivision
-    execution order.
+    A group that does not resolve (see refine_zeros) is split, and its
+    children go back to isolation; the seeds they give are refined in turn.
+    Any other failure raises.  Output is ordered by gamma then beta,
+    independent of the subdivision execution order.
     """
     iso = isolate_zeros(box, min_size=min_size, f=f)
-    zeros = refine_zeros(iso.isolated, f, df)
+    seeds: list[Box | Group] = [*iso.isolated, *iso.groups]
+    clusters = list(iso.clusters)
+    zeros: list[Zero] = []
+    while seeds:
+        found, errors = _refine(seeds, f, df)
+        zeros += [zero for group in found.values() for zero in group]
+        retry: list[Box | Group] = []
+        for k in sorted(errors):
+            seed = seeds[k]
+            if not isinstance(seed, Group):
+                raise errors[k]
+            rest = _isolate(list(_split_conserving(
+                r_value, seed.box, len(seed.starts))), min_size, r_value)
+            retry += [*rest.isolated, *rest.groups]
+            clusters += rest.clusters
+        seeds = retry
     zeros.sort(key=lambda z: (z.gamma, z.beta))
-    return zeros, iso.clusters
+    clusters.sort(key=lambda bw: (bw[0].t_lo, bw[0].sigma_lo))
+    return zeros, clusters
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -18,8 +19,8 @@ from rzero.zeros import (
     Box,
     Zero,
     _circle_winding,
+    _power_sum_roots,
     _split_conserving,
-    _winding_mean,
     isolate_zeros,
     locate_zeros,
     refine_zero,
@@ -69,10 +70,11 @@ class TestIsolateZeros:
         assert res.isolated == [] and res.clusters == []
 
     def test_two_simple_zeros(self):
+        # a caller's f forms no groups: the box splits to winding 1
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j))
         res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), f=f)
         assert len(res.isolated) == 2
-        assert res.clusters == []
+        assert res.clusters == [] and res.groups == []
 
     def test_partition_property(self):
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j)) * (z - (0.3 + 9.4j))
@@ -242,8 +244,11 @@ class TestCutScan:
         # sample with no zero beside it |R'/R| h is that trend, so every
         # end of every cut row the split scans reads under 1.2 (largest
         # 0.71 at -6 + 10010 i, 0.85 at -49 + 10^6 i and 0.39 in the one
-        # scan at 10^7)
+        # scan at 10^7).  With GROUP_CAP = 1 isolation splits every box
+        # down to winding-1 pieces, so the scans cover every cut of the
+        # full split, the window at 10^7's end-minimum cut included
         import rzero.zeros as zeros_mod
+        monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
         readings = []  # per end sample: |R'/R| h, and whether it is min
         real = zeros_mod._zero_on_cut
 
@@ -538,36 +543,47 @@ class TestRefineZeros:
         return (z - b) * (z - c) + (z - a) * (z - c) + (z - a) * (z - b)
 
     def test_lockstep_equals_one_at_a_time(self):
+        # the seeds of [-4, 2] x [10, 60] are a winding-1 piece and groups
+        # of 2 and 3; each seed refined alone gives the bits of the lockstep
+        # run, the groups' zeros included
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        assert len(iso.isolated) == 6
+        seeds = [*iso.isolated, *iso.groups]
+        assert len(iso.isolated) + sum(len(g.starts) for g in iso.groups) == 6
+        assert iso.groups
         r_eval_cache_clear()
-        together = refine_zeros(iso.isolated)
+        together = refine_zeros(seeds)
         alone = []
-        for seed in iso.isolated:
+        for seed in seeds:
             r_eval_cache_clear()
-            alone.append(refine_zero(seed))
+            alone += refine_zeros([seed])
+        assert len(together) == 6
         assert together == alone
 
     def test_step_halve_calls(self, monkeypatch):
-        # each Newton round of the six seeds, and their residuals, step-halve
-        # as one block: from the pieces' argument-principle means 3 rounds
-        # and the residuals, then the 6 certificate circles (10 calls); from
-        # the centres it took 24, and one seed at a time 68
+        # each Newton round of the six runs, and their residuals, step-halve
+        # as one block: from the power-sum roots 3 rounds of six, one of a
+        # single run and the residuals, then the 6 certificate circles (11
+        # calls); from the centres of winding-1 pieces it took 24, and one
+        # seed at a time 68
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
         calls = []
         real = auxiliary._step_halve
         monkeypatch.setattr(auxiliary, "_step_halve",
                             lambda points, derivative=False:
                             calls.append(len(points)) or real(points, derivative))
-        refine_zeros(iso.isolated)
+        refine_zeros([*iso.isolated, *iso.groups])
         assert len(calls) <= 12
 
     def test_runs_start_at_the_winding_mean(self, monkeypatch):
-        # the mean of each winding-1 piece lies inside it and near its zero,
-        # and that is where its Newton run starts
+        # the mean of each winding-1 piece, the m = 1 root of its power
+        # sums, lies inside it and near its zero, and that is where its
+        # Newton run starts; with GROUP_CAP = 1 the box splits into six
+        # such pieces
         import rzero.zeros as zeros_mod
+        monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        means = [_winding_mean(seed) for seed in iso.isolated]
+        assert len(iso.isolated) == 6
+        means = [_power_sum_roots(seed, 1)[0] for seed in iso.isolated]
         starts = []
         real = zeros_mod._Newton.restart
 
@@ -585,7 +601,8 @@ class TestRefineZeros:
     def test_no_winding_mean_across_a_zero(self):
         # the right edge of this box runs through the lowest zero, so its
         # walk raises and the run would start at the centre
-        assert _winding_mean(Box(-4.0, LOWEST_ZERO.real, 20.0, 25.0)) is None
+        box = Box(-4.0, LOWEST_ZERO.real, 20.0, 25.0)
+        assert _power_sum_roots(box, 1) is None
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_caller_functions_per_seed(self, monkeypatch, numeric):
@@ -632,6 +649,90 @@ class TestRefineZeros:
         with pytest.raises(NewtonError, match=r"\(2\.3"):
             refine_zeros(seeds, self.cubic, self.cubic_prime)
         assert refine_zeros(seeds[:1], self.cubic, self.cubic_prime)
+
+
+class TestGroups:
+    # the benchmark's zero survey
+    SURVEY = Box(-12.0, 2.0, 10.0, 149.0)
+
+    def test_roots_place_the_zeros_and_count_them_all(self):
+        # each refined zero of a group lies within a quarter of the group's
+        # closest separation from its root, and the multiplicities of the
+        # isolation output sum to the count of the realised box
+        r_eval_cache_clear()
+        iso = isolate_zeros(self.SURVEY)
+        total, window = rectangle_count(r_value, self.SURVEY.sigma_lo,
+                                        self.SURVEY.sigma_hi,
+                                        self.SURVEY.t_lo, self.SURVEY.t_hi)
+        assert window == (10.0, 149.0)
+        assert (len(iso.isolated) + sum(len(g.starts) for g in iso.groups)
+                + sum(w for _, w in iso.clusters)) == total == 24
+        assert {len(g.starts) for g in iso.groups} == {2, 3}
+        zeros = iter(refine_zeros(iso.groups))
+        for group in iso.groups:
+            found = [complex(z.beta, z.gamma)
+                     for z in itertools.islice(zeros, len(group.starts))]
+            closest = min(abs(a - b)
+                          for a, b in itertools.combinations(found, 2))
+            for root, zero in zip(group.starts, found):
+                assert abs(root - zero) < 0.25 * closest
+                assert group.box.contains(zero)
+
+    @pytest.mark.parametrize("wrong", ["coincident", "outside"])
+    def test_unresolved_group_splits_on(self, monkeypatch, wrong):
+        # the starts of the first group are made wrong: all at its first
+        # root, so its runs reach one zero, or one at a root of the next
+        # group, a zero outside the box; the box splits on, nothing raises,
+        # and the zeros are those of the full split within their radii
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 10.0, 60.0)
+        monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
+        r_eval_cache_clear()
+        full, _ = locate_zeros(box)
+        monkeypatch.undo()
+        real_isolate = zeros_mod.isolate_zeros
+        real_split = zeros_mod._split_conserving
+        broken, splits = [], []
+
+        def isolate(*args, **kwargs):
+            iso = real_isolate(*args, **kwargs)
+            first, other = iso.groups[0], iso.groups[1]
+            starts = list(first.starts)
+            if wrong == "coincident":
+                starts = [starts[0]] * len(starts)
+            else:
+                starts[0] = other.starts[0]
+            broken.append(first)
+            iso.groups[0] = first._replace(starts=tuple(starts))
+            return iso
+
+        def split(f, piece, w):
+            splits.append((piece, w))
+            return real_split(f, piece, w)
+
+        monkeypatch.setattr(zeros_mod, "isolate_zeros", isolate)
+        r_eval_cache_clear()
+        monkeypatch.setattr(zeros_mod, "_split_conserving", split)
+        zeros, clusters = locate_zeros(box)
+        group = broken[0]
+        assert (group.box, len(group.starts)) in splits
+        assert (group.box, 1) not in splits  # no winding-1 restart
+        assert clusters == []
+        assert len(zeros) == len(full) == 6
+        for mine, theirs in zip(zeros, full):
+            assert abs(complex(mine.beta, mine.gamma)
+                       - complex(theirs.beta, theirs.gamma)) \
+                < theirs.enclosure_radius
+            assert mine.winding_certificate == 1
+
+    def test_failed_group_raises_in_refine_zeros(self):
+        # refine_zeros refines the seeds it is given and raises for a group
+        # that does not resolve; only locate_zeros splits it on
+        iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
+        group = iso.groups[0]
+        twice = group._replace(starts=(group.starts[0],) * len(group.starts))
+        with pytest.raises(NewtonError, match="overlap or leave"):
+            refine_zeros([twice])
 
 
 class TestLocateZeros:
