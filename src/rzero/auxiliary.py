@@ -278,7 +278,9 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     if any(mr):
         exponents -= np.array(mr, dtype=complex)[:, None]
     res = _channels(np.exp(exponents), log_n, derivative)
-    shift = [0.0] * len(res)  # a row's residues are in units e^(mr + shift)
+    # per channel row, m - mr less a shift below: the residue sums are in
+    # units e^(mr + shift), and _reduced brings them to the nodes' e^m
+    scales = _per_channel([mp - rp for mp, rp in zip(m, mr)], c)
     if cuts:
         with np.errstate(over="ignore"):
             res_sums, abs_res = _kept_sums(res, cuts, lo, c)
@@ -288,38 +290,46 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
             # larger no sum of at most q of them overflows
             res[over] /= q * log_q
             for i in over:
-                shift[i] = math.log(q * log_q)
+                scales[i] -= math.log(q * log_q)
             res_sums, abs_res = _kept_sums(res, cuts, lo, c)
         largest = res[:, -1].tolist()
     else:
         res_sums = _sum_rows(res, axis=1).tolist()
         if q > 1:
             abs_res = _sum_rows(np.abs(res), axis=1).tolist()
+    res_phases = [0.0] * len(res)
     if q > 1:
         # the phase s log n of a residue is good to about eps |s| log q; its
         # scale is formed from logs, as the residues' moduli may lie beyond
         # the double range
-        log_phase = [math.log(abs(z) * log_q) for z in zs]
-    sums = []
+        log_phases = _per_channel([math.log(abs(z) * log_q) for z in zs], c)
+        res_phases = [math.exp(math.log(a) + log_phase - mi)
+                      for a, log_phase, mi in zip(abs_res, log_phases, scales)]
+        if cuts:
+            for i, cut in enumerate(_per_channel(cuts, c)):
+                if cut:
+                    # logs: the product overflows past a cut of 17 700
+                    # (t ~ 2e9)
+                    res_phases[i] += math.exp(
+                        math.log(cut) + math.log(abs(largest[i]))
+                        - _RESIDUE_CUT - math.log(_EPS) - scales[i])
     # abs() of single elements: np.abs of an array may take a vector path
     # that differs in the last bit.
-    for i, (total, coarse, abs_total, first, last, res_sum) in enumerate(zip(
-            _sum_rows(w[:, :nb], axis=1).tolist(),
-            _sum_rows(w[:, :nb:2], axis=1).tolist(),
-            _sum_rows(abs_w[:, :nb], axis=1).tolist(), w[:, 0].tolist(),
-            w[:, nb - 1].tolist(), res_sums)):
-        mi = m[i // c] - mr[i // c] - shift[i]  # the residues' scale
-        res_phase = 0.0
-        if q > 1:
-            res_phase = math.exp(math.log(abs_res[i]) + log_phase[i // c] - mi)
-            if cuts and cuts[i // c]:
-                # logs: the product overflows past a cut of 17 700 (t ~ 2e9)
-                res_phase += math.exp(math.log(cuts[i // c])
-                                      + math.log(abs(largest[i]))
-                                      - _RESIDUE_CUT - math.log(_EPS) - mi)
-        sums.append([total, coarse, abs_total, abs(first) + abs(last),
-                     _reduced(res_sum, mi), res_phase])
+    sums = [[total, coarse, abs_total, abs(first) + abs(last),
+             _reduced(res_sum, mi), res_phase]
+            for total, coarse, abs_total, first, last, res_sum, mi, res_phase
+            in zip(_sum_rows(w[:, :nb], axis=1).tolist(),
+                   _sum_rows(w[:, :nb:2], axis=1).tolist(),
+                   _sum_rows(abs_w[:, :nb], axis=1).tolist(),
+                   w[:, 0].tolist(), w[:, nb - 1].tolist(), res_sums, scales,
+                   res_phases)]
     return m, [peak_rest + abs(z) * peak_logx for z in zs], sums, halvings
+
+
+def _per_channel(values: list, c: int) -> list:
+    """A list of per-point ``values`` for the rows of a block of c channels
+    per point (see _channels): each value c times."""
+    return values if c == 1 else [v for v in values for _ in range(c)]
 
 
 # A row with sigma < 0 drops the residues n with
@@ -443,7 +453,9 @@ def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
     tail = ends * (h + 1.0 / (TWO_PI * half)) * 2.0
     floor = _EPS * (phase * h * abs_total + res_phase)
 
-    scale_red = max(abs(total_red), 5e-324)
+    scale_red = abs(total_red)
+    if scale_red < 5e-324:  # max(scale_red, 5e-324), NaN kept as max keeps it
+        scale_red = 5e-324
     rel_floor = floor / scale_red
     log_total = None
     if total_red != 0.0:
@@ -525,23 +537,34 @@ class _Row:
         above EPS_TARGET; the EPS_TARGET rule alone would halve such a
         point down to step 1/1024 without gaining a digit.  The tail rule
         allows for the same floor; a floor that is not finite allows
-        nothing, so such a pass halves."""
+        nothing, so such a pass halves.
+
+        Each rule compares its figure with its bounds one by one, which
+        decides as the comparison with their max() does: only the
+        discrepancy's bound can be NaN, and no figure exceeds a NaN bound
+        or a NaN max().  A pass that widens forms no R' figures: it is
+        judged on R's alone and kept by none."""
         h = self.step
-        figures = []  # a loop: cheaper than a comprehension for one channel
-        for sums in self.sums:
-            figures.append(_pass_figures(h, self.half, self.m, self.phase, sums))
-        _, rel_disc, rel_tail, floor_rel = figures[0]
-        floor_rel = floor_rel if math.isfinite(floor_rel) else 0.0
-        rel_err = rel_disc + rel_tail
+        sums = self.sums
+        first = _pass_figures(h, self.half, self.m, self.phase, sums[0])
+        _, rel_disc, rel_tail, floor_rel = first
+        if not math.isfinite(floor_rel):
+            floor_rel = 0.0
         self.passes += 1
-        if rel_tail > max(0.25 * rel_disc, 0.1 * EPS_TARGET, floor_rel):
+        if (rel_tail > floor_rel and rel_tail > 0.25 * rel_disc
+                and rel_tail > 0.1 * EPS_TARGET):
             self.half = math.ceil(3.0 * self.half) / 2.0  # 1.5x, a multiple of 1/2
             self.level = -1
             self.prev_disc = None
             return self.passes == _MAX_PASSES
+        figures = [first]
+        if len(sums) > 1:  # the R' channel of a derivative request
+            figures.append(_pass_figures(h, self.half, self.m, self.phase,
+                                         sums[1]))
         prev_disc = self.prev_disc
         self.best = (figures, prev_disc)
-        if rel_err <= max(EPS_TARGET, floor_rel):
+        rel_err = rel_disc + rel_tail
+        if rel_err <= EPS_TARGET or rel_err <= floor_rel:
             return True
         # The h grid is accepted without a confirming halving once the model
         # predicts its error below PRED_TARGET.
@@ -551,7 +574,8 @@ class _Row:
                 return True
         if h <= _FINEST_STEP:
             return True
-        self.prev_disc = [f[1] for f in figures]
+        self.prev_disc = ([rel_disc] if len(figures) == 1
+                          else [rel_disc, figures[1][1]])
         self.step = h * 0.5
         self.target += 1
         return self.passes == _MAX_PASSES
@@ -580,10 +604,15 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
     channel the bits it gets without ``derivative``.
     """
     rows = []
+    extents: dict[float, tuple[int, float]] = {}  # (crossing, half) per t
     for z in points:
-        q = default_crossing(z.imag)
-        # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
-        rows.append(_Row(z, q, math.ceil(2.0 * _half_length(z.imag, q)) / 2.0))
+        extent = extents.get(z.imag)
+        if extent is None:
+            q = default_crossing(z.imag)
+            # a multiple of 1/2, so every dyadic grid with step <= 1/4 nests
+            extent = extents[z.imag] = (
+                q, math.ceil(2.0 * _half_length(z.imag, q)) / 2.0)
+        rows.append(_Row(z, *extent))
     pending = rows
     while pending:
         groups: dict[tuple[int, float, int], list[_Row]] = {}
@@ -603,11 +632,12 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
                 block = group[lo:lo + size] if len(group) > size else group
                 halvings = _sum_level(block, q, base_n, level, derivative,
                                       _FIRST_HALVINGS)
+                channel_sums = halvings and [sums for row in block
+                                             for sums in row.sums]
                 live = block
                 for j, parts in enumerate([None, *halvings]):
                     if parts:
-                        _add_level([sums for row in block for sums in row.sums],
-                                   *parts)
+                        _add_level(channel_sums, *parts)
                     going = []
                     for row in live:
                         row.level = level + j
@@ -639,8 +669,8 @@ def _absolute(log_total: complex | None, rel_err: float):
     """(value, absolute error) from a log of the value and a relative
     error."""
     value = _value_from_log(log_total)
-    err = rel_err * abs(value) if abs(value) < 1e300 else rel_err * 1e300
-    return value, err
+    size = abs(value)
+    return value, rel_err * (size if size < 1e300 else 1e300)
 
 
 def _value_from_log(log_total: complex | None) -> complex:
@@ -692,21 +722,21 @@ def _evaluate(pairs: list[tuple[float, float]],
         # is honest and downstream integrality guards fail loudly on bad
         # phases.
         figures, prev_disc = row.best
-        (log_total, rel_est), *d_result = map(
-            _estimate, figures, prev_disc or (None, None))
+        log_total, rel_est = _estimate(figures[0],
+                                       prev_disc and prev_disc[0])
         value, err = _absolute(log_total, rel_est)
-        d_value = d_error = log_ratio = None
-        if derivative:
-            (d_log, d_rel), = d_result
-            d_value, d_error = _absolute(d_log, d_rel)
-            if log_total is not None:
-                log_ratio = (0.0j if d_log is None
-                             else cmath.exp(d_log - log_total))
-        out.append(EvaluationResult(
-            value=value, method="quadrature", error_estimate=err,
-            log_value=log_total, derivative=d_value, derivative_error=d_error,
-            log_derivative=log_ratio,
-        ))
+        if not derivative:
+            # positional fields: EvaluationResult(value, method,
+            # error_estimate, log_value), a third of the keyword call's cost
+            out.append(EvaluationResult(value, "quadrature", err, log_total))
+            continue
+        d_log, d_rel = _estimate(figures[1], prev_disc and prev_disc[1])
+        d_value, d_error = _absolute(d_log, d_rel)
+        log_ratio = None
+        if log_total is not None:
+            log_ratio = 0.0j if d_log is None else cmath.exp(d_log - log_total)
+        out.append(EvaluationResult(value, "quadrature", err, log_total,
+                                    d_value, d_error, log_ratio))
     return out
 
 

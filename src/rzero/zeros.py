@@ -387,8 +387,21 @@ class _Circle:
                                                    math.sin(TWO_PI * u))
 
 
+# A certificate circle is walked from this many equispaced seeds, 8
+# intervals of pi/4 about its zero (the margin to the walk's pi/2 contract
+# is under _CERT_NOISE_FACTOR); arg_variation bisects any larger step.
+_CIRCLE_SEEDS = 9
+
+
+def _circle_points(center: complex, radius: float) -> list[complex]:
+    """The seed points of the walk of _circle_winding."""
+    circle = _Circle(center, radius)
+    return [circle.point(u) for u in unit_params(_CIRCLE_SEEDS)]
+
+
 def _circle_winding(f, center: complex, radius: float) -> int:
-    trace = arg_variation(f, _Circle(center, radius), unit_params(17))
+    trace = arg_variation(f, _Circle(center, radius),
+                          unit_params(_CIRCLE_SEEDS))
     return integer_winding(trace.total_variation / TWO_PI)
 
 
@@ -426,7 +439,9 @@ def _power_sum_roots(box: Box, m: int) -> list[complex] | None:
 
 # The certificate circle starts no smaller than this many times the
 # distance over which R's noise can move a zero, error_estimate / |R'|
-# (see refine_zeros).
+# (see refine_zeros): the noise then moves each sample's phase by under
+# 0.1 rad, so a step of the 8-interval walk, pi/4 about the zero, reads
+# under pi/4 + 0.2 rad, inside the walk's pi/2 contract.
 _CERT_NOISE_FACTOR = 10.0
 
 
@@ -487,7 +502,9 @@ def refine_zeros(seeds: list[Box | Group],
     the piece is under 64 * NEWTON_STEP_TOL.  A Group has one run from
     each of its starts and no restart.  The final point is re-certified by
     a winding-1 circle of radius 10 * (final step + 1e-12), doubled,
-    tripled and quadrupled while that circle fails.  A group resolves only
+    tripled and quadrupled while that circle fails, each walked from
+    _CIRCLE_SEEDS = 9 seeds, 8 intervals; for R the samples of every first
+    circle are read in one r_eval_many call.  A group resolves only
     when each of its runs ends so and its circles are pairwise disjoint
     and lie inside its box: then the m zeros it winds are all found.  The
     runs go in lockstep, one Newton step each per round; each round and the
@@ -504,8 +521,11 @@ def refine_zeros(seeds: list[Box | Group],
     then starts at no less than _CERT_NOISE_FACTOR = 10 times e / |R'| at
     the final point, from its residual call.  On that circle
     |R| ~ |R'| r is at least 10 e, so the noise moves each sample's phase
-    by under asin(0.1) ~ 0.1 rad, far inside the walk's pi/2 contract and
-    the integrality guard's 0.1 turn.
+    by under asin(0.1) ~ 0.1 rad.  About the zero each of the circle's 8
+    intervals turns the phase by pi/4, so a step reads under
+    pi/4 + 0.2 rad, inside the walk's pi/2 contract (a larger step is
+    bisected), and the noise stays far inside the integrality guard's 0.1
+    turn.
     """
     found, errors = _refine(seeds, f, df)
     if errors:
@@ -578,13 +598,20 @@ def _refine(seeds: list[Box | Group], f, df
         live = [i for i in still if owner[i] not in errors]
 
     done = sorted(i for i in steps if owner[i] not in errors)
+    finals = rows(done)
+    radii = [max(10.0 * (steps[i] + 1e-12),
+                 _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0)
+             for i, (_, slope, noise) in zip(done, finals)]
+    if f is r_value:
+        # the samples of every first circle in one batch; the walks read
+        # them from the cache
+        r_eval_many([z for i, radius in zip(done, radii)
+                     for z in _circle_points(runs[i].z, radius)])
     zeros: dict[int, Zero] = {}
-    for i, (value, slope, noise) in zip(done, rows(done)):
+    for i, (value, _, _), radius in zip(done, finals, radii):
         if owner[i] in errors:  # a circle of its group failed
             continue
         z = runs[i].z
-        least = _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0
-        radius = max(10.0 * (steps[i] + 1e-12), least)
         for bump in range(4):
             try:
                 cert = _circle_winding(f, z, radius * (1.0 + bump))

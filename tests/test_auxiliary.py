@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import functools
+import hashlib
 import math
 import random
 
@@ -32,7 +34,7 @@ from rzero.errors import (
 )
 from rzero.counting import unit_params
 from rzero.special_functions import TWO_PI, chi
-from rzero.zeros import Box, _Circle, refine_zero
+from rzero.zeros import _CIRCLE_SEEDS, Box, _Circle, refine_zero
 
 mp.mp.dps = 30
 
@@ -492,6 +494,34 @@ class TestFirstRound:
                 both.log_derivative) == expected
 
 
+# Seeded points with sigma in [-40, 10] and t in [0, 3000], the two
+# FUSED_CASES, a row at t = 10^5 that cuts residues (q = 126), and the 16
+# points at angles k pi / 8 of a circle of radius 1e-11 about the zero
+# -2.8217 + 54.2696i, the samples of its certificate circle.
+_pin_rng = random.Random(34)
+PINNED_POINTS = [complex(_pin_rng.uniform(-40.0, 10.0),
+                         _pin_rng.uniform(0.0, 3000.0)) for _ in range(200)]
+PINNED_POINTS += [*FUSED_CASES, complex(-30.0, 1e5)]
+_PINNED_CIRCLE = _Circle(complex(-2.821691995946681, 54.26955210278159),
+                         1.007588599744428e-11)
+PINNED_POINTS += [_PINNED_CIRCLE.point(u) for u in unit_params(17)[:16]]
+
+
+@pytest.mark.parametrize("derivative, digest", [
+    (False, "42c0a4237f2c4b002e04f6cad4be8cdbcc4569df83139a43606253e1df28863c"),
+    (True, "5fc35111f8d9ce2c9ab2cf9421ac364eacf572b26c1f80a772a6dcd8259afcf4"),
+])
+def test_request_path_keeps_every_bit(derivative, digest):
+    # SHA-256 of the repr of every field of every result, cold, through
+    # r_eval_many: the bits of the step-halving loop's figures, of
+    # _evaluate's estimates and of the residue cut, which a change to the
+    # Python around each point must keep
+    r_eval_cache_clear()
+    results = r_eval_many(PINNED_POINTS, derivative)
+    fields = repr([dataclasses.astuple(res) for res in results])
+    assert hashlib.sha256(fields.encode()).hexdigest() == digest
+
+
 def _pinned_half(t, q):
     """An extent pinned apart from the default sizing under test: the wider
     rule _MIN_HALF + sqrt(t)/4 + sqrt(2) |q + 1/2 - saddle| + 1."""
@@ -603,14 +633,15 @@ def test_far_left_estimate_covers_oracle_deviation():
 
 
 def test_circle_about_a_zero_stops_at_the_rounding_floor():
-    # the 16 samples of the winding-1 certificate circle about a zero of R:
+    # the samples of the winding-1 certificate circle about a zero of R, as
+    # its walk seeds them (the last seed closes the circle at the first):
     # |R| there is about 1e-11 of the integrand's scale, so the rounding
     # floor is far above EPS_TARGET and a finer step than 1/32 cannot help
     # (the EPS_TARGET rule alone halves them to steps 1/64 and 1/128); each
     # estimate still covers the deviation from a fixed pass at step 1/1024
     zero = refine_zero(Box(-2.9, -2.7, 54.2, 54.35))
     circle = _Circle(complex(zero.beta, zero.gamma), zero.enclosure_radius)
-    points = [circle.point(u) for u in unit_params(17)[:16]]
+    points = [circle.point(u) for u in unit_params(_CIRCLE_SEEDS)[:-1]]
     r_eval_cache_clear()
     rows = auxiliary._step_halve(points)
     assert min(row.step for row in rows) == 1 / 32

@@ -14,10 +14,14 @@ from rzero.auxiliary import (
     values_at,
 )
 from rzero.errors import ContourZeroError, DomainError, NewtonError
+from rzero.counting import arg_variation, unit_params
 from rzero.zeros import (
     NEWTON_STEP_TOL,
+    _CIRCLE_SEEDS,
     Box,
     Zero,
+    _Circle,
+    _circle_points,
     _circle_winding,
     _power_sum_roots,
     _split_conserving,
@@ -527,6 +531,66 @@ class TestRefineZero:
         assert zero.winding_certificate == 1
 
 
+class TestCertificateCircle:
+    def test_first_circles_in_one_batch(self, monkeypatch):
+        # one refine_zeros call over a winding-1 piece and groups of 2 and 3
+        # reads the samples of every first circle in one r_eval_many call;
+        # the walks compute no R value at them again
+        import rzero.zeros as zeros_mod
+        r_eval_cache_clear()
+        iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
+        assert iso.isolated and {len(g.starts) for g in iso.groups} == {2, 3}
+        requests, computed = [], []
+        real_many, real_fill = zeros_mod.r_eval_many, auxiliary._R_CACHE._fill
+
+        def many(points, derivative=False):
+            if not derivative:
+                requests.append(list(points))
+            return real_many(points, derivative)
+
+        def fill(pairs, derivative):
+            computed.append(set(pairs))
+            return real_fill(pairs, derivative)
+
+        monkeypatch.setattr(zeros_mod, "r_eval_many", many)
+        monkeypatch.setattr(auxiliary._R_CACHE, "_fill", fill)
+        found = refine_zeros([*iso.isolated, *iso.groups])
+        assert len(found) == 6
+        circles = [_circle_points(complex(z.beta, z.gamma), z.enclosure_radius)
+                   for z in found]
+        assert all(len(points) == _CIRCLE_SEEDS for points in circles)
+        samples = {(p.real, p.imag) for points in circles for p in points}
+        assert len(requests) == 1
+        assert {(p.real, p.imag) for p in requests[0]} == samples
+        assert [batch for batch in computed if batch & samples] == [samples]
+
+    def test_circle_about_two_simple_zeros_winds_two(self):
+        # a caller's f with two simple zeros inside one 8-interval circle:
+        # the walk bisects its steps of about pi/2 and reads 2, not the 1 a
+        # certificate needs
+        center, radius = 1.0 + 1.0j, 1e-3
+        a, b = center + 0.3 * radius, center - 0.25j * radius
+
+        def f(z):
+            return (z - a) * (z - b)
+
+        assert _circle_winding(f, center, radius) == 2
+        trace = arg_variation(f, _Circle(center, radius),
+                              unit_params(_CIRCLE_SEEDS))
+        assert len(trace.nodes) > _CIRCLE_SEEDS
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 8, 1.0])
+    def test_zero_just_outside_winds_zero(self, angle):
+        # the zero 5 % of the radius outside, at a seed (angle 0) or between
+        # two (pi/8 and 1 rad); 5 % inside it winds once
+        center, radius = 2.0 + 3.0j, 1e-6
+        where = cmath.exp(1j * angle)
+        outside = center + 1.05 * radius * where
+        inside = center + 0.95 * radius * where
+        assert _circle_winding(lambda z: z - outside, center, radius) == 0
+        assert _circle_winding(lambda z: z - inside, center, radius) == 1
+
+
 class TestRefineZeros:
     ROOTS = (0.0, 2.0, 2.3)
     # Newton from the first seed's centre, 0.7, meets f' ~ 0.05 and leaves
@@ -562,8 +626,9 @@ class TestRefineZeros:
     def test_step_halve_calls(self, monkeypatch):
         # each Newton round of the six runs, and their residuals, step-halve
         # as one block: from the power-sum roots 3 rounds of six, one of a
-        # single run and the residuals, then the 6 certificate circles (11
-        # calls); from the centres of winding-1 pieces it took 24, and one
+        # single run and the residuals, then the samples of the 6
+        # certificate circles as one more (6 calls; 11 with a call per
+        # circle); from the centres of winding-1 pieces it took 24, and one
         # seed at a time 68
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
         calls = []
@@ -572,7 +637,7 @@ class TestRefineZeros:
                             lambda points, derivative=False:
                             calls.append(len(points)) or real(points, derivative))
         refine_zeros([*iso.isolated, *iso.groups])
-        assert len(calls) <= 12
+        assert len(calls) <= 6
 
     def test_runs_start_at_the_winding_mean(self, monkeypatch):
         # the mean of each winding-1 piece, the m = 1 root of its power
