@@ -683,10 +683,13 @@ def _value_from_log(log_total: complex | None) -> complex:
 
 
 def _checked(s) -> complex:
+    """s as a point at which R is evaluated: DomainError unless both parts
+    are finite (as_complex says which is not) and Im(s) >= 0."""
+    z = complex(s)
+    if cmath.isfinite(z) and z.imag >= 0.0:
+        return z
     z = as_complex(s)
-    if z.imag < 0.0:
-        raise DomainError(f"evaluation requires Im(s) >= 0, got {z}")
-    return z
+    raise DomainError(f"evaluation requires Im(s) >= 0, got {z}")
 
 
 def default_crossing(t: float) -> int:
@@ -754,8 +757,9 @@ class _RCache:
     and evicting the least recently used entry.
 
     Called as ``_r_eval_cached(sigma, t, derivative)`` it serves one point
-    (r_eval, r_derivative); ``many`` serves a list (r_eval_many).  Misses of
-    one call are step-halved together.  A value request at a point that
+    (r_eval, r_derivative); ``keyed`` serves a list of keys
+    (sigma, t, derivative) (r_eval_many).  Misses of one call are
+    step-halved together.  A value request at a point that
     holds a derivative entry is served from that entry, whose value fields
     are the same bits.
     """
@@ -764,21 +768,6 @@ class _RCache:
         self.maxsize = maxsize
         self._store: OrderedDict = OrderedDict()
         self._hits = self._misses = 0
-
-    def _get(self, sigma: float, t: float, derivative: bool):
-        store = self._store
-        key = (sigma, t, derivative)
-        hit = store.get(key)
-        if hit is None and not derivative:
-            key = (sigma, t, True)
-            hit = store.get(key)
-            if hit is not None:
-                store.move_to_end(key)
-                return EvaluationResult(hit.value, hit.method,
-                                        hit.error_estimate, hit.log_value)
-        if hit is not None:
-            store.move_to_end(key)
-        return hit
 
     def _fill(self, pairs: list[tuple[float, float]],
               derivative: bool) -> list[EvaluationResult]:
@@ -794,22 +783,34 @@ class _RCache:
 
     def __call__(self, sigma: float, t: float,
                  derivative: bool) -> EvaluationResult:
-        return self.many([(sigma, t)], derivative)[0]
+        return self.keyed([(sigma, t, derivative)], derivative)[0]
 
-    def many(self, pairs: list[tuple[float, float]],
-             derivative: bool) -> list[EvaluationResult]:
+    def keyed(self, keys: list[tuple[float, float, bool]],
+              derivative: bool) -> list[EvaluationResult]:
+        """The results for keys (sigma, t, derivative), in order, every key
+        with the ``derivative`` given; a hit moves its entry to the most
+        recent end, and the misses are computed together (_fill)."""
+        store = self._store
+        get, to_end = store.get, store.move_to_end
         out, missing = [], {}  # missing: the distinct pairs, in order
-        for sigma, t in pairs:
-            res = self._get(sigma, t, derivative)
+        for key in keys:
+            res = get(key)
+            if res is not None:
+                to_end(key)
+            elif not derivative and (
+                    res := get(full := (key[0], key[1], True))) is not None:
+                to_end(full)
+                res = EvaluationResult(res.value, res.method,
+                                       res.error_estimate, res.log_value)
+            else:
+                missing[key[:2]] = None
             out.append(res)
-            if res is None:
-                missing[sigma, t] = None
-        self._hits += len(pairs) - len(missing)
+        self._hits += len(keys) - len(missing)
         if not missing:
             return out
         computed = dict(zip(missing, self._fill(list(missing), derivative)))
-        return [computed[pair] if res is None else res
-                for pair, res in zip(pairs, out)]
+        return [computed[key[:2]] if res is None else res
+                for key, res in zip(keys, out)]
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self._hits, self._misses, self.maxsize,
@@ -855,8 +856,8 @@ def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
     numpy kernel serves the block.  Every result has the same bits as
     r_eval (or r_derivative) would give, and lands in the same cache.
     """
-    zs = [_checked(s) for s in points]
-    return _R_CACHE.many([(z.real, z.imag) for z in zs], derivative)
+    return _R_CACHE.keyed([(z.real, z.imag, derivative)
+                           for z in map(_checked, points)], derivative)
 
 
 def r_value(s) -> complex:

@@ -17,11 +17,15 @@ an ``AxisEdge`` that carries its lattice, k/m between its ends, and runs
 upward; a rectangle counts its top and left edges negatively
 (_EDGE_SIGNS).  Edges of a line that share m share their samples bit for
 bit, so a child box reads most of its edges from its parent's cache and a
-cut is computed once.  For R an edge is also walked once per R-cache
-lifetime: _edge_walk keeps each edge's variation and its moments of order
-0 to 3 (ArgTrace.moments), an edge met again reads them, and
-r_eval_cache_clear empties that memo and the base counts with the R values
-they come from.  The moments around a rectangle (_rectangle_sums) give the
+cut is computed once.  For R each lattice interval of a line is also
+walked once per R-cache lifetime: _edge_walk keeps each edge's variation
+and its moments of order 0 to 3 (ArgTrace.moments), which an edge met
+again reads, and the walk itself, from which an edge inside it on the same
+lattice, such as a split child's side, is built (_inner_walk): such a
+side walks only its interval at the cut, so where the sides keep their
+parent's lattice, as most do, a split's children walk only the cut.
+r_eval_cache_clear empties these memos and the base counts with the R
+values they come from.  The moments around a rectangle (_rectangle_sums) give the
 power sums from which zeros places the zeros of a small piece
 (zeros._power_sum_roots).
 ``residual_table`` is the one place where N(T) is assembled.  Up to
@@ -47,7 +51,9 @@ on a bottom edge, the curve contour's included, raises ContourZeroError.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -188,11 +194,19 @@ class ArgTrace:
     2 pi i times the power sums of (rho - c)^k over the zeros rho inside
     (less those of the poles), up to the quadrature error of the nodes.
     Moments about the path's own first point keep every term as small as
-    the path; about 0 they would cancel badly at z ~ 10^6 i."""
+    the path; about 0 they would cancel badly at z ~ 10^6 i.
+
+    ``params`` and ``logs`` hold each node's parameter and log of f, and
+    steps[i] is log f at node i + 1 less at node i with dphi_i as its
+    imaginary part: _edge_walk builds a walk of R along an edge from these
+    of a walk that contains it."""
 
     nodes: tuple[complex, ...]
     total_variation: float
     moments: tuple[complex, complex, complex, complex]
+    params: tuple[float, ...]
+    logs: tuple[complex, ...]
+    steps: tuple[complex, ...]
 
 
 def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
@@ -210,62 +224,50 @@ def _check_dip(point_fn, u, log_f, ua, log_a, ub, log_b) -> None:
         )
 
 
-def arg_variation(f, path, params) -> ArgTrace:
-    """Unwrapped argument change of f along a path, any object whose
-    ``point(u)`` gives the point at parameter u, walked through the seed
-    parameters ``params`` in the order given: unit_params(n) for a
-    PathSegment or a circle, the lattice of an AxisEdge's line
-    (AxisEdge.seed_params), or a subset of it picked by _walk_edge.
-
-    Reads a log of f (logs_at) at the seeds, then bisects parameter
-    intervals at 0.5 (u1 + u2) until each consecutive nearest-branch step
-    of Im log f is below pi/2.  DomainError for fewer than two seeds.
-    Raises ZeroOnPathError at an exact zero of f at a node, where a node
-    dips (_check_dip: a seed against its two nearest nodes, a bisection
-    midpoint against its ends; no modulus is compared, so the test holds
-    where |f| saturates) or when MAX_REFINE_DEPTH bisection levels cannot
-    satisfy the phase contract.  Each point is formed once.
-    """
-    point_fn = path.point
-    if len(params) < 2:
-        raise DomainError(f"arg_variation needs two seeds, got {len(params)}")
-    points = [point_fn(u) for u in params]
-    logs = logs_at(f, points)
-    moduli = [log.real for log in logs]
+def _check_seeds(point_fn, params, logs, seeds) -> None:
+    """_check_dip at each seed index of ``seeds``, in order, against its
+    two nearest seeds: an interior seed's neighbours, the next two of an end
+    seed (its one neighbour, twice, on a two-node path).  The test is
+    inline, and _check_dip is called only to raise."""
     last = len(params) - 1
-    for k, u in enumerate(params):
-        # the two nearest nodes: an interior seed's neighbours, the next two
-        # of an end seed (its one neighbour, twice, on a two-node path);
-        # _check_dip's test, inline, and the call only to raise
+    for k in seeds:
         a = k - 1 if k else min(2, last)
         b = k + 1 if k < last else max(last - 2, 0)
-        ua, ub = params[a], params[b]
-        slope = 0.0 if ua == ub else (moduli[b] - moduli[a]) / (ub - ua)
-        line = moduli[a] + slope * (u - ua)
-        if moduli[k] < line + _LOG_DETECT_TOL:
-            _check_dip(point_fn, u, logs[k], ua, logs[a], ub, logs[b])
-    nodes = [points[0]]
-    steps = []  # log f at each node after the first, less at the one before
-    # the unwrapped phase, summed step by step from the first principal one
-    first = phase = math.remainder(logs[0].imag, TWO_PI)
-    for i in range(last):
-        delta = math.remainder(logs[i + 1].imag - logs[i].imag, TWO_PI)
+        ua, ub, la, lb = params[a], params[b], logs[a].real, logs[b].real
+        slope = 0.0 if ua == ub else (lb - la) / (ub - ua)
+        if logs[k].real < la + slope * (params[k] - ua) + _LOG_DETECT_TOL:
+            _check_dip(point_fn, params[k], logs[k], ua, logs[a], ub, logs[b])
+
+
+def _walked(f, point_fn, params, points, logs):
+    """The nodes of a walk through the seeds ``params``, whose points and
+    logs of f are given: lists of their parameters, points and logs, and of
+    the steps between them (ArgTrace).  Each seed interval whose
+    nearest-branch step of Im log f is not below pi/2 is bisected at
+    0.5 (u1 + u2), depth first and left half first, each midpoint checked
+    against its ends (_check_dip); ZeroOnPathError when MAX_REFINE_DEPTH
+    levels cannot satisfy the contract."""
+    us, zs, ls, steps = [params[0]], [points[0]], [logs[0]], []
+    for i in range(len(params) - 1):
+        l1, l2 = logs[i], logs[i + 1]
+        delta = math.remainder(l2.imag - l1.imag, TWO_PI)
         if abs(delta) < PHASE_LIMIT:
-            steps.append(complex(logs[i + 1].real - logs[i].real, delta))
-            nodes.append(points[i + 1])
-            phase += delta
+            us.append(params[i + 1])
+            zs.append(points[i + 1])
+            ls.append(l2)
+            steps.append(complex(l2.real - l1.real, delta))
             continue
-        # bisect depth first, left half first, from a list rather than a
-        # recursive closure, which would hold the walk in a reference cycle
-        todo = [(params[i], logs[i], params[i + 1], points[i + 1],
-                 logs[i + 1], 0)]
+        # from a list rather than a recursive closure, which would hold the
+        # walk in a reference cycle
+        todo = [(params[i], l1, params[i + 1], points[i + 1], l2, 0)]
         while todo:
             p1, l1, p2, z2, l2, depth = todo.pop()
             delta = math.remainder(l2.imag - l1.imag, TWO_PI)
             if abs(delta) < PHASE_LIMIT:
+                us.append(p2)
+                zs.append(z2)
+                ls.append(l2)
                 steps.append(complex(l2.real - l1.real, delta))
-                nodes.append(z2)
-                phase += delta
                 continue
             pm = 0.5 * (p1 + p2)
             if depth >= MAX_REFINE_DEPTH:
@@ -279,12 +281,19 @@ def arg_variation(f, path, params) -> ArgTrace:
             _check_dip(point_fn, pm, lm, p1, l1, p2, l2)
             todo.append((pm, lm, p2, z2, l2, depth + 1))
             todo.append((p1, l1, pm, zm, lm, depth + 1))
-    variation = phase - first
-    # twice the moments k = 1 .. 3 about the first node, summed node by
-    # node from the powers of z - anchor at each step's two ends (a, b)
+    return us, zs, ls, steps
+
+
+def _trace(params, nodes, logs, steps) -> ArgTrace:
+    """The ArgTrace of a walk's nodes: the unwrapped phase summed step by
+    step from the first principal one, and twice the moments k = 1 .. 3
+    about the first node, summed node by node from the powers of
+    z - anchor at each step's two ends (a, b)."""
+    first = phase = math.remainder(logs[0].imag, TWO_PI)
     anchor = nodes[0]
     m1 = m2 = m3 = a1 = a2 = a3 = 0j
-    for z, step in zip(nodes[1:], steps):
+    for z, step in zip(itertools.islice(nodes, 1, None), steps):
+        phase += step.imag
         b1 = z - anchor
         b2 = b1 * b1
         b3 = b2 * b1
@@ -292,9 +301,36 @@ def arg_variation(f, path, params) -> ArgTrace:
         m2 += (a2 + b2) * step
         m3 += (a3 + b3) * step
         a1, a2, a3 = b1, b2, b3
-    return ArgTrace(nodes=tuple(nodes), total_variation=variation,
-                    moments=(complex(moduli[last] - moduli[0], variation),
-                             0.5 * m1, 0.5 * m2, 0.5 * m3))
+    variation = phase - first
+    return ArgTrace(tuple(nodes), variation,
+                    (complex(logs[-1].real - logs[0].real, variation),
+                     0.5 * m1, 0.5 * m2, 0.5 * m3),
+                    tuple(params), tuple(logs), tuple(steps))
+
+
+def arg_variation(f, path, params) -> ArgTrace:
+    """Unwrapped argument change of f along a path, any object whose
+    ``point(u)`` gives the point at parameter u, walked through the seed
+    parameters ``params`` in the order given: unit_params(n) for a
+    PathSegment or a circle, the lattice of an AxisEdge's line
+    (AxisEdge.seed_params), or a subset of it picked by _walk_edge.
+
+    Reads a log of f (logs_at) at the seeds, then bisects parameter
+    intervals at 0.5 (u1 + u2) until each consecutive nearest-branch step
+    of Im log f is below pi/2 (_walked).  DomainError for fewer than two
+    seeds.  Raises ZeroOnPathError at an exact zero of f at a node, where a
+    node dips (_check_dip: a seed against its two nearest nodes, a
+    bisection midpoint against its ends; no modulus is compared, so the
+    test holds where |f| saturates) or when MAX_REFINE_DEPTH bisection
+    levels cannot satisfy the phase contract.  Each point is formed once.
+    """
+    point_fn = path.point
+    if len(params) < 2:
+        raise DomainError(f"arg_variation needs two seeds, got {len(params)}")
+    points = [point_fn(u) for u in params]
+    logs = logs_at(f, points)
+    _check_seeds(point_fn, params, logs, range(len(params)))
+    return _trace(*_walked(f, point_fn, params, points, logs))
 
 
 def integer_winding(raw: float, where: str = "") -> int:
@@ -475,32 +511,97 @@ _EDGE_SIGNS = {"bottom": 1, "right": 1, "top": -1, "left": -1}
 # (total_variation, moments) of R along each AxisEdge walked since the R
 # cache was last cleared, keyed by (vertical, level, start, end, seeds)
 _EDGE_VARIATIONS: dict = cleared_with_r_values({})
+# the walks behind them, (edge, ArgTrace) pairs per line and lattice, keyed
+# by (vertical, level, m)
+_LINE_WALKS: dict = cleared_with_r_values({})
 
 
 def _edge_walk(f, edge: AxisEdge) -> tuple[float, tuple[complex, ...]]:
     """(total_variation, moments) of f along an edge, from its start to its
     end, walked by arg_variation on the lattice of its line; the moments
-    (ArgTrace.moments) are about the edge's first point.  For f = r_value
-    the pair is kept in _EDGE_VARIATIONS until r_eval_cache_clear, so an
-    edge is walked once per R-cache lifetime; a walk that raises keeps
-    nothing.  A caller's f is walked every time."""
+    (ArgTrace.moments) are about the edge's first point.  A caller's f is
+    walked every time.  For f = r_value the pair is kept in
+    _EDGE_VARIATIONS until r_eval_cache_clear, so an edge is walked once
+    per R-cache lifetime, and the walk's ArgTrace in _LINE_WALKS: an edge
+    that lies inside an edge already walked on its line and lattice, such
+    as a split child's side inside its parent's, is built from that walk
+    (_inner_walk) and walks only the lattice intervals it lacks, so each
+    lattice interval of a line is walked once.  A walk that raises keeps
+    nothing."""
+    if f is not r_value:
+        trace = arg_variation(f, edge, edge.seed_params())
+        return trace.total_variation, trace.moments
     key = (edge.vertical, edge.level, edge.start, edge.end, edge.seeds)
-    if f is r_value and key in _EDGE_VARIATIONS:
-        return _EDGE_VARIATIONS[key]
-    trace = arg_variation(f, edge, edge.seed_params())
-    walk = trace.total_variation, trace.moments
-    if f is r_value:
-        _EDGE_VARIATIONS[key] = walk
+    walk = _EDGE_VARIATIONS.get(key)
+    if walk is None:
+        line = _LINE_WALKS.setdefault((edge.vertical, edge.level, edge.m), [])
+        outer = next((pair for pair in reversed(line)
+                      if pair[0].start <= edge.start
+                      and edge.end <= pair[0].end), None)
+        # an edge with no lattice point inside shares no seed interval
+        # with a longer edge
+        if outer is None or not edge.ks:
+            trace = arg_variation(r_value, edge, edge.seed_params())
+        else:
+            trace = _inner_walk(edge, *outer)
+        line.append((edge, trace))
+        walk = _EDGE_VARIATIONS[key] = trace.total_variation, trace.moments
     return walk
+
+
+def _inner_walk(edge: AxisEdge, outer: AxisEdge, walked: ArgTrace
+                ) -> ArgTrace:
+    """The ArgTrace of R along ``edge`` from ``walked``, that of ``outer``,
+    an edge of the same line and lattice that contains it, with the bits of
+    arg_variation(r_value, edge, edge.seed_params()).
+
+    The interior lattice points of ``edge`` are consecutive seeds of
+    ``outer``, so every seed interval of ``edge`` is one of ``outer``'s,
+    with the same nodes and steps, except where an end of ``edge`` is not
+    ``outer``'s: only the interval at such a new end is walked (_walked),
+    after a log of R at the new end seed, from one logs_at call, and the
+    dip test (_check_seeds) at the two seeds of each end, the only ones
+    whose two nearest seeds can differ from those they had in ``outer``.
+    The phase and moments are then summed over the edge's own nodes
+    (_trace)."""
+    params = edge.seed_params()
+    last = len(params) - 1
+    point_fn = edge.point
+    head, tail = edge.start != outer.start, edge.end != outer.end
+    ends = {k: point_fn(params[k]) for k, fresh in ((0, head), (last, tail))
+            if fresh}
+    # the node index in ``walked`` of each seed near an end that it holds
+    index = {k: bisect.bisect_left(walked.params, params[k])
+             for k in {0, 1, 2, last - 2, last - 1, last} if k not in ends}
+    logs = {k: walked.logs[at] for k, at in index.items()}
+    logs.update(zip(ends, logs_at(r_value, list(ends.values()))))
+    _check_seeds(point_fn, params, logs, sorted({0, 1, last - 1, last}))
+    a = index[1] if head else 0
+    b = index[last - 1] if tail else len(walked.params) - 1
+    us, zs, ls, steps = (walked.params[a:b + 1], walked.nodes[a:b + 1],
+                         walked.logs[a:b + 1], walked.steps[a:b])
+    if head:
+        hu, hz, hl, hs = _walked(r_value, point_fn, params[:2],
+                                 [ends[0], zs[0]], [logs[0], logs[1]])
+        us, zs, ls = (*hu[:-1], *us), (*hz[:-1], *zs), (*hl[:-1], *ls)
+        steps = (*hs, *steps)
+    if tail:
+        tu, tz, tl, ts = _walked(r_value, point_fn, params[-2:],
+                                 [zs[-1], ends[last]],
+                                 [logs[last - 1], logs[last]])
+        us, zs, ls = (*us, *tu[1:]), (*zs, *tz[1:]), (*ls, *tl[1:])
+        steps = (*steps, *ts)
+    return _trace(us, zs, ls, steps)
 
 
 def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
                        t_hi: float) -> float:
     """Raw winding value around a rectangle: the variations of its edges
     (_rectangle_edges, _edge_walk) summed with their _EDGE_SIGNS, over
-    2 pi.  For f = r_value the walks are memoised, so a split's children
-    read their parent's two edges parallel to the cut, and the second child
-    reads the cut the first one walked."""
+    2 pi.  For f = r_value the walks are memoised (_edge_walk), so a
+    split's children read their parent's two edges parallel to the cut,
+    build their sides from the parent's, and the second child reads the cut
+    the first one walked."""
     return sum(_EDGE_SIGNS[name] * _edge_walk(f, edge)[0]
                for name, edge in _rectangle_edges(
                    sigma_lo, sigma_hi, t_lo, t_hi).items()) / TWO_PI

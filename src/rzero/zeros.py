@@ -25,7 +25,10 @@ lockstep: each Newton round takes R(s) and R'(s) at every live iterate
 from one r_eval_many(..., derivative=True) call, and the residuals of all
 refined points are one more call.  Piece edges lie on counting's per-line
 sample lattice, so the two children of a split read the cut's samples from
-one set of cache entries and most of their outer edges from the parent's.
+one set of cache entries and the edges parallel to the cut from the
+parent's walks, and a side that keeps its parent's lattice, as most do, is
+built from the parent's side and walks only its interval at the cut
+(counting._edge_walk).
 The scan of a split's cut for a zero of even multiplicity starts from
 those same lattice samples.  It ends there when their minimum is interior
 and too large against its neighbours for a double zero to lie beside it,

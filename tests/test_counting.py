@@ -304,17 +304,18 @@ class TestEdgeMemo:
         monkeypatch.setattr(counting_mod, "arg_variation", record)
         return walked
 
-    def test_split_walks_five_edges(self, monkeypatch):
-        # the children read the parent's bottom and top edges, and the upper
-        # child reads as its bottom the cut the lower one walked as its top:
-        # 5 of the children's 8 edges are walked
+    def test_split_walks_only_the_cut(self, monkeypatch):
+        # the children's sides lie inside the parent's, on the same lattice,
+        # and are built from its walks; the children read the parent's
+        # bottom and top edges, and the upper child reads as its bottom the
+        # cut the lower one walked as its top: of the children's 8 edges
+        # only the cut is walked
         auxiliary.r_eval_cache_clear()
         rectangle_count(r_value, *self.PARENT)
         walked = self._walked(monkeypatch)
         for child in self.CHILDREN:
             assert rectangle_count(r_value, *child)[1] == child[2:]
-        assert len(walked) == len(set(walked)) == 5
-        assert {edge.level for edge in walked if not edge.vertical} == {45.0}
+        assert walked == [self.CUT]
 
     @pytest.mark.parametrize("first", [0, 1], ids=["lower", "upper"])
     def test_equals_unmemoised_sum(self, first):
@@ -369,11 +370,125 @@ class TestEdgeMemo:
         first = base_count(-6.0)
         cold = len(computed)
         assert counting_mod._BASE_COUNT_CACHE and counting_mod._EDGE_VARIATIONS
+        assert counting_mod._LINE_WALKS
         auxiliary.r_eval_cache_clear()
         assert not counting_mod._BASE_COUNT_CACHE
         assert not counting_mod._EDGE_VARIATIONS
+        assert not counting_mod._LINE_WALKS
         assert base_count(-6.0) == first
         assert cold > 0 and len(computed) == 2 * cold
+
+
+class TestInnerWalk:
+    """An edge of R inside an edge walked on its line and lattice is built
+    from that walk (_inner_walk) with the bits of a fresh walk."""
+
+    PARENT = TestEdgeMemo.PARENT
+    CHILD = TestEdgeMemo.CHILDREN[0]
+
+    @staticmethod
+    def _inner(monkeypatch):
+        """Record [edge, the walk it is built from, its ArgTrace] of each
+        walk built from another; the trace stays None if the walk raises."""
+        built = []
+        inner = counting_mod._inner_walk
+
+        def record(edge, outer, walked):
+            entry = [edge, walked, None]
+            built.append(entry)
+            entry[2] = inner(edge, outer, walked)
+            return entry[2]
+
+        monkeypatch.setattr(counting_mod, "_inner_walk", record)
+        return built
+
+    @pytest.mark.parametrize("box, vertical, horizontal", [
+        ((-12.0, 2.0, 10.0, 149.0), 36, 0),
+        ((-30.0, 2.0, 1e4, 1e4 + 10.0), 4, 8),
+    ], ids=["desk", "1e4"])
+    def test_same_bits_as_a_fresh_walk(self, monkeypatch, box, vertical,
+                                       horizontal):
+        from rzero.zeros import Box, locate_zeros
+        auxiliary.r_eval_cache_clear()
+        built = self._inner(monkeypatch)
+        locate_zeros(Box(*box))
+        assert sum(edge.vertical for edge, _, _ in built) == vertical
+        assert sum(not edge.vertical for edge, _, _ in built) == horizontal
+        for edge, _, trace in built:
+            # every field: the variation and moments, and each node's
+            # parameter, point, log and step
+            assert trace == arg_variation(r_value, edge, edge.seed_params())
+
+    def test_split_requests_only_new_intervals(self, monkeypatch):
+        # during a split of the box the children's sides request R only at
+        # their new end seeds and the bisection nodes between those and the
+        # nearest lattice point: the intervals read from the parent's walk
+        # request nothing
+        from rzero import zeros as zeros_mod
+        from rzero.zeros import Box, _split_conserving
+        box = (-12.0, 2.0, 10.0, 149.0)
+        auxiliary.r_eval_cache_clear()
+        winding, _ = rectangle_count(r_value, *box)
+        built = self._inner(monkeypatch)
+        requested, inside = [], [False]
+        many, inner = auxiliary.r_eval_many, counting_mod._inner_walk
+
+        def record_many(points, derivative=False):
+            points = list(points)
+            requested.extend((inside[0], z) for z in points)
+            return many(points, derivative)
+
+        def record_inner(*args):
+            inside[0] = True
+            try:
+                return inner(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(auxiliary, "r_eval_many", record_many)
+        monkeypatch.setattr(zeros_mod, "r_eval_many", record_many)
+        monkeypatch.setattr(counting_mod, "_inner_walk", record_inner)
+        _split_conserving(r_value, Box(*box), winding)
+        assert len(built) == 4
+        new = [z for _, walked, trace in built
+               for u, z in zip(trace.params, trace.nodes)
+               if u not in walked.params]
+        assert [z for flag, z in requested if flag] == new
+        assert 0 < len(new) < 20 and len(requested) > 100
+
+    @pytest.mark.parametrize("shift", [complex(-30.0, 0.0),
+                                       complex(0.0, math.pi)],
+                             ids=["dip", "phase"])
+    def test_raises_as_a_fresh_walk(self, monkeypatch, shift):
+        # a log of R moved at the child's new end seed (the cut): a dip
+        # there, or a phase turn into the last interval, fails the fresh
+        # walk of the child's side, and the walk built from the parent's
+        # raises the same error and keeps nothing
+        auxiliary.r_eval_cache_clear()
+        rectangle_count(r_value, *self.PARENT)
+        outer = _rectangle_edges(*self.PARENT)["left"]
+        edge = _rectangle_edges(*self.CHILD)["left"]
+        assert edge.m == outer.m and edge.start == outer.start
+        cut = edge.point(edge.end)
+        logs_at = counting_mod.logs_at
+
+        def moved(f, points):
+            return [log + shift if z == cut else log
+                    for z, log in zip(points, logs_at(f, points))]
+
+        monkeypatch.setattr(counting_mod, "logs_at", moved)
+        with pytest.raises(ZeroOnPathError) as fresh:
+            arg_variation(r_value, edge, edge.seed_params())
+        built = self._inner(monkeypatch)
+        with pytest.raises(ZeroOnPathError) as reused:
+            counting_mod._edge_walk(r_value, edge)
+        assert [(e, trace) for e, _, trace in built] == [(edge, None)]
+        assert str(reused.value) == str(fresh.value)
+        assert reused.value.where == fresh.value.where
+        key = (True, edge.level, edge.start, edge.end, edge.seeds)
+        assert key not in counting_mod._EDGE_VARIATIONS
+        assert edge not in [e for e, _ in counting_mod._LINE_WALKS[
+            (True, edge.level, edge.m)]]
 
 
 class TestWindingNumber:
