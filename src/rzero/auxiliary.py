@@ -759,9 +759,9 @@ class _RCache:
     Called as ``_r_eval_cached(sigma, t, derivative)`` it serves one point
     (r_eval, r_derivative); ``keyed`` serves a list of keys
     (sigma, t, derivative) (r_eval_many).  Misses of one call are
-    step-halved together.  A value request at a point that
-    holds a derivative entry is served from that entry, whose value fields
-    are the same bits.
+    step-halved together.  Each key is served only by its own entry: a
+    value request at a point held only as a derivative entry computes a
+    value entry.
     """
 
     def __init__(self, maxsize: int):
@@ -795,15 +795,10 @@ class _RCache:
         out, missing = [], {}  # missing: the distinct pairs, in order
         for key in keys:
             res = get(key)
-            if res is not None:
-                to_end(key)
-            elif not derivative and (
-                    res := get(full := (key[0], key[1], True))) is not None:
-                to_end(full)
-                res = EvaluationResult(res.value, res.method,
-                                       res.error_estimate, res.log_value)
-            else:
+            if res is None:
                 missing[key[:2]] = None
+            else:
+                to_end(key)
             out.append(res)
         self._hits += len(keys) - len(missing)
         if not missing:
@@ -887,7 +882,7 @@ def logs_at(f, points) -> list[complex]:
 
 
 # Caches built from R values in modules that import this one (counting's
-# base counts and edge variations), emptied with the values they come from.
+# base counts and edge walks), emptied with the values they come from.
 _DERIVED_CACHES: list[dict] = []
 
 
@@ -964,8 +959,8 @@ def r_derivative(s) -> complex:
 
     R(s) is step-halved exactly as by r_eval(s), and every level also sums
     R' from the same node exponentials, each weighted by -log x (see
-    _step_halve); the result is cached as its own entry, which also serves
-    later r_eval(s) calls (the value bits are the same).  That entry's
+    _step_halve), so its value fields have r_eval's bits; the result is
+    cached as its own entry, apart from r_eval's.  That entry's
     ``derivative_error`` (r_eval_many(..., derivative=True)) is formed from
     R''s own level discrepancies as r_eval's estimate is from R's.
     """

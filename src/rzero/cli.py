@@ -96,6 +96,14 @@ def _format_value(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """v as JSON writes it: None (null) for a non-finite float, since
+    RFC 8259 has no NaN or Infinity."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def emit_rows(rows: list[dict], columns: list[str], config: RunConfig,
               footer: dict | None = None) -> str:
     """Render rows to CSV or JSON text (and write it to the output path)."""
@@ -112,10 +120,12 @@ def emit_rows(rows: list[dict], columns: list[str], config: RunConfig,
         text = buf.getvalue()
     else:
         doc = {"schema": SCHEMA_TAG.lstrip("# "), "columns": columns,
-               "rows": rows}
+               "rows": [{k: _json_value(v) for k, v in row.items()}
+                        for row in rows]}
         if footer:
-            doc["summary"] = footer
-        text = json.dumps(doc, indent=1, default=_format_value) + "\n"
+            doc["summary"] = {k: _json_value(v) for k, v in footer.items()}
+        text = json.dumps(doc, indent=1, default=_format_value,
+                          allow_nan=False) + "\n"
     _write(text, config)
     return text
 

@@ -18,15 +18,16 @@ upward; a rectangle counts its top and left edges negatively
 (_EDGE_SIGNS).  Edges of a line that share m share their samples bit for
 bit, so a child box reads most of its edges from its parent's cache and a
 cut is computed once.  For R each lattice interval of a line is also
-walked once per R-cache lifetime: _edge_walk keeps each edge's variation
-and its moments of order 0 to 3 (ArgTrace.moments), which an edge met
-again reads, and the walk itself, from which an edge inside it on the same
-lattice, such as a split child's side, is built (_inner_walk): such a
-side walks only its interval at the cut, so where the sides keep their
-parent's lattice, as most do, a split's children walk only the cut.
-r_eval_cache_clear empties these memos and the base counts with the R
-values they come from.  The moments around a rectangle (_rectangle_sums) give the
-power sums from which zeros places the zeros of a small piece
+walked once per R-cache lifetime: _edge_walk keeps one record of each
+walk, its ArgTrace, per line and lattice (_LINE_WALKS).  An edge met again
+reads its variation and its moments of order 0 to 3 (ArgTrace.moments)
+there, and an edge inside a walked one on the same lattice, such as a
+split child's side, is built from that walk (_inner_walk): such a side
+walks only its interval at the cut, so where the sides keep their parent's
+lattice, as most do, a split's children walk only the cut.
+r_eval_cache_clear empties these walks and the base counts with the R
+values they come from.  The moments around a rectangle (_rectangle_sums)
+give the power sums from which zeros places the zeros of a small piece
 (zeros._power_sum_roots).
 ``residual_table`` is the one place where N(T) is assembled.  Up to
 CURVE_T0 it counts on desk-scale rectangles [box_left, 2] x [t_lo, t_hi]:
@@ -38,15 +39,16 @@ only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
 of R instead of O(T log T).  That edge is walked (_walk_edge) on a subset
 of its line's lattice, at the step its phase needs, read from R'/R: 1338
 values of R at T = 10^4 and 6234 at 10^7, against 3450 and 91 431 at the
-seed rate.  Three sampled facts carry that contour, each checked where a
-row already has the values: |R/S - 1| < 1 along the curve (|u| <= U_LIMIT
-at its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT at each height)
-and the continuity of Im log S along the curve (tested on a grid of step
-1/4 to T = 10^4).  Each top edge's variation is checked against
-``backlund_bound``, the one Backlund formula, which acceptance criterion 4
-also validates.  Only a top edge moves to escape a zero on a contour, by
-the t-steps of the constant PERTURB_STEP (_on_ladder); a zero on a side or
-on a bottom edge, the curve contour's included, raises ContourZeroError.
+seed rate, each requested once.  Three sampled facts carry that contour,
+each checked where a row already has the values: |R/S - 1| < 1 along the
+curve (|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2 (below
+RIGHT_LIMIT at each height) and the continuity of Im log S along the curve
+(tested on a grid of step 1/4 to T = 10^4).  Each top edge's variation is
+checked against ``backlund_bound``, the one Backlund formula, which
+acceptance criterion 4 also validates.  Only a top edge moves to escape a
+zero on a contour, by the t-steps of the constant PERTURB_STEP
+(_on_ladder); a zero on a side or on a bottom edge, the curve contour's
+included, raises ContourZeroError.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .auxiliary import (
     curve_sigma,
     logs_at,
     r_asymptotic,
-    r_eval,
     r_eval_many,
     r_value,
 )
@@ -126,10 +127,10 @@ class AxisEdge:
     takes an edge the other way counts its variation negatively
     (_EDGE_SIGNS).  It carries the lattice of its line that ``seeds``
     fixes, m = ceil((seeds - 1) / length), a spacing never coarser than
-    length / (seeds - 1): lattice point i = 0 .. len(ks) + 1, param(i), is
-    start, then k/m for k in ``ks``, then end.  k/m is correctly rounded,
-    so every edge of the line with the same m samples the same bits, as
-    does a midpoint 0.5 (x1 + x2)."""
+    length / (seeds - 1): its lattice points, seed_params(), are start,
+    then k/m for k in ``ks``, then end.  k/m is correctly rounded, so every
+    edge of the line with the same m samples the same bits, as does a
+    midpoint 0.5 (x1 + x2)."""
 
     level: float
     start: float
@@ -158,12 +159,6 @@ class AxisEdge:
         if self.vertical:
             return complex(self.level, x)
         return complex(x, self.level)
-
-    def param(self, i: int) -> float:
-        """Lattice point i, 0 <= i <= len(ks) + 1."""
-        if 0 < i <= len(self.ks):
-            return self.ks[i - 1] / self.m
-        return self.end if i else self.start
 
     def seed_params(self) -> list[float]:
         """Every lattice point, from start to end."""
@@ -312,8 +307,9 @@ def arg_variation(f, path, params) -> ArgTrace:
     """Unwrapped argument change of f along a path, any object whose
     ``point(u)`` gives the point at parameter u, walked through the seed
     parameters ``params`` in the order given: unit_params(n) for a
-    PathSegment or a circle, the lattice of an AxisEdge's line
-    (AxisEdge.seed_params), or a subset of it picked by _walk_edge.
+    PathSegment or a circle, or the lattice of an AxisEdge's line
+    (AxisEdge.seed_params).  _walk_edge walks a subset of such a lattice by
+    the same steps (_check_seeds, _walked, _trace) from the logs it holds.
 
     Reads a log of f (logs_at) at the seeds, then bisects parameter
     intervals at 0.5 (u1 + u2) until each consecutive nearest-branch step
@@ -508,34 +504,31 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
 # the top and left edges run against the contour.
 _EDGE_SIGNS = {"bottom": 1, "right": 1, "top": -1, "left": -1}
 
-# (total_variation, moments) of R along each AxisEdge walked since the R
-# cache was last cleared, keyed by (vertical, level, start, end, seeds)
-_EDGE_VARIATIONS: dict = cleared_with_r_values({})
-# the walks behind them, (edge, ArgTrace) pairs per line and lattice, keyed
-# by (vertical, level, m)
+# The walks of R since the R cache was last cleared, per line and lattice
+# (vertical, level, m): (start, end) -> (edge, ArgTrace), in the order walked
 _LINE_WALKS: dict = cleared_with_r_values({})
 
 
-def _edge_walk(f, edge: AxisEdge) -> tuple[float, tuple[complex, ...]]:
-    """(total_variation, moments) of f along an edge, from its start to its
-    end, walked by arg_variation on the lattice of its line; the moments
-    (ArgTrace.moments) are about the edge's first point.  A caller's f is
-    walked every time.  For f = r_value the pair is kept in
-    _EDGE_VARIATIONS until r_eval_cache_clear, so an edge is walked once
-    per R-cache lifetime, and the walk's ArgTrace in _LINE_WALKS: an edge
-    that lies inside an edge already walked on its line and lattice, such
-    as a split child's side inside its parent's, is built from that walk
-    (_inner_walk) and walks only the lattice intervals it lacks, so each
-    lattice interval of a line is walked once.  A walk that raises keeps
-    nothing."""
+def _edge_walk(f, edge: AxisEdge) -> ArgTrace:
+    """The ArgTrace of f along an edge, from its start to its end, walked
+    by arg_variation on the lattice of its line; its moments are about the
+    edge's first point.  A caller's f is walked every time.  For
+    f = r_value the walk is kept in _LINE_WALKS until r_eval_cache_clear,
+    so an edge is walked once per R-cache lifetime, and an edge that lies
+    inside an edge already walked on its line and lattice, such as a split
+    child's side inside its parent's, is built from that walk (_inner_walk)
+    and walks only the lattice intervals it lacks, so each lattice interval
+    of a line is walked once.  A walk that raises keeps nothing.
+
+    The key (vertical, level, m, start, end) is safe: every edge here comes
+    from _rectangle_edges, whose seeds depend only on (vertical, level,
+    start, end), and edges with equal keys have the same seed_params()."""
     if f is not r_value:
-        trace = arg_variation(f, edge, edge.seed_params())
-        return trace.total_variation, trace.moments
-    key = (edge.vertical, edge.level, edge.start, edge.end, edge.seeds)
-    walk = _EDGE_VARIATIONS.get(key)
+        return arg_variation(f, edge, edge.seed_params())
+    line = _LINE_WALKS.setdefault((edge.vertical, edge.level, edge.m), {})
+    walk = line.get((edge.start, edge.end))
     if walk is None:
-        line = _LINE_WALKS.setdefault((edge.vertical, edge.level, edge.m), [])
-        outer = next((pair for pair in reversed(line)
+        outer = next((pair for pair in reversed(line.values())
                       if pair[0].start <= edge.start
                       and edge.end <= pair[0].end), None)
         # an edge with no lattice point inside shares no seed interval
@@ -544,9 +537,8 @@ def _edge_walk(f, edge: AxisEdge) -> tuple[float, tuple[complex, ...]]:
             trace = arg_variation(r_value, edge, edge.seed_params())
         else:
             trace = _inner_walk(edge, *outer)
-        line.append((edge, trace))
-        walk = _EDGE_VARIATIONS[key] = trace.total_variation, trace.moments
-    return walk
+        walk = line[edge.start, edge.end] = edge, trace
+    return walk[1]
 
 
 def _inner_walk(edge: AxisEdge, outer: AxisEdge, walked: ArgTrace
@@ -602,7 +594,7 @@ def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     split's children read their parent's two edges parallel to the cut,
     build their sides from the parent's, and the second child reads the cut
     the first one walked."""
-    return sum(_EDGE_SIGNS[name] * _edge_walk(f, edge)[0]
+    return sum(_EDGE_SIGNS[name] * _edge_walk(f, edge).total_variation
                for name, edge in _rectangle_edges(
                    sigma_lo, sigma_hi, t_lo, t_hi).items()) / TWO_PI
 
@@ -621,7 +613,7 @@ def _rectangle_sums(f, sigma_lo: float, sigma_hi: float, t_lo: float,
     sums = [0j] * 4
     for name, edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
                                        t_hi).items():
-        moments = _edge_walk(f, edge)[1]
+        moments = _edge_walk(f, edge).moments
         shift = edge.point(edge.start) - centre
         for k in range(4):
             sums[k] += _EDGE_SIGNS[name] * sum(
@@ -712,9 +704,10 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     )
 
 
-def _walk_edge(edge: AxisEdge) -> list[float]:
-    """Sample parameters of a horizontal edge, from a walk of R in batched
-    rounds on its lattice by index (edge.param), forming only those picked.
+def _walk_edge(edge: AxisEdge) -> ArgTrace:
+    """The ArgTrace of R along a horizontal edge through the points of its
+    lattice (edge.seed_params) that batched rounds pick, with the bits of
+    arg_variation(r_value, edge, trace.params).
 
     Round 0 takes every index that is a multiple of the largest stride
     whose step is at most WALK_STEP long (at the lattice's mean spacing),
@@ -729,34 +722,43 @@ def _walk_edge(edge: AxisEdge) -> list[float]:
       from the trapezoid Im (omega_a + omega_b) h / 2, which catches a turn
       hidden between the ends.
 
-    The modulus step is not bounded: arg_variation's zero-on-path test
-    compares log|R| with the line through nearby nodes, so steady growth of
-    |R| (about (1/2) log(t / 2 pi) per unit of sigma far left) is no zero.
-    The walk is never denser than the lattice; below its spacing
-    arg_variation's bisection stays the guard.  An interval with an exact
-    zero of R at an end is left as it is; arg_variation rejects it.
+    The modulus step is not bounded: the zero-on-path test compares log|R|
+    with the line through nearby nodes, so steady growth of |R| (about
+    (1/2) log(t / 2 pi) per unit of sigma far left) is no zero.  The picks
+    are walked as by arg_variation (_check_seeds, _walked, _trace) from the
+    logs the rounds read; below the lattice spacing its bisection stays the
+    guard.  An exact zero of R at a pick raises ZeroOnPathError, as
+    logs_at does.
     """
-    last = len(edge.ks) + 1
+    lattice = edge.seed_params()
+    last = len(lattice) - 1
     stride = max(1, int(WALK_STEP * last / (edge.end - edge.start)))
-    rates = {}  # k -> (log R, R'/R) at edge.param(k)
+    rates = {}  # k -> (point, log R, R'/R) at lattice[k]
 
     def sample(ks):
-        points = [edge.point(edge.param(k)) for k in ks]
-        for k, res in zip(ks, r_eval_many(points, derivative=True)):
-            rates[k] = (res.log_value, res.log_derivative)
+        points = [edge.point(lattice[k]) for k in ks]
+        results = r_eval_many(points, derivative=True)
+        for k, z, res in zip(ks, points, results):
+            rates[k] = (z, res.log_value, res.log_derivative)
 
     ks = [*range(0, last, stride), last]
     sample(ks)
     todo = list(zip(ks, ks[1:]))
     while todo:
         split = [(a, b) for a, b in todo if b - a > 1 and _too_coarse(
-            edge.point(edge.param(b)) - edge.point(edge.param(a)),
-            *rates[a], *rates[b])]
+            rates[b][0] - rates[a][0], *rates[a][1:], *rates[b][1:])]
         mids = [(a + b) // 2 for a, b in split]
         sample(mids)
         todo = [half for (a, b), m in zip(split, mids)
                 for half in ((a, m), (m, b))]
-    return [edge.param(k) for k in sorted(rates)]
+    ks = sorted(rates)
+    params = [lattice[k] for k in ks]
+    points, logs, _ = zip(*(rates[k] for k in ks))
+    if None in logs:
+        raise ZeroOnPathError("exact zero at a sample node",
+                              where=points[logs.index(None)])
+    _check_seeds(edge.point, params, logs, range(len(params)))
+    return _trace(*_walked(r_value, edge.point, params, points, logs))
 
 
 def _too_coarse(h: complex, log_a, rate_a, log_b, rate_b) -> bool:
@@ -775,13 +777,13 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """(t, phi(t) / 2 pi, top_turns, top_bound) at height t of the curve
     contour.
 
-    The top edge [curve_sigma(t), 2] + it is sampled by _walk_edge, on a
-    subset of its line's lattice chosen from the rates R'/R, and those
-    samples are walked by arg_variation, whose bisection, zero-on-path test
-    and phase contract are those of every edge; top_turns is its variation
-    from sigma = 2 to the curve, in turns.  phi(t)
-    is Arg R(2 + it) plus that variation minus the argument of R at the
-    curve point taken as Im log S + Arg(1 + u), S = r_asymptotic and
+    The top edge [curve_sigma(t), 2] + it is walked by _walk_edge, with the
+    bisection, zero-on-path test and phase contract of every edge;
+    top_turns is its variation from sigma = 2 to the curve, in turns.  The
+    walk also gives log R at the corner, trace.logs[0], and R(2 + it),
+    exp(trace.logs[-1]): r_eval's bits, as |R(2 + it)| is far below e^709.
+    phi(t) is Arg R(2 + it) plus that variation minus the argument of R at
+    the curve point taken as Im log S + Arg(1 + u), S = r_asymptotic and
     u = R/S - 1.  Both are determinations of one argument, so the winding of
     the contour between heights t0 < t is (phi(t) - phi(t0)) / 2 pi, while
     Arg R stays principal on sigma = 2 and Im log S + Arg(1 + u) continuous
@@ -792,18 +794,18 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     left = curve_sigma(t)
     corner = complex(left, t)
     edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
-    top_turns = -arg_variation(r_value, edge,
-                               _walk_edge(edge)).total_variation / TWO_PI
+    trace = _walk_edge(edge)
+    top_turns = -trace.total_variation / TWO_PI
     bound = top_edge_certificate(t, left)
     if bound is None or abs(top_turns) > bound:
         raise BacklundError(f"top edge at t = {t} turns {top_turns:.4f} "
                             f"times; its Backlund bound is {bound}")
-    right = r_eval(complex(2.0, t)).value
+    right = cmath.exp(trace.logs[-1])
     if not abs(right - 1.0) < RIGHT_LIMIT:
         raise RegionError(f"|R - 1| = {abs(right - 1.0):.3f} at 2 + {t}i, "
                           f"not below {RIGHT_LIMIT}")
     log_s = r_asymptotic(corner).log_value
-    ratio = cmath.exp(r_eval(corner).log_value - log_s)
+    ratio = cmath.exp(trace.logs[0] - log_s)
     if not abs(ratio - 1.0) <= U_LIMIT:
         raise RegionError(f"|R/S - 1| = {abs(ratio - 1.0):.3f} at {corner}, "
                           f"above {U_LIMIT}")
@@ -841,7 +843,7 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     winding of the paper's contour: the bottom edge [curve_sigma(t0), 2] +
     it0, walked once for all rows; sigma = 2 from t0 to T, taken as the
     difference of principal Args of R; the top edge [curve_sigma(T), 2] +
-    iT, walked by arg_variation and checked against its Backlund bound; and
+    iT, walked by _walk_edge and checked against its Backlund bound; and
     the curve sigma = curve_sigma(t) from T down to t0, where the argument
     of R is that of the asymptotic surrogate S times 1 + u, u = R/S - 1, so
     R is needed only at its ends (see _curve_turns).  Only the top edge

@@ -369,9 +369,12 @@ class TestEvalMany:
         batch = r_eval_many(BATCH_POINTS[:8])
         assert auxiliary._r_eval_cached(s.real, s.imag, True) is entry
         assert all(res.derivative is None for res in batch)
-        # the value at s is read from the derivative entry: 1 + 7 entries
+        # each key serves only itself: the value at s, held only as a
+        # derivative entry, is computed as its own entry, 1 + 8 entries,
+        # with the same value bits
         info = auxiliary._r_eval_cached.cache_info()
-        assert (info.currsize, info.misses) == (8, 8)
+        assert (info.currsize, info.misses) == (9, 9)
+        assert auxiliary._r_eval_cached(s.real, s.imag, False) is batch[5]
         assert _fields([batch[5]]) == _fields([entry])
 
     def test_block_size_within_cap(self, monkeypatch):

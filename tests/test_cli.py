@@ -222,6 +222,21 @@ class TestTable:
                 int(r["count"]) - float(r["main_value"]), abs=1e-9)
         assert "sqrt_fit_coefficient" in out
 
+    def test_single_height_json_is_valid(self, capsys):
+        # one height leaves the fit undetermined (nan): JSON writes null,
+        # since RFC 8259 has no NaN, and CSV keeps nan
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        argv = ("--command", "table", "--t-min", "20", "--t-max", "20")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out, parse_constant=no_constant)
+        assert doc["summary"] == {"sqrt_fit_coefficient": None}
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "# sqrt_fit_coefficient = nan\n" in out
+
 
 class TestValidate:
     ARGS = ("--command", "validate", "--samples", "30", "--seed", "11")

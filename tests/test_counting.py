@@ -246,10 +246,6 @@ class TestSampleLattice:
                     # a difference of coordinates rounds to their ulp
                     slack = 4.0 * math.ulp(abs(start) + abs(end))
                     assert gaps.max() <= (end - start) / (seeds - 1) + slack
-                    # index access gives the same bits
-                    assert len(edge.ks) + 2 == len(params)
-                    assert [edge.param(i)
-                            for i in range(len(params))] == params
 
     @pytest.mark.parametrize("start, end", [(2.0, -6.0), (2.0, 2.0)],
                              ids=["downward", "degenerate"])
@@ -257,35 +253,9 @@ class TestSampleLattice:
         with pytest.raises(DomainError):
             AxisEdge(45.0, start, end, False, 8)
 
-    @pytest.mark.parametrize("level, lo, hi, vertical", [
-        (500.0, -6.0, 2.0, False),
-        (-0.5, 20.0, 33.0, True),
-    ], ids=["horizontal", "vertical"])
-    def test_walk_by_index_requests_same_points(self, level, lo, hi,
-                                                vertical):
-        # few seeds, so the walk bisects; the seeds taken point by point by
-        # index walk as the full lattice does, midpoints included
-        def walk(by_index):
-            requested = []
-
-            def f(z):
-                requested.append(z)
-                return r_value(z)
-
-            edge = AxisEdge(level, lo, hi, vertical, 4)
-            params = ([edge.param(i) for i in range(len(edge.ks) + 2)]
-                      if by_index else edge.seed_params())
-            trace = arg_variation(f, edge, params)
-            return trace, requested
-
-        trace, requested = walk(False)
-        assert len(requested) > len(AxisEdge(level, lo, hi, vertical, 4)
-                                    .seed_params())
-        assert walk(True) == (trace, requested)
-
 
 class TestEdgeMemo:
-    """The variations of R along rectangle edges are kept until
+    """The walks of R along rectangle edges are kept in _LINE_WALKS until
     r_eval_cache_clear; the rectangles are those of TestSampleLattice."""
 
     PARENT = (-6.0, 2.0, 10.0, 80.0)
@@ -336,18 +306,20 @@ class TestEdgeMemo:
 
     @pytest.mark.parametrize("first", ["lower", "upper", "fresh"])
     def test_entry_has_the_same_bits_either_way(self, first):
-        # the cut is the lower child's top and the upper child's bottom; the
-        # memo holds the same walk whichever came first, and that of a
-        # fresh walk after a clear
+        # the cut is the lower child's top and the upper child's bottom; its
+        # line's store holds the same walk whichever came first, and that of
+        # a fresh walk after a clear, in every field
         auxiliary.r_eval_cache_clear()
         if first == "fresh":
             counting_mod._edge_walk(r_value, self.CUT)
         else:
             rectangle_count(r_value, *self.CHILDREN[first == "upper"])
-        key = (False, 45.0, -6.0, 2.0, self.CUT.seeds)
-        entry = counting_mod._EDGE_VARIATIONS[key]
-        trace = arg_variation(r_value, self.CUT, self.CUT.seed_params())
-        assert entry == (trace.total_variation, trace.moments)
+        line = counting_mod._LINE_WALKS[(False, 45.0, self.CUT.m)]
+        edge, trace = line[(-6.0, 2.0)]
+        assert edge == self.CUT
+        assert trace == arg_variation(r_value, self.CUT,
+                                      self.CUT.seed_params())
+        assert counting_mod._edge_walk(r_value, self.CUT) is trace
 
     def test_caller_function_is_walked_every_time(self):
         calls = [0]
@@ -369,11 +341,9 @@ class TestEdgeMemo:
         computed = TestSampleLattice._computed(monkeypatch)
         first = base_count(-6.0)
         cold = len(computed)
-        assert counting_mod._BASE_COUNT_CACHE and counting_mod._EDGE_VARIATIONS
-        assert counting_mod._LINE_WALKS
+        assert counting_mod._BASE_COUNT_CACHE and counting_mod._LINE_WALKS
         auxiliary.r_eval_cache_clear()
         assert not counting_mod._BASE_COUNT_CACHE
-        assert not counting_mod._EDGE_VARIATIONS
         assert not counting_mod._LINE_WALKS
         assert base_count(-6.0) == first
         assert cold > 0 and len(computed) == 2 * cold
@@ -414,9 +384,19 @@ class TestInnerWalk:
         locate_zeros(Box(*box))
         assert sum(edge.vertical for edge, _, _ in built) == vertical
         assert sum(not edge.vertical for edge, _, _ in built) == horizontal
-        for edge, _, trace in built:
-            # every field: the variation and moments, and each node's
-            # parameter, point, log and step
+        stored = [(key, ends, *walk)
+                  for key, line in counting_mod._LINE_WALKS.items()
+                  for ends, walk in line.items()]
+        # the built walks are among the stored ones, beside the fresh ones
+        traces = [trace for _, _, _, trace in stored]
+        assert all(any(trace is t for t in traces) for _, _, trace in built)
+        assert len(stored) > len(built)
+        for key, ends, edge, trace in stored:
+            # every walk, fresh or built, under its edge's key, in every
+            # field: the variation and moments, and each node's parameter,
+            # point, log and step
+            assert key == (edge.vertical, edge.level, edge.m)
+            assert ends == (edge.start, edge.end)
             assert trace == arg_variation(r_value, edge, edge.seed_params())
 
     def test_split_requests_only_new_intervals(self, monkeypatch):
@@ -485,10 +465,9 @@ class TestInnerWalk:
         assert [(e, trace) for e, _, trace in built] == [(edge, None)]
         assert str(reused.value) == str(fresh.value)
         assert reused.value.where == fresh.value.where
-        key = (True, edge.level, edge.start, edge.end, edge.seeds)
-        assert key not in counting_mod._EDGE_VARIATIONS
-        assert edge not in [e for e, _ in counting_mod._LINE_WALKS[
-            (True, edge.level, edge.m)]]
+        line = counting_mod._LINE_WALKS[(True, edge.level, edge.m)]
+        assert (edge.start, edge.end) not in line
+        assert edge not in [e for e, _ in line.values()]
 
 
 class TestWindingNumber:
@@ -788,17 +767,71 @@ class TestCurveContour:
             assert top_turns == pytest.approx(
                 -dense.total_variation / TWO_PI, abs=1e-9)
 
+    @staticmethod
+    def _top_edge(t):
+        """The curve contour's horizontal edge at height t."""
+        left = curve_sigma(t)
+        return AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
+
     def test_walk_on_the_seed_lattice(self):
         # a subset of the lattice of the edge's line, ends included, far
-        # sparser than it is
+        # sparser than it is; no interval needs a bisection node
         t = 1e4
         left = curve_sigma(t)
-        edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
-        params = _walk_edge(edge)
+        edge = self._top_edge(t)
+        params = _walk_edge(edge).params
         lattice = edge.seed_params()
         assert params[0] == left and params[-1] == 2.0
         assert set(params) <= set(lattice)
         assert 3 * len(params) < len(lattice)
+
+    @pytest.mark.parametrize("t", [CURVE_T0, 150.0, 1e4, 1e7],
+                             ids=["bottom", "150", "1e4", "1e7"])
+    def test_walk_is_arg_variation_on_its_samples(self, t):
+        # the walk from the logs its rounds read has every field of
+        # arg_variation's walk through the same seeds, bisection nodes
+        # included
+        edge = self._top_edge(t)
+        trace = _walk_edge(edge)
+        assert trace == arg_variation(r_value, edge, trace.params)
+
+    def test_ends_read_from_the_walk(self):
+        # R at the corner and at 2 + it comes from the walk's logs, with the
+        # bits r_eval gives each as a value entry of its own
+        t = 150.0
+        auxiliary.r_eval_cache_clear()
+        edge = self._top_edge(t)
+        trace = _walk_edge(edge)
+        corner = edge.point(edge.start)
+        at_corner = auxiliary.r_eval(corner)
+        right = auxiliary.r_eval(complex(2.0, t)).value
+        assert trace.logs[0] == at_corner.log_value
+        assert cmath.exp(trace.logs[-1]) == right
+        log_s = r_asymptotic(corner).log_value
+        ratio = cmath.exp(at_corner.log_value - log_s)
+        top_turns = -trace.total_variation / TWO_PI
+        phi = (cmath.phase(right) + TWO_PI * top_turns
+               - log_s.imag - cmath.phase(ratio))
+        assert _curve_turns(t)[:3] == (t, phi / TWO_PI, top_turns)
+
+    def test_exact_zero_at_a_sample_raises(self, monkeypatch):
+        # R exactly 0 at a picked sample (log None) raises as logs_at does,
+        # naming that sample
+        edge = self._top_edge(150.0)
+        params = _walk_edge(edge).params
+        zero = edge.point(params[len(params) // 2])
+        many = counting_mod.r_eval_many
+
+        def zero_there(points, derivative=False):
+            return [auxiliary.EvaluationResult(0j, "quadrature", 0.0)
+                    if z == zero else res
+                    for z, res in zip(points, many(points, derivative))]
+
+        monkeypatch.setattr(counting_mod, "r_eval_many", zero_there)
+        with pytest.raises(ZeroOnPathError,
+                           match="exact zero at a sample node") as info:
+            _walk_edge(edge)
+        assert info.value.where == zero
 
     def test_too_coarse(self):
         # each of the two tests alone splits an interval
@@ -833,20 +866,20 @@ class TestCurveContour:
 
     @staticmethod
     def _force_zero_once(monkeypatch, height):
-        """Make arg_variation meet a zero once on the edge
+        """Make _walk_edge meet a zero once on the edge
         [curve_sigma(height), 2] + i height; returns the list of points
         where it did."""
-        walk = counting_mod.arg_variation
+        walk = counting_mod._walk_edge
         corner = complex(curve_sigma(height), height)
         forced = []
 
-        def zero_once(f, path, params):
-            if path.point(path.start) == corner and not forced:
+        def zero_once(edge):
+            if edge.point(edge.start) == corner and not forced:
                 forced.append(corner)
                 raise ZeroOnPathError("forced", where=corner)
-            return walk(f, path, params)
+            return walk(edge)
 
-        monkeypatch.setattr(counting_mod, "arg_variation", zero_once)
+        monkeypatch.setattr(counting_mod, "_walk_edge", zero_once)
         return forced
 
     @pytest.mark.parametrize("height, window", [
