@@ -13,18 +13,20 @@ is the one integrality guard, also used by the circle certificates of
 ``zeros``.
 Every contour edge (strips, the base box, ``adequate_box_left``, every
 isolation piece of ``zeros`` and the curve contour's horizontal edges) is
-an ``AxisEdge`` that carries its lattice, k/m between its ends, and runs
-upward; a rectangle counts its top and left edges negatively
-(_EDGE_SIGNS).  Edges of a line that share m share their samples bit for
-bit, so a child box reads most of its edges from its parent's cache and a
-cut is computed once.  For R each lattice interval of a line is also
-walked once per R-cache lifetime: _edge_walk keeps one record of each
-walk, its ArgTrace, per line and lattice (_LINE_WALKS).  An edge met again
-reads its variation and its moments of order 0 to 3 (ArgTrace.moments)
-there, and an edge inside a walked one on the same lattice, such as a
-split child's side, is built from that walk (_inner_walk): such a side
-walks only its interval at the cut, so where the sides keep their parent's
-lattice, as most do, a split's children walk only the cut.
+an ``AxisEdge`` that carries its lattice, k/m between its ends, at a rate
+that reads its height and, on a vertical edge, its line's sigma
+(_edge_seeds), and runs upward; a rectangle counts its top and left edges
+negatively (_EDGE_SIGNS).  Edges of a line that share m share their
+samples bit for bit, so a child box reads most of its edges from its
+parent's cache and a cut is computed once.  For R each lattice interval
+of a line is also walked once per R-cache lifetime: _edge_walk keeps one
+record of each walk, its ArgTrace, per line and lattice (_LINE_WALKS).
+An edge met again reads its variation and its moments of order 0 to 3
+(ArgTrace.moments) there, and an edge inside a walked one on the same
+lattice, such as a split child's side, is built from that walk
+(_inner_walk): such a side walks only its interval at the cut, so where
+the sides keep their parent's lattice, as most do, a split's children
+walk only the cut.
 r_eval_cache_clear empties these walks and the base counts with the R
 values they come from.  The moments around a rectangle (_rectangle_sums)
 give the power sums from which zeros places the zeros of a small piece
@@ -37,13 +39,14 @@ it counts on the paper's contour, whose left side follows the curve
 sigma = 1 - t^{2/5} log t where R is close to the asymptotic surrogate S;
 only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
 of R instead of O(T log T).  That edge is walked (_walk_edge) on a subset
-of its line's lattice, at the step its phase needs, read from R'/R: 1338
-values of R at T = 10^4 and 6234 at 10^7, against 3450 and 91 431 at the
-seed rate, each requested once.  Three sampled facts carry that contour,
-each checked where a row already has the values: |R/S - 1| < 1 along the
-curve (|u| <= U_LIMIT at its ends), |R - 1| < 1 on sigma = 2 (below
-RIGHT_LIMIT at each height) and the continuity of Im log S along the curve
-(tested on a grid of step 1/4 to T = 10^4).  Each top edge's variation is
+of its line's lattice, at the step its phase needs, read from R'/R: 958
+values of R at T = 10^4 and 5854 at 10^7, against 3070 and 91 051 at the
+seed rate, each requested once (the strips below CURVE_T0 take 380 of
+each).  Three sampled facts carry that contour, each checked where a row
+already has the values: |R/S - 1| < 1 along the curve (|u| <= U_LIMIT at
+its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT at each height)
+and the continuity of Im log S along the curve (tested on a grid of step
+1/4 to T = 10^4).  Each top edge's variation is
 checked against ``backlund_bound``, the one Backlund formula, which
 acceptance criterion 4 also validates.  Only a top edge moves to escape a
 zero on a contour, by the t-steps of the constant PERTURB_STEP
@@ -470,14 +473,40 @@ def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
     return slope, (sy - slope * sx) / n
 
 
-def _edge_seeds(t_level: float, length: float, vertical: bool) -> int:
+def _edge_seeds(t_level: float, length: float,
+                sigma: float | None = None) -> int:
     """Seed count keeping expected phase steps of R well under pi/2: the
     ``seeds`` of an AxisEdge of this length, which fix the lattice it is
     sampled on; the curve contour's horizontal edges sample a subset of
-    that lattice (_walk_edge)."""
-    rate = 0.5 * math.log(max(t_level, 7.0) / TWO_PI) + 1.5
-    if not vertical:
-        rate += 2.0  # horizontal edges pick up the chi-argument drift
+    that lattice (_walk_edge).  Seeds are rate * length / 1.2 + 1, at
+    least 8: a spacing of 1.2 / rate, over which R's phase moves by about
+    1.2 |R'/R| / rate.
+
+    A horizontal edge (``sigma`` None) takes (1/2) log(t/2pi) + 3.5: it
+    crosses the zeros and picks up the chi-argument drift.  A vertical
+    edge takes the rate of its line sigma, each piece above the largest
+    |R'/R| measured on it, over 801 points of t in [T - 100, T] at
+    T = 149, 500 and 10^4, and of [10^6, 10^6 + 20]:
+
+    - sigma >= 2: 1.0, where R stays near 1 (|R'/R| at most 0.50, 0.43,
+      0.42 and 0.43 on sigma = 2);
+    - sigma <= -6: (1/2) log(t/2pi) + 0.5 (2.08, 2.69, 4.19 and 6.49), as
+      |R'/R| is about (1/2) log(t/2pi) far left (at most 1.66, 2.40, 3.79
+      and 6.02 on sigma = -100, -30, -12 and -6);
+    - in between: (1/2) log(t/2pi) + 1.5, where the zeros and the cut
+      scans are.
+
+    So |R'/R| h, h = 1.2 / rate the spacing, stays under the 1.2 a step
+    that _zero_on_cut assumes on these lines too (at most 1.11, at 10^6)."""
+    log_t = 0.5 * math.log(max(t_level, 7.0) / TWO_PI)
+    if sigma is None:
+        rate = log_t + 3.5
+    elif sigma >= 2.0:
+        rate = 1.0
+    elif sigma <= -6.0:
+        rate = log_t + 0.5
+    else:
+        rate = log_t + 1.5
     return max(8, int(math.ceil(length * rate / 1.2)) + 1)
 
 
@@ -487,16 +516,18 @@ def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
     in counterclockwise order, each running upward with its seeds from
     _edge_seeds.  Two rectangles that share a side sample it on the same
     lattice: the seeds of a horizontal edge depend on its line and width,
-    those of a vertical edge on the rectangle's top and height."""
-    width = sigma_hi - sigma_lo
-    side = _edge_seeds(t_hi, t_hi - t_lo, True)
+    those of a vertical edge on its line and the rectangle's top and
+    height."""
+    width, height = sigma_hi - sigma_lo, t_hi - t_lo
     return {
         "bottom": AxisEdge(t_lo, sigma_lo, sigma_hi, False,
-                           _edge_seeds(t_lo, width, False)),
-        "right": AxisEdge(sigma_hi, t_lo, t_hi, True, side),
+                           _edge_seeds(t_lo, width)),
+        "right": AxisEdge(sigma_hi, t_lo, t_hi, True,
+                          _edge_seeds(t_hi, height, sigma_hi)),
         "top": AxisEdge(t_hi, sigma_lo, sigma_hi, False,
-                        _edge_seeds(t_hi, width, False)),
-        "left": AxisEdge(sigma_lo, t_lo, t_hi, True, side),
+                        _edge_seeds(t_hi, width)),
+        "left": AxisEdge(sigma_lo, t_lo, t_hi, True,
+                         _edge_seeds(t_hi, height, sigma_lo)),
     }
 
 
@@ -549,27 +580,30 @@ def _inner_walk(edge: AxisEdge, outer: AxisEdge, walked: ArgTrace
 
     The interior lattice points of ``edge`` are consecutive seeds of
     ``outer``, so every seed interval of ``edge`` is one of ``outer``'s,
-    with the same nodes and steps, except where an end of ``edge`` is not
-    ``outer``'s: only the interval at such a new end is walked (_walked),
-    after a log of R at the new end seed, from one logs_at call, and the
-    dip test (_check_seeds) at the two seeds of each end, the only ones
-    whose two nearest seeds can differ from those they had in ``outer``.
-    The phase and moments are then summed over the edge's own nodes
-    (_trace)."""
+    with the same nodes and steps, except where an end of ``edge`` is new:
+    neither an end of ``outer`` nor a lattice point k/m, which ``outer``
+    holds as a seed.  Only the interval at such a new end is walked
+    (_walked), after a log of R at the new end seed, from one logs_at call,
+    and the dip test (_check_seeds) runs at the two seeds of each end, the
+    only ones whose two nearest seeds can differ from those they had in
+    ``outer``.  The phase and moments are then summed over the edge's own
+    nodes (_trace)."""
     params = edge.seed_params()
     last = len(params) - 1
     point_fn = edge.point
-    head, tail = edge.start != outer.start, edge.end != outer.end
-    ends = {k: point_fn(params[k]) for k, fresh in ((0, head), (last, tail))
-            if fresh}
+    m = edge.m
+    ends = {k: point_fn(params[k])
+            for k, own in ((0, outer.start), (last, outer.end))
+            if params[k] != own and round(params[k] * m) / m != params[k]}
     # the node index in ``walked`` of each seed near an end that it holds
     index = {k: bisect.bisect_left(walked.params, params[k])
              for k in {0, 1, 2, last - 2, last - 1, last} if k not in ends}
     logs = {k: walked.logs[at] for k, at in index.items()}
     logs.update(zip(ends, logs_at(r_value, list(ends.values()))))
     _check_seeds(point_fn, params, logs, sorted({0, 1, last - 1, last}))
-    a = index[1] if head else 0
-    b = index[last - 1] if tail else len(walked.params) - 1
+    head, tail = 0 in ends, last in ends
+    a = index[1] if head else index[0]
+    b = index[last - 1] if tail else index[last]
     us, zs, ls, steps = (walked.params[a:b + 1], walked.nodes[a:b + 1],
                          walked.logs[a:b + 1], walked.steps[a:b])
     if head:
@@ -707,7 +741,8 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
 def _walk_edge(edge: AxisEdge) -> ArgTrace:
     """The ArgTrace of R along a horizontal edge through the points of its
     lattice (edge.seed_params) that batched rounds pick, with the bits of
-    arg_variation(r_value, edge, trace.params).
+    arg_variation(r_value, edge, trace.params).  A pick is formed from its
+    index alone, so the lattice, 907 521 points at T = 10^9, is never built.
 
     Round 0 takes every index that is a multiple of the largest stride
     whose step is at most WALK_STEP long (at the lattice's mean spacing),
@@ -730,30 +765,31 @@ def _walk_edge(edge: AxisEdge) -> ArgTrace:
     guard.  An exact zero of R at a pick raises ZeroOnPathError, as
     logs_at does.
     """
-    lattice = edge.seed_params()
-    last = len(lattice) - 1
+    m, lattice_ks = edge.m, edge.ks
+    last = len(lattice_ks) + 1
     stride = max(1, int(WALK_STEP * last / (edge.end - edge.start)))
-    rates = {}  # k -> (point, log R, R'/R) at lattice[k]
+    rates = {}  # k -> (parameter, point, log R, R'/R) at lattice point k
 
     def sample(ks):
-        points = [edge.point(lattice[k]) for k in ks]
+        # lattice point k of edge.seed_params(), formed from k alone
+        params = [edge.start if k == 0 else edge.end if k == last
+                  else lattice_ks[k - 1] / m for k in ks]
+        points = [edge.point(u) for u in params]
         results = r_eval_many(points, derivative=True)
-        for k, z, res in zip(ks, points, results):
-            rates[k] = (z, res.log_value, res.log_derivative)
+        for k, u, z, res in zip(ks, params, points, results):
+            rates[k] = (u, z, res.log_value, res.log_derivative)
 
     ks = [*range(0, last, stride), last]
     sample(ks)
     todo = list(zip(ks, ks[1:]))
     while todo:
         split = [(a, b) for a, b in todo if b - a > 1 and _too_coarse(
-            rates[b][0] - rates[a][0], *rates[a][1:], *rates[b][1:])]
+            rates[b][1] - rates[a][1], *rates[a][2:], *rates[b][2:])]
         mids = [(a + b) // 2 for a, b in split]
         sample(mids)
-        todo = [half for (a, b), m in zip(split, mids)
-                for half in ((a, m), (m, b))]
-    ks = sorted(rates)
-    params = [lattice[k] for k in ks]
-    points, logs, _ = zip(*(rates[k] for k in ks))
+        todo = [half for (a, b), mid in zip(split, mids)
+                for half in ((a, mid), (mid, b))]
+    params, points, logs, _ = zip(*(rates[k] for k in sorted(rates)))
     if None in logs:
         raise ZeroOnPathError("exact zero at a sample node",
                               where=points[logs.index(None)])
@@ -793,7 +829,7 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """
     left = curve_sigma(t)
     corner = complex(left, t)
-    edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
+    edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left))
     trace = _walk_edge(edge)
     top_turns = -trace.total_variation / TWO_PI
     bound = top_edge_certificate(t, left)

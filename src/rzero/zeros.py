@@ -241,13 +241,18 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     _END_SLOPE_BOUND / _CUT_MODEL_MARGIN = 0.82 ends the scan with no
     window.  The same derivation gives 0.82 at k = 1.75 and 0.46 at k = 2.
 
-    k = 1.2 is an estimate for R, not a bound: _edge_seeds spaces the
-    lattice from log t so that R's phase moves by about 1.2 a step, and
-    nothing bounds |R'/R|.  At an end sample with no zero beside it
-    |R'/R| h is R's own trend; the readings are 0.07 or less below
-    t = 300, at most 0.71 in [10^4, 10^4 + 10] and 0.85 at -49 + 10^6 i
-    (that scan winds its window), and the tests keep every cut end of the
-    windows at 10^4 and 10^6 under 1.2.  Higher windows are unchecked.  A
+    k = 1.2 is an estimate for R, not a bound: _edge_seeds spaces each
+    line's lattice at a rate above the |R'/R| measured there, so that R's
+    phase moves by about 1.2 a step at most.  The rate reads log t and, on
+    a vertical line, its sigma: (1/2) log(t/2pi) + 1.5 between sigma = -6
+    and 2, where the zeros are, + 0.5 on sigma <= -6, where |R'/R| is about
+    (1/2) log(t/2pi), and 1.0 on sigma >= 2; nothing bounds |R'/R|.  At an
+    end sample with no zero beside it |R'/R| h is R's own trend; the
+    readings are 0.07 or less below t = 300, at most 0.89 at -6 + 10010 i
+    and 0.99 at -49 + 10^6 i (both on sigma <= -6, and both scans wind
+    their windows), and the tests keep every cut end of the windows at
+    10^4 and 10^6, and every lattice point of the far-left and sigma = 2
+    sides of boxes to 10^6, under 1.2.  Higher windows are unchecked.  A
     caller's f has no such estimate, and its end minimum always takes the
     window: (z - p)^2 e^(8z) on the cut t = 10 of [0, 2] x [9, 11], with
     p at 0.18 + 10 i (0.72 h from the end), has k = 2 and reads 0.78 there.

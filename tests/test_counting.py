@@ -233,11 +233,14 @@ class TestSampleLattice:
 
     @pytest.mark.parametrize("vertical", [False, True])
     def test_spacing_never_coarser(self, vertical):
-        for level in (10.0, 45.3, 149.2):
+        # a vertical edge's level is its sigma: -12, 0.5 and the rest take
+        # the three pieces of _edge_seeds' vertical rate
+        for level in (-12.0, 0.5, 10.0, 45.3, 149.2):
             for start in (-12.0, -6.0, -0.37, 1.5):
                 for length in (1e-3, 0.0371, 0.5, 2.0, 8.0, 20.0, 70.0):
                     end = start + length
-                    seeds = _edge_seeds(level, end - start, vertical)
+                    seeds = _edge_seeds(level, end - start,
+                                        level if vertical else None)
                     edge = AxisEdge(level, start, end, vertical, seeds)
                     params = edge.seed_params()
                     assert params[0] == start and params[-1] == end
@@ -302,7 +305,7 @@ class TestEdgeMemo:
                 assert _rectangle_winding(r_value, *rect) == direct / TWO_PI
 
     # the cut t = 45 of PARENT, shared by both children
-    CUT = AxisEdge(45.0, -6.0, 2.0, False, _edge_seeds(45.0, 8.0, False))
+    CUT = AxisEdge(45.0, -6.0, 2.0, False, _edge_seeds(45.0, 8.0))
 
     @pytest.mark.parametrize("first", ["lower", "upper", "fresh"])
     def test_entry_has_the_same_bits_either_way(self, first):
@@ -354,7 +357,10 @@ class TestInnerWalk:
     from that walk (_inner_walk) with the bits of a fresh walk."""
 
     PARENT = TestEdgeMemo.PARENT
-    CHILD = TestEdgeMemo.CHILDREN[0]
+    # a child whose top, t = 44.9, is off the lattice of its left side
+    # (m = 2, as its parent's): a lattice point such as t = 45 is one of the
+    # parent's seeds, whose log the built walk reads from the parent's walk
+    CHILD = (-6.0, 2.0, 10.0, 44.9)
 
     @staticmethod
     def _inner(monkeypatch):
@@ -372,9 +378,12 @@ class TestInnerWalk:
         monkeypatch.setattr(counting_mod, "_inner_walk", record)
         return built
 
+    # at 10^4 the sides on sigma = -30 keep their parent's lattice, m = 4;
+    # on sigma = 2 the 10-long side has m = 1 and the 8-seed floor puts its
+    # 5-long children on m = 2, so they are walked fresh
     @pytest.mark.parametrize("box, vertical, horizontal", [
         ((-12.0, 2.0, 10.0, 149.0), 36, 0),
-        ((-30.0, 2.0, 1e4, 1e4 + 10.0), 4, 8),
+        ((-30.0, 2.0, 1e4, 1e4 + 10.0), 2, 8),
     ], ids=["desk", "1e4"])
     def test_same_bits_as_a_fresh_walk(self, monkeypatch, box, vertical,
                                        horizontal):
@@ -440,7 +449,7 @@ class TestInnerWalk:
                                        complex(0.0, math.pi)],
                              ids=["dip", "phase"])
     def test_raises_as_a_fresh_walk(self, monkeypatch, shift):
-        # a log of R moved at the child's new end seed (the cut): a dip
+        # a log of R moved at the child's new end seed (its top): a dip
         # there, or a phase turn into the last interval, fails the fresh
         # walk of the child's side, and the walk built from the parent's
         # raises the same error and keeps nothing
@@ -449,6 +458,7 @@ class TestInnerWalk:
         outer = _rectangle_edges(*self.PARENT)["left"]
         edge = _rectangle_edges(*self.CHILD)["left"]
         assert edge.m == outer.m and edge.start == outer.start
+        assert round(edge.end * edge.m) / edge.m != edge.end
         cut = edge.point(edge.end)
         logs_at = counting_mod.logs_at
 
@@ -771,7 +781,7 @@ class TestCurveContour:
     def _top_edge(t):
         """The curve contour's horizontal edge at height t."""
         left = curve_sigma(t)
-        return AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left, False))
+        return AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left))
 
     def test_walk_on_the_seed_lattice(self):
         # a subset of the lattice of the edge's line, ends included, far

@@ -247,7 +247,7 @@ class TestCutScan:
         # the end exit's bound assumes |g'/g| h <= 1.2 for R; at an end
         # sample with no zero beside it |R'/R| h is that trend, so every
         # end of every cut row the split scans reads under 1.2 (largest
-        # 0.71 at -6 + 10010 i, 0.85 at -49 + 10^6 i and 0.39 in the one
+        # 0.89 at -6 + 10010 i, 0.99 at -49 + 10^6 i and 0.39 in the one
         # scan at 10^7).  With GROUP_CAP = 1 isolation splits every box
         # down to winding-1 pieces, so the scans cover every cut of the
         # full split, the window at 10^7's end-minimum cut included
@@ -273,6 +273,23 @@ class TestCutScan:
         locate_zeros(Box(left, 2.0, t_lo, t_hi), min_size=1e-3)
         assert any(at_min for _, at_min in readings)
         assert max(k for k, _ in readings) < 1.2
+
+    @pytest.mark.parametrize("left, t_lo, t_hi", [
+        (-12.0, 10.0, 149.0), (-30.0, 1e4, 1e4 + 10.0),
+        (-100.0, 1e6, 1e6 + 3.0)], ids=["desk", "1e4", "1e6"])
+    def test_trend_on_far_sides_under_estimate(self, left, t_lo, t_hi):
+        # _edge_seeds spaces the sides on sigma <= -6 and sigma >= 2 by
+        # their own rates; at each of their lattice points R's trend
+        # |R'/R| h, h the side's spacing 1/m, stays under the 1.2 a step
+        # that the cut scan's end exit assumes (largest 0.78, 0.93 and 1.00
+        # on the left sides, 0.49, 0.34 and 0.11 on sigma = 2)
+        r_eval_cache_clear()
+        for name, edge in _rectangle_edges(left, 2.0, t_lo, t_hi).items():
+            if edge.vertical:
+                points = [edge.point(u) for u in edge.seed_params()]
+                results = r_eval_many(points, derivative=True)
+                assert max(abs(res.log_derivative)
+                           for res in results) / edge.m <= 1.2, name
 
     def test_end_minimum_computes_one_derivative(self, monkeypatch):
         # the cut t = 27.5 of [-4, 2] x [20, 35] has its smallest |R| at
