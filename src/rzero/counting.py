@@ -13,17 +13,18 @@ is the one integrality guard, also used by the circle certificates of
 ``zeros``.
 Every contour edge (strips, the base box, ``adequate_box_left``, every
 isolation piece of ``zeros`` and the curve contour's horizontal edges) is
-an ``AxisEdge`` that carries its lattice, k/m between its ends, at a rate
-that reads its height and, on a vertical edge, its line's sigma
-(_edge_seeds), and runs upward; a rectangle counts its top and left edges
-negatively (_EDGE_SIGNS).  Edges of a line that share m share their
-samples bit for bit, so a child box reads most of its edges from its
-parent's cache and a cut is computed once.  For R each lattice interval
-of a line is also walked once per R-cache lifetime: _edge_walk keeps one
-record of each walk, its ArgTrace, per line and lattice (_LINE_WALKS).
-An edge met again reads its variation and its moments of order 0 to 3
-(ArgTrace.moments) there, and an edge inside a walked one on the same
-lattice, such as a split child's side, is built from that walk
+an ``AxisEdge`` that carries its lattice, k/m between its ends, and runs
+upward; a rectangle counts its top and left edges negatively
+(_EDGE_SIGNS).  One rule sets m (_lattice_m): it reads the edge's height
+and, on a vertical edge, its line's sigma, and the edge's length only
+where a floor of 7 intervals binds.  Edges of a line that share m share
+their samples bit for bit, so a child box reads most of its edges from
+its parent's cache and a cut is computed once.  For R each lattice
+interval of a line is also walked once per R-cache lifetime: _edge_walk
+keeps one record of each walk, its ArgTrace, per line and lattice
+(_LINE_WALKS).  An edge met again reads its variation and its moments of
+order 0 to 3 (ArgTrace.moments) there, and an edge inside a walked one on
+the same lattice, such as a split child's side, is built from that walk
 (_inner_walk): such a side walks only its interval at the cut, so where
 the sides keep their parent's lattice, as most do, a split's children
 walk only the cut.
@@ -128,34 +129,30 @@ class AxisEdge:
     coordinate x, its parameter: a point is complex(x, level) or
     complex(level, x).  DomainError unless start < end; a contour that
     takes an edge the other way counts its variation negatively
-    (_EDGE_SIGNS).  It carries the lattice of its line that ``seeds``
-    fixes, m = ceil((seeds - 1) / length), a spacing never coarser than
-    length / (seeds - 1): its lattice points, seed_params(), are start,
-    then k/m for k in ``ks``, then end.  k/m is correctly rounded, so every
-    edge of the line with the same m samples the same bits, as does a
-    midpoint 0.5 (x1 + x2)."""
+    (_EDGE_SIGNS).  It carries the lattice of its line of density ``m``
+    (_lattice_m): its lattice points, seed_params(), are start, then k/m
+    for k in ``ks``, then end.  k/m is correctly rounded, so every edge of
+    the line with the same m samples the same bits, as does a midpoint
+    0.5 (x1 + x2)."""
 
     level: float
     start: float
     end: float
     vertical: bool
-    seeds: int
-    m: int = field(init=False, repr=False)
+    m: int
     ks: range = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo, hi = self.start, self.end
+        lo, hi, m = self.start, self.end, self.m
         if not lo < hi:
             raise DomainError(f"axis-parallel edge from {lo} to {hi} does "
                               f"not run upward")
-        m = math.ceil((self.seeds - 1) / (hi - lo))
         # lo * m and hi * m are rounded: step in to the k with lo < k/m < hi
         first, last = math.floor(lo * m), math.ceil(hi * m)
         while not lo < first / m:
             first += 1
         while not last / m < hi:
             last -= 1
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "ks", range(first, last + 1))
 
     def point(self, x: float) -> complex:
@@ -473,19 +470,22 @@ def sqrt_fit(results: list[CountResult]) -> tuple[float, float]:
     return slope, (sy - slope * sx) / n
 
 
-def _edge_seeds(t_level: float, length: float,
-                sigma: float | None = None) -> int:
-    """Seed count keeping expected phase steps of R well under pi/2: the
-    ``seeds`` of an AxisEdge of this length, which fix the lattice it is
-    sampled on; the curve contour's horizontal edges sample a subset of
-    that lattice (_walk_edge).  Seeds are rate * length / 1.2 + 1, at
-    least 8: a spacing of 1.2 / rate, over which R's phase moves by about
-    1.2 |R'/R| / rate.
+def _lattice_m(t_level: float, length: float,
+               sigma: float | None = None) -> int:
+    """The one lattice rule: the density m of an AxisEdge of this length
+    on its line, the lattice k/m that keeps expected phase steps of R well
+    under pi/2; the curve contour's horizontal edges sample a subset of it
+    (_walk_edge).  m = max(ceil(rate / 1.2), ceil(7 / length)) states the
+    two guarantees the walks rely on: a spacing never coarser than
+    1.2 / rate, over which R's phase moves by about 1.2 |R'/R| / rate (the
+    trend _zero_on_cut assumes), and at least 7 intervals on every edge
+    (its window argument).  Only that floor reads the length, so edges of a
+    line longer than 7 / ceil(rate / 1.2) share m.
 
-    A horizontal edge (``sigma`` None) takes (1/2) log(t/2pi) + 3.5: it
-    crosses the zeros and picks up the chi-argument drift.  A vertical
-    edge takes the rate of its line sigma, each piece above the largest
-    |R'/R| measured on it, over 801 points of t in [T - 100, T] at
+    A horizontal edge (``sigma`` None) takes the rate (1/2) log(t/2pi) +
+    3.5: it crosses the zeros and picks up the chi-argument drift.  A
+    vertical edge takes the rate of its line sigma, each piece above the
+    largest |R'/R| measured on it, over 801 points of t in [T - 100, T] at
     T = 149, 500 and 10^4, and of [10^6, 10^6 + 20]:
 
     - sigma >= 2: 1.0, where R stays near 1 (|R'/R| at most 0.50, 0.43,
@@ -496,8 +496,9 @@ def _edge_seeds(t_level: float, length: float,
     - in between: (1/2) log(t/2pi) + 1.5, where the zeros and the cut
       scans are.
 
-    So |R'/R| h, h = 1.2 / rate the spacing, stays under the 1.2 a step
-    that _zero_on_cut assumes on these lines too (at most 1.11, at 10^6)."""
+    So |R'/R| h, h = 1/m <= 1.2 / rate the spacing, stays under the 1.2 a
+    step that _zero_on_cut assumes on these lines too: at most 1.00 at
+    h = 1/m (sigma = -100 at 10^6, m = 6) and 1.11 at h = 1.2 / rate."""
     log_t = 0.5 * math.log(max(t_level, 7.0) / TWO_PI)
     if sigma is None:
         rate = log_t + 3.5
@@ -507,27 +508,27 @@ def _edge_seeds(t_level: float, length: float,
         rate = log_t + 0.5
     else:
         rate = log_t + 1.5
-    return max(8, int(math.ceil(length * rate / 1.2)) + 1)
+    return max(math.ceil(rate / 1.2), math.ceil(7.0 / length))
 
 
 def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
                      t_hi: float) -> dict[str, AxisEdge]:
     """The AxisEdges of a rectangle, keyed "bottom", "right", "top", "left"
-    in counterclockwise order, each running upward with its seeds from
-    _edge_seeds.  Two rectangles that share a side sample it on the same
-    lattice: the seeds of a horizontal edge depend on its line and width,
-    those of a vertical edge on its line and the rectangle's top and
-    height."""
+    in counterclockwise order, each running upward on the lattice of
+    _lattice_m.  Two rectangles that share a side sample it on the same
+    lattice: m of a horizontal edge depends on its line, that of a
+    vertical edge on its line and the rectangle's top, and either on its
+    length only below the 7-interval floor."""
     width, height = sigma_hi - sigma_lo, t_hi - t_lo
     return {
         "bottom": AxisEdge(t_lo, sigma_lo, sigma_hi, False,
-                           _edge_seeds(t_lo, width)),
+                           _lattice_m(t_lo, width)),
         "right": AxisEdge(sigma_hi, t_lo, t_hi, True,
-                          _edge_seeds(t_hi, height, sigma_hi)),
+                          _lattice_m(t_hi, height, sigma_hi)),
         "top": AxisEdge(t_hi, sigma_lo, sigma_hi, False,
-                        _edge_seeds(t_hi, width)),
+                        _lattice_m(t_hi, width)),
         "left": AxisEdge(sigma_lo, t_lo, t_hi, True,
-                         _edge_seeds(t_hi, height, sigma_lo)),
+                         _lattice_m(t_hi, height, sigma_lo)),
     }
 
 
@@ -551,9 +552,8 @@ def _edge_walk(f, edge: AxisEdge) -> ArgTrace:
     and walks only the lattice intervals it lacks, so each lattice interval
     of a line is walked once.  A walk that raises keeps nothing.
 
-    The key (vertical, level, m, start, end) is safe: every edge here comes
-    from _rectangle_edges, whose seeds depend only on (vertical, level,
-    start, end), and edges with equal keys have the same seed_params()."""
+    The key (vertical, level, m, start, end) is safe: seed_params() reads
+    only start, end and m, so edges with equal keys walk the same seeds."""
     if f is not r_value:
         return arg_variation(f, edge, edge.seed_params())
     line = _LINE_WALKS.setdefault((edge.vertical, edge.level, edge.m), {})
@@ -562,12 +562,8 @@ def _edge_walk(f, edge: AxisEdge) -> ArgTrace:
         outer = next((pair for pair in reversed(line.values())
                       if pair[0].start <= edge.start
                       and edge.end <= pair[0].end), None)
-        # an edge with no lattice point inside shares no seed interval
-        # with a longer edge
-        if outer is None or not edge.ks:
-            trace = arg_variation(r_value, edge, edge.seed_params())
-        else:
-            trace = _inner_walk(edge, *outer)
+        trace = (arg_variation(r_value, edge, edge.seed_params())
+                 if outer is None else _inner_walk(edge, *outer))
         walk = line[edge.start, edge.end] = edge, trace
     return walk[1]
 
@@ -829,7 +825,7 @@ def _curve_turns(t: float) -> tuple[float, float, float, float]:
     """
     left = curve_sigma(t)
     corner = complex(left, t)
-    edge = AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left))
+    edge = AxisEdge(t, left, 2.0, False, _lattice_m(t, 2.0 - left))
     trace = _walk_edge(edge)
     top_turns = -trace.total_variation / TWO_PI
     bound = top_edge_certificate(t, left)

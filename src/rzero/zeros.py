@@ -203,7 +203,7 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     its distance from the cut, and the walk's nearest-branch rule misreads
     turns above 3 pi / 2.  h / 4.83 < d, so such a p lies inside the
     window.  The window's own walk reads it correctly: its long edges
-    (_edge_seeds gives every edge at least 8 seeds) have samples at most
+    (_lattice_m gives every edge at least 7 intervals) have samples at most
     2h / 7 apart, and p stays at least d - h / 4.83 ~ 0.29 h from them,
     far more than (2h / 7) / 4.83.  The rule is conservative: a close pair
     of simple zeros in the window also winds 2, and the split then moves
@@ -241,7 +241,7 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     _END_SLOPE_BOUND / _CUT_MODEL_MARGIN = 0.82 ends the scan with no
     window.  The same derivation gives 0.82 at k = 1.75 and 0.46 at k = 2.
 
-    k = 1.2 is an estimate for R, not a bound: _edge_seeds spaces each
+    k = 1.2 is an estimate for R, not a bound: _lattice_m spaces each
     line's lattice at a rate above the |R'/R| measured there, so that R's
     phase moves by about 1.2 a step at most.  The rate reads log t and, on
     a vertical line, its sigma: (1/2) log(t/2pi) + 1.5 between sigma = -6

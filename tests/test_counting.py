@@ -40,7 +40,7 @@ from rzero.counting import (
     unit_params,
     _curve_turns,
     _EDGE_SIGNS,
-    _edge_seeds,
+    _lattice_m,
     _rectangle_edges,
     _rectangle_sums,
     _rectangle_winding,
@@ -231,24 +231,52 @@ class TestSampleLattice:
         rectangle_count(r_value, -6.0, 2.0, 45.0, 80.0)
         assert computed and all(t > 45.0 for _, t in computed)
 
+    @staticmethod
+    def _rate(t, sigma=None):
+        """The documented rates of _lattice_m, pinned here."""
+        log_t = 0.5 * math.log(max(t, 7.0) / TWO_PI)
+        if sigma is None:
+            return log_t + 3.5
+        if sigma >= 2.0:
+            return 1.0
+        return log_t + (0.5 if sigma <= -6.0 else 1.5)
+
     @pytest.mark.parametrize("vertical", [False, True])
     def test_spacing_never_coarser(self, vertical):
         # a vertical edge's level is its sigma: -12, 0.5 and the rest take
-        # the three pieces of _edge_seeds' vertical rate
+        # the three pieces of the vertical rate; every edge's spacing is at
+        # most 1.2 / rate, every edge has at least 7 intervals, and an
+        # edge's half above that floor keeps its m
         for level in (-12.0, 0.5, 10.0, 45.3, 149.2):
+            sigma = level if vertical else None
+            base = math.ceil(self._rate(level, sigma) / 1.2)
             for start in (-12.0, -6.0, -0.37, 1.5):
                 for length in (1e-3, 0.0371, 0.5, 2.0, 8.0, 20.0, 70.0):
                     end = start + length
-                    seeds = _edge_seeds(level, end - start,
-                                        level if vertical else None)
-                    edge = AxisEdge(level, start, end, vertical, seeds)
+                    m = _lattice_m(level, end - start, sigma)
+                    edge = AxisEdge(level, start, end, vertical, m)
                     params = edge.seed_params()
                     assert params[0] == start and params[-1] == end
+                    assert len(params) >= 8
                     gaps = np.diff(params)
                     assert np.all(gaps > 0.0)
                     # a difference of coordinates rounds to their ulp
                     slack = 4.0 * math.ulp(abs(start) + abs(end))
-                    assert gaps.max() <= (end - start) / (seeds - 1) + slack
+                    assert gaps.max() <= 1.0 / m + slack
+                    assert 1.0 / m <= 1.2 / self._rate(level, sigma)
+                    if 0.5 * length * base >= 7.0:
+                        assert _lattice_m(level, 0.5 * length, sigma) == m
+        if vertical:
+            # the 15.3-long sides of a split of [-12, 2] x [10, 500]: the
+            # halves of the side on sigma = -1 of [316.25, 331.5625] once
+            # took m = 4 against its m = 3; now all three share m = 3, as
+            # the sides on sigma = 2 share m = 1
+            box = (-1.0, 2.0, 316.25, 331.5625)
+            mid = 0.5 * (box[2] + box[3])
+            rects = [box, (*box[:3], mid), (*box[:2], mid, box[3])]
+            for name, m in (("left", 3), ("right", 1)):
+                assert [_rectangle_edges(*r)[name].m
+                        for r in rects] == [m] * 3
 
     @pytest.mark.parametrize("start, end", [(2.0, -6.0), (2.0, 2.0)],
                              ids=["downward", "degenerate"])
@@ -305,7 +333,7 @@ class TestEdgeMemo:
                 assert _rectangle_winding(r_value, *rect) == direct / TWO_PI
 
     # the cut t = 45 of PARENT, shared by both children
-    CUT = AxisEdge(45.0, -6.0, 2.0, False, _edge_seeds(45.0, 8.0))
+    CUT = AxisEdge(45.0, -6.0, 2.0, False, _lattice_m(45.0, 8.0))
 
     @pytest.mark.parametrize("first", ["lower", "upper", "fresh"])
     def test_entry_has_the_same_bits_either_way(self, first):
@@ -379,8 +407,8 @@ class TestInnerWalk:
         return built
 
     # at 10^4 the sides on sigma = -30 keep their parent's lattice, m = 4;
-    # on sigma = 2 the 10-long side has m = 1 and the 8-seed floor puts its
-    # 5-long children on m = 2, so they are walked fresh
+    # on sigma = 2 the 10-long side has m = 1 and the 7-interval floor puts
+    # its 5-long children on m = 2, so they are walked fresh
     @pytest.mark.parametrize("box, vertical, horizontal", [
         ((-12.0, 2.0, 10.0, 149.0), 36, 0),
         ((-30.0, 2.0, 1e4, 1e4 + 10.0), 2, 8),
@@ -781,7 +809,7 @@ class TestCurveContour:
     def _top_edge(t):
         """The curve contour's horizontal edge at height t."""
         left = curve_sigma(t)
-        return AxisEdge(t, left, 2.0, False, _edge_seeds(t, 2.0 - left))
+        return AxisEdge(t, left, 2.0, False, _lattice_m(t, 2.0 - left))
 
     def test_walk_on_the_seed_lattice(self):
         # a subset of the lattice of the edge's line, ends included, far

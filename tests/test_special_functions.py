@@ -20,6 +20,8 @@ from rzero.special_functions import (
     eta_batch,
     log_chi,
     log_gamma,
+    _chi_batch,
+    _log_gamma_batch,
 )
 
 mp.mp.dps = 30
@@ -175,6 +177,16 @@ class TestEta:
         for k in range(500):
             scalar = eta(complex(sigma[k], t[k]))
             assert cmath.isclose(complex(batch[k]), scalar, rel_tol=1e-15)
+        # validate and acceptance criterion 6 check the batch chi and
+        # log Gamma, while R runs the scalar ones: they agree to about
+        # 1.2e-13 relative on sigma in [-3, 4], t in [1, 100]
+        z = rng.uniform(-3, 4, 2000) + 1j * rng.uniform(1, 100, 2000)
+        for vectorised, scalar in ((_chi_batch, chi),
+                                   (_log_gamma_batch, log_gamma)):
+            batch = vectorised(z)
+            for k in range(z.size):
+                assert cmath.isclose(complex(batch[k]), scalar(complex(z[k])),
+                                     rel_tol=1e-12)
 
     @given(st.floats(-5.0, 5.0), st.floats(0.1, 1e4))
     def test_exponential_argument_identity(self, sigma, t):

@@ -247,7 +247,7 @@ class TestCutScan:
         # the end exit's bound assumes |g'/g| h <= 1.2 for R; at an end
         # sample with no zero beside it |R'/R| h is that trend, so every
         # end of every cut row the split scans reads under 1.2 (largest
-        # 0.89 at -6 + 10010 i, 0.99 at -49 + 10^6 i and 0.39 in the one
+        # 0.89 at -6 + 10010 i, 0.99 at -49 + 10^6 i and 0.17 in the one
         # scan at 10^7).  With GROUP_CAP = 1 isolation splits every box
         # down to winding-1 pieces, so the scans cover every cut of the
         # full split, the window at 10^7's end-minimum cut included
@@ -278,7 +278,7 @@ class TestCutScan:
         (-12.0, 10.0, 149.0), (-30.0, 1e4, 1e4 + 10.0),
         (-100.0, 1e6, 1e6 + 3.0)], ids=["desk", "1e4", "1e6"])
     def test_trend_on_far_sides_under_estimate(self, left, t_lo, t_hi):
-        # _edge_seeds spaces the sides on sigma <= -6 and sigma >= 2 by
+        # _lattice_m spaces the sides on sigma <= -6 and sigma >= 2 by
         # their own rates; at each of their lattice points R's trend
         # |R'/R| h, h the side's spacing 1/m, stays under the 1.2 a step
         # that the cut scan's end exit assumes (largest 0.78, 0.93 and 1.00
