@@ -14,7 +14,7 @@ import sys
 
 from rzero import cli
 from rzero.auxiliary import r_value
-from rzero.counting import rectangle_count
+from rzero.counting import Box, rectangle_count
 
 
 def main(argv=None) -> int:
@@ -29,8 +29,8 @@ def main(argv=None) -> int:
                      "--box-left", repr(args.box_left), *rest])
     if code != cli.EXIT_OK:
         return code
-    strip, _ = rectangle_count(r_value, args.box_left - 20.0,
-                               args.box_left, args.t_min, args.t_max)
+    left = Box(args.box_left - 20.0, args.box_left, args.t_min, args.t_max)
+    strip, _ = rectangle_count(r_value, left)
     if strip != 0:
         print(f"# warning: {strip} zeros left of sigma = {args.box_left}; "
               "widen --box-left", file=sys.stderr)

@@ -17,6 +17,7 @@ from .auxiliary import (
 )
 from .counting import (
     ArgTrace,
+    Box,
     CountResult,
     PathSegment,
     arg_variation,
@@ -32,7 +33,6 @@ from .special_functions import (
     log_gamma,
 )
 from .zeros import (
-    Box,
     Zero,
     ZeroStatistics,
     isolate_zeros,

@@ -230,13 +230,12 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     the modulus sums of each channel of each point over its own columns.
     Each row, and each level, gets the bits of a kernel over it alone.
 
-    The largest residue n^{-s} has modulus e^{-sigma log q}, beyond the
-    double range once sigma log q < -709; such a point's residues are formed
-    in units of e^{mr}, mr = -sigma log q - 700, and the block is scaled
-    only when some point needs it, so every other row keeps its bits.  The
-    kept residues of a point far left can still sum past the double range
-    (those of R' at sigma = -70, t = 10^11, q ~ 126 000): such a row alone
-    is summed again in units q log q times larger.
+    The largest residue n^{-s} has modulus e^{mr}, mr = -sigma log q, and a
+    channel sums at most q residues, each at most log q times that (R').  A
+    point whose sums could pass e^700, mr > 700 - log(q log q), forms its
+    residues in units of e^{mr}, so each is at most 1 and no sum exceeds
+    q log q; every other point sums in units of 1.  The block is scaled
+    only when some point needs it, so every other row keeps its bits.
 
     Left of sigma = 0 the residues grow with n, each by about e^{-sigma/n}
     over the one before, so far left only the last few reach a double: from
@@ -267,7 +266,8 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
                          _sum_rows(abs_w[:, cols], axis=1).tolist()))
     m = m.tolist()
     log_q = math.log(q) if q > 1 else 0.0
-    mr = [max(0.0, -z.real * log_q - 700.0) for z in zs]
+    limit = 700.0 - math.log(q * log_q) if q > 1 else math.inf
+    mr = [-z.real * log_q if -z.real * log_q > limit else 0.0 for z in zs]
     c = 1 + derivative  # channels per point
     cuts = _residue_cuts(zs, q)
     log_n = _log_n(q)
@@ -278,20 +278,11 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     if any(mr):
         exponents -= np.array(mr, dtype=complex)[:, None]
     res = _channels(np.exp(exponents), log_n, derivative)
-    # per channel row, m - mr less a shift below: the residue sums are in
-    # units e^(mr + shift), and _reduced brings them to the nodes' e^m
+    # per channel row, m - mr: the residue sums are in units e^mr, and
+    # _reduced brings them to the nodes' e^m
     scales = _per_channel([mp - rp for mp, rp in zip(m, mr)], c)
     if cuts:
-        with np.errstate(over="ignore"):
-            res_sums, abs_res = _kept_sums(res, cuts, lo, c)
-        over = [i for i, a in enumerate(abs_res) if a == math.inf]
-        if over:
-            # each residue is below e^700 log q, so in units q log q times
-            # larger no sum of at most q of them overflows
-            res[over] /= q * log_q
-            for i in over:
-                scales[i] -= math.log(q * log_q)
-            res_sums, abs_res = _kept_sums(res, cuts, lo, c)
+        res_sums, abs_res = _kept_sums(res, cuts, lo, c)
         largest = res[:, -1].tolist()
     else:
         res_sums = _sum_rows(res, axis=1).tolist()

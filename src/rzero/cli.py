@@ -25,14 +25,14 @@ import numpy as np
 
 from . import counting, validation
 from .auxiliary import r_eval_many
-from .counting import residual_table, sqrt_fit
+from .counting import Box, residual_table, sqrt_fit
 from .errors import (
     ContourZeroError,
     DomainError,
     NonIntegerWindingError,
     RZeroError,
 )
-from .zeros import MIN_SIZE_DEFAULT, Box, locate_zeros, zero_statistics
+from .zeros import MIN_SIZE_DEFAULT, locate_zeros, zero_statistics
 
 SCHEMA_TAG = "# rzero v1"
 

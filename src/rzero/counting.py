@@ -10,11 +10,13 @@ and the least-squares fit of its square-root coefficient.
 This is the one winding engine: ``_rectangle_winding`` sums the edge
 variations of ``arg_variation`` around a rectangle, and ``integer_winding``
 is the one integrality guard, also used by the circle certificates of
-``zeros``.
-Every contour edge (strips, the base box, ``adequate_box_left``, every
-isolation piece of ``zeros`` and the curve contour's horizontal edges) is
-an ``AxisEdge`` that carries its lattice, k/m between its ends, and runs
-upward; a rectangle counts its top and left edges negatively
+``zeros``.  Every rectangle is a ``Box``, whose constructor is the one
+rectangle check: the strips, the base box, ``adequate_box_left``'s strips
+and every isolation piece of ``zeros`` are counted as Boxes, and
+``rectangle_count`` returns the Box it realised.
+Every contour edge (the sides of a Box and the curve contour's horizontal
+edges) is an ``AxisEdge`` that carries its lattice, k/m between its ends,
+and runs upward; a rectangle counts its top and left edges negatively
 (_EDGE_SIGNS).  One rule sets m (_lattice_m): it reads the edge's height
 and, on a vertical edge, its line's sigma, and the edge's length only
 where a floor of 7 intervals binds.  Edges of a line that share m share
@@ -61,7 +63,7 @@ import bisect
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .auxiliary import (
     cleared_with_r_values,
@@ -164,6 +166,63 @@ class AxisEdge:
         """Every lattice point, from start to end."""
         m = self.m
         return [self.start, *[k / m for k in self.ks], self.end]
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned rectangle [sigma_lo, sigma_hi] x [t_lo, t_hi], the one
+    rectangle type: counting winds around it and zeros splits it.
+    DomainError ("degenerate box ...") unless its sides are finite, with
+    sigma_lo < sigma_hi and t_lo < t_hi."""
+
+    sigma_lo: float
+    sigma_hi: float
+    t_lo: float
+    t_hi: float
+
+    def __post_init__(self):
+        sides = (self.sigma_lo, self.sigma_hi, self.t_lo, self.t_hi)
+        if not (self.sigma_lo < self.sigma_hi and self.t_lo < self.t_hi
+                and all(map(math.isfinite, sides))):
+            raise DomainError(f"degenerate box {self}")
+
+    @property
+    def center(self) -> complex:
+        return complex(0.5 * (self.sigma_lo + self.sigma_hi),
+                       0.5 * (self.t_lo + self.t_hi))
+
+    @property
+    def width(self) -> float:
+        return self.sigma_hi - self.sigma_lo
+
+    @property
+    def height(self) -> float:
+        return self.t_hi - self.t_lo
+
+    @property
+    def max_side(self) -> float:
+        return max(self.width, self.height)
+
+    def split(self, offset: float = 0.0) -> tuple["Box", "Box"]:
+        """Bisect across the longer side (ties split vertically, i.e. cut
+        along a horizontal line); ``offset`` nudges the cut as a fraction of
+        the split side."""
+        if self.width > self.height:
+            mid = 0.5 * (self.sigma_lo + self.sigma_hi) + offset * self.width
+            return (Box(self.sigma_lo, mid, self.t_lo, self.t_hi),
+                    Box(mid, self.sigma_hi, self.t_lo, self.t_hi))
+        mid = 0.5 * (self.t_lo + self.t_hi) + offset * self.height
+        return (Box(self.sigma_lo, self.sigma_hi, self.t_lo, mid),
+                Box(self.sigma_lo, self.sigma_hi, mid, self.t_hi))
+
+    def contains(self, z: complex, margin: float = 0.0) -> bool:
+        return (self.sigma_lo - margin <= z.real <= self.sigma_hi + margin
+                and self.t_lo - margin <= z.imag <= self.t_hi + margin)
+
+    def dilated(self, factor: float) -> "Box":
+        cs, ct = self.center.real, self.center.imag
+        hw, hh = 0.5 * self.width * factor, 0.5 * self.height * factor
+        return Box(cs - hw, cs + hw, ct - hh, ct + hh)
 
 
 def unit_params(seeds: int) -> list[float]:
@@ -511,24 +570,20 @@ def _lattice_m(t_level: float, length: float,
     return max(math.ceil(rate / 1.2), math.ceil(7.0 / length))
 
 
-def _rectangle_edges(sigma_lo: float, sigma_hi: float, t_lo: float,
-                     t_hi: float) -> dict[str, AxisEdge]:
-    """The AxisEdges of a rectangle, keyed "bottom", "right", "top", "left"
-    in counterclockwise order, each running upward on the lattice of
-    _lattice_m.  Two rectangles that share a side sample it on the same
+def _rectangle_edges(box: Box) -> dict[str, AxisEdge]:
+    """The AxisEdges of a box, keyed "bottom", "right", "top", "left" in
+    counterclockwise order, each running upward on the lattice of
+    _lattice_m.  Two boxes that share a side sample it on the same
     lattice: m of a horizontal edge depends on its line, that of a
-    vertical edge on its line and the rectangle's top, and either on its
-    length only below the 7-interval floor."""
-    width, height = sigma_hi - sigma_lo, t_hi - t_lo
+    vertical edge on its line and the box's top, and either on its length
+    only below the 7-interval floor."""
+    lo, hi, t_lo, t_hi = box.sigma_lo, box.sigma_hi, box.t_lo, box.t_hi
+    width, height = box.width, box.height
     return {
-        "bottom": AxisEdge(t_lo, sigma_lo, sigma_hi, False,
-                           _lattice_m(t_lo, width)),
-        "right": AxisEdge(sigma_hi, t_lo, t_hi, True,
-                          _lattice_m(t_hi, height, sigma_hi)),
-        "top": AxisEdge(t_hi, sigma_lo, sigma_hi, False,
-                        _lattice_m(t_hi, width)),
-        "left": AxisEdge(sigma_lo, t_lo, t_hi, True,
-                         _lattice_m(t_hi, height, sigma_lo)),
+        "bottom": AxisEdge(t_lo, lo, hi, False, _lattice_m(t_lo, width)),
+        "right": AxisEdge(hi, t_lo, t_hi, True, _lattice_m(t_hi, height, hi)),
+        "top": AxisEdge(t_hi, lo, hi, False, _lattice_m(t_hi, width)),
+        "left": AxisEdge(lo, t_lo, t_hi, True, _lattice_m(t_hi, height, lo)),
     }
 
 
@@ -616,33 +671,28 @@ def _inner_walk(edge: AxisEdge, outer: AxisEdge, walked: ArgTrace
     return _trace(us, zs, ls, steps)
 
 
-def _rectangle_winding(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                       t_hi: float) -> float:
-    """Raw winding value around a rectangle: the variations of its edges
+def _rectangle_winding(f, box: Box) -> float:
+    """Raw winding value around a box: the variations of its edges
     (_rectangle_edges, _edge_walk) summed with their _EDGE_SIGNS, over
     2 pi.  For f = r_value the walks are memoised (_edge_walk), so a
     split's children read their parent's two edges parallel to the cut,
     build their sides from the parent's, and the second child reads the cut
     the first one walked."""
     return sum(_EDGE_SIGNS[name] * _edge_walk(f, edge).total_variation
-               for name, edge in _rectangle_edges(
-                   sigma_lo, sigma_hi, t_lo, t_hi).items()) / TWO_PI
+               for name, edge in _rectangle_edges(box).items()) / TWO_PI
 
 
-def _rectangle_sums(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                    t_hi: float) -> list[complex]:
-    """The integrals of (z - c)^k d log f counterclockwise around a
-    rectangle, k = 0 .. 3, c = 0.5 (sigma_lo + sigma_hi) + 0.5 (t_lo + t_hi) i
-    its centre: 2 pi i times the power sums of (rho - c)^k over the zeros
-    rho inside, up to the quadrature error of the edges' nodes.  Each
-    edge's moments about its first point a (_edge_walk, memoised for R)
-    move to c by the binomial shift
+def _rectangle_sums(f, box: Box) -> list[complex]:
+    """The integrals of (z - c)^k d log f counterclockwise around a box,
+    k = 0 .. 3, c = box.center: 2 pi i times the power sums of (rho - c)^k
+    over the zeros rho inside, up to the quadrature error of the edges'
+    nodes.  Each edge's moments about its first point a (_edge_walk,
+    memoised for R) move to c by the binomial shift
     (z - c)^k = sum_j C(k, j) (a - c)^(k - j) (z - a)^j, over distances no
-    larger than the rectangle."""
-    centre = complex(0.5 * (sigma_lo + sigma_hi), 0.5 * (t_lo + t_hi))
+    larger than the box."""
+    centre = box.center
     sums = [0j] * 4
-    for name, edge in _rectangle_edges(sigma_lo, sigma_hi, t_lo,
-                                       t_hi).items():
+    for name, edge in _rectangle_edges(box).items():
         moments = _edge_walk(f, edge).moments
         shift = edge.point(edge.start) - centre
         for k in range(4):
@@ -675,27 +725,24 @@ def _on_ladder(measure, t: float, floor: float, where: str, rungs: int = 5):
     raise ContourZeroError(f"zero persists on {where}: {last}")
 
 
-def rectangle_count(f, sigma_lo: float, sigma_hi: float, t_lo: float,
-                    t_hi: float):
-    """Integer winding of f around the rectangle [sigma_lo, sigma_hi] x
-    [t_lo, t_hi], moving its top edge by the ladder's t-steps (_on_ladder)
-    when a zero sits on the contour.  Only the top moves, so a zero on a
-    side or on the bottom edge raises ContourZeroError.  DomainError unless
-    the rectangle is finite, with sigma_lo < sigma_hi and t_lo < t_hi.
+def rectangle_count(f, box: Box) -> tuple[int, Box]:
+    """Integer winding of f around ``box``, moving its top edge by the
+    ladder's t-steps (_on_ladder) when a zero sits on the contour.  Only
+    the top moves, so a zero on a side or on the bottom edge raises
+    ContourZeroError.
 
-    Returns (count, realised (t_lo, t_hi)).
+    Returns (count, the realised box): ``box`` with the top that was
+    counted.
     """
-    where = f"[{sigma_lo},{sigma_hi}]x[{t_lo},{t_hi}]"
-    if not (sigma_lo < sigma_hi and t_lo < t_hi and all(
-            map(math.isfinite, (sigma_lo, sigma_hi, t_lo, t_hi)))):
-        raise DomainError(f"rectangle {where} is not finite and proper")
+    where = f"[{box.sigma_lo},{box.sigma_hi}]x[{box.t_lo},"
 
     def winding(hi):
-        raw = _rectangle_winding(f, sigma_lo, sigma_hi, t_lo, hi)
-        return integer_winding(
-            raw, f" on [{sigma_lo},{sigma_hi}]x[{t_lo},{hi}]"), (t_lo, hi)
+        realised = replace(box, t_hi=hi)
+        return integer_winding(_rectangle_winding(f, realised),
+                               f" on {where}{hi}]"), realised
 
-    return _on_ladder(winding, t_hi, t_lo, f"the contour of {where}")
+    return _on_ladder(winding, box.t_hi, box.t_lo,
+                      f"the contour of {where}{box.t_hi}]")
 
 
 _BASE_COUNT_CACHE: dict = cleared_with_r_values({})
@@ -707,8 +754,8 @@ def base_count(box_left: float = -6.0) -> int:
     enumeration on [box_left, 2] x (0, DESK_T0] (bottom edge placed just
     above the real axis)."""
     if box_left not in _BASE_COUNT_CACHE:
-        count, _ = rectangle_count(r_value, box_left, 2.0, _BASE_FLOOR,
-                                   DESK_T0)
+        count, _ = rectangle_count(r_value,
+                                   Box(box_left, 2.0, _BASE_FLOOR, DESK_T0))
         _BASE_COUNT_CACHE[box_left] = count
     return _BASE_COUNT_CACHE[box_left]
 
@@ -725,7 +772,8 @@ def adequate_box_left(t_hi: float, box_left: float = -6.0) -> float:
     """
     left = box_left
     for _ in range(MAX_WIDENINGS):
-        strip, _ = rectangle_count(r_value, left - 20.0, left, DESK_T0, t_hi)
+        strip, _ = rectangle_count(r_value,
+                                   Box(left - 20.0, left, DESK_T0, t_hi))
         if strip == 0:
             return left
         left -= 20.0
@@ -900,16 +948,18 @@ def residual_table(ts, box_left: float = -6.0) -> list[CountResult]:
     results = []
     stacked = [t for t in ts if t <= CURVE_T0]
     for big_t in stacked:
-        strip, window = rectangle_count(r_value, left, 2.0, prev_hi, big_t)
+        strip, window = rectangle_count(r_value,
+                                        Box(left, 2.0, prev_hi, big_t))
         running += strip
-        results.append(_result(big_t, running, window))
-        prev_hi = window[1]
+        prev_hi = window.t_hi
+        results.append(_result(big_t, running, (window.t_lo, prev_hi)))
     if len(stacked) == len(ts):
         return results
     if prev_hi < CURVE_T0:
-        strip, (_, prev_hi) = rectangle_count(r_value, left, 2.0, prev_hi,
-                                              CURVE_T0)
+        strip, window = rectangle_count(r_value,
+                                        Box(left, 2.0, prev_hi, CURVE_T0))
         running += strip
+        prev_hi = window.t_hi
     t0, turns0, _, _ = _on_ladder(  # the bottom edge: one rung, no move
         _curve_turns, prev_hi, DESK_T0,
         f"the curve contour's bottom edge at t = {prev_hi}", 0)

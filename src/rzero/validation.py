@@ -21,9 +21,14 @@ from .auxiliary import (
     zeta_from_r,
     zeta_reference,
 )
-from .counting import PathSegment, arg_variation, backlund_bound, unit_params
+from .counting import (
+    Box,
+    PathSegment,
+    arg_variation,
+    backlund_bound,
+    unit_params,
+)
 from .special_functions import TWO_PI, _chi_batch, eta_batch
-from .zeros import Box
 
 # The zero survey and the counting grid of the acceptance criteria; the
 # golden file (scripts/make_golden.py) pins their results.

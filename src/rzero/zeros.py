@@ -18,6 +18,8 @@ its root for m = 1, its argument-principle mean c + s_1.  Windings come
 from the engine in ``counting``, all through one integrality guard: the
 caller's box by ``rectangle_count``, each piece and a cut scan's window on
 its own contour by ``_rectangle_winding``, circles by ``arg_variation``.
+Boxes, pieces and windows are ``counting.Box`` (also ``zeros.Box``), the
+one rectangle type: they are split here and passed to counting whole.
 By default R is evaluated through the same cached quadrature as counting,
 the samples of a contour edge and of a cut scan's lattice row are
 evaluated in one batch (r_eval_many), and all runs are refined in
@@ -50,6 +52,7 @@ import numpy as np
 from .auxiliary import r_eval_many, r_value, values_at
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
+    Box,
     _rectangle_edges,
     _rectangle_sums,
     _rectangle_winding,
@@ -70,58 +73,6 @@ from .special_functions import TWO_PI
 MIN_SIZE_DEFAULT = 1e-3
 NEWTON_STEP_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned rectangle [sigma_lo, sigma_hi] x [t_lo, t_hi]."""
-
-    sigma_lo: float
-    sigma_hi: float
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self):
-        if not (self.sigma_lo < self.sigma_hi and self.t_lo < self.t_hi):
-            raise DomainError(f"degenerate box {self}")
-
-    @property
-    def center(self) -> complex:
-        return complex(0.5 * (self.sigma_lo + self.sigma_hi),
-                       0.5 * (self.t_lo + self.t_hi))
-
-    @property
-    def width(self) -> float:
-        return self.sigma_hi - self.sigma_lo
-
-    @property
-    def height(self) -> float:
-        return self.t_hi - self.t_lo
-
-    @property
-    def max_side(self) -> float:
-        return max(self.width, self.height)
-
-    def split(self, offset: float = 0.0) -> tuple["Box", "Box"]:
-        """Bisect across the longer side (ties split vertically, i.e. cut
-        along a horizontal line); ``offset`` nudges the cut as a fraction of
-        the split side."""
-        if self.width > self.height:
-            mid = 0.5 * (self.sigma_lo + self.sigma_hi) + offset * self.width
-            return (Box(self.sigma_lo, mid, self.t_lo, self.t_hi),
-                    Box(mid, self.sigma_hi, self.t_lo, self.t_hi))
-        mid = 0.5 * (self.t_lo + self.t_hi) + offset * self.height
-        return (Box(self.sigma_lo, self.sigma_hi, self.t_lo, mid),
-                Box(self.sigma_lo, self.sigma_hi, mid, self.t_hi))
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.sigma_lo - margin <= z.real <= self.sigma_hi + margin
-                and self.t_lo - margin <= z.imag <= self.t_hi + margin)
-
-    def dilated(self, factor: float) -> "Box":
-        cs, ct = self.center.real, self.center.imag
-        hw, hh = 0.5 * self.width * factor, 0.5 * self.height * factor
-        return Box(cs - hw, cs + hw, ct - hh, ct + hh)
 
 
 @dataclass(frozen=True)
@@ -178,7 +129,7 @@ _END_SLOPE_BOUND = 1.64
 
 def _zero_on_cut(f, box: Box, child: Box) -> bool:
     """Detect a zero sitting on, or just beside, the shared cut line of a
-    split.
+    split: ``box`` is the Box split and ``child`` its first child.
 
     An even-multiplicity zero exactly on the cut does not disturb the phase
     along it (f keeps a constant argument there), so the winding of both
@@ -190,11 +141,12 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     children's windings sampled their shared edge (``child``'s top edge for
     a horizontal cut, its right edge for a vertical one), so for r_value
     the row is read from the cache.  Unless that row rules a double zero
-    out (below), the scan winds f around one window rectangle: along the
-    cut it spans [x_{k-1}, x_{k+1}] around the row's minimum x_k, clipped
-    at the row's ends, and across it +-d, d half the larger lattice spacing
-    h beside x_k.  The cut holds a zero when that integer winding is 2 or
-    more, or when the window's walk meets a zero or a non-integer winding.
+    out (below), the scan winds f around one window Box
+    (_rectangle_winding): along the cut it spans [x_{k-1}, x_{k+1}] around
+    the row's minimum x_k, clipped at the row's ends, and across it +-d, d
+    half the larger lattice spacing h beside x_k.  The cut holds a zero
+    when that integer winding is 2 or more, or when the window's walk meets
+    a zero or a non-integer winding.
 
     The window covers both hazards.  A double zero p on the cut lies in
     [x_{k-1}, x_{k+1}], and one the children's walk misreads lies less
@@ -257,9 +209,8 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     window: (z - p)^2 e^(8z) on the cut t = 10 of [0, 2] x [9, 11], with
     p at 0.18 + 10 i (0.72 h from the end), has k = 2 and reads 0.78 there.
     """
-    edges = _rectangle_edges(child.sigma_lo, child.sigma_hi, child.t_lo,
-                             child.t_hi)
-    edge = edges["top" if child.t_hi < box.t_hi else "right"]
+    edge = _rectangle_edges(child)[
+        "top" if child.t_hi < box.t_hi else "right"]
     us = edge.seed_params()
     mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
     k_min = mags.index(min(mags))
@@ -280,11 +231,11 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
             return False
     d = 0.5 * max(us[k_min] - us[lo], us[hi] - us[k_min])
     if edge.vertical:
-        window = (edge.level - d, edge.level + d, us[lo], us[hi])
+        window = Box(edge.level - d, edge.level + d, us[lo], us[hi])
     else:
-        window = (us[lo], us[hi], edge.level - d, edge.level + d)
+        window = Box(us[lo], us[hi], edge.level - d, edge.level + d)
     try:
-        return integer_winding(_rectangle_winding(f, *window)) >= 2
+        return integer_winding(_rectangle_winding(f, window)) >= 2
     except (ZeroOnPathError, NonIntegerWindingError):
         return True
 
@@ -298,8 +249,8 @@ def _split_conserving(f, box: Box, parent_w: int):
     for off in _SPLIT_OFFSETS:
         b1, b2 = box.split(off)
         try:
-            w1, w2 = (integer_winding(_rectangle_winding(
-                f, b.sigma_lo, b.sigma_hi, b.t_lo, b.t_hi)) for b in (b1, b2))
+            w1, w2 = (integer_winding(_rectangle_winding(f, b))
+                      for b in (b1, b2))
         except (ZeroOnPathError, NonIntegerWindingError) as exc:
             last = exc
             continue
@@ -339,10 +290,8 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
         raise DomainError(f"min_size must be positive, got {min_size}")
     if f is None:
         f = r_value
-    total, (t_lo, t_hi) = rectangle_count(f, box.sigma_lo, box.sigma_hi,
-                                          box.t_lo, box.t_hi)
-    return _isolate([(Box(box.sigma_lo, box.sigma_hi, t_lo, t_hi), total)],
-                    min_size, f)
+    total, realised = rectangle_count(f, box)
+    return _isolate([(realised, total)], min_size, f)
 
 
 def _isolate(stack: list[tuple[Box, int]], min_size: float,
@@ -428,8 +377,7 @@ def _power_sum_roots(box: Box, m: int) -> list[complex] | None:
     Lyness, Math. Comp. 21, 1967).  For m = 1 the root is c + s_1, the
     box's argument-principle mean."""
     try:
-        sums = _rectangle_sums(r_value, box.sigma_lo, box.sigma_hi,
-                               box.t_lo, box.t_hi)
+        sums = _rectangle_sums(r_value, box)
     except ZeroOnPathError:
         return None
     c = box.center

@@ -16,6 +16,7 @@ import pytest
 from rzero import validation
 from rzero.auxiliary import r_eval, r_value
 from rzero.counting import (
+    Box,
     PathSegment,
     arg_variation,
     base_count,
@@ -46,9 +47,9 @@ def zero_survey():
     t0 = time.perf_counter()
     zeros, clusters = locate_zeros(SURVEY_BOX)
     # emptiness further left of the survey box
-    strip, _ = rectangle_count(r_value, SURVEY_BOX.sigma_lo - 20.0,
-                               SURVEY_BOX.sigma_lo, SURVEY_BOX.t_lo,
-                               SURVEY_BOX.t_hi)
+    strip, _ = rectangle_count(r_value, Box(SURVEY_BOX.sigma_lo - 20.0,
+                                            SURVEY_BOX.sigma_lo,
+                                            SURVEY_BOX.t_lo, SURVEY_BOX.t_hi))
     _timings["survey"] = time.perf_counter() - t0
     assert strip == 0, "survey box too narrow"
     assert clusters == []

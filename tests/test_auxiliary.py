@@ -718,10 +718,11 @@ class TestResidueCut:
 
     @pytest.mark.parametrize("sigma", [-60.0, -70.0, -80.0])
     def test_far_left_derivative_sums_stay_finite(self, sigma):
-        # at t = 10^11 the kept residues of R' sum past the double range in
-        # the units of the largest residue; that row alone is summed again
-        # in larger units, so the values keep the bits they get without R',
-        # and a point sharing the block keeps the bits it gets alone
+        # at t = 10^11 the kept residues of R' would sum past the double
+        # range in units of 1; such a row sums them in units of its largest
+        # residue, so its sums stay finite, the values keep the bits they
+        # get without R', and a point sharing the block keeps the bits it
+        # gets alone
         points = [complex(sigma, 1e11), complex(-5.0, 1e11)]
         r_eval_cache_clear()
         far, near = r_eval_many(points, derivative=True)

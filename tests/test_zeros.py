@@ -62,6 +62,21 @@ class TestBox:
         with pytest.raises(DomainError):
             Box(1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("sides", [
+        (-math.inf, 2.0, 10.0, 20.0), (0.0, math.inf, 10.0, 20.0),
+        (0.0, 2.0, 10.0, math.nan)])
+    def test_not_finite_rejected(self, sides):
+        # the constructor is the only check of a rectangle: rectangle_count
+        # has none of its own
+        with pytest.raises(DomainError, match="degenerate box"):
+            Box(*sides)
+
+    def test_one_rectangle_type(self):
+        # counting winds around the Boxes that zeros splits
+        import rzero
+        from rzero import counting
+        assert rzero.Box is Box is counting.Box
+
     def test_margin_containment(self):
         box = Box(0.0, 1.0, 0.0, 1.0)
         assert not box.contains(1.005 + 0.5j)
@@ -84,8 +99,7 @@ class TestIsolateZeros:
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j)) * (z - (0.3 + 9.4j))
         box = Box(0.0, 2.0, 9.0, 11.0)
         res = isolate_zeros(box, f=f)
-        total, _ = rectangle_count(f, box.sigma_lo, box.sigma_hi,
-                                   box.t_lo, box.t_hi)
+        total, _ = rectangle_count(f, box)
         assert len(res.isolated) == total == 3
 
     def test_double_zero_reported_as_cluster(self):
@@ -116,18 +130,18 @@ class TestIsolateZeros:
         counted = []
         real = zeros_mod.rectangle_count
         monkeypatch.setattr(zeros_mod, "rectangle_count",
-                            lambda f, *sides: counted.append(sides)
-                            or real(f, *sides))
+                            lambda f, box: counted.append(box)
+                            or real(f, box))
         f = lambda z: (z - (0.5 + 10j)) * (z - (1.5 + 9.5j))
         box = Box(0.0, 2.0, 9.0, 11.0)
         res = isolate_zeros(box, f=f)
         assert [[piece.contains(zero) for zero in (0.5 + 10j, 1.5 + 9.5j)]
                 for piece in res.isolated] == [[True, False], [False, True]]
-        assert counted == [(0.0, 2.0, 9.0, 11.0)]
+        assert counted == [box]
         monkeypatch.setattr(zeros_mod, "_SPLIT_OFFSETS", (0.0,))
         with pytest.raises(ContourZeroError, match="could not split"):
             _split_conserving(f, box, 2)
-        assert counted == [(0.0, 2.0, 9.0, 11.0)]
+        assert counted == [box]
 
     @pytest.mark.parametrize("min_size", [0.0, -1e-3, math.nan])
     def test_min_size_must_be_positive(self, min_size):
@@ -257,9 +271,8 @@ class TestCutScan:
         real = zeros_mod._zero_on_cut
 
         def scan(f, box, child):
-            edges = _rectangle_edges(child.sigma_lo, child.sigma_hi,
-                                     child.t_lo, child.t_hi)
-            edge = edges["top" if child.t_hi < box.t_hi else "right"]
+            edge = _rectangle_edges(child)[
+                "top" if child.t_hi < box.t_hi else "right"]
             us = sorted(edge.seed_params())
             mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
             for k, j in ((0, 1), (-1, -2)):
@@ -284,7 +297,8 @@ class TestCutScan:
         # that the cut scan's end exit assumes (largest 0.78, 0.93 and 1.00
         # on the left sides, 0.49, 0.34 and 0.11 on sigma = 2)
         r_eval_cache_clear()
-        for name, edge in _rectangle_edges(left, 2.0, t_lo, t_hi).items():
+        box = Box(left, 2.0, t_lo, t_hi)
+        for name, edge in _rectangle_edges(box).items():
             if edge.vertical:
                 points = [edge.point(u) for u in edge.seed_params()]
                 results = r_eval_many(points, derivative=True)
@@ -299,8 +313,7 @@ class TestCutScan:
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 20.0, 35.0)
         r_eval_cache_clear()
-        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
-                                   box.t_lo, box.t_hi)[0]
+        parent_w = rectangle_count(r_value, box)[0]
         computed = []
         real = zeros_mod._zero_on_cut
 
@@ -324,8 +337,7 @@ class TestCutScan:
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 20.0, 35.0)
         r_eval_cache_clear()
-        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
-                                   box.t_lo, box.t_hi)[0]
+        parent_w = rectangle_count(r_value, box)[0]
         rows = []  # (points, R values computed) of each scan row
 
         def counted(f, points):
@@ -349,8 +361,7 @@ class TestCutScan:
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 10.0, 35.0)
         r_eval_cache_clear()
-        parent_w = rectangle_count(r_value, box.sigma_lo, box.sigma_hi,
-                                   box.t_lo, box.t_hi)[0]
+        parent_w = rectangle_count(r_value, box)[0]
         rows = []  # (|R| along the row, R values computed) of each row
 
         def counted(f, points):
@@ -743,10 +754,8 @@ class TestGroups:
         # isolation output sum to the count of the realised box
         r_eval_cache_clear()
         iso = isolate_zeros(self.SURVEY)
-        total, window = rectangle_count(r_value, self.SURVEY.sigma_lo,
-                                        self.SURVEY.sigma_hi,
-                                        self.SURVEY.t_lo, self.SURVEY.t_hi)
-        assert window == (10.0, 149.0)
+        total, window = rectangle_count(r_value, self.SURVEY)
+        assert window == Box(-12.0, 2.0, 10.0, 149.0)
         assert (len(iso.isolated) + sum(len(g.starts) for g in iso.groups)
                 + sum(w for _, w in iso.clusters)) == total == 24
         assert {len(g.starts) for g in iso.groups} == {2, 3}
@@ -821,7 +830,7 @@ class TestLocateZeros:
     def test_box_10_60(self):
         zeros, clusters = locate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
         assert clusters == []
-        count, _ = rectangle_count(r_value, -4.0, 2.0, 10.0, 60.0)
+        count, _ = rectangle_count(r_value, Box(-4.0, 2.0, 10.0, 60.0))
         assert len(zeros) == count == 6
         gammas = [z.gamma for z in zeros]
         assert gammas == sorted(gammas)
