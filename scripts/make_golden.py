@@ -2,8 +2,9 @@
 N(T) on the acceptance counting grid, at 17 significant digits.
 
 The acceptance tests compare their session fixtures with this file, so it
-pins the zero list and the counts across changes to the numerics.  Run it
-on the tree whose results are to become the reference:
+pins the zero list and the counts across changes to the numerics, and CI
+checks that the committed file is byte for byte what this script writes.
+Run it on the tree whose results are to become the reference:
 
     PYTHONPATH=src python scripts/make_golden.py [--out tests/data/golden.json]
 """

@@ -2,9 +2,10 @@
 
 Winding-driven quad-tree subdivision splits a rectangle until every piece
 encloses exactly one zero or, for R, a few zeros that its power sums
-place; Newton iteration (with bisection-style fallback for a winding-1
-piece) refines each zero to a point, and every returned zero carries an
-independent winding-1 certificate on a small circle around it.  The power
+place; Newton iteration refines each zero to a point, and every returned
+zero carries an independent winding-1 certificate on a small circle
+around it.  Subdivision is also the one recovery: locate_zeros splits a
+seed whose refinement fails and isolates its children again.  The power
 sums of a box are s_k = (1/2 pi i) times the integral of (z - c)^k d log R
 around it, c its centre; the edge walks of isolation already hold the
 moments they come from (ArgTrace.moments, to order 3), so they cost no R
@@ -12,12 +13,12 @@ value.  A piece of winding m <= GROUP_CAP = 3 stops splitting when the m
 roots of the polynomial that Newton's identities build from s_1 .. s_m lie
 inside it and pairwise apart (a Group); its m Newton runs start at those
 roots, and it is accepted only when their m certificate circles are
-pairwise disjoint and lie inside it, so all m of its zeros are found.
-Otherwise locate_zeros splits it on.  A winding-1 piece's run starts at
-its root for m = 1, its argument-principle mean c + s_1.  Windings come
-from the engine in ``counting``, all through one integrality guard: the
-caller's box by ``rectangle_count``, each piece and a cut scan's window on
-its own contour by ``_rectangle_winding``, circles by ``arg_variation``.
+pairwise disjoint and lie inside it, so all m of its zeros are found.  A
+winding-1 piece's run starts at its root for m = 1, its argument-principle
+mean c + s_1.  Windings come from the engine in ``counting``, all through
+one integrality guard: the caller's box by ``rectangle_count``, each piece
+and a cut scan's window on its own contour by ``_rectangle_winding``,
+circles by ``arg_variation``.
 Boxes, pieces and windows are ``counting.Box`` (also ``zeros.Box``), the
 one rectangle type: they are split here and passed to counting whole.
 By default R is evaluated through the same cached quadrature as counting,
@@ -402,15 +403,10 @@ _CERT_NOISE_FACTOR = 10.0
 
 
 class _Newton:
-    """One seed's Newton run from ``z`` in ``box``, a winding-1 piece of
-    ``seed``: the current iterate, the last step and the iterations
-    taken."""
+    """One Newton run from ``z`` in ``box``: the current iterate, the last
+    step and the iterations taken."""
 
-    def __init__(self, seed: Box, z: complex):
-        self.seed = seed
-        self.restart(seed, z)
-
-    def restart(self, box: Box, z: complex) -> None:
+    def __init__(self, box: Box, z: complex):
         self.box = box
         self.guard = box.dilated(2.0)
         self.z = z
@@ -421,7 +417,7 @@ class _Newton:
                 ) -> bool | None:
         """Take one Newton step from f and f' at the iterate, f known to
         within ``noise``: None while the run goes on, then True when it
-        ends at a point that the seed contains within the final step, and
+        ends at a point that its box contains within the final step, and
         False when it fails.  A step under NEWTON_STEP_TOL, or under
         noise / |f'|, the distance over which the noise can move a zero,
         ends the run."""
@@ -438,7 +434,7 @@ class _Newton:
                 return None
             if self.step >= 1e-6:
                 return False
-        return self.seed.contains(nz, margin=self.step)
+        return self.box.contains(nz, margin=self.step)
 
 
 def refine_zeros(seeds: list[Box | Group],
@@ -453,14 +449,14 @@ def refine_zeros(seeds: list[Box | Group],
     argument-principle mean (_power_sum_roots with m = 1), from the edge
     moments that isolation's windings left in counting's memo, when that
     lies inside the box, and otherwise at the centre; a caller's f starts
-    at the centre.  Its failed run restarts in the winding-1 child of a
-    split of its piece, which leaves at most 0.77 of the split side, until
-    the piece is under 64 * NEWTON_STEP_TOL.  A Group has one run from
-    each of its starts and no restart.  The final point is re-certified by
-    a winding-1 circle of radius 10 * (final step + 1e-12), doubled,
-    tripled and quadrupled while that circle fails, each walked from
-    _CIRCLE_SEEDS = 9 seeds, 8 intervals; for R the samples of every first
-    circle are read in one r_eval_many call.  A group resolves only
+    at the centre.  A Group has one run from each of its starts.  A run
+    fails when f' vanishes, when an iterate leaves its box dilated twice
+    about its centre, or when 50 iterations end on a step of 1e-6 or more.
+    The final point is re-certified by a winding-1 circle of radius
+    10 * (final step + 1e-12), doubled, tripled and quadrupled while that
+    circle fails, each walked from _CIRCLE_SEEDS = 9 seeds, 8 intervals;
+    for R the samples of every first circle are read in one r_eval_many
+    call.  A group resolves only
     when each of its runs ends so and its circles are pairwise disjoint
     and lie inside its box: then the m zeros it winds are all found.  The
     runs go in lockstep, one Newton step each per round; each round and the
@@ -468,9 +464,9 @@ def refine_zeros(seeds: list[Box | Group],
     for f = R, passed or by default, and no df, one
     r_eval_many(..., derivative=True) call, and for a caller's f its f and
     df (or a central difference) point by point, noise 0.  Each seed's
-    iterates, and so its Zeros, are those of refining it alone.  A failure,
-    a group's included, raises for the first failing seed in input order;
-    locate_zeros splits a failed group on instead.
+    iterates, and so its Zeros, are those of refining it alone.  The seeds
+    are refined as given: a failure raises for the first failing seed in
+    input order, and only locate_zeros splits a failed seed on.
 
     For R, whose values carry an error_estimate e, a step under e / |R'|
     also ends a run: a zero is located no better than that.  The circle
@@ -512,45 +508,27 @@ def _refine(seeds: list[Box | Group], f, df
                  _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
                 for i, z in zip(indices, zs)]
 
+    pairs = [(seed.box, seed.starts) if isinstance(seed, Group)
+             else (seed, (start(seed),)) for seed in seeds]
     runs: list[_Newton] = []
     owner: list[int] = []  # the index of each run's seed
-    for k, seed in enumerate(seeds):
-        if isinstance(seed, Group):
-            runs += [_Newton(seed.box, z) for z in seed.starts]
-            owner += [k] * len(seed.starts)
-        else:
-            runs.append(_Newton(seed, start(seed)))
-            owner.append(k)
+    for k, (box, starts) in enumerate(pairs):
+        runs += [_Newton(box, z) for z in starts]
+        owner += [k] * len(starts)
     steps: dict[int, float] = {}
     errors: dict[int, Exception] = {}
     live = list(range(len(runs)))
     while live:
         still = []
         for i, row in zip(live, rows(live)):
-            run = runs[i]
-            verdict = run.advance(*row)
+            verdict = runs[i].advance(*row)
             if verdict is None:
                 still.append(i)
             elif verdict:
-                steps[i] = run.step
-            elif isinstance(seeds[owner[i]], Group):
-                errors[owner[i]] = NewtonError(
-                    f"a Newton run of the group in {run.seed} failed")
+                steps[i] = runs[i].step
             else:
-                try:
-                    split = (run.box.max_side >= 64.0 * NEWTON_STEP_TOL
-                             and _split_conserving(f, run.box, 1))
-                except ContourZeroError as exc:
-                    errors[owner[i]] = exc
-                    continue
-                if not split:
-                    errors[owner[i]] = NewtonError(
-                        f"Newton failed to converge inside {run.seed}")
-                    continue
-                (b1, w1), (b2, w2) = split
-                child = b1 if w1 == 1 else b2
-                run.restart(child, start(child))
-                still.append(i)
+                errors[owner[i]] = NewtonError(
+                    f"Newton failed to converge inside {runs[i].box}")
         live = [i for i in still if owner[i] not in errors]
 
     done = sorted(i for i in steps if owner[i] not in errors)
@@ -586,12 +564,11 @@ def _refine(seeds: list[Box | Group], f, df
     for i, k in enumerate(owner):
         if k not in errors:
             found.setdefault(k, []).append(zeros[i])
-    for k, group in enumerate(seeds):
-        if (isinstance(group, Group) and k in found
-                and not _resolved(group.box, found[k])):
+    for k, (box, starts) in enumerate(pairs):
+        if len(starts) > 1 and k in found and not _resolved(box, found[k]):
             del found[k]
             errors[k] = NewtonError(
-                f"the circles of the group in {group.box} overlap or leave it")
+                f"the circles of the group in {box} overlap or leave it")
     return found, errors
 
 
@@ -617,11 +594,15 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                  ) -> tuple[list[Zero], list[tuple[Box, int]]]:
     """Isolate and refine all zeros in the box; returns (zeros, clusters).
 
-    A group that does not resolve (see refine_zeros) is split, and its
-    children go back to isolation; the seeds they give are refined in turn.
-    Any other failure raises.  Output is ordered by gamma then beta,
-    independent of the subdivision execution order.
+    A seed that refine_zeros cannot resolve, a winding-1 piece or a group,
+    for R or for a caller's f, is split (_split_conserving) and its
+    children go back to isolation; the seeds they give are refined in the
+    next round.  A failed seed under 64 * NEWTON_STEP_TOL raises its
+    error instead.  Output is ordered by gamma then beta, independent of
+    the subdivision execution order.
     """
+    if f is None:
+        f = r_value
     iso = isolate_zeros(box, min_size=min_size, f=f)
     seeds: list[Box | Group] = [*iso.isolated, *iso.groups]
     clusters = list(iso.clusters)
@@ -632,10 +613,12 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
         retry: list[Box | Group] = []
         for k in sorted(errors):
             seed = seeds[k]
-            if not isinstance(seed, Group):
+            piece, m = ((seed, 1) if isinstance(seed, Box)
+                        else (seed.box, len(seed.starts)))
+            if piece.max_side < 64.0 * NEWTON_STEP_TOL:
                 raise errors[k]
-            rest = _isolate(list(_split_conserving(
-                r_value, seed.box, len(seed.starts))), min_size, r_value)
+            rest = _isolate(list(_split_conserving(f, piece, m)),
+                            min_size, f)
             retry += [*rest.isolated, *rest.groups]
             clusters += rest.clusters
         seeds = retry

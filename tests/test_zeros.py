@@ -622,7 +622,8 @@ class TestCertificateCircle:
 class TestRefineZeros:
     ROOTS = (0.0, 2.0, 2.3)
     # Newton from the first seed's centre, 0.7, meets f' ~ 0.05 and leaves
-    # the guard box, so that seed restarts from its winding-1 child
+    # the guard box, so that seed fails; locate_zeros splits it and refines
+    # its winding-1 child
     SEEDS = [Box(-0.3, 1.7, -0.3, 0.3), Box(1.9, 2.1, -0.1, 0.1),
              Box(2.2, 2.4, -0.1, 0.1)]
 
@@ -678,13 +679,13 @@ class TestRefineZeros:
         assert len(iso.isolated) == 6
         means = [_power_sum_roots(seed, 1)[0] for seed in iso.isolated]
         starts = []
-        real = zeros_mod._Newton.restart
+        real = zeros_mod._Newton.__init__
 
-        def restart(run, box, z):
+        def init(run, box, z):
             starts.append(z)
             real(run, box, z)
 
-        monkeypatch.setattr(zeros_mod._Newton, "restart", restart)
+        monkeypatch.setattr(zeros_mod._Newton, "__init__", init)
         zeros = refine_zeros(iso.isolated)
         assert starts == means
         for seed, mean, zero in zip(iso.isolated, means, zeros):
@@ -699,26 +700,40 @@ class TestRefineZeros:
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_caller_functions_per_seed(self, monkeypatch, numeric):
+        # the seeds whose runs converge give the same Zeros in lockstep and
+        # one at a time; the first seed fails, and locate_zeros splits it
+        # once and refines its winding-1 child as refine_zero would
         import rzero.zeros as zeros_mod
         df = None if numeric else self.cubic_prime
-        splits = []
-        real = zeros_mod._split_conserving
-        monkeypatch.setattr(zeros_mod, "_split_conserving",
-                            lambda f, box, w: splits.append(box)
-                            or real(f, box, w))
-        together = refine_zeros(self.SEEDS, self.cubic, df)
-        assert splits == [self.SEEDS[0]]
-        alone = [refine_zero(seed, self.cubic, df) for seed in self.SEEDS]
+        together = refine_zeros(self.SEEDS[1:], self.cubic, df)
+        alone = [refine_zero(seed, self.cubic, df) for seed in self.SEEDS[1:]]
         assert together == alone
-        for zero, root in zip(together, self.ROOTS):
+        for zero, root in zip(together, self.ROOTS[1:]):
             assert complex(zero.beta, zero.gamma) == pytest.approx(root,
                                                                    abs=1e-9)
             assert zero.winding_certificate == 1
+        splits = []
+        real = zeros_mod._split_conserving
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, box, w: splits.append((box, w))
+                            or real(f, box, w))
+        zeros, clusters = locate_zeros(self.SEEDS[0], f=self.cubic, df=df)
+        assert splits == [(self.SEEDS[0], 1)] and clusters == []
+        child = self.SEEDS[0].split(0.0)[0]
+        assert zeros == [refine_zero(child, self.cubic, df)]
+        assert complex(zeros[0].beta, zeros[0].gamma) == pytest.approx(
+            self.ROOTS[0], abs=1e-9)
+
+    def test_failing_seed_raises(self):
+        # refine_zero refines the seed it is given and does not split it
+        with pytest.raises(NewtonError, match="failed to converge"):
+            refine_zero(self.SEEDS[0], self.cubic, self.cubic_prime)
 
     def test_restarts_end_at_the_size_floor(self, monkeypatch):
-        # a run that never converges restarts in ever smaller winding-1
-        # pieces, each at most 0.77 of its parent's split side, and raises
-        # only once its piece is under 64 NEWTON_STEP_TOL
+        # a run that never converges is split, in locate_zeros, into ever
+        # smaller winding-1 pieces, each at most 0.77 of the piece two
+        # splits before, and raises only once its piece is under
+        # 64 NEWTON_STEP_TOL
         import rzero.zeros as zeros_mod
         sides = []
 
@@ -728,17 +743,20 @@ class TestRefineZeros:
 
         monkeypatch.setattr(zeros_mod._Newton, "advance", advance)
         with pytest.raises(NewtonError, match="failed to converge"):
-            refine_zero(Box(1.0, 2.0, 0.2, 1.0), f=quadratic,
-                        df=lambda z: 2 * z)
+            locate_zeros(Box(1.0, 2.0, 0.2, 1.0), f=quadratic,
+                         df=lambda z: 2 * z)
         assert sides[-1] < 64.0 * NEWTON_STEP_TOL <= min(sides[:-1])
         assert all(b <= 0.77 * a for a, b in zip(sides[::2], sides[2::2]))
 
     def test_error_names_first_failing_seed(self, monkeypatch):
+        # every run converges; the certificates of the zeros at 2 and 2.3
+        # fail, and the error names 2.3, the first failing seed in input
+        # order
         import rzero.zeros as zeros_mod
         real = zeros_mod._circle_winding
         monkeypatch.setattr(zeros_mod, "_circle_winding",
                             lambda f, z, r: 0 if z.real > 1.0 else real(f, z, r))
-        seeds = [self.SEEDS[0], self.SEEDS[2], self.SEEDS[1]]
+        seeds = [self.SEEDS[0].split(0.0)[0], self.SEEDS[2], self.SEEDS[1]]
         with pytest.raises(NewtonError, match=r"\(2\.3"):
             refine_zeros(seeds, self.cubic, self.cubic_prime)
         assert refine_zeros(seeds[:1], self.cubic, self.cubic_prime)
@@ -857,6 +875,72 @@ class TestLocateZeros:
         explicit = locate_zeros(box, f=r_value)
         assert len(explicit[0]) == 2
         assert explicit == locate_zeros(box)
+
+    # the winding-1 piece of [-4, 2] x [10, 60]; the others are groups
+    PIECE = Box(-4.0, 2.0, 35.0, 47.5)
+
+    def test_failed_certificate_splits_on(self, monkeypatch):
+        # all 4 certificate circles of the piece's zero fail once: the piece
+        # is split and its winding-1 child refined, and the zeros are those
+        # of the unpatched run within their radii
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 10.0, 60.0)
+        r_eval_cache_clear()
+        plain, _ = locate_zeros(box)
+        assert isolate_zeros(box).isolated == [self.PIECE]
+        real_circle = zeros_mod._circle_winding
+        real_split = zeros_mod._split_conserving
+        failed, splits = [], []
+
+        def circle(f, z, r):
+            if self.PIECE.contains(z) and len(failed) < 4:
+                failed.append(r)
+                return 0
+            return real_circle(f, z, r)
+
+        monkeypatch.setattr(zeros_mod, "_circle_winding", circle)
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, piece, w: splits.append((piece, w))
+                            or real_split(f, piece, w))
+        r_eval_cache_clear()
+        zeros, clusters = locate_zeros(box)
+        assert len(failed) == 4 and (self.PIECE, 1) in splits
+        assert clusters == [] and len(zeros) == len(plain) == 6
+        for mine, theirs in zip(zeros, plain):
+            assert abs(complex(mine.beta, mine.gamma)
+                       - complex(theirs.beta, theirs.gamma)) \
+                < theirs.enclosure_radius
+            assert mine.winding_certificate == 1
+
+    def test_failed_run_splits_on(self, monkeypatch):
+        # the Newton run of the winding-1 piece fails at its first step;
+        # its child's run starts at the child's own winding mean and ends
+        # within the unpatched zero's radius, and the groups' zeros keep
+        # their bits
+        import rzero.zeros as zeros_mod
+        box = Box(-4.0, 2.0, 10.0, 60.0)
+        r_eval_cache_clear()
+        plain, _ = locate_zeros(box)
+        real = zeros_mod._Newton.advance
+        failed = []
+
+        def advance(run, fz, dz, noise=0.0):
+            if run.box == self.PIECE and not failed:
+                failed.append(run.z)
+                return False
+            return real(run, fz, dz, noise)
+
+        monkeypatch.setattr(zeros_mod._Newton, "advance", advance)
+        r_eval_cache_clear()
+        zeros, clusters = locate_zeros(box)
+        assert len(failed) == 1 and clusters == []
+        assert len(zeros) == len(plain) == 6
+        for mine, theirs in zip(zeros, plain):
+            where = complex(theirs.beta, theirs.gamma)
+            if not self.PIECE.contains(where):
+                assert mine == theirs
+            assert abs(complex(mine.beta, mine.gamma) - where) \
+                < theirs.enclosure_radius
 
     def test_polynomial_cross_check(self):
         roots = (0.5 + 20j, -1.5 + 33j, 1.1 + 47.5j)
