@@ -18,20 +18,22 @@ one complex multiply-add and one exp per node.  The trapezoid grids at
 steps 1/4, 1/8, 1/16, ... over a fixed extent nest, so automatic evaluation
 fixes the extent to a multiple of 1/2 and each halving of the step computes
 only the new odd nodes, adding them to the sums of the previous pass.
-Nearly every pass reaches step 1/16, so its first round takes the base grid
-and the odd nodes of steps 1/8 and 1/16 in one kernel, each level summed
-apart.  And points that share a crossing and an extent share every node
-row, so one step-halving loop (_step_halve) works on blocks of them: a round
-is one numpy kernel over a (points x nodes) block, -s_j log x_i plus the
-shared kernel row, and each point then takes its own stopping decisions at
-each step its sums reach.  The samples of a horizontal contour edge share t
-and form one block; those of a vertical edge fall into a few.  A single
-r_eval is a block of one.  One routine (_sum_level) sums every level, and
-r_eval, r_eval_many and r_derivative all reach it through _step_halve; the
-fixed pass _quadrature, the tests' reference, sums through it too.  R'(s)
+Nearly every pass reaches step 1/16, so its first round takes the base grid,
+the odd nodes of steps 1/8 and 1/16 and the residues n^{-s} in one array:
+one exp, one abs and one segmented sum (np.add.reduceat) over the runs of
+columns that each level and the residues fill.  And points that share a
+crossing and an extent share every node row, so one step-halving loop
+(_step_halve) works on blocks of them: a round is one numpy kernel over a
+(points x nodes) block, -s_j log x_i plus the shared kernel row, and each
+point then takes its own stopping decisions at each step its sums reach.
+The samples of a horizontal contour edge share t and form one block; those
+of a vertical edge fall into a few.  A single r_eval is a block of one.
+One routine (_sum_level) sums every level, and r_eval, r_eval_many and
+r_derivative all reach it through _step_halve; the fixed pass _quadrature,
+the tests' reference, sums through it too.  R'(s)
 comes from the same grids: differentiating under the integral multiplies
 each node by -log x, and the Dirichlet part by -log n, so a derivative
-request follows each point's row of R terms by a row of R' terms from the
+request follows the block's rows of R terms by rows of R' terms from the
 same exponentials, and the same kernels sum both channels.
 
 The stopping rule follows the trapezoid error model on a strip of
@@ -137,26 +139,32 @@ def _log_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def _build_rows(q: int, step: float, n: int, depth: int | None):
-    """(log x, log kernel, peak) at x = q + 1/2 + step k e^{i pi/4}: with
+    """(-log, log kernel, peak) at x = q + 1/2 + step k e^{i pi/4}: with
     depth None at the odd |k| < n, with peak None; else at the base grid
-    |k| <= n, then the odd nodes of each of its first ``depth`` halvings,
-    with peak (max |log x|, max |log kernel|) over the base grid, the scales
-    of the rounding floor (see _pass_figures)."""
-    if depth:
-        logx, rest, peaks = zip(*[
-            _build_rows(q, step / 2 ** j, n << j, None if j else 0)
-            for j in range(depth + 1)])
-        return np.concatenate(logx), np.concatenate(rest), peaks[0]
-    k = np.arange(-n, n + 1) if depth == 0 else np.arange(1 - n, n, 2)
+    |k| <= n, its k = n mod 2 (the grid of step 2 step) before the others,
+    then the odd nodes of each of its first ``depth`` halvings, and after
+    the nodes -log n for n = q down to 1 (the residues' columns, so -log is
+    q longer than the log kernel), with peak (max |log x|, max |log kernel|)
+    over the base grid, the scales of the rounding floor (see
+    _pass_figures)."""
+    if depth is None:
+        grids = [(step, np.arange(1 - n, n, 2))]
+    else:
+        grids = [(step, np.arange(-n, n + 1, 2)),
+                 (step, np.arange(1 - n, n, 2))]
+        grids += [(step / 2 ** j, np.arange(1 - (n << j), n << j, 2))
+                  for j in range(1, depth + 1)]
     # The path stays clear of the branch cut of log x (negative reals):
     # Im x = step k / sqrt(2) vanishes only at k = 0, where x = q + 1/2 > 0.
-    x = (q + 0.5) + (step * k) * _LINE_DIR
+    x = np.concatenate([(q + 0.5) + (h * k) * _LINE_DIR for h, k in grids])
     logx, rest = np.log(x), _log_kernel(x)
-    peak = None
-    if depth == 0:
-        peak = tuple(np.maximum.reduce(np.abs(np.stack([logx, rest])),
-                                       axis=1).tolist())
-    return logx, rest, peak
+    if depth is None:
+        return -logx, rest, None
+    nb = 2 * n + 1
+    peak = tuple(np.maximum.reduce(np.abs(np.stack([logx[:nb], rest[:nb]])),
+                                   axis=1).tolist())
+    log_n = np.log(np.arange(q, 0, -1, dtype=float)).astype(complex)
+    return np.concatenate((-logx, -log_n)), rest, peak
 
 
 # Nesting: a pass at a dyadic step h <= _BASE_STEP starts from the grid of
@@ -169,9 +177,10 @@ _FIRST_HALVINGS = 2
 # The rows of dyadic levels from _BASE_STEP down to LATTICE_FINEST_STEP are
 # memoised per (q, step, n, depth), least recently used first out; finer
 # levels are built on every pass.  Every level is dyadic and starts from
-# _BASE_STEP, so the step alone decides.  The largest memoised row is 9 KiB
-# (the odd nodes of step 1/64 over half-length 4.5) on seeded points with t
-# up to 10^7 and sigma far left, so a full memo holds about 2.3 MiB.
+# _BASE_STEP, so the step alone decides.  On seeded points with t up to
+# 10^7 and sigma far left, the largest memoised row is 24 KiB (a first
+# round's at q = 1257: 145 nodes and 1257 residue columns; a halving's row
+# takes at most 9 KiB), so a full memo holds at most about 6 MiB.
 LATTICE_FINEST_STEP = 1.0 / 64.0
 LATTICE_MAX_ENTRIES = 256
 _lattice_rows = lru_cache(maxsize=LATTICE_MAX_ENTRIES)(_build_rows)
@@ -188,7 +197,9 @@ def _line_rows(q: int, step: float, n: int, depth: int | None):
 # A round of _step_halve sums one nesting level for a block of points that
 # share a crossing and a half-length, so they share every integrand row; a
 # block holds at most this many (point, node) pairs, which bounds the
-# temporaries of one round (a complex block is 512 KiB, twice that with R').
+# temporaries of one round (a complex block is 512 KiB, twice that with R'),
+# and the first round's block also holds each point's residue columns, at
+# most q of them (see _first_sums).
 BATCH_MAX_NODES = 1 << 15
 _MAX_PASSES = 16
 _FINEST_STEP = 1.0 / 1024.0
@@ -202,18 +213,39 @@ def _reduced(value: complex, m: float) -> complex:
     return cmath.exp(cmath.log(value) - m)
 
 
-_sum_rows = np.add.reduce  # row sums of a block: np.sum's pairwise order
+def _terms(zs: list[complex], neg_logs: np.ndarray, rest: np.ndarray,
+           derivative: bool, m=None, mr=None, base: int = 0,
+           spare: bool = False):
+    """(block, m): the terms of a block of points, a row of len(neg_logs)
+    columns per point and channel.
 
-
-def _channels(terms: np.ndarray, logs: np.ndarray,
-              derivative: bool) -> np.ndarray:
-    """The block ``terms``, a row of R terms per point, as the kernels sum
-    it: with ``derivative`` each row is followed by the point's row of R'
-    terms, which carry the factor -log x (nodes) or -log n (residues)."""
-    if not derivative:
-        return terms
-    return np.concatenate((terms, terms * -logs), axis=1).reshape(
-        2 * len(terms), terms.shape[1])
+    Row j holds e^{rest - s_j log x - m_j} at the len(rest) node columns
+    (neg_logs holds -log x there) and n^{-s_j} e^{-mr_j} at the residue
+    columns after them (-log n; mr None is all 0); with ``derivative`` the
+    R' rows, each term times its -log x or -log n, follow all R rows, and
+    with ``spare`` a row of zeros follows the last.  With m None, m_j is
+    the largest real part of the exponent over the first ``base`` columns
+    (the base grid), and it is returned as an array."""
+    p, nodes = len(zs), len(rest)
+    block = np.empty(((1 + derivative) * p + spare, len(neg_logs)),
+                     dtype=complex)
+    if spare:
+        block[-1] = 0.0
+    lg = block[:p]
+    np.multiply(np.array(zs)[:, None], neg_logs, out=lg)
+    at_nodes = lg[:, :nodes]
+    at_nodes += rest
+    if m is None:
+        m = np.maximum.reduce(lg[:, :base].real, axis=1)
+    # complex operands throughout: a float operand would be cast through
+    # numpy's buffered path; the bits are the same
+    at_nodes -= np.asarray(m, dtype=complex)[:, None]
+    if mr is not None:
+        lg[:, nodes:] -= np.array(mr, dtype=complex)[:, None]
+    np.exp(lg, out=lg)
+    if derivative:
+        np.multiply(lg, neg_logs, out=block[p:2 * p])
+    return block, m
 
 
 def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
@@ -224,18 +256,25 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     Returns (m, phase, sums, halvings): per point the exponent scale m (the
     largest real part of the log integrand on the base grid; everything
     else is in units of e^m) and the phase scale max |log kernel| +
-    |s| max |log x| of the rounding floor, per channel of each point (see
-    _channels) the base grid's [total, coarse, abs_total, ends, sum_red,
-    res_phase] that _pass_figures reads, and per halving the node sums and
-    the modulus sums of each channel of each point over its own columns.
-    Each row, and each level, gets the bits of a kernel over it alone.
+    |s| max |log x| of the rounding floor, per channel row (see _terms: the
+    R rows of the points, then their R' rows) the base grid's [total,
+    coarse, abs_total, ends, sum_red, res_phase] that _pass_figures reads,
+    and per halving the arguments of _add_level: those lists and the node
+    sums and modulus sums of each channel row over its own columns.
+
+    The columns of a row (see _build_rows) fall into runs: the base grid's
+    nodes of the grid of twice its step (the coarse sum), its other nodes,
+    the odd nodes of each halving and the residues.  One np.add.reduceat
+    over the block sums every run of every row, and one over its moduli;
+    the base grid's total is the sum of its two runs.  A run's sum depends
+    on its own terms alone, so each row, and each level, gets the bits of a
+    block of its own (and of _sum_level's row sums at that level).
 
     The largest residue n^{-s} has modulus e^{mr}, mr = -sigma log q, and a
     channel sums at most q residues, each at most log q times that (R').  A
     point whose sums could pass e^700, mr > 700 - log(q log q), forms its
     residues in units of e^{mr}, so each is at most 1 and no sum exceeds
-    q log q; every other point sums in units of 1.  The block is scaled
-    only when some point needs it, so every other row keeps its bits.
+    q log q; every other point sums in units of 1.
 
     Left of sigma = 0 the residues grow with n, each by about e^{-sigma/n}
     over the one before, so far left only the last few reach a double: from
@@ -243,84 +282,85 @@ def _first_sums(q: int, step: float, n: int, depth: int, zs: list[complex],
     e^{-_RESIDUE_CUT} of its largest (see _residue_cuts), and the d it
     drops, at most d e^{-_RESIDUE_CUT} of the largest term of each channel,
     enter its res_phase (divided by eps, so that _pass_figures adds them to
-    the floor).  The block's exp runs over the widest suffix any of its
-    rows keeps, and each row sums its own suffix (_kept_sums), so a row
-    that drops nothing, every row with sigma >= 0 included, keeps its bits,
-    and a row that drops some gets the bits it gets alone.
+    the floor).  The residues run from n = q down, so the ones a row keeps
+    are a prefix of them, the block's exp runs over the widest prefix any
+    of its rows keeps, and the residues a row drops are one more run (the
+    block's spare row of zeros holds the end of the last).
     """
-    logx, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, depth)
-    s = np.array(zs)[:, None]
-    lg = rest - s * logx
-    nb = 2 * n + 1  # the base grid's columns
-    m = np.maximum.reduce(lg[:, :nb].real, axis=1)
-    # complex operands throughout: a float operand would be cast through
-    # numpy's buffered path; the bits are the same
-    lg -= m.astype(complex)[:, None]  # in place: fewer temporaries
-    w = _channels(np.exp(lg, out=lg), logx, derivative)
-    del lg
-    abs_w = np.abs(w)
-    halvings = []
-    for level in range(1, depth + 1):
-        cols = slice(nb + (n << level) - 2 * n, nb + (n << level + 1) - 2 * n)
-        halvings.append((_sum_rows(w[:, cols], axis=1).tolist(),
-                         _sum_rows(abs_w[:, cols], axis=1).tolist()))
-    m = m.tolist()
+    neg_logs, rest, (peak_logx, peak_rest) = _line_rows(q, step, n, depth)
+    nodes, nb, p = len(rest), 2 * n + 1, len(zs)
+    c = 1 + derivative  # channels per point
+    rows = c * p
+    cuts = _residue_cuts(zs, q)
+    lo = min(cuts) if cuts else 0
+    cols = nodes + q - lo
     log_q = math.log(q) if q > 1 else 0.0
     limit = 700.0 - math.log(q * log_q) if q > 1 else math.inf
-    mr = [-z.real * log_q if -z.real * log_q > limit else 0.0 for z in zs]
-    c = 1 + derivative  # channels per point
-    cuts = _residue_cuts(zs, q)
-    log_n = _log_n(q)
+    mr = None  # all 0
+    if -min(z.real for z in zs) * log_q > limit:
+        mr = [-z.real * log_q if -z.real * log_q > limit else 0.0
+              for z in zs]
+    block, m = _terms(zs, neg_logs[:cols], rest, derivative, mr=mr, base=nb,
+                      spare=bool(cuts))
+    terms = block.ravel()
+    moduli = np.abs(terms)
+    at, picks = _runs(rows, cols, n, depth, q > 0)
     if cuts:
-        lo = min(cuts)
-        log_n = log_n[lo:]
-    exponents = -s * log_n
-    if any(mr):
-        exponents -= np.array(mr, dtype=complex)[:, None]
-    res = _channels(np.exp(exponents), log_n, derivative)
+        # each row's residues end where the ones it drops start
+        kept = at[depth + 2::depth + 3] + (q - np.array(cuts * c))
+        at = np.column_stack((at.reshape(rows, -1), kept)).ravel()
+    run_sums = np.add.reduceat(terms, at).tolist()
+    run_abs = np.add.reduceat(moduli, at).tolist()
+    k = len(at) // rows  # runs per row
+    res_sums = run_sums[depth + 2::k] if q else [0j] * rows
+    first_last = moduli[picks].tolist()  # |w| at k = -n and k = n
+    m = m.tolist()
     # per channel row, m - mr: the residue sums are in units e^mr, and
     # _reduced brings them to the nodes' e^m
-    scales = _per_channel([mp - rp for mp, rp in zip(m, mr)], c)
-    if cuts:
-        res_sums, abs_res = _kept_sums(res, cuts, lo, c)
-        largest = res[:, -1].tolist()
+    scales = (m if mr is None else [a - b for a, b in zip(m, mr)]) * c
+    if q < 2:
+        res_phases = [0.0] * rows
     else:
-        res_sums = _sum_rows(res, axis=1).tolist()
-        if q > 1:
-            abs_res = _sum_rows(np.abs(res), axis=1).tolist()
-    res_phases = [0.0] * len(res)
-    if q > 1:
         # the phase s log n of a residue is good to about eps |s| log q; its
         # scale is formed from logs, as the residues' moduli may lie beyond
         # the double range
-        log_phases = _per_channel([math.log(abs(z) * log_q) for z in zs], c)
         res_phases = [math.exp(math.log(a) + log_phase - mi)
-                      for a, log_phase, mi in zip(abs_res, log_phases, scales)]
+                      for a, log_phase, mi in zip(
+                          run_abs[depth + 2::k],
+                          [math.log(abs(z) * log_q) for z in zs] * c, scales)]
         if cuts:
-            for i, cut in enumerate(_per_channel(cuts, c)):
+            largest = moduli[nodes::cols].tolist()  # the residue n = q
+            for i, cut in enumerate(cuts * c):
                 if cut:
                     # logs: the product overflows past a cut of 17 700
                     # (t ~ 2e9)
                     res_phases[i] += math.exp(
-                        math.log(cut) + math.log(abs(largest[i]))
+                        math.log(cut) + math.log(largest[i])
                         - _RESIDUE_CUT - math.log(_EPS) - scales[i])
-    # abs() of single elements: np.abs of an array may take a vector path
-    # that differs in the last bit.
-    sums = [[total, coarse, abs_total, abs(first) + abs(last),
-             _reduced(res_sum, mi), res_phase]
-            for total, coarse, abs_total, first, last, res_sum, mi, res_phase
-            in zip(_sum_rows(w[:, :nb], axis=1).tolist(),
-                   _sum_rows(w[:, :nb:2], axis=1).tolist(),
-                   _sum_rows(abs_w[:, :nb], axis=1).tolist(),
-                   w[:, 0].tolist(), w[:, nb - 1].tolist(), res_sums, scales,
-                   res_phases)]
-    return m, [peak_rest + abs(z) * peak_logx for z in zs], sums, halvings
+    sums = [[e + o, e, ae + ao, first + last, _reduced(r, mi), phase]
+            for e, o, ae, ao, first, last, r, mi, phase
+            in zip(run_sums[0::k], run_sums[1::k], run_abs[0::k],
+                   run_abs[1::k], first_last[0::2], first_last[1::2],
+                   res_sums, scales, res_phases)]
+    return (m, [peak_rest + abs(z) * peak_logx for z in zs], sums,
+            [(sums, run_sums[j::k], run_abs[j::k])
+             for j in range(2, depth + 2)])
 
 
-def _per_channel(values: list, c: int) -> list:
-    """A list of per-point ``values`` for the rows of a block of c channels
-    per point (see _channels): each value c times."""
-    return values if c == 1 else [v for v in values for _ in range(c)]
+@lru_cache(maxsize=LATTICE_MAX_ENTRIES)
+def _runs(rows: int, cols: int, n: int, depth: int, residues: bool):
+    """(at, picks) for a first-round block of ``rows`` rows of ``cols``
+    columns (see _first_sums), as flat indices: at, where each run of each
+    row starts, row by row, as np.add.reduceat reads them (the base grid's
+    nodes of twice its step, its other nodes, the odd nodes of each halving
+    and, with ``residues``, the residues; each row's last run ends at the
+    next row); picks, each row's nodes k = -n and k = n.  Shared; not to be
+    written to."""
+    nb = 2 * n + 1
+    starts = [0, n + 1, *(nb + (n << level) - 2 * n
+                          for level in range(1, depth + 1 + residues))]
+    row_starts = np.arange(0, rows * cols, cols)[:, None]
+    return (row_starts + starts).ravel(), (row_starts + [0, n]).ravel()
 
 
 # A row with sigma < 0 drops the residues n with
@@ -328,9 +368,11 @@ def _per_channel(values: list, c: int) -> list:
 # largest, q^{-s}.  With q <= 4000 (t up to 10^8) all of them together stay
 # under eps/5 of it, while the phase floor charges eps |s| log q > 46 eps
 # times it, so the estimate hardly moves; at the curve corner of T = 10^8
-# (sigma = -29 194) a row keeps 7 of the 3989 residues.  Below
-# _RESIDUE_CUT_MIN_Q residues the cut's bookkeeping, about 60 us a block,
-# costs more than the exps it saves, about 20 ns each, so there every row
+# (sigma = -29 194) a row keeps 7 of the 3989 residues.  The cut's
+# bookkeeping (one more run per row and each row's largest residue) takes
+# about 9 us a block of one or two points and 26 us a block of 40 at
+# q = 398, twice that with R'; below _RESIDUE_CUT_MIN_Q residues a small
+# block saves fewer exps than that, about 25 ns each, so there every row
 # keeps them all.
 _RESIDUE_CUT = 46.0
 _RESIDUE_CUT_MIN_Q = 100
@@ -349,34 +391,6 @@ def _residue_cuts(zs: list[complex], q: int) -> list[int] | None:
     return cuts if any(cuts) else None
 
 
-def _kept_sums(res: np.ndarray, cuts: list[int], lo: int, c: int):
-    """Per row of ``res`` (the residues n = lo + 1 .. q of each of the c
-    channels of each point), the sum of the residues the point keeps and
-    the sum of their moduli, as lists.  A row that drops none is summed
-    pairwise, as every row sum is; a row that drops some is summed as a
-    running sum from n = q down, whose value at its cut depends on its own
-    residues alone, so either way a row gets the bits it gets alone."""
-    row_cuts = np.repeat(np.array(cuts), c)
-    dropping = row_cuts > 0
-    abs_res = np.abs(res)
-    sums, abs_sums = np.empty(len(res), dtype=complex), np.empty(len(res))
-    if not dropping.all():
-        sums[~dropping] = _sum_rows(res[~dropping], axis=1)
-        abs_sums[~dropping] = _sum_rows(abs_res[~dropping], axis=1)
-    # the column of n = cut + 1 from the end of each dropping row
-    at = (np.arange(dropping.sum()), lo - 1 - row_cuts[dropping])
-    sums[dropping] = np.cumsum(res[dropping, ::-1], axis=1)[at]
-    abs_sums[dropping] = np.cumsum(abs_res[dropping, ::-1], axis=1)[at]
-    return sums.tolist(), abs_sums.tolist()
-
-
-@lru_cache(maxsize=LATTICE_MAX_ENTRIES)
-def _log_n(q: int) -> np.ndarray:
-    """log n for n = 1..q, as complex numbers; memoised for as many
-    crossings as the integrand rows hold entries."""
-    return np.log(np.arange(1, q + 1, dtype=float)).astype(complex)
-
-
 def _sum_level(block: list, q: int, base_n: int, level: int,
                derivative: bool, depth: int) -> list:
     """Sum nesting levels into the rows of ``block``, points that share the
@@ -391,25 +405,25 @@ def _sum_level(block: list, q: int, base_n: int, level: int,
     if level == 0:
         ms, phases, sums, halvings = _first_sums(q, _BASE_STEP, base_n,
                                                  depth, zs, derivative)
-        c = 1 + derivative  # channels per point
+        p = len(block)
         for i, row in enumerate(block):
-            row.m, row.phase, row.sums = ms[i], phases[i], sums[c * i:c * i + c]
+            row.m, row.phase, row.sums = ms[i], phases[i], sums[i::p]
         return halvings
-    logx, rest, _ = _line_rows(q, _BASE_STEP / 2 ** level, base_n << level,
-                               None)
-    ms = np.array([row.m for row in block], dtype=complex)[:, None]
-    w = _channels(np.exp(rest - np.array(zs)[:, None] * logx - ms), logx,
-                  derivative)
-    _add_level([sums for row in block for sums in row.sums],
-               _sum_rows(w, axis=1).tolist(),
-               _sum_rows(np.abs(w), axis=1).tolist())
+    neg_logs, rest, _ = _line_rows(q, _BASE_STEP / 2 ** level,
+                                   base_n << level, None)
+    terms = _terms(zs, neg_logs, rest, derivative,
+                   m=[row.m for row in block])[0].ravel()
+    at = np.arange(0, len(terms), len(neg_logs))  # a run per row
+    # the channel rows in the order of _terms: every R row, then every R' row
+    _add_level([sums for channel in zip(*(row.sums for row in block))
+                for sums in channel], np.add.reduceat(terms, at).tolist(),
+               np.add.reduceat(np.abs(terms), at).tolist())
     return []
 
 
 def _add_level(channel_sums: list, parts: list, abs_parts: list) -> None:
     """Add a halving's node and modulus sums to the sums of each channel
-    (per point, see _channels); the total before them becomes the coarse
-    sum."""
+    row (see _terms); the total before them becomes the coarse sum."""
     for sums, part, abs_part in zip(channel_sums, parts, abs_parts):
         sums[1] = sums[0]
         sums[0] += part
@@ -429,11 +443,20 @@ def _pass_figures(h: float, half: float, m: float, phase: float, sums: list):
     relative error; a residue's phase s log n carries eps |s| log q at most
     (res_phase is |s| log q times the sum of the residues' moduli); and the
     value itself, exp(log_total), is good to about eps (3 + |log_total|).
-    It also covers the rounding of the sums, about 1e-16 (h sum |node| +
-    |residue sum|): max |log kernel| >= 32 on every base grid (q <= 4000,
-    half-length 2.5 to 6), so eps * phase * h sum |node| is at least 70
-    times the nodes' share, and for q >= 2 (|s| >= 25) eps |s| log q
-    sum |n^-s| at least 38 times the residues' (q = 1 has 1^-s = 1, exact).
+    It also covers the rounding of the sums.  np.add.reduceat sums a run
+    of k terms as its first term plus numpy's pairwise sum of the others
+    (four complex accumulators over blocks of up to 64 terms, halved above
+    that), and a level's total adds one rounding for each level after the
+    run's; so a term passes through at most D roundings of eps/2 each,
+    D = 24 on a first round (half-length up to 40) and 30 on any pass down
+    to step 1/1024, and a sum errs by at most D eps/2 sum |terms|.  As
+    max |log kernel| >= 32 on every base grid (q <= 4000, half-length 2.5
+    to 6), that is at most 3/8 of the nodes' share eps * phase * h
+    sum |node| on a first round and under half of it on any pass.  A run of
+    q residues has D <= 26 for q <= 4000, and as |s| >= 2 pi q^2, D/2 is at
+    most 1/16 of |s| log q for every q >= 2 (the most at q = 2, D = 2), so
+    its rounding is at most 1/16 of the residues' share
+    eps |s| log q sum |n^-s| (q = 1 has 1^-s = 1, exact).
     """
     total, coarse, abs_total, ends, sum_red, res_phase = sums
     t_h = h * total
@@ -623,12 +646,10 @@ def _step_halve(points: list[complex], derivative: bool = False) -> list[_Row]:
                 block = group[lo:lo + size] if len(group) > size else group
                 halvings = _sum_level(block, q, base_n, level, derivative,
                                       _FIRST_HALVINGS)
-                channel_sums = halvings and [sums for row in block
-                                             for sums in row.sums]
                 live = block
                 for j, parts in enumerate([None, *halvings]):
                     if parts:
-                        _add_level(channel_sums, *parts)
+                        _add_level(*parts)
                     going = []
                     for row in live:
                         row.level = level + j
@@ -884,12 +905,12 @@ def cleared_with_r_values(cache: dict) -> dict:
 
 
 def r_eval_cache_clear() -> None:
-    """Drop every cached R value, the memoised integrand rows, the
-    memoised log n rows of the residues and every cache registered by
-    cleared_with_r_values."""
+    """Drop every cached R value, the memoised integrand rows (with the
+    residues' log n columns), the memoised run offsets of the first round
+    and every cache registered by cleared_with_r_values."""
     _R_CACHE.cache_clear()
     _lattice_rows.cache_clear()
-    _log_n.cache_clear()
+    _runs.cache_clear()
     for cache in _DERIVED_CACHES:
         cache.clear()
 

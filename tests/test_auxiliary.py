@@ -6,6 +6,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -262,14 +263,23 @@ class TestQuadratureReuse:
         assert 0 < nbytes <= 2 << 20
 
     def test_log_n_memo_bounded_and_cleared(self):
-        # the log n rows of the residues are bounded like the integrand
-        # rows and dropped with them
-        assert auxiliary._log_n.cache_info().maxsize == LATTICE_MAX_ENTRIES
+        # the log n columns of the residues, n = q down to 1, follow the
+        # nodes of each first-round row, so they are bounded like the
+        # integrand rows and dropped with them
+        assert auxiliary._lattice_rows.cache_info().maxsize \
+            == LATTICE_MAX_ENTRIES
         r_eval_cache_clear()
         _eval_all(REUSE_POINTS)
-        assert auxiliary._log_n.cache_info().currsize > 0
+        s = REUSE_POINTS[-1]
+        q = default_crossing(s.imag)
+        n = int(4 * _start_half(s, q))
+        neg_logs, rest, _ = auxiliary._lattice_rows(q, 0.25, n, 2)
+        assert auxiliary._lattice_rows.cache_info().hits > 0
+        assert q > 1 and len(neg_logs) == len(rest) + q
+        assert neg_logs[len(rest):].tolist() == [
+            complex(-math.log(k)) for k in range(q, 0, -1)]
         r_eval_cache_clear()
-        assert auxiliary._log_n.cache_info().currsize == 0
+        assert auxiliary._lattice_rows.cache_info().currsize == 0
 
     def test_lattice_flush_keeps_results(self, monkeypatch):
         # each reflected point shares its crossing and extent with a point
@@ -390,7 +400,9 @@ class TestEvalMany:
 
         def line_rows(q, step, n, depth):
             rows = real_rows(q, step, n, depth)
-            blocks.append((q, points[0], len(rows[0]), depth))
+            # the log kernel has a column per node (-log x has the
+            # residues' columns too)
+            blocks.append((q, points[0], len(rows[1]), depth))
             return rows
 
         cap = 1 << 10
@@ -431,16 +443,16 @@ class TestEvalMany:
 FUSED_CASES = {
     complex(0.11832227475606683, 480.01679897274346): (
         [(0.25, 4.0), (0.125, 4.0)],
-        (5.1583516622645424+3.1304960392182073j), 9.580029783862995e-11,
+        (5.1583516622645424+3.1304960392182073j), 9.580029783578101e-11,
         (1.7974024684752812+0.5454623466054431j),
-        (-5.675308068620372-5.1207624254556405j), 3.7346846844072075e-09,
+        (-5.675308068620372-5.1207624254556405j), 3.734684684371899e-09,
         (-1.2443698640236434-0.2375308189572379j)),
     complex(-59.42806163036971, 1.869084747957661): (
         [(0.25, 4.0), (0.125, 4.0), (0.125, 6.0), (0.0625, 6.0)],
-        (-4629515959682.256+43473449564426.805j), 13.886619350176083,
-        (31.40880973289652+1.6768871512542254j),
+        (-4629515959682.265+43473449564426.805j), 13.886619350176083,
+        (31.40880973289652+1.6768871512542256j),
         (40711099395173.625-42134318507795.06j), 17.50862973392781,
-        (-1.0569347827618987-0.8239052412197596j)),
+        (-1.056934782761899-0.8239052412197592j)),
 }
 
 
@@ -478,7 +490,7 @@ class TestFirstRound:
                                             derivative, 2)
             for level, step in enumerate((0.25, 0.125, 0.0625)):
                 if level:
-                    auxiliary._add_level(row.sums, *halvings[level - 1])
+                    auxiliary._add_level(*halvings[level - 1])
                 cold = _quadrature(s, q, half, step, derivative)
                 assert (row.m, row.phase, row.sums) == (
                     cold.m, cold.phase, cold.sums)
@@ -511,8 +523,8 @@ PINNED_POINTS += [_PINNED_CIRCLE.point(u) for u in unit_params(17)[:16]]
 
 
 @pytest.mark.parametrize("derivative, digest", [
-    (False, "42c0a4237f2c4b002e04f6cad4be8cdbcc4569df83139a43606253e1df28863c"),
-    (True, "5fc35111f8d9ce2c9ab2cf9421ac364eacf572b26c1f80a772a6dcd8259afcf4"),
+    (False, "82b107deeaa71873874f4e0f6ddc5b5ed8995796f76eb521c2c1b65008b8b918"),
+    (True, "9b914746075d01a963cc1ab9dfc64a3f0058ede843b92d8907babb5ac1aeb606"),
 ])
 def test_request_path_keeps_every_bit(derivative, digest):
     # SHA-256 of the repr of every field of every result, cold, through
@@ -523,6 +535,64 @@ def test_request_path_keeps_every_bit(derivative, digest):
     results = r_eval_many(PINNED_POINTS, derivative)
     fields = repr([dataclasses.astuple(res) for res in results])
     assert hashlib.sha256(fields.encode()).hexdigest() == digest
+
+
+def _fsum(terms):
+    """The exactly rounded sum of complex terms."""
+    return complex(math.fsum(z.real for z in terms),
+                   math.fsum(z.imag for z in terms))
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_first_round_sums_within_their_floor_share(derivative, monkeypatch):
+    # every run that the first round sums, and the total of each of its
+    # levels, stays within its stated share of the rounding floor (see
+    # _pass_figures) of the exactly rounded sum of the same terms: 3/8 of
+    # eps * phase * sum |node| for the nodes, 1/16 of
+    # eps |s| log q sum |n^-s| for the residues
+    eps = 2.0 ** -52
+    blocks = []
+    real_terms = auxiliary._terms
+
+    def terms(*args, **kwargs):
+        blocks.append(real_terms(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(auxiliary, "_terms", terms)
+    for s in PINNED_POINTS:
+        q = default_crossing(s.imag)
+        n = int(4 * _start_half(s, q))
+        blocks.clear()
+        (m,), (phase,), sums, halvings = auxiliary._first_sums(
+            q, 0.25, n, 2, [s], derivative)
+        cuts = auxiliary._residue_cuts([s], q)
+        kept = q - (cuts[0] if cuts else 0)
+        nodes = 8 * n + 1
+        for channel, row in enumerate(blocks[0][0].tolist()[:1 + derivative]):
+            runs = [row[:n + 1], row[n + 1:2 * n + 1], row[2 * n + 1:4 * n + 1],
+                    row[4 * n + 1:nodes]]
+            # the coarse sum and each halving's sum are runs as summed
+            observed = [sums[channel][1]] + [parts[channel]
+                                             for _, parts, _ in halvings]
+            for got, run in zip(observed, runs[:1] + runs[2:]):
+                bound = 3 / 8 * eps * phase * sum(map(abs, run))
+                assert abs(got - _fsum(run)) <= bound, (s, channel)
+            total = sums[channel][0]
+            for level in range(3):
+                if level:
+                    total += halvings[level - 1][1][channel]
+                level_terms = sum(runs[:level + 2], [])
+                bound = 3 / 8 * eps * phase * sum(map(abs, level_terms))
+                assert abs(total - _fsum(level_terms)) <= bound, (s, level)
+            residues = row[nodes:nodes + kept]
+            if not q:
+                continue
+            res_sum = np.add.reduceat(np.array(residues), [0])[0]
+            # the residue run as _first_sums sums it (in units of 1 here)
+            assert auxiliary._reduced(res_sum, m) == sums[channel][4], s
+            bound = (1 / 16 * eps * abs(s) * math.log(q)
+                     * sum(map(abs, residues)))
+            assert abs(res_sum - _fsum(residues)) <= bound, s
 
 
 def _pinned_half(t, q):
@@ -685,6 +755,12 @@ CUT_POINTS = [complex(_cut_rng.uniform(curve_sigma(t), -50.0), t)
               for t in (10 ** _cut_rng.uniform(6.0, 8.0) for _ in range(20))]
 
 
+# one block at t = 10^6 whose rows cut their residues at different n, and
+# rows that cut none
+MIXED_CUT_POINTS = [complex(sigma, 1e6) for sigma in
+                    (-400.0, 2.0, -7.0, -30.0, -400.0, -3000.0, 0.5, -30.0)]
+
+
 class TestResidueCut:
     def test_every_point_drops_residues(self):
         for s in CUT_POINTS:
@@ -706,8 +782,7 @@ class TestResidueCut:
     def test_block_rows_keep_their_bits(self):
         # rows with different cuts, and rows that drop nothing, share one
         # block at t = 10^6 and get the bits each gets alone
-        points = [complex(sigma, 1e6) for sigma in
-                  (-400.0, 2.0, -7.0, -30.0, -400.0, -3000.0, 0.5, -30.0)]
+        points = MIXED_CUT_POINTS
         cuts = auxiliary._residue_cuts(points, default_crossing(1e6))
         assert cuts[1] == cuts[2] == cuts[6] == 0
         assert 0 < cuts[3] < cuts[0] < cuts[5]
@@ -715,6 +790,16 @@ class TestResidueCut:
         batched = _fields(r_eval_many(points))
         r_eval_cache_clear()
         assert _fields(r_eval(p) for p in points) == batched
+
+    def test_block_rows_keep_their_derivative_bits(self):
+        # the same block with R': each row's cut ends its residue run in
+        # both channels, and every field is what the point gets alone
+        r_eval_cache_clear()
+        batched = r_eval_many(MIXED_CUT_POINTS, derivative=True)
+        for s, res in zip(MIXED_CUT_POINTS, batched):
+            r_eval_cache_clear()
+            assert r_eval_many([s], derivative=True) == [res], s
+        r_eval_cache_clear()
 
     @pytest.mark.parametrize("sigma", [-60.0, -70.0, -80.0])
     def test_far_left_derivative_sums_stay_finite(self, sigma):
