@@ -106,7 +106,8 @@ def _json_value(v):
 
 def emit_rows(rows: list[dict], columns: list[str], config: RunConfig,
               footer: dict | None = None) -> str:
-    """Render rows to CSV or JSON text (and write it to the output path)."""
+    """Render rows to CSV or JSON text and write it to the --out file if
+    given, else to stdout."""
     if config.output_format == "csv":
         buf = io.StringIO()
         buf.write(SCHEMA_TAG + "\n")
@@ -126,17 +127,12 @@ def emit_rows(rows: list[dict], columns: list[str], config: RunConfig,
             doc["summary"] = {k: _json_value(v) for k, v in footer.items()}
         text = json.dumps(doc, indent=1, default=_format_value,
                           allow_nan=False) + "\n"
-    _write(text, config)
-    return text
-
-
-def _write(text: str, config: RunConfig) -> None:
-    """Write command output to the --out file if given, else to stdout."""
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return text
 
 
 def parse_rows(text: str) -> list[dict]:
@@ -264,20 +260,19 @@ def cmd_zeros(config: RunConfig) -> int:
     return EXIT_OK
 
 
+VALIDATE_COLUMNS = ["suite", "status", "worst", "bound"]
+
+
 def cmd_validate(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
-    failures = []
-    lines = []
+    rows = []
     for name, suite, samples, bound in validation.SUITES:
         worst = suite(rng, config.samples or samples)[0]
         passed = worst <= bound if bound == 0.0 else worst < bound
-        if not passed:
-            failures.append(name)
-        lines.append(
-            f"{name:24s} {'PASS' if passed else 'FAIL'} "
-            f"worst={worst:.3e} bound={bound:.3e}"
-        )
-    _write("\n".join(lines) + "\n", config)
+        rows.append({"suite": name, "status": "PASS" if passed else "FAIL",
+                     "worst": worst, "bound": bound})
+    emit_rows(rows, VALIDATE_COLUMNS, config)
+    failures = [row["suite"] for row in rows if row["status"] == "FAIL"]
     if failures:
         print("failed suites: " + ", ".join(failures), file=sys.stderr)
         return EXIT_VALIDATE_FAIL

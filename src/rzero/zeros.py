@@ -11,11 +11,12 @@ around it, c its centre; the edge walks of isolation already hold the
 moments they come from (ArgTrace.moments, to order 3), so they cost no R
 value.  A piece of winding m <= GROUP_CAP = 3 stops splitting when the m
 roots of the polynomial that Newton's identities build from s_1 .. s_m lie
-inside it and pairwise apart (a Group); its m Newton runs start at those
-roots, and it is accepted only when their m certificate circles are
-pairwise disjoint and lie inside it, so all m of its zeros are found.  A
-winding-1 piece's run starts at its root for m = 1, its argument-principle
-mean c + s_1.  Windings come from the engine in ``counting``, all through
+inside it and pairwise apart; for m = 1 the root is its argument-principle
+mean c + s_1.  It is then a Seed whose m Newton runs start at those roots,
+and it is accepted only when their m certificate circles are pairwise
+disjoint and lie inside it, so all m of its zeros are found.  A winding-1
+piece whose root does not qualify is a Seed that starts at its centre.
+Windings come from the engine in ``counting``, all through
 one integrality guard: the caller's box by ``rectangle_count``, each piece
 and a cut scan's window on its own contour by ``_rectangle_winding``,
 circles by ``arg_variation``.
@@ -37,8 +38,8 @@ those same lattice samples.  It ends there when their minimum is interior
 and too large against its neighbours for a double zero to lie beside it,
 or, for R, lies at an end of the row where |R'/R| is too small for one (R'
 at that one point is the only R it computes); otherwise it winds f around
-one small window rectangle about that minimum.  A caller's f forms no
-groups: its pieces split down to winding 1 and start at their centres.
+one small window rectangle about that minimum.  A caller's f has no power
+sums here: its pieces split down to winding 1 and start at their centres.
 """
 
 from __future__ import annotations
@@ -91,21 +92,20 @@ class Zero:
             raise DomainError("enclosure radius must be positive")
 
 
-class Group(NamedTuple):
-    """A box of winding len(starts), 2 .. GROUP_CAP, with one Newton start
-    per zero: the roots of its power-sum polynomial (_power_sum_roots)."""
+class Seed(NamedTuple):
+    """A box of winding len(starts), 1 .. GROUP_CAP, with one Newton start
+    per zero (_seed)."""
 
     box: Box
     starts: tuple[complex, ...]
 
 
 class IsolationResult(NamedTuple):
-    """Winding-1 rectangles, any clusters unresolved at min_size, and for R
-    the groups of a few zeros that refinement resolves from their starts."""
+    """The seeds that refinement resolves from their starts, and any
+    clusters unresolved at min_size."""
 
-    isolated: list[Box]
+    seeds: list[Seed]
     clusters: list[tuple[Box, int]]
-    groups: list[Group]
 
 
 # A box of R whose winding is at most this many stops splitting when its
@@ -268,8 +268,8 @@ def _split_conserving(f, box: Box, parent_w: int):
 def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                   f: Callable[[complex], complex] | None = None,
                   ) -> IsolationResult:
-    """Subdivide ``box`` into disjoint winding-1 rectangles and, for R,
-    groups of a few zeros.
+    """Subdivide ``box`` into disjoint seeds: winding-1 rectangles and, for
+    R, boxes of a few zeros.
 
     ``box`` is counted by rectangle_count, whose ladder may move its top
     edge, and the realised rectangle is split, so the pieces tile what was
@@ -280,10 +280,11 @@ def isolate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
     m <= GROUP_CAP that is not yet a cluster stops splitting when the m
     roots of its power-sum polynomial (_power_sum_roots) lie inside it and
     are pairwise farther apart than _GROUP_SEPARATION times its longer
-    side: it becomes a Group whose roots start refine_zeros' Newton runs,
+    side: it becomes a Seed whose roots start refine_zeros' Newton runs,
     and locate_zeros splits it on if refinement does not resolve its
-    zeros.  A caller's f forms no groups.  The winding numbers of the
-    output (a group's is len(starts)) always sum to the winding of the
+    zeros.  Every other winding-1 piece, and every one of a caller's f,
+    is a Seed that starts at its centre.  The winding numbers of the
+    output (a seed's is len(starts)) always sum to the winding of the
     realised box.  A ``min_size`` that is not positive is refused: no
     piece would ever be small enough to report as a cluster.
     """
@@ -299,33 +300,38 @@ def _isolate(stack: list[tuple[Box, int]], min_size: float,
              f) -> IsolationResult:
     """isolate_zeros' subdivision of the (piece, winding) pairs of
     ``stack``, which tile the region counted."""
-    isolated: list[Box] = []
+    seeds: list[Seed] = []
     clusters: list[tuple[Box, int]] = []
-    groups: list[Group] = []
     while stack:
         piece, w = stack.pop()
         if w == 0:
             continue
-        if w == 1:
-            isolated.append(piece)
-            continue
-        if piece.max_side < min_size:
+        if w > 1 and piece.max_side < min_size:
             clusters.append((piece, w))
             continue
-        if f is r_value and w <= GROUP_CAP:
-            roots = _power_sum_roots(piece, w)
-            gap = _GROUP_SEPARATION * piece.max_side
-            if roots is not None and all(map(piece.contains, roots)) and all(
-                    abs(a - b) > gap
-                    for a, b in itertools.combinations(roots, 2)):
-                groups.append(Group(piece, tuple(roots)))
-                continue
+        seed = _seed(f, piece, w)
+        if seed is not None:
+            seeds.append(seed)
+            continue
         stack.extend(_split_conserving(f, piece, w))
-    isolated.sort(key=lambda b: (b.t_lo, b.sigma_lo))
+    seeds.sort(key=lambda sd: (sd.box.t_lo, sd.box.sigma_lo))
     clusters.sort(key=lambda bw: (bw[0].t_lo, bw[0].sigma_lo))
-    groups.sort(key=lambda g: (g.box.t_lo, g.box.sigma_lo))
-    return IsolationResult(isolated=isolated, clusters=clusters,
-                           groups=groups)
+    return IsolationResult(seeds=seeds, clusters=clusters)
+
+
+def _seed(f, piece: Box, w: int) -> Seed | None:
+    """The Seed of a piece of winding ``w``, or None while it must split.
+    For R and w <= GROUP_CAP the starts are the w roots of its power-sum
+    polynomial when they lie inside it and pairwise farther apart than
+    _GROUP_SEPARATION times its longer side; otherwise a winding-1 piece
+    starts at its centre."""
+    if f is r_value and w <= GROUP_CAP:
+        roots = _power_sum_roots(piece, w)
+        gap = _GROUP_SEPARATION * piece.max_side
+        if roots is not None and all(map(piece.contains, roots)) and all(
+                abs(a - b) > gap for a, b in itertools.combinations(roots, 2)):
+            return Seed(piece, tuple(roots))
+    return Seed(piece, (piece.center,)) if w == 1 else None
 
 
 def _numeric_derivative(f, z: complex, scale: float) -> complex:
@@ -394,7 +400,7 @@ def _power_sum_roots(box: Box, m: int) -> list[complex] | None:
                   key=lambda z: (z.imag, z.real))
 
 
-# The certificate circle starts no smaller than this many times the
+# The certificate circle's radius is no smaller than this many times the
 # distance over which R's noise can move a zero, error_estimate / |R'|
 # (see refine_zeros): the noise then moves each sample's phase by under
 # 0.1 rad, so a step of the 8-interval walk, pi/4 about the zero, reads
@@ -437,29 +443,24 @@ class _Newton:
         return self.box.contains(nz, margin=self.step)
 
 
-def refine_zeros(seeds: list[Box | Group],
+def refine_zeros(seeds: list[Seed],
                  f: Callable[[complex], complex] | None = None,
                  df: Callable[[complex], complex] | None = None) -> list[Zero]:
-    """Refine winding-1 seed rectangles and Groups to certified Zeros, in
-    input order, a group's zeros in the order of its starts.
+    """Refine Seeds to certified Zeros, in input order, a seed's zeros in
+    the order of its starts.
 
+    A seed has one Newton run from each of its starts (isolate_zeros).
     Per run, Newton iterates until the step is below 1e-10 (or 50
     iterations) and accepts a point its seed box contains within that
-    step.  A winding-1 seed has one run; for f = R it starts at the box's
-    argument-principle mean (_power_sum_roots with m = 1), from the edge
-    moments that isolation's windings left in counting's memo, when that
-    lies inside the box, and otherwise at the centre; a caller's f starts
-    at the centre.  A Group has one run from each of its starts.  A run
-    fails when f' vanishes, when an iterate leaves its box dilated twice
-    about its centre, or when 50 iterations end on a step of 1e-6 or more.
-    The final point is re-certified by a winding-1 circle of radius
-    10 * (final step + 1e-12), doubled, tripled and quadrupled while that
-    circle fails, each walked from _CIRCLE_SEEDS = 9 seeds, 8 intervals;
-    for R the samples of every first circle are read in one r_eval_many
-    call.  A group resolves only
-    when each of its runs ends so and its circles are pairwise disjoint
-    and lie inside its box: then the m zeros it winds are all found.  The
-    runs go in lockstep, one Newton step each per round; each round and the
+    step.  A run fails when f' vanishes, when an iterate leaves its box
+    dilated twice about its centre, or when 50 iterations end on a step of
+    1e-6 or more.  The final point is re-certified by one winding-1 circle
+    of radius 10 * (final step + 1e-12), walked from _CIRCLE_SEEDS = 9
+    seeds, 8 intervals; for R the samples of every circle are read in one
+    r_eval_many call.  A seed resolves only when each of its runs ends so,
+    each circle winds 1, and its circles are pairwise disjoint and lie
+    inside its box: then the zeros it winds are all found.  The runs go
+    in lockstep, one Newton step each per round; each round and the
     residuals of all final points read (f, f', noise) from one row call:
     for f = R, passed or by default, and no df, one
     r_eval_many(..., derivative=True) call, and for a caller's f its f and
@@ -469,9 +470,9 @@ def refine_zeros(seeds: list[Box | Group],
     input order, and only locate_zeros splits a failed seed on.
 
     For R, whose values carry an error_estimate e, a step under e / |R'|
-    also ends a run: a zero is located no better than that.  The circle
-    then starts at no less than _CERT_NOISE_FACTOR = 10 times e / |R'| at
-    the final point, from its residual call.  On that circle
+    also ends a run: a zero is located no better than that.  The circle's
+    radius is then at least _CERT_NOISE_FACTOR = 10 times e / |R'| at the
+    final point, from its residual call.  On that circle
     |R| ~ |R'| r is at least 10 e, so the noise moves each sample's phase
     by under asin(0.1) ~ 0.1 rad.  About the zero each of the circle's 8
     intervals turns the phase by pi/4, so a step reads under
@@ -485,19 +486,13 @@ def refine_zeros(seeds: list[Box | Group],
     return [zero for k in range(len(seeds)) for zero in found[k]]
 
 
-def _refine(seeds: list[Box | Group], f, df
+def _refine(seeds: list[Seed], f, df
             ) -> tuple[dict[int, list[Zero]], dict[int, Exception]]:
     """refine_zeros' runs: the Zeros of each seed that resolved and the
     error of each that failed, both keyed by the seed's index."""
     if f is None:
         f = r_value
     batched = f is r_value and df is None
-
-    def start(box: Box) -> complex:
-        mean = _power_sum_roots(box, 1) if f is r_value else None
-        if mean is not None and box.contains(mean[0]):
-            return mean[0]
-        return box.center
 
     def rows(indices: list[int]) -> list[tuple[complex, complex, float]]:
         zs = [runs[i].z for i in indices]
@@ -508,13 +503,11 @@ def _refine(seeds: list[Box | Group], f, df
                  _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
                 for i, z in zip(indices, zs)]
 
-    pairs = [(seed.box, seed.starts) if isinstance(seed, Group)
-             else (seed, (start(seed),)) for seed in seeds]
     runs: list[_Newton] = []
     owner: list[int] = []  # the index of each run's seed
-    for k, (box, starts) in enumerate(pairs):
-        runs += [_Newton(box, z) for z in starts]
-        owner += [k] * len(starts)
+    for k, seed in enumerate(seeds):
+        runs += [_Newton(seed.box, z) for z in seed.starts]
+        owner += [k] * len(seed.starts)
     steps: dict[int, float] = {}
     errors: dict[int, Exception] = {}
     live = list(range(len(runs)))
@@ -537,38 +530,35 @@ def _refine(seeds: list[Box | Group], f, df
                  _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0)
              for i, (_, slope, noise) in zip(done, finals)]
     if f is r_value:
-        # the samples of every first circle in one batch; the walks read
-        # them from the cache
+        # the samples of every circle in one batch; the walks read them
+        # from the cache
         r_eval_many([z for i, radius in zip(done, radii)
                      for z in _circle_points(runs[i].z, radius)])
     zeros: dict[int, Zero] = {}
     for i, (value, _, _), radius in zip(done, finals, radii):
-        if owner[i] in errors:  # a circle of its group failed
+        if owner[i] in errors:  # a circle of its seed failed
             continue
         z = runs[i].z
-        for bump in range(4):
-            try:
-                cert = _circle_winding(f, z, radius * (1.0 + bump))
-            except (ZeroOnPathError, NonIntegerWindingError):
-                continue
-            if cert == 1:
-                zeros[i] = Zero(beta=z.real, gamma=z.imag,
-                                enclosure_radius=radius * (1.0 + bump),
-                                winding_certificate=cert,
-                                residual_modulus=abs(value))
-                break
-        else:
+        try:
+            cert = _circle_winding(f, z, radius)
+        except (ZeroOnPathError, NonIntegerWindingError):
+            cert = None
+        if cert != 1:
             errors[owner[i]] = NewtonError(
                 f"refined point {z} failed the winding-1 circle certificate")
+            continue
+        zeros[i] = Zero(beta=z.real, gamma=z.imag, enclosure_radius=radius,
+                        winding_certificate=cert,
+                        residual_modulus=abs(value))
     found: dict[int, list[Zero]] = {}
     for i, k in enumerate(owner):
         if k not in errors:
             found.setdefault(k, []).append(zeros[i])
-    for k, (box, starts) in enumerate(pairs):
-        if len(starts) > 1 and k in found and not _resolved(box, found[k]):
+    for k, seed in enumerate(seeds):
+        if k in found and not _resolved(seed.box, found[k]):
             del found[k]
             errors[k] = NewtonError(
-                f"the circles of the group in {box} overlap or leave it")
+                f"the circles of the seed in {seed.box} overlap or leave it")
     return found, errors
 
 
@@ -584,8 +574,11 @@ def _resolved(box: Box, zeros: list[Zero]) -> bool:
 def refine_zero(seed: Box, f: Callable[[complex], complex] | None = None,
                 df: Callable[[complex], complex] | None = None) -> Zero:
     """Refine one winding-1 seed rectangle to a certified Zero: the
-    one-seed call of refine_zeros."""
-    return refine_zeros([seed], f, df)[0]
+    one-seed call of refine_zeros, its start given by isolation's rule
+    (_seed)."""
+    if f is None:
+        f = r_value
+    return refine_zeros([_seed(f, seed, 1)], f, df)[0]
 
 
 def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
@@ -594,32 +587,30 @@ def locate_zeros(box: Box, min_size: float = MIN_SIZE_DEFAULT,
                  ) -> tuple[list[Zero], list[tuple[Box, int]]]:
     """Isolate and refine all zeros in the box; returns (zeros, clusters).
 
-    A seed that refine_zeros cannot resolve, a winding-1 piece or a group,
-    for R or for a caller's f, is split (_split_conserving) and its
-    children go back to isolation; the seeds they give are refined in the
-    next round.  A failed seed under 64 * NEWTON_STEP_TOL raises its
-    error instead.  Output is ordered by gamma then beta, independent of
-    the subdivision execution order.
+    A seed that refine_zeros cannot resolve, whatever its winding and
+    whichever run or circle failed, for R or for a caller's f, is split
+    (_split_conserving) and its children go back to isolation; the seeds
+    they give are refined in the next round.  A failed seed under
+    64 * NEWTON_STEP_TOL raises its error instead.  Output is ordered by
+    gamma then beta, independent of the subdivision execution order.
     """
     if f is None:
         f = r_value
     iso = isolate_zeros(box, min_size=min_size, f=f)
-    seeds: list[Box | Group] = [*iso.isolated, *iso.groups]
+    seeds = iso.seeds
     clusters = list(iso.clusters)
     zeros: list[Zero] = []
     while seeds:
         found, errors = _refine(seeds, f, df)
-        zeros += [zero for group in found.values() for zero in group]
-        retry: list[Box | Group] = []
+        zeros += [zero for mine in found.values() for zero in mine]
+        retry: list[Seed] = []
         for k in sorted(errors):
-            seed = seeds[k]
-            piece, m = ((seed, 1) if isinstance(seed, Box)
-                        else (seed.box, len(seed.starts)))
+            piece, m = seeds[k].box, len(seeds[k].starts)
             if piece.max_side < 64.0 * NEWTON_STEP_TOL:
                 raise errors[k]
             rest = _isolate(list(_split_conserving(f, piece, m)),
                             min_size, f)
-            retry += [*rest.isolated, *rest.groups]
+            retry += rest.seeds
             clusters += rest.clusters
         seeds = retry
     zeros.sort(key=lambda z: (z.gamma, z.beta))

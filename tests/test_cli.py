@@ -272,6 +272,26 @@ class TestValidate:
         assert out == ""
         assert path.read_text(encoding="utf-8").count("PASS") == 5
 
+    def test_report_takes_the_format(self, capsys):
+        # validate emits its suites as rows of either format, the JSON ones
+        # the CSV ones
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == ["# rzero v1",
+                                        "suite,status,worst,bound"]
+        rows = parse_rows(out)
+        code, out, _ = run(capsys, *self.ARGS, "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["columns"] == ["suite", "status", "worst", "bound"]
+        assert [r["suite"] for r in doc["rows"]] == [
+            name for name, *_ in validation.SUITES]
+        assert [(r["suite"], r["status"], r["worst"], r["bound"])
+                for r in doc["rows"]] == [
+            (r["suite"], r["status"], float(r["worst"]), float(r["bound"]))
+            for r in rows]
+        assert all(r["status"] == "PASS" for r in rows)
+
 
 class TestRoundTrip:
     def test_emitted_csv_parses_back(self, tmp_path, capsys):
@@ -416,12 +436,11 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and flag in err
 
     def test_validate_keeps_suite_tolerance(self, capsys):
-        # every validate line reports its suite's own bound
+        # every validate row reports its suite's own bound
         code, out, _ = run(capsys, "--command", "validate", "--samples", "3")
         assert code == EXIT_OK
-        bounds = [line.split("bound=")[1] for line in out.splitlines()]
-        assert bounds == [f"{bound:.3e}"
-                          for *_, bound in validation.SUITES]
+        bounds = [float(row["bound"]) for row in parse_rows(out)]
+        assert bounds == [bound for *_, bound in validation.SUITES]
 
     def test_degenerate_box_exits_2_without_traceback(self):
         # a separate interpreter, so that an uncaught exception would show

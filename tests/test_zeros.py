@@ -19,11 +19,13 @@ from rzero.zeros import (
     NEWTON_STEP_TOL,
     _CIRCLE_SEEDS,
     Box,
+    Seed,
     Zero,
     _Circle,
     _circle_points,
     _circle_winding,
     _power_sum_roots,
+    _seed,
     _split_conserving,
     isolate_zeros,
     locate_zeros,
@@ -86,26 +88,28 @@ class TestBox:
 class TestIsolateZeros:
     def test_empty_box(self):
         res = isolate_zeros(Box(3.0, 4.0, 9.0, 10.0), f=quadratic)
-        assert res.isolated == [] and res.clusters == []
+        assert res.seeds == [] and res.clusters == []
 
     def test_two_simple_zeros(self):
-        # a caller's f forms no groups: the box splits to winding 1
+        # a caller's f has no power sums here: the box splits to winding 1,
+        # and each piece starts at its centre
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j))
         res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), f=f)
-        assert len(res.isolated) == 2
-        assert res.clusters == [] and res.groups == []
+        assert len(res.seeds) == 2 and res.clusters == []
+        assert all(seed.starts == (seed.box.center,) for seed in res.seeds)
 
     def test_partition_property(self):
         f = lambda z: (z - (1 + 10j)) * (z - (1.2 + 10.5j)) * (z - (0.3 + 9.4j))
         box = Box(0.0, 2.0, 9.0, 11.0)
         res = isolate_zeros(box, f=f)
         total, _ = rectangle_count(f, box)
-        assert len(res.isolated) == total == 3
+        assert len(res.seeds) == total == 3
+        assert all(len(seed.starts) == 1 for seed in res.seeds)
 
     def test_double_zero_reported_as_cluster(self):
         f = lambda z: (z - (1 + 10j)) ** 2
         res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), min_size=1e-2, f=f)
-        assert res.isolated == []
+        assert res.seeds == []
         assert len(res.clusters) == 1
         assert res.clusters[0][1] == 2
 
@@ -116,8 +120,9 @@ class TestIsolateZeros:
         f = lambda z: z - zero
         box = Box(0.0, 2.0, 9.0, 10.0)
         res = isolate_zeros(box, f=f)
-        assert res.isolated == [Box(0.0, 2.0, 9.0, 10.0 + 1e-3)]
-        assert res.isolated[0].contains(zero)
+        assert [seed.box for seed in res.seeds] == [
+            Box(0.0, 2.0, 9.0, 10.0 + 1e-3)]
+        assert res.seeds[0].box.contains(zero)
         found, _ = locate_zeros(box, f=f, df=lambda z: 1.0)
         assert [complex(z.beta, z.gamma) for z in found] == [zero]
 
@@ -135,8 +140,8 @@ class TestIsolateZeros:
         f = lambda z: (z - (0.5 + 10j)) * (z - (1.5 + 9.5j))
         box = Box(0.0, 2.0, 9.0, 11.0)
         res = isolate_zeros(box, f=f)
-        assert [[piece.contains(zero) for zero in (0.5 + 10j, 1.5 + 9.5j)]
-                for piece in res.isolated] == [[True, False], [False, True]]
+        assert [[seed.box.contains(zero) for zero in (0.5 + 10j, 1.5 + 9.5j)]
+                for seed in res.seeds] == [[True, False], [False, True]]
         assert counted == [box]
         monkeypatch.setattr(zeros_mod, "_SPLIT_OFFSETS", (0.0,))
         with pytest.raises(ContourZeroError, match="could not split"):
@@ -167,7 +172,7 @@ class TestCutScan:
         if f is None:
             f = lambda z: (z - zero) ** 2
         res = isolate_zeros(box, min_size=min_size, f=f)
-        assert res.isolated == []
+        assert res.seeds == []
         assert len(res.clusters) == 1
         cluster, winding = res.clusters[0]
         assert winding == 2 and cluster.contains(zero)
@@ -263,7 +268,7 @@ class TestCutScan:
         # end of every cut row the split scans reads under 1.2 (largest
         # 0.89 at -6 + 10010 i, 0.99 at -49 + 10^6 i and 0.17 in the one
         # scan at 10^7).  With GROUP_CAP = 1 isolation splits every box
-        # down to winding-1 pieces, so the scans cover every cut of the
+        # down to winding-1 seeds, so the scans cover every cut of the
         # full split, the window at 10^7's end-minimum cut included
         import rzero.zeros as zeros_mod
         monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
@@ -443,7 +448,7 @@ class TestCutScan:
         res = isolate_zeros(Box(0.0, 2.0, 9.0, 11.0), min_size=1e-2,
                             f=lambda z: (z - zero) ** 2 * (z - (1.5 + 9.5j)))
         assert decisions[:2] == [(10.0, True), (10.22, False)]
-        assert len(res.isolated) == 1 and res.isolated[0].contains(1.5 + 9.5j)
+        assert len(res.seeds) == 1 and res.seeds[0].box.contains(1.5 + 9.5j)
         assert len(res.clusters) == 1
         cluster, winding = res.clusters[0]
         assert winding == 2 and cluster.contains(zero)
@@ -535,10 +540,14 @@ class TestRefineZero:
         assert cert == 1
 
 
-    def test_off_integer_circle_tries_next_radius(self, monkeypatch):
+    def test_off_integer_circle_fails_its_seed(self, monkeypatch):
+        # a circle that reads off an integer fails its seed: refine_zero
+        # raises after walking that one radius, and locate_zeros splits the
+        # seed once and certifies the zero in its child
         import rzero.zeros as zeros_mod
         seed = Box(1.0, 2.0, 0.2, 1.0)
-        plain = refine_zero(seed, f=quadratic, df=lambda z: 2 * z)
+        df = lambda z: 2 * z
+        plain = refine_zero(seed, f=quadratic, df=df)
         real = zeros_mod.arg_variation
         calls = []
 
@@ -551,23 +560,32 @@ class TestRefineZero:
                 trace, total_variation=0.63 * 2.0 * math.pi)
 
         monkeypatch.setattr(zeros_mod, "arg_variation", off_integer_first)
-        zero = refine_zero(seed, f=quadratic, df=lambda z: 2 * z)
-        assert calls == [plain.enclosure_radius,
-                         2.0 * plain.enclosure_radius]
-        assert zero.enclosure_radius == 2.0 * plain.enclosure_radius
-        assert (zero.beta, zero.gamma) == (plain.beta, plain.gamma)
-        assert zero.winding_certificate == 1
+        with pytest.raises(NewtonError, match="circle certificate"):
+            refine_zero(seed, f=quadratic, df=df)
+        assert calls == [plain.enclosure_radius]
+        calls.clear()
+        real_split = zeros_mod._split_conserving
+        splits = []
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, piece, w: splits.append((piece, w))
+                            or real_split(f, piece, w))
+        zeros, clusters = locate_zeros(seed, f=quadratic, df=df)
+        assert splits == [(seed, 1)] and clusters == []
+        assert len(zeros) == 1 and zeros[0].winding_certificate == 1
+        where = complex(plain.beta, plain.gamma)
+        assert abs(complex(zeros[0].beta, zeros[0].gamma) - where) \
+            < plain.enclosure_radius
 
 
 class TestCertificateCircle:
     def test_first_circles_in_one_batch(self, monkeypatch):
-        # one refine_zeros call over a winding-1 piece and groups of 2 and 3
-        # reads the samples of every first circle in one r_eval_many call;
-        # the walks compute no R value at them again
+        # one refine_zeros call over seeds of 1, 2 and 3 starts reads the
+        # samples of every circle in one r_eval_many call; the walks
+        # compute no R value at them again
         import rzero.zeros as zeros_mod
         r_eval_cache_clear()
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        assert iso.isolated and {len(g.starts) for g in iso.groups} == {2, 3}
+        assert sorted(len(seed.starts) for seed in iso.seeds) == [1, 2, 3]
         requests, computed = [], []
         real_many, real_fill = zeros_mod.r_eval_many, auxiliary._R_CACHE._fill
 
@@ -582,7 +600,7 @@ class TestCertificateCircle:
 
         monkeypatch.setattr(zeros_mod, "r_eval_many", many)
         monkeypatch.setattr(auxiliary._R_CACHE, "_fill", fill)
-        found = refine_zeros([*iso.isolated, *iso.groups])
+        found = refine_zeros(iso.seeds)
         assert len(found) == 6
         circles = [_circle_points(complex(z.beta, z.gamma), z.enclosure_radius)
                    for z in found]
@@ -627,6 +645,11 @@ class TestRefineZeros:
     SEEDS = [Box(-0.3, 1.7, -0.3, 0.3), Box(1.9, 2.1, -0.1, 0.1),
              Box(2.2, 2.4, -0.1, 0.1)]
 
+    @staticmethod
+    def centred(boxes):
+        """The seeds a caller's f isolates to: one start, at the centre."""
+        return [Seed(box, (box.center,)) for box in boxes]
+
     def cubic(self, z):
         a, b, c = self.ROOTS
         return (z - a) * (z - b) * (z - c)
@@ -636,13 +659,11 @@ class TestRefineZeros:
         return (z - b) * (z - c) + (z - a) * (z - c) + (z - a) * (z - b)
 
     def test_lockstep_equals_one_at_a_time(self):
-        # the seeds of [-4, 2] x [10, 60] are a winding-1 piece and groups
-        # of 2 and 3; each seed refined alone gives the bits of the lockstep
-        # run, the groups' zeros included
+        # the seeds of [-4, 2] x [10, 60] have 1, 2 and 3 starts; each seed
+        # refined alone gives the bits of the lockstep run
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        seeds = [*iso.isolated, *iso.groups]
-        assert len(iso.isolated) + sum(len(g.starts) for g in iso.groups) == 6
-        assert iso.groups
+        seeds = iso.seeds
+        assert sorted(len(seed.starts) for seed in seeds) == [1, 2, 3]
         r_eval_cache_clear()
         together = refine_zeros(seeds)
         alone = []
@@ -665,7 +686,7 @@ class TestRefineZeros:
         monkeypatch.setattr(auxiliary, "_step_halve",
                             lambda points, derivative=False:
                             calls.append(len(points)) or real(points, derivative))
-        refine_zeros([*iso.isolated, *iso.groups])
+        refine_zeros(iso.seeds)
         assert len(calls) <= 6
 
     def test_runs_start_at_the_winding_mean(self, monkeypatch):
@@ -676,8 +697,9 @@ class TestRefineZeros:
         import rzero.zeros as zeros_mod
         monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        assert len(iso.isolated) == 6
-        means = [_power_sum_roots(seed, 1)[0] for seed in iso.isolated]
+        assert len(iso.seeds) == 6
+        means = [_power_sum_roots(seed.box, 1)[0] for seed in iso.seeds]
+        assert [seed.starts for seed in iso.seeds] == [(m,) for m in means]
         starts = []
         real = zeros_mod._Newton.__init__
 
@@ -686,17 +708,18 @@ class TestRefineZeros:
             real(run, box, z)
 
         monkeypatch.setattr(zeros_mod._Newton, "__init__", init)
-        zeros = refine_zeros(iso.isolated)
+        zeros = refine_zeros(iso.seeds)
         assert starts == means
-        for seed, mean, zero in zip(iso.isolated, means, zeros):
-            assert seed.contains(mean)
+        for seed, mean, zero in zip(iso.seeds, means, zeros):
+            assert seed.box.contains(mean)
             assert abs(mean - complex(zero.beta, zero.gamma)) < 1e-2
 
     def test_no_winding_mean_across_a_zero(self):
         # the right edge of this box runs through the lowest zero, so its
-        # walk raises and the run would start at the centre
+        # walk raises and the run starts at the centre
         box = Box(-4.0, LOWEST_ZERO.real, 20.0, 25.0)
         assert _power_sum_roots(box, 1) is None
+        assert _seed(r_value, box, 1) == Seed(box, (box.center,))
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_caller_functions_per_seed(self, monkeypatch, numeric):
@@ -705,7 +728,8 @@ class TestRefineZeros:
         # once and refines its winding-1 child as refine_zero would
         import rzero.zeros as zeros_mod
         df = None if numeric else self.cubic_prime
-        together = refine_zeros(self.SEEDS[1:], self.cubic, df)
+        together = refine_zeros(self.centred(self.SEEDS[1:]), self.cubic,
+                                df)
         alone = [refine_zero(seed, self.cubic, df) for seed in self.SEEDS[1:]]
         assert together == alone
         for zero, root in zip(together, self.ROOTS[1:]):
@@ -756,7 +780,8 @@ class TestRefineZeros:
         real = zeros_mod._circle_winding
         monkeypatch.setattr(zeros_mod, "_circle_winding",
                             lambda f, z, r: 0 if z.real > 1.0 else real(f, z, r))
-        seeds = [self.SEEDS[0].split(0.0)[0], self.SEEDS[2], self.SEEDS[1]]
+        seeds = self.centred(
+            [self.SEEDS[0].split(0.0)[0], self.SEEDS[2], self.SEEDS[1]])
         with pytest.raises(NewtonError, match=r"\(2\.3"):
             refine_zeros(seeds, self.cubic, self.cubic_prime)
         assert refine_zeros(seeds[:1], self.cubic, self.cubic_prime)
@@ -767,18 +792,20 @@ class TestGroups:
     SURVEY = Box(-12.0, 2.0, 10.0, 149.0)
 
     def test_roots_place_the_zeros_and_count_them_all(self):
-        # each refined zero of a group lies within a quarter of the group's
-        # closest separation from its root, and the multiplicities of the
-        # isolation output sum to the count of the realised box
+        # each refined zero of a seed of two or three starts lies within a
+        # quarter of the seed's closest separation from its root, and the
+        # multiplicities of the isolation output sum to the count of the
+        # realised box
         r_eval_cache_clear()
         iso = isolate_zeros(self.SURVEY)
         total, window = rectangle_count(r_value, self.SURVEY)
         assert window == Box(-12.0, 2.0, 10.0, 149.0)
-        assert (len(iso.isolated) + sum(len(g.starts) for g in iso.groups)
+        assert (sum(len(seed.starts) for seed in iso.seeds)
                 + sum(w for _, w in iso.clusters)) == total == 24
-        assert {len(g.starts) for g in iso.groups} == {2, 3}
-        zeros = iter(refine_zeros(iso.groups))
-        for group in iso.groups:
+        groups = [seed for seed in iso.seeds if len(seed.starts) > 1]
+        assert {len(g.starts) for g in groups} == {2, 3}
+        zeros = iter(refine_zeros(groups))
+        for group in groups:
             found = [complex(z.beta, z.gamma)
                      for z in itertools.islice(zeros, len(group.starts))]
             closest = min(abs(a - b)
@@ -789,10 +816,11 @@ class TestGroups:
 
     @pytest.mark.parametrize("wrong", ["coincident", "outside"])
     def test_unresolved_group_splits_on(self, monkeypatch, wrong):
-        # the starts of the first group are made wrong: all at its first
-        # root, so its runs reach one zero, or one at a root of the next
-        # group, a zero outside the box; the box splits on, nothing raises,
-        # and the zeros are those of the full split within their radii
+        # the starts of the first seed of several starts are made wrong: all
+        # at its first root, so its runs reach one zero, or one at a root of
+        # the next such seed, a zero outside the box; the box splits on,
+        # nothing raises, and the zeros are those of the full split within
+        # their radii
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 10.0, 60.0)
         monkeypatch.setattr(zeros_mod, "GROUP_CAP", 1)
@@ -805,14 +833,16 @@ class TestGroups:
 
         def isolate(*args, **kwargs):
             iso = real_isolate(*args, **kwargs)
-            first, other = iso.groups[0], iso.groups[1]
+            k, j = [k for k, seed in enumerate(iso.seeds)
+                    if len(seed.starts) > 1]
+            first, other = iso.seeds[k], iso.seeds[j]
             starts = list(first.starts)
             if wrong == "coincident":
                 starts = [starts[0]] * len(starts)
             else:
                 starts[0] = other.starts[0]
             broken.append(first)
-            iso.groups[0] = first._replace(starts=tuple(starts))
+            iso.seeds[k] = first._replace(starts=tuple(starts))
             return iso
 
         def split(f, piece, w):
@@ -835,10 +865,11 @@ class TestGroups:
             assert mine.winding_certificate == 1
 
     def test_failed_group_raises_in_refine_zeros(self):
-        # refine_zeros refines the seeds it is given and raises for a group
-        # that does not resolve; only locate_zeros splits it on
+        # refine_zeros refines the seeds it is given and raises for a seed
+        # of several starts that does not resolve; only locate_zeros splits
+        # it on
         iso = isolate_zeros(Box(-4.0, 2.0, 10.0, 60.0))
-        group = iso.groups[0]
+        group = next(seed for seed in iso.seeds if len(seed.starts) > 1)
         twice = group._replace(starts=(group.starts[0],) * len(group.starts))
         with pytest.raises(NewtonError, match="overlap or leave"):
             refine_zeros([twice])
@@ -876,35 +907,40 @@ class TestLocateZeros:
         assert len(explicit[0]) == 2
         assert explicit == locate_zeros(box)
 
-    # the winding-1 piece of [-4, 2] x [10, 60]; the others are groups
+    # the seed of one start of [-4, 2] x [10, 60]; the others have two and
+    # three
     PIECE = Box(-4.0, 2.0, 35.0, 47.5)
 
     def test_failed_certificate_splits_on(self, monkeypatch):
-        # all 4 certificate circles of the piece's zero fail once: the piece
-        # is split and its winding-1 child refined, and the zeros are those
-        # of the unpatched run within their radii
+        # the certificate circle of the piece's zero fails once: the piece
+        # is split once and its winding-1 child refined, and the zeros are
+        # those of the unpatched run within their radii
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 10.0, 60.0)
-        r_eval_cache_clear()
-        plain, _ = locate_zeros(box)
-        assert isolate_zeros(box).isolated == [self.PIECE]
         real_circle = zeros_mod._circle_winding
         real_split = zeros_mod._split_conserving
         failed, splits = [], []
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, piece, w: splits.append((piece, w))
+                            or real_split(f, piece, w))
+        r_eval_cache_clear()
+        plain, _ = locate_zeros(box)
+        isolating = list(splits)
+        assert [seed.box for seed in isolate_zeros(box).seeds
+                if len(seed.starts) == 1] == [self.PIECE]
 
         def circle(f, z, r):
-            if self.PIECE.contains(z) and len(failed) < 4:
+            if self.PIECE.contains(z) and not failed:
                 failed.append(r)
                 return 0
             return real_circle(f, z, r)
 
         monkeypatch.setattr(zeros_mod, "_circle_winding", circle)
-        monkeypatch.setattr(zeros_mod, "_split_conserving",
-                            lambda f, piece, w: splits.append((piece, w))
-                            or real_split(f, piece, w))
+        splits.clear()
         r_eval_cache_clear()
         zeros, clusters = locate_zeros(box)
-        assert len(failed) == 4 and (self.PIECE, 1) in splits
+        assert len(failed) == 1
+        assert splits == isolating + [(self.PIECE, 1)]
         assert clusters == [] and len(zeros) == len(plain) == 6
         for mine, theirs in zip(zeros, plain):
             assert abs(complex(mine.beta, mine.gamma)
@@ -915,8 +951,8 @@ class TestLocateZeros:
     def test_failed_run_splits_on(self, monkeypatch):
         # the Newton run of the winding-1 piece fails at its first step;
         # its child's run starts at the child's own winding mean and ends
-        # within the unpatched zero's radius, and the groups' zeros keep
-        # their bits
+        # within the unpatched zero's radius, and the other seeds' zeros
+        # keep their bits
         import rzero.zeros as zeros_mod
         box = Box(-4.0, 2.0, 10.0, 60.0)
         r_eval_cache_clear()
@@ -941,6 +977,28 @@ class TestLocateZeros:
                 assert mine == theirs
             assert abs(complex(mine.beta, mine.gamma) - where) \
                 < theirs.enclosure_radius
+
+    @pytest.mark.parametrize("box", [Box(-12.0, 2.0, 10.0, 149.0),
+                                     Box(-6.0, 2.0, 10.0, 60.0)],
+                             ids=["survey", "10-60"])
+    def test_no_seed_needs_recovery(self, monkeypatch, box):
+        # every seed of the benchmark's survey and of CI's 10-60 box
+        # resolves on its first refinement: locate_zeros splits exactly as
+        # often as isolation alone
+        import rzero.zeros as zeros_mod
+        real = zeros_mod._split_conserving
+        splits = []
+        monkeypatch.setattr(zeros_mod, "_split_conserving",
+                            lambda f, piece, w: splits.append((piece, w))
+                            or real(f, piece, w))
+        r_eval_cache_clear()
+        isolate_zeros(box)
+        isolating = list(splits)
+        splits.clear()
+        r_eval_cache_clear()
+        zeros, clusters = locate_zeros(box)
+        assert isolating and splits == isolating
+        assert clusters == []
 
     def test_polynomial_cross_check(self):
         roots = (0.5 + 20j, -1.5 + 33j, 1.1 + 47.5j)
