@@ -28,9 +28,10 @@ crossing and an extent share every node row, so one step-halving loop
 point then takes its own stopping decisions at each step its sums reach.
 The samples of a horizontal contour edge share t and form one block; those
 of a vertical edge fall into a few.  A single r_eval is a block of one.
-One routine (_sum_level) sums every level, and r_eval, r_eval_many and
-r_derivative all reach it through _step_halve; the fixed pass _quadrature,
-the tests' reference, sums through it too.  R'(s)
+One routine (_sum_level) sums every level, and r_eval_many, of which
+r_eval and r_derivative are one-point calls, reaches it through the one R
+cache and _step_halve; the fixed pass _quadrature, the tests' reference,
+sums through it too.  R'(s)
 comes from the same grids: differentiating under the integral multiplies
 each node by -log x, and the Dirichlet part by -log n, so a derivative
 request follows the block's rows of R terms by rows of R' terms from the
@@ -768,12 +769,11 @@ class _RCache:
     """The one bounded cache of R results, keyed by (sigma, t, derivative)
     and evicting the least recently used entry.
 
-    Called as ``_r_eval_cached(sigma, t, derivative)`` it serves one point
-    (r_eval, r_derivative); ``keyed`` serves a list of keys
-    (sigma, t, derivative) (r_eval_many).  Misses of one call are
-    step-halved together.  Each key is served only by its own entry: a
-    value request at a point held only as a derivative entry computes a
-    value entry.
+    ``keyed`` is its one door: r_eval_many reads every key through it, and
+    r_eval and r_derivative are one-point calls of r_eval_many.  Misses of
+    one call are step-halved together.  Each key is served only by its own
+    entry: a value request at a point held only as a derivative entry
+    computes a value entry.
     """
 
     def __init__(self, maxsize: int):
@@ -792,10 +792,6 @@ class _RCache:
             if len(store) > self.maxsize:
                 store.popitem(last=False)
         return results
-
-    def __call__(self, sigma: float, t: float,
-                 derivative: bool) -> EvaluationResult:
-        return self.keyed([(sigma, t, derivative)], derivative)[0]
 
     def keyed(self, keys: list[tuple[float, float, bool]],
               derivative: bool) -> list[EvaluationResult]:
@@ -828,8 +824,8 @@ class _RCache:
         self._hits = self._misses = 0
 
 
-# r_eval and r_derivative call the cache through the module attribute
-# _r_eval_cached; r_eval_many uses _R_CACHE, the same object.
+# _r_eval_cached is another name of _R_CACHE, kept for bench/, which reads
+# and patches it; rzero reads R only through r_eval_many.
 _R_CACHE = _r_eval_cached = _RCache(maxsize=400_000)
 
 
@@ -847,10 +843,10 @@ def r_eval(s) -> EvaluationResult:
     every edge they walk.  Above counting.CURVE_T0 the left side of the
     counting contour follows curve_sigma, where the argument of R comes from
     the asymptotic surrogate r_asymptotic; this route gives R at the side's
-    two ends only, where it checks the surrogate.
+    two ends only, where it checks the surrogate.  It is the one-point
+    call of r_eval_many.
     """
-    z = _checked(s)
-    return _r_eval_cached(z.real, z.imag, False)
+    return r_eval_many([s])[0]
 
 
 def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
@@ -860,8 +856,9 @@ def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
     The points missing from the cache are step-halved together
     (_step_halve): points that share a crossing and an extent, such as the
     samples of a horizontal contour edge, share every integrand row, so one
-    numpy kernel serves the block.  Every result has the same bits as
-    r_eval (or r_derivative) would give, and lands in the same cache.
+    numpy kernel serves the block.  r_eval and r_derivative are its
+    one-point calls, so every R value rzero reads passes through the one
+    cache's one door, _RCache.keyed.
     """
     return _R_CACHE.keyed([(z.real, z.imag, derivative)
                            for z in map(_checked, points)], derivative)
@@ -870,13 +867,6 @@ def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
 def r_value(s) -> complex:
     """Convenience accessor: the complex value of r_eval(s)."""
     return r_eval(s).value
-
-
-def values_at(f, points) -> list:
-    """[f(z) for z in points], in one r_eval_many call when f is r_value."""
-    if f is r_value:
-        return [res.value for res in r_eval_many(points)]
-    return [f(z) for z in points]
 
 
 def logs_at(f, points) -> list[complex]:
@@ -974,10 +964,10 @@ def r_derivative(s) -> complex:
     _step_halve), so its value fields have r_eval's bits; the result is
     cached as its own entry, apart from r_eval's.  That entry's
     ``derivative_error`` (r_eval_many(..., derivative=True)) is formed from
-    R''s own level discrepancies as r_eval's estimate is from R's.
+    R''s own level discrepancies as r_eval's estimate is from R's.  It is
+    the one-point call of r_eval_many(..., derivative=True).
     """
-    z = _checked(s)
-    return _r_eval_cached(z.real, z.imag, True).derivative
+    return r_eval_many([s], derivative=True)[0].derivative
 
 
 # ---------------------------------------------------------------------------

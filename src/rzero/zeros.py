@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .auxiliary import r_eval_many, r_value, values_at
+from .auxiliary import logs_at, r_eval_many, r_value
 from .auxiliary import r_derivative  # noqa: F401  (bench/tracing.py wraps it here)
 from .counting import (
     Box,
@@ -138,16 +138,19 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     off the cut turns f by nearly 2 pi between two of the cut's samples,
     which the children's walk reads as a small step, so both wind 1.
 
-    The scan reads the cut's own lattice samples, the points at which both
-    children's windings sampled their shared edge (``child``'s top edge for
-    a horizontal cut, its right edge for a vertical one), so for r_value
-    the row is read from the cache.  Unless that row rules a double zero
-    out (below), the scan winds f around one window Box
-    (_rectangle_winding): along the cut it spans [x_{k-1}, x_{k+1}] around
-    the row's minimum x_k, clipped at the row's ends, and across it +-d, d
-    half the larger lattice spacing h beside x_k.  The cut holds a zero
-    when that integer winding is 2 or more, or when the window's walk meets
-    a zero or a non-integer winding.
+    The scan reads log |f| (logs_at) at the cut's own lattice samples, the
+    points at which both children's windings sampled their shared edge
+    (``child``'s top edge for a horizontal cut, its right edge for a
+    vertical one), so for r_value the row is read from the cache, through
+    r_eval_many like every R value, and stays finite where |R| saturates;
+    the row's minimum and the interior exit's ratio (below) are read from
+    these log-moduli.  Unless that row rules a double zero out (below),
+    the scan winds f around one window Box (_rectangle_winding): along the
+    cut it spans [x_{k-1}, x_{k+1}] around the row's minimum x_k, clipped
+    at the row's ends, and across it +-d, d half the larger lattice
+    spacing h beside x_k.  The cut holds a zero when that integer winding
+    is 2 or more, or when the row or the window's walk meets a zero or the
+    window's winding is not an integer.
 
     The window covers both hazards.  A double zero p on the cut lies in
     [x_{k-1}, x_{k+1}], and one the children's walk misreads lies less
@@ -160,9 +163,10 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     2h / 7 apart, and p stays at least d - h / 4.83 ~ 0.29 h from them,
     far more than (2h / 7) / 4.83.  The rule is conservative: a close pair
     of simple zeros in the window also winds 2, and the split then moves
-    its cut to the next offset.  A zero at one of the row's samples never
-    reaches the scan: both children walked those samples, and a walk
-    raises at an exact zero, which moves the cut.
+    its cut to the next offset.  A zero at one of the row's samples does
+    not reach the scan: both children walked those samples, and a walk
+    raises at an exact zero, which moves the cut; a row that meets one all
+    the same reports the cut.
 
     The lattice row alone can rule a double zero out.  Let x_k be interior,
     with h1 = x_k - x_{k-1} and h2 = x_{k+1} - x_k.  Near p,
@@ -173,7 +177,9 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     p left of x_k gives the same with h1 and h2 swapped.  On a uniform
     stretch of the lattice that is 1/9; the row's end intervals are
     partial, so the bound is formed from the actual spacings.  A row whose
-    ratio exceeds _CUT_MODEL_MARGIN times it ends the scan with no window.
+    ratio exceeds _CUT_MODEL_MARGIN times it, the local scale taken no
+    smaller than 1e-12 times the row's largest modulus, ends the scan with
+    no window.
     A double zero at distance e off the cut raises the ratio by at most
     e^2 / (h1 + a)^2, to under 0.13 on a uniform stretch for the e the
     window guards, below the exit's 2/9.
@@ -213,29 +219,28 @@ def _zero_on_cut(f, box: Box, child: Box) -> bool:
     edge = _rectangle_edges(child)[
         "top" if child.t_hi < box.t_hi else "right"]
     us = edge.seed_params()
-    mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
-    k_min = mags.index(min(mags))
-    minimum = mags[k_min]
-    last = len(us) - 1
-    lo, hi = max(0, k_min - 1), min(last, k_min + 1)
-    if 0 < k_min < last:
-        local_scale = max(mags[lo], mags[hi], 1e-12 * max(mags))
-        h1, h2 = us[k_min] - us[lo], us[hi] - us[k_min]
-        bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
-        if minimum > _CUT_MODEL_MARGIN * bound * local_scale:
-            return False
-    elif f is r_value:  # an end minimum: |R'/R| h, h its interval
-        z = edge.point(us[k_min])
-        slope = r_eval_many([z], derivative=True)[0].log_derivative
-        if (abs(slope) * (us[hi] - us[lo])
-                < _END_SLOPE_BOUND / _CUT_MODEL_MARGIN):
-            return False
-    d = 0.5 * max(us[k_min] - us[lo], us[hi] - us[k_min])
-    if edge.vertical:
-        window = Box(edge.level - d, edge.level + d, us[lo], us[hi])
-    else:
-        window = Box(us[lo], us[hi], edge.level - d, edge.level + d)
     try:
+        mods = [v.real for v in logs_at(f, [edge.point(u) for u in us])]
+        k_min = mods.index(min(mods))
+        last = len(us) - 1
+        lo, hi = max(0, k_min - 1), min(last, k_min + 1)
+        if 0 < k_min < last:
+            local = max(mods[lo], mods[hi], max(mods) + math.log(1e-12))
+            h1, h2 = us[k_min] - us[lo], us[hi] - us[k_min]
+            bound = max(h2 / (2.0 * h1 + h2), h1 / (2.0 * h2 + h1)) ** 2
+            if mods[k_min] > math.log(_CUT_MODEL_MARGIN * bound) + local:
+                return False
+        elif f is r_value:  # an end minimum: |R'/R| h, h its interval
+            z = edge.point(us[k_min])
+            slope = r_eval_many([z], derivative=True)[0].log_derivative
+            if (abs(slope) * (us[hi] - us[lo])
+                    < _END_SLOPE_BOUND / _CUT_MODEL_MARGIN):
+                return False
+        d = 0.5 * max(us[k_min] - us[lo], us[hi] - us[k_min])
+        if edge.vertical:
+            window = Box(edge.level - d, edge.level + d, us[lo], us[hi])
+        else:
+            window = Box(us[lo], us[hi], edge.level - d, edge.level + d)
         return integer_winding(_rectangle_winding(f, window)) >= 2
     except (ZeroOnPathError, NonIntegerWindingError):
         return True
@@ -494,66 +499,60 @@ def _refine(seeds: list[Seed], f, df
         f = r_value
     batched = f is r_value and df is None
 
-    def rows(indices: list[int]) -> list[tuple[complex, complex, float]]:
-        zs = [runs[i].z for i in indices]
+    def rows(pairs: list[tuple[int, _Newton]]
+             ) -> list[tuple[complex, complex, float]]:
         if batched:
             return [(res.value, res.derivative, res.error_estimate)
-                    for res in r_eval_many(zs, derivative=True)]
-        return [(f(z), df(z) if df is not None else
-                 _numeric_derivative(f, z, runs[i].box.max_side), 0.0)
-                for i, z in zip(indices, zs)]
+                    for res in r_eval_many([run.z for _, run in pairs],
+                                           derivative=True)]
+        return [(f(run.z), df(run.z) if df is not None else
+                 _numeric_derivative(f, run.z, run.box.max_side), 0.0)
+                for _, run in pairs]
 
-    runs: list[_Newton] = []
-    owner: list[int] = []  # the index of each run's seed
-    for k, seed in enumerate(seeds):
-        runs += [_Newton(seed.box, z) for z in seed.starts]
-        owner += [k] * len(seed.starts)
-    steps: dict[int, float] = {}
+    # one (seed index, run) pair per Newton run, a seed's in its starts' order
+    runs = [(k, _Newton(seed.box, z))
+            for k, seed in enumerate(seeds) for z in seed.starts]
     errors: dict[int, Exception] = {}
-    live = list(range(len(runs)))
+    live = runs
     while live:
         still = []
-        for i, row in zip(live, rows(live)):
-            verdict = runs[i].advance(*row)
+        for (k, run), row in zip(live, rows(live)):
+            verdict = run.advance(*row)
             if verdict is None:
-                still.append(i)
-            elif verdict:
-                steps[i] = runs[i].step
-            else:
-                errors[owner[i]] = NewtonError(
-                    f"Newton failed to converge inside {runs[i].box}")
-        live = [i for i in still if owner[i] not in errors]
+                still.append((k, run))
+            elif not verdict:
+                errors[k] = NewtonError(
+                    f"Newton failed to converge inside {run.box}")
+        live = [(k, run) for k, run in still if k not in errors]
 
-    done = sorted(i for i in steps if owner[i] not in errors)
+    # every run of a seed with no error ended inside its box
+    done = [(k, run) for k, run in runs if k not in errors]
     finals = rows(done)
-    radii = [max(10.0 * (steps[i] + 1e-12),
+    radii = [max(10.0 * (run.step + 1e-12),
                  _CERT_NOISE_FACTOR * noise / abs(slope) if slope else 0.0)
-             for i, (_, slope, noise) in zip(done, finals)]
+             for (_, run), (_, slope, noise) in zip(done, finals)]
     if f is r_value:
         # the samples of every circle in one batch; the walks read them
         # from the cache
-        r_eval_many([z for i, radius in zip(done, radii)
-                     for z in _circle_points(runs[i].z, radius)])
-    zeros: dict[int, Zero] = {}
-    for i, (value, _, _), radius in zip(done, finals, radii):
-        if owner[i] in errors:  # a circle of its seed failed
+        r_eval_many([z for (_, run), radius in zip(done, radii)
+                     for z in _circle_points(run.z, radius)])
+    found: dict[int, list[Zero]] = {}
+    for (k, run), (value, _, _), radius in zip(done, finals, radii):
+        if k in errors:  # a circle of its seed failed
             continue
-        z = runs[i].z
         try:
-            cert = _circle_winding(f, z, radius)
+            cert = _circle_winding(f, run.z, radius)
         except (ZeroOnPathError, NonIntegerWindingError):
             cert = None
         if cert != 1:
-            errors[owner[i]] = NewtonError(
-                f"refined point {z} failed the winding-1 circle certificate")
+            errors[k] = NewtonError(
+                f"refined point {run.z} failed the winding-1 circle "
+                "certificate")
+            found.pop(k, None)
             continue
-        zeros[i] = Zero(beta=z.real, gamma=z.imag, enclosure_radius=radius,
-                        winding_certificate=cert,
-                        residual_modulus=abs(value))
-    found: dict[int, list[Zero]] = {}
-    for i, k in enumerate(owner):
-        if k not in errors:
-            found.setdefault(k, []).append(zeros[i])
+        found.setdefault(k, []).append(Zero(
+            beta=run.z.real, gamma=run.z.imag, enclosure_radius=radius,
+            winding_certificate=cert, residual_modulus=abs(value)))
     for k, seed in enumerate(seeds):
         if k in found and not _resolved(seed.box, found[k]):
             del found[k]

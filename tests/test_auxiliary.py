@@ -375,16 +375,16 @@ class TestEvalMany:
     def test_derivative_entries_untouched(self):
         r_eval_cache_clear()
         s = BATCH_POINTS[5]
-        entry = auxiliary._r_eval_cached(s.real, s.imag, True)
+        (entry,) = r_eval_many([s], derivative=True)
         batch = r_eval_many(BATCH_POINTS[:8])
-        assert auxiliary._r_eval_cached(s.real, s.imag, True) is entry
+        assert r_eval_many([s], derivative=True)[0] is entry
         assert all(res.derivative is None for res in batch)
         # each key serves only itself: the value at s, held only as a
         # derivative entry, is computed as its own entry, 1 + 8 entries,
         # with the same value bits
         info = auxiliary._r_eval_cached.cache_info()
         assert (info.currsize, info.misses) == (9, 9)
-        assert auxiliary._r_eval_cached(s.real, s.imag, False) is batch[5]
+        assert r_eval_many([s])[0] is batch[5]
         assert _fields([batch[5]]) == _fields([entry])
 
     def test_block_size_within_cap(self, monkeypatch):
@@ -424,7 +424,7 @@ class TestEvalMany:
         cache = auxiliary._RCache(maxsize=3)
         a, b, c, d = [(0.5, t) for t in (20.0, 21.0, 22.0, 23.0)]
         cache.keyed([(*p, False) for p in (a, b, c)], False)
-        cache(*a, False)  # a is now the most recently used
+        cache.keyed([(*a, False)], False)  # a is now the most recently used
         cache.keyed([(*d, False)], False)
         assert cache.cache_info().currsize == 3
         assert set(cache._store) == {(*p, False) for p in (a, c, d)}
@@ -917,7 +917,7 @@ class TestRDerivative:
         r_eval_cache_clear()
         alone = r_eval(s)
         r_eval_cache_clear()
-        with_d = auxiliary._r_eval_cached(s.real, s.imag, True)
+        (with_d,) = r_eval_many([s], derivative=True)
         after = r_eval(s)
         fields = lambda r: (r.value, r.error_estimate, r.log_value)
         assert fields(alone) == fields(with_d) == fields(after)

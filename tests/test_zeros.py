@@ -8,10 +8,10 @@ import pytest
 from rzero.counting import _rectangle_edges, rectangle_count
 from rzero import auxiliary
 from rzero.auxiliary import (
+    logs_at,
     r_eval_cache_clear,
     r_eval_many,
     r_value,
-    values_at,
 )
 from rzero.errors import ContourZeroError, DomainError, NewtonError
 from rzero.counting import arg_variation, unit_params
@@ -223,7 +223,7 @@ class TestCutScan:
         scans = []  # per scan: its row reads, window walks and calls of f
         scanning = [False]  # the children's windings wind outside a scan
         real_scan = zeros_mod._zero_on_cut
-        real_rows = zeros_mod.values_at
+        real_rows = zeros_mod.logs_at
         real_window = zeros_mod._rectangle_winding
 
         def scan(f, box, child):
@@ -250,7 +250,7 @@ class TestCutScan:
                     scans[-1].append(("window", calls[0] - before))
 
         monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
-        monkeypatch.setattr(zeros_mod, "values_at", rows)
+        monkeypatch.setattr(zeros_mod, "logs_at", rows)
         monkeypatch.setattr(zeros_mod, "_rectangle_winding", window)
         self.assert_one_double_cluster(Box(0.0, 2.0, 9.0, 11.0), zero, f=f)
         # the window [x_e, x_e -+ h] x [10 - h/2, 10 + h/2], h = 1/4: its
@@ -279,11 +279,11 @@ class TestCutScan:
             edge = _rectangle_edges(child)[
                 "top" if child.t_hi < box.t_hi else "right"]
             us = sorted(edge.seed_params())
-            mags = [abs(v) for v in values_at(f, [edge.point(u) for u in us])]
+            mods = [v.real for v in logs_at(f, [edge.point(u) for u in us])]
             for k, j in ((0, 1), (-1, -2)):
                 res = r_eval_many([edge.point(us[k])], derivative=True)[0]
                 readings.append((abs(res.log_derivative) * abs(us[k] - us[j]),
-                                 mags[k] == min(mags)))
+                                 mods[k] == min(mods)))
             return real(f, box, child)
 
         monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
@@ -344,15 +344,16 @@ class TestCutScan:
         r_eval_cache_clear()
         parent_w = rectangle_count(r_value, box)[0]
         rows = []  # (points, R values computed) of each scan row
+        real_rows = zeros_mod.logs_at
 
         def counted(f, points):
             before = auxiliary._R_CACHE.cache_info().misses
-            out = values_at(f, points)
+            out = real_rows(f, points)
             rows.append((len(points),
                          auxiliary._R_CACHE.cache_info().misses - before))
             return out
 
-        monkeypatch.setattr(zeros_mod, "values_at", counted)
+        monkeypatch.setattr(zeros_mod, "logs_at", counted)
         (b1, w1), (b2, w2) = _split_conserving(r_value, box, parent_w)
         assert (w1, w2) == (1, 1) and b1.t_hi == 27.5
         assert rows and rows[0][0] > 8 and rows[0][1] == 0
@@ -367,21 +368,66 @@ class TestCutScan:
         box = Box(-4.0, 2.0, 10.0, 35.0)
         r_eval_cache_clear()
         parent_w = rectangle_count(r_value, box)[0]
-        rows = []  # (|R| along the row, R values computed) of each row
+        rows = []  # (log |R| along the row, R values computed) of each row
+        real_rows = zeros_mod.logs_at
 
         def counted(f, points):
             before = auxiliary._R_CACHE.cache_info().misses
-            out = values_at(f, points)
-            rows.append(([abs(v) for v in out],
+            out = real_rows(f, points)
+            rows.append(([v.real for v in out],
                          auxiliary._R_CACHE.cache_info().misses - before))
             return out
 
-        monkeypatch.setattr(zeros_mod, "values_at", counted)
+        monkeypatch.setattr(zeros_mod, "logs_at", counted)
         (b1, w1), (b2, w2) = _split_conserving(r_value, box, parent_w)
         assert (w1, w2) == (1, 1) and b1.t_hi == 22.5
         assert len(rows) == 1 and rows[0][1] == 0
-        mags = rows[0][0]
-        assert 0 < mags.index(min(mags)) < len(mags) - 1
+        mods = rows[0][0]
+        assert 0 < mods.index(min(mods)) < len(mods) - 1
+
+    @pytest.mark.parametrize("t_lo, t_hi, exits", [
+        (10.0, 149.0, "slope slope slope row row slope row slope slope"),
+        (149.0, 300.0, "row slope slope slope row row slope slope row slope "
+                       "row row row row row")], ids=["10-149", "149-300"])
+    def test_exits_of_the_survey_scans(self, monkeypatch, t_lo, t_hi, exits):
+        # every scan of these surveys ends before its window: at its lattice
+        # row ("row": no R' read, no window wound) or at one R' value at an
+        # end minimum ("slope": no window wound), and none reports its cut
+        import rzero.zeros as zeros_mod
+        scans = []  # per scan: [R' values read, windows wound, decision]
+        scanning = [False]  # isolation and refinement read outside a scan
+        real_scan = zeros_mod._zero_on_cut
+        real_many = zeros_mod.r_eval_many
+        real_window = zeros_mod._rectangle_winding
+
+        def scan(f, box, child):
+            scans.append([0, 0])
+            scanning[0] = True
+            try:
+                scans[-1].append(real_scan(f, box, child))
+            finally:
+                scanning[0] = False
+            return scans[-1][2]
+
+        def many(points, derivative=False):
+            if scanning[0] and derivative:
+                scans[-1][0] += len(points)
+            return real_many(points, derivative)
+
+        def window(f, *sides):
+            if scanning[0]:
+                scans[-1][1] += 1
+            return real_window(f, *sides)
+
+        monkeypatch.setattr(zeros_mod, "_zero_on_cut", scan)
+        monkeypatch.setattr(zeros_mod, "r_eval_many", many)
+        monkeypatch.setattr(zeros_mod, "_rectangle_winding", window)
+        locate_zeros(Box(-12.0, 2.0, t_lo, t_hi))
+        names = {(0, 0): "row", (1, 0): "slope", (0, 1): "window",
+                 (1, 1): "window"}
+        assert [names[reads, wound] for reads, wound, _ in scans] == \
+            exits.split()
+        assert not any(decision for *_, decision in scans)
 
     def test_double_zero_beside_a_fine_cut(self, monkeypatch):
         # at min_size 1e-5 a cut runs 6e-7 from the double zero, where its
