@@ -793,27 +793,29 @@ class _RCache:
                 store.popitem(last=False)
         return results
 
-    def keyed(self, keys: list[tuple[float, float, bool]],
+    def keyed(self, pairs: list[tuple[float, float]],
               derivative: bool) -> list[EvaluationResult]:
-        """The results for keys (sigma, t, derivative), in order, every key
-        with the ``derivative`` given; a hit moves its entry to the most
+        """The results for the pairs (sigma, t), in order, each under the
+        key (sigma, t, derivative); a hit moves its entry to the most
         recent end, and the misses are computed together (_fill)."""
         store = self._store
         get, to_end = store.get, store.move_to_end
         out, missing = [], {}  # missing: the distinct pairs, in order
-        for key in keys:
+        flag = (derivative,)
+        for pair in pairs:
+            key = pair + flag
             res = get(key)
             if res is None:
-                missing[key[:2]] = None
+                missing[pair] = None
             else:
                 to_end(key)
             out.append(res)
-        self._hits += len(keys) - len(missing)
+        self._hits += len(pairs) - len(missing)
         if not missing:
             return out
         computed = dict(zip(missing, self._fill(list(missing), derivative)))
-        return [computed[key[:2]] if res is None else res
-                for key, res in zip(keys, out)]
+        return [computed[pair] if res is None else res
+                for pair, res in zip(pairs, out)]
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self._hits, self._misses, self.maxsize,
@@ -860,8 +862,8 @@ def r_eval_many(points, derivative: bool = False) -> list[EvaluationResult]:
     one-point calls, so every R value rzero reads passes through the one
     cache's one door, _RCache.keyed.
     """
-    return _R_CACHE.keyed([(z.real, z.imag, derivative)
-                           for z in map(_checked, points)], derivative)
+    return _R_CACHE.keyed([(z.real, z.imag) for z in map(_checked, points)],
+                          derivative)
 
 
 def r_value(s) -> complex:

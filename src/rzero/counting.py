@@ -40,21 +40,21 @@ the base count below DESK_T0 plus one strip per height, the region further
 left certified empty by an adjacent strip of winding zero.  Above CURVE_T0
 it counts on the paper's contour, whose left side follows the curve
 sigma = 1 - t^{2/5} log t where R is close to the asymptotic surrogate S;
-only its top edge is sampled, so a height costs O(T^{2/5} log^2 T) values
-of R instead of O(T log T).  That edge is walked (_walk_edge) on a subset
-of its line's lattice, at the step its phase needs, read from R'/R: 958
-values of R at T = 10^4 and 5854 at 10^7, against 3070 and 91 051 at the
-seed rate, each requested once (the strips below CURVE_T0 take 380 of
-each).  Three sampled facts carry that contour, each checked where a row
-already has the values: |R/S - 1| < 1 along the curve (|u| <= U_LIMIT at
-its ends), |R - 1| < 1 on sigma = 2 (below RIGHT_LIMIT at each height)
-and the continuity of Im log S along the curve (tested on a grid of step
-1/4 to T = 10^4).  Each top edge's variation is
-checked against ``backlund_bound``, the one Backlund formula, which
-acceptance criterion 4 also validates.  Only a top edge moves to escape a
-zero on a contour, by the t-steps of the constant PERTURB_STEP
-(_on_ladder); a zero on a side or on a bottom edge, the curve contour's
-included, raises ContourZeroError.
+only its top edge is sampled, at O(T^{2/5} log^2 T) values of R on its
+line's lattice, of which the walk (_walk_edge) takes the subset its phase
+needs, read from R'/R, from a first round whose steps grow with the
+distance from sigma = 2: 794 values of R at T = 10^4 and at 10^7, and 809
+at 10^9, against 3070 and 91 051 at the seed rate to 10^7, each requested
+once (the strips below CURVE_T0 take 744 of each).  Three sampled facts
+carry that contour, each checked where a row already has the values:
+|R/S - 1| < 1 along the curve (|u| <= U_LIMIT at its ends), |R - 1| < 1 on
+sigma = 2 (below RIGHT_LIMIT at each height) and the continuity of Im log S
+along the curve (tested on a grid of step 1/4 to T = 10^4).  Each top
+edge's variation is checked against ``backlund_bound``, the one Backlund
+formula, which acceptance criterion 4 also validates.  Only a top edge
+moves to escape a zero on a contour, by the t-steps of the constant
+PERTURB_STEP (_on_ladder); a zero on a side or on a bottom edge, the curve
+contour's included, raises ContourZeroError.
 """
 
 from __future__ import annotations
@@ -99,12 +99,16 @@ WINDING_GUARD = 0.1
 DETECT_TOL = 1e-6
 _LOG_DETECT_TOL = math.log(DETECT_TOL)
 PERTURB_STEP = 1e-3  # step of rectangle_count's contour perturbation ladder
-# The walk of a curve contour's horizontal edge (_walk_edge): the length of
-# its first round's steps, and the largest predicted phase step (rad) and
-# gap between the measured step and its trapezoid prediction it leaves
-# unsplit.
-WALK_STEP = 2.0
+# The walk of a curve contour's horizontal edge (_walk_edge): its first
+# round steps by max(WALK_STEP, WALK_GROWTH d) at distance d from the
+# edge's right end; it leaves unsplit no interval whose predicted phase step
+# exceeds WALK_PHASE (rad), whose predicted step of log R changes by more
+# than WALK_BEND across it, or whose measured phase step is farther than
+# WALK_BRANCH (rad) from its trapezoid prediction.
+WALK_STEP = 1.0
+WALK_GROWTH = 0.5
 WALK_PHASE = 0.5
+WALK_BEND = 1.0
 WALK_BRANCH = 0.1
 
 
@@ -788,18 +792,46 @@ def _walk_edge(edge: AxisEdge) -> ArgTrace:
     arg_variation(r_value, edge, trace.params).  A pick is formed from its
     index alone, so the lattice, 907 521 points at T = 10^9, is never built.
 
-    Round 0 takes every index that is a multiple of the largest stride
-    whose step is at most WALK_STEP long (at the lattice's mean spacing),
-    plus the last.  Each round requests R with R'/R at its new points in
-    one r_eval_many call, then bisects (at the integer midpoint) every
-    interval longer than one lattice step that fails one of two tests on
-    its step h and the rates omega = R'/R at its ends, omega h being a
-    predicted step of log R:
+    Round 0 picks the edge's ends and, from its right end (sigma = 2 on
+    the curve contour) leftwards, the lattice point nearest each distance
+    d_j, d_0 = 0 and d_{j+1} = d_j + max(WALK_STEP, WALK_GROWTH d_j): about
+    2.5 ln(length) + 1 picks, 30 at T = 10^9.  The steps grow with the
+    distance d from sigma = 2 because the scale on which arg R moves does.
+    R is close to the sum of n^{-s} over n <= q = floor(sqrt(t / 2 pi)),
+    whose terms keep their phases -t log n along the line; at sigma = 2 - d
+    the terms within a fixed factor of the largest have log(q/n) of order
+    1/d, so their relative weights, and with them arg R, move at rates of
+    order 1/d per unit of sigma, except near zeros, which the tests find.
+
+    Each round requests R with R'/R at its new points in one r_eval_many
+    call, then bisects (at the integer midpoint) every interval longer than
+    one lattice step that fails one of three tests on its step h and the
+    rates omega = R'/R at its ends, omega h being a predicted step of
+    log R (_too_coarse):
 
     - max |Im omega h| > WALK_PHASE, a predicted phase step too large;
+    - |omega_b - omega_a| |h| > WALK_BEND, a predicted step that bends;
     - the nearest-branch step of Im log R differs by more than WALK_BRANCH
-      from the trapezoid Im (omega_a + omega_b) h / 2, which catches a turn
-      hidden between the ends.
+      from the trapezoid Im (omega_a + omega_b) h / 2, a turn hidden
+      between the ends.
+
+    What guards an interval [a, b] between picks: a zero rho of R turns R
+    across it by the angle at which rho sees [a, b] and adds 1/(z - rho) to
+    omega, so h^2 / ((b - rho)(rho - a)) to (omega_b - omega_a) h.  That is
+    4 / (1 - u^2), u = (rho - c) / (h / 2) and c the midpoint, so its real
+    part is at least 2 when rho turns R by pi/2 or more (|u| <= 1), and
+    positive whenever Re rho lies between a and b: zeros that together
+    turn R by a full turn, even a close pair whose steps cancel both in the
+    nearest branch and in the trapezoid, bend the step by 4 or more, four
+    times WALK_BEND.  Every zero on one side of the line adds to Im omega h
+    at both ends with one sign, h y / (h^2 / 4 + y^2) at height y above
+    the midpoint (1 at y = h / 2, twice WALK_PHASE), and the branch test
+    compares what the ends predict with what they measure.  What gets
+    through: a bend cancelled by zeros beyond the ends of [a, b] (their
+    terms may have negative real part) or by the bend of R's zero-free
+    factor, and a phase step cancelled by zeros on the other side of the
+    line.  The tests read only omega h, so they guard an interval of any
+    length alike; round 0 sets the cost, not the guard.
 
     The modulus step is not bounded: the zero-on-path test compares log|R|
     with the line through nearby nodes, so steady growth of |R| (about
@@ -811,7 +843,6 @@ def _walk_edge(edge: AxisEdge) -> ArgTrace:
     """
     m, lattice_ks = edge.m, edge.ks
     last = len(lattice_ks) + 1
-    stride = max(1, int(WALK_STEP * last / (edge.end - edge.start)))
     rates = {}  # k -> (parameter, point, log R, R'/R) at lattice point k
 
     def sample(ks):
@@ -823,7 +854,12 @@ def _walk_edge(edge: AxisEdge) -> ArgTrace:
         for k, u, z, res in zip(ks, params, points, results):
             rates[k] = (u, z, res.log_value, res.log_derivative)
 
-    ks = [*range(0, last, stride), last]
+    ks, d = [last], 0.0
+    while ks[-1] > 0:  # lattice point k is (lattice_ks.start + k - 1) / m
+        d += max(WALK_STEP, WALK_GROWTH * d)
+        k = round((edge.end - d) * m) - lattice_ks.start + 1
+        ks.append(max(0, min(k, ks[-1] - 1)))
+    ks.reverse()
     sample(ks)
     todo = list(zip(ks, ks[1:]))
     while todo:
@@ -843,11 +879,13 @@ def _walk_edge(edge: AxisEdge) -> ArgTrace:
 
 def _too_coarse(h: complex, log_a, rate_a, log_b, rate_b) -> bool:
     """Whether _walk_edge bisects an interval of step h with log R and R'/R
-    at its ends (see there)."""
+    at its ends (see there for the three tests and what they guard)."""
     if log_a is None or log_b is None:
         return False
     step_a, step_b = rate_a * h, rate_b * h
     if max(abs(step_a.imag), abs(step_b.imag)) > WALK_PHASE:
+        return True
+    if abs(step_b - step_a) > WALK_BEND:
         return True
     step = math.remainder(log_b.imag - log_a.imag, TWO_PI)
     return abs(step - 0.5 * (step_a.imag + step_b.imag)) > WALK_BRANCH

@@ -423,9 +423,9 @@ class TestEvalMany:
     def test_cache_bounded_least_recently_used_out(self):
         cache = auxiliary._RCache(maxsize=3)
         a, b, c, d = [(0.5, t) for t in (20.0, 21.0, 22.0, 23.0)]
-        cache.keyed([(*p, False) for p in (a, b, c)], False)
-        cache.keyed([(*a, False)], False)  # a is now the most recently used
-        cache.keyed([(*d, False)], False)
+        cache.keyed([a, b, c], False)
+        cache.keyed([a], False)  # a is now the most recently used
+        cache.keyed([d], False)
         assert cache.cache_info().currsize == 3
         assert set(cache._store) == {(*p, False) for p in (a, c, d)}
 

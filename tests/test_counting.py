@@ -792,14 +792,27 @@ class TestCurveContour:
     def test_far_heights(self, big_t, expected):
         # 2247 is also the stacked-strip count of [-6, 2] x [10, 5000], which
         # takes 91 317 R computations; the curve contour samples only its
-        # top edge, walked at the step its phase needs (1357 R computations
-        # from a cold cache at 10^4; 3450 at the equispaced seed rate)
+        # top edge, walked at the step its phase needs (794 R computations
+        # from a cold cache at 10^4, 744 of them for the strips below
+        # CURVE_T0; 3450 at the equispaced seed rate)
         before = auxiliary._R_CACHE.cache_info().misses
         (row,) = residual_table([big_t])
-        assert auxiliary._R_CACHE.cache_info().misses - before < 2000
+        assert auxiliary._R_CACHE.cache_info().misses - before <= 800
         assert row.count == expected
         assert row.window == (CURVE_T0, big_t)
         assert abs(row.top_turns) <= row.top_bound
+
+    def test_count_at_1e9(self):
+        # the top edge [curve_sigma(T), 2] + iT is 82 502 long; from a cold
+        # cache the curve contour's two walked edges take 65 of the 809 R
+        # values computed, the strips below CURVE_T0 the rest (41 291 of
+        # 42 035 when round 0 stepped by 2)
+        before = auxiliary._R_CACHE.cache_info().misses
+        (row,) = residual_table([1e9])
+        assert auxiliary._R_CACHE.cache_info().misses - before <= 850
+        assert row.count == 1_423_267_708
+        assert row.top_turns == pytest.approx(-0.760958, abs=1e-6)
+        assert row.window == (CURVE_T0, 1e9)
 
     def test_walk_matches_equispaced_edge(self):
         # the walk against the same edge sampled at the seed rate it had
@@ -886,12 +899,35 @@ class TestCurveContour:
         assert info.value.where == zero
 
     def test_too_coarse(self):
-        # each of the two tests alone splits an interval
+        # each of the three tests alone splits an interval
         assert not _too_coarse(1.0, 0j, 0.3j, 0.3j, 0.3j)
         assert _too_coarse(2.0, 0j, 0.3j, 0.6j, 0.3j)  # phase step 0.6
         assert _too_coarse(1.0, 0j, 0.3j, 3.4j, 0.3j)  # a hidden half turn
         assert not _too_coarse(1.0, 0j, 0.3j, (0.3 + TWO_PI) * 1j, 0.3j)
         assert not _too_coarse(1.0, None, None, 3.4j, 0.3j)  # exact zero
+        assert _too_coarse(1.0, 0j, 0.3j, 0.3j, 1.3 + 0.3j)  # a bend of 1.3
+
+    @pytest.mark.parametrize("e", [0.003, 0.001])
+    @pytest.mark.parametrize("side", [1, -1], ids=["one-side", "both-sides"])
+    def test_too_coarse_on_a_close_pair(self, side, e):
+        # an interval left unsplit reads its turn from the nearest branch.
+        # Two zeros just above [0, 2] turn f by nearly a full turn, which
+        # the nearest branch and the trapezoid both read as about 0 while
+        # the predicted phase steps stay small; the bend, about 10.7,
+        # splits it.  With one zero on either side f turns by nothing.
+        zeros = (0.5 + e * 1j, 1.5 + side * e * 1j)
+
+        def f(z):
+            return math.prod(z - rho for rho in zeros)
+
+        ends = []
+        for z in (0j, 2 + 0j):
+            ends += [cmath.log(f(z)), sum(1 / (z - rho) for rho in zeros)]
+        dense = arg_variation(f, PathSegment(0j, 2 + 0j), unit_params(4001))
+        turns = dense.total_variation / TWO_PI
+        assert turns == pytest.approx(0.5 + 0.5 * side, abs=0.01)
+        step = math.remainder(ends[2].imag - ends[0].imag, TWO_PI)
+        assert _too_coarse(2.0, *ends) or abs(step - TWO_PI * turns) < 0.1
 
     @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
     def test_top_edge_at_a_located_zero(self, which):
